@@ -16,6 +16,7 @@ from repro.errors import FatalTransportError, TransportError
 from repro.net.pool import (ConnectionPool, PeerStats, dispatch_parallel,
                             dispatch_parallel_captured)
 from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
+from repro.soap.messages import build_fault
 
 Handler = Callable[[str], str]
 
@@ -35,22 +36,50 @@ class HttpXRPCServer:
 
         class _RequestHandler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # One exchange costs its work, not a timer: the stdlib's
+            # default unbuffered wfile puts headers and body in two
+            # segments, and with Nagle on the second waits out the
+            # client's delayed ACK (~40 ms on loopback).  Buffer the
+            # response (handle_one_request flushes it once) and turn
+            # Nagle off on accepted sockets for bodies beyond the buffer.
+            wbufsize = -1
+            disable_nagle_algorithm = True
 
             def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-                length = int(self.headers.get("Content-Length", "0"))
-                payload = self.rfile.read(length).decode("utf-8")
+                self._reply(*self._answer())
+
+            def _answer(self) -> tuple[int, str]:
+                """HTTP status + SOAP reply; foreign input is the
+                sender's fault (400), never a dead handler thread."""
                 try:
-                    response = outer._handler(payload)
-                    status = 200
+                    length = int(self.headers.get("Content-Length", ""))
+                    if length < 0:
+                        raise ValueError(length)
+                except ValueError:
+                    # The body's extent is unknown, so this connection
+                    # cannot carry another request.
+                    self.close_connection = True
+                    return 400, build_fault(
+                        "env:Sender",
+                        "POST needs a non-negative integer Content-Length")
+                try:
+                    payload = self.rfile.read(length).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return 400, build_fault(
+                        "env:Sender", f"request body is not UTF-8: {exc}")
+                try:
+                    return 200, outer._handler(payload)
                 except Exception as exc:  # handler bugs become HTTP 500
-                    from repro.soap.messages import build_fault
-                    response = build_fault("env:Receiver", str(exc))
-                    status = 500
+                    return 500, build_fault("env:Receiver", str(exc))
+
+            def _reply(self, status: int, response: str) -> None:
                 body = response.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type",
                                  "application/soap+xml; charset=utf-8")
                 self.send_header("Content-Length", str(len(body)))
+                if self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
 

@@ -338,6 +338,36 @@ class LoopLiftingCompiler:
             return
         raise _unsupported(expr, "outside the loop-lifted core")
 
+    def evaluate(self, expr: A.Expr, bindings: list[dict[str, list]],
+                 context_item=None) -> list[list]:
+        """Evaluate *expr* set-at-a-time: once, for ``len(bindings)``
+        iterations; returns one result sequence per iteration.
+
+        Iteration *i* sees the variables of ``bindings[i - 1]`` (every
+        iteration binds the same names) and *context_item*, if any.  The
+        loop relation is ``iter = 1..N``, each variable one
+        ``iter|pos|item`` table over all iterations, and the result
+        table is split back by ``iter`` — a main-module query is the
+        N = 1 caller, a Bulk RPC message of N calls the general one.
+        Callers :meth:`preflight` first.
+        """
+        iters = range(1, len(bindings) + 1)
+        loop = Table(("iter",), [(it,) for it in iters])
+        env: dict[str, Table] = {
+            name: Table(
+                ("iter", "pos", "item"),
+                [(it, pos, item) for it, bound in enumerate(bindings, 1)
+                 for pos, item in enumerate(bound[name], 1)])
+            for name in (bindings[0] if bindings else ())}
+        if context_item is not None:
+            env[_DOT] = Table(("iter", "pos", "item"),
+                              [(it, 1, context_item) for it in iters])
+        table = self.compile_expr(expr, loop, env)
+        results: list[list] = [[] for _ in iters]
+        for it, _pos, item in table.sort("iter", "pos").rows:
+            results[it - 1].append(item)
+        return results
+
     def compile_expr(self, expr: A.Expr, loop: Table,
                      env: dict[str, Table]) -> Table:
         """Compile *expr* under the given loop relation and environment;
@@ -934,19 +964,12 @@ class LoopLiftedQuery:
             variables = variables or context.variables
             if context_item is None:
                 context_item = context.context_item
-        loop = Table(("iter",), [(1,)])
-        env: dict[str, Table] = {}
-        for name, sequence in (variables or {}).items():
-            env[name] = Table(
-                ("iter", "pos", "item"),
-                [(1, pos, item) for pos, item in enumerate(sequence, 1)])
-        if context_item is not None:
-            env[_DOT] = Table(("iter", "pos", "item"), [(1, 1, context_item)])
         body = self.compiled.ast.body
         assert body is not None
         # Reject statically-unsupported queries before evaluation — in
         # this compile-is-evaluate pipeline that is what keeps fallback
         # from re-shipping already-dispatched execute-at calls.
         self.compiler.preflight(body)
-        table = self.compiler.compile_expr(body, loop, env)
-        return [item for it, pos, item in table.sort("iter", "pos").rows]
+        [result] = self.compiler.evaluate(body, [variables or {}],
+                                          context_item)
+        return result

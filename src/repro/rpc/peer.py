@@ -32,6 +32,7 @@ from repro.net.cost import PeerCostModel
 from repro.net.retry import (NET_STATS, BreakerRegistry, Deadline, NetEvents,
                              ResilientChannel, RetryPolicy)
 from repro.net.transport import Transport, normalize_peer_uri
+from repro.pathfinder.compiler import LoopLiftingCompiler
 from repro.rpc.client import ClientSession
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.server import XRPCServer
@@ -39,7 +40,9 @@ from repro.rpc.store import DocumentStore
 from repro.soap.marshal import marshal_fingerprint
 from repro.soap.messages import QueryID
 from repro.xquery import xast as A
-from repro.xquery.context import DynamicContext, ExecutionContext, RemoteCall
+from repro.xquery import seqtype
+from repro.xquery.context import (DynamicContext, ExecutionContext, RemoteCall,
+                                  StaticContext)
 from repro.xquery.evaluator import CompiledQuery, Evaluator
 from repro.xquery.modules import ModuleRegistry
 from repro.xquf.pul import PendingUpdateList, apply_updates
@@ -166,16 +169,56 @@ class XRPCPeer:
     # Serving side helpers (used by XRPCServer)
 
     def run_function(self, decl: A.FunctionDecl, params: list[list],
-                     doc_view, session: ClientSession) -> tuple[list, PendingUpdateList]:
-        """Apply a module function to unmarshaled parameters."""
+                     doc_view, session: ClientSession,
+                     context: Optional[DynamicContext] = None,
+                     ) -> tuple[list, PendingUpdateList]:
+        """Apply a module function to unmarshaled parameters.
+
+        *context* is the message's :meth:`serving_context` when the
+        caller serves many calls through one; each call still collects
+        into a pending update list of its own.
+        """
         if decl is self._kw_search_decl:
             # Service endpoint, not a user function: answer from this
             # peer's term indexes instead of evaluating the stub body.
             return self._serve_keyword_search(params, doc_view), \
                 PendingUpdateList()
-        ctx = self._make_context(doc_view, session)
+        ctx = context if context is not None \
+            else self.serving_context(doc_view, session)
+        ctx.pul = PendingUpdateList()
         result = self.evaluator.call_user_function(decl, params, ctx)
-        return result, ctx.pul or PendingUpdateList()
+        return result, ctx.pul
+
+    def run_function_set(self, decl: A.FunctionDecl, calls: list[list[list]],
+                         context: DynamicContext) -> Optional[list[list]]:
+        """Serve all calls of one Bulk RPC message to the non-updating
+        *decl* as ONE loop-lifted plan (paper sections 3.2/4): the
+        message already is an ``iter|pos|item`` table per parameter, so
+        the body compiles once under the loop relation ``iter = 1..N``
+        instead of running the tree interpreter N times.
+
+        Returns ``None`` — the caller then runs :meth:`run_function` per
+        call — for the ``sys:kw-search`` endpoint, for bodies outside
+        the lifted core (no dispatch function, so no nested ``execute
+        at``) and on *any* error, so fault text is the per-call path's
+        by construction.  Re-running is safe: the attempt is read-only
+        and ships nothing.
+        """
+        if decl is self._kw_search_decl:
+            return None
+        static = decl.module.static if decl.module is not None \
+            else context.static
+        compiler = LoopLiftingCompiler(
+            static, doc_resolver=context.doc_resolver)
+        try:
+            # Static gate before any per-call work on the payload.
+            compiler.preflight(decl.body)
+            bindings = [seqtype.convert_arguments(decl, params)
+                        for params in calls]
+            return [seqtype.convert_result(decl, result) for result in
+                    compiler.evaluate(decl.body, bindings)]
+        except Exception:  # whatever it was, the per-call path reports it
+            return None
 
     def _serve_keyword_search(self, params: list[list], doc_view) -> list:
         """Serve one ``sys:kw-search`` bulk call: SLCA keyword search
@@ -203,15 +246,17 @@ class XRPCPeer:
                 hits.append(wrapper.children[0])
         return hits
 
-    def _make_context(self, doc_view, session: Optional[ClientSession]) -> DynamicContext:
-        from repro.xquery.context import StaticContext
+    def serving_context(self, doc_view,
+                        session: Optional[ClientSession]) -> DynamicContext:
+        """The dynamic context incoming calls evaluate in: one document
+        resolver (and its cache) over *doc_view*, nested ``execute at``
+        through *session*."""
         ctx = DynamicContext(
             StaticContext(),
             doc_resolver=self.make_doc_resolver(doc_view, session),
             xrpc_handler=self._one_at_a_time_handler(session)
             if session is not None else None,
         )
-        ctx.pul = PendingUpdateList()
         ctx.put_store = self.store.put
         ctx.optimize_joins = self.engine.optimize_flwor_joins
         ctx.accelerator = self.engine.accelerator

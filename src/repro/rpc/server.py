@@ -22,6 +22,8 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.errors import XQueryError, XRPCFault, XRPCReproError
+from repro.net.retry import NET_STATS, Deadline
+from repro.rpc.client import ClientSession
 from repro.soap.messages import (
     TxnCommand,
     TxnResult,
@@ -53,6 +55,8 @@ class XRPCServer:
         self.peer = peer
         self.requests_handled = 0
         self.calls_handled = 0
+        #: The share of ``calls_handled`` served set-at-a-time.
+        self.calls_lifted = 0
         self._stats_lock = threading.Lock()
         self._state_lock = threading.Lock()
 
@@ -130,41 +134,56 @@ class XRPCServer:
         # abandoned between calls instead of burning the whole budget.
         deadline = None
         if request.deadline_remaining is not None:
-            from repro.net.retry import Deadline
             deadline = Deadline.after(request.deadline_remaining, peer.clock)
 
         # Nested calls run through a fresh client session that shares the
         # incoming queryID — so isolation propagates transitively — and
         # the (shrunken) deadline plus the peer's resilience channel.
-        from repro.rpc.client import ClientSession
         nested_session = ClientSession(
             peer.transport, origin=peer.host, query_id=request.query_id,
             channel=peer.channel, deadline=deadline)
+        # Per message, not per call: one context, one document resolver
+        # (and cache) over the view.
+        context = peer.serving_context(doc_view, nested_session)
+        updating = request.updating or decl.updating
+
+        # Bulk RPC set-at-a-time: all N calls as one loop-lifted plan.
+        # Liftability of the body is the only selector.  Updating calls
+        # (their pending updates are per call) and unliftable bodies
+        # (`lifted` stays None) run per call below — as does a message
+        # whose budget is already spent, so the loop's fault answers it.
+        lifted = None
+        if not updating and (deadline is None or not deadline.expired()):
+            lifted = peer.run_function_set(decl, request.calls, context)
 
         results: list[list] = []
         collected_pul = PendingUpdateList()
-        for params in request.calls:
+        for index, params in enumerate(request.calls):
             if deadline is not None and deadline.expired():
-                from repro.net.retry import NET_STATS
                 NET_STATS.bump("deadline_expired")
                 raise XRPCFault(
                     "env:Receiver",
                     f"deadline expired at {peer.host} with "
-                    f"{len(request.calls) - len(results)} of "
+                    f"{len(request.calls) - index} of "
                     f"{len(request.calls)} bulk calls left")
-            with self._stats_lock:
-                self.calls_handled += 1
             if peer.cost_model is not None:
                 peer.clock.advance(peer.cost_model.per_call_seconds)
+            if lifted is not None:
+                results.append(lifted[index])
+                continue
             value, pul = peer.run_function(
-                decl, params, doc_view, nested_session)
-            if request.updating or decl.updating:
+                decl, params, doc_view, nested_session, context)
+            if updating:
                 collected_pul.merge(pul)
                 results.append([])
             else:
                 results.append(value)
+        with self._stats_lock:
+            self.calls_handled += len(results)
+            if lifted is not None:
+                self.calls_lifted += len(results)
 
-        if (request.updating or decl.updating) and collected_pul:
+        if updating and collected_pul:
             with self._state_lock:
                 if request.query_id is not None:
                     # Rule R'_Fu: defer to 2PC commit.

@@ -655,18 +655,13 @@ class Evaluator:
         if decl.body is None:
             raise DynamicError(
                 "XPDY0130", f"external function {decl.name} has no implementation")
-        bindings: dict[str, Sequence] = {}
-        for param, value in zip(decl.params, args):
-            converted = seqtype.convert_value(
-                value, param.seq_type, f"{decl.name}(${param.name})")
-            bindings[param.name] = converted
+        bindings = seqtype.convert_arguments(decl, args)
         module_static = decl.module.static if decl.module is not None else ctx.static
         body_ctx = ctx.function_scope(module_static, bindings)
         result = self.eval(decl.body, body_ctx)
         if decl.updating:
             return result
-        return seqtype.convert_value(
-            result, decl.return_type, f"{decl.name}() result")
+        return seqtype.convert_result(decl, result)
 
     # ------------------------------------------------------------------
     # XRPC

@@ -138,6 +138,21 @@ def convert_value(sequence: list, seq_type: A.SequenceType, who: str) -> list:
     return sequence
 
 
+def convert_arguments(decl: A.FunctionDecl,
+                      args: list[list]) -> dict[str, list]:
+    """One call's parameter bindings of *decl*: each argument under the
+    function conversion rules for its declared type."""
+    return {
+        param.name: convert_value(value, param.seq_type,
+                                  f"{decl.name}(${param.name})")
+        for param, value in zip(decl.params, args)}
+
+
+def convert_result(decl: A.FunctionDecl, result: list) -> list:
+    """A non-updating call's result under *decl*'s return type."""
+    return convert_value(result, decl.return_type, f"{decl.name}() result")
+
+
 def describe(seq_type: A.SequenceType) -> str:
     """Human-readable rendering, e.g. ``"element()*"`` (for messages)."""
     item_type = seq_type.item_type

@@ -1,5 +1,8 @@
 """Real loopback HTTP transport tests: SOAP XRPC over actual sockets."""
 
+import http.client
+import socket
+
 import pytest
 
 from repro.engine import TreeEngine
@@ -237,3 +240,174 @@ class TestConcurrentParallelDispatch:
             transport.close()
             for server in servers:
                 server.stop()
+
+
+class _CountingSocket(socket.socket):
+    """An accepted socket that records the size of every send."""
+
+    def send(self, data, *args):
+        self.sends.append(len(data))
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends.append(len(data))
+        return super().sendall(data, *args)
+
+
+def _count_sends(server):
+    """Make *server* (not yet started) hand its handler threads
+    :class:`_CountingSocket` connections; returns the list they are
+    collected in, in accept order."""
+    accepted = []
+    httpd = server._server
+    accept = httpd.get_request
+
+    def get_request():
+        connection, address = accept()
+        counting = _CountingSocket(connection.family, connection.type,
+                                   connection.proto,
+                                   fileno=connection.detach())
+        counting.sends = []
+        accepted.append(counting)
+        return counting, address
+
+    httpd.get_request = get_request
+    return accepted
+
+
+def _raw_exchange(connection, request: bytes):
+    """Write *request* on a raw socket, read one HTTP response."""
+    connection.sendall(request)
+    response = http.client.HTTPResponse(connection)
+    response.begin()
+    return response, response.read().decode("utf-8")
+
+
+def _post(body: bytes) -> bytes:
+    return (b"POST /xrpc HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body)
+
+
+def _double_payload(value: int) -> str:
+    """An ``m:double(value)`` request for a peer serving ECHO_MODULE."""
+    request = XRPCRequest(module="urn:echo", method="double",
+                          arity=1, location="e.xq")
+    request.add_call([[integer(value)]])
+    return build_request(request)
+
+
+class TestWirePath:
+    """Deterministic (no timing) checks that an exchange cannot stall:
+    a response leaves in ONE write on a TCP_NODELAY socket.  Two writes
+    with Nagle on is what cost a flat ~44 ms per keep-alive exchange —
+    the second segment waited out the client's delayed ACK."""
+
+    def test_one_write_per_response_on_a_nodelay_socket(self):
+        wrapper = XRPCWrapper(engine=TreeEngine())
+        wrapper.engine.registry.register_source(ECHO_MODULE, location="e.xq")
+        server = HttpXRPCServer(wrapper.handle)
+        accepted = _count_sends(server)
+        with server, HttpTransport({"peer": server.address}) as transport:
+            payload = _double_payload(3)
+            for _ in range(50):
+                assert parse_response(
+                    transport.send("peer", payload)).results == [[integer(6)]]
+            stats = transport.peer_stats("peer")
+            assert stats.requests == 50
+            assert stats.connections_opened == 1
+            assert stats.connections_reused == 49
+            [connection] = accepted
+            assert len(connection.sends) == 50  # one write per response
+            assert connection.getsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_NODELAY) != 0
+
+    def test_fault_responses_leave_in_one_write_too(self):
+        def broken_handler(payload):
+            raise RuntimeError("handler bug")
+
+        server = HttpXRPCServer(broken_handler)
+        accepted = _count_sends(server)
+        with server:
+            host, port = server.address.split(":")
+            with socket.create_connection((host, int(port)), 5) as raw:
+                # 500: the handler raised.
+                response, body = _raw_exchange(raw, _post(b"<x/>"))
+                assert response.status == 500
+                assert "env:Receiver" in body and "handler bug" in body
+                # 400: the body is not UTF-8 (same connection: its
+                # extent was known, so keep-alive survives).
+                response, body = _raw_exchange(raw, _post(b"\xff\xfe<x/>"))
+                assert response.status == 400
+                assert "env:Sender" in body and "UTF-8" in body
+                [connection] = accepted
+                assert len(connection.sends) == 2
+
+
+class TestForeignInput:
+    """Input no XRPC client would send must be answered — HTTP 400 with
+    an ``env:Sender`` SOAP fault — not crash the handler thread (which
+    dropped the connection, so clients retried a request that can never
+    succeed)."""
+
+    @pytest.fixture
+    def server(self):
+        wrapper = XRPCWrapper(engine=TreeEngine())
+        wrapper.engine.registry.register_source(ECHO_MODULE, location="e.xq")
+        with HttpXRPCServer(wrapper.handle) as server:
+            yield server
+
+    def _connect(self, server):
+        host, port = server.address.split(":")
+        return socket.create_connection((host, int(port)), 5)
+
+    def _assert_still_serving(self, server):
+        with HttpTransport({"peer": server.address}) as transport:
+            raw = transport.send("peer", _double_payload(21))
+        assert parse_response(raw).results == [[integer(42)]]
+
+    @pytest.mark.parametrize("header", [
+        b"",                                  # missing
+        b"Content-Length: twelve\r\n",        # not an integer
+        b"Content-Length: -5\r\n",            # negative
+    ], ids=["missing", "non-integer", "negative"])
+    def test_bad_content_length_is_a_sender_fault(self, server, header):
+        with self._connect(server) as raw:
+            response, body = _raw_exchange(
+                raw, b"POST /xrpc HTTP/1.1\r\nHost: test\r\n" + header
+                + b"\r\n<x/>")
+            assert response.status == 400
+            assert "env:Sender" in body and "Content-Length" in body
+            with pytest.raises(XRPCFault) as fault:
+                parse_response(body)
+            assert fault.value.fault_code == "env:Sender"
+            # The body's extent was unknown: the server closes.
+            assert response.getheader("Connection") == "close"
+            assert raw.recv(1) == b""
+        self._assert_still_serving(server)
+
+    def test_non_utf8_body_is_a_sender_fault(self, server):
+        with self._connect(server) as raw:
+            response, body = _raw_exchange(raw, _post(b"<x>\xff\xfe</x>"))
+            assert response.status == 400
+            with pytest.raises(XRPCFault) as fault:
+                parse_response(body)
+            assert fault.value.fault_code == "env:Sender"
+            assert "UTF-8" in fault.value.reason
+            # ... and the same connection serves the next request.
+            response, body = _raw_exchange(
+                raw, _post(_double_payload(4).encode("utf-8")))
+            assert response.status == 200
+            assert parse_response(body).results == [[integer(8)]]
+        self._assert_still_serving(server)
+
+    def test_client_sees_a_fault_not_a_transport_error(self, server):
+        """Through the real client stack: a terminal SOAP fault, not a
+        RetryableTransportError for a request that can never succeed."""
+        with HttpTransport({"peer": server.address}) as transport:
+            status, body = transport._pool.request(
+                server.address, "/xrpc", b"\xff\xfe",
+                headers=transport.REQUEST_HEADERS)
+            assert status == 400
+            with pytest.raises(XRPCFault):
+                parse_response(body.decode("utf-8"))
+            assert transport.peer_stats("peer").retries == 0
