@@ -26,6 +26,7 @@ from repro.workloads.xmark import XMarkConfig, generate_auctions
 from repro.xdm.nodes import NodeFactory
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
+from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquf.pul import (
     DeleteNode,
@@ -95,8 +96,8 @@ class _Workload:
         self.outputs: list = []
 
     def run_probe(self) -> str:
-        result, _ = self.probe.execute(doc_resolver=self.resolver,
-                                       accelerator=True)
+        result, _ = self.probe.run(
+            ExecutionContext(doc_resolver=self.resolver))
         return serialize_sequence(result)
 
     def run_rounds(self) -> float:

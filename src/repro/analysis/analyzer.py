@@ -15,8 +15,7 @@ answers four questions:
 * **updating-ness** — does the whole locally-evaluated expression tree
   (query body plus locally-called function bodies, transitively)
   contain XQUF update expressions, ``fn:put``, or updating remote
-  calls?  This replaces the remote-call-only guard
-  :func:`repro.pathfinder.remote_call_profile` with full coverage.
+  calls?
 * **site profile** — how many ``execute at`` sites dispatch locally,
   to which destinations.
 * **diagnostics** — unknown/mis-aritied functions, unbound variables,
@@ -274,7 +273,7 @@ def _scan_local_tree(root, static, graph: _Graph) -> None:
                                        len(node.call.args))
             if decl is None or getattr(decl, "updating", False):
                 # Unresolvable names count as updating (conservative:
-                # no speculative shipping), matching remote_call_profile.
+                # no speculative shipping).
                 graph.updating_remote = True
         elif isinstance(node, A.FunctionCall):
             if node.name.split(":")[-1] == "doc" and len(node.args) == 1:

@@ -81,9 +81,7 @@ class QueryProperties:
 
     ``updating`` covers the full locally-evaluated expression tree:
     XQUF update expressions, ``fn:put``, locally-called updating
-    functions, and updating (or unresolvable) remote calls — the
-    whole-tree replacement for the remote-call-only guard
-    :func:`repro.pathfinder.remote_call_profile` used to provide.
+    functions, and updating (or unresolvable) remote calls.
     """
 
     liftable: bool

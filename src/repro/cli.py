@@ -15,9 +15,10 @@ module`` resolves.  Updating queries apply their pending update list and
 Queries route through the unified session API
 (:class:`repro.session.Database`): the loop-lifted relational plan runs
 first, anything outside the lifted core falls back to the tree
-interpreter.  ``--explain`` prints the plan kind, fallback reason and
-compile/execute timings to stderr; ``--no-lifted`` pins the query to
-the interpreter.
+interpreter.  ``--explain`` prints the plan kind, fallback reason,
+compile/execute timings and the execution's counters (one line per
+:mod:`repro.obs` group that moved) to stderr; ``--no-lifted`` pins the
+query to the interpreter.
 
 ``check`` lints queries without executing them, through the
 prepare-time static analyzer (:mod:`repro.analysis`)::
@@ -82,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--indent", action="store_true",
                         help="pretty-print node results")
     parser.add_argument("--explain", action="store_true",
-                        help="print plan kind, fallback reason and timings "
-                             "to stderr")
+                        help="print plan kind, fallback reason, timings and "
+                             "per-execution counters to stderr")
     parser.add_argument("--no-lifted", action="store_true",
                         help="skip the loop-lifted relational plan and run "
                              "the tree interpreter directly")

@@ -5,9 +5,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from repro import obs
 from repro.analysis import QueryProperties, analyze_compiled
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
@@ -34,35 +35,13 @@ class Explain:
     :class:`~repro.pathfinder.compiler.UnsupportedExpression`) — the
     key the engine's per-reason fallback histogram counts under.
 
-    ``reencodes_full`` / ``reencodes_subtree`` / ``gap_respreads`` /
-    ``index_patches`` are *this execution's* deltas of the
-    :data:`~repro.xdm.structural.ENCODING_STATS` counters (taken
-    against the executing thread's totals, so concurrent executions
-    never attribute each other's work) — what the update path actually
-    cost: a splice that stayed on the O(change) fast path counts under
-    ``reencodes_subtree`` + ``index_patches``, while ``reencodes_full``
-    flags the whole-tree fallback.
-
-    ``documents_parsed`` / ``parse_fallbacks`` are the same per-thread
-    delta discipline over :data:`~repro.xml.stats.PARSE_STATS`: how many
-    documents the parse frontend built during this execution (fn:doc on
-    cold URIs, shipped Bulk RPC messages) and how many of those fell
-    back from expat to the pure-python reference parser.
-
-    ``postings_built`` / ``postings_patched`` / ``search_queries`` /
-    ``postings_hits`` are the keyword-search deltas
-    (:data:`~repro.search.stats.SEARCH_STATS`): term postings
-    materialized by full :class:`~repro.search.index.TermIndex` builds
-    versus maintained incrementally by the PUL hooks, posting-list
-    query plans served (lifted ``contains`` prefilters), and the
-    results they surfaced.
-
-    ``net_retries`` / ``net_giveups`` / ``net_breaker_opens`` /
-    ``net_breaker_fast_fails`` / ``net_deadline_expired`` /
-    ``net_degraded_peers`` are the fault-tolerance deltas
-    (:data:`~repro.net.retry.NET_STATS`): what the retry/backoff,
-    circuit-breaker, deadline, and partial-results machinery did while
-    this execution's exchanges were in flight.
+    ``counters`` is what *this execution* did, layer by layer: the
+    entries of every declared :class:`~repro.obs.Counters` group bumped
+    while the execution's :class:`~repro.obs.Scope` was current, under
+    namespaced ``group.name`` keys (``updates.*``, ``parse.*``,
+    ``search.*``, ``net.*``; absent means zero).  Concurrent executions
+    never see each other's work, and work a remote peer served is
+    charged to that peer's served request, not here.
     """
 
     plan: str
@@ -71,22 +50,7 @@ class Explain:
     execute_seconds: float
     cache_hit: bool
     fallback_code: Optional[str] = None
-    reencodes_full: int = 0
-    reencodes_subtree: int = 0
-    gap_respreads: int = 0
-    index_patches: int = 0
-    documents_parsed: int = 0
-    parse_fallbacks: int = 0
-    postings_built: int = 0
-    postings_patched: int = 0
-    search_queries: int = 0
-    postings_hits: int = 0
-    net_retries: int = 0
-    net_giveups: int = 0
-    net_breaker_opens: int = 0
-    net_breaker_fast_fails: int = 0
-    net_deadline_expired: int = 0
-    net_degraded_peers: int = 0
+    counters: dict[str, int] = field(default_factory=dict)
     #: The prepare-time static analysis report (liftability prediction,
     #: updating-ness, site profile, semantic diagnostics) — memoized on
     #: the compiled query, so a plan-cache hit reattaches it for free.
@@ -103,49 +67,20 @@ class Explain:
         lines.append(f"plan cache: {'hit' if self.cache_hit else 'miss'}")
         lines.append(f"compile: {self.compile_seconds * 1000.0:.3f} ms")
         lines.append(f"execute: {self.execute_seconds * 1000.0:.3f} ms")
-        if (self.reencodes_full or self.reencodes_subtree
-                or self.gap_respreads or self.index_patches):
-            lines.append(
-                "updates: "
-                f"reencode full={self.reencodes_full} "
-                f"subtree={self.reencodes_subtree} "
-                f"respreads={self.gap_respreads} "
-                f"index patches={self.index_patches}")
-        if self.documents_parsed or self.parse_fallbacks:
-            lines.append(
-                "parse: "
-                f"documents={self.documents_parsed} "
-                f"fallbacks={self.parse_fallbacks}")
-        if (self.postings_built or self.postings_patched
-                or self.search_queries or self.postings_hits):
-            lines.append(
-                "search: "
-                f"postings built={self.postings_built} "
-                f"patched={self.postings_patched} "
-                f"queries={self.search_queries} "
-                f"hits={self.postings_hits}")
-        if (self.net_retries or self.net_giveups or self.net_breaker_opens
-                or self.net_breaker_fast_fails or self.net_deadline_expired
-                or self.net_degraded_peers):
-            lines.append(
-                "net: "
-                f"retries={self.net_retries} "
-                f"giveups={self.net_giveups} "
-                f"breaker opens={self.net_breaker_opens} "
-                f"fast fails={self.net_breaker_fast_fails} "
-                f"deadline expired={self.net_deadline_expired} "
-                f"degraded peers={self.net_degraded_peers}")
+        lines.extend(obs.render(self.counters))
         return "\n".join(lines)
 
 
 class Engine:
     """Base engine: compiles queries, optionally caching plans.
 
-    ``execute`` is the single query-service surface: compile through the
+    ``execute`` is the local query-service surface: compile through the
     (bounded, thread-safe) plan cache, try the loop-lifted relational
     plan, fall back to the tree interpreter with recorded telemetry.
-    :class:`~repro.session.Database` and :class:`~repro.rpc.XRPCPeer`
-    both route through it.
+    :class:`~repro.session.Database` routes through it;
+    :class:`~repro.rpc.XRPCPeer` composes the same steps
+    (``compile_with_stats`` / ``analyze`` / ``attempt_lifted``) around
+    its Bulk RPC routing.
 
     Parameters
     ----------
@@ -194,15 +129,10 @@ class Engine:
         self._cache_lock = threading.Lock()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Wall-clock phase timers of the most recent compile (Table 3).
-        self.last_compile_seconds = 0.0
-        self.last_compile_cache_hit = False
-        # Telemetry of the most recent execute call: which plan ran
-        # ("lifted" | "interpreter") and, on fallback, the uniform
-        # UnsupportedExpression message naming the offending AST node.
+        # Which plan the most recent execution ran ("lifted" |
+        # "interpreter"); last-writer-wins under concurrency — the
+        # returned Explain is the race-free surface.
         self.last_plan: Optional[str] = None
-        self.last_fallback_reason: Optional[str] = None
-        self.last_fallback_code: Optional[str] = None
         # Per-reason fallback histogram (stable UnsupportedExpression
         # codes -> count), so retired fallbacks are visible one by one.
         self._fallback_counts: dict[str, int] = {}
@@ -217,9 +147,7 @@ class Engine:
         ``(compiled, compile_seconds, cache_hit)``.
 
         The stats come back as return values so concurrent compiles
-        cannot report each other's numbers — the ``last_compile_*``
-        attributes are kept for legacy callers but are last-writer-wins
-        under concurrency.
+        cannot report each other's numbers.
         """
         if self.plan_cache_enabled:
             with self._cache_lock:
@@ -227,15 +155,11 @@ class Engine:
                 if cached is not None:
                     self._plan_cache.move_to_end(source)
                     self.plan_cache_hits += 1
-                    self.last_compile_seconds = 0.0
-                    self.last_compile_cache_hit = True
                     return cached, 0.0, True
                 self.plan_cache_misses += 1
         started = time.perf_counter()
         compiled = CompiledQuery(source, self.registry)
         compile_seconds = time.perf_counter() - started
-        self.last_compile_seconds = compile_seconds
-        self.last_compile_cache_hit = False
         if self.plan_cache_enabled:
             with self._cache_lock:
                 self._plan_cache[source] = compiled
@@ -265,88 +189,39 @@ class Engine:
         ``context.xrpc_handler`` serves ``execute at`` on the
         interpreter fallback (the two layers' contracts differ, see
         :class:`~repro.xquery.context.RemoteCall`).  The attempt and its
-        outcome are recorded in ``last_plan`` / ``last_fallback_reason``
-        and returned as the :class:`Explain`.
+        outcome are returned as the :class:`Explain`, whose ``counters``
+        are what the execution's :class:`~repro.obs.Scope` collected.
         """
-        from repro.net.retry import NET_STATS
-        from repro.search.stats import SEARCH_STATS
-        from repro.xdm.structural import ENCODING_STATS
-        from repro.xml.stats import PARSE_STATS
-
-        # A missing context inherits the engine's own configuration
-        # (the ablation toggles execute_lifted always honored).
+        # A missing context inherits the engine's own configuration.
         options = context if context is not None else ExecutionContext(
             accelerator=self.accelerator,
             optimize_joins=self.optimize_flwor_joins)
         self.last_plan = None
-        self.last_fallback_reason = None
-        self.last_fallback_code = None
         compiled, compile_seconds, cache_hit = self.compile_with_stats(source)
         analysis = self.analyze(compiled, options)
         started = time.perf_counter()
-        # Thread-local basis: concurrent executions must not attribute
-        # each other's update costs (apply_updates runs synchronously on
-        # this thread, so its bumps land in this thread's counters).
-        encoding_before = ENCODING_STATS.snapshot_local()
-        parse_before = PARSE_STATS.snapshot_local()
-        search_before = SEARCH_STATS.snapshot_local()
-        net_before = NET_STATS.snapshot_local()
-
-        def update_deltas() -> dict:
-            after = ENCODING_STATS.snapshot_local()
-            deltas = {
-                field: after[field] - encoding_before[field]
-                for field in ("reencodes_full", "reencodes_subtree",
-                              "gap_respreads", "index_patches")}
-            parse_after = PARSE_STATS.snapshot_local()
-            deltas["documents_parsed"] = (
-                parse_after["documents_expat"]
-                + parse_after["documents_python"]
-                - parse_before["documents_expat"]
-                - parse_before["documents_python"])
-            deltas["parse_fallbacks"] = (
-                parse_after["fallbacks_to_python"]
-                - parse_before["fallbacks_to_python"])
-            search_after = SEARCH_STATS.snapshot_local()
-            for field in ("postings_built", "postings_patched",
-                          "search_queries", "postings_hits"):
-                deltas[field] = search_after[field] - search_before[field]
-            net_after = NET_STATS.snapshot_local()
-            for field, source in (("net_retries", "retries"),
-                                  ("net_giveups", "retry_giveups"),
-                                  ("net_breaker_opens", "breaker_opens"),
-                                  ("net_breaker_fast_fails",
-                                   "breaker_fast_fails"),
-                                  ("net_deadline_expired",
-                                   "deadline_expired"),
-                                  ("net_degraded_peers", "degraded_peers")):
-                deltas[field] = net_after[source] - net_before[source]
-            return deltas
-
+        plan = "interpreter"
         fallback_reason = None
         fallback_code = None
-        if options.try_lifted:
-            result, fallback_reason, fallback_code = self.attempt_lifted(
-                source, compiled, options)
-            if fallback_reason is None:
-                self.record_plan("lifted", None)
-                return result, Explain(
-                    plan="lifted", fallback_reason=None,
-                    compile_seconds=compile_seconds,
-                    execute_seconds=time.perf_counter() - started,
-                    cache_hit=cache_hit, analysis=analysis,
-                    **update_deltas())
-        self.record_plan("interpreter", fallback_reason, fallback_code)
-        result, pul = compiled.run(options)
-        if pul and options.apply_updates:
-            from repro.xquf.pul import apply_updates
-            apply_updates(pul, incremental=options.incremental_updates)
+        with obs.Scope() as scope:
+            if options.try_lifted:
+                result, fallback_reason, fallback_code = self.attempt_lifted(
+                    source, compiled, options)
+                if fallback_reason is None:
+                    plan = "lifted"
+            self.record_plan(plan, fallback_reason, fallback_code)
+            if plan == "interpreter":
+                result, pul = compiled.run(options)
+                if pul and options.apply_updates:
+                    from repro.xquf.pul import apply_updates
+                    apply_updates(pul,
+                                  incremental=options.incremental_updates)
         return result, Explain(
-            plan="interpreter", fallback_reason=fallback_reason,
+            plan=plan, fallback_reason=fallback_reason,
             compile_seconds=compile_seconds,
             execute_seconds=time.perf_counter() - started,
             cache_hit=cache_hit, fallback_code=fallback_code,
-            analysis=analysis, **update_deltas())
+            counters=scope.counters, analysis=analysis)
 
     def analyze(self, compiled: CompiledQuery,
                 context: Optional[ExecutionContext] = None,
@@ -384,33 +259,14 @@ class Engine:
 
     def record_plan(self, plan: str, fallback_reason: Optional[str],
                     fallback_code: Optional[str] = None) -> None:
-        """Record the most recent plan choice (legacy last-* telemetry;
-        the returned :class:`Explain` is the race-free surface) and bump
-        the per-code fallback histogram when an attempt bailed."""
+        """Record the most recent plan choice and bump the per-code
+        fallback histogram when an attempt bailed."""
         self.last_plan = plan
-        self.last_fallback_reason = fallback_reason
-        self.last_fallback_code = fallback_code
         if plan == "interpreter" and fallback_reason is not None:
             code = fallback_code or "uncoded"
             with self._cache_lock:
                 self._fallback_counts[code] = \
                     self._fallback_counts.get(code, 0) + 1
-
-    # -- deprecated keyword-style entry point -------------------------------
-
-    def execute_lifted(self, source: str, doc_resolver=None,
-                       variables: Optional[dict] = None,
-                       context_item=None, dispatch=None,
-                       xrpc_handler=None) -> list:
-        """Deprecated shim over :meth:`execute` (the pre-session-API
-        signature); returns the bare result sequence."""
-        result, _ = self.execute(source, ExecutionContext(
-            doc_resolver=doc_resolver, variables=variables,
-            context_item=context_item, dispatch=dispatch,
-            xrpc_handler=xrpc_handler,
-            optimize_joins=self.optimize_flwor_joins,
-            accelerator=self.accelerator))
-        return result
 
     # -- function cache (server-side plan cache per remote function) -------
 

@@ -12,7 +12,7 @@ channel:
   transport built on the standard library, proving the protocol actually
   runs over HTTP/SOAP like the paper's SHTTPD-based implementation.
   Backed by :mod:`repro.net.pool`: persistent keep-alive connections per
-  peer and true concurrent per-destination ``send_parallel`` fan-out.
+  peer and true concurrent per-destination ``exchange_many`` fan-out.
 
 The fault-tolerance layer stacks on top of either transport:
 :mod:`repro.net.retry` (deadlines, retry/backoff, circuit breakers,
@@ -23,10 +23,10 @@ the :class:`~repro.net.retry.ResilientChannel` driver) and
 from repro.net.clock import VirtualClock, WallClock
 from repro.net.cost import NetworkCostModel, PeerCostModel
 from repro.net.faults import FaultInjectingTransport, FaultPlan
-from repro.net.pool import ConnectionPool, PeerStats, dispatch_parallel
+from repro.net.pool import ConnectionPool, PeerStats
 from repro.net.retry import (NET_STATS, BreakerRegistry, ChannelRequest,
-                             CircuitBreaker, Deadline, NetEvents,
-                             ResilientChannel, RetryPolicy)
+                             CircuitBreaker, Deadline, ResilientChannel,
+                             RetryPolicy)
 from repro.net.simulated import SimulatedNetwork
 from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
 from repro.net.http import HttpTransport, HttpXRPCServer
@@ -38,7 +38,6 @@ __all__ = [
     "PeerCostModel",
     "ConnectionPool",
     "PeerStats",
-    "dispatch_parallel",
     "SimulatedNetwork",
     "Transport",
     "ExchangeSpec",
@@ -50,7 +49,6 @@ __all__ = [
     "ChannelRequest",
     "CircuitBreaker",
     "Deadline",
-    "NetEvents",
     "ResilientChannel",
     "RetryPolicy",
     "FaultInjectingTransport",

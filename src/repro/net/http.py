@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
 from repro.errors import FatalTransportError, TransportError
-from repro.net.pool import (ConnectionPool, PeerStats, dispatch_parallel,
+from repro.net.pool import (ConnectionPool, PeerStats,
                             dispatch_parallel_captured)
 from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
 from repro.soap.messages import build_fault
@@ -123,7 +123,7 @@ class HttpTransport(Transport):
     """Client side: maps peer keys to ``host:port`` HTTP endpoints.
 
     Connections are pooled per peer and kept alive across requests;
-    ``send_parallel`` fans out over destination peers with one worker
+    ``exchange_many`` fans out over destination peers with one worker
     thread each, so a bulk dispatch to N peers costs ~max (not sum) of
     the per-peer latencies.  Call :meth:`close` (or use the transport as
     a context manager) to release pooled connections.
@@ -181,10 +181,6 @@ class HttpTransport(Transport):
                 f"body: {summary}")
         # SOAP faults ride on HTTP 500; surface the fault envelope.
         return text
-
-    def send_parallel(self, requests: list[tuple[str, str]]) -> list[str]:
-        """Concurrent per-destination fan-out over pooled connections."""
-        return dispatch_parallel(self.send, requests)
 
     def exchange_many(self,
                       specs: list[ExchangeSpec]) -> list[str | TransportError]:

@@ -26,10 +26,9 @@ the raw :class:`~repro.net.transport.Transport`:
   partial-results ("degrade") policy.
 
 Every decision the layer takes is counted in :data:`NET_STATS`
-(process-wide totals for ``Database.stats()`` plus per-thread totals for
-per-execution ``Explain`` deltas) and, when the caller passes a
-:class:`NetEvents` sink, recorded per execution with the failed-peer
-list that feeds degraded-result reports.
+(``net.*`` in ``Explain.counters`` / ``Database.stats().counters``; see
+:mod:`repro.obs`): the channel runs on the issuing execution's thread,
+so its bumps land in that execution's scope.
 """
 
 from __future__ import annotations
@@ -45,61 +44,26 @@ from repro.errors import (CircuitOpenError, DeadlineExceeded,
                           TransportError)
 from repro.net.clock import VirtualClock, WallClock
 from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
-from repro.xdm.structural import EncodingStats
+from repro.obs import Counters
 
 
-class NetStats(EncodingStats):
-    """Fault-tolerance telemetry counters.
-
-    ``exchanges`` — attempts handed to the transport (including
-    retries); ``retries`` — re-attempts after a retryable failure;
-    ``retry_giveups`` — exchanges abandoned with attempts exhausted;
-    ``breaker_opens`` — closed/half-open -> open transitions;
-    ``breaker_fast_fails`` — exchanges refused without touching the
-    network because the destination's breaker was open;
-    ``deadline_expired`` — exchanges (or backoff waits) cut short by the
-    query deadline; ``degraded_peers`` — peers skipped under the
-    ``on_peer_failure="degrade"`` partial-results policy;
-    ``faults_injected`` — faults the chaos harness actually injected.
-    """
-
-    FIELDS = ("exchanges", "retries", "retry_giveups", "breaker_opens",
-              "breaker_fast_fails", "deadline_expired", "degraded_peers",
-              "faults_injected")
-
-
-#: Process-wide counter instance (exchanges run from any thread).
-NET_STATS = NetStats()
-
-
-class NetEvents:
-    """Per-execution fault-tolerance event record.
-
-    The channel bumps :data:`NET_STATS` for every event regardless;
-    callers that need per-query attribution (``Explain``, degraded
-    result reports) additionally pass one of these through the exchange
-    and read ``counters`` / ``failed_peers`` afterwards.
-    """
-
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
-        # Normalized peer keys whose exchanges were abandoned, in
-        # first-failure order (feeds `failed_peers` in degraded results).
-        self.failed_peers: list[str] = []
-        # Peers already counted as degraded (one per peer per execution,
-        # however many of its bulk groups failed).
-        self.degraded_counted: set[str] = set()
-
-    def note(self, event: str, count: int = 1) -> None:
-        self.counters[event] = self.counters.get(event, 0) + count
-
-    def peer_failed(self, destination: str) -> None:
-        key = normalize_peer_uri(destination)
-        if key not in self.failed_peers:
-            self.failed_peers.append(key)
-
-    def get(self, event: str) -> int:
-        return self.counters.get(event, 0)
+#: Process-wide fault-tolerance counters (exchanges run from any thread).
+NET_STATS = Counters("net", {
+    "exchanges": "attempts handed to the transport (including retries)",
+    "retries": "re-attempts after a retryable failure",
+    "retry_giveups": "exchanges abandoned with attempts exhausted",
+    "breaker_opens": "circuit-breaker closed/half-open -> open transitions",
+    "breaker_fast_fails":
+        "exchanges refused without touching the network because the "
+        "destination's breaker was open",
+    "deadline_expired":
+        "exchanges, backoff waits, served bulk loops or local runs cut "
+        "short by the query deadline",
+    "degraded_peers":
+        'peers skipped under the `on_peer_failure="degrade"` '
+        "partial-results policy (one per peer per execution)",
+    "faults_injected": "faults the chaos harness actually injected",
+})
 
 
 class Deadline:
@@ -317,30 +281,27 @@ class ResilientChannel:
                  build: Callable[[int, float | None], str],
                  parse: Callable[[str], Any],
                  retry_safe: bool = True,
-                 deadline: Deadline | None = None,
-                 events: NetEvents | None = None) -> Any:
+                 deadline: Deadline | None = None) -> Any:
         """Run one exchange to completion under the full policy."""
         entry = ChannelRequest(destination, build, parse, retry_safe)
         attempt = 1
         while True:
             try:
-                return self._attempt(entry, attempt, deadline, events)
+                return self._attempt(entry, attempt, deadline)
             except TransportError as exc:
-                attempt = self._plan_retry(entry, attempt, exc,
-                                           deadline, events)
+                attempt = self._plan_retry(entry, attempt, exc, deadline)
 
     # -- batched exchanges ----------------------------------------------
 
     def exchange_many(self, entries: list[ChannelRequest],
                       deadline: Deadline | None = None,
-                      events: NetEvents | None = None,
                       capture: bool = False) -> list[Any]:
         """Dispatch a batch; first attempts ride the transport's parallel
         fan-out, stragglers retry individually.
 
         With ``capture=True`` (the partial-results path) a failed
         entry's slot holds its final :class:`TransportError` instead of
-        raising, and the failing peer lands in ``events.failed_peers``.
+        raising.
         """
         results: list[Any] = [None] * len(entries)
         # Round 1: open every entry (deadline/breaker gate + build),
@@ -350,7 +311,7 @@ class ResilientChannel:
         pending: list[tuple[int, TransportError]] = []
         for index, entry in enumerate(entries):
             try:
-                specs.append(self._open_spec(entry, 1, deadline, events))
+                specs.append(self._open_spec(entry, 1, deadline))
                 owners.append(index)
             except TransportError as exc:
                 pending.append((index, exc))
@@ -358,45 +319,41 @@ class ResilientChannel:
         for outcome, index in zip(raw, owners):
             entry = entries[index]
             try:
-                results[index] = self._close(entry, outcome, events)
+                results[index] = self._close(entry, outcome)
             except TransportError as exc:
                 pending.append((index, exc))
         # Round 2+: retry the failures one by one (rare path).
         for index, exc in sorted(pending, key=lambda item: item[0]):
             entry = entries[index]
             try:
-                results[index] = self._finish(entry, exc, deadline, events)
+                results[index] = self._finish(entry, exc, deadline)
             except TransportError as final:
                 if not capture:
                     raise
-                if events is not None:
-                    events.peer_failed(entry.destination)
                 results[index] = final
         return results
 
     # -- internals -------------------------------------------------------
 
     def _finish(self, entry: ChannelRequest, exc: TransportError,
-                deadline: Deadline | None,
-                events: NetEvents | None) -> Any:
+                deadline: Deadline | None) -> Any:
         """Drive one entry from its first failure to success or give-up."""
         attempt = 1
         while True:
-            attempt = self._plan_retry(entry, attempt, exc, deadline, events)
+            attempt = self._plan_retry(entry, attempt, exc, deadline)
             try:
-                return self._attempt(entry, attempt, deadline, events)
+                return self._attempt(entry, attempt, deadline)
             except TransportError as next_exc:
                 exc = next_exc
 
     def _attempt(self, entry: ChannelRequest, attempt: int,
-                 deadline: Deadline | None,
-                 events: NetEvents | None) -> Any:
-        spec = self._open_spec(entry, attempt, deadline, events)
+                 deadline: Deadline | None) -> Any:
+        spec = self._open_spec(entry, attempt, deadline)
         try:
             outcome: str | TransportError = self.transport.exchange(spec)
         except TransportError as exc:
             outcome = exc
-        return self._close(entry, outcome, events)
+        return self._close(entry, outcome)
 
     def _breaker(self, entry: ChannelRequest) -> CircuitBreaker:
         """Resolve (and memoize) the entry's destination breaker —
@@ -407,13 +364,12 @@ class ResilientChannel:
         return breaker
 
     def _open_spec(self, entry: ChannelRequest, attempt: int,
-                   deadline: Deadline | None,
-                   events: NetEvents | None) -> ExchangeSpec:
+                   deadline: Deadline | None) -> ExchangeSpec:
         """Deadline/breaker gate, then build this attempt's payload."""
         remaining: float | None = None
         if deadline is not None:
             if deadline.expired():
-                self._note(events, "deadline_expired")
+                NET_STATS.bump("deadline_expired")
                 raise DeadlineExceeded(
                     f"query deadline exhausted before exchange with "
                     f"{entry.destination!r}")
@@ -422,27 +378,27 @@ class ResilientChannel:
         if breaker.state != "closed":
             now = self.clock.now()
             if not breaker.allow(now):
-                self._note(events, "breaker_fast_fails")
+                NET_STATS.bump("breaker_fast_fails")
                 raise CircuitOpenError(normalize_peer_uri(entry.destination),
                                        breaker.retry_after(now))
-        self._note(events, "exchanges")
+        NET_STATS.bump("exchanges")
         return ExchangeSpec(entry.destination,
                             entry.build(attempt, remaining),
                             retry_safe=entry.retry_safe, timeout=remaining)
 
-    def _close(self, entry: ChannelRequest, outcome: str | TransportError,
-               events: NetEvents | None) -> Any:
+    def _close(self, entry: ChannelRequest,
+               outcome: str | TransportError) -> Any:
         """Parse one attempt's outcome, keeping the breaker informed."""
         breaker = self._breaker(entry)
         if isinstance(outcome, TransportError):
-            self._record_failure(breaker, events)
+            self._record_failure(breaker)
             raise outcome
         try:
             result = entry.parse(outcome)
         except RetryableTransportError:
             # Torn/garbage/stale response: the peer misbehaved even
             # though bytes came back.
-            self._record_failure(breaker, events)
+            self._record_failure(breaker)
             raise
         except Exception:
             # A decoded SOAP fault (XRPCFault etc.) means the peer is
@@ -453,22 +409,21 @@ class ResilientChannel:
         return result
 
     def _plan_retry(self, entry: ChannelRequest, attempt: int,
-                    exc: TransportError, deadline: Deadline | None,
-                    events: NetEvents | None) -> int:
+                    exc: TransportError, deadline: Deadline | None) -> int:
         """Decide whether attempt N+1 happens; backs off and returns its
         number, or re-raises ``exc``."""
         if not self._may_retry(exc, entry.retry_safe):
             raise exc
         if attempt >= self.policy.max_attempts:
-            self._note(events, "retry_giveups")
+            NET_STATS.bump("retry_giveups")
             raise exc
         delay = self.policy.backoff(attempt)
         if deadline is not None and deadline.remaining() <= delay:
-            self._note(events, "deadline_expired")
+            NET_STATS.bump("deadline_expired")
             raise DeadlineExceeded(
                 f"query deadline exhausted while backing off for "
                 f"{entry.destination!r}") from exc
-        self._note(events, "retries")
+        NET_STATS.bump("retries")
         self._sleep(delay)
         return attempt + 1
 
@@ -484,15 +439,9 @@ class ResilientChannel:
         # have reached the peer.
         return retry_safe
 
-    def _record_failure(self, breaker: CircuitBreaker,
-                        events: NetEvents | None) -> None:
+    def _record_failure(self, breaker: CircuitBreaker) -> None:
         if breaker.record_failure(self.clock.now()):
-            self._note(events, "breaker_opens")
-
-    def _note(self, events: NetEvents | None, event: str) -> None:
-        NET_STATS.bump(event)
-        if events is not None:
-            events.note(event)
+            NET_STATS.bump("breaker_opens")
 
     def _sleep(self, seconds: float) -> None:
         if seconds <= 0:

@@ -3,7 +3,7 @@
 Each registered peer is a handler function; :meth:`SimulatedNetwork.send`
 charges the transfer cost of the request, lets the handler run (handlers
 charge their own CPU costs against the same clock), then charges the
-transfer cost of the response.  ``send_parallel`` models the paper's
+transfer cost of the response.  ``exchange_many`` models the paper's
 parallel dispatch of Bulk RPC requests to multiple peers: the clock
 advances by the *maximum* branch time, not the sum.
 """
@@ -58,48 +58,27 @@ class SimulatedNetwork(Transport):
         self.clock.advance(self.cost_model.transfer_seconds(response_bytes))
         return response
 
-    def send_parallel(self, requests: list[tuple[str, str]]) -> list[str]:
-        """Parallel dispatch: total time = max of the branch times.
-
-        Mirrors :func:`repro.net.pool.dispatch_parallel`'s shape in
-        virtual time: one branch per distinct destination peer, requests
-        to the same destination sequential within their branch (they
-        share one connection in the real transport), branches overlapped
-        so the clock advances by the slowest branch only.
-        """
-        if not requests:
-            return []
-        branches = group_by_destination(requests)
-        start = self.clock.now()
-        responses: list = [None] * len(requests)
-        end_times: list[float] = []
-        for indexes in branches.values():
-            # Rewind to the common start for each branch, then record
-            # how far this branch pushed the clock.
-            self._rewind(start)
-            for index in indexes:
-                destination, payload = requests[index]
-                responses[index] = self.send(destination, payload)
-            end_times.append(self.clock.now())
-        self._rewind(start)
-        self.clock.advance(max(end_times) - start)
-        return responses
-
     def exchange_many(self,
                       specs: list[ExchangeSpec]) -> list[str | TransportError]:
-        """Captured parallel dispatch: branch failures fill their own
-        slots (and still charge their branch's virtual time), the clock
-        advances by the slowest branch as in :meth:`send_parallel`."""
+        """Parallel dispatch: total time = max of the branch times.
+
+        Mirrors :func:`repro.net.pool.dispatch_parallel_captured`'s
+        shape in virtual time: one branch per distinct destination
+        peer, specs to the same destination sequential within their
+        branch (they share one connection in the real transport),
+        branches overlapped so the clock advances by the slowest branch
+        only.  Branch failures fill their own slots (and still charge
+        their branch's virtual time).
+        """
         if not specs:
             return []
-        branches: dict[str, list[int]] = {}
-        for index, spec in enumerate(specs):
-            branches.setdefault(
-                normalize_peer_uri(spec.destination), []).append(index)
+        branches = group_by_destination(specs)
         start = self.clock.now()
         results: list = [None] * len(specs)
         end_times: list[float] = []
         for indexes in branches.values():
+            # Rewind to the common start for each branch, then record
+            # how far this branch pushed the clock.
             self._rewind(start)
             for index in indexes:
                 try:

@@ -11,7 +11,7 @@ Path expressions over the downward axes compile to relational axis-step
 operators (:mod:`repro.algebra.paths`) — window predicates over the
 structural index's pre/size/level columns — so queries mixing ``execute
 at`` with path steps no longer fall back wholesale to the interpreter.
-:meth:`repro.engine.base.Engine.execute_lifted` provides the
+:meth:`repro.engine.base.Engine.execute` provides the
 fallback-with-telemetry entry point.
 
 This module is the faithful, table-level realization of the paper's
@@ -25,7 +25,6 @@ from repro.pathfinder.compiler import (
     LoopLiftedQuery,
     UnsupportedExpression,
     iter_ast_nodes,
-    remote_call_profile,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "LoopLiftedQuery",
     "UnsupportedExpression",
     "iter_ast_nodes",
-    "remote_call_profile",
 ]

@@ -80,33 +80,6 @@ def iter_ast_nodes(root):
             stack.extend(_ast_children(getattr(node, field.name)))
 
 
-def remote_call_profile(compiled: CompiledQuery) -> tuple[int, bool]:
-    """``(execute-at sites, any site calls an updating function)`` of a
-    compiled query body — memoized on the compiled query, so plan-cache
-    hits do not re-walk the AST.
-
-    Both figures drive :meth:`repro.rpc.XRPCPeer.execute_query`'s
-    routing.  The lifted pipeline ships one bulk message per (site,
-    destination) while the batching executor groups recorded calls by
-    (destination, function) *across* sites, so multi-site queries ship
-    fewer messages through the latter.  The updating flag is the
-    no-speculative-shipping guard: the lifted pipeline dispatches
-    during evaluation, so a *dynamic* bail after an updating call
-    shipped would make the interpreter fallback apply the update twice.
-    Unresolvable call names count as updating (conservative: route to
-    the record-then-ship batching executor).
-
-    Compatibility shim: the figures now come from the static analyzer's
-    site profile (:func:`repro.analysis.analyze_compiled`), which also
-    covers ``execute at`` sites inside locally-called function bodies —
-    the old body-only walk under-counted those.
-    """
-    from repro.analysis import analyze_compiled
-
-    sites = analyze_compiled(compiled, has_dispatch=True).sites
-    return sites.count, sites.updating_remote
-
-
 def contains_predicate_spec(predicate: A.Expr) -> Optional[str]:
     """The needle of a liftable ``[contains(., "lit")]`` predicate.
 

@@ -26,8 +26,8 @@ from typing import Optional
 
 from repro.errors import (RetryableTransportError, TransportError, XRPCFault,
                           XRPCReproError)
-from repro.net.retry import ChannelRequest, Deadline, NetEvents, \
-    ResilientChannel
+from repro.net.retry import (NET_STATS, ChannelRequest, Deadline,
+                             ResilientChannel)
 from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
 from repro.soap.messages import (
     QueryID,
@@ -57,15 +57,16 @@ class ClientSession:
     def __init__(self, transport: Transport, origin: str,
                  query_id: Optional[QueryID] = None,
                  channel: Optional[ResilientChannel] = None,
-                 deadline: Optional[Deadline] = None,
-                 events: Optional[NetEvents] = None) -> None:
+                 deadline: Optional[Deadline] = None) -> None:
         self.transport = transport
         self.origin = origin
         self.query_id = query_id
         self.channel = channel
         self.deadline = deadline
-        self.events = events
         self.participants: list[str] = []
+        # Peers skipped under the partial-results policy, normalized,
+        # in first-failure order (the query's degraded-result report).
+        self.failed_peers: list[str] = []
         self.messages_sent = 0
         self.calls_shipped = 0
 
@@ -88,6 +89,17 @@ class ClientSession:
         for peer in [normalize_peer_uri(destination), *piggybacked]:
             if peer not in self.participants and peer != self.origin:
                 self.participants.append(peer)
+
+    def peer_degraded(self, destination: str) -> None:
+        """Count one peer skipped under the partial-results policy.
+
+        Idempotent per peer and query: a site that fails several bulk
+        groups is one degraded peer, not several.
+        """
+        key = normalize_peer_uri(destination)
+        if key not in self.failed_peers:
+            self.failed_peers.append(key)
+            NET_STATS.bump("degraded_peers")
 
     # -- response decoding --------------------------------------------------
 
@@ -185,8 +197,7 @@ class ClientSession:
             entry = self._channel_entry(destination, request, calls, updating)
             return self.channel.exchange(
                 destination, entry.build, entry.parse,
-                retry_safe=entry.retry_safe,
-                deadline=self.deadline, events=self.events)
+                retry_safe=entry.retry_safe, deadline=self.deadline)
         # Direct single-attempt path (no resilience policy attached);
         # retry-safety still reaches the transport's stale-keep-alive
         # retry rule.
@@ -273,7 +284,7 @@ class ClientSession:
                 destination, request, calls, updating,
                 tolerate_faults=tolerate_faults))
         return self.channel.exchange_many(
-            entries, deadline=self.deadline, events=self.events,
+            entries, deadline=self.deadline,
             capture=capture_transport_errors)
 
     # -- 2PC driver side ---------------------------------------------------------
@@ -300,7 +311,7 @@ class ClientSession:
             # answered from the decision log), so retrying them is safe.
             return self.channel.exchange(
                 destination, build, parse, retry_safe=True,
-                deadline=self.deadline, events=self.events)
+                deadline=self.deadline)
         raw = self.transport.exchange(ExchangeSpec(
             destination, build_txn_command(command), retry_safe=True))
         return self._txn_reply(self._decode(raw, None, destination), kind)

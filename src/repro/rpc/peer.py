@@ -29,9 +29,10 @@ from repro.errors import (DynamicError, TransactionError, TransportError,
                           XRPCFault)
 from repro.net.clock import WallClock
 from repro.net.cost import PeerCostModel
-from repro.net.retry import (NET_STATS, BreakerRegistry, Deadline, NetEvents,
-                             ResilientChannel, RetryPolicy)
+from repro.net.retry import (BreakerRegistry, Deadline, ResilientChannel,
+                             RetryPolicy)
 from repro.net.transport import Transport, normalize_peer_uri
+from repro.obs import Scope
 from repro.pathfinder.compiler import LoopLiftingCompiler
 from repro.rpc.client import ClientSession
 from repro.rpc.isolation import IsolationManager
@@ -74,23 +75,13 @@ class QueryResult:
     fallback_code: Optional[str] = None
     compile_seconds: float = 0.0
     cache_hit: bool = False
-    # Update-path cost of this query's local PUL application (deltas of
-    # the executing thread's ENCODING_STATS, like Engine.execute).
-    reencodes_full: int = 0
-    reencodes_subtree: int = 0
-    gap_respreads: int = 0
-    index_patches: int = 0
     # Fault-tolerance outcome: peers skipped under the partial-results
-    # policy (``on_peer_failure="degrade"``) and this query's share of
-    # the net-layer event counters (from its NetEvents sink).
+    # policy (``on_peer_failure="degrade"``).
     degraded: bool = False
     failed_peers: list[str] = field(default_factory=list)
-    net_retries: int = 0
-    net_giveups: int = 0
-    net_breaker_opens: int = 0
-    net_breaker_fast_fails: int = 0
-    net_deadline_expired: int = 0
-    net_degraded_peers: int = 0
+    #: What this execution did *at this peer* (its :class:`~repro.obs.Scope`:
+    #: namespaced counter deltas; work remote peers served is theirs).
+    counters: dict[str, int] = field(default_factory=dict)
 
     def explain(self) -> Explain:
         """Plan telemetry in the session API's :class:`Explain` shape."""
@@ -101,16 +92,7 @@ class QueryResult:
             compile_seconds=self.compile_seconds,
             execute_seconds=self.elapsed_seconds,
             cache_hit=self.cache_hit,
-            reencodes_full=self.reencodes_full,
-            reencodes_subtree=self.reencodes_subtree,
-            gap_respreads=self.gap_respreads,
-            index_patches=self.index_patches,
-            net_retries=self.net_retries,
-            net_giveups=self.net_giveups,
-            net_breaker_opens=self.net_breaker_opens,
-            net_breaker_fast_fails=self.net_breaker_fast_fails,
-            net_deadline_expired=self.net_deadline_expired,
-            net_degraded_peers=self.net_degraded_peers,
+            counters=self.counters,
         )
 
 
@@ -124,6 +106,8 @@ class DistributedSearchResult:
     # Partial-results outcome under ``on_peer_failure="degrade"``.
     degraded: bool = False
     failed_peers: list[str] = field(default_factory=list)
+    #: What the search did at this peer (see :class:`QueryResult`).
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 class XRPCPeer:
@@ -376,67 +360,61 @@ class XRPCPeer:
         elif option_timeout is not None:
             deadline = Deadline.after(float(option_timeout), self.clock)
 
-        from repro.xdm.structural import ENCODING_STATS
-
-        events = NetEvents()
         session = ClientSession(self.transport, origin=self.host,
                                 query_id=query_id, channel=self.channel,
-                                deadline=deadline, events=events)
+                                deadline=deadline)
         started = self.clock.now()
-        encoding_before = ENCODING_STATS.snapshot_local()
+        with Scope() as scope:
+            use_bulk = self.engine.bulk_rpc and not force_one_at_a_time
+            context = self._make_execution_context(session, variables,
+                                                   try_lifted=use_bulk
+                                                   and try_lifted)
 
-        use_bulk = self.engine.bulk_rpc and not force_one_at_a_time
-        context = self._make_execution_context(session, variables,
-                                               try_lifted=use_bulk
-                                               and try_lifted)
+            plan = "interpreter"
+            fallback_reason = None
+            fallback_code = None
+            result: list = []
+            pul = PendingUpdateList()
+            if context.try_lifted:
+                # Route from the prepare-time static analysis: the site
+                # profile covers the whole locally-evaluated tree (query
+                # body plus locally-called function bodies), not just the
+                # body's own execute-at occurrences.
+                profile = self.engine.analyze(compiled, context).sites
+                sites, has_updating = profile.count, profile.updating_remote
+                if sites > 1:
+                    fallback_reason = (
+                        f"ExecuteAt: {sites} call sites group better through "
+                        "the batching executor")
+                    fallback_code = "execute-at-routing"
+                elif has_updating:
+                    fallback_reason = (
+                        "ExecuteAt: updating remote calls route through the "
+                        "batching executor (no speculative shipping)")
+                    fallback_code = "execute-at-routing"
+                else:
+                    lifted, fallback_reason, fallback_code = \
+                        self.engine.attempt_lifted(source, compiled, context)
+                    if fallback_reason is None:
+                        result = lifted
+                        plan = "lifted"
+            if plan != "lifted":
+                if use_bulk:
+                    result, pul = self._execute_bulk(
+                        compiled, session, context,
+                        on_peer_failure=on_peer_failure)
+                else:
+                    result, pul = self._execute_direct(compiled, session, context)
+            self.engine.record_plan(plan, fallback_reason, fallback_code)
 
-        plan = "interpreter"
-        fallback_reason = None
-        fallback_code = None
-        result: list = []
-        pul = PendingUpdateList()
-        if context.try_lifted:
-            # Route from the prepare-time static analysis: the site
-            # profile covers the whole locally-evaluated tree (query
-            # body plus locally-called function bodies), not just the
-            # body's own execute-at occurrences.
-            profile = self.engine.analyze(compiled, context).sites
-            sites, has_updating = profile.count, profile.updating_remote
-            if sites > 1:
-                fallback_reason = (
-                    f"ExecuteAt: {sites} call sites group better through "
-                    "the batching executor")
-                fallback_code = "execute-at-routing"
-            elif has_updating:
-                fallback_reason = (
-                    "ExecuteAt: updating remote calls route through the "
-                    "batching executor (no speculative shipping)")
-                fallback_code = "execute-at-routing"
-            else:
-                lifted, fallback_reason, fallback_code = \
-                    self.engine.attempt_lifted(source, compiled, context)
-                if fallback_reason is None:
-                    result = lifted
-                    plan = "lifted"
-        if plan != "lifted":
-            if use_bulk:
-                result, pul = self._execute_bulk(
-                    compiled, session, context,
-                    on_peer_failure=on_peer_failure)
-            else:
-                result, pul = self._execute_direct(compiled, session, context)
-        self.engine.record_plan(plan, fallback_reason, fallback_code)
-
-        committed = False
-        if query_id is not None and session.participants:
-            committed = self._finish_transaction(session)
-        if pul:
-            apply_updates(pul)
-            for uri in _touched_uris(pul):
-                if self.store.contains(uri):
-                    self.store.bump_version(uri)
-        encoding_after = ENCODING_STATS.snapshot_local()
-
+            committed = False
+            if query_id is not None and session.participants:
+                committed = self._finish_transaction(session)
+            if pul:
+                apply_updates(pul)
+                for uri in _touched_uris(pul):
+                    if self.store.contains(uri):
+                        self.store.bump_version(uri)
         return QueryResult(
             sequence=result,
             elapsed_seconds=self.clock.now() - started,
@@ -450,22 +428,9 @@ class XRPCPeer:
             fallback_code=fallback_code,
             compile_seconds=compile_seconds,
             cache_hit=cache_hit,
-            reencodes_full=encoding_after["reencodes_full"]
-            - encoding_before["reencodes_full"],
-            reencodes_subtree=encoding_after["reencodes_subtree"]
-            - encoding_before["reencodes_subtree"],
-            gap_respreads=encoding_after["gap_respreads"]
-            - encoding_before["gap_respreads"],
-            index_patches=encoding_after["index_patches"]
-            - encoding_before["index_patches"],
-            degraded=bool(events.failed_peers),
-            failed_peers=list(events.failed_peers),
-            net_retries=events.get("retries"),
-            net_giveups=events.get("retry_giveups"),
-            net_breaker_opens=events.get("breaker_opens"),
-            net_breaker_fast_fails=events.get("breaker_fast_fails"),
-            net_deadline_expired=events.get("deadline_expired"),
-            net_degraded_peers=events.get("degraded_peers"),
+            degraded=bool(session.failed_peers),
+            failed_peers=list(session.failed_peers),
+            counters=scope.counters,
         )
 
     def keyword_search(self, terms, peers: Optional[list[str]] = None,
@@ -508,45 +473,46 @@ class XRPCPeer:
         else:
             terms = list(terms)
         peers = [normalize_peer_uri(peer) for peer in (peers or [])]
-        events = NetEvents()
         deadline = None if timeout is None else \
             Deadline.after(timeout, self.clock)
         session = ClientSession(self.transport, origin=self.host,
-                                channel=self.channel, deadline=deadline,
-                                events=events)
+                                channel=self.channel, deadline=deadline)
         term_args = [[make_string(term) for term in terms]]
         requests = [
             (peer, _SYS_NS, None, "kw-search", 1, [term_args], False)
             for peer in peers if peer != self.host]
-        responses = session.call_parallel(
-            requests, capture_transport_errors=degrade) if requests else []
         hits: list = []
-        remote = iter(responses)
-        for peer in peers:
-            if peer == self.host:
-                for uri in self.store.uris():
-                    for hit in keyword_search(self.store.get(uri), terms):
-                        hits.append(replace(hit, uri=uri))
-                continue
-            response = next(remote)
-            if isinstance(response, TransportError):
-                self._register_degraded(events, peer)
-                continue
-            [result] = response
-            for wrapper in result:
-                attrs = {attr.name: attr.value for attr in wrapper.attributes}
-                payload = [child for child in wrapper.children][0]
-                hits.append(SearchHit(node=payload,
-                                      score=int(attrs["score"]),
-                                      uri=attrs["uri"]))
+        with Scope() as scope:
+            responses = session.call_parallel(
+                requests, capture_transport_errors=degrade) if requests else []
+            remote = iter(responses)
+            for peer in peers:
+                if peer == self.host:
+                    for uri in self.store.uris():
+                        for hit in keyword_search(self.store.get(uri), terms):
+                            hits.append(replace(hit, uri=uri))
+                    continue
+                response = next(remote)
+                if isinstance(response, TransportError):
+                    session.peer_degraded(peer)
+                    continue
+                [result] = response
+                for wrapper in result:
+                    attrs = {attr.name: attr.value
+                             for attr in wrapper.attributes}
+                    payload = [child for child in wrapper.children][0]
+                    hits.append(SearchHit(node=payload,
+                                          score=int(attrs["score"]),
+                                          uri=attrs["uri"]))
         if ranked:
             hits.sort(key=lambda hit: -hit.score)
         return DistributedSearchResult(
             hits=hits,
             messages_sent=session.messages_sent,
             peers=peers,
-            degraded=bool(events.failed_peers),
-            failed_peers=list(events.failed_peers))
+            degraded=bool(session.failed_peers),
+            failed_peers=list(session.failed_peers),
+            counters=scope.counters)
 
     def _make_execution_context(self, session: ClientSession, variables,
                                 try_lifted: bool) -> ExecutionContext:
@@ -594,20 +560,6 @@ class XRPCPeer:
             doc_resolver=self.make_doc_resolver(self.store, session)))
 
     # -- Bulk RPC via loop-lifted batching ---------------------------------
-
-    def _register_degraded(self, events: NetEvents, destination: str) -> None:
-        """Count one peer skipped under the partial-results policy.
-
-        Idempotent per peer and execution: a site that fails several
-        bulk groups is one degraded peer, not several.
-        """
-        key = normalize_peer_uri(destination)
-        if key in events.degraded_counted:
-            return
-        events.degraded_counted.add(key)
-        events.peer_failed(key)
-        events.note("degraded_peers")
-        NET_STATS.bump("degraded_peers")
 
     def _execute_bulk(self, compiled: CompiledQuery, session: ClientSession,
                       context: ExecutionContext,
@@ -673,8 +625,7 @@ class XRPCPeer:
                 # skipped update is a wrong answer, not a degraded one.
                 if key[4]:
                     raise results
-                assert session.events is not None
-                self._register_degraded(session.events, key[0])
+                session.peer_degraded(key[0])
                 replayer.mark_failed(key[0])
                 continue
             if results is None:

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import XQueryError, XRPCFault, XRPCReproError
 from repro.net.retry import NET_STATS, Deadline
+from repro.obs import Scope
 from repro.rpc.client import ClientSession
 from repro.soap.messages import (
     TxnCommand,
@@ -44,7 +45,7 @@ class XRPCServer:
     """Request handler bound to one peer.
 
     ``handle`` may be invoked concurrently — the real HTTP daemon is
-    threaded and ``send_parallel`` fans out per destination.  The
+    threaded and ``exchange_many`` fans out per destination.  The
     bookkeeping counters are guarded by ``_stats_lock``; mutations of
     the peer's database state (isolation snapshots, applying pending
     updates, version bumps) are serialized under ``_state_lock``.
@@ -63,39 +64,46 @@ class XRPCServer:
     # -- entry point -----------------------------------------------------------
 
     def handle(self, payload: str) -> str:
-        """Process one incoming SOAP message; always returns a SOAP reply."""
-        cost = self.peer.cost_model
-        if cost is not None:
-            self.peer.clock.advance(
-                len(payload.encode("utf-8")) * cost.shred_seconds_per_byte
-                + cost.request_overhead_seconds)
-        try:
-            message = parse_message(payload)
-        except XRPCReproError as exc:
-            return build_fault("env:Sender", str(exc))
-        # Echo the attempt's correlation id on every reply — including
-        # faults — so a retrying client can tell this answer from a
-        # stale duplicated one.
-        exchange_id = message.exchange_id
-        try:
-            if isinstance(message, XRPCRequest):
-                response = self._handle_request(message)
-            elif isinstance(message, TxnCommand):
-                response = self._handle_txn_command(message)
-            else:
-                return build_fault("env:Sender",
-                                   "peer expects requests or txn commands",
-                                   exchange_id)
-        except XRPCFault as fault:
-            return build_fault(fault.fault_code, fault.reason, exchange_id)
-        except XQueryError as exc:
-            return build_fault("env:Sender", str(exc), exchange_id)
-        except XRPCReproError as exc:
-            return build_fault("env:Receiver", str(exc), exchange_id)
-        if cost is not None:
-            self.peer.clock.advance(
-                len(response.encode("utf-8")) * cost.serialize_seconds_per_byte)
-        return response
+        """Process one incoming SOAP message; always returns a SOAP reply.
+
+        Served work is charged to the served request: the scope opened
+        here keeps it out of the scope of whichever execution's thread
+        carried the message (the simulated network calls this on the
+        originator's thread, the HTTP daemon on its own).
+        """
+        with Scope():
+            cost = self.peer.cost_model
+            if cost is not None:
+                self.peer.clock.advance(
+                    len(payload.encode("utf-8")) * cost.shred_seconds_per_byte
+                    + cost.request_overhead_seconds)
+            try:
+                message = parse_message(payload)
+            except XRPCReproError as exc:
+                return build_fault("env:Sender", str(exc))
+            # Echo the attempt's correlation id on every reply — including
+            # faults — so a retrying client can tell this answer from a
+            # stale duplicated one.
+            exchange_id = message.exchange_id
+            try:
+                if isinstance(message, XRPCRequest):
+                    response = self._handle_request(message)
+                elif isinstance(message, TxnCommand):
+                    response = self._handle_txn_command(message)
+                else:
+                    return build_fault("env:Sender",
+                                       "peer expects requests or txn commands",
+                                       exchange_id)
+            except XRPCFault as fault:
+                return build_fault(fault.fault_code, fault.reason, exchange_id)
+            except XQueryError as exc:
+                return build_fault("env:Sender", str(exc), exchange_id)
+            except XRPCReproError as exc:
+                return build_fault("env:Receiver", str(exc), exchange_id)
+            if cost is not None:
+                self.peer.clock.advance(
+                    len(response.encode("utf-8")) * cost.serialize_seconds_per_byte)
+            return response
 
     # -- XRPC requests ------------------------------------------------------------
 

@@ -1,31 +1,25 @@
-"""Keyword-search telemetry counters.
+"""Keyword-search telemetry.
 
-Same contract as :class:`~repro.xdm.structural.EncodingStats` (the
-class is reused wholesale): process-wide totals for
-``Database.stats()`` plus per-thread totals so ``Engine.execute`` can
-attribute per-execution deltas under concurrency.
-
-``term_index_builds`` — full :class:`~repro.search.index.TermIndex`
-(re)builds (the satellite assertion "postings survive interleaved PULs
-un-rebuilt" checks this stays flat across updates);
-``postings_built`` — (term, serial) postings materialized by full
-builds; ``postings_patched`` — postings added or removed by the
-incremental PUL hooks; ``search_queries`` — posting-list query plans
-served (lifted ``contains`` filters + ``Database.search`` calls);
-``postings_hits`` — results those plans surfaced.
+:data:`SEARCH_STATS` counts what the term index and the posting-list
+query plans did, surfaced through ``Explain.counters`` and
+``Database.stats().counters`` as ``search.*`` (see :mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
-from repro.xdm.structural import EncodingStats
+from repro.obs import Counters
 
-
-class SearchStats(EncodingStats):
-    """Counter fields of the keyword-search subsystem."""
-
-    FIELDS = ("term_index_builds", "postings_built", "postings_patched",
-              "search_queries", "postings_hits")
-
-
-#: The process-wide counter instance (searches may run from any thread).
-SEARCH_STATS = SearchStats()
+#: Process-wide counters of the keyword-search subsystem (searches may
+#: run from any thread).
+SEARCH_STATS = Counters("search", {
+    "term_index_builds":
+        "full `TermIndex` (re)builds (stays flat across updates the PUL "
+        "hooks maintain incrementally)",
+    "postings_built": "(term, serial) postings materialized by full builds",
+    "postings_patched":
+        "postings added or removed by the incremental PUL hooks",
+    "search_queries":
+        "posting-list query plans served (lifted `contains` prefilters, "
+        "`Database.search` and `sys:kw-search` calls)",
+    "postings_hits": "results those plans surfaced",
+})

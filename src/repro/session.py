@@ -5,9 +5,10 @@ compile once into the function cache, execute many times, locally or
 shipped.  This module is that surface for embedders:
 
 * :class:`Database` — register documents, prepare and execute queries.
-  Every execution goes through :meth:`repro.engine.base.Engine.execute`:
-  loop-lifted relational plan first, tree-interpreter fallback with
-  recorded telemetry, plans served from the bounded LRU plan cache.
+  Every local execution goes through
+  :meth:`repro.engine.base.Engine.execute`: loop-lifted relational plan
+  first, tree-interpreter fallback with recorded telemetry, plans
+  served from the bounded LRU plan cache.
 * :class:`PreparedQuery` — the prepare-once/probe-many handle:
   ``execute()``, lazy ``iter()`` cursors, and ``explain()`` reporting
   plan kind, fallback reason and compile/execute timings.
@@ -41,9 +42,12 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
+from repro import obs
 from repro.engine import Engine
 from repro.engine.base import Explain
+from repro.net.retry import NET_STATS, Deadline
 from repro.rpc.store import DocumentStore
+from repro.search.index import keyword_search
 from repro.xdm.atomic import (
     AtomicValue,
     boolean,
@@ -89,14 +93,13 @@ def to_sequence(value: Any) -> list:
 class DatabaseStats:
     """Counters of one :class:`Database` (and its engine's caches).
 
-    The ``reencodes_*`` / ``gap_respreads`` / ``index_patches`` /
-    ``index_builds`` fields report the *process-wide*
-    :data:`~repro.xdm.structural.ENCODING_STATS` totals — what the
-    update path has been doing: ``reencodes_subtree`` counts O(change)
-    splices, ``reencodes_full`` the whole-tree fallbacks, and
-    ``index_patches`` in-place :class:`StructuralIndex` maintenance
-    (versus ``index_builds`` full rebuilds).  ``fallback_reasons`` is
-    the engine's per-reason histogram: stable
+    ``counters`` holds the *process-wide* totals of every declared
+    :class:`~repro.obs.Counters` group under namespaced ``group.name``
+    keys (``updates.*``, ``parse.*``, ``search.*``, ``net.*`` — the
+    README's counter table lists them): what the update path, the parse
+    frontend, keyword search and the fault-tolerance layer have been
+    doing, whichever database or peer in the process did it.
+    ``fallback_reasons`` is the engine's per-reason histogram: stable
     :class:`~repro.pathfinder.compiler.UnsupportedExpression` code ->
     count of lifted attempts that bailed with it.
     """
@@ -110,48 +113,9 @@ class DatabaseStats:
     lifted_executions: int
     interpreter_executions: int
     documents: int
-    reencodes_full: int = 0
-    reencodes_subtree: int = 0
-    gap_respreads: int = 0
-    index_patches: int = 0
-    index_builds: int = 0
     fallback_reasons: dict = field(default_factory=dict)
-    #: Parse-frontend telemetry (process-wide
-    #: :data:`~repro.xml.stats.PARSE_STATS` totals): which backend
-    #: parsed how many documents/bytes, and how often the default expat
-    #: backend fell back to the pure-python reference parser.
     xml_backend: str = "expat"
-    parse_documents_expat: int = 0
-    parse_documents_python: int = 0
-    parse_bytes_expat: int = 0
-    parse_bytes_python: int = 0
-    parse_fallbacks: int = 0
-    #: Keyword-search telemetry (process-wide
-    #: :data:`~repro.search.stats.SEARCH_STATS` totals):
-    #: ``term_index_builds`` full :class:`~repro.search.index.TermIndex`
-    #: materializations versus ``postings_patched`` incremental PUL-hook
-    #: maintenance; ``postings_built`` postings written by full builds;
-    #: ``search_queries`` posting-list plans served (lifted ``contains``
-    #: prefilters and :meth:`Database.search` calls) and
-    #: ``postings_hits`` the results they surfaced.
-    term_index_builds: int = 0
-    postings_built: int = 0
-    postings_patched: int = 0
-    search_queries: int = 0
-    postings_hits: int = 0
-    #: Fault-tolerance telemetry (process-wide
-    #: :data:`~repro.net.retry.NET_STATS` totals): transport attempts,
-    #: retries and give-ups, circuit-breaker transitions and fast-fails,
-    #: deadline expiries, peers skipped by the partial-results policy,
-    #: and faults the chaos harness injected.
-    net_exchanges: int = 0
-    net_retries: int = 0
-    net_retry_giveups: int = 0
-    net_breaker_opens: int = 0
-    net_breaker_fast_fails: int = 0
-    net_deadline_expired: int = 0
-    net_degraded_peers: int = 0
-    net_faults_injected: int = 0
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 class PreparedQuery:
@@ -211,13 +175,11 @@ class PreparedQuery:
                                               context_item)
         if timeout is not None:
             from repro.net.clock import WallClock
-            from repro.net.retry import Deadline
             context = dataclasses.replace(
                 context, deadline=Deadline.after(timeout, WallClock()))
         result, _ = self._run(context)
         if context.deadline is not None and context.deadline.expired():
             from repro.errors import DeadlineExceeded
-            from repro.net.retry import NET_STATS
             NET_STATS.bump("deadline_expired")
             raise DeadlineExceeded(
                 f"query exceeded its {timeout:.3g}s deadline budget")
@@ -365,10 +327,6 @@ class Database:
         — a local database holds every document itself, so there is no
         peer to skip and ``"degrade"`` never drops results here.
         """
-        import dataclasses as _dataclasses
-
-        from repro.search.index import keyword_search
-
         if on_peer_failure not in ("fail", "degrade"):
             raise ValueError(
                 f"on_peer_failure must be 'fail' or 'degrade', "
@@ -384,7 +342,7 @@ class Database:
             if document is None:
                 raise KeyError(f"no document registered at {document_uri!r}")
             for hit in keyword_search(document, terms):
-                hits.append(_dataclasses.replace(hit, uri=document_uri))
+                hits.append(dataclasses.replace(hit, uri=document_uri))
         if ranked:
             hits.sort(key=lambda hit: -hit.score)
         if limit is not None:
@@ -392,17 +350,9 @@ class Database:
         return hits
 
     def stats(self) -> DatabaseStats:
-        from repro.net.retry import NET_STATS
-        from repro.search.stats import SEARCH_STATS
-        from repro.xdm.structural import ENCODING_STATS
         from repro.xml.parser import default_backend
-        from repro.xml.stats import PARSE_STATS
 
         cache = self.engine.cache_stats()
-        encoding = ENCODING_STATS.snapshot()
-        parse = PARSE_STATS.snapshot()
-        search = SEARCH_STATS.snapshot()
-        net = NET_STATS.snapshot()
         with self._stats_lock:
             return DatabaseStats(
                 plan_cache_hits=cache["plan_cache_hits"],
@@ -414,31 +364,9 @@ class Database:
                 lifted_executions=self.lifted_executions,
                 interpreter_executions=self.interpreter_executions,
                 documents=sum(1 for _ in self.store.uris()),
-                reencodes_full=encoding["reencodes_full"],
-                reencodes_subtree=encoding["reencodes_subtree"],
-                gap_respreads=encoding["gap_respreads"],
-                index_patches=encoding["index_patches"],
-                index_builds=encoding["index_builds"],
                 fallback_reasons=self.engine.fallback_stats(),
                 xml_backend=self.xml_backend or default_backend(),
-                parse_documents_expat=parse["documents_expat"],
-                parse_documents_python=parse["documents_python"],
-                parse_bytes_expat=parse["bytes_expat"],
-                parse_bytes_python=parse["bytes_python"],
-                parse_fallbacks=parse["fallbacks_to_python"],
-                term_index_builds=search["term_index_builds"],
-                postings_built=search["postings_built"],
-                postings_patched=search["postings_patched"],
-                search_queries=search["search_queries"],
-                postings_hits=search["postings_hits"],
-                net_exchanges=net["exchanges"],
-                net_retries=net["retries"],
-                net_retry_giveups=net["retry_giveups"],
-                net_breaker_opens=net["breaker_opens"],
-                net_breaker_fast_fails=net["breaker_fast_fails"],
-                net_deadline_expired=net["deadline_expired"],
-                net_degraded_peers=net["degraded_peers"],
-                net_faults_injected=net["faults_injected"],
+                counters=obs.totals(),
             )
 
     # -- internals ---------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.engine import Engine, TreeEngine
 from repro.errors import XQueryError, XRPCReproError
+from repro.obs import Scope
 from repro.rpc.store import DocumentStore
 from repro.soap.messages import build_fault, parse_request
 from repro.wrapper.codegen import (
@@ -34,6 +35,7 @@ from repro.wrapper.codegen import (
 )
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
+from repro.xquery.context import ExecutionContext
 
 
 @dataclass
@@ -100,7 +102,8 @@ class XRPCWrapper:
         started = time.process_time()
         timings = WrapperTimings()
         try:
-            response = self._serve(payload, timings)
+            with Scope():  # served work is the served request's
+                response = self._serve(payload, timings)
         except XRPCReproError as exc:
             return build_fault("env:Sender", str(exc))
         timings.total_seconds = time.process_time() - started
@@ -162,10 +165,10 @@ class XRPCWrapper:
             # 4. Execute.
             exec_started = time.process_time()
             try:
-                result, _pul = compiled.execute(
+                result, _pul = compiled.run(ExecutionContext(
                     doc_resolver=resolve,
                     optimize_joins=self.engine.optimize_flwor_joins,
-                    accelerator=self.engine.accelerator)
+                    accelerator=self.engine.accelerator))
             except XQueryError as exc:
                 return build_fault("env:Sender", str(exc))
             # Document trees are built lazily during execution; report the

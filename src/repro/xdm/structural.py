@@ -26,10 +26,9 @@ paths against inside MonetDB/XQuery):
   evicts the cached value indexes (``patch_insert`` / ``patch_delete``
   / ``patch_rename`` / ``patch_content``) instead of the historical
   stale-flag → full rebuild;
-* :data:`ENCODING_STATS` counts what the update path actually did
-  (``reencodes_full`` / ``reencodes_subtree`` / ``gap_respreads`` /
-  ``index_patches`` …), surfaced through ``Explain`` and
-  ``Database.stats()``.
+* :data:`ENCODING_STATS` counts what the update path actually did,
+  surfaced through ``Explain.counters`` and
+  ``Database.stats().counters`` as ``updates.*``.
 
 Index invalidation stays O(1) at mutation time: building an index
 stamps every tree node with a back-reference (``_sidx``); the mutating
@@ -43,11 +42,11 @@ keys need no changes there.
 
 from __future__ import annotations
 
-import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Iterator, Optional
 
+from repro.obs import Counters
 from repro.xdm.nodes import (
     KEY_STRIDE,
     AttributeNode,
@@ -57,61 +56,24 @@ from repro.xdm.nodes import (
 )
 
 
-class EncodingStats:
-    """Process-wide counters of the incremental update machinery.
-
-    ``reencodes_full`` — whole-tree restamps (the worst-case fallback);
-    ``reencodes_subtree`` — splices that only stamped the new content
-    (gap minting) or one enclosing region; ``gap_respreads`` — the
-    subset of those that had to re-spread an enclosing region's keys;
-    ``index_patches`` — in-place :class:`StructuralIndex` row/partition
-    patches; ``index_builds`` — full index (re)builds;
-    ``value_index_evictions`` — cached equality-probe indexes dropped by
-    patches.
-
-    Counters accumulate both process-wide (``snapshot()``, reported by
-    ``Database.stats()``) and per *thread* (``snapshot_local()``):
-    executions may run concurrently (the HTTP daemon is threaded), so
-    per-execution deltas in ``Explain`` are taken against the executing
-    thread's counters — overlapping executions cannot attribute each
-    other's update costs.
-    """
-
-    FIELDS = ("reencodes_full", "reencodes_subtree", "gap_respreads",
-              "index_patches", "index_builds", "value_index_evictions")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-
-    def bump(self, field: str, count: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + count)
-        local = self._local.__dict__  # thread-local: no lock needed
-        local[field] = local.get(field, 0) + count
-
-    def snapshot(self) -> dict[str, int]:
-        """Process-wide totals."""
-        with self._lock:
-            return {field: getattr(self, field) for field in self.FIELDS}
-
-    def snapshot_local(self) -> dict[str, int]:
-        """The calling thread's totals (per-execution delta basis)."""
-        local = self._local.__dict__
-        return {field: local.get(field, 0) for field in self.FIELDS}
-
-    def reset(self) -> None:
-        with self._lock:
-            for field in self.FIELDS:
-                setattr(self, field, 0)
-        self._local.__dict__.clear()
-
-
-#: The process-wide counter instance (updates may run from any thread;
-#: the RPC server applies PULs on worker threads).
-ENCODING_STATS = EncodingStats()
+#: Process-wide counters of the structural-encoding maintenance (bumped
+#: from any thread; the RPC server applies PULs on worker threads).
+ENCODING_STATS = Counters("updates", {
+    "reencodes_full":
+        "whole-tree restamps (the worst-case update fallback)",
+    "reencodes_subtree":
+        "splices that only stamped the new content (gap minting) or one "
+        "enclosing region",
+    "gap_respreads":
+        "subtree splices that first had to re-spread an enclosing "
+        "region's keys",
+    "index_patches":
+        "in-place `StructuralIndex` row/partition patches",
+    "index_builds":
+        "full `StructuralIndex` (re)builds",
+    "value_index_evictions":
+        "cached equality-probe indexes dropped by patches",
+})
 
 
 class StructuralIndex:

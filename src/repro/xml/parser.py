@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from repro.errors import XRPCReproError
 from repro.xdm.nodes import DocumentNode, ElementNode, Node, NodeFactory
-from repro.xml.stats import PARSE_STATS
+from repro.xml.stats import PARSE_STATS, count_parse
 
 
 class XMLSyntaxError(XRPCReproError):
@@ -476,14 +476,14 @@ def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
                 raise
             PARSE_STATS.bump("fallbacks_to_python")
         else:
-            PARSE_STATS.count_parse("expat", len(text))
+            count_parse("expat", len(text))
             return document
     elif backend != "python":
         raise ValueError(
             f"unknown XML parse backend {backend!r}; expected one of "
             f"{BACKENDS}")
     document = parse_document_python(text, uri=uri, stride=stride)
-    PARSE_STATS.count_parse("python", len(text))
+    count_parse("python", len(text))
     return document
 
 

@@ -63,8 +63,7 @@ class ExecutionContext:
     through :class:`~repro.engine.base.Engine`,
     :class:`~repro.xquery.evaluator.CompiledQuery`,
     :class:`~repro.pathfinder.LoopLiftedQuery` and
-    :class:`~repro.rpc.XRPCPeer`; the old keyword signatures remain as
-    thin shims that build one of these.
+    :class:`~repro.rpc.XRPCPeer`.
 
     The two remote hooks serve the two plan kinds: ``dispatch`` ships a
     lifted plan's Bulk RPC groups (one call per (destination, function)

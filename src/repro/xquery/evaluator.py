@@ -1503,31 +1503,6 @@ class CompiledQuery:
     def options(self) -> dict[str, str]:
         return self.static.options
 
-    def execute(
-        self,
-        doc_resolver=None,
-        variables: Optional[dict[str, Sequence]] = None,
-        xrpc_handler=None,
-        context_item=None,
-        put_store=None,
-        optimize_joins: bool = True,
-        accelerator: bool = True,
-    ) -> tuple[Sequence, PendingUpdateList]:
-        """Deprecated keyword-style shim over :meth:`run`.
-
-        Prefer ``run(ExecutionContext(...))`` — this signature survives
-        for existing callers and forwards unchanged.
-        """
-        return self.run(ExecutionContext(
-            doc_resolver=doc_resolver,
-            variables=variables,
-            xrpc_handler=xrpc_handler,
-            context_item=context_item,
-            put_store=put_store,
-            optimize_joins=optimize_joins,
-            accelerator=accelerator,
-        ))
-
     def run(self, context: Optional[ExecutionContext] = None,
             ) -> tuple[Sequence, PendingUpdateList]:
         """Run the query body; returns (result sequence, pending updates).
@@ -1580,14 +1555,14 @@ def evaluate_query(
     from repro.xquf.pul import apply_updates
 
     compiled = CompiledQuery(source, registry)
-    result, pul = compiled.execute(
+    result, pul = compiled.run(ExecutionContext(
         doc_resolver=doc_resolver,
         variables=variables,
         xrpc_handler=xrpc_handler,
         context_item=context_item,
         put_store=put_store,
         accelerator=accelerator,
-    )
+    ))
     if apply_pending_updates and pul:
         apply_updates(pul, incremental=incremental_updates)
     return result

@@ -18,11 +18,11 @@ from repro.net.retry import (
     BreakerRegistry,
     CircuitBreaker,
     Deadline,
-    NetEvents,
     ResilientChannel,
     RetryPolicy,
 )
 from repro.net.transport import ExchangeSpec, Transport
+from repro.obs import Scope
 from repro.rpc import XRPCPeer
 from repro.session import Database
 from tests.helpers import strings
@@ -190,12 +190,11 @@ class TestRetryMatrix:
                   for _ in range(10)]
         transport = ScriptedTransport(errors)
         channel = make_channel(transport, max_attempts=3)
-        events = NetEvents()
-        with pytest.raises(RetryableTransportError):
-            channel.exchange("y", passthrough, lambda raw: raw, events=events)
+        with Scope() as scope, pytest.raises(RetryableTransportError):
+            channel.exchange("y", passthrough, lambda raw: raw)
         assert transport.exchanges == 3
-        assert events.get("retries") == 2
-        assert events.get("retry_giveups") == 1
+        assert scope.counters["net.retries"] == 2
+        assert scope.counters["net.retry_giveups"] == 1
 
     def test_fresh_payload_built_per_attempt(self):
         transport = ScriptedTransport([
@@ -231,17 +230,15 @@ class TestChannelBreakerAndDeadline:
             transport, policy=RetryPolicy(max_attempts=3, jitter=0.0,
                                           base_delay=0.01),
             breakers=breakers)
-        events = NetEvents()
-        with pytest.raises(RetryableTransportError):
-            channel.exchange("y", passthrough, lambda raw: raw,
-                             events=events)
-        assert events.get("breaker_opens") == 1
-        sent_before = transport.exchanges
-        with pytest.raises(CircuitOpenError) as info:
-            channel.exchange("y", passthrough, lambda raw: raw,
-                             events=events)
+        with Scope() as scope:
+            with pytest.raises(RetryableTransportError):
+                channel.exchange("y", passthrough, lambda raw: raw)
+            assert scope.counters["net.breaker_opens"] == 1
+            sent_before = transport.exchanges
+            with pytest.raises(CircuitOpenError) as info:
+                channel.exchange("y", passthrough, lambda raw: raw)
         assert transport.exchanges == sent_before  # refused at the gate
-        assert events.get("breaker_fast_fails") == 1
+        assert scope.counters["net.breaker_fast_fails"] == 1
         assert info.value.retry_after > 0
 
     def test_half_open_probe_recovers_through_channel(self):
@@ -279,12 +276,11 @@ class TestChannelBreakerAndDeadline:
         channel = make_channel(transport)
         deadline = Deadline.after(1.0, transport.clock)
         transport.clock.advance(2.0)
-        events = NetEvents()
-        with pytest.raises(DeadlineExceeded):
+        with Scope() as scope, pytest.raises(DeadlineExceeded):
             channel.exchange("y", passthrough, lambda raw: raw,
-                             deadline=deadline, events=events)
+                             deadline=deadline)
         assert transport.exchanges == 0
-        assert events.get("deadline_expired") == 1
+        assert scope.counters["net.deadline_expired"] == 1
 
     def test_backoff_capped_by_deadline(self):
         transport = ScriptedTransport([
@@ -461,7 +457,7 @@ class TestNoPayloadSniffRegression:
         """
         result = origin.execute_query(query)
         assert result.sequence == []  # no actor by that name
-        assert result.net_retries >= 1
+        assert result.counters["net.retries"] >= 1
 
     def test_updating_call_not_retried_after_send(self):
         network = SimulatedNetwork()
@@ -499,7 +495,7 @@ class TestPartialResults:
                                       on_peer_failure="degrade")
         assert result.degraded
         assert result.failed_peers == ["dead.example.org"]
-        assert result.net_degraded_peers == 1
+        assert result.counters["net.degraded_peers"] == 1
         assert strings(result.sequence[0].children) == ["The Rock"]
 
     def test_default_fail_closed(self):
@@ -584,7 +580,7 @@ class TestDeadlineEndToEnd:
         {{ f:filmsByActor("Sean Connery") }}
         """
         result = origin.execute_query(query)
-        assert result.net_deadline_expired == 0
+        assert "net.deadline_expired" not in result.counters
 
 
 class TestTelemetry:
@@ -598,12 +594,12 @@ class TestTelemetry:
         {{ f:filmsByActor("Sean Connery") }}
         """
         result = origin.execute_query(query)
-        assert result.net_retries >= 1
+        assert result.counters["net.retries"] >= 1
         rendered = result.explain().render()
         assert "net:" in rendered
         assert "retries=" in rendered
 
-    def test_quiet_query_renders_no_net_line(self):
+    def test_quiet_query_renders_only_its_exchange(self):
         network = SimulatedNetwork()
         origin, _ = film_peers(network)
         query = f"""
@@ -612,18 +608,18 @@ class TestTelemetry:
         {{ f:filmsByActor("Sean Connery") }}
         """
         result = origin.execute_query(query)
-        assert "net:" not in result.explain().render()
+        assert "net: exchanges=1\n" in result.explain().render()
 
     def test_database_stats_expose_net_counters(self):
         db = Database()
         db.register("d.xml", "<d/>")
         db.execute("doc('d.xml')")
-        stats = db.stats()
-        for name in ("net_exchanges", "net_retries", "net_retry_giveups",
-                     "net_breaker_opens", "net_breaker_fast_fails",
-                     "net_deadline_expired", "net_degraded_peers",
-                     "net_faults_injected"):
-            assert isinstance(getattr(stats, name), int)
+        counters = db.stats().counters
+        for name in ("exchanges", "retries", "retry_giveups",
+                     "breaker_opens", "breaker_fast_fails",
+                     "deadline_expired", "degraded_peers",
+                     "faults_injected"):
+            assert isinstance(counters[f"net.{name}"], int)
 
     def test_database_search_validates_policy(self):
         db = Database()

@@ -8,7 +8,7 @@ import pytest
 from repro.engine import TreeEngine
 from repro.errors import TransportError, XRPCFault
 from repro.net import HttpTransport, HttpXRPCServer
-from repro.net.transport import normalize_peer_uri
+from repro.net.transport import ExchangeSpec, normalize_peer_uri
 from repro.rpc import XRPCPeer
 from repro.soap import XRPCRequest, build_request, parse_response
 from repro.wrapper import XRPCWrapper
@@ -153,7 +153,7 @@ class TestHttpRoundTrip:
 
 
 class TestConcurrentParallelDispatch:
-    """True thread fan-out of send_parallel over real HTTP peers."""
+    """True thread fan-out of exchange_many over real HTTP peers."""
 
     def _fleet(self, count, delay=0.0):
         """Start ``count`` echo peers; returns (transport, servers)."""
@@ -185,10 +185,10 @@ class TestConcurrentParallelDispatch:
         delay = 0.12
         transport, servers = self._fleet(3, delay=delay)
         try:
-            requests = [(f"peer{i}", self._request_payload(i))
+            requests = [ExchangeSpec(f"peer{i}", self._request_payload(i))
                         for i in range(3)]
             started = time.perf_counter()
-            raw = transport.send_parallel(requests)
+            raw = transport.exchange_many(requests)
             elapsed = time.perf_counter() - started
             assert [parse_response(r).results for r in raw] == \
                 [[[integer(2 * i)]] for i in range(3)]
@@ -229,8 +229,9 @@ class TestConcurrentParallelDispatch:
     def test_parallel_same_destination_stays_ordered(self):
         transport, servers = self._fleet(1)
         try:
-            requests = [("peer0", self._request_payload(i)) for i in range(4)]
-            raw = transport.send_parallel(requests)
+            requests = [ExchangeSpec("peer0", self._request_payload(i))
+                        for i in range(4)]
+            raw = transport.exchange_many(requests)
             assert [parse_response(r).results for r in raw] == \
                 [[[integer(2 * i)]] for i in range(4)]
             stats = transport.peer_stats("peer0")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TransportError
 from repro.net import (
+    ExchangeSpec,
     NetworkCostModel,
     PeerCostModel,
     SimulatedNetwork,
@@ -118,14 +119,15 @@ class TestSimulatedNetwork:
         network.register_peer("s", slow)
         network.register_peer("f", fast)
         start = network.clock.now()
-        responses = network.send_parallel([("s", "x"), ("f", "y")])
+        responses = network.exchange_many(
+            [ExchangeSpec("s", "x"), ExchangeSpec("f", "y")])
         elapsed = network.clock.now() - start
         assert responses == ["slow", "fast"]
         # Parallel: total = max(1.0, 0.1), not 1.1.
         assert elapsed == pytest.approx(1.0, rel=0.01)
 
     def test_parallel_empty(self):
-        assert SimulatedNetwork().send_parallel([]) == []
+        assert SimulatedNetwork().exchange_many([]) == []
 
     def test_sequential_fallback_is_sum(self):
         network = SimulatedNetwork(NetworkCostModel(latency_seconds=0.0))

@@ -16,6 +16,7 @@ from repro.workloads.xmark import XMarkConfig, generate_auctions, generate_perso
 from repro.xdm.nodes import Node
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
+from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import evaluate_query
 
 CONFIG = XMarkConfig(persons=12, closed_auctions=30, open_auctions=6,
@@ -260,36 +261,39 @@ class TestFallbackTelemetry:
 
     def test_engine_records_lifted_plan(self, resolver):
         engine = Engine()
-        result = engine.execute_lifted("doc('persons.xml')//person/name",
-                                       doc_resolver=resolver)
-        assert engine.last_plan == "lifted"
-        assert engine.last_fallback_reason is None
+        result, explain = engine.execute(
+            "doc('persons.xml')//person/name",
+            ExecutionContext(doc_resolver=resolver))
+        assert engine.last_plan == explain.plan == "lifted"
+        assert explain.fallback_reason is None
         assert len(result) == CONFIG.persons
 
     def test_engine_falls_back_with_reason(self, resolver):
         engine = Engine()
-        result = engine.execute_lifted(
-            "count(doc('persons.xml')//person)", doc_resolver=resolver)
-        assert engine.last_plan == "interpreter"
-        assert engine.last_fallback_reason.startswith("FunctionCall:")
-        assert engine.last_fallback_code == "function-not-lifted"
+        result, explain = engine.execute(
+            "count(doc('persons.xml')//person)",
+            ExecutionContext(doc_resolver=resolver))
+        assert engine.last_plan == explain.plan == "interpreter"
+        assert explain.fallback_reason.startswith("FunctionCall:")
+        assert explain.fallback_code == "function-not-lifted"
         assert engine.fallback_stats() == {"function-not-lifted": 1}
         assert len(result) == 1
 
     def test_formerly_falling_axes_now_run_lifted(self, resolver):
         engine = Engine()
-        result = engine.execute_lifted(
+        result, explain = engine.execute(
             "doc('persons.xml')//name/ancestor::person",
-            doc_resolver=resolver)
-        assert engine.last_plan == "lifted"
-        assert engine.last_fallback_reason is None
+            ExecutionContext(doc_resolver=resolver))
+        assert explain.plan == "lifted"
+        assert explain.fallback_reason is None
         assert engine.fallback_stats() == {}
         assert len(result) == CONFIG.persons
 
     def test_engine_fallback_matches_interpreter(self, resolver):
         engine = Engine()
         query = "count(doc('auctions.xml')//closed_auction)"
-        result = engine.execute_lifted(query, doc_resolver=resolver)
+        result, _ = engine.execute(
+            query, ExecutionContext(doc_resolver=resolver))
         expected = evaluate_query(query, doc_resolver=resolver)
         assert serialize_sequence(result) == serialize_sequence(expected)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import UpdateError
 from repro.xml import parse_document, serialize
+from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery, evaluate_query
 from repro.xquery.modules import ModuleRegistry
 from repro.xquf import PendingUpdateList, apply_updates
@@ -126,7 +127,8 @@ class TestPULSemantics:
         document = parse_document("<a><b/></a>", uri="db.xml")
         compiled = CompiledQuery(
             "(insert node <c/> into doc('db.xml')/a, count(doc('db.xml')/a/*))")
-        result, pul = compiled.execute(doc_resolver=lambda uri: document)
+        result, pul = compiled.run(
+            ExecutionContext(doc_resolver=lambda uri: document))
         # The query still sees the pre-update state.
         assert values(result) == [1]
         assert len(pul) == 1
@@ -140,7 +142,7 @@ class TestPULSemantics:
         for label in ("x", "y"):
             compiled = CompiledQuery(
                 f"insert node <{label}/> into doc('db.xml')/a")
-            _, pul = compiled.execute(doc_resolver=resolver)
+            _, pul = compiled.run(ExecutionContext(doc_resolver=resolver))
             pul_total.merge(pul)
         apply_updates(pul_total)
         names = [c.name for c in document.root_element.children]
