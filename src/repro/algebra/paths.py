@@ -161,7 +161,7 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
         for pos, node in enumerate(results, start=1):
             rows.append((it, pos, node))
     flush()
-    return Table(("iter", "pos", "item"), rows)
+    return Table._of(("iter", "pos", "item"), rows)
 
 
 def contains_filter(table: Table, needle: str) -> Table:
@@ -220,7 +220,7 @@ def contains_filter(table: Table, needle: str) -> Table:
     SEARCH_STATS.bump("search_queries")
     if hits:
         SEARCH_STATS.bump("postings_hits", hits)
-    return Table(("iter", "pos", "item"), rows)
+    return Table._of(("iter", "pos", "item"), rows)
 
 
 def positional_filter(table: Table, spec: tuple,
@@ -251,7 +251,7 @@ def positional_filter(table: Table, spec: tuple,
             if positional_spec_keep(spec, position, count):
                 pos += 1
                 rows.append((it, pos, item))
-    return Table(("iter", "pos", "item"), rows)
+    return Table._of(("iter", "pos", "item"), rows)
 
 
 def merge_exploded_contexts(table: Table, mapping: Table) -> Table:
@@ -280,7 +280,7 @@ def merge_exploded_contexts(table: Table, mapping: Table) -> Table:
         for pos, node in enumerate(document_order_sort(by_outer[outer]),
                                    start=1):
             rows.append((outer, pos, node))
-    return Table(("iter", "pos", "item"), rows)
+    return Table._of(("iter", "pos", "item"), rows)
 
 
 def equality_probe_step(table: Table, axis: str, node_test,
@@ -349,4 +349,4 @@ def equality_probe_step(table: Table, axis: str, node_test,
             matches.extend(index.get(value, ()))
         for pos, node in enumerate(document_order_sort(matches), start=1):
             rows.append((it, pos, node))
-    return Table(("iter", "pos", "item"), rows)
+    return Table._of(("iter", "pos", "item"), rows)

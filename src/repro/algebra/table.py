@@ -44,6 +44,20 @@ class Table:
                 raise ValueError(
                     f"row width {len(row)} != column count {len(self.columns)}")
 
+    @classmethod
+    def _of(cls, columns: tuple[str, ...], rows: list[tuple]) -> "Table":
+        """A table over *rows* as they are — not copied, not checked.
+
+        For an operator's own output: a fresh list of tuples whose width
+        follows from how they were built.  Anything handed in from
+        outside goes through the constructor.
+        """
+        table = cls.__new__(cls)
+        table.columns = columns
+        table.rows = rows
+        table._index = {name: i for i, name in enumerate(columns)}
+        return table
+
     # -- helpers ------------------------------------------------------------
 
     def col(self, name: str) -> int:
@@ -74,14 +88,15 @@ class Table:
     def select(self, column: str) -> "Table":
         """σ_a: keep rows whose boolean column *a* is true."""
         index = self.col(column)
-        return Table(self.columns, [r for r in self.rows if r[index]])
+        return Table._of(self.columns, [r for r in self.rows if r[index]])
 
     def select_eq(self, column: str, value: Any) -> "Table":
         """Convenience fusion of fun(=)+σ (constant selection)."""
         index = self.col(column)
         key = _cell_key(value)
-        return Table(self.columns,
-                     [r for r in self.rows if _cell_key(r[index]) == key])
+        return Table._of(
+            self.columns,
+            [r for r in self.rows if _cell_key(r[index]) == key])
 
     def project(self, *specs: str) -> "Table":
         """π: project and possibly rename columns.
@@ -98,8 +113,8 @@ class Table:
                 new = old = spec
             names.append(new)
             indices.append(self.col(old))
-        return Table(names, [tuple(row[i] for i in indices)
-                             for row in self.rows])
+        return Table._of(tuple(names), [tuple(row[i] for i in indices)
+                                        for row in self.rows])
 
     def distinct(self) -> "Table":
         """δ: duplicate elimination (preserving first-seen order)."""
@@ -110,14 +125,14 @@ class Table:
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
-        return Table(self.columns, rows)
+        return Table._of(self.columns, rows)
 
     def union(self, other: "Table") -> "Table":
         """∪ (disjoint union): same schema, concatenated rows."""
         if self.columns != other.columns:
             raise ValueError(
                 f"union schema mismatch: {self.columns} vs {other.columns}")
-        return Table(self.columns, self.rows + other.rows)
+        return Table._of(self.columns, self.rows + other.rows)
 
     def join(self, other: "Table", left_on: str, right_on: str) -> "Table":
         """⋈: equi-join; right-side join column is dropped, clashing
@@ -136,7 +151,7 @@ class Table:
         for row in self.rows:
             for match in hash_side.get(_cell_key(row[left_index]), ()):
                 rows.append(row + tuple(match[i] for i in keep_right))
-        return Table(out_columns, rows)
+        return Table._of(tuple(out_columns), rows)
 
     def rownum(self, new_column: str, order_by: Sequence[str],
                partition_by: Optional[str] = None) -> "Table":
@@ -155,8 +170,9 @@ class Table:
                          if partition_index is not None else None)
             counters[partition] = counters.get(partition, 0) + 1
             numbers[row_position] = counters[partition]
-        return Table(self.columns + (new_column,),
-                     [row + (numbers[i],) for i, row in enumerate(self.rows)])
+        return Table._of(
+            self.columns + (new_column,),
+            [row + (numbers[i],) for i, row in enumerate(self.rows)])
 
     @classmethod
     def literal(cls, columns: Sequence[str],
@@ -168,21 +184,21 @@ class Table:
 
     def attach(self, column: str, value: Any) -> "Table":
         """Attach a constant column."""
-        return Table(self.columns + (column,),
-                     [row + (value,) for row in self.rows])
+        return Table._of(self.columns + (column,),
+                         [row + (value,) for row in self.rows])
 
     def fun(self, column: str, func: Callable[..., Any],
             *input_columns: str) -> "Table":
         """Row-wise computed column."""
         indices = [self.col(name) for name in input_columns]
-        return Table(
+        return Table._of(
             self.columns + (column,),
             [row + (func(*(row[i] for i in indices)),) for row in self.rows])
 
     def sort(self, *order_by: str) -> "Table":
         """Explicit (stable) reordering by the given columns."""
         indices = [self.col(name) for name in order_by]
-        return Table(self.columns, sorted(
+        return Table._of(self.columns, sorted(
             self.rows,
             key=lambda row: tuple(_cell_key(row[i]) for i in indices)))
 

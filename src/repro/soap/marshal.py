@@ -16,12 +16,18 @@ Two properties the paper calls out are enforced here:
   navigate into the SOAP envelope.  ``n2s`` realises this in a single
   pass by *adopting* the already-fresh parsed fragments out of the
   message tree instead of deep-copying them a second time.
+
+``n2s`` is the tree-side half: ``nodeid``, ``validation`` and the wrapper
+hold a parsed ``xrpc:sequence`` and call it.  ``parse_message`` does not
+— it decodes the holders from parse events and never builds them
+(:class:`repro.soap.messages._MessageDecoder`); ``n2s`` is what that
+decode is tested against.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.errors import XRPCFault
 from repro.xdm.atomic import AtomicValue, cast
@@ -40,6 +46,7 @@ from repro.xdm.types import type_by_name, is_known_type, xs
 from repro.xml.serializer import escape_attribute, escape_text, serialize_into
 
 XRPC_PREFIX = "xrpc"
+XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 
 #: Per-thread pool of piece buffers.  A bulk RPC marshals one envelope
 #: per request plus one fingerprint per call; growing a fresh list each
@@ -221,8 +228,7 @@ def _marshal_item(item, factory: NodeFactory) -> Node:
     if isinstance(item, AtomicValue):
         holder = factory.element(f"{XRPC_PREFIX}:atomic-value", ns)
         holder.set_attribute(
-            factory.attribute("xsi:type", item.type.name,
-                              "http://www.w3.org/2001/XMLSchema-instance"))
+            factory.attribute("xsi:type", item.type.name, XSI_NS))
         text = item.string_value()
         if text:
             holder.append(factory.text(text))
@@ -260,6 +266,37 @@ def _marshal_item(item, factory: NodeFactory) -> Node:
     raise XRPCFault("env:Sender", f"cannot marshal item {item!r}")
 
 
+def atomic_value(type_name: Optional[str], text: str) -> AtomicValue:
+    """The value an ``xrpc:atomic-value`` holder ships: *text* as the
+    type its ``xsi:type`` names (``xs:string`` when it names none)."""
+    raw = AtomicValue(text, xs.untypedAtomic)
+    if type_name is None:
+        type_name = "xs:string"
+    elif not is_known_type(type_name):
+        # Unknown (user-defined) type: degrade to untypedAtomic, as the
+        # paper allows for anonymous user-defined schema types.
+        return raw
+    return cast(raw, type_by_name(type_name))
+
+
+def shipped_attribute(
+        attributes: Iterable[tuple[str, Optional[str]]]) -> Optional[int]:
+    """Which of an ``xrpc:attribute`` holder's attributes — given as
+    ``(name, namespace URI)`` — it ships: the first that is neither a
+    namespace declaration nor ``xsi:type``, or ``xsi:type`` itself when
+    that is all there is; ``None`` when there is nothing."""
+    only_type = None
+    for index, (name, ns_uri) in enumerate(attributes):
+        if name == "xmlns" or name.startswith("xmlns:"):
+            continue
+        if ns_uri == XSI_NS and name.split(":")[-1] == "type":
+            if only_type is None:
+                only_type = index
+            continue
+        return index
+    return only_type
+
+
 def n2s(sequence_element: ElementNode) -> list:
     """Unmarshal an ``<xrpc:sequence>`` element back into an XDM sequence.
 
@@ -293,13 +330,8 @@ def _unmarshal_item(holder: ElementNode):
     kind = holder.local_name
     if kind == "atomic-value":
         type_attr = holder.get_attribute("xsi:type") or holder.get_attribute("type")
-        type_name = type_attr.value if type_attr else "xs:string"
-        if not is_known_type(type_name):
-            # Unknown (user-defined) type: degrade to untypedAtomic, as the
-            # paper allows for anonymous user-defined schema types.
-            return AtomicValue(holder.string_value(), xs.untypedAtomic)
-        raw = AtomicValue(holder.string_value(), xs.untypedAtomic)
-        return cast(raw, type_by_name(type_name))
+        return atomic_value(type_attr.value if type_attr else None,
+                            holder.string_value())
     if kind == "element":
         element = next(
             (c for c in holder.children if isinstance(c, ElementNode)), None)
@@ -317,12 +349,12 @@ def _unmarshal_item(holder: ElementNode):
             document.append(child)
         return document
     if kind == "attribute":
-        source = next(
-            (a for a in holder.attributes
-             if not a.name.startswith("xmlns") and a.local_name != "type"),
-            None)
-        if source is None:
+        index = shipped_attribute(
+            (attribute.name, attribute.ns_uri)
+            for attribute in holder.attributes)
+        if index is None:
             raise XRPCFault("env:Sender", "xrpc:attribute holder without attribute")
+        source = holder.attributes[index]
         source.parent = None
         return source
     if kind == "text":

@@ -37,14 +37,26 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.errors import XRPCFault
-from repro.soap.marshal import MarshalWriter, n2s
-from repro.xdm.nodes import ElementNode
-from repro.xml.parser import parse_document
+from repro.soap.marshal import (
+    XSI_NS,
+    MarshalWriter,
+    atomic_value,
+    shipped_attribute,
+)
+from repro.xdm.nodes import (
+    AttributeNode,
+    CommentNode,
+    DocumentNode,
+    ElementNode,
+    Node,
+    ProcessingInstructionNode,
+    TextNode,
+)
+from repro.xml.parser import EventSource, parse_document
 
 XRPC_NS = "http://monetdb.cwi.nl/XQuery"
 ENV_NS = "http://www.w3.org/2003/05/soap-envelope"
 XS_NS = "http://www.w3.org/2001/XMLSchema"
-XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 
 _ENVELOPE_DECLARATIONS = {
     "xrpc": XRPC_NS,
@@ -279,69 +291,13 @@ def parse_message(text: Union[str, bytes],
     honours the XML declaration's encoding and BOMs); ``backend``
     selects the parse frontend explicitly (default: expat with python
     fallback, see :func:`repro.xml.parser.parse_document`).
+
+    One pass: the envelope is consumed as parse events straight into the
+    message dataclass, and only what ``xrpc:element`` / ``xrpc:document``
+    holders ship is built as nodes (:class:`_MessageDecoder`).
     """
-    document = parse_document(text, backend=backend)
-    envelope = document.root_element
-    if envelope is None or envelope.local_name != "Envelope" \
-            or envelope.ns_uri != ENV_NS:
-        raise XRPCFault("env:Sender", "not a SOAP envelope")
-    exchange_id, deadline_remaining = _parse_header(envelope)
-    body = envelope.find("Body", ENV_NS)
-    if body is None:
-        raise XRPCFault("env:Sender", "SOAP envelope without Body")
-    payload = next(iter(body.child_elements()), None)
-    if payload is None:
-        raise XRPCFault("env:Sender", "empty SOAP Body")
-    message = _parse_body_element(payload)
-    message.exchange_id = exchange_id
-    if isinstance(message, (XRPCRequest, TxnCommand)):
-        message.deadline_remaining = deadline_remaining
-    return message
-
-
-def _parse_header(envelope: ElementNode
-                  ) -> tuple[Optional[str], Optional[float]]:
-    """Fault-tolerance fields from ``env:Header`` (both usually absent)."""
-    header = envelope.find("Header", ENV_NS)
-    if header is None:
-        return None, None
-    exchange_id: Optional[str] = None
-    deadline_remaining: Optional[float] = None
-    exchange = header.find("exchange", XRPC_NS)
-    if exchange is not None:
-        exchange_id = _required_attr(exchange, "id")
-    deadline = header.find("deadline", XRPC_NS)
-    if deadline is not None:
-        deadline_remaining = float(_required_attr(deadline, "remaining"))
-    return exchange_id, deadline_remaining
-
-
-def _parse_body_element(payload: ElementNode) -> Message:
-    if payload.local_name == "request" and payload.ns_uri == XRPC_NS:
-        return _parse_request_element(payload)
-    if payload.local_name == "response" and payload.ns_uri == XRPC_NS:
-        return _parse_response_element(payload)
-    if payload.local_name == "Fault" and payload.ns_uri == ENV_NS:
-        return _parse_fault_element(payload)
-    if payload.ns_uri == XRPC_NS and payload.local_name in (
-            "prepare", "commit", "rollback"):
-        return TxnCommand(
-            kind=payload.local_name,
-            query_id=QueryID(
-                host=_required_attr(payload, "host"),
-                timestamp=float(_required_attr(payload, "timestamp")),
-                timeout=int(_required_attr(payload, "timeout")),
-            ),
-        )
-    if payload.ns_uri == XRPC_NS and payload.local_name == "txn-result":
-        detail = payload.get_attribute("detail")
-        return TxnResult(
-            kind=_required_attr(payload, "kind"),
-            ok=_required_attr(payload, "ok") == "true",
-            detail=detail.value if detail else "",
-        )
-    raise XRPCFault(
-        "env:Sender", f"unrecognised SOAP body element <{payload.name}>")
+    return parse_document(text, backend=backend,
+                          consumer=_MessageDecoder).finish()
 
 
 def parse_request(text: Union[str, bytes],
@@ -364,66 +320,318 @@ def parse_response(text: Union[str, bytes],
     return message
 
 
-def _required_attr(element: ElementNode, name: str) -> str:
-    attribute = element.get_attribute(name)
-    if attribute is None:
+def _attribute(attributes: list[str], name: str) -> Optional[str]:
+    """Value of the attribute with this lexical name, failing that with
+    this local name (the rule of ``ElementNode.get_attribute``)."""
+    for index in range(0, len(attributes), 2):
+        if attributes[index] == name:
+            return attributes[index + 1]
+    for index in range(0, len(attributes), 2):
+        if attributes[index].split(":")[-1] == name:
+            return attributes[index + 1]
+    return None
+
+
+def _required(attributes: list[str], element: str, name: str) -> str:
+    value = _attribute(attributes, name)
+    if value is None:
         raise XRPCFault(
-            "env:Sender", f"<{element.name}> missing required attribute {name!r}")
-    return attribute.value
+            "env:Sender", f"<{element}> missing required attribute {name!r}")
+    return value
 
 
-def _parse_request_element(element: ElementNode) -> XRPCRequest:
-    module = _required_attr(element, "module")
-    method = _required_attr(element, "method")
-    arity = int(_required_attr(element, "arity"))
-    location_attr = element.get_attribute("location")
-    updating_attr = element.get_attribute("updCall")
-    request = XRPCRequest(
-        module=module,
-        method=method,
-        arity=arity,
-        location=location_attr.value if location_attr else None,
-        updating=bool(updating_attr and updating_attr.value == "true"),
+def _query_id(attributes: list[str], element: str) -> QueryID:
+    return QueryID(
+        host=_required(attributes, element, "host"),
+        timestamp=float(_required(attributes, element, "timestamp")),
+        timeout=int(_required(attributes, element, "timeout")),
     )
-    qid = element.find("queryID", XRPC_NS)
-    if qid is not None:
-        request.query_id = QueryID(
-            host=_required_attr(qid, "host"),
-            timestamp=float(_required_attr(qid, "timestamp")),
-            timeout=int(_required_attr(qid, "timeout")),
-        )
-    for call in element.find_all("call", XRPC_NS):
-        params = [n2s(seq) for seq in call.find_all("sequence", XRPC_NS)]
-        if len(params) != arity:
+
+
+# What the innermost open element is to the decoder.  The first group
+# are envelope levels that look at their child elements; ``_SKIPPED``
+# and the value holders below it do not (a holder's text is collected
+# whatever markup surrounds it, as ``string_value`` would).
+(_OUTSIDE, _ENVELOPE, _HEADER, _BODY, _REQUEST, _CALL, _RESPONSE,
+ _PARTICIPANTS, _SEQUENCE, _FAULT, _CODE, _REASON, _SKIPPED, _ATOMIC,
+ _ELEMENT, _DOCUMENT, _TEXT, _COMMENT, _PI, _FAULT_CODE,
+ _FAULT_REASON) = range(21)
+
+#: The holders whose item is a node the decoder makes itself, under a
+#: key minted as the holder opens (so it sorts where the holder stood).
+_KEYED_HOLDERS = {"document": _DOCUMENT, "text": _TEXT,
+                  "comment": _COMMENT, "pi": _PI}
+
+
+class _MessageDecoder:
+    """The :class:`~repro.xml.parser.EventConsumer` behind
+    :func:`parse_message`.
+
+    Follows the element nesting with a stack of the levels above; of a
+    level's children only those the protocol names are entered — and
+    where it allows one (``env:Header``, ``env:Body``, the body's
+    message, ``xrpc:queryID`` …) only the first, the rest is skipped
+    with everything below it.  Faults are raised at the element that
+    shows them; :meth:`finish` raises the two only the end can show.
+    """
+
+    __slots__ = ("_source", "_levels", "_entered", "_message",
+                 "_exchange_id", "_deadline_remaining", "_arity", "_calls",
+                 "_sequences", "_items", "_chars", "_type_name", "_key",
+                 "_target")
+
+    def __init__(self, source: EventSource) -> None:
+        self._source = source
+        self._levels = [_OUTSIDE]
+        #: The once-only levels and elements met so far.
+        self._entered: set = set()
+        self._message: Optional[Message] = None
+        self._exchange_id: Optional[str] = None
+        self._deadline_remaining: Optional[float] = None
+        #: The request's, for the check and the append as each call closes.
+        self._arity = 0
+        self._calls: list = []
+        #: Where a closing ``xrpc:sequence`` goes: the open call's
+        #: parameters, or the response's results.
+        self._sequences: list = []
+        self._items: list = []
+        #: Text pieces of the open value holder or fault string.
+        self._chars: Optional[list[str]] = None
+        self._type_name: Optional[str] = None
+        self._key = (0, 0)
+        self._target = ""
+
+    def _first(self, what) -> bool:
+        if what in self._entered:
+            return False
+        self._entered.add(what)
+        return True
+
+    # -- events -------------------------------------------------------------
+
+    def start_element(self, name: str, local_name: str,
+                      ns_uri: Optional[str], attributes: list[str]) -> bool:
+        levels = self._levels
+        level = levels[-1]
+        if level == _SEQUENCE:
+            entered = self._start_holder(local_name, attributes)
+        elif level >= _SKIPPED:
+            entered = _SKIPPED
+        elif level == _BODY:
+            entered = self._start_message(name, local_name, ns_uri,
+                                          attributes) \
+                if self._first("message") else _SKIPPED
+        elif level == _OUTSIDE:
+            if local_name != "Envelope" or ns_uri != ENV_NS:
+                raise XRPCFault("env:Sender", "not a SOAP envelope")
+            entered = _ENVELOPE
+        elif ns_uri == XRPC_NS:
+            entered = self._start_xrpc(level, name, local_name, attributes)
+        elif ns_uri == ENV_NS:
+            entered = self._start_env(level, local_name)
+        else:
+            entered = _SKIPPED
+        levels.append(entered)
+        return entered == _ELEMENT or entered == _DOCUMENT
+
+    def characters(self, data: str) -> None:
+        if self._chars is not None:
+            self._chars.append(data)
+
+    def end_element(self, fragments: Optional[list[Node]]) -> None:
+        level = self._levels.pop()
+        if level == _SKIPPED or level < _CALL:
+            return
+        if level == _ELEMENT:
+            for node in fragments or ():
+                if isinstance(node, ElementNode):
+                    self._items.append(node)
+                    return
             raise XRPCFault(
-                "env:Sender",
-                f"call has {len(params)} parameter sequences, arity is {arity}")
-        request.calls.append(params)
-    if not request.calls:
-        raise XRPCFault("env:Sender", "request contains no calls")
-    return request
+                "env:Sender", "xrpc:element holder without child element")
+        if level == _SEQUENCE:
+            self._sequences.append(self._items)
+        elif level == _CALL:
+            if len(self._sequences) != self._arity:
+                raise XRPCFault(
+                    "env:Sender",
+                    f"call has {len(self._sequences)} parameter sequences, "
+                    f"arity is {self._arity}")
+            self._calls.append(self._sequences)
+        elif level == _DOCUMENT:
+            document = DocumentNode(self._key)
+            for child in fragments or ():
+                document.append(child)
+            self._items.append(document)
+        elif level >= _ATOMIC:
+            self._end_text(level)
 
+    def finish(self) -> Message:
+        """The decoded message, with the header's fields on it."""
+        if _BODY not in self._entered:
+            raise XRPCFault("env:Sender", "SOAP envelope without Body")
+        message = self._message
+        if message is None:
+            raise XRPCFault("env:Sender", "empty SOAP Body")
+        if isinstance(message, XRPCRequest) and not message.calls:
+            raise XRPCFault("env:Sender", "request contains no calls")
+        message.exchange_id = self._exchange_id
+        if isinstance(message, (XRPCRequest, TxnCommand)):
+            message.deadline_remaining = self._deadline_remaining
+        return message
 
-def _parse_response_element(element: ElementNode) -> XRPCResponse:
-    response = XRPCResponse(
-        module=_required_attr(element, "module"),
-        method=_required_attr(element, "method"),
-    )
-    participants = element.find("participants", XRPC_NS)
-    if participants is not None:
-        for peer in participants.find_all("peer", XRPC_NS):
-            response.participating_peers.append(_required_attr(peer, "uri"))
-    for sequence in element.find_all("sequence", XRPC_NS):
-        response.results.append(n2s(sequence))
-    return response
+    # -- envelope levels ----------------------------------------------------
 
+    def _start_env(self, level: int, local_name: str) -> int:
+        if level == _ENVELOPE:
+            if local_name == "Header" and self._first(_HEADER):
+                return _HEADER
+            if local_name == "Body" and self._first(_BODY):
+                return _BODY
+        elif level == _FAULT:
+            if local_name == "Code" and self._first(_CODE):
+                return _CODE
+            if local_name == "Reason" and self._first(_REASON):
+                return _REASON
+        elif level == _CODE:
+            if local_name == "Value" and self._first(_FAULT_CODE):
+                self._chars = []
+                return _FAULT_CODE
+        elif level == _REASON:
+            if local_name == "Text" and self._first(_FAULT_REASON):
+                self._chars = []
+                return _FAULT_REASON
+        return _SKIPPED
 
-def _parse_fault_element(element: ElementNode) -> XRPCFaultMessage:
-    code_el = element.find("Code", ENV_NS)
-    value = code_el.find("Value", ENV_NS) if code_el is not None else None
-    reason_el = element.find("Reason", ENV_NS)
-    text_el = reason_el.find("Text", ENV_NS) if reason_el is not None else None
-    return XRPCFaultMessage(
-        fault_code=value.string_value() if value is not None else "env:Receiver",
-        reason=text_el.string_value() if text_el is not None else "unknown fault",
-    )
+    def _start_xrpc(self, level: int, name: str, local_name: str,
+                    attributes: list[str]) -> int:
+        if level == _CALL or level == _RESPONSE:
+            if local_name == "sequence":
+                self._items = []
+                return _SEQUENCE
+            if level == _RESPONSE and local_name == "participants" \
+                    and self._first(_PARTICIPANTS):
+                return _PARTICIPANTS
+        elif level == _REQUEST:
+            if local_name == "call":
+                self._sequences = []
+                return _CALL
+            if local_name == "queryID" and self._first("queryID"):
+                request = self._message
+                assert isinstance(request, XRPCRequest)
+                request.query_id = _query_id(attributes, name)
+        elif level == _PARTICIPANTS:
+            if local_name == "peer":
+                response = self._message
+                assert isinstance(response, XRPCResponse)
+                response.participating_peers.append(
+                    _required(attributes, name, "uri"))
+        elif level == _HEADER:
+            if local_name == "exchange" and self._first("exchange"):
+                self._exchange_id = _required(attributes, name, "id")
+            elif local_name == "deadline" and self._first("deadline"):
+                self._deadline_remaining = float(
+                    _required(attributes, name, "remaining"))
+        return _SKIPPED
+
+    def _start_message(self, name: str, local_name: str,
+                       ns_uri: Optional[str], attributes: list[str]) -> int:
+        """The first child element of ``env:Body`` is the message."""
+        if ns_uri == XRPC_NS:
+            if local_name == "request":
+                module = _required(attributes, name, "module")
+                method = _required(attributes, name, "method")
+                self._arity = int(_required(attributes, name, "arity"))
+                request = self._message = XRPCRequest(
+                    module=module, method=method, arity=self._arity,
+                    location=_attribute(attributes, "location"),
+                    updating=_attribute(attributes, "updCall") == "true")
+                self._calls = request.calls
+                return _REQUEST
+            if local_name == "response":
+                response = self._message = XRPCResponse(
+                    module=_required(attributes, name, "module"),
+                    method=_required(attributes, name, "method"))
+                self._sequences = response.results
+                return _RESPONSE
+            if local_name in ("prepare", "commit", "rollback"):
+                self._message = TxnCommand(
+                    kind=local_name, query_id=_query_id(attributes, name))
+                return _SKIPPED
+            if local_name == "txn-result":
+                detail = _attribute(attributes, "detail")
+                self._message = TxnResult(
+                    kind=_required(attributes, name, "kind"),
+                    ok=_required(attributes, name, "ok") == "true",
+                    detail=detail or "")
+                return _SKIPPED
+        elif ns_uri == ENV_NS and local_name == "Fault":
+            self._message = XRPCFaultMessage(
+                fault_code="env:Receiver", reason="unknown fault")
+            return _FAULT
+        raise XRPCFault(
+            "env:Sender", f"unrecognised SOAP body element <{name}>")
+
+    # -- value holders ------------------------------------------------------
+
+    def _start_holder(self, kind: str, attributes: list[str]) -> int:
+        """A child of ``xrpc:sequence``: one item, told by local name."""
+        if kind == "element":
+            return _ELEMENT
+        if kind == "atomic-value":
+            type_name = _attribute(attributes, "xsi:type")
+            if type_name is None:
+                type_name = _attribute(attributes, "type")
+            self._type_name = type_name
+            self._chars = []
+            return _ATOMIC
+        if kind == "attribute":
+            self._items.append(self._attribute_item(attributes))
+            return _SKIPPED
+        entered = _KEYED_HOLDERS.get(kind)
+        if entered is None:
+            raise XRPCFault(
+                "env:Sender", f"unknown XRPC value element <{kind}>")
+        self._key = self._source.mint_key()
+        if entered == _PI:
+            target = _attribute(attributes, "target")
+            self._target = "pi" if target is None else target
+        if entered != _DOCUMENT:
+            self._chars = []
+        return entered
+
+    def _attribute_item(self, attributes: list[str]) -> AttributeNode:
+        """What an ``xrpc:attribute`` holder ships, as a parentless
+        attribute node."""
+        source = self._source
+        names = attributes[::2]
+        uris = [source.namespace_uri(name.partition(":")[0])
+                if ":" in name else None for name in names]
+        index = shipped_attribute(zip(names, uris))
+        if index is None:
+            raise XRPCFault(
+                "env:Sender", "xrpc:attribute holder without attribute")
+        return AttributeNode(source.mint_key(), names[index],
+                             attributes[2 * index + 1], uris[index])
+
+    def _end_text(self, level: int) -> None:
+        chars = self._chars
+        assert chars is not None
+        self._chars = None
+        text = "".join(chars)
+        if level == _ATOMIC:
+            self._items.append(atomic_value(self._type_name, text))
+        elif level == _TEXT:
+            self._items.append(TextNode(self._key, text))
+        elif level == _COMMENT:
+            self._items.append(CommentNode(self._key, text))
+        elif level == _PI:
+            self._items.append(
+                ProcessingInstructionNode(self._key, self._target, text))
+        else:
+            fault = self._message
+            assert isinstance(fault, XRPCFaultMessage)
+            if level == _FAULT_CODE:
+                fault.fault_code = text
+            else:
+                fault.reason = text

@@ -61,7 +61,8 @@ class NodeFactory:
         self._next_serial = 0
         self._issued = 0
 
-    def _key(self) -> tuple[int, int]:
+    def mint_key(self) -> tuple[int, int]:
+        """The next order key of this tree."""
         serial = self._next_serial
         self._next_serial = serial + self.stride
         self._issued += 1
@@ -81,36 +82,36 @@ class NodeFactory:
 
     def document(self, uri: Optional[str] = None,
                  level: int = 0) -> "DocumentNode":
-        node = DocumentNode(self._key(), uri)
+        node = DocumentNode(self.mint_key(), uri)
         node.level = level
         return node
 
     def element(self, name: str, ns_uri: Optional[str] = None,
                 level: int = 0) -> "ElementNode":
-        node = ElementNode(self._key(), name, ns_uri)
+        node = ElementNode(self.mint_key(), name, ns_uri)
         node.level = level
         return node
 
     def attribute(self, name: str, value: str,
                   ns_uri: Optional[str] = None,
                   level: int = 0) -> "AttributeNode":
-        node = AttributeNode(self._key(), name, value, ns_uri)
+        node = AttributeNode(self.mint_key(), name, value, ns_uri)
         node.level = level
         return node
 
     def text(self, content: str, level: int = 0) -> "TextNode":
-        node = TextNode(self._key(), content)
+        node = TextNode(self.mint_key(), content)
         node.level = level
         return node
 
     def comment(self, content: str, level: int = 0) -> "CommentNode":
-        node = CommentNode(self._key(), content)
+        node = CommentNode(self.mint_key(), content)
         node.level = level
         return node
 
     def processing_instruction(self, target: str, content: str,
                                level: int = 0) -> "ProcessingInstructionNode":
-        node = ProcessingInstructionNode(self._key(), target, content)
+        node = ProcessingInstructionNode(self.mint_key(), target, content)
         node.level = level
         return node
 
@@ -123,6 +124,15 @@ class Node:
     """
 
     kind: str = "node"
+
+    # Nodes are slotted: a message or document is tens of thousands of
+    # them, and a per-instance ``__dict__`` doubles what each costs the
+    # allocator and the collector.  Every slot is initialised by every
+    # creator (the constructors below and the ``__new__`` fast path in
+    # :mod:`repro.xml.expat_parser`); an attribute not declared here
+    # cannot be set on a node.
+    __slots__ = ("order_key", "parent", "size", "level", "_sidx",
+                 "_struct_gen")
 
     # XPath-accelerator stamps.  ``pre`` is the document-order serial
     # (the same key every document-order comparison in the engine uses);
@@ -138,15 +148,20 @@ class Node:
     # evaluation itself reads the authoritative per-tree
     # :class:`~repro.xdm.structural.StructuralIndex` (positional pre
     # ranks), which also covers trees assembled without stamps.
-    size: int = 0
-    level: int = 0
-    # Back-reference to the StructuralIndex that covers this node, set
-    # when one is built; mutators flip its ``stale`` bit (O(1)).
-    _sidx = None
+    size: int
+    level: int
 
     def __init__(self, order_key: tuple[int, int]) -> None:
         self.order_key = order_key
         self.parent: Optional[Node] = None
+        self.size = 0
+        self.level = 0
+        # Back-reference to the StructuralIndex that covers this node,
+        # set when one is built; mutators flip its ``stale`` bit (O(1)).
+        self._sidx = None
+        # Counts the structural indexes built with this node as root,
+        # so a rebuilt index can be told from the one it replaced.
+        self._struct_gen = 0
 
     @property
     def pre(self) -> int:
@@ -287,6 +302,7 @@ def _index_of(nodes: list[Node], target: Node) -> int:
 
 class DocumentNode(Node):
     kind = "document"
+    __slots__ = ("uri", "_children")
 
     def __init__(self, order_key: tuple[int, int], uri: Optional[str] = None) -> None:
         super().__init__(order_key)
@@ -319,6 +335,8 @@ class DocumentNode(Node):
 
 class ElementNode(Node):
     kind = "element"
+    __slots__ = ("name", "_local_name", "ns_uri", "_attributes",
+                 "_children", "namespace_declarations")
 
     def __init__(self, order_key: tuple[int, int], name: str,
                  ns_uri: Optional[str] = None) -> None:
@@ -403,6 +421,7 @@ class ElementNode(Node):
 
 class AttributeNode(Node):
     kind = "attribute"
+    __slots__ = ("name", "_local_name", "value", "ns_uri")
 
     def __init__(self, order_key: tuple[int, int], name: str, value: str,
                  ns_uri: Optional[str] = None) -> None:
@@ -433,6 +452,7 @@ class AttributeNode(Node):
 
 class TextNode(Node):
     kind = "text"
+    __slots__ = ("content",)
 
     def __init__(self, order_key: tuple[int, int], content: str) -> None:
         super().__init__(order_key)
@@ -444,6 +464,7 @@ class TextNode(Node):
 
 class CommentNode(Node):
     kind = "comment"
+    __slots__ = ("content",)
 
     def __init__(self, order_key: tuple[int, int], content: str) -> None:
         super().__init__(order_key)
@@ -455,6 +476,7 @@ class CommentNode(Node):
 
 class ProcessingInstructionNode(Node):
     kind = "processing-instruction"
+    __slots__ = ("target", "content")
 
     def __init__(self, order_key: tuple[int, int], target: str, content: str) -> None:
         super().__init__(order_key)
@@ -476,13 +498,7 @@ def copy_tree(node: Node, factory: Optional[NodeFactory] = None) -> Node:
     XRPC call-by-value guarantee: upward and horizontal axes evaluated on
     the copy yield empty results.
     """
-    factory = factory or NodeFactory()
-    return _copy_into(node, factory)
-
-
-def copy_into(node: Node, factory: NodeFactory) -> Node:
-    """Deep-copy *node* using an existing factory (same target tree)."""
-    return _copy_into(node, factory)
+    return copy_into(node, factory or NodeFactory())
 
 
 def _copy_one(node: Node, factory: NodeFactory, level: int) -> Node:
@@ -511,10 +527,13 @@ def _copy_one(node: Node, factory: NodeFactory, level: int) -> Node:
     raise TypeError(f"cannot copy node kind {node.kind}")
 
 
-def _copy_into(node: Node, factory: NodeFactory, level: int = 0) -> Node:
-    """Iterative deep copy: an explicit work stack replaces the call
-    stack (deep trees — XRPC call-by-value payloads routinely nest
-    thousands of levels — must not hit the interpreter recursion limit).
+def copy_into(node: Node, factory: NodeFactory, level: int = 0) -> Node:
+    """Deep-copy *node* using an existing factory (same target tree);
+    *level* is the depth the copy's root is stamped with.
+
+    Iterative: an explicit work stack replaces the call stack (deep
+    trees — XRPC call-by-value payloads routinely nest thousands of
+    levels — must not hit the interpreter recursion limit).
 
     Serials are issued in document order by pre-order traversal, and a
     close marker stamps each container's ``size`` from the factory's

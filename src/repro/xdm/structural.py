@@ -502,7 +502,7 @@ def structural_index(root: Node) -> StructuralIndex:
     index = root._sidx
     if index is not None and not index.stale and index.root is root:
         return index
-    generation = getattr(root, "_struct_gen", 0) + 1
+    generation = root._struct_gen + 1
     root._struct_gen = generation
     return StructuralIndex(root, generation)
 

@@ -23,12 +23,17 @@ unread external DTD) raise :class:`ExpatUnsupported`; the dispatching
 ``parse_document`` in :mod:`repro.xml.parser` then falls back to the
 pure-python backend, which also re-diagnoses malformed input so error
 messages stay uniform across backends.
+
+:class:`_EventBuilder` is the same frontend with a consumer in place of
+the document: elements are handed over as events, and the tree handlers
+above run only for the subtrees the consumer asks to have built — the
+one-pass SOAP decode (``parse_document(..., consumer=)``).
 """
 
 from __future__ import annotations
 
 import xml.parsers.expat as _expat
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.xdm.nodes import (
     AttributeNode,
@@ -40,9 +45,15 @@ from repro.xdm.nodes import (
     TextNode,
     _next_doc_id,
 )
-from repro.xml.parser import XMLNS_URI, XMLSyntaxError
+from repro.xml.parser import (
+    XML_URI,
+    XMLNS_URI,
+    EventConsumer,
+    EventSource,
+    XMLSyntaxError,
+)
 
-_XML_SCOPE = {"xml": "http://www.w3.org/XML/1998/namespace"}
+_XML_SCOPE = {"xml": XML_URI}
 
 # The handlers below build nodes with ``cls.__new__`` + direct attribute
 # stores instead of the constructors: one C-level allocation versus a
@@ -116,7 +127,10 @@ class _TreeBuilder:
             text.order_key = (doc_id, serial)
             serial += stride
             text.content = "".join(parts)
+            text.size = 0
             text.level = level
+            text._sidx = None
+            text._struct_gen = 0
             text.parent = parent
             parent._children.append(text)
             del parts[:]
@@ -124,6 +138,8 @@ class _TreeBuilder:
         element.order_key = (doc_id, serial)
         serial += stride
         element.level = level
+        element._sidx = None
+        element._struct_gen = 0
         element.name = name
         element._children = []
         if attrs:
@@ -171,7 +187,10 @@ class _TreeBuilder:
                     attr_name.split(":")[-1] if ":" in attr_name else attr_name
                 attribute.value = attrs[index + 1]
                 attribute.ns_uri = attr_uri
+                attribute.size = 0
                 attribute.level = attr_level
+                attribute._sidx = None
+                attribute._struct_gen = 0
                 attribute.parent = element
                 attributes.append(attribute)
         elif ":" in name:
@@ -200,7 +219,10 @@ class _TreeBuilder:
             serial += self._stride
             self._serial = serial
             text.content = "".join(parts)
+            text.size = 0
             text.level = len(stack) + 1
+            text._sidx = None
+            text._struct_gen = 0
             text.parent = element
             element._children.append(text)
             del parts[:]
@@ -285,16 +307,20 @@ class _TreeBuilder:
 
     # -- driving ------------------------------------------------------------
 
+    def _install(self, parser) -> None:
+        """The handlers that build tree nodes."""
+        parser.StartElementHandler = self._start_element
+        parser.EndElementHandler = self._end_element
+        parser.CommentHandler = self._comment
+        parser.ProcessingInstructionHandler = self._processing_instruction
+
     def parse(self, data: Union[str, bytes]) -> DocumentNode:
         parser = _expat.ParserCreate(intern={})
         self._parser = parser
         parser.ordered_attributes = True
         parser.buffer_text = True
-        parser.StartElementHandler = self._start_element
-        parser.EndElementHandler = self._end_element
+        self._install(parser)
         parser.CharacterDataHandler = self._text.append
-        parser.CommentHandler = self._comment
-        parser.ProcessingInstructionHandler = self._processing_instruction
         parser.StartCdataSectionHandler = self._start_cdata
         parser.EntityDeclHandler = self._entity_decl
         parser.AttlistDeclHandler = self._attlist_decl
@@ -323,6 +349,189 @@ class _TreeBuilder:
         document = self._document
         document.size = self._serial - self._stride
         return document
+
+
+class _Holder:
+    """Stands on the builder's stack for an element whose content is
+    being built as fragments: the tree handlers append to it like to any
+    open container, and closing it hands the list over."""
+
+    __slots__ = ("_children",)
+
+
+class _Discard:
+    """The consumer in place once the real one has failed."""
+
+    def start_element(self, name: str, local_name: str,
+                      ns_uri: Optional[str], attributes: list) -> bool:
+        return False
+
+    def characters(self, data: str) -> None:
+        pass
+
+    def end_element(self, fragments: Optional[list]) -> None:
+        pass
+
+
+class _EventBuilder(_TreeBuilder):
+    """Feeds an :class:`~repro.xml.parser.EventConsumer` from expat
+    events, building tree nodes only where the consumer asks for them.
+
+    Elements reach the consumer as events — names resolved against the
+    same namespace scope the tree handlers keep — and allocate nothing.
+    When ``start_element`` answers true, the parser is switched to the
+    inherited tree handlers until that element closes, so its content
+    comes out as parentless fragments with the keys, ``size`` and
+    ``level`` stamps a whole-document parse would have given them (the
+    scope, and therefore any prefix declared further out, carries over),
+    and is delivered with the element's ``end_element``.  Comments and
+    processing instructions outside such content are not events.
+
+    An exception from the consumer is held until the document has proved
+    well-formed, which is the order the tree-walking driver of the python
+    backend reports them in.
+    """
+
+    __slots__ = ("_consumer", "_failure", "_qnames", "_holder",
+                 "_fragment_depth")
+
+    def __init__(self, stride: Optional[int],
+                 consumer: Callable[[EventSource], EventConsumer]) -> None:
+        super().__init__(None, stride)
+        #: (local name, namespace URI) of the prefixed names seen under
+        #: the current scope; dropped whenever the scope changes.
+        self._qnames: dict = {}
+        self._holder = _Holder()
+        self._fragment_depth = 0
+        self._failure: Optional[Exception] = None
+        self._consumer: EventConsumer = consumer(self)
+
+    # -- what the consumer may ask during start_element ---------------------
+
+    def mint_key(self) -> tuple[int, int]:
+        serial = self._serial
+        self._serial = serial + self._stride
+        return (self._doc_id, serial)
+
+    def namespace_uri(self, prefix: str) -> Optional[str]:
+        return self._scope.get(prefix)
+
+    # -- event mode ---------------------------------------------------------
+
+    def _install(self, parser) -> None:
+        parser.StartElementHandler = self._event_start
+        parser.EndElementHandler = self._event_end
+        parser.CommentHandler = None
+        parser.ProcessingInstructionHandler = None
+
+    def _fail(self, failure: Exception) -> None:
+        self._failure = failure
+        self._consumer = _Discard()
+
+    def _characters(self, parts: list) -> None:
+        try:
+            self._consumer.characters("".join(parts))
+        except Exception as failure:
+            self._fail(failure)
+        del parts[:]
+
+    def _qname(self, name: str) -> tuple[str, str]:
+        resolved = self._qnames[name] = (
+            name.split(":")[-1], self._resolve_prefix(name, self._scope))
+        return resolved
+
+    def _event_start(self, name: str, attrs: list) -> None:
+        if self._text:
+            self._characters(self._text)
+        stack = self._stack
+        if attrs:
+            declarations = None
+            for index in range(0, len(attrs), 2):
+                attr_name = attrs[index]
+                if attr_name.startswith("xmlns") and (
+                        len(attr_name) == 5 or attr_name[5] == ":"):
+                    if declarations is None:
+                        declarations = {}
+                    declarations[attr_name[6:]] = attrs[index + 1]
+            if declarations:
+                self._scope_stack.append(
+                    (len(stack), self._scope, self._default_uri))
+                self._scope = scope = {**self._scope, **declarations}
+                self._default_uri = scope.get("") or None
+                self._qnames = {}
+            # An undeclared prefix is the same syntax error here as on
+            # an element the tree handlers build.
+            qnames = self._qnames
+            for index in range(0, len(attrs), 2):
+                attr_name = attrs[index]
+                if ":" in attr_name and attr_name not in qnames \
+                        and not attr_name.startswith("xmlns:"):
+                    self._qname(attr_name)
+        if ":" in name:
+            local_name, ns_uri = self._qnames.get(name) or self._qname(name)
+        else:
+            local_name, ns_uri = name, self._default_uri
+        stack.append(None)
+        try:
+            wants_fragments = self._consumer.start_element(
+                name, local_name, ns_uri, attrs)
+        except Exception as failure:
+            self._fail(failure)
+            return
+        if wants_fragments:
+            holder = stack[-1] = self._holder
+            holder._children = []
+            self._fragment_depth = len(stack)
+            parser = self._parser
+            _TreeBuilder._install(self, parser)
+            parser.EndElementHandler = self._fragment_end
+
+    def _event_end(self, name: str, fragments: Optional[list] = None) -> None:
+        if self._text:
+            self._characters(self._text)
+        stack = self._stack
+        stack.pop()
+        scope_stack = self._scope_stack
+        if scope_stack and scope_stack[-1][0] == len(stack):
+            # This element declared namespaces; restore the outer scope.
+            _, self._scope, self._default_uri = scope_stack.pop()
+            self._qnames = {}
+        try:
+            self._consumer.end_element(fragments)
+        except Exception as failure:
+            self._fail(failure)
+
+    def _fragment_end(self, name: str) -> None:
+        if len(self._stack) > self._fragment_depth:
+            self._end_element(name)
+            return
+        self._flush_text()
+        fragments = self._stack[-1]._children
+        for node in fragments:
+            node.parent = None
+        self._install(self._parser)
+        self._event_end(name, fragments)
+
+    def result(self) -> EventConsumer:
+        """The consumer, fed — or the exception it raised."""
+        if self._failure is not None:
+            raise self._failure
+        return self._consumer
+
+
+def parse_events_expat(data: Union[str, bytes],
+                       consumer: Callable[[EventSource], EventConsumer],
+                       stride: Optional[int] = None
+                       ) -> Callable[[], EventConsumer]:
+    """Feed ``consumer(source)`` the events of a complete document at
+    expat speed.  Parse failures raise as from
+    :func:`parse_document_expat`; what comes back for a well-formed
+    document is a call that returns the consumer or raises what the
+    consumer raised, so the caller can tell the two kinds apart.
+    """
+    builder = _EventBuilder(stride, consumer)
+    builder.parse(data)
+    return builder.result
 
 
 def parse_document_expat(data: Union[str, bytes],

@@ -28,10 +28,18 @@ from __future__ import annotations
 import codecs
 import os
 import re
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Protocol, TypeVar, Union, \
+    overload
 
 from repro.errors import XRPCReproError
-from repro.xdm.nodes import DocumentNode, ElementNode, Node, NodeFactory
+from repro.xdm.nodes import (
+    DocumentNode,
+    ElementNode,
+    Node,
+    NodeFactory,
+    TextNode,
+    copy_into,
+)
 from repro.xml.stats import PARSE_STATS, count_parse
 
 
@@ -56,6 +64,7 @@ _NAME_START_EXTRA = set("_:")
 _NAME_EXTRA = set("_:-.")
 
 XMLNS_URI = "http://www.w3.org/2000/xmlns/"
+XML_URI = "http://www.w3.org/XML/1998/namespace"
 
 
 def _is_name_start(ch: str) -> bool:
@@ -144,7 +153,7 @@ class _Parser:
         if scanner.at_end() or scanner.peek() != "<":
             raise scanner.error("expected root element")
         root = self._parse_element(
-            namespaces={"xml": "http://www.w3.org/XML/1998/namespace"},
+            namespaces={"xml": XML_URI},
             level=1)
         document.append(root)
         # Trailing misc: comments / PIs / whitespace only.
@@ -387,6 +396,87 @@ class _Parser:
         return None
 
 
+class EventSource(Protocol):
+    """What a parse driver offers the consumer it feeds; both methods
+    are for use inside ``start_element`` and speak of that element."""
+
+    def mint_key(self) -> tuple[int, int]:
+        """The next order key of this parse, for a node the consumer
+        makes itself — fragments built after it sort after it."""
+
+    def namespace_uri(self, prefix: str) -> Optional[str]:
+        """The namespace bound to *prefix* on the element (its own
+        declarations included), ``None`` when undeclared."""
+
+
+class EventConsumer(Protocol):
+    """Takes a document as events instead of as a tree
+    (``parse_document(..., consumer=)``): elements and character data
+    only, in document order, every name already resolved."""
+
+    def start_element(self, name: str, local_name: str,
+                      ns_uri: Optional[str], attributes: list[str]) -> bool:
+        """*attributes* is the flat ``[name, value, ...]`` list, xmlns
+        declarations included.  Answer true to have the element's
+        content built as tree nodes: no events arrive for it, and its
+        ``end_element`` brings the children as parentless fragments."""
+
+    def characters(self, data: str) -> None:
+        """A piece of text; one run may arrive in several pieces."""
+
+    def end_element(self, fragments: Optional[list[Node]]) -> None:
+        """Closes the innermost open element."""
+
+
+_Consumer = TypeVar("_Consumer", bound=EventConsumer)
+
+
+class _TreeEvents(NodeFactory):
+    """Feeds an :class:`EventConsumer` from a parsed tree: what the
+    python backend (and the fallback to it) does in place of the expat
+    driver's stream.  It is the factory of everything the consumer
+    receives or mints, so fragments — copies — carry the keys and stamps
+    the stream would have given them.
+    """
+
+    def __init__(self, stride: Optional[int]) -> None:
+        super().__init__(stride=stride)
+        self.mint_key()     # the document's, as in a stream parse
+        self._element: Optional[Node] = None
+
+    def namespace_uri(self, prefix: str) -> Optional[str]:
+        if prefix == "xml":
+            return XML_URI
+        node = self._element
+        while isinstance(node, ElementNode):
+            if prefix in node.namespace_declarations:
+                return node.namespace_declarations[prefix]
+            node = node.parent
+        return None
+
+    def feed(self, document: DocumentNode, consumer: EventConsumer) -> None:
+        open_elements: list[Iterator[Node]] = [iter(document.children)]
+        while open_elements:
+            node = next(open_elements[-1], None)
+            if node is None:
+                open_elements.pop()
+                if open_elements:
+                    consumer.end_element(None)
+            elif isinstance(node, TextNode):
+                consumer.characters(node.content)
+            elif isinstance(node, ElementNode):
+                self._element = node
+                attributes = [part for attribute in node.attributes
+                              for part in (attribute.name, attribute.value)]
+                if consumer.start_element(node.name, node.local_name,
+                                          node.ns_uri, attributes):
+                    consumer.end_element([
+                        copy_into(child, self, node.level + 1)
+                        for child in node.children])
+                else:
+                    open_elements.append(iter(node.children))
+
+
 BACKENDS = ("expat", "python")
 
 _ENCODING_DECL = re.compile(
@@ -437,9 +527,26 @@ def parse_document_python(text: Union[str, bytes],
     return _Parser(text, uri, stride=stride).parse_document()
 
 
+@overload
 def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
                    stride: Optional[int] = None,
-                   backend: Optional[str] = None) -> DocumentNode:
+                   backend: Optional[str] = None) -> DocumentNode: ...
+
+
+@overload
+def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
+                   stride: Optional[int] = None,
+                   backend: Optional[str] = None, *,
+                   consumer: Callable[[EventSource], _Consumer]
+                   ) -> _Consumer: ...
+
+
+def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
+                   stride: Optional[int] = None,
+                   backend: Optional[str] = None, *,
+                   consumer: Optional[
+                       Callable[[EventSource], EventConsumer]] = None
+                   ) -> Union[DocumentNode, EventConsumer]:
     """Parse a complete XML document into an XDM document node.
 
     Parameters
@@ -463,28 +570,46 @@ def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
         backend, so error messages and accepted documents are uniform
         regardless of backend; an explicitly requested backend never
         falls back.  Both backends produce byte-identical trees.
+    consumer:
+        When given, no document is built: ``consumer(source)`` makes an
+        :class:`EventConsumer` (*source* is the :class:`EventSource` of
+        this parse), the document is fed to it and it is what comes
+        back.  The expat backend streams the events and builds nodes
+        only where the consumer asks for fragments; the python backend
+        parses its tree and walks it — either way, and after a
+        fallback, from a consumer of its own.  What the consumer raises
+        is raised here, once the document has proved well-formed.
     """
     explicit = backend is not None
     if backend is None:
         backend = default_backend()
     if backend == "expat":
-        from repro.xml.expat_parser import parse_document_expat
+        from repro.xml.expat_parser import parse_document_expat, \
+            parse_events_expat
         try:
-            document = parse_document_expat(text, uri=uri, stride=stride)
+            if consumer is None:
+                result = parse_document_expat(text, uri=uri, stride=stride)
+            else:
+                fed = parse_events_expat(text, consumer, stride)
         except Exception:
             if explicit:
                 raise
             PARSE_STATS.bump("fallbacks_to_python")
         else:
             count_parse("expat", len(text))
-            return document
+            return result if consumer is None else fed()
     elif backend != "python":
         raise ValueError(
             f"unknown XML parse backend {backend!r}; expected one of "
             f"{BACKENDS}")
     document = parse_document_python(text, uri=uri, stride=stride)
     count_parse("python", len(text))
-    return document
+    if consumer is None:
+        return document
+    events = _TreeEvents(stride)
+    receiver = consumer(events)
+    events.feed(document, receiver)
+    return receiver
 
 
 def parse_fragment(text: Union[str, bytes],

@@ -16,6 +16,33 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             Table(("a", "b"), [(1,)])
 
+    def test_rows_from_outside_are_checked_and_copied(self):
+        rows = [[1, "x"], [2, "y"]]
+        table = Table.literal(("a", "b"), rows)
+        assert table.rows == [(1, "x"), (2, "y")] and table.rows is not rows
+        with pytest.raises(ValueError):
+            Table.literal(("a", "b"), [(1, "x"), (2,)])
+
+    def test_operator_results_are_well_formed_tables(self):
+        # Operators build their result without the constructor's check;
+        # what they hand on must be what the check would have accepted.
+        table = Table(("a", "keep"), [(2, True), (1, False), (2, True)])
+        other = Table(("k", "keep"), [(2, "r")])
+        results = [
+            table.select("keep"), table.select_eq("a", 2),
+            table.project("b:a"), table.distinct(), table.union(table),
+            table.join(other, "a", "k"), table.rownum("n", ["a"]),
+            table.attach("c", 0), table.fun("f", lambda a: a + 1, "a"),
+            table.sort("a"), table.drop("keep"),
+        ]
+        for result in results:
+            assert result == Table(result.columns, result.rows)
+            assert isinstance(result.columns, tuple)
+            assert all(type(row) is tuple for row in result.rows)
+            assert result.rows is not table.rows
+            assert [result.col(name) for name in result.columns] \
+                == list(range(len(result.columns)))
+
     def test_select_boolean_column(self):
         table = Table(("a", "keep"), [(1, True), (2, False), (3, True)])
         assert table.select("keep").column_values("a") == [1, 3]
