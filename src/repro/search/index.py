@@ -10,7 +10,10 @@ the structural patch methods and the postings survive *un-rebuilt*.
 Postings are keyed by the **gapped order-key serial** (``node.pre``,
 ``order_key[1]``) — the one coordinate of the plane that is stable
 across O(change) splices: inserts mint fresh serials inside gaps and
-deletes free them, so existing postings never shift.  Each term maps to
+deletes free them, so existing postings never shift.  The one thing
+that does move serials short of a full re-encode is a *gap respread*,
+which re-keys a whole region; :meth:`TermIndex.on_respread` brackets
+it and re-keys the region's postings in step.  Each term maps to
 a sorted ``array.array("q")`` of serials; the subtree-window invariant
 (every descendant's serial ``s`` of node ``x`` satisfies
 ``x.pre < s <= x.pre + x.size``) turns "does this subtree contain term
@@ -39,7 +42,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.search.stats import SEARCH_STATS
 from repro.search.tokenizer import (
@@ -130,6 +133,29 @@ def _serial_in(serials, lo: int, hi: int) -> bool:
 def _count_in(serials, lo: int, hi: int) -> int:
     """Number of serials in ``[lo, hi]`` of a sorted serial array."""
     return bisect_right(serials, hi) - bisect_left(serials, lo)
+
+
+def _cut_window(postings: dict, terms, low: int, high: int) -> None:
+    """Drop every serial in ``(low, high]`` from the posting lists of
+    *terms* (one contiguous slice each)."""
+    for term in terms:
+        serials = postings[term]
+        start = bisect_right(serials, low)
+        del serials[start:bisect_right(serials, high, start)]
+        if not serials:
+            del postings[term]
+
+
+def _paste_runs(postings: dict, runs: dict) -> None:
+    """Splice each term's ascending serial run — all inside one window
+    no other posting falls in — into its posting list."""
+    for term, run in runs.items():
+        serials = postings.get(term)
+        if serials is None:
+            postings[term] = array("q", run)
+        else:
+            start = bisect_left(serials, run[0])
+            serials[start:start] = array("q", run)
 
 
 class ContainsPlan:
@@ -535,6 +561,79 @@ class TermIndex:
             self._attrs_of.pop(owner.pre, None)
         if patched:
             SEARCH_STATS.bump("postings_patched", patched)
+
+    def on_respread(self, rows: list,
+                    restamp: Callable[[], None]) -> None:
+        """A gap respread is about to re-key *rows* — a region's root
+        (whose own serial stays) followed by every ranked row below it —
+        by calling *restamp*.  Everything here is keyed by serial, so
+        the region's serial window is un-posted under the old keys and
+        re-posted under the new ones; the re-key is monotone and no
+        other node has a key inside the region's envelope, so each
+        posting list changes in one contiguous slice — O(region), not a
+        delete and an insert per row.  Text terms and seam runs ride
+        along unchanged; attribute values are re-read, which also takes
+        in attributes the running primitive added but has not patched.
+        """
+        if self.degenerate:
+            restamp()
+            return
+        self._plan_cache.clear()
+        self._node_cache.clear()
+        self._text_cache = None
+        low = rows[0].pre
+        high = low + rows[0].size
+        texts = [node for node in rows if isinstance(node, TextNode)]
+        old_serials = [node.pre for node in texts]
+        text_terms = [self._terms_at.pop(serial, ())
+                      for serial in old_serials]
+        seams = [self._seam_pairs.pop(serial, None) for serial in old_serials]
+        _cut_window(self._text_postings, set().union(*text_terms), low, high)
+        attr_terms: set[str] = set()
+        for node in rows:
+            for serial in self._attrs_of.pop(node.pre, ()):
+                attr_terms.update(self._attr_terms_at.pop(serial, ()))
+        _cut_window(self._attr_postings, attr_terms, low, high)
+        at = bisect_right(self.text_serials, low)
+        del self.text_serials[at:bisect_right(self.text_serials, high, at)]
+
+        restamp()
+
+        new_serials = [node.pre for node in texts]
+        self.text_serials[at:at] = array("q", new_serials)
+        runs: dict[str, list[int]] = {}
+        for serial, terms in zip(new_serials, text_terms):
+            self._terms_at[serial] = terms
+            for term in terms:
+                runs.setdefault(term, []).append(serial)
+        _paste_runs(self._text_postings, runs)
+        runs = {}
+        for node in rows:
+            if not node.attributes:
+                continue
+            owned = self._attrs_of[node.pre] = set()
+            for attribute in node.attributes:
+                serial = attribute.pre
+                terms = distinct_tokens(attribute.value)
+                owned.add(serial)
+                self._attr_terms_at[serial] = terms
+                for term in terms:
+                    runs.setdefault(term, []).append(serial)
+        _paste_runs(self._attr_postings, runs)
+        # Seams: both ends of a pair inside the region move together;
+        # the pair reaching in from the text before the region and the
+        # one reaching out of its last text are the two boundary seams.
+        moved = dict(zip(old_serials, new_serials))
+        repoint = list(zip(new_serials, seams))
+        if at > 0:
+            before = self.text_serials[at - 1]
+            repoint.append((before, self._seam_pairs.get(before)))
+        for serial, seam in repoint:
+            if seam is not None:
+                self._seam_pairs[serial] = \
+                    (moved.get(seam[0], seam[0]),) + seam[1:]
+        SEARCH_STATS.bump("postings_patched",
+                          sum(map(len, text_terms)) + len(attr_terms))
 
     # -- query kernels -----------------------------------------------------
 

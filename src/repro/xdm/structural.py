@@ -22,9 +22,10 @@ paths against inside MonetDB/XQuery):
   (:func:`_respread_region`), and only in the worst case does
   :func:`reencode_tree` restamp the whole tree;
 * incremental :class:`StructuralIndex` maintenance: the PUL applier
-  splices/evicts rows, patches the tag-name partitions and rekeys or
-  evicts the cached value indexes (``patch_insert`` / ``patch_delete``
-  / ``patch_rename`` / ``patch_content``) instead of the historical
+  splices/evicts rows, patches the tag-name partitions and edits the
+  cached equality-probe :class:`ValueIndex` objects (``patch_insert``
+  / ``patch_delete`` / ``patch_rename`` / ``patch_content`` /
+  ``patch_attributes`` / ``patch_respread``) instead of the historical
   stale-flag → full rebuild;
 * :data:`ENCODING_STATS` counts what the update path actually did,
   surfaced through ``Explain.counters`` and
@@ -65,15 +66,81 @@ ENCODING_STATS = Counters("updates", {
         "splices that only stamped the new content (gap minting) or one "
         "enclosing region",
     "gap_respreads":
-        "subtree splices that first had to re-spread an enclosing "
-        "region's keys",
+        "subtree splices that found their key gap spent and first had to "
+        "re-spread an enclosing region's keys",
     "index_patches":
         "in-place `StructuralIndex` row/partition patches",
     "index_builds":
         "full `StructuralIndex` (re)builds",
     "value_index_evictions":
-        "cached equality-probe indexes dropped by patches",
+        "equality-probe indexes dropped because their anchor was deleted "
+        "or their tree's patch was abandoned",
 })
+
+
+class ValueIndex:
+    """One maintained equality-probe index: the hash-join probe side of
+    ``anchor/axis::name[key-path = value]``.
+
+    ``by_value`` maps each key-path string value to its members (a dict
+    used as an identity-keyed ordered set — probes sort their matches
+    anyway); ``keys_of`` is the member → posted-values reverse map the
+    un-post needs, because the patch hooks run *after* a value changed.
+    ``matches`` / ``keys`` are the node test and key-path evaluators the
+    index was built with (supplied by the evaluator; the storage layer
+    does not know XQuery name resolution), ``child_only`` says the step
+    axis was ``child`` rather than ``descendant``.
+    """
+
+    __slots__ = ("anchor", "child_only", "matches", "keys", "by_value",
+                 "keys_of", "get")
+
+    def __init__(self, anchor: Node, child_only: bool,
+                 matches: Callable[[Node], bool],
+                 keys: Callable[[Node], tuple],
+                 by_value: dict, keys_of: dict) -> None:
+        self.anchor = anchor
+        self.child_only = child_only
+        self.matches = matches
+        self.keys = keys
+        self.by_value = by_value
+        self.keys_of = keys_of
+        #: The probe: ``get(value, ())`` iterates the members whose key
+        #: path yields *value* (``by_value`` is only ever edited in
+        #: place, so the bound method stays current).
+        self.get = by_value.get
+
+    def rekey(self, node: Node) -> None:
+        """Bring the postings of *node* — a node on the index's axis
+        below the anchor — in line with the tree: whether it still (or
+        now) passes the node test, and what its key path yields."""
+        old = self.keys_of.get(node, ())
+        new = self.keys(node) if self.matches(node) else ()
+        if new == old:
+            return
+        self.discard(node)
+        if new:
+            self.keys_of[node] = new
+            by_value = self.by_value
+            for value in new:
+                bucket = by_value.get(value)
+                if bucket is None:
+                    by_value[value] = {node: None}
+                else:
+                    bucket[node] = None
+
+    def discard(self, node: Node) -> None:
+        """Un-post *node* (a no-op for non-members)."""
+        old = self.keys_of.pop(node, None)
+        if old is None:
+            return
+        by_value = self.by_value
+        for value in old:
+            bucket = by_value.get(value)
+            if bucket is not None:
+                bucket.pop(node, None)
+                if not bucket:
+                    del by_value[value]
 
 
 class StructuralIndex:
@@ -101,8 +168,10 @@ class StructuralIndex:
         self.generation = generation
         self.stale = False
         # Equality-predicate value indexes (the evaluator's hash-join
-        # probes) live on the index so tree mutation drops them with it.
-        self.value_indexes: dict = {}
+        # probes), keyed (anchor rank, axis, prefix, local, key path).
+        # They live on the index so a full rebuild drops them with it;
+        # the patch hooks below edit them in place.
+        self.value_indexes: dict[tuple, ValueIndex] = {}
         # Inverted term index (repro.search.TermIndex), attached lazily
         # by term_index_for(); duck-typed here so the storage layer does
         # not depend on the search package.  It shares this index's
@@ -211,8 +280,9 @@ class StructuralIndex:
         *roots* are contiguous new children of *parent*, already present
         in its child list.  Rows are inserted at the run's document
         position, ancestor subtree sizes grow, the tag partitions shift,
-        and value indexes anchored on an ancestor are evicted (their
-        member lists may now be missing the new nodes).
+        and every value index anchored on an ancestor-or-self of
+        *parent* posts the run's matching nodes and re-keys the members
+        above the splice (their key values may reach into it).
         """
         parent_pre = self.rank_of_opt(parent)
         if parent_pre is None:
@@ -265,19 +335,27 @@ class StructuralIndex:
         # array.array slice assignment requires a same-typecode array.
         self.sizes[pos:pos] = array("q", new_sizes)
         self.levels[pos:pos] = array("q", new_levels)
-        evict: set[int] = set()
         ancestor: Optional[Node] = parent
         while ancestor is not None:
-            ancestor_pre = self.rank_of(ancestor)
-            self.sizes[ancestor_pre] += count
-            evict.add(ancestor_pre)
+            self.sizes[self.rank_of(ancestor)] += count
             ancestor = ancestor.parent
         new_elements = [
             (pos + offset, node.local_name)
             for offset, node in enumerate(new_nodes)
             if isinstance(node, ElementNode)]
         self._patch_partitions(pos, count, new_elements)
-        self._patch_value_indexes(pos, count, evict)
+        self._patch_value_indexes(pos, count)
+        for value_index, chain in self._covering_value_indexes(parent):
+            if not value_index.child_only:
+                spliced = new_nodes
+            elif parent is value_index.anchor:
+                spliced = roots
+            else:
+                spliced = ()
+            for node in spliced:
+                value_index.rekey(node)
+            for node in chain:
+                value_index.rekey(node)
         if self.term_index is not None:
             self.term_index.on_insert(new_nodes)
         ENCODING_STATS.bump("index_patches")
@@ -288,7 +366,10 @@ class StructuralIndex:
 
         Must run while *target* is still attached — ancestor sizes are
         reached through its parent chain.  The gapped key plane needs no
-        key work for deletes (freed serials simply become gaps).
+        key work for deletes (freed serials simply become gaps).  Value
+        indexes only lose the removed rows here: the members *above*
+        the target still see it as their child, so the caller re-keys
+        them with :meth:`rekey_value_indexes` once it is detached.
         """
         pre_of = self.pre_of
         pos = self.rank_of_opt(target)
@@ -303,18 +384,19 @@ class StructuralIndex:
             for attribute in node.attributes:
                 if attribute._sidx is self:
                     attribute._sidx = None
-        evict: set[int] = set()
         ancestor = target.parent
         while ancestor is not None:
-            ancestor_pre = self.rank_of(ancestor)
-            self.sizes[ancestor_pre] -= count
-            evict.add(ancestor_pre)
+            self.sizes[self.rank_of(ancestor)] -= count
             ancestor = ancestor.parent
         del self.nodes[pos:pos + count]
         del self.sizes[pos:pos + count]
         del self.levels[pos:pos + count]
         self._patch_partitions(pos, -count)
-        self._patch_value_indexes(pos, -count, evict)
+        self._patch_value_indexes(pos, -count)
+        if target.parent is not None:
+            for value_index, _ in self._covering_value_indexes(target.parent):
+                for node in removed:
+                    value_index.discard(node)
         if self.term_index is not None:
             # After the row splice: the seam repair must see the
             # post-delete text sequence (the detached nodes still hold
@@ -338,21 +420,18 @@ class StructuralIndex:
                 if index < len(old) and old[index] == pos:
                     old.pop(index)
             insort(by_name.setdefault(node.local_name, []), pos)
-        self._evict_covering(pos)
+        self.rekey_value_indexes(node)
         ENCODING_STATS.bump("index_patches")
         return True
 
     def patch_content(self, node: Node) -> bool:
         """A value-only mutation (replace value, attribute set/remove):
-        rows and order keys stay valid; only value indexes probing
-        through the node can be stale."""
-        anchor = node.parent if isinstance(node, AttributeNode) else node
-        if anchor is None:
+        rows and order keys stay valid; only the value-index members
+        whose key path reaches the node are re-keyed."""
+        row = node.parent if isinstance(node, AttributeNode) else node
+        if row is None or self.rank_of_opt(row) is None:
             return False
-        pos = self.rank_of_opt(anchor)
-        if pos is None:
-            return False
-        self._evict_covering(pos)
+        self.rekey_value_indexes(row)
         if self.term_index is not None:
             self.term_index.on_content(node)
         ENCODING_STATS.bump("index_patches")
@@ -363,19 +442,41 @@ class StructuralIndex:
         """Attribute-table change on *owner* (insert/replace/delete).
 
         Attributes are not ranked, so no rows move; new attributes are
-        stamped with this index's back-reference and value indexes
-        covering the owner are evicted.
+        stamped with this index's back-reference and the value-index
+        members whose key path reaches the owner are re-keyed.
         """
-        pos = self.rank_of_opt(owner)
-        if pos is None:
+        if self.rank_of_opt(owner) is None:
             return False
         for attribute in attrs:
             attribute._sidx = self
-        self._evict_covering(pos)
+        self.rekey_value_indexes(owner)
         if self.term_index is not None:
             self.term_index.on_attributes(owner)
         ENCODING_STATS.bump("index_patches")
         return True
+
+    def patch_respread(self, region: Node,
+                       restamp: Callable[[], None]) -> None:
+        """Run *restamp* — a gap respread re-keying every node below
+        *region* — keeping the term index in step.
+
+        Rows and value indexes hold nodes and positional ranks, which a
+        re-key does not move; the term index is keyed by order-key
+        serial, so it brackets the restamp with an un-post under the
+        old serials and a re-post under the new
+        (``TermIndex.on_respread``).  Content spliced in by the running
+        primitive is not a row yet and is posted by its own
+        ``patch_insert`` / ``patch_attributes``.
+        """
+        term_index = self.term_index
+        pos = None if term_index is None else self.rank_of_opt(region)
+        if pos is None:
+            self.term_index = None  # nothing to re-key, or no way to
+            restamp()
+            return
+        term_index.on_respread(self.nodes[pos:pos + self.sizes[pos] + 1],
+                               restamp)
+        ENCODING_STATS.bump("index_patches")
 
     def _patch_partitions(self, pos: int, delta: int,
                           new_elements: list[tuple[int, str]] = ()) -> None:
@@ -402,45 +503,55 @@ class StructuralIndex:
         for pre, name in new_elements:
             insort(by_name.setdefault(name, []), pre)
 
-    def _patch_value_indexes(self, pos: int, delta: int,
-                             evict: set[int]) -> None:
-        """Rekey value-index anchors across a row splice and evict the
-        entries whose anchor subtree covered the mutation (*evict* holds
-        those anchors' — the change's ancestors' — pre ranks)."""
+    def _patch_value_indexes(self, pos: int, delta: int) -> None:
+        """Shift value-index anchor ranks across a row splice at *pos*
+        and drop the indexes whose anchor itself was removed."""
         if not self.value_indexes:
             return
         removed_end = pos - delta if delta < 0 else pos
-        kept: dict = {}
-        evicted = 0
+        kept: dict[tuple, ValueIndex] = {}
         for key, value_index in self.value_indexes.items():
             anchor = key[0]
-            if anchor in evict or pos <= anchor < removed_end:
-                evicted += 1
+            if pos <= anchor < removed_end:
                 continue
             if anchor >= pos:
                 key = (anchor + delta,) + key[1:]
             kept[key] = value_index
+        dropped = len(self.value_indexes) - len(kept)
         self.value_indexes = kept
-        if evicted:
-            ENCODING_STATS.bump("value_index_evictions", evicted)
+        if dropped:
+            ENCODING_STATS.bump("value_index_evictions", dropped)
 
-    def _evict_covering(self, pos: int) -> None:
-        """Evict value indexes whose anchor is an ancestor-or-self of
-        rank *pos* (the only anchors whose probe values can reach it)."""
+    def _covering_value_indexes(
+            self, node: Node) -> Iterator[tuple[ValueIndex, list[Node]]]:
+        """Every value index anchored on an ancestor-or-self of *node*,
+        each with the rows on *node*'s ancestor-or-self chain that lie on
+        its axis — the only existing rows whose key values a change at
+        or below *node* can reach (at most depth-many; for a ``child``
+        index just the anchor's own child on that chain)."""
         if not self.value_indexes:
             return
-        sizes = self.sizes
-        kept: dict = {}
-        evicted = 0
-        for key, value_index in self.value_indexes.items():
-            anchor = key[0]
-            if anchor <= pos <= anchor + sizes[anchor]:
-                evicted += 1
+        chain: list[Node] = []
+        current: Optional[Node] = node
+        while current is not None:
+            chain.append(current)
+            current = current.parent
+        depth_of = {id(member): depth for depth, member in enumerate(chain)}
+        for value_index in self.value_indexes.values():
+            depth = depth_of.get(id(value_index.anchor))
+            if depth is None:
                 continue
-            kept[key] = value_index
-        self.value_indexes = kept
-        if evicted:
-            ENCODING_STATS.bump("value_index_evictions", evicted)
+            low = max(depth - 1, 0) if value_index.child_only else 0
+            yield value_index, chain[low:depth]
+
+    def rekey_value_indexes(self, node: Node) -> None:
+        """Re-key the ancestors-or-self of *node* in every value index
+        covering it — what every hook does after its mutation, and what
+        the PUL applier calls on the former parent once a deleted or
+        replaced node is detached (``patch_delete`` runs earlier)."""
+        for value_index, chain in self._covering_value_indexes(node):
+            for member in chain:
+                value_index.rekey(member)
 
     # -- tag-name partition ------------------------------------------------
 
@@ -652,12 +763,15 @@ def _bump_ancestor_sizes(node: Optional[Node], last_serial: int,
         node = node.parent
 
 
-def _respread_region(region: Node) -> bool:
+def _respread_region(region: Node,
+                     index: Optional[StructuralIndex]) -> bool:
     """Re-spread every key inside *region*'s subtree evenly across its
     serial envelope ``(region.serial, next-key-after-region)`` — the
     local recovery when a splice gap is exhausted.  Region's own key is
     kept.  Returns False when even the envelope is too small (the
-    caller climbs towards the root)."""
+    caller climbs towards the root).  *index* is the live index the
+    caller is patching, if any: its serial-keyed term index is re-keyed
+    around the restamp (:meth:`StructuralIndex.patch_respread`)."""
     prev_key = region.order_key
     needed = subtree_key_count(region) - 1
     next_key = _next_key_after(region)
@@ -668,21 +782,28 @@ def _respread_region(region: Node) -> bool:
             return False
         step = (next_key[1] - prev_key[1]) // (needed + 1)
     doc_id = prev_key[0]
-    serial = _stamp_attributes(region.attributes, doc_id, prev_key[1],
-                               step, region.level + 1)
-    last = _stamp_run(region.children, doc_id, serial, step,
-                      region.level + 1)
-    region.size = last - prev_key[1]
-    _bump_ancestor_sizes(region.parent, last, doc_id)
+
+    def restamp() -> None:
+        serial = _stamp_attributes(region.attributes, doc_id, prev_key[1],
+                                   step, region.level + 1)
+        last = _stamp_run(region.children, doc_id, serial, step,
+                          region.level + 1)
+        region.size = last - prev_key[1]
+        _bump_ancestor_sizes(region.parent, last, doc_id)
+
+    if index is None:
+        restamp()
+    else:
+        index.patch_respread(region, restamp)
     return True
 
 
-def _climb_respread(start: Node) -> str:
+def _climb_respread(start: Node, index: Optional[StructuralIndex]) -> str:
     """Gap exhausted at *start*: re-spread the nearest enclosing region
     with room, falling back to a whole-tree re-encode at the root."""
     region = start
     while region.parent is not None:
-        if _respread_region(region):
+        if _respread_region(region, index):
             ENCODING_STATS.bump("gap_respreads")
             ENCODING_STATS.bump("reencodes_subtree")
             return "respread"
@@ -691,16 +812,24 @@ def _climb_respread(start: Node) -> str:
     return "full"
 
 
-def reencode_spliced_children(parent: Node, roots: list[Node]) -> str:
+def reencode_spliced_children(parent: Node, roots: list[Node],
+                              index: Optional[StructuralIndex] = None,
+                              ) -> str:
     """Mint order keys for subtrees freshly spliced under *parent*.
 
     Fast path: the run's keys fit in the serial gap between its
     document-order neighbours, so *only the new nodes* are stamped —
-    O(inserted) regardless of document size (``"subtree"``).  When the
-    gap is exhausted (or the boundary keys are unusable — foreign
-    doc ids, non-monotone hand-built trees), the nearest enclosing
-    region is re-spread (``"respread"``); at the very worst the whole
-    tree is re-encoded (``"full"``).  Returns which path ran.
+    O(inserted) regardless of document size (``"subtree"``).  A run
+    takes at most :data:`~repro.xdm.nodes.KEY_STRIDE` per key, never an
+    even share of the whole gap: the wide gap at the tail of a region
+    is what repeated appends live on, and spreading each run across it
+    would spend it geometrically (a handful of appends instead of
+    ``gap / (STRIDE × run)`` of them).  When the gap is exhausted (or
+    the boundary keys are unusable — foreign doc ids, non-monotone
+    hand-built trees), the nearest enclosing region is re-spread
+    (``"respread"``, re-keying the term index of *index*, the live
+    index the caller is patching); at the very worst the whole tree is
+    re-encoded (``"full"``).  Returns which path ran.
 
     O(change) necessarily trusts the keys it does not look at: a tree
     whose existing keys are monotone (everything the parsers,
@@ -734,23 +863,25 @@ def reencode_spliced_children(parent: Node, roots: list[Node]) -> str:
     if next_key is None:
         step = KEY_STRIDE
     elif next_key[0] == doc_id and next_key[1] - prev_key[1] > needed:
-        step = (next_key[1] - prev_key[1]) // (needed + 1)
+        step = min(KEY_STRIDE, (next_key[1] - prev_key[1]) // (needed + 1))
     else:
-        return _climb_respread(parent)
+        return _climb_respread(parent, index)
     last = _stamp_run(roots, doc_id, prev_key[1], step, parent.level + 1)
     _bump_ancestor_sizes(parent, last, doc_id)
     ENCODING_STATS.bump("reencodes_subtree")
     return "subtree"
 
 
-def reencode_spliced_attributes(owner: Node, attrs: list[Node]) -> str:
+def reencode_spliced_attributes(owner: Node, attrs: list[Node],
+                                index: Optional[StructuralIndex] = None,
+                                ) -> str:
     """Mint order keys for attributes freshly added to *owner*.
 
     Attribute keys live between the owner (plus its prior attributes)
     and the owner's first child, so the XDM rule "attributes sort after
     their element, before its children" keeps holding under global
-    document-order merges.  Same gap → respread → full ladder as
-    :func:`reencode_spliced_children`.
+    document-order merges.  Same capped gap → respread → full ladder
+    as :func:`reencode_spliced_children`.
     """
     if not attrs:
         return "subtree"
@@ -773,9 +904,9 @@ def reencode_spliced_attributes(owner: Node, attrs: list[Node]) -> str:
     if next_key is None:
         step = KEY_STRIDE
     elif next_key[0] == doc_id and next_key[1] - prev_key[1] > needed:
-        step = (next_key[1] - prev_key[1]) // (needed + 1)
+        step = min(KEY_STRIDE, (next_key[1] - prev_key[1]) // (needed + 1))
     else:
-        return _climb_respread(owner)
+        return _climb_respread(owner, index)
     serial = _stamp_attributes(attrs, doc_id, prev_key[1], step,
                                owner.level + 1)
     _bump_ancestor_sizes(owner, serial, doc_id)

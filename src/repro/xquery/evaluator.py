@@ -46,6 +46,7 @@ from repro.xdm.sequence import (
     effective_boolean_value,
 )
 from repro.xdm.structural import (
+    ValueIndex,
     _preceding_ranges,
     axis_window_scan,
     split_context,
@@ -599,7 +600,7 @@ class Evaluator:
         return document_order_sort(matches)
 
     def _axis_value_index(self, anchor: Node, step: A.AxisStep,
-                          key_path: tuple, ctx: DynamicContext) -> dict:
+                          key_path: tuple, ctx: DynamicContext) -> ValueIndex:
         assert isinstance(step.node_test, A.NameTest)
         return axis_value_index(anchor, step.axis, step.node_test, key_path,
                                 ctx.static, ctx.constructor_namespaces)
@@ -1372,39 +1373,75 @@ def _indexable_predicate_key_path(predicate: A.Expr) -> Optional[tuple]:
 
 def axis_value_index(anchor: Node, axis: str, node_test: "A.NameTest",
                      key_path: tuple, static: StaticContext,
-                     constructor_namespaces: Optional[dict] = None) -> dict:
+                     constructor_namespaces: Optional[dict] = None,
+                     ) -> ValueIndex:
     """Equality-predicate value index for one (anchor, axis, test, key path).
 
     Maps each key-path string value to the matching axis nodes — the
-    hash-join probe side of ``step[path = value]``.  Cached on the
-    tree's :class:`~repro.xdm.structural.StructuralIndex` under the
-    anchor's *pre rank* within the current index generation — stable for
-    the index's lifetime (the index pins the tree's nodes, so no
-    ``id()`` reuse) — and any tree mutation replaces the index, dropping
-    stale value indexes with it.  Shared by the interpreter's indexed
-    step and the algebra layer's lifted predicate path.
+    hash-join probe side of ``step[path = value]`` for a ``child`` or
+    ``descendant`` step with a non-wildcard name.  Cached on the tree's
+    :class:`~repro.xdm.structural.StructuralIndex` under the anchor's
+    *pre rank* (the index pins the tree's nodes, so no ``id()`` reuse)
+    and from then on *maintained* by the index's patch hooks: an XQUF
+    update re-keys the members it touches instead of dropping the
+    index, and only a full rebuild of the structural index (or the
+    deletion of the anchor) discards it.  Shared by the interpreter's
+    indexed step and the algebra layer's lifted predicate path.
     """
     structure = structural_index(anchor.root())
     anchor_pre = structure.rank_of_opt(anchor)
     cache_key = (anchor_pre, axis, node_test.prefix, node_test.local, key_path)
-    if anchor_pre is not None:
+    if anchor_pre is None:
+        # Unranked anchor (an attribute): nothing below it, not cached.
+        candidates = _axis_nodes(anchor, axis)
+    else:
         cached = structure.value_indexes.get(cache_key)
         if cached is not None:
             return cached
-    index: dict = {}
-    for node in _axis_nodes(anchor, axis):
+        # Candidates straight off the tag partition: the anchor's window
+        # holds far more rows than carry the step's name.
+        nodes = structure.nodes
+        pres = structure.window(
+            anchor_pre, anchor_pre + structure.sizes[anchor_pre],
+            node_test.local)
+        if axis == "child":
+            levels = structure.levels
+            child_level = levels[anchor_pre] + 1
+            pres = [pre for pre in pres if levels[pre] == child_level]
+        candidates = [nodes[pre] for pre in pres]
+
+    def matches(node: Node) -> bool:
+        return node_test_matches(node, node_test, axis, static,
+                                 constructor_namespaces)
+
+    def keys(node: Node) -> tuple:
+        return _walk_key_path(node, key_path)
+
+    by_value: dict = {}
+    keys_of: dict = {}
+    for node in candidates:
         if not node_test_matches(node, node_test, axis, static,
                                  constructor_namespaces):
             continue
-        for value in _walk_key_path(node, key_path):
-            index.setdefault(value, []).append(node)
+        values = _walk_key_path(node, key_path)
+        if not values:
+            continue
+        keys_of[node] = values
+        for value in values:
+            bucket = by_value.get(value)
+            if bucket is None:
+                by_value[value] = {node: None}
+            else:
+                bucket[node] = None
+    index = ValueIndex(anchor, axis == "child", matches, keys,
+                       by_value, keys_of)
     if anchor_pre is not None:
         structure.value_indexes[cache_key] = index
     return index
 
 
-def _walk_key_path(node: Node, key_path: tuple) -> list[str]:
-    """Evaluate an indexable key path, returning string values."""
+def _walk_key_path(node: Node, key_path: tuple) -> tuple:
+    """Evaluate an indexable key path, returning its string values."""
     current = [node]
     for axis, local in key_path:
         advanced: list[Node] = []
@@ -1419,7 +1456,7 @@ def _walk_key_path(node: Node, key_path: tuple) -> list[str]:
                     attribute for attribute in item.attributes
                     if attribute.local_name == local)
         current = advanced
-    return [item.string_value() for item in current]
+    return tuple(item.string_value() for item in current)
 
 
 # ---------------------------------------------------------------------------

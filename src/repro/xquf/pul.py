@@ -257,7 +257,13 @@ class _IncrementalApplier:
     and splices the affected rows of the tree's live index.  Value-only
     primitives (replace value on attributes/text, rename) skip
     restamping entirely — their ``order_key``/``size``/``level`` stamps
-    stay valid — and merely evict the value indexes they can invalidate.
+    stay valid — and merely re-key the value-index members above them.
+
+    One ordering rule: ``patch_delete`` needs its target still attached
+    (ancestor sizes are reached through the parent chain), but the
+    value-index members *above* the target must be re-keyed once it is
+    gone — so every detach is ``patch_delete`` → ``primitive.apply()``
+    → :meth:`_detached`.
     """
 
     def __init__(self) -> None:
@@ -284,8 +290,18 @@ class _IncrementalApplier:
         """A patch could not locate its splice point: stale-mark and let
         the next query rebuild (correctness over bookkeeping)."""
         if state.index is not None:
+            dropped = len(state.index.value_indexes)
+            if dropped:
+                self._structural.ENCODING_STATS.bump(
+                    "value_index_evictions", dropped)
             state.index.stale = True
             state.index = None
+
+    def _detached(self, state: _TreeState, parent: Node) -> None:
+        """A child of *parent* has just been detached (its rows were
+        evicted by ``patch_delete`` beforehand)."""
+        if state.index is not None:
+            state.index.rekey_value_indexes(parent)
 
     def apply(self, primitive: UpdatePrimitive) -> None:
         self._current = None
@@ -346,9 +362,11 @@ class _IncrementalApplier:
         structural = self._structural
         outcome = "subtree"
         if roots:
-            outcome = structural.reencode_spliced_children(parent, roots)
+            outcome = structural.reencode_spliced_children(
+                parent, roots, state.index)
         if attrs and outcome != "full":
-            outcome = structural.reencode_spliced_attributes(parent, attrs)
+            outcome = structural.reencode_spliced_attributes(
+                parent, attrs, state.index)
         if outcome == "full":
             # reencode_tree already stale-marked the index.
             state.index = None
@@ -385,7 +403,7 @@ class _IncrementalApplier:
             primitive.apply()
             self._structural.rekey_detached(target)
             outcome = self._structural.reencode_spliced_attributes(
-                parent, list(primitive.replacement))
+                parent, list(primitive.replacement), state.index)
             if outcome == "full":
                 state.index = None
             elif state.index is not None:
@@ -397,6 +415,7 @@ class _IncrementalApplier:
             if not state.index.patch_delete(target):
                 self._abandon(state)
         primitive.apply()
+        self._detached(state, parent)
         self._structural.rekey_detached(target)
         roots, attrs = self._split_content(primitive.replacement)
         self._splice(state, parent, roots, attrs)
@@ -414,6 +433,7 @@ class _IncrementalApplier:
                         self._abandon(state)
                         break
             primitive.apply()
+            self._detached(state, target)
             for child in old_children:
                 self._structural.rekey_detached(child)
             self._splice(state, target, list(target.children), [])
@@ -459,6 +479,7 @@ class _IncrementalApplier:
             if not state.index.patch_delete(target):
                 self._abandon(state)
         primitive.apply()
+        self._detached(state, parent)
         self._structural.rekey_detached(target)
 
 
@@ -476,7 +497,7 @@ def apply_updates(pul: PendingUpdateList, *,
     deletes need no key work, value/rename updates skip restamping
     entirely — and the tree's :class:`StructuralIndex` is patched in
     place (rows spliced, tag partitions shifted, covered value indexes
-    evicted) instead of stale-marked.  ``incremental=False`` restores
+    re-keyed) instead of stale-marked.  ``incremental=False`` restores
     the historical behaviour — a full
     :func:`~repro.xdm.structural.reencode_tree` per structurally
     mutated tree plus index stale-marking — and is kept as the

@@ -15,6 +15,7 @@ import pytest
 
 from repro.obs import Scope
 from repro.session import Database
+from repro.workloads.xmark import XMarkConfig, generate_auctions
 from repro.xdm import KEY_STRIDE, NodeFactory
 from repro.xdm.structural import (
     ENCODING_STATS,
@@ -227,20 +228,31 @@ class TestValueOnlyUpdates:
     def test_unrelated_value_indexes_survive_patches(self):
         doc, resolver = _store()
         # Build two value indexes under disjoint anchors.
-        evaluate_query("doc('s.xml')/site/people/person[@id = 'p0']",
-                       doc_resolver=resolver)
-        evaluate_query("doc('s.xml')/site/auctions/auction[price = '12']",
-                       doc_resolver=resolver)
+        people = "doc('s.xml')/site/people/person[@id = '%s']/name"
+        auctions = "doc('s.xml')/site/auctions/auction[price = '12']/buyer"
+        evaluate_query(people % "p0", doc_resolver=resolver)
+        evaluate_query(auctions, doc_resolver=resolver)
         index = doc._sidx
         assert index is not None and len(index.value_indexes) == 2
-        # A value change inside people must evict only the people probe.
+        built = dict(index.value_indexes)
+        before = ENCODING_STATS.snapshot()
+        # A value change inside people re-keys the people probe in
+        # place; the auctions probe is not even looked at.
         _update(resolver,
                 "replace value of node doc('s.xml')//person[1]/@id "
                 "with 'p0b'")
         assert doc._sidx is index
-        remaining = list(index.value_indexes)
-        assert len(remaining) == 1
-        assert remaining[0][3] == "auction"
+        assert index.value_indexes == built  # same keys, same objects
+        assert all(index.value_indexes[key] is built[key] for key in built)
+        after = ENCODING_STATS.snapshot()
+        assert after["value_index_evictions"] == \
+            before["value_index_evictions"]
+        assert after["index_builds"] == before["index_builds"]
+        assert evaluate_query(people % "p0", doc_resolver=resolver) == []
+        assert serialize_sequence(evaluate_query(
+            people % "p0b", doc_resolver=resolver)) == "<name>Ada</name>"
+        assert serialize_sequence(evaluate_query(
+            auctions, doc_resolver=resolver)) == '<buyer ref="p0"/>'
 
 
 class TestIndexPatching:
@@ -330,6 +342,57 @@ class TestGapExhaustion:
         assert result[0].value == 2 * KEY_STRIDE
         if doc._sidx is not None and not doc._sidx.stale:
             assert_index_matches_rebuild(doc)
+
+    def test_appends_live_on_the_tail_gap(self):
+        """The ``update-mix`` append, 64 times over: a run takes at most
+        KEY_STRIDE per key out of the gap it lands in, so the wide tail
+        gap a respread leaves behind serves dozens of appends — not the
+        four it lasted when every run spread itself over the whole gap
+        (16 respreads for these 64 appends)."""
+        db = Database()
+        db.register("auctions.xml", generate_auctions(XMarkConfig(
+            persons=100, closed_auctions=600, open_auctions=60)))
+        doc = db.store.get("auctions.xml")
+        index = structural_index(doc)
+        append = db.prepare("""
+            declare variable $id external;
+            insert node <closed_auction><seller person="{concat('ns', $id)}"/>
+              <buyer person="{concat('nb', $id)}"/>
+              <itemref item="{concat('ni', $id)}"/>
+              <price>{$id}.00</price><date>01/01/2007</date>
+              <annotation><description><text>rare vintage lot</text>
+              </description></annotation>
+            </closed_auction>
+            as last into doc('auctions.xml')/site/closed_auctions""")
+        before = ENCODING_STATS.snapshot()
+        for run in range(64):
+            append.execute(id=str(run))
+        after = ENCODING_STATS.snapshot()
+        assert after["gap_respreads"] - before["gap_respreads"] <= 4
+        assert after["reencodes_full"] == before["reencodes_full"]
+        assert doc._sidx is index and not index.stale
+        assert len(db.execute("doc('auctions.xml')//closed_auction")) == 664
+        assert_keys_monotone(doc)
+        # Serial windows select exactly the subtrees (the linear form of
+        # assert_windows_cover_subtrees, for a 15 000-node tree): keys
+        # are monotone, so it is enough that each window reaches its
+        # subtree's last key and stops before the next node's.
+        keyed = []
+        for node in doc.descendants(include_self=True):
+            keyed.append(node)
+            keyed.extend(node.attributes)
+        position = {id(node): at for at, node in enumerate(keyed)}
+        for node in doc.descendants(include_self=True):
+            last = node
+            while last.children:
+                last = last.children[-1]
+            if last.attributes:
+                last = last.attributes[-1]
+            end = position[id(last)]
+            high = node.order_key[1] + node.size
+            assert keyed[end].order_key[1] <= high, node
+            if end + 1 < len(keyed):
+                assert keyed[end + 1].order_key[1] > high, node
 
     def test_full_fallback_restores_gaps(self):
         doc, resolver = _store(stride=1)

@@ -17,6 +17,8 @@ The acceptance gates for :mod:`repro.search`:
   to the same result set as searching every peer locally.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,7 @@ from repro.workloads.xmark import (
     generate_persons,
 )
 from repro.xdm.nodes import ElementNode, Node
+from repro.xdm.structural import ENCODING_STATS
 from repro.xml import parse_document
 from repro.xml.serializer import escape_text, serialize_sequence
 from repro.xquery.context import ExecutionContext
@@ -343,6 +346,97 @@ class TestIncrementalPostings:
         assert contains_matches(root, "worldwide") \
             == naive_contains_scan(root, "worldwide")
         assert len(contains_matches(root, "worldwide")) == 2
+
+
+class TestRespreadRekeysPostings:
+    """The ``update-mix`` keyword probe of ``benchmarks/e2e``: a warm
+    lifted ``contains`` read after every append, across gap respreads.
+    Postings, seams and the reverse maps are keyed by order-key serial
+    and a respread re-stamps a whole region's serials — the term index
+    must be re-keyed with it, or stale serials resolve to the wrong
+    node (wrong answers, and ``AttributeError: 'ElementNode' object has
+    no attribute 'content'`` out of the seam repair)."""
+
+    WORDS = "auction lot rare vintage mint shipping signed original".split()
+    APPEND = """
+    declare variable $id external; declare variable $text external;
+    insert node <closed_auction><seller person="{concat('ns', $id)}"/>
+      <buyer person="{concat('nb', $id)}"/><price>{$id}.00</price>
+      <annotation><description><text>{$text}</text></description></annotation>
+    </closed_auction> as last into doc('auctions.xml')/site/closed_auctions
+    """
+    STAMP = """
+    declare variable $id external; declare variable $text external;
+    insert node attribute {concat('note', $id)} {$text}
+      into doc('auctions.xml')/site/closed_auctions/closed_auction[3]
+    """
+    SEAM = """
+    declare variable $id external; declare variable $text external;
+    insert node <text>{$text} vin<b n="{$id}"/>tage</text> as last into
+      doc('auctions.xml')/site/closed_auctions/closed_auction[3]
+        /annotation/description
+    """
+    PROBES = (
+        "doc('auctions.xml')//closed_auction[contains(., 'vintage')]/price",
+        "doc('auctions.xml')//closed_auction/@*[contains(., 'vintage')]",
+        "doc('auctions.xml')//text()[contains(., 'rare')]",
+    )
+
+    @staticmethod
+    def assert_matches_rebuild(sidx):
+        """Every serial-keyed structure equals a from-scratch build."""
+        live, fresh = sidx.term_index, TermIndex(sidx)
+        assert not live.degenerate
+        for field in ("_text_postings", "_attr_postings", "text_serials",
+                      "_terms_at", "_attr_terms_at", "_attrs_of",
+                      "_seam_pairs"):
+            assert getattr(live, field) == getattr(fresh, field), field
+
+    def run(self, write, cycles):
+        db = Database()
+        db.register("auctions.xml", generate_auctions(CONFIG))
+        probes = [db.prepare(query) for query in self.PROBES]
+        for probe in probes:
+            probe.execute()
+            assert probe.last_explain.plan == "lifted"
+        doc = db.store.get("auctions.xml")
+        assert doc._sidx.term_index is not None
+        index = doc._sidx
+        search_before = SEARCH_STATS.snapshot()
+        encoding_before = ENCODING_STATS.snapshot()
+        rng = random.Random(11)
+        writer = db.prepare(write)
+        for cycle in range(cycles):
+            text = " ".join(rng.choice(self.WORDS) for _ in range(12))
+            writer.execute(id=str(cycle), text=text)  # must not raise
+            for probe in probes:
+                lifted = serialize_sequence(probe.execute())
+                interpreted = serialize_sequence(evaluate_query(
+                    probe.source, doc_resolver=db._resolve_document))
+                assert lifted == interpreted, (cycle, probe.source)
+            assert_search_equal(doc, ["vintage", "rare"])
+            self.assert_matches_rebuild(index)
+        assert doc._sidx is index and not index.stale
+        search = SEARCH_STATS.snapshot()
+        encoding = ENCODING_STATS.snapshot()
+        assert encoding["gap_respreads"] > encoding_before["gap_respreads"], \
+            "the run was meant to exhaust a key gap"
+        assert encoding["reencodes_full"] == encoding_before["reencodes_full"]
+        assert search["term_index_builds"] \
+            == search_before["term_index_builds"] + cycles, \
+            "a respread dropped the term index instead of re-keying it"
+
+    def test_keyword_probe_survives_append_respreads(self):
+        self.run(self.APPEND, cycles=12)
+
+    def test_keyword_probe_survives_attribute_respreads(self):
+        # One element's attribute gap (owner .. first child) is a single
+        # stride: hammering it takes the respread path of
+        # reencode_spliced_attributes.
+        self.run(self.STAMP, cycles=40)
+
+    def test_seams_survive_respreads(self):
+        self.run(self.SEAM, cycles=12)
 
 
 # ---------------------------------------------------------------------------
