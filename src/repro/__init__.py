@@ -12,8 +12,8 @@ Public API highlights:
 * :class:`repro.net.SimulatedNetwork` / :class:`repro.net.HttpTransport`
   — interchangeable transports.
 * :class:`repro.wrapper.XRPCWrapper` — serve XRPC with any XQuery engine.
-* :func:`repro.xquery.evaluate_query` — the standalone XQuery engine
-  (deprecated shim over the session API).
+* :func:`repro.xquery.evaluate_query` — the one-shot tree interpreter:
+  compile, run, apply updates (no store, no plan cache, no lifted plan).
 * :mod:`repro.experiments` — harnesses regenerating the paper's tables.
 
 See README.md for a guided tour and DESIGN.md for the system inventory.

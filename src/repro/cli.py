@@ -92,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="deadline budget for the query; the run fails "
                              "with an error once the budget is exhausted")
-    parser.add_argument("--xml-backend", choices=["expat", "python"],
-                        default=None,
-                        help="parse frontend for --doc mounts (default: "
-                             "expat with python fallback, or the "
-                             "REPRO_XML_BACKEND environment override)")
     return parser
 
 
@@ -134,9 +129,6 @@ def build_search_parser() -> argparse.ArgumentParser:
                         help="order hits by descending term-frequency score")
     parser.add_argument("--limit", type=int, default=None, metavar="N",
                         help="print at most N hits")
-    parser.add_argument("--xml-backend", choices=["expat", "python"],
-                        default=None,
-                        help="parse frontend for --doc mounts")
     return parser
 
 
@@ -151,7 +143,7 @@ def search_main(argv: list[str]) -> int:
     if not args.doc:
         parser.error("mount at least one document with --doc")
 
-    db = Database(xml_backend=args.xml_backend)
+    db = Database()
     for spec in args.doc:
         uri, path = _split_mount(spec)
         db.register(uri, Path(path).read_bytes())
@@ -234,8 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         source = Path(args.query).read_text(encoding="utf-8")
 
-    db = Database(try_lifted=not args.no_lifted,
-                  xml_backend=args.xml_backend)
+    db = Database(try_lifted=not args.no_lifted)
     for spec in args.module:
         location, path = _split_mount(spec)
         db.register_module(Path(path).read_text(encoding="utf-8"),

@@ -96,12 +96,6 @@ class Engine:
         to charge module-translation cost for a request (Table 2).
     bulk_rpc:
         Ship loop-lifted ``execute at`` calls as Bulk RPC messages.
-    accelerator:
-        Evaluate path steps set-at-a-time over the XPath-accelerator
-        structural index (pre/size/level window scans with staircase
-        pruning).  ``False`` falls back to the naive per-node axis
-        walkers — the reference implementation, kept for ablations like
-        ``bulk_rpc``.
     """
 
     name = "generic"
@@ -109,7 +103,6 @@ class Engine:
     def __init__(self, registry: Optional[ModuleRegistry] = None,
                  plan_cache: bool = True, function_cache: bool = True,
                  bulk_rpc: bool = True, optimize_flwor_joins: bool = True,
-                 accelerator: bool = True,
                  plan_cache_size: Optional[int] = DEFAULT_PLAN_CACHE_SIZE,
                  ) -> None:
         self.registry = registry or ModuleRegistry()
@@ -118,7 +111,6 @@ class Engine:
         self.function_cache_enabled = function_cache
         self.bulk_rpc = bulk_rpc
         self.optimize_flwor_joins = optimize_flwor_joins
-        self.accelerator = accelerator
         self._plan_cache: OrderedDict[str, CompiledQuery] = OrderedDict()
         self._function_cache: set[tuple[str, str, int]] = set()
         # compile() and the function cache may be hit concurrently (the
@@ -194,7 +186,6 @@ class Engine:
         """
         # A missing context inherits the engine's own configuration.
         options = context if context is not None else ExecutionContext(
-            accelerator=self.accelerator,
             optimize_joins=self.optimize_flwor_joins)
         self.last_plan = None
         compiled, compile_seconds, cache_hit = self.compile_with_stats(source)
@@ -214,8 +205,7 @@ class Engine:
                 result, pul = compiled.run(options)
                 if pul and options.apply_updates:
                     from repro.xquf.pul import apply_updates
-                    apply_updates(pul,
-                                  incremental=options.incremental_updates)
+                    apply_updates(pul)
         return result, Explain(
             plan=plan, fallback_reason=fallback_reason,
             compile_seconds=compile_seconds,
@@ -230,9 +220,7 @@ class Engine:
         capabilities — the same call :meth:`execute` makes, so callers
         (the peer's router, ``repro check``) see exactly the properties
         execution will act on.  Memoized on the compiled query."""
-        options = context if context is not None else ExecutionContext(
-            accelerator=self.accelerator,
-            optimize_joins=self.optimize_flwor_joins)
+        options = context if context is not None else ExecutionContext()
         return analyze_compiled(
             compiled,
             has_dispatch=options.dispatch is not None,
@@ -308,11 +296,9 @@ class MonetEngine(Engine):
     name = "monetdb-xquery"
 
     def __init__(self, registry: Optional[ModuleRegistry] = None,
-                 function_cache: bool = True, bulk_rpc: bool = True,
-                 accelerator: bool = True) -> None:
+                 function_cache: bool = True, bulk_rpc: bool = True) -> None:
         super().__init__(registry, plan_cache=function_cache,
-                         function_cache=function_cache, bulk_rpc=bulk_rpc,
-                         accelerator=accelerator)
+                         function_cache=function_cache, bulk_rpc=bulk_rpc)
 
 
 class TreeEngine(Engine):
@@ -320,13 +306,9 @@ class TreeEngine(Engine):
 
     name = "saxon-like"
 
-    def __init__(self, registry: Optional[ModuleRegistry] = None,
-                 accelerator: bool = True) -> None:
+    def __init__(self, registry: Optional[ModuleRegistry] = None) -> None:
         # No FLWOR join optimization: the paper-era Saxon only detected
         # the predicate-index join (Table 3's getPerson), which both
         # engines get via the evaluator's equality-predicate index.
-        # (Saxon's TinyTree gives it fast axes of its own, so the
-        # structural accelerator stays on by default here too.)
         super().__init__(registry, plan_cache=False, function_cache=False,
-                         bulk_rpc=False, optimize_flwor_joins=False,
-                         accelerator=accelerator)
+                         bulk_rpc=False, optimize_flwor_joins=False)

@@ -243,7 +243,6 @@ class XRPCPeer:
         )
         ctx.put_store = self.store.put
         ctx.optimize_joins = self.engine.optimize_flwor_joins
-        ctx.accelerator = self.engine.accelerator
         return ctx
 
     def make_doc_resolver(self, doc_view, session: Optional[ClientSession]):
@@ -530,7 +529,6 @@ class XRPCPeer:
             dispatch_parallel=self._session_dispatch_parallel(session),
             xrpc_handler=self._one_at_a_time_handler(session),
             put_store=self.store.put,
-            accelerator=self.engine.accelerator,
             optimize_joins=self.engine.optimize_flwor_joins,
             try_lifted=try_lifted,
             apply_updates=False,  # the peer applies after (optional) 2PC

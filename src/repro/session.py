@@ -13,10 +13,9 @@ shipped.  This module is that surface for embedders:
   ``execute()``, lazy ``iter()`` cursors, and ``explain()`` reporting
   plan kind, fallback reason and compile/execute timings.
 * :class:`ExecutionContext` (re-exported from
-  :mod:`repro.xquery.context`) — the single options object replacing the
-  historical ``doc_resolver`` / ``xrpc_handler`` / ``dispatch`` /
-  ``accelerator`` keyword soup, threaded through ``Engine``,
-  ``CompiledQuery``, ``LoopLiftedQuery`` and ``XRPCPeer``.
+  :mod:`repro.xquery.context`) — the single options object threaded
+  through ``Engine``, ``CompiledQuery``, ``LoopLiftedQuery`` and
+  ``XRPCPeer``.
 
 A quick session::
 
@@ -114,7 +113,6 @@ class DatabaseStats:
     interpreter_executions: int
     documents: int
     fallback_reasons: dict = field(default_factory=dict)
-    xml_backend: str = "expat"
     counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -233,29 +231,23 @@ class Database:
     ----------
     engine:
         Engine profile to execute with (default: a generic
-        :class:`~repro.engine.Engine` with plan cache, accelerator and
-        lifted pipeline on).
+        :class:`~repro.engine.Engine` with plan cache and lifted
+        pipeline on).
     registry:
         Module registry for ``import module`` resolution (defaults to
         the engine's).
     try_lifted:
         Attempt the loop-lifted relational plan before the interpreter
         (the default; ``False`` pins every query to the interpreter).
-    xml_backend:
-        Parse frontend for :meth:`register` — ``"expat"`` (C-speed,
-        the default) or ``"python"`` (the reference ablation).
-        ``None`` defers to ``REPRO_XML_BACKEND`` / the built-in default.
     """
 
     def __init__(self, engine: Optional[Engine] = None,
                  registry: Optional[ModuleRegistry] = None,
-                 try_lifted: bool = True,
-                 xml_backend: Optional[str] = None) -> None:
+                 try_lifted: bool = True) -> None:
         self.engine = engine or Engine(registry=registry)
         self.registry = self.engine.registry
         self.store = DocumentStore()
         self.try_lifted = try_lifted
-        self.xml_backend = xml_backend
         self._stats_lock = threading.Lock()
         self.executions = 0
         self.lifted_executions = 0
@@ -268,7 +260,7 @@ class Database:
         """Load (or replace) a document under *uri*; accepts XML text
         (``str``, or encoded ``bytes`` honouring the declaration/BOM) or
         a parsed tree."""
-        return self.store.register(uri, content, backend=self.xml_backend)
+        return self.store.register(uri, content)
 
     def register_module(self, source: str,
                         location: Optional[str] = None) -> None:
@@ -350,8 +342,6 @@ class Database:
         return hits
 
     def stats(self) -> DatabaseStats:
-        from repro.xml.parser import default_backend
-
         cache = self.engine.cache_stats()
         with self._stats_lock:
             return DatabaseStats(
@@ -365,7 +355,6 @@ class Database:
                 interpreter_executions=self.interpreter_executions,
                 documents=sum(1 for _ in self.store.uris()),
                 fallback_reasons=self.engine.fallback_stats(),
-                xml_backend=self.xml_backend or default_backend(),
                 counters=obs.totals(),
             )
 
@@ -381,7 +370,6 @@ class Database:
             variables=merged or None,
             context_item=context_item,
             put_store=self.store.put,
-            accelerator=self.engine.accelerator,
             optimize_joins=self.engine.optimize_flwor_joins,
             try_lifted=self.try_lifted,
             # Local sessions apply pending updates immediately (the

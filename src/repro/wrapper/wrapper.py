@@ -62,14 +62,10 @@ class XRPCWrapper:
     def __init__(self, engine: Optional[Engine] = None,
                  store: Optional[DocumentStore] = None,
                  keep_request_files: bool = False,
-                 transport=None, host: str = "wrapped",
-                 xml_backend: Optional[str] = None) -> None:
+                 transport=None, host: str = "wrapped") -> None:
         self.engine = engine or TreeEngine()
         self.store = store or DocumentStore()
         self.keep_request_files = keep_request_files
-        # Parse frontend for request messages and treebuild rebuilds;
-        # None = the default backend (expat with python fallback).
-        self.xml_backend = xml_backend
         # Optional transport lets fn:doc("xrpc://peer/uri") fetch remote
         # documents (data shipping) — the wrapped Saxon fetched remote
         # documents over plain HTTP the same way.  Outgoing *function*
@@ -93,7 +89,7 @@ class XRPCWrapper:
         cache read the pre-parsed tree from the store.
         """
         self._document_sources[uri] = xml_text
-        self.store.register(uri, xml_text, backend=self.xml_backend)
+        self.store.register(uri, xml_text)
 
     # ------------------------------------------------------------------
 
@@ -113,7 +109,7 @@ class XRPCWrapper:
         return response
 
     def _serve(self, payload: str, timings: WrapperTimings) -> str:
-        request = parse_request(payload, backend=self.xml_backend)
+        request = parse_request(payload)
         timings.calls = len(request.calls)
 
         # 1. Store the request message at a temporary location.
@@ -142,8 +138,7 @@ class XRPCWrapper:
                 if uri == request_path:
                     treebuild_started = time.process_time()
                     with open(request_path, encoding="utf-8") as handle:
-                        document = parse_document(handle.read(), uri=uri,
-                                                  backend=self.xml_backend)
+                        document = parse_document(handle.read(), uri=uri)
                     timings.treebuild_seconds += \
                         time.process_time() - treebuild_started
                     return document
@@ -155,8 +150,7 @@ class XRPCWrapper:
                     if uri not in rebuilt:
                         treebuild_started = time.process_time()
                         rebuilt[uri] = parse_document(
-                            self._document_sources[uri], uri=uri,
-                            backend=self.xml_backend)
+                            self._document_sources[uri], uri=uri)
                         timings.treebuild_seconds += \
                             time.process_time() - treebuild_started
                     return rebuilt[uri]
@@ -167,8 +161,7 @@ class XRPCWrapper:
             try:
                 result, _pul = compiled.run(ExecutionContext(
                     doc_resolver=resolve,
-                    optimize_joins=self.engine.optimize_flwor_joins,
-                    accelerator=self.engine.accelerator))
+                    optimize_joins=self.engine.optimize_flwor_joins))
             except XQueryError as exc:
                 return build_fault("env:Sender", str(exc))
             # Document trees are built lazily during execution; report the

@@ -29,8 +29,6 @@ _doc_counter_lock = threading.Lock()
 #: Stamping with gaps leaves ``KEY_STRIDE - 1`` unused serials between
 #: neighbouring nodes, so a small XQUF insert usually mints its keys
 #: inside the gap — O(change) — instead of restamping the whole tree.
-#: ``stride=1`` recovers the historical dense encoding (the ablation
-#: baseline of ``bench_incremental_updates``).
 KEY_STRIDE = 32
 
 
@@ -44,8 +42,8 @@ class NodeFactory:
 
     One factory corresponds to one document (or one constructed fragment
     root): all nodes it makes share a ``doc_id`` and receive increasing
-    serial numbers.  Serials are spaced ``stride`` apart (gapped
-    pre-plane; see :data:`KEY_STRIDE`) so later inserts can mint
+    serial numbers.  Serials are spaced :data:`KEY_STRIDE` apart (the
+    gapped pre-plane) so later inserts can mint
     in-between keys without restamping neighbours.  The serial is the
     node's *pre* coordinate in the XPath-accelerator encoding; creators
     that know their depth (the XML parser, ``copy_tree``) pass ``level``
@@ -55,30 +53,22 @@ class NodeFactory:
     creator once the subtree is complete (see :meth:`last_serial`).
     """
 
-    def __init__(self, stride: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.doc_id = _next_doc_id()
-        self.stride = KEY_STRIDE if stride is None else max(1, stride)
         self._next_serial = 0
-        self._issued = 0
 
     def mint_key(self) -> tuple[int, int]:
         """The next order key of this tree."""
         serial = self._next_serial
-        self._next_serial = serial + self.stride
-        self._issued += 1
+        self._next_serial = serial + KEY_STRIDE
         return (self.doc_id, serial)
 
     @property
-    def issued(self) -> int:
-        """Number of keys issued so far."""
-        return self._issued
-
-    @property
     def last_serial(self) -> int:
-        """Serial of the most recently issued key (``-1`` before the
+        """Serial of the most recently issued key (negative before the
         first); a container created at serial ``s`` whose subtree is
         complete has ``size = factory.last_serial - s``."""
-        return self._next_serial - self.stride
+        return self._next_serial - KEY_STRIDE
 
     def document(self, uri: Optional[str] = None,
                  level: int = 0) -> "DocumentNode":

@@ -625,7 +625,7 @@ def invalidate_structural_index(node: Node) -> None:
         index.stale = True
 
 
-def reencode_tree(root: Node, stride: Optional[int] = None) -> None:
+def reencode_tree(root: Node) -> None:
     """Restamp ``order_key`` / ``size`` / ``level`` over a whole tree.
 
     The worst-case fallback of the update path (and the repair pass for
@@ -633,12 +633,11 @@ def reencode_tree(root: Node, stride: Optional[int] = None) -> None:
     pass re-keys the whole tree under a fresh ``doc_id`` — attributes
     are stamped directly after their owner, exactly like the parsers do
     — and invalidates any cached structural index.  Keys are re-issued
-    *with gaps* (``stride``, default :data:`~repro.xdm.nodes.KEY_STRIDE`)
-    so subsequent small updates return to the O(change) fast path.
+    *with gaps* (:data:`~repro.xdm.nodes.KEY_STRIDE`) so subsequent
+    small updates return to the O(change) fast path.
     """
-    step = KEY_STRIDE if stride is None else max(1, stride)
     invalidate_structural_index(root)
-    _restamp_tree(root, _next_doc_id(), step)
+    _restamp_tree(root, _next_doc_id(), KEY_STRIDE)
     ENCODING_STATS.bump("reencodes_full")
 
 

@@ -10,7 +10,6 @@ back to markup.
 from repro.xml.parser import (
     BACKENDS,
     XMLSyntaxError,
-    default_backend,
     parse_document,
     parse_fragment,
 )
@@ -20,7 +19,6 @@ from repro.xml.stats import PARSE_STATS
 __all__ = [
     "BACKENDS",
     "PARSE_STATS",
-    "default_backend",
     "parse_document",
     "parse_fragment",
     "XMLSyntaxError",

@@ -83,22 +83,21 @@ class _TreeBuilder:
 
     The handlers are the per-node hot path (one ``StartElementHandler``
     call per element at C speed), so they mint order keys inline —
-    ``serial``/``stride`` arithmetic identical to
+    ``serial``/:data:`KEY_STRIDE` arithmetic identical to
     :class:`~repro.xdm.nodes.NodeFactory` — and wire parent/child links
     directly instead of going through ``append()`` (no structural index
     exists during the parse, so there is nothing to invalidate).
     """
 
-    __slots__ = ("_doc_id", "_stride", "_serial", "_document", "_stack",
+    __slots__ = ("_doc_id", "_serial", "_document", "_stack",
                  "_scope", "_default_uri", "_scope_stack", "_text",
                  "_parser")
 
-    def __init__(self, uri: Optional[str], stride: Optional[int]) -> None:
+    def __init__(self, uri: Optional[str]) -> None:
         self._doc_id = _next_doc_id()
-        self._stride = KEY_STRIDE if stride is None else max(1, stride)
         document = DocumentNode((self._doc_id, 0), uri)
         document.level = 0
-        self._serial = self._stride
+        self._serial = KEY_STRIDE
         self._document = document
         # Open containers, document at the bottom — a new child's level
         # is simply len(stack).  The namespace scope is kept *off* the
@@ -118,7 +117,7 @@ class _TreeBuilder:
         stack = self._stack
         parent = stack[-1]
         doc_id = self._doc_id
-        stride = self._stride
+        stride = KEY_STRIDE
         serial = self._serial
         parts = self._text
         level = len(stack)
@@ -216,7 +215,7 @@ class _TreeBuilder:
         if parts:
             text = _NEW_TEXT(TextNode)
             text.order_key = (self._doc_id, serial)
-            serial += self._stride
+            serial += KEY_STRIDE
             self._serial = serial
             text.content = "".join(parts)
             text.size = 0
@@ -227,7 +226,7 @@ class _TreeBuilder:
             element._children.append(text)
             del parts[:]
         # Subtree complete: extent reaches the last issued serial.
-        element.size = serial - self._stride - element.order_key[1]
+        element.size = serial - KEY_STRIDE - element.order_key[1]
         scope_stack = self._scope_stack
         if scope_stack and scope_stack[-1][0] == len(stack):
             # This element declared namespaces; restore the outer scope.
@@ -241,7 +240,7 @@ class _TreeBuilder:
             parent = self._stack[-1]
             serial = self._serial
             text = TextNode((self._doc_id, serial), "".join(parts))
-            self._serial = serial + self._stride
+            self._serial = serial + KEY_STRIDE
             text.level = len(self._stack)
             text.parent = parent
             parent._children.append(text)
@@ -252,7 +251,7 @@ class _TreeBuilder:
         parent = self._stack[-1]
         serial = self._serial
         node = CommentNode((self._doc_id, serial), data)
-        self._serial = serial + self._stride
+        self._serial = serial + KEY_STRIDE
         node.level = len(self._stack)
         node.parent = parent
         parent._children.append(node)
@@ -263,7 +262,7 @@ class _TreeBuilder:
         serial = self._serial
         node = ProcessingInstructionNode((self._doc_id, serial), target,
                                          data.strip())
-        self._serial = serial + self._stride
+        self._serial = serial + KEY_STRIDE
         node.level = len(self._stack)
         node.parent = parent
         parent._children.append(node)
@@ -347,7 +346,7 @@ class _TreeBuilder:
             parser.SkippedEntityHandler = None
             parser.ExternalEntityRefHandler = None
         document = self._document
-        document.size = self._serial - self._stride
+        document.size = self._serial - KEY_STRIDE
         return document
 
 
@@ -395,9 +394,9 @@ class _EventBuilder(_TreeBuilder):
     __slots__ = ("_consumer", "_failure", "_qnames", "_holder",
                  "_fragment_depth")
 
-    def __init__(self, stride: Optional[int],
+    def __init__(self,
                  consumer: Callable[[EventSource], EventConsumer]) -> None:
-        super().__init__(None, stride)
+        super().__init__(None)
         #: (local name, namespace URI) of the prefixed names seen under
         #: the current scope; dropped whenever the scope changes.
         self._qnames: dict = {}
@@ -410,7 +409,7 @@ class _EventBuilder(_TreeBuilder):
 
     def mint_key(self) -> tuple[int, int]:
         serial = self._serial
-        self._serial = serial + self._stride
+        self._serial = serial + KEY_STRIDE
         return (self._doc_id, serial)
 
     def namespace_uri(self, prefix: str) -> Optional[str]:
@@ -521,7 +520,6 @@ class _EventBuilder(_TreeBuilder):
 
 def parse_events_expat(data: Union[str, bytes],
                        consumer: Callable[[EventSource], EventConsumer],
-                       stride: Optional[int] = None
                        ) -> Callable[[], EventConsumer]:
     """Feed ``consumer(source)`` the events of a complete document at
     expat speed.  Parse failures raise as from
@@ -529,14 +527,13 @@ def parse_events_expat(data: Union[str, bytes],
     document is a call that returns the consumer or raises what the
     consumer raised, so the caller can tell the two kinds apart.
     """
-    builder = _EventBuilder(stride, consumer)
+    builder = _EventBuilder(consumer)
     builder.parse(data)
     return builder.result
 
 
 def parse_document_expat(data: Union[str, bytes],
-                         uri: Optional[str] = None,
-                         stride: Optional[int] = None) -> DocumentNode:
+                         uri: Optional[str] = None) -> DocumentNode:
     """Parse a complete XML document at expat speed.
 
     Accepts ``str`` or ``bytes``; byte input honours the XML
@@ -545,4 +542,4 @@ def parse_document_expat(data: Union[str, bytes],
     malformed input and :class:`ExpatUnsupported` for well-formed
     documents outside the supported subset.
     """
-    return _TreeBuilder(uri, stride).parse(data)
+    return _TreeBuilder(uri).parse(data)

@@ -4,13 +4,13 @@ dispatch of the parse frontend.
 The pure-python parser here produces :mod:`repro.xdm` trees with
 document order and namespace resolution (``xmlns`` / ``xmlns:prefix``
 declarations are tracked and every element/attribute gets its resolved
-namespace URI).  It is the *reference ablation* of the parse frontend:
-:func:`parse_document` routes to the C-speed expat backend
-(:mod:`repro.xml.expat_parser`) by default, falling back to this parser
-for input outside the expat subset — and both backends produce
-byte-identical trees (pre/size/level planes, gapped order keys).  Select
-a backend per call (``backend="expat"|"python"``) or process-wide via
-the ``REPRO_XML_BACKEND`` environment variable.
+namespace URI).  :func:`parse_document` routes to the C-speed expat
+backend (:mod:`repro.xml.expat_parser`) first and re-parses with this
+parser whatever expat rejects — malformed input (for the uniform
+diagnosis) or well-formed input outside the expat subset — and both
+backends produce byte-identical trees (pre/size/level planes, gapped
+order keys).  ``backend="expat"|"python"`` pins one driver per call
+(the differential tests' seam).
 
 Supported: elements, attributes, text, CDATA, comments, processing
 instructions, character/entity references, the XML declaration, and a
@@ -26,7 +26,6 @@ are exempt from both.
 from __future__ import annotations
 
 import codecs
-import os
 import re
 from typing import Callable, Iterator, Optional, Protocol, TypeVar, Union, \
     overload
@@ -134,13 +133,12 @@ class _Scanner:
 
 
 class _Parser:
-    def __init__(self, text: str, uri: Optional[str],
-                 stride: Optional[int] = None) -> None:
+    def __init__(self, text: str, uri: Optional[str]) -> None:
         if "\r" in text:
             # XML 1.0 §2.11 end-of-line handling (expat does the same).
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         self.scanner = _Scanner(text)
-        self.factory = NodeFactory(stride=stride)
+        self.factory = NodeFactory()
         self.uri = uri
 
     # -- entry points ------------------------------------------------------
@@ -439,8 +437,8 @@ class _TreeEvents(NodeFactory):
     the stream would have given them.
     """
 
-    def __init__(self, stride: Optional[int]) -> None:
-        super().__init__(stride=stride)
+    def __init__(self) -> None:
+        super().__init__()
         self.mint_key()     # the document's, as in a stream parse
         self._element: Optional[Node] = None
 
@@ -511,38 +509,27 @@ def decode_xml_bytes(data: bytes) -> str:
             from None
 
 
-def default_backend() -> str:
-    """The process-wide parse backend: ``REPRO_XML_BACKEND`` when set to
-    a known backend name, else ``"expat"``."""
-    backend = os.environ.get("REPRO_XML_BACKEND", "").strip().lower()
-    return backend if backend in BACKENDS else "expat"
-
-
 def parse_document_python(text: Union[str, bytes],
-                          uri: Optional[str] = None,
-                          stride: Optional[int] = None) -> DocumentNode:
-    """The pure-python reference backend (the parse-frontend ablation)."""
+                          uri: Optional[str] = None) -> DocumentNode:
+    """The pure-python backend."""
     if isinstance(text, (bytes, bytearray)):
         text = decode_xml_bytes(bytes(text))
-    return _Parser(text, uri, stride=stride).parse_document()
+    return _Parser(text, uri).parse_document()
 
 
 @overload
 def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
-                   stride: Optional[int] = None,
                    backend: Optional[str] = None) -> DocumentNode: ...
 
 
 @overload
 def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
-                   stride: Optional[int] = None,
                    backend: Optional[str] = None, *,
                    consumer: Callable[[EventSource], _Consumer]
                    ) -> _Consumer: ...
 
 
 def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
-                   stride: Optional[int] = None,
                    backend: Optional[str] = None, *,
                    consumer: Optional[
                        Callable[[EventSource], EventConsumer]] = None
@@ -557,19 +544,14 @@ def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
     uri:
         Optional document URI recorded on the document node (what
         ``fn:document-uri`` would return).
-    stride:
-        Order-key spacing (defaults to
-        :data:`repro.xdm.nodes.KEY_STRIDE`); ``1`` produces the dense
-        historical encoding — kept as the update-benchmark ablation.
     backend:
-        ``"expat"`` (C-speed SAX frontend), ``"python"`` (the reference
-        parser), or ``None`` for the default (:func:`default_backend`,
-        i.e. expat unless ``REPRO_XML_BACKEND`` overrides).  Under the
-        default, expat failures — malformed input, or well-formed
-        documents outside the expat subset — are retried on the python
-        backend, so error messages and accepted documents are uniform
-        regardless of backend; an explicitly requested backend never
-        falls back.  Both backends produce byte-identical trees.
+        ``"expat"`` (C-speed SAX frontend), ``"python"`` (the parser in
+        this module), or ``None`` for the default: expat, with its
+        failures — malformed input, or well-formed documents outside
+        the expat subset — retried on the python backend, so error
+        messages and accepted documents are uniform; an explicitly
+        requested backend never falls back.  Both backends produce
+        byte-identical trees.
     consumer:
         When given, no document is built: ``consumer(source)`` makes an
         :class:`EventConsumer` (*source* is the :class:`EventSource` of
@@ -581,16 +563,14 @@ def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
         is raised here, once the document has proved well-formed.
     """
     explicit = backend is not None
-    if backend is None:
-        backend = default_backend()
-    if backend == "expat":
+    if backend is None or backend == "expat":
         from repro.xml.expat_parser import parse_document_expat, \
             parse_events_expat
         try:
             if consumer is None:
-                result = parse_document_expat(text, uri=uri, stride=stride)
+                result = parse_document_expat(text, uri=uri)
             else:
-                fed = parse_events_expat(text, consumer, stride)
+                fed = parse_events_expat(text, consumer)
         except Exception:
             if explicit:
                 raise
@@ -602,11 +582,11 @@ def parse_document(text: Union[str, bytes], uri: Optional[str] = None,
         raise ValueError(
             f"unknown XML parse backend {backend!r}; expected one of "
             f"{BACKENDS}")
-    document = parse_document_python(text, uri=uri, stride=stride)
+    document = parse_document_python(text, uri=uri)
     count_parse("python", len(text))
     if consumer is None:
         return document
-    events = _TreeEvents(stride)
+    events = _TreeEvents()
     receiver = consumer(events)
     events.feed(document, receiver)
     return receiver

@@ -14,7 +14,7 @@ from repro.obs import Counters
 PARSE_STATS = Counters("parse", {
     "documents_expat": "documents parsed by the expat backend",
     "documents_python":
-        "documents parsed by the pure-python reference parser",
+        "documents parsed by the pure-python parser",
     "bytes_expat": "bytes/characters the expat backend parsed",
     "bytes_python": "bytes/characters the pure-python parser parsed",
     "fallbacks_to_python":

@@ -54,12 +54,7 @@ class RemoteCall:
 
 @dataclass
 class ExecutionContext:
-    """One options object for every prepare/execute surface.
-
-    Historically each entry point grew its own keyword soup —
-    ``doc_resolver`` vs ``xrpc_handler`` vs ``dispatch`` vs
-    ``accelerator``/``optimize_joins`` — with three incompatible
-    remote-call contracts.  This dataclass is the single carrier threaded
+    """One options object for every prepare/execute surface, threaded
     through :class:`~repro.engine.base.Engine`,
     :class:`~repro.xquery.evaluator.CompiledQuery`,
     :class:`~repro.pathfinder.LoopLiftedQuery` and
@@ -86,7 +81,6 @@ class ExecutionContext:
     dispatch_parallel: Optional[Callable[[list], list]] = None
     xrpc_handler: Optional[Callable[[RemoteCall], list]] = None
     put_store: Optional[Callable[[str, Any], None]] = None
-    accelerator: bool = True
     optimize_joins: bool = True
     #: Try the loop-lifted relational plan before the tree interpreter.
     try_lifted: bool = True
@@ -99,11 +93,6 @@ class ExecutionContext:
     #: every exchange, so it rides here purely for observability by
     #: other execution hooks.
     deadline: Any = None
-    #: Re-encode only each update's splice region on the gapped
-    #: order-key plane and patch the StructuralIndex in place (O(change)
-    #: updates).  ``False`` restores the full-restamp baseline — the
-    #: update-benchmark ablation.
-    incremental_updates: bool = True
 
 
 class StaticContext:
@@ -186,10 +175,6 @@ class DynamicContext:
         # Engine capability: FLWOR equi-join hash optimization (MonetDB's
         # relational backend has it; the paper-era Saxon does not).
         self.optimize_joins = True
-        # Set-at-a-time axis evaluation over the XPath-accelerator
-        # structural index (window scans + staircase pruning); disabled
-        # for the naive per-node reference walkers.
-        self.accelerator = True
         # Depth guard against runaway recursion in user functions.
         self.call_depth = 0
 
@@ -206,7 +191,6 @@ class DynamicContext:
         derived.put_store = self.put_store
         derived.constructor_namespaces = self.constructor_namespaces
         derived.optimize_joins = self.optimize_joins
-        derived.accelerator = self.accelerator
         derived.call_depth = self.call_depth
         return derived
 
@@ -218,7 +202,6 @@ class DynamicContext:
         derived.pul = self.pul
         derived.put_store = self.put_store
         derived.optimize_joins = self.optimize_joins
-        derived.accelerator = self.accelerator
         derived.call_depth = self.call_depth + 1
         if derived.call_depth > 512:
             raise DynamicError("FODC9999", "function recursion too deep")

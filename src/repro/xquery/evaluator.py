@@ -445,29 +445,6 @@ class Evaluator:
                 "XPTY0018", "path step mixes nodes and atomic values")
         return results
 
-    def _eval_axis_step(self, step: A.AxisStep, input_sequence: Sequence,
-                        ctx: DynamicContext) -> Sequence:
-        indexed = self._try_indexed_step(step, input_sequence, ctx)
-        if indexed is not None:
-            return indexed
-        for item in input_sequence:
-            if not isinstance(item, Node):
-                raise TypeError_(
-                    "XPTY0019", "path step applied to a non-node item")
-        if ctx.accelerator:
-            return self._eval_axis_step_accel(step, input_sequence, ctx)
-        # Naive reference walkers: per context node, recursive generators
-        # plus a document-order sort of the pooled results.
-        results: list[Node] = []
-        for item in input_sequence:
-            candidates = [
-                node for node in _axis_nodes(item, step.axis)
-                if self._node_test_matches(node, step.node_test, step.axis, ctx)
-            ]
-            candidates = self._apply_predicates(candidates, step.predicates, ctx)
-            results.extend(candidates)
-        return document_order_sort(results)
-
     # -- set-at-a-time axis evaluation (XPath accelerator) -----------------
     #
     # The whole context sequence is mapped through an axis as window scans
@@ -479,10 +456,15 @@ class Evaluator:
     # document_order_sort.  Name tests pick the tag-partitioned pre array
     # instead of testing every node.
 
-    def _eval_axis_step_accel(self, step: A.AxisStep, input_sequence: Sequence,
-                              ctx: DynamicContext) -> Sequence:
-        if not input_sequence:
-            return []
+    def _eval_axis_step(self, step: A.AxisStep, input_sequence: Sequence,
+                        ctx: DynamicContext) -> Sequence:
+        indexed = self._try_indexed_step(step, input_sequence, ctx)
+        if indexed is not None:
+            return indexed
+        for item in input_sequence:
+            if not isinstance(item, Node):
+                raise TypeError_(
+                    "XPTY0019", "path step applied to a non-node item")
         results: list[Node] = []
         for root, members in tree_groups(input_sequence):
             results.extend(self._axis_over_tree(step, root, members, ctx))
@@ -532,11 +514,21 @@ class Evaluator:
             local_name=local, match_all=match_all)
 
     def _axis_candidates(self, node: Node, axis: str, index) -> list:
-        """Per-context candidates in the reference walkers' order, but
-        generated from the structural index where a window scan wins."""
-        if axis in ("child", "attribute", "self", "parent",
-                    "following-sibling", "preceding-sibling"):
-            return _axis_nodes(node, axis)
+        """Per-context candidates in axis order: read off the node's
+        own links for the local axes, off the structural index where a
+        window scan wins."""
+        if axis == "child":
+            return list(node.children)
+        if axis == "attribute":
+            return list(node.attributes)
+        if axis == "self":
+            return [node]
+        if axis == "parent":
+            return [node.parent] if node.parent is not None else []
+        if axis == "following-sibling":
+            return list(node.following_siblings())
+        if axis == "preceding-sibling":
+            return list(node.preceding_siblings())
         if isinstance(node, AttributeNode):
             owner = node.parent
             if axis in ("ancestor", "ancestor-or-self"):
@@ -1393,7 +1385,7 @@ def axis_value_index(anchor: Node, axis: str, node_test: "A.NameTest",
     cache_key = (anchor_pre, axis, node_test.prefix, node_test.local, key_path)
     if anchor_pre is None:
         # Unranked anchor (an attribute): nothing below it, not cached.
-        candidates = _axis_nodes(anchor, axis)
+        candidates: list[Node] = []
     else:
         cached = structure.value_indexes.get(cache_key)
         if cached is not None:
@@ -1459,38 +1451,6 @@ def _walk_key_path(node: Node, key_path: tuple) -> tuple:
     return tuple(item.string_value() for item in current)
 
 
-# ---------------------------------------------------------------------------
-# Axes
-
-
-def _axis_nodes(node: Node, axis: str):
-    if axis == "child":
-        return list(node.children)
-    if axis == "descendant":
-        return list(node.descendants(include_self=False))
-    if axis == "descendant-or-self":
-        return list(node.descendants(include_self=True))
-    if axis == "attribute":
-        return list(node.attributes)
-    if axis == "self":
-        return [node]
-    if axis == "parent":
-        return [node.parent] if node.parent is not None else []
-    if axis == "ancestor":
-        return list(node.ancestors())
-    if axis == "ancestor-or-self":
-        return [node] + list(node.ancestors())
-    if axis == "following-sibling":
-        return list(node.following_siblings())
-    if axis == "preceding-sibling":
-        return list(node.preceding_siblings())
-    if axis == "following":
-        return list(node.following())
-    if axis == "preceding":
-        return list(node.preceding())
-    raise DynamicError("XPST0003", f"unknown axis {axis}")
-
-
 class _TEXT_MARKER:
     """Wrapper distinguishing literal constructor text from atomics."""
 
@@ -1510,6 +1470,10 @@ class CompiledQuery:
     This is the unit the MonetDB-style *function cache* stores: compiling
     (parsing + binding) happens once, execution many times.
     """
+
+    #: The interpreter :meth:`run` instantiates (a subclass of this
+    #: class may name its own :class:`Evaluator` subclass).
+    evaluator_class = Evaluator
 
     def __init__(self, source: str,
                  registry: Optional[ModuleRegistry] = None) -> None:
@@ -1558,12 +1522,11 @@ class CompiledQuery:
         ctx.pul = PendingUpdateList()
         ctx.put_store = options.put_store
         ctx.optimize_joins = options.optimize_joins
-        ctx.accelerator = options.accelerator
         if options.context_item is not None:
             ctx.focus_item = options.context_item
             ctx.focus_position = 1
             ctx.focus_size = 1
-        evaluator = Evaluator()
+        evaluator = self.evaluator_class()
         for var_decl in self.ast.variables:
             if var_decl.value is not None:
                 value = evaluator.eval(var_decl.value, ctx)
@@ -1585,8 +1548,6 @@ def evaluate_query(
     context_item=None,
     apply_pending_updates: bool = True,
     put_store=None,
-    accelerator: bool = True,
-    incremental_updates: bool = True,
 ) -> Sequence:
     """One-shot convenience: compile, execute, (optionally) apply updates."""
     from repro.xquf.pul import apply_updates
@@ -1598,8 +1559,7 @@ def evaluate_query(
         xrpc_handler=xrpc_handler,
         context_item=context_item,
         put_store=put_store,
-        accelerator=accelerator,
     ))
     if apply_pending_updates and pul:
-        apply_updates(pul, incremental=incremental_updates)
+        apply_updates(pul)
     return result

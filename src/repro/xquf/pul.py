@@ -483,29 +483,21 @@ class _IncrementalApplier:
         self._structural.rekey_detached(target)
 
 
-def apply_updates(pul: PendingUpdateList, *,
-                  incremental: bool = True) -> None:
+def apply_updates(pul: PendingUpdateList) -> None:
     """applyUpdates(Δ): carry through all changes in the list.
 
     Deletions are applied last (after inserts/replaces), following the
     XQUF semantics that the primitives operate against the pre-update
     tree as far as observable.
 
-    With ``incremental`` (the default), every primitive re-encodes only
-    its splice region on the gapped order-key plane — inserted content
-    mints keys inside the gap between its document-order neighbours,
-    deletes need no key work, value/rename updates skip restamping
-    entirely — and the tree's :class:`StructuralIndex` is patched in
-    place (rows spliced, tag partitions shifted, covered value indexes
-    re-keyed) instead of stale-marked.  ``incremental=False`` restores
-    the historical behaviour — a full
-    :func:`~repro.xdm.structural.reencode_tree` per structurally
-    mutated tree plus index stale-marking — and is kept as the
-    benchmark ablation (``bench_incremental_updates``).
+    Every primitive re-encodes only its splice region on the gapped
+    order-key plane — inserted content mints keys inside the gap between
+    its document-order neighbours, deletes need no key work,
+    value/rename updates skip restamping entirely — and the tree's
+    :class:`StructuralIndex` is patched in place (rows spliced, tag
+    partitions shifted, covered value indexes re-keyed) instead of
+    stale-marked.
     """
-    if not incremental:
-        _apply_updates_full(pul)
-        return
     applier = _IncrementalApplier()
     deletions = [p for p in pul.primitives if isinstance(p, DeleteNode)]
     for primitive in pul.primitives:
@@ -514,39 +506,3 @@ def apply_updates(pul: PendingUpdateList, *,
     for primitive in deletions:
         applier.apply(primitive)
     applier.finalize()
-
-
-def _apply_updates_full(pul: PendingUpdateList) -> None:
-    """The pre-gap update path: apply, then restamp every structurally
-    mutated tree densely and stale-mark its index (the ablation
-    baseline; also exercised by equivalence tests)."""
-    from repro.xdm.structural import invalidate_structural_index, reencode_tree
-
-    structural = (InsertInto, InsertFirst, InsertLast, InsertBefore,
-                  InsertAfter, DeleteNode, ReplaceNode)
-
-    def is_structural(primitive: UpdatePrimitive) -> bool:
-        if isinstance(primitive, structural):
-            return True
-        # ReplaceValue on an *element* splices in a fresh-factory text
-        # node — a structural change needing re-encoding like any insert.
-        return isinstance(primitive, ReplaceValue) and \
-            isinstance(primitive.target, ElementNode)
-
-    # Roots must be resolved *before* applying: a deletion detaches its
-    # target, and the tree it was removed from is the one to re-encode.
-    mutated_roots: dict[int, Node] = {}
-    for primitive in pul.primitives:
-        if is_structural(primitive):
-            root = primitive.target.root()
-            mutated_roots[id(root)] = root
-    deletions = [p for p in pul.primitives if isinstance(p, DeleteNode)]
-    for primitive in pul.primitives:
-        if not isinstance(primitive, DeleteNode):
-            primitive.apply()
-        if not is_structural(primitive):
-            invalidate_structural_index(primitive.target)
-    for primitive in deletions:
-        primitive.apply()
-    for root in mutated_roots.values():
-        reencode_tree(root, stride=1)

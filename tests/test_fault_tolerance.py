@@ -534,6 +534,39 @@ class TestPartialResults:
         assert result.failed_peers == ["dead.example.org"]
         assert [hit.uri for hit in result.hits] == ["d.xml"]
 
+    def test_breaker_collapses_the_tail_behind_a_blackholed_peer(self):
+        """Degraded searches past a dead peer, on the virtual clock:
+        without breakers every query burns the whole retry budget, with
+        them only the queries that open the breaker do."""
+        def latencies(breakers):
+            network = SimulatedNetwork()
+            transport = FaultInjectingTransport(
+                network, FaultPlan(blackhole=frozenset({"dead.example.org"}),
+                                   blackhole_seconds=0.5))
+            origin = XRPCPeer(
+                "p0.example.org", transport, breakers=breakers,
+                retry_policy=RetryPolicy(max_attempts=3, base_delay=0.05,
+                                         jitter=0.0))
+            live = XRPCPeer("live.example.org", transport)
+            live.store.register("d.xml", "<d><item>vintage clock</item></d>")
+            seen = []
+            for _ in range(6):
+                started = network.clock.now()
+                result = origin.keyword_search(
+                    "vintage", on_peer_failure="degrade",
+                    peers=["xrpc://live.example.org",
+                           "xrpc://dead.example.org"])
+                assert result.degraded and len(result.hits) == 1
+                seen.append(network.clock.now() - started)
+            return seen
+
+        without = latencies(BreakerRegistry(enabled=False))
+        guarded = latencies(BreakerRegistry(failure_threshold=3,
+                                            cooldown=1000.0))
+        assert min(without) >= 3 * 0.5  # three attempts, full burn
+        assert guarded[0] >= 3 * 0.5
+        assert max(guarded[1:]) < min(without) / 10
+
     def test_keyword_search_fails_closed_by_default(self):
         network = SimulatedNetwork()
         origin = XRPCPeer("p0.example.org", network)

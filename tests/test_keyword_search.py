@@ -3,8 +3,9 @@
 The acceptance gates for :mod:`repro.search`:
 
 * the whole :data:`~repro.workloads.xmark.KEYWORD_SUITE` executes with
-  ``plan == "lifted"`` and returns exactly the interpreter's sequence,
-  across gapped/dense encodings and accelerator on/off;
+  ``plan == "lifted"`` and returns exactly what the product interpreter
+  (``accel``) and the :mod:`repro.reference` oracle (``naive``) return,
+  on gapped and dense encodings;
 * every posting-list kernel is byte-identical to its tree-walking
   oracle (:mod:`repro.search.naive`), including across interleaved
   updates — where the postings must survive *un-rebuilt* (the
@@ -22,7 +23,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.base import Engine
 from repro.net import SimulatedNetwork
 from repro.rpc import XRPCPeer
 from repro.search.index import TermIndex, keyword_search, term_index_for
@@ -40,8 +40,8 @@ from repro.xdm.nodes import ElementNode, Node
 from repro.xdm.structural import ENCODING_STATS
 from repro.xml import parse_document
 from repro.xml.serializer import escape_text, serialize_sequence
-from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import evaluate_query
+from tests.helpers import assert_runs_lifted, densify, xmark_resolver
 
 CONFIG = XMarkConfig(persons=10, closed_auctions=20, open_auctions=5,
                      matches=3)
@@ -65,37 +65,17 @@ def assert_search_equal(root: Node, terms) -> None:
 # KEYWORD_SUITE: 100% lifted, interpreter-identical
 
 
-@pytest.fixture(scope="module", params=[None, 1], ids=["gapped", "dense"])
+@pytest.fixture(scope="module", params=[False, True], ids=["gapped", "dense"])
 def resolver(request):
-    stride = request.param
-    documents = {
-        "persons.xml": parse_document(generate_persons(CONFIG),
-                                      uri="persons.xml", stride=stride),
-        "auctions.xml": parse_document(generate_auctions(CONFIG),
-                                       uri="auctions.xml", stride=stride),
-    }
-    return documents.get
+    return xmark_resolver(CONFIG, dense=request.param)
 
 
-@pytest.mark.parametrize("accelerator", [True, False],
-                         ids=["accel", "naive"])
+@pytest.mark.parametrize("oracle", ["accel", "naive"])
 @pytest.mark.parametrize("name", sorted(KEYWORD_SUITE))
-def test_keyword_suite_runs_lifted(resolver, name, accelerator):
-    query = KEYWORD_SUITE[name]
-    engine = Engine(accelerator=accelerator)
-    result, explain = engine.execute(query, ExecutionContext(
-        doc_resolver=resolver, accelerator=accelerator))
-    assert explain.plan == "lifted", (name, explain.fallback_reason)
-    assert explain.fallback_reason is None
-    assert engine.fallback_stats() == {}
+def test_keyword_suite_runs_lifted(resolver, name, oracle):
+    result, explain = assert_runs_lifted(KEYWORD_SUITE[name], resolver,
+                                         oracle)
     assert explain.counters["search.search_queries"] > 0
-    interpreted = evaluate_query(query, doc_resolver=resolver,
-                                 accelerator=accelerator)
-    assert len(result) == len(interpreted)
-    for left, right in zip(result, interpreted):
-        if isinstance(left, Node) or isinstance(right, Node):
-            assert left is right
-    assert serialize_sequence(result) == serialize_sequence(interpreted)
     assert result, f"keyword-suite query unexpectedly empty: {name}"
 
 
@@ -601,8 +581,7 @@ class TestPropertyEquivalence:
            needle=st.text(alphabet="ab -", max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_contains_prefilter_equals_oracle(self, doc, needle):
-        for stride in (None, 1):
-            root = parse_document(doc, stride=stride)
+        for root in (parse_document(doc), densify(parse_document(doc))):
             assert contains_matches(root, needle) \
                 == naive_contains_scan(root, needle)
 
@@ -610,8 +589,7 @@ class TestPropertyEquivalence:
            needle=st.text(alphabet="ab -", max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_contains_scan_equals_oracle(self, doc, needle):
-        for stride in (None, 1):
-            root = parse_document(doc, stride=stride)
+        for root in (parse_document(doc), densify(parse_document(doc))):
             assert term_index_for(root).contains_scan(needle) \
                 == naive_contains_scan(root, needle)
 

@@ -129,8 +129,7 @@ class TestOnlyWhatIsShipped:
         assert document_order_sort(items) == items
         assert [child.parent for child in items[5].children] == [items[5]]
 
-    def test_streamed_messages_count_as_one_expat_document(self, monkeypatch):
-        monkeypatch.delenv("REPRO_XML_BACKEND", raising=False)
+    def test_streamed_messages_count_as_one_expat_document(self):
         text = rows_request(3)
         before = PARSE_STATS.snapshot()
         parse_message(text)
@@ -457,8 +456,7 @@ class TestWellFormednessComesFirst:
         with pytest.raises(XMLSyntaxError):
             parse_message(text, backend="expat")
 
-    def test_a_fault_is_not_an_expat_failure(self, monkeypatch):
-        monkeypatch.delenv("REPRO_XML_BACKEND", raising=False)
+    def test_a_fault_is_not_an_expat_failure(self):
         before = PARSE_STATS.snapshot()["fallbacks_to_python"]
         with pytest.raises(XRPCFault):
             parse_message(MALFORMED["unknown value element"])
@@ -467,9 +465,7 @@ class TestWellFormednessComesFirst:
                 one_call(), 'module="m" method="f" arity="one"'))
         assert PARSE_STATS.snapshot()["fallbacks_to_python"] == before
 
-    def test_outside_the_expat_subset_falls_back_to_the_walk(
-            self, monkeypatch):
-        monkeypatch.delenv("REPRO_XML_BACKEND", raising=False)
+    def test_outside_the_expat_subset_falls_back_to_the_walk(self):
         text = rows_request(4).replace(
             "<env:Envelope", "<!DOCTYPE e [<!ENTITY x 'y'>]><env:Envelope")
         before = PARSE_STATS.snapshot()["fallbacks_to_python"]

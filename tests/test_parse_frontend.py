@@ -35,7 +35,6 @@ from repro.xml.parser import (
     BACKENDS,
     XMLSyntaxError,
     decode_xml_bytes,
-    default_backend,
     parse_document,
     parse_document_python,
 )
@@ -78,9 +77,9 @@ def rows(document):
     return out
 
 
-def assert_identical(text, stride=None):
-    py = parse_document(text, uri="u", stride=stride, backend="python")
-    ex = parse_document(text, uri="u", stride=stride, backend="expat")
+def assert_identical(text):
+    py = parse_document(text, uri="u", backend="python")
+    ex = parse_document(text, uri="u", backend="expat")
     assert rows(py) == rows(ex)
     return py, ex
 
@@ -94,9 +93,6 @@ class TestIdenticalTrees:
 
     def test_xmark_persons(self):
         assert_identical(generate_persons(XMARK))
-
-    def test_dense_stride_ablation(self):
-        assert_identical(generate_auctions(XMARK), stride=1)
 
     def test_gapped_order_keys(self):
         _, doc = assert_identical("<r><a x='1'/><b>t</b></r>")
@@ -198,23 +194,18 @@ class TestBytesInput:
 
 
 class TestDispatchAndFallback:
-    def test_default_is_expat(self, monkeypatch):
-        monkeypatch.delenv("REPRO_XML_BACKEND", raising=False)
-        assert default_backend() == "expat"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_XML_BACKEND", "python")
-        assert default_backend() == "python"
-        before = PARSE_STATS.snapshot()["documents_python"]
+    def test_default_is_expat(self):
+        before = PARSE_STATS.snapshot()
         parse_document("<r/>")
-        assert PARSE_STATS.snapshot()["documents_python"] == before + 1
+        after = PARSE_STATS.snapshot()
+        assert after["documents_expat"] == before["documents_expat"] + 1
+        assert after["documents_python"] == before["documents_python"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             parse_document("<r/>", backend="libxml2")
 
-    def test_internal_subset_falls_back(self, monkeypatch):
-        monkeypatch.delenv("REPRO_XML_BACKEND", raising=False)
+    def test_internal_subset_falls_back(self):
         # Declared entities are outside the expat backend's subset; the
         # python parser skips the subset but rejects the *reference*, so
         # the dispatcher's fallback re-diagnoses uniformly.
@@ -260,22 +251,13 @@ class TestDispatchAndFallback:
 
 class TestTelemetry:
     def test_database_stats_counters(self):
-        db = Database(xml_backend="expat")
+        db = Database()
         before = db.stats().counters
         db.register("d.xml", "<r><a/></r>")
         after = db.stats()
-        assert after.xml_backend == "expat"
         assert after.counters["parse.documents_expat"] \
             == before["parse.documents_expat"] + 1
         assert after.counters["parse.bytes_expat"] > before["parse.bytes_expat"]
-
-    def test_database_python_ablation(self):
-        db = Database(xml_backend="python")
-        before = db.stats().counters
-        db.register("d.xml", "<r/>")
-        after = db.stats().counters
-        assert after["parse.documents_python"] \
-            == before["parse.documents_python"] + 1
 
     def test_explain_reports_no_parse_work_for_warm_doc(self):
         db = Database()

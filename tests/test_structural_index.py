@@ -3,6 +3,8 @@ set-at-a-time axis evaluation, and its invalidation on tree mutation."""
 
 import pytest
 
+from repro import reference
+from repro.obs import Scope
 from repro.xdm import (
     KEY_STRIDE,
     NodeFactory,
@@ -11,9 +13,9 @@ from repro.xdm import (
 )
 from repro.xdm.nodes import ElementNode
 from repro.xml import parse_document
-from repro.xml.serializer import serialize, serialize_sequence
+from repro.xml.serializer import serialize
 from repro.xquery.evaluator import evaluate_query
-from tests.helpers import run, strings
+from tests.helpers import assert_matches_reference, densify, run, strings
 
 SITE = """
 <site>
@@ -53,15 +55,8 @@ AXIS_QUERIES = [
 ]
 
 
-def _both_modes(query, docs):
-    serialized = []
-    for accelerator in (True, False):
-        parsed = {uri: parse_document(text, uri=uri)
-                  for uri, text in docs.items()}
-        result = evaluate_query(query, doc_resolver=parsed.get,
-                                accelerator=accelerator)
-        serialized.append(serialize_sequence(result))
-    return serialized
+def _site():
+    return {"s.xml": parse_document(SITE, uri="s.xml")}
 
 
 class TestEncoding:
@@ -81,7 +76,7 @@ class TestEncoding:
         assert doc.size == 5 * stride
 
     def test_dense_stride_recovers_historical_encoding(self):
-        doc = parse_document("<a x='1'><b/><c>t</c></a>", stride=1)
+        doc = densify(parse_document("<a x='1'><b/><c>t</c></a>"))
         a = doc.root_element
         assert a.pre == 1 and a.size == 4
         assert doc.size == 5
@@ -141,29 +136,35 @@ class TestEncoding:
 class TestAxisEquivalence:
     @pytest.mark.parametrize("query", AXIS_QUERIES)
     def test_accelerated_equals_naive(self, query):
-        accel, naive = _both_modes(query, {"s.xml": SITE})
-        assert accel == naive
+        assert_matches_reference(query, _site().get)
+
+    def test_reference_builds_no_index(self):
+        # The oracle must share neither the StructuralIndex nor a
+        # ValueIndex with what it checks: it never builds one.
+        docs = _site()
+        with Scope() as scope:
+            for query in AXIS_QUERIES:
+                reference.evaluate(query, doc_resolver=docs.get)
+        assert "updates.index_builds" not in scope.counters
+        assert docs["s.xml"]._sidx is None
 
     def test_attributes_merge_in_document_order(self):
         # Attribute nodes of distinct elements interleave with the global
         # order of their owners when pooled through one step.
         result = run("doc('s.xml')//@*", docs={"s.xml": SITE})
         assert [a.value for a in result] == ["p0", "p1", "p0", "p1"]
-        accel, naive = _both_modes("doc('s.xml')//@*", {"s.xml": SITE})
-        assert accel == naive
+        assert_matches_reference("doc('s.xml')//@*", _site().get)
 
     def test_duplicate_context_nodes_deduplicate(self):
         query = ("let $p := doc('s.xml')//person "
                  "return ($p, $p)/descendant::text()")
-        accel, naive = _both_modes(query, {"s.xml": SITE})
-        assert accel == naive
+        assert_matches_reference(query, _site().get)
 
     def test_covered_contexts_are_staircase_pruned(self):
         # site and its person descendants: windows overlap entirely.
         query = ("(doc('s.xml')/site, doc('s.xml')//person)"
                  "/descendant::name")
-        accel, naive = _both_modes(query, {"s.xml": SITE})
-        assert accel == naive
+        assert_matches_reference(query, _site().get)
         result = run(query, docs={"s.xml": SITE})
         assert strings(result) == ["Ada", "Grace"]
 
@@ -195,11 +196,10 @@ class TestAdoptedFragments:
     ])
     def test_axes_on_adopted_fragment(self, axis, expected):
         fragment = self._adopted_person()
-        for accelerator in (True, False):
-            result = evaluate_query(f"$f/{axis}", variables={"f": [fragment]},
-                                    context_item=fragment,
-                                    accelerator=accelerator)
-            assert len(result) == expected, (axis, accelerator)
+        for evaluate in (evaluate_query, reference.evaluate):
+            result = evaluate(f"$f/{axis}", variables={"f": [fragment]},
+                              context_item=fragment)
+            assert len(result) == expected, (axis, evaluate)
 
     def test_adopted_fragment_attribute_axis(self):
         fragment = self._adopted_person()
@@ -208,63 +208,51 @@ class TestAdoptedFragments:
 
 
 class TestUpdateInvalidation:
-    def _store(self):
-        return {"s.xml": parse_document(SITE, uri="s.xml")}
-
     def test_axes_after_pul_apply(self):
-        for accelerator in (True, False):
-            docs = self._store()
-            # Prime the structural index, then mutate through a PUL.
-            before = evaluate_query("doc('s.xml')//person",
-                                    doc_resolver=docs.get,
-                                    accelerator=accelerator)
-            assert len(before) == 2
-            evaluate_query(
-                "insert node <person id='p2'><name>Edsger</name></person> "
-                "as last into doc('s.xml')/site/people",
-                doc_resolver=docs.get, accelerator=accelerator)
-            after = evaluate_query("doc('s.xml')//person/name",
-                                   doc_resolver=docs.get,
-                                   accelerator=accelerator)
-            assert strings(after) == ["Ada", "Grace", "Edsger"], accelerator
+        docs = _site()
+        # Prime the structural index, then mutate through a PUL.
+        before = evaluate_query("doc('s.xml')//person",
+                                doc_resolver=docs.get)
+        assert len(before) == 2
+        evaluate_query(
+            "insert node <person id='p2'><name>Edsger</name></person> "
+            "as last into doc('s.xml')/site/people",
+            doc_resolver=docs.get)
+        after = evaluate_query("doc('s.xml')//person/name",
+                               doc_resolver=docs.get)
+        assert strings(after) == ["Ada", "Grace", "Edsger"]
+        assert_matches_reference("doc('s.xml')//person/name", docs.get)
 
     def test_inserted_content_sorts_in_tree_position(self):
         # Spliced-in nodes are re-encoded into their new tree position:
         # a document-order merge must not push them to the end.
-        for accelerator in (True, False):
-            docs = self._store()
-            evaluate_query(
-                "insert node <person id='pX'><name>Alonzo</name></person> "
-                "as first into doc('s.xml')/site/people",
-                doc_resolver=docs.get, accelerator=accelerator)
-            names = evaluate_query("doc('s.xml')//name",
-                                   doc_resolver=docs.get,
-                                   accelerator=accelerator)
-            assert strings(names) == ["Alonzo", "Ada", "Grace"], accelerator
+        docs = _site()
+        evaluate_query(
+            "insert node <person id='pX'><name>Alonzo</name></person> "
+            "as first into doc('s.xml')/site/people",
+            doc_resolver=docs.get)
+        names = evaluate_query("doc('s.xml')//name", doc_resolver=docs.get)
+        assert strings(names) == ["Alonzo", "Ada", "Grace"]
+        assert_matches_reference("doc('s.xml')//name", docs.get)
 
     def test_replace_value_on_element_reencodes(self):
         # ReplaceValue splices a fresh-factory text node into the target
         # element; without re-encoding, the new node's foreign doc_id
         # would sort it after the whole tree on the reference path.
-        outputs = []
-        for accelerator in (True, False):
-            docs = self._store()
-            evaluate_query(
-                "replace value of node doc('s.xml')//person[1]/name "
-                "with 'Augusta'",
-                doc_resolver=docs.get, accelerator=accelerator)
-            result = evaluate_query("doc('s.xml')//node()",
-                                    doc_resolver=docs.get,
-                                    accelerator=accelerator)
-            outputs.append(serialize_sequence(result))
-        assert outputs[0] == outputs[1]
-        assert "Augusta" in outputs[0]
+        docs = _site()
+        evaluate_query(
+            "replace value of node doc('s.xml')//person[1]/name "
+            "with 'Augusta'",
+            doc_resolver=docs.get)
+        assert_matches_reference("doc('s.xml')//node()", docs.get)
+        assert "Augusta" in strings(
+            evaluate_query("doc('s.xml')//name", doc_resolver=docs.get))
 
     def test_value_index_invalidated_by_update(self):
         # The equality-predicate index must be rebuilt after a PUL
         # changed the keyed values (it is cached on the structural index,
         # which mutation replaces).
-        docs = self._store()
+        docs = _site()
         probe = "doc('s.xml')//person[@id = 'p1']/name"
         assert strings(evaluate_query(probe, doc_resolver=docs.get)) == \
             ["Grace"]
@@ -278,7 +266,7 @@ class TestUpdateInvalidation:
     def test_value_index_cache_key_not_id_based(self):
         # Two distinct anchors must never share one cached value index
         # (the old cache keyed by id(anchor) could collide after GC).
-        docs = self._store()
+        docs = _site()
         query = ("for $scope in (doc('s.xml')/site/people, doc('s.xml')/site) "
                  "return count($scope/descendant::person[@id = 'p0'])")
         counts = [v.value for v in evaluate_query(query, doc_resolver=docs.get)]

@@ -21,7 +21,7 @@ from repro.search.index import term_index_for
 from repro.search.stats import SEARCH_STATS
 from repro.session import Database, to_sequence
 from repro.workloads.xmark import XMarkConfig, generate_auctions
-from repro.xdm.structural import ENCODING_STATS, ValueIndex
+from repro.xdm.structural import ENCODING_STATS, ValueIndex, reencode_tree
 from repro.xml.serializer import serialize, serialize_sequence
 from repro.xquery.evaluator import evaluate_query
 
@@ -257,17 +257,17 @@ def test_deleting_an_anchor_drops_that_index_only():
 
 
 def test_full_reencode_still_ends_in_a_lazy_rebuild():
-    """``apply_updates(incremental=False)`` keeps the historical
-    behaviour: the structural index goes stale and the value indexes
-    are rebuilt with it."""
+    """The worst-case fallback of the update path — ``reencode_tree``,
+    where a splice that finds no room to respread ends up — leaves the
+    structural index stale, and the value indexes are rebuilt with it."""
     db = _database()
     probe = "doc('d.xml')//a[b = 'new']/@k"
     assert _read(db, probe) == ("", "")
     doc = db.store.get("d.xml")
     stale = doc._sidx
-    evaluate_query("insert node <b>new</b> into doc('d.xml')/r/g/a[1]",
-                   doc_resolver=db._resolve_document,
-                   incremental_updates=False)
+    db.execute("insert node <b>new</b> into doc('d.xml')/r/g/a[1]")
+    assert doc._sidx is stale and not stale.stale
+    reencode_tree(doc)
     assert stale.stale
     assert _read(db, probe) == ('k="1"',) * 2
     assert doc._sidx is not stale

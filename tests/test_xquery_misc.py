@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import reference
 from repro.errors import DynamicError, TypeError_
 from tests.helpers import run, values, xml
 
@@ -68,6 +69,8 @@ class TestFLWOREdgeCases:
         return $n
         """
         assert values(run(query)) == [1, 3]
+        # ... and equal the nested loop (the oracle never hash-joins).
+        assert values(reference.evaluate(query)) == [1, 3]
 
     def test_join_with_numeric_keys_falls_back_correctly(self):
         # Numeric keys make string-hashing unsound; results must still be
@@ -79,6 +82,7 @@ class TestFLWOREdgeCases:
         return concat($x, ':', $y)
         """
         assert values(run(query)) == ["2:2", "3:3.0"]
+        assert values(reference.evaluate(query)) == ["2:2", "3:3.0"]
 
 
 class TestArithmeticEdgeCases:
