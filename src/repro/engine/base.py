@@ -267,11 +267,6 @@ class Engine:
             with self._cache_lock:
                 self._function_cache.add(key)
 
-    def clear_caches(self) -> None:
-        with self._cache_lock:
-            self._plan_cache.clear()
-            self._function_cache.clear()
-
     def fallback_stats(self) -> dict:
         """Per-reason fallback histogram: stable code -> count of lifted
         attempts that bailed with it since engine construction."""

@@ -53,6 +53,3 @@ class PeerCostModel:
         if not compiled_cached:
             cost += self.compile_seconds
         return cost
-
-    def response_cost(self, response_bytes: int) -> float:
-        return response_bytes * self.serialize_seconds_per_byte

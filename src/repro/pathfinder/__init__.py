@@ -24,12 +24,10 @@ from repro.pathfinder.compiler import (
     LoopLiftingCompiler,
     LoopLiftedQuery,
     UnsupportedExpression,
-    iter_ast_nodes,
 )
 
 __all__ = [
     "LoopLiftingCompiler",
     "LoopLiftedQuery",
     "UnsupportedExpression",
-    "iter_ast_nodes",
 ]

@@ -54,32 +54,6 @@ from repro.xquery.evaluator import (
 )
 
 
-def _ast_children(value):
-    """Dataclass nodes directly reachable through one field value
-    (descending through arbitrarily nested lists/tuples, so shapes like
-    ``DirectElement.attributes: list[tuple[str, list[ContentPart]]]``
-    are fully covered)."""
-    import dataclasses
-
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _ast_children(item)
-
-
-def iter_ast_nodes(root):
-    """Every dataclass node reachable from *root*, root included."""
-    import dataclasses
-
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        for field in dataclasses.fields(node):
-            stack.extend(_ast_children(getattr(node, field.name)))
-
-
 def contains_predicate_spec(predicate: A.Expr) -> Optional[str]:
     """The needle of a liftable ``[contains(., "lit")]`` predicate.
 

@@ -30,7 +30,6 @@ class _QueryState:
     snapshot: Snapshot
     created_at: float           # local clock time of first request
     pul: PendingUpdateList = field(default_factory=PendingUpdateList)
-    updating_calls: int = 0     # U^px_q in the paper
     state: str = "active"       # active | prepared | committed | aborted
 
 
@@ -115,10 +114,6 @@ class IsolationManager:
         """Rule R'_Fu: accumulate Δ^px_q(i) into the per-query union."""
         state = self._state(query_id)
         state.pul.merge(pul)
-        state.updating_calls += 1
-
-    def deferred_update_count(self, query_id: QueryID) -> int:
-        return self._state(query_id).updating_calls
 
     def _state(self, query_id: QueryID) -> _QueryState:
         key = query_id.key
@@ -190,10 +185,6 @@ class IsolationManager:
             # Abort of a never-seen (or expired) queryID: record the
             # decision so a later replayed commit is refused.
             self._decisions[key] = "aborted"
-
-    def finish_read_only(self, query_id: QueryID) -> None:
-        """Release the snapshot of a completed read-only query."""
-        self._active.pop(query_id.key, None)
 
 
 def _uris_updated(pul: PendingUpdateList, snapshot: Snapshot) -> list[str]:

@@ -29,7 +29,6 @@ string value ``"worldwide"``); both are checked under the same modes.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 TOKEN_RE = re.compile(r"\w+")
 
@@ -49,12 +48,6 @@ def distinct_tokens(text: str) -> tuple[str, ...]:
     """Distinct tokens of *text* — the posting granularity (a term is
     posted once per node no matter how often it repeats)."""
     return tuple(dict.fromkeys(tokenize(text)))
-
-
-def iter_tokens_with_spans(text: str) -> Iterator[tuple[str, int, int]]:
-    """``(token, start, end)`` triples over the lowercased text."""
-    for match in TOKEN_RE.finditer(text.lower()):
-        yield match.group(), match.start(), match.end()
 
 
 def needle_token_spec(needle: str) -> list[tuple[str, str]]:

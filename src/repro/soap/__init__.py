@@ -8,20 +8,13 @@ Implements the document/literal SOAP sub-protocol XRPC uses over HTTP:
 * response messages — one ``xrpc:sequence`` per call, plus the
   participating-peers piggyback extension (section 2.3);
 * fault messages — SOAP Fault (``env:Fault``) carrying code + reason;
-* the ``s2n()`` / ``n2s()`` marshaling pair with strict call-by-value
-  node semantics.
+* one codec for the value holders inside an ``xrpc:sequence``, with
+  strict call-by-value node semantics: :class:`MarshalWriter` writes
+  them (the paper's ``s2n``), ``parse_message``'s decoder reads them
+  (``n2s``) and raises a typed ``env:Sender`` fault on anything else.
 """
 
-from repro.soap.marshal import (
-    MarshalWriter,
-    marshal_fingerprint,
-    s2n,
-    n2s,
-    sequence_to_parts,
-    parts_to_sequence,
-)
-from repro.soap.validation import validate_message, ValidationReport
-from repro.soap.nodeid import s2n_call, n2s_call
+from repro.soap.marshal import MarshalWriter, marshal_fingerprint
 from repro.soap.messages import (
     QueryID,
     XRPCRequest,
@@ -38,10 +31,6 @@ from repro.soap.messages import (
 __all__ = [
     "MarshalWriter",
     "marshal_fingerprint",
-    "s2n",
-    "n2s",
-    "sequence_to_parts",
-    "parts_to_sequence",
     "QueryID",
     "XRPCRequest",
     "XRPCResponse",
@@ -52,8 +41,4 @@ __all__ = [
     "parse_message",
     "parse_request",
     "parse_response",
-    "validate_message",
-    "ValidationReport",
-    "s2n_call",
-    "n2s_call",
 ]

@@ -1,27 +1,20 @@
-"""Parameter marshaling: the s2n() / n2s() functions of the paper.
+"""The write half of the XRPC value-holder format (the paper's ``s2n``).
 
-``s2n`` (sequence-to-node) renders an XDM sequence into an
-``<xrpc:sequence>`` element; ``n2s`` (node-to-sequence) is the inverse.
-:class:`MarshalWriter` is the streaming sibling of ``s2n``: it emits the
-equivalent XML text directly into a string buffer, so the message layer
-never materialises holder-node trees on the hot path.
+:class:`MarshalWriter` streams envelope markup and, for every item of an
+XDM sequence, its value holder — ``xrpc:atomic-value`` with the XML
+Schema type in ``xsi:type``, ``xrpc:element`` / ``xrpc:document`` /
+``xrpc:attribute`` / ``xrpc:text`` / ``xrpc:comment`` / ``xrpc:pi`` for
+nodes — straight into a string buffer; node items are serialized from
+their live trees, no holder tree is built.
 
-Two properties the paper calls out are enforced here:
-
-* **Typed atomic round-trip** — atomic values carry their XML Schema
-  type in ``xsi:type`` and come back as values of that type.
-* **Call-by-value** — node-typed parameters are returned by ``n2s`` as
-  *standalone fragments with fresh node identity*, so upward/sideways
-  XPath axes on them are empty at the remote side and a query can never
-  navigate into the SOAP envelope.  ``n2s`` realises this in a single
-  pass by *adopting* the already-fresh parsed fragments out of the
-  message tree instead of deep-copying them a second time.
-
-``n2s`` is the tree-side half: ``nodeid``, ``validation`` and the wrapper
-hold a parsed ``xrpc:sequence`` and call it.  ``parse_message`` does not
-— it decodes the holders from parse events and never builds them
-(:class:`repro.soap.messages._MessageDecoder`); ``n2s`` is what that
-decode is tested against.
+The read half (the paper's ``n2s``) is
+:class:`repro.soap.messages._MessageDecoder`, which decodes the holders
+from parse events; the two helpers at the bottom of this module are the
+parts of the format it shares with the tree-walking oracle the tests
+hold it against (``repro.reference.n2s``).  Between them the two halves
+keep the paper's two promises: an atomic value comes back as a value of
+the type it left with, and a node arrives **by value** — a standalone
+fragment with fresh identity, whose upward and sideways axes are empty.
 """
 
 from __future__ import annotations
@@ -37,10 +30,8 @@ from repro.xdm.nodes import (
     DocumentNode,
     ElementNode,
     Node,
-    NodeFactory,
     ProcessingInstructionNode,
     TextNode,
-    copy_into,
 )
 from repro.xdm.types import type_by_name, is_known_type, xs
 from repro.xml.serializer import escape_attribute, escape_text, serialize_into
@@ -61,11 +52,9 @@ _POOL_LIMIT = 8
 class MarshalWriter:
     """One-pass SOAP XML emitter.
 
-    Streams envelope markup and ``s2n``-equivalent value holders straight
-    into a string buffer; node-typed items are serialized directly from
-    their live XDM trees.  Compared with the old
-    ``NodeFactory``-tree-then-``serialize`` pipeline this removes one
-    full tree materialisation (and its deep copies) per message.
+    Streams envelope markup and value holders straight into a string
+    buffer; node-typed items are serialized directly from their live
+    XDM trees.
 
     Start tags are closed lazily so childless elements collapse to
     ``<name/>`` exactly like the tree serializer.
@@ -141,7 +130,7 @@ class MarshalWriter:
         self.end()
 
     def value(self, item) -> None:
-        """Emit one value holder, mirroring ``_marshal_item``."""
+        """Emit the value holder of one item."""
         if isinstance(item, AtomicValue):
             self.element(f"{XRPC_PREFIX}:atomic-value",
                          (("xsi:type", item.type.name),),
@@ -213,59 +202,6 @@ def marshal_fingerprint(params: list[list]) -> str:
     return fingerprint
 
 
-def s2n(sequence: list, factory: Optional[NodeFactory] = None) -> ElementNode:
-    """Marshal an XDM sequence into an ``<xrpc:sequence>`` element."""
-    factory = factory or NodeFactory()
-    wrapper = factory.element(f"{XRPC_PREFIX}:sequence",
-                              "http://monetdb.cwi.nl/XQuery")
-    for item in sequence:
-        wrapper.append(_marshal_item(item, factory))
-    return wrapper
-
-
-def _marshal_item(item, factory: NodeFactory) -> Node:
-    ns = "http://monetdb.cwi.nl/XQuery"
-    if isinstance(item, AtomicValue):
-        holder = factory.element(f"{XRPC_PREFIX}:atomic-value", ns)
-        holder.set_attribute(
-            factory.attribute("xsi:type", item.type.name, XSI_NS))
-        text = item.string_value()
-        if text:
-            holder.append(factory.text(text))
-        return holder
-    if isinstance(item, ElementNode):
-        holder = factory.element(f"{XRPC_PREFIX}:element", ns)
-        holder.append(copy_into(item, factory))
-        return holder
-    if isinstance(item, DocumentNode):
-        holder = factory.element(f"{XRPC_PREFIX}:document", ns)
-        for child in item.children:
-            holder.append(copy_into(child, factory))
-        return holder
-    if isinstance(item, AttributeNode):
-        holder = factory.element(f"{XRPC_PREFIX}:attribute", ns)
-        holder.set_attribute(
-            factory.attribute(item.name, item.value, item.ns_uri))
-        return holder
-    if isinstance(item, TextNode):
-        holder = factory.element(f"{XRPC_PREFIX}:text", ns)
-        if item.content:
-            holder.append(factory.text(item.content))
-        return holder
-    if isinstance(item, CommentNode):
-        holder = factory.element(f"{XRPC_PREFIX}:comment", ns)
-        if item.content:
-            holder.append(factory.text(item.content))
-        return holder
-    if isinstance(item, ProcessingInstructionNode):
-        holder = factory.element(f"{XRPC_PREFIX}:pi", ns)
-        holder.set_attribute(factory.attribute("target", item.target))
-        if item.content:
-            holder.append(factory.text(item.content))
-        return holder
-    raise XRPCFault("env:Sender", f"cannot marshal item {item!r}")
-
-
 def atomic_value(type_name: Optional[str], text: str) -> AtomicValue:
     """The value an ``xrpc:atomic-value`` holder ships: *text* as the
     type its ``xsi:type`` names (``xs:string`` when it names none)."""
@@ -295,86 +231,3 @@ def shipped_attribute(
             continue
         return index
     return only_type
-
-
-def n2s(sequence_element: ElementNode) -> list:
-    """Unmarshal an ``<xrpc:sequence>`` element back into an XDM sequence.
-
-    Single-pass: node values are *adopted* out of the message tree —
-    detached from their holder with the parent link cleared — rather
-    than deep-copied a second time.  The parsed message tree is itself a
-    fresh copy of the sender's data, so adoption preserves the
-    call-by-value guarantee (empty upward/sideways axes) at zero cost.
-    """
-    result: list = []
-    for holder in sequence_element.child_elements():
-        result.append(_unmarshal_item(holder))
-    return result
-
-
-def _adopt(holder: ElementNode, node: Node) -> Node:
-    """Detach *node* from its holder: a standalone fragment, no copy.
-
-    The fragment becomes a tree root of its own; any structural index
-    covering the message tree is invalidated so a later query against
-    the fragment builds its own pre/size/level view (the parse pass
-    already stamped the encoding; subtree serials stay dense).
-    """
-    node._invalidate_index()
-    holder.children.remove(node)
-    node.parent = None
-    return node
-
-
-def _unmarshal_item(holder: ElementNode):
-    kind = holder.local_name
-    if kind == "atomic-value":
-        type_attr = holder.get_attribute("xsi:type") or holder.get_attribute("type")
-        return atomic_value(type_attr.value if type_attr else None,
-                            holder.string_value())
-    if kind == "element":
-        element = next(
-            (c for c in holder.children if isinstance(c, ElementNode)), None)
-        if element is None:
-            raise XRPCFault("env:Sender", "xrpc:element holder without child element")
-        return _adopt(holder, element)
-    if kind == "document":
-        # Reuse the holder's order key for the document node: it precedes
-        # its adopted children's keys, keeping document order consistent.
-        document = DocumentNode(holder.order_key)
-        holder._invalidate_index()
-        children = list(holder.children)
-        holder.children.clear()
-        for child in children:
-            document.append(child)
-        return document
-    if kind == "attribute":
-        index = shipped_attribute(
-            (attribute.name, attribute.ns_uri)
-            for attribute in holder.attributes)
-        if index is None:
-            raise XRPCFault("env:Sender", "xrpc:attribute holder without attribute")
-        source = holder.attributes[index]
-        source.parent = None
-        return source
-    if kind == "text":
-        return TextNode(holder.order_key, holder.string_value())
-    if kind == "comment":
-        return CommentNode(holder.order_key, holder.string_value())
-    if kind == "pi":
-        target_attr = holder.get_attribute("target")
-        target = target_attr.value if target_attr else "pi"
-        return ProcessingInstructionNode(
-            holder.order_key, target, holder.string_value())
-    raise XRPCFault("env:Sender", f"unknown XRPC value element <{kind}>")
-
-
-# Convenience aliases used by the message layer -----------------------------
-
-
-def sequence_to_parts(sequence: list, factory: NodeFactory) -> ElementNode:
-    return s2n(sequence, factory)
-
-
-def parts_to_sequence(element: ElementNode) -> list:
-    return n2s(element)

@@ -340,11 +340,27 @@ def _required(attributes: list[str], element: str, name: str) -> str:
     return value
 
 
+def _number(attributes: list[str], element: str, name: str, kind: type):
+    """A required attribute that must read as a non-negative *kind*
+    (``int`` or ``float``)."""
+    text = _required(attributes, element, name)
+    try:
+        value = kind(text)
+        if value >= 0:  # false for NaN too
+            return value
+    except ValueError:
+        pass
+    raise XRPCFault(
+        "env:Sender",
+        f"<{element}> attribute {name!r} must be a non-negative "
+        f"{'integer' if kind is int else 'number'}, found {text!r}")
+
+
 def _query_id(attributes: list[str], element: str) -> QueryID:
     return QueryID(
         host=_required(attributes, element, "host"),
-        timestamp=float(_required(attributes, element, "timestamp")),
-        timeout=int(_required(attributes, element, "timeout")),
+        timestamp=_number(attributes, element, "timestamp", float),
+        timeout=_number(attributes, element, "timeout", int),
     )
 
 
@@ -530,8 +546,8 @@ class _MessageDecoder:
             if local_name == "exchange" and self._first("exchange"):
                 self._exchange_id = _required(attributes, name, "id")
             elif local_name == "deadline" and self._first("deadline"):
-                self._deadline_remaining = float(
-                    _required(attributes, name, "remaining"))
+                self._deadline_remaining = _number(
+                    attributes, name, "remaining", float)
         return _SKIPPED
 
     def _start_message(self, name: str, local_name: str,
@@ -541,7 +557,7 @@ class _MessageDecoder:
             if local_name == "request":
                 module = _required(attributes, name, "module")
                 method = _required(attributes, name, "method")
-                self._arity = int(_required(attributes, name, "arity"))
+                self._arity = _number(attributes, name, "arity", int)
                 request = self._message = XRPCRequest(
                     module=module, method=method, arity=self._arity,
                     location=_attribute(attributes, "location"),

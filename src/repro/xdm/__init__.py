@@ -40,7 +40,6 @@ from repro.xdm.sequence import (
     string_value,
     deep_equal,
     is_node,
-    is_atomic,
     singleton,
     document_order_sort,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "string_value",
     "deep_equal",
     "is_node",
-    "is_atomic",
     "singleton",
     "document_order_sort",
 ]

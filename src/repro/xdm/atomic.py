@@ -55,9 +55,6 @@ class AtomicValue:
     def is_numeric(self) -> bool:
         return self.type.is_numeric
 
-    def as_float(self) -> float:
-        return float(self.value)
-
     # -- comparisons ------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -108,10 +105,6 @@ def double(value: float) -> AtomicValue:
 
 def boolean(value: bool) -> AtomicValue:
     return AtomicValue(bool(value), xs.boolean)
-
-
-def anyuri(value: str) -> AtomicValue:
-    return AtomicValue(value, xs.anyURI)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence as PySequence, Union
 
 from repro.errors import DynamicError, TypeError_
-from repro.xdm.atomic import AtomicValue, boolean as make_boolean, value_compare
+from repro.xdm.atomic import AtomicValue, value_compare
 from repro.xdm.nodes import (
     AttributeNode,
     CommentNode,
@@ -30,10 +30,6 @@ XDMSequence = list  # list[Item]
 
 def is_node(item: Item) -> bool:
     return isinstance(item, Node)
-
-
-def is_atomic(item: Item) -> bool:
-    return isinstance(item, AtomicValue)
 
 
 def atomize(sequence: Iterable[Item]) -> list[AtomicValue]:
@@ -163,7 +159,3 @@ def _children_deep_equal(left: Node, right: Node) -> bool:
         return False
     return all(
         _node_deep_equal(a, b) for a, b in zip(left_children, right_children))
-
-
-def ebv_atomic(value: bool) -> list[AtomicValue]:
-    return [make_boolean(value)]

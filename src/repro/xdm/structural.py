@@ -33,12 +33,12 @@ paths against inside MonetDB/XQuery):
 
 Index invalidation stays O(1) at mutation time: building an index
 stamps every tree node with a back-reference (``_sidx``); the mutating
-entry points (``append``/``set_attribute``/PUL primitives/``n2s``
-adoption) flip the referenced index's ``stale`` bit when such a stamp
-is present.  The staircase windows below operate on *positional* pre
-ranks (array indices of the index, always dense) — they compare and
-slice, never assume the stamped serials are dense, so sparse order
-keys need no changes there.
+entry points (``append``/``set_attribute``/PUL primitives) flip the
+referenced index's ``stale`` bit when such a stamp is present.  The
+staircase windows below operate on *positional* pre ranks (array
+indices of the index, always dense) — they compare and slice, never
+assume the stamped serials are dense, so sparse order keys need no
+changes there.
 """
 
 from __future__ import annotations

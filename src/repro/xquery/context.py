@@ -135,12 +135,6 @@ class StaticContext:
             return self.resolve_prefix(prefix), local
         return self.default_function_namespace, lexical
 
-    def resolve_element_name(self, lexical: str) -> tuple[Optional[str], str]:
-        if ":" in lexical:
-            prefix, local = lexical.split(":", 1)
-            return self.resolve_prefix(prefix), local
-        return self.default_element_namespace, lexical
-
     def lookup_function(self, uri: str, local: str, arity: int) -> Any:
         return self.functions.get((uri, local, arity))
 

@@ -53,14 +53,6 @@ def parse_library_module(source: str) -> A.QueryModule:
     return _Parser(source).parse_module(expect_library=True)
 
 
-def parse_expression(source: str) -> A.Expr:
-    """Parse a bare expression (used in tests and internal tooling)."""
-    parser = _Parser(source)
-    expr = parser.parse_expr()
-    parser.expect_eof()
-    return expr
-
-
 class _Parser:
     def __init__(self, source: str) -> None:
         self.lexer = Lexer(source)

@@ -6,9 +6,11 @@ from typing import Optional
 
 from repro import reference
 from repro.engine.base import Engine
+from repro.soap import XRPCRequest, build_request, parse_request
+from repro.soap.messages import ENV_NS, XRPC_NS
 from repro.workloads.xmark import generate_auctions, generate_persons
 from repro.xdm.atomic import AtomicValue
-from repro.xdm.nodes import Node, _next_doc_id
+from repro.xdm.nodes import AttributeNode, ElementNode, Node, _next_doc_id
 from repro.xdm.structural import (
     StructuralIndex,
     _restamp_tree,
@@ -109,6 +111,50 @@ def assert_runs_lifted(source: str, resolver, oracle: str):
         expected = reference.evaluate(source, doc_resolver=resolver)
     assert_same_sequence(result, expected)
     return result, explain
+
+
+def shipped_call(params: list[list]) -> list[list]:
+    """What the far side of an XRPC hop holds for the parameter
+    sequences of one call: ``build_request`` writes them,
+    ``parse_request`` decodes the bytes."""
+    request = XRPCRequest(module="m", method="f", arity=len(params))
+    request.add_call(params)
+    [decoded] = parse_request(build_request(request)).calls
+    return decoded
+
+
+def shipped(sequence: list) -> list:
+    """One sequence through the codec that ships, as a lone parameter."""
+    return shipped_call([sequence])[0]
+
+
+def reference_sequences(text: str) -> list[list]:
+    """The unmarshalling oracle's reading of a message: ``reference.n2s``
+    over every ``xrpc:sequence`` the decoder enters, taken from the
+    message parsed as a whole tree."""
+    document = parse_document(text, backend="python")
+    body = document.root_element.find("Body", ENV_NS)
+    message = body.child_elements()[0]
+    if message.local_name == "request":
+        parents = message.find_all("call", XRPC_NS)
+    else:
+        parents = [message]
+    return [reference.n2s(sequence) for parent in parents
+            for sequence in parent.find_all("sequence", XRPC_NS)]
+
+
+def item_shape(item):
+    """What a decoded item is, comparably: an atomic's type and value,
+    a node's kind, name, markup and whether it stands alone."""
+    if isinstance(item, AtomicValue):
+        return ("atomic", item.type.name, item.value)
+    assert isinstance(item, Node)
+    if isinstance(item, AttributeNode):
+        return ("attribute", item.name, item.ns_uri, item.value)
+    name = item.node_name
+    ns_uri = item.ns_uri if isinstance(item, ElementNode) else None
+    return (item.kind, name, ns_uri, item.serialize(),
+            item.parent is None)
 
 
 def densify(root: Node) -> Node:

@@ -125,6 +125,29 @@ class TestServerBehaviour:
         from repro.soap.messages import XRPCFaultMessage
         assert isinstance(message, XRPCFaultMessage)
 
+    @pytest.mark.parametrize("good, bad", [
+        ('arity="2"', 'arity="x"'),
+        ('timeout="30"', 'timeout="1.5"'),
+        ('timestamp="1.0"', 'timestamp="soon"'),
+        ('remaining="5.0"', 'remaining="later"'),
+    ])
+    def test_non_numeric_field_is_a_sender_fault(self, site, good, bad):
+        """``handle`` always answers: a number that does not read as one
+        is the sender's fault, not an exception on the caller's thread."""
+        from repro.soap import QueryID, XRPCRequest, build_request
+        from repro.soap.messages import XRPCFaultMessage
+        network, origin, server = site
+        request = XRPCRequest(
+            module="urn:m", method="add", arity=2, location="m.xq",
+            query_id=QueryID("origin", 1.0, 30), deadline_remaining=5.0)
+        request.add_call([[integer(20)], [integer(22)]])
+        text = build_request(request)
+        assert good in text
+        message = parse_message(server.server.handle(text.replace(good, bad)))
+        assert isinstance(message, XRPCFaultMessage)
+        assert message.fault_code == "env:Sender"
+        assert bad.partition("=")[0] in message.reason
+
     def test_response_is_valid_soap(self, site):
         network, origin, server = site
         from repro.soap import XRPCRequest, build_request, parse_response

@@ -6,8 +6,8 @@ content of ``xrpc:element`` / ``xrpc:document`` holders built as nodes.
 The first class pins that (no order key, no node spent on a holder); the
 corpus below feeds every message shape through the expat stream and
 through the python backend's tree walk — one decoder, two drivers — and
-holds node-valued items against ``n2s`` over the same message parsed as
-a whole tree.
+holds node-valued items against the oracle, ``repro.reference.n2s`` over
+the same message parsed as a whole tree.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import dataclasses
 import pytest
 
 from repro.errors import XRPCFault
-from repro.soap.marshal import n2s
 from repro.soap.messages import (
     ENV_NS,
     XRPC_NS,
@@ -38,7 +37,6 @@ from repro.xdm.nodes import (
     KEY_STRIDE,
     AttributeNode,
     DocumentNode,
-    ElementNode,
     Node,
     NodeFactory,
 )
@@ -51,6 +49,8 @@ from repro.xml.parser import (
     parse_fragment,
 )
 from repro.xml.stats import PARSE_STATS
+
+from tests.helpers import item_shape, reference_sequences
 
 ENVELOPE_OPEN = (
     '<?xml version="1.0" encoding="utf-8"?>'
@@ -143,18 +143,6 @@ class TestOnlyWhatIsShipped:
 # (b) the corpus: one decoder, two drivers, and the tree as reference
 
 
-def item_shape(item):
-    if isinstance(item, AtomicValue):
-        return ("atomic", item.type.name, item.value)
-    assert isinstance(item, Node)
-    if isinstance(item, AttributeNode):
-        return ("attribute", item.name, item.ns_uri, item.value)
-    name = item.node_name
-    ns_uri = item.ns_uri if isinstance(item, ElementNode) else None
-    return (item.kind, name, ns_uri, item.serialize(),
-            item.parent is None)
-
-
 def message_shape(message):
     fields = {field.name: getattr(message, field.name)
               for field in dataclasses.fields(message)}
@@ -173,20 +161,6 @@ def sequences_of(message) -> list[list]:
     if isinstance(message, XRPCResponse):
         return list(message.results)
     return []
-
-
-def reference_sequences(text: str) -> list[list]:
-    """``n2s`` over every ``xrpc:sequence`` the decoder enters, taken
-    from the message parsed as a whole tree."""
-    document = parse_document(text, backend="python")
-    body = document.root_element.find("Body", ENV_NS)
-    message = body.child_elements()[0]
-    if message.local_name == "request":
-        parents = message.find_all("call", XRPC_NS)
-    else:
-        parents = [message]
-    return [n2s(sequence) for parent in parents
-            for sequence in parent.find_all("sequence", XRPC_NS)]
 
 
 def _bulk_request() -> str:
@@ -351,6 +325,22 @@ MALFORMED = {
         '<xrpc:attribute xmlns:p="urn:p" xmlns="urn:d"/>')),
     "the first fault in document order wins": request(
         one_call("<xrpc:map/>") + "<xrpc:call/>"),
+    "arity not a number": request(
+        one_call(), 'module="m" method="f" arity="x"'),
+    "queryID timestamp not a number": request(
+        "<xrpc:queryID host='h' timestamp='soon' timeout='1'/>"
+        + one_call()),
+    "queryID timeout not an integer": request(
+        "<xrpc:queryID host='h' timestamp='1' timeout='1.5'/>" + one_call()),
+    "prepare timestamp not a number": envelope(
+        "<xrpc:prepare host='h' timestamp='nan' timeout='1'/>"),
+    "deadline remaining not a number": envelope(
+        "<xrpc:commit host='h' timestamp='1' timeout='1'/>",
+        header="<env:Header><xrpc:deadline remaining='later'/>"
+               "</env:Header>"),
+    "negative deadline remaining": envelope(
+        "<xrpc:commit host='h' timestamp='1' timeout='1'/>",
+        header="<env:Header><xrpc:deadline remaining='-1'/></env:Header>"),
 }
 
 
@@ -423,6 +413,15 @@ def test_fault_texts_are_the_tree_path_s():
             "xrpc:attribute holder without attribute",
         "the first fault in document order wins":
             "unknown XRPC value element <map>",
+        "arity not a number":
+            "<xrpc:request> attribute 'arity' must be a non-negative "
+            "integer, found 'x'",
+        "queryID timeout not an integer":
+            "<xrpc:queryID> attribute 'timeout' must be a non-negative "
+            "integer, found '1.5'",
+        "deadline remaining not a number":
+            "<xrpc:deadline> attribute 'remaining' must be a non-negative "
+            "number, found 'later'",
     }
     for name, reason in expected.items():
         with pytest.raises(XRPCFault) as caught:
@@ -458,11 +457,9 @@ class TestWellFormednessComesFirst:
 
     def test_a_fault_is_not_an_expat_failure(self):
         before = PARSE_STATS.snapshot()["fallbacks_to_python"]
-        with pytest.raises(XRPCFault):
-            parse_message(MALFORMED["unknown value element"])
-        with pytest.raises(ValueError):
-            parse_message(request(
-                one_call(), 'module="m" method="f" arity="one"'))
+        for name in ("unknown value element", "arity not a number"):
+            with pytest.raises(XRPCFault):
+                parse_message(MALFORMED[name])
         assert PARSE_STATS.snapshot()["fallbacks_to_python"] == before
 
     def test_outside_the_expat_subset_falls_back_to_the_walk(self):

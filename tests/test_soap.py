@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import XRPCFault
+from repro.reference import n2s
 from repro.soap import (
     QueryID,
     XRPCFaultMessage,
@@ -11,49 +12,49 @@ from repro.soap import (
     build_fault,
     build_request,
     build_response,
-    n2s,
     parse_message,
     parse_request,
     parse_response,
-    s2n,
 )
 from repro.xdm import deep_equal, double, integer, string, untyped, xs
 from repro.xdm.atomic import AtomicValue
 from repro.xdm.nodes import AttributeNode, NodeFactory
 from repro.xml import parse_document, parse_fragment
 
+from tests.helpers import shipped
+
 
 class TestMarshaling:
     def test_atomic_round_trip(self):
         original = [string("abc"), integer(42)]
-        assert n2s(s2n(original)) == original
+        assert shipped(original) == original
 
     def test_heterogeneous_sequence(self):
         # The paper's example: integer 2 and double 3.1.
         original = [integer(2), double(3.1)]
-        result = n2s(s2n(original))
+        result = shipped(original)
         assert result[0].type is xs.integer
         assert result[1].type is xs.double
         assert result == original
 
     def test_empty_sequence(self):
-        assert n2s(s2n([])) == []
+        assert shipped([]) == []
 
     def test_untyped_atomic(self):
-        [value] = n2s(s2n([untyped("x")]))
+        [value] = shipped([untyped("x")])
         assert value.type is xs.untypedAtomic
 
     def test_boolean_and_decimal(self):
         from decimal import Decimal
         original = [AtomicValue(True, xs.boolean),
                     AtomicValue(Decimal("2.50"), xs.decimal)]
-        result = n2s(s2n(original))
+        result = shipped(original)
         assert result[0].value is True
         assert result[1].value == Decimal("2.5")
 
     def test_element_by_value(self):
         element = parse_fragment("<name>The Rock</name>")
-        [copy] = n2s(s2n([element]))
+        [copy] = shipped([element])
         assert copy is not element
         assert copy.parent is None            # standalone fragment
         assert deep_equal([copy], [element])
@@ -61,7 +62,7 @@ class TestMarshaling:
     def test_upward_axes_empty_after_round_trip(self):
         doc = parse_document("<films><film><name>X</name></film></films>")
         name = doc.root_element.children[0].children[0]
-        [copy] = n2s(s2n([name]))
+        [copy] = shipped([name])
         assert list(copy.ancestors()) == []
         assert copy.root() is copy
 
@@ -71,14 +72,14 @@ class TestMarshaling:
         doc = parse_document("<a><b/></a>")
         a = doc.root_element
         b = a.children[0]
-        copy_a, copy_b = n2s(s2n([a, b]))
+        copy_a, copy_b = shipped([a, b])
         assert copy_b.parent is None
         assert copy_b not in list(copy_a.descendants())
 
     def test_attribute_node(self):
         factory = NodeFactory()
         attribute = factory.attribute("x", "y")
-        [copy] = n2s(s2n([attribute]))
+        [copy] = shipped([attribute])
         assert isinstance(copy, AttributeNode)
         assert copy.name == "x"
         assert copy.value == "y"
@@ -90,7 +91,7 @@ class TestMarshaling:
             factory.comment("note"),
             factory.processing_instruction("t", "d"),
         ]
-        result = n2s(s2n(items))
+        result = shipped(items)
         assert [n.kind for n in result] == \
             ["text", "comment", "processing-instruction"]
         assert result[0].string_value() == "hello"
@@ -98,19 +99,16 @@ class TestMarshaling:
 
     def test_document_node(self):
         doc = parse_document("<r><c/></r>")
-        [copy] = n2s(s2n([doc]))
+        [copy] = shipped([doc])
         assert copy.kind == "document"
         assert copy.root_element.name == "r"
 
     def test_special_characters_escaped(self):
         original = [string("<&>\"'")]
-        from repro.xml.serializer import serialize
-        text = serialize(s2n(original))
-        reparsed = parse_fragment(text)
-        assert n2s(reparsed) == original
+        assert shipped(original) == original
 
     def test_n2s_adopts_parsed_fragment_without_copy(self):
-        """Single-pass unmarshal: the returned element IS the parsed
+        """The oracle's unmarshal: the returned element IS the parsed
         fragment, detached from its holder (no second deep copy)."""
         text = ('<xrpc:sequence xmlns:xrpc="http://monetdb.cwi.nl/XQuery">'
                 '<xrpc:element><name>X</name></xrpc:element>'
@@ -125,9 +123,9 @@ class TestMarshaling:
         assert parsed_child not in holder.children
 
     def test_streaming_writer_round_trips_like_s2n(self):
-        """MarshalWriter.sequence emits s2n-equivalent wire XML: parsed
-        back through n2s it yields the same sequence, typed values and
-        all, without ever building holder trees."""
+        """What MarshalWriter.sequence emits, parsed as a tree and read
+        back by the oracle's n2s, is the sequence it was given, typed
+        values and all."""
         from repro.soap import MarshalWriter
 
         factory = NodeFactory()
@@ -165,11 +163,11 @@ class TestMarshaling:
             marshal_fingerprint([[], [integer(1)]])
 
     def test_unknown_type_degrades_to_untyped(self):
-        text = ('<xrpc:sequence xmlns:xrpc="http://monetdb.cwi.nl/XQuery" '
-                'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">'
-                '<xrpc:atomic-value xsi:type="my:custom">v</xrpc:atomic-value>'
-                '</xrpc:sequence>')
-        [value] = n2s(parse_fragment(text))
+        text = build_request(XRPCRequest(
+            module="m", method="f", arity=1,
+            calls=[[[string("v")]]])).replace(
+                'xsi:type="xs:string"', 'xsi:type="my:custom"')
+        [[[value]]] = parse_request(text).calls
         assert value.type is xs.untypedAtomic
         assert value.value == "v"
 

@@ -13,9 +13,14 @@ from repro.xdm import (
 )
 from repro.xdm.nodes import ElementNode
 from repro.xml import parse_document
-from repro.xml.serializer import serialize
 from repro.xquery.evaluator import evaluate_query
-from tests.helpers import assert_matches_reference, densify, run, strings
+from tests.helpers import (
+    assert_matches_reference,
+    densify,
+    run,
+    shipped,
+    strings,
+)
 
 SITE = """
 <site>
@@ -170,17 +175,16 @@ class TestAxisEquivalence:
 
 
 class TestAdoptedFragments:
-    """Call-by-value fragments out of ``n2s`` are standalone trees: the
-    upward and sideways axes must stay empty at the remote side, and the
-    downward/order axes must work over the fragment's own index."""
+    """Call-by-value fragments out of the message decoder are standalone
+    trees: the upward and sideways axes must stay empty at the remote
+    side, and the downward/order axes must work over the fragment's own
+    index."""
 
     def _adopted_person(self):
-        from repro.soap import n2s, s2n
         source = parse_document(SITE)
         [person] = [e for e in source.root_element.find("people").child_elements()
                     if e.get_attribute("id").value == "p0"]
-        wire = serialize(s2n([person]))
-        return n2s(parse_document(wire).root_element)[0]
+        return shipped([person])[0]
 
     @pytest.mark.parametrize("axis,expected", [
         ("parent::*", 0),
