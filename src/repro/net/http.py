@@ -20,6 +20,10 @@ from repro.soap.messages import build_fault
 
 Handler = Callable[[str], str]
 
+#: The largest request body the server will read (the benchmark's
+#: ``message-path`` ships 2.5 MB); a larger ``Content-Length`` is 413.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
 
 class HttpXRPCServer:
     """Serves an XRPC handler at ``POST /xrpc`` on 127.0.0.1.
@@ -62,6 +66,13 @@ class HttpXRPCServer:
                     return 400, build_fault(
                         "env:Sender",
                         "POST needs a non-negative integer Content-Length")
+                if length > MAX_REQUEST_BYTES:
+                    # Refused unread: the connection cannot be reused.
+                    self.close_connection = True
+                    return 413, build_fault(
+                        "env:Sender",
+                        f"Content-Length {length} exceeds the "
+                        f"{MAX_REQUEST_BYTES}-byte limit on a request")
                 try:
                     payload = self.rfile.read(length).decode("utf-8")
                 except UnicodeDecodeError as exc:

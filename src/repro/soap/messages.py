@@ -283,26 +283,22 @@ def build_txn_result(result: TxnResult) -> str:
 # Parsing
 
 
-def parse_message(text: Union[str, bytes],
-                  backend: Optional[str] = None) -> Message:
+def parse_message(text: Union[str, bytes]) -> Message:
     """Parse any SOAP XRPC message; dispatch on the body's child.
 
-    ``bytes`` input is handed to the parse frontend as-is (the backend
-    honours the XML declaration's encoding and BOMs); ``backend``
-    selects the parse frontend explicitly (default: expat with python
-    fallback, see :func:`repro.xml.parser.parse_document`).
-
-    One pass: the envelope is consumed as parse events straight into the
-    message dataclass, and only what ``xrpc:element`` / ``xrpc:document``
-    holders ship is built as nodes (:class:`_MessageDecoder`).
+    One pass (``bytes`` are decoded by the parse frontend, BOM and
+    declared encoding honoured): the envelope is consumed as parse
+    events straight into the message dataclass, and only what
+    ``xrpc:element`` / ``xrpc:document`` holders ship is built as nodes
+    (:class:`_MessageDecoder`).  Text that is not XML is an
+    :class:`~repro.xml.parser.XMLSyntaxError`, whatever else is wrong
+    with it; XML that is not a message is an ``env:Sender`` fault.
     """
-    return parse_document(text, backend=backend,
-                          consumer=_MessageDecoder).finish()
+    return parse_document(text, consumer=_MessageDecoder).finish()
 
 
-def parse_request(text: Union[str, bytes],
-                  backend: Optional[str] = None) -> XRPCRequest:
-    message = parse_message(text, backend=backend)
+def parse_request(text: Union[str, bytes]) -> XRPCRequest:
+    message = parse_message(text)
     if isinstance(message, XRPCFaultMessage):
         message.raise_()
     if not isinstance(message, XRPCRequest):
@@ -310,9 +306,8 @@ def parse_request(text: Union[str, bytes],
     return message
 
 
-def parse_response(text: Union[str, bytes],
-                   backend: Optional[str] = None) -> XRPCResponse:
-    message = parse_message(text, backend=backend)
+def parse_response(text: Union[str, bytes]) -> XRPCResponse:
+    message = parse_message(text)
     if isinstance(message, XRPCFaultMessage):
         message.raise_()
     if not isinstance(message, XRPCResponse):

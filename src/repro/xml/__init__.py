@@ -1,14 +1,13 @@
-"""From-scratch XML 1.0 infrastructure.
+"""XML in and out of :mod:`repro.xdm` node trees.
 
 The paper's system relies on an XML engine for shredding SOAP messages
-and serializing results; since the reproduction may not assume lxml, this
-package implements a small, well-formedness-checking XML parser that
-produces :mod:`repro.xdm` node trees, and a serializer that renders them
-back to markup.
+and serializing results; the reproduction may not assume lxml, so the
+parser is the stdlib's expat — :func:`parse_document` builds the trees
+inside its events and is the one judge of what a document is — and the
+serializer that renders trees back to markup is written here.
 """
 
 from repro.xml.parser import (
-    BACKENDS,
     XMLSyntaxError,
     parse_document,
     parse_fragment,
@@ -17,7 +16,6 @@ from repro.xml.serializer import serialize, escape_text, escape_attribute
 from repro.xml.stats import PARSE_STATS
 
 __all__ = [
-    "BACKENDS",
     "PARSE_STATS",
     "parse_document",
     "parse_fragment",

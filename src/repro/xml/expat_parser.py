@@ -1,28 +1,23 @@
-"""C-speed parse frontend over the stdlib ``xml.parsers.expat`` parser.
+"""The tree builder behind ``parse_document``: :mod:`repro.xdm` nodes
+made inside the stdlib ``xml.parsers.expat`` parser's C-level events.
 
 Every XRPC request/response body and every cold document registration is
-``parse_document``-ed, and ROADMAP names that pass the dominant cost of
-the message path.  This module rebuilds :mod:`repro.xdm` trees during
-expat's C-level SAX events — minting gapped order keys and stamping
-``pre``/``size``/``level`` **in the same single pass** as the
-pure-python reference parser (:mod:`repro.xml.parser`), so the
+``parse_document``-ed, and that pass is the dominant cost of the message
+path.  The handlers here mint gapped order keys and stamp
+``pre``/``size``/``level`` **in the same single pass**, so the
 :class:`~repro.xdm.structural.StructuralIndex` and the incremental
-update path see byte-identical encodings regardless of backend.
+update path get a finished encoding.  What a tree must look like — node
+kinds in document order, lexical QNames and resolved namespace URIs,
+``namespace_declarations``, ``(doc_id, serial)`` spacing, ``size``
+extents, ``level`` stamps — is held against the hand-written parser of
+:mod:`repro.reference` by ``tests/test_parse_frontend.py``.
 
-Contract: for every document inside the supported subset (the reference
-parser's documented subset), the tree produced here is *indistinguishable*
-from the pure-python parser's — same node kinds in the same document
-order, same lexical QNames and resolved namespace URIs, same
-``namespace_declarations``, and the same ``(doc_id, serial)`` spacing,
-``size`` extents and ``level`` stamps.  ``tests/test_parse_frontend.py``
-asserts this differentially.
-
-Constructs the reference parser accepts but expat handles differently
-(internal-subset markup declarations, entities skipped because of an
-unread external DTD) raise :class:`ExpatUnsupported`; the dispatching
-``parse_document`` in :mod:`repro.xml.parser` then falls back to the
-pure-python backend, which also re-diagnoses malformed input so error
-messages stay uniform across backends.
+Expat decides well-formedness; its errors come out as
+:class:`~repro.xml.parser.XMLSyntaxError`.  Four handlers add to what it
+refuses: internal-subset ``<!ENTITY>`` / ``<!ATTLIST>`` declarations,
+external entities, and entities skipped because of an unread external
+DTD are syntax errors too (no DTD belongs in a SOAP message, and a
+declared entity is never expanded — the entity-bomb guard).
 
 :class:`_EventBuilder` is the same frontend with a consumer in place of
 the document: elements are handed over as events, and the tree handlers
@@ -33,7 +28,7 @@ one-pass SOAP decode (``parse_document(..., consumer=)``).
 from __future__ import annotations
 
 import xml.parsers.expat as _expat
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.xdm.nodes import (
     AttributeNode,
@@ -60,22 +55,17 @@ _XML_SCOPE = {"xml": XML_URI}
 # two-deep ``__init__`` call chain per node, which is a measurable share
 # of the per-event budget at ~10k nodes per XMark document.  The stores
 # must mirror the constructors field for field — the differential suite
-# (tests/test_parse_frontend.py) pins this.
+# (tests/test_parse_frontend.py, tests/test_xdm_nodes.py) pins this.
 _NEW_ELEMENT = ElementNode.__new__
 _NEW_TEXT = TextNode.__new__
 _NEW_ATTRIBUTE = AttributeNode.__new__
 
 #: Shared ``namespace_declarations`` of elements that declare nothing —
 #: one dict allocation saved per element.  Safe because no code path
-#: mutates an element's declarations in place: every writer (both
-#: parsers, ``copy_tree``, the constructor evaluator) assigns a fresh
+#: mutates an element's declarations in place: every writer (the
+#: parser, ``copy_tree``, the constructor evaluator) assigns a fresh
 #: dict, and every reader copies before mutating.
 _NO_DECLARATIONS: dict = {}
-
-
-class ExpatUnsupported(XMLSyntaxError):
-    """The document is outside the expat backend's subset (but possibly
-    inside the pure-python parser's) — the dispatcher retries there."""
 
 
 class _TreeBuilder:
@@ -144,8 +134,8 @@ class _TreeBuilder:
         if attrs:
             # xmlns declarations on this element first (they scope the
             # element's own name), then the element, then its attributes
-            # in document order — the exact serial order the reference
-            # parser mints.
+            # in document order — the serial order of a NodeFactory
+            # build.
             declarations = None
             for index in range(0, len(attrs), 2):
                 attr_name = attrs[index]
@@ -268,17 +258,17 @@ class _TreeBuilder:
         parent._children.append(node)
 
     def _start_cdata(self) -> None:
-        # An empty CDATA section still yields an (empty) text node in
-        # the reference parser; seeding the buffer with "" reproduces
-        # that, and is a no-op for non-empty sections.
+        # An empty CDATA section still yields an (empty) text node;
+        # seeding the buffer with "" does that, and is a no-op for
+        # non-empty sections.
         self._text.append("")
 
-    # -- outside the supported subset ---------------------------------------
+    # -- refused on top of what expat refuses -------------------------------
 
-    def _error(self, message: str) -> ExpatUnsupported:
+    def _error(self, message: str) -> XMLSyntaxError:
         parser = self._parser
-        return ExpatUnsupported(message, parser.CurrentLineNumber,
-                                parser.CurrentColumnNumber + 1)
+        return XMLSyntaxError(message, parser.CurrentLineNumber,
+                              parser.CurrentColumnNumber + 1)
 
     def _resolve_prefix(self, qname: str, scope: dict) -> str:
         prefix = qname.split(":", 1)[0]
@@ -288,14 +278,11 @@ class _TreeBuilder:
         return uri
 
     def _entity_decl(self, *args) -> None:
-        # The reference parser skips internal subsets but rejects
-        # *references* to declared entities; expat would expand them.
-        # Bail so the dispatcher's python fallback decides.
+        # Expat would expand references to it — without bound.
         raise self._error("internal-subset entity declaration")
 
     def _attlist_decl(self, *args) -> None:
-        # Expat would inject declared default attribute values; the
-        # reference parser ignores the declarations entirely.
+        # Expat would inject the declared default attribute values.
         raise self._error("internal-subset attribute-list declaration")
 
     def _skipped_entity(self, name: str, is_parameter: bool) -> None:
@@ -313,7 +300,7 @@ class _TreeBuilder:
         parser.CommentHandler = self._comment
         parser.ProcessingInstructionHandler = self._processing_instruction
 
-    def parse(self, data: Union[str, bytes]) -> DocumentNode:
+    def parse(self, data: str) -> DocumentNode:
         parser = _expat.ParserCreate(intern={})
         self._parser = parser
         parser.ordered_attributes = True
@@ -331,6 +318,13 @@ class _TreeBuilder:
             message = _expat.errors.messages.get(exc.code, str(exc))
             raise XMLSyntaxError(message, exc.lineno, exc.offset + 1) \
                 from None
+        except UnicodeEncodeError as exc:
+            # A lone surrogate: not a character, and no ExpatError
+            # because it never reaches expat.
+            line = data.count("\n", 0, exc.start) + 1
+            raise XMLSyntaxError(
+                _expat.errors.XML_ERROR_INVALID_TOKEN, line,
+                exc.start - data.rfind("\n", 0, exc.start)) from None
         finally:
             # Break the parser<->handler reference cycle promptly (the
             # builder holds the parser, the parser holds bound methods).
@@ -387,8 +381,7 @@ class _EventBuilder(_TreeBuilder):
     processing instructions outside such content are not events.
 
     An exception from the consumer is held until the document has proved
-    well-formed, which is the order the tree-walking driver of the python
-    backend reports them in.
+    well-formed: a syntax error anywhere beats a fault.
     """
 
     __slots__ = ("_consumer", "_failure", "_qnames", "_holder",
@@ -518,28 +511,20 @@ class _EventBuilder(_TreeBuilder):
         return self._consumer
 
 
-def parse_events_expat(data: Union[str, bytes],
+def parse_events_expat(data: str,
                        consumer: Callable[[EventSource], EventConsumer],
                        ) -> Callable[[], EventConsumer]:
-    """Feed ``consumer(source)`` the events of a complete document at
-    expat speed.  Parse failures raise as from
-    :func:`parse_document_expat`; what comes back for a well-formed
-    document is a call that returns the consumer or raises what the
-    consumer raised, so the caller can tell the two kinds apart.
-    """
+    """Feed ``consumer(source)`` the events of a complete document.  A
+    syntax error raises here; what comes back for a well-formed document
+    is a call that returns the consumer or raises what the consumer
+    raised, so the caller can tell the two kinds apart."""
     builder = _EventBuilder(consumer)
     builder.parse(data)
     return builder.result
 
 
-def parse_document_expat(data: Union[str, bytes],
+def parse_document_expat(data: str,
                          uri: Optional[str] = None) -> DocumentNode:
-    """Parse a complete XML document at expat speed.
-
-    Accepts ``str`` or ``bytes``; byte input honours the XML
-    declaration's encoding and BOMs natively (UTF-8/UTF-16/ISO-8859-1/
-    US-ASCII).  Raises :class:`~repro.xml.parser.XMLSyntaxError` on
-    malformed input and :class:`ExpatUnsupported` for well-formed
-    documents outside the supported subset.
-    """
+    """The tree of a complete document, or
+    :class:`~repro.xml.parser.XMLSyntaxError`."""
     return _TreeBuilder(uri).parse(data)

@@ -25,9 +25,11 @@ from repro.xdm.nodes import (
 # Most text runs and attribute values on the XRPC wire contain no
 # characters that need escaping, so both escape functions do one
 # C-level membership scan first and return the *same string object*
-# when nothing matches — five chained ``.replace`` copies otherwise.
-_TEXT_SPECIALS = re.compile(r"[&<>]").search
-_ATTR_SPECIALS = re.compile(r'[&<"\n\t]').search
+# when nothing matches — chained ``.replace`` copies otherwise.  ``\r``
+# is a special in both: a parser turns a raw one into ``\n`` (a space
+# in an attribute), so only ``&#13;`` arrives as it left.
+_TEXT_SPECIALS = re.compile(r"[&<>\r]").search
+_ATTR_SPECIALS = re.compile(r'[&<"\n\t\r]').search
 
 
 def escape_text(text: str) -> str:
@@ -38,6 +40,7 @@ def escape_text(text: str) -> str:
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 
@@ -51,6 +54,7 @@ def escape_attribute(text: str) -> str:
         .replace('"', "&quot;")
         .replace("\n", "&#10;")
         .replace("\t", "&#9;")
+        .replace("\r", "&#13;")
     )
 
 

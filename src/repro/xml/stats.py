@@ -1,8 +1,8 @@
 """Parse-frontend telemetry.
 
-:data:`PARSE_STATS` counts what the message-path parse frontend actually
-did, surfaced through ``Explain.counters`` and
-``Database.stats().counters`` as ``parse.*`` (see :mod:`repro.obs`).
+:data:`PARSE_STATS` counts what the parse frontend did, surfaced through
+``Explain.counters`` and ``Database.stats().counters`` as ``parse.*``
+(see :mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -12,19 +12,16 @@ from repro.obs import Counters
 #: Process-wide counters of the parse frontend (messages parse on any
 #: thread).
 PARSE_STATS = Counters("parse", {
-    "documents_expat": "documents parsed by the expat backend",
-    "documents_python":
-        "documents parsed by the pure-python parser",
-    "bytes_expat": "bytes/characters the expat backend parsed",
-    "bytes_python": "bytes/characters the pure-python parser parsed",
+    "documents_expat": "documents parsed",
+    "bytes_expat": "bytes/characters parsed",
     "fallbacks_to_python":
-        "expat parses re-run on the pure-python parser (malformed input "
-        "re-diagnosed for uniform errors, or constructs outside the expat "
-        "subset such as internal-subset markup declarations)",
+        "never bumped: no parser is left to fall back to.  Declared only "
+        "because the benchmark reads it as xml.parse_fallbacks; both go "
+        "in a benchmark PR",
 })
 
 
-def count_parse(backend: str, size: int) -> None:
+def count_parse(size: int) -> None:
     """Record one parsed document of *size* bytes/characters."""
-    PARSE_STATS.bump(f"documents_{backend}")
-    PARSE_STATS.bump(f"bytes_{backend}", size)
+    PARSE_STATS.bump("documents_expat")
+    PARSE_STATS.bump("bytes_expat", size)

@@ -6,7 +6,15 @@ from typing import Optional
 
 from repro import reference
 from repro.engine.base import Engine
-from repro.soap import XRPCRequest, build_request, parse_request
+from repro.errors import XRPCFault
+from repro.net import SimulatedNetwork
+from repro.rpc import XRPCPeer
+from repro.soap import (
+    XRPCRequest,
+    build_request,
+    parse_request,
+    parse_response,
+)
 from repro.soap.messages import ENV_NS, XRPC_NS
 from repro.workloads.xmark import generate_auctions, generate_persons
 from repro.xdm.atomic import AtomicValue
@@ -128,11 +136,23 @@ def shipped(sequence: list) -> list:
     return shipped_call([sequence])[0]
 
 
+def sender_fault(payload) -> str:
+    """The reason of the ``env:Sender`` fault envelope that a peer's
+    ``XRPCServer.handle`` — which never raises — answers *payload* with."""
+    reply = XRPCPeer("served", SimulatedNetwork()).server.handle(payload)
+    try:
+        parse_response(reply)
+    except XRPCFault as fault:
+        assert fault.fault_code == "env:Sender"
+        return fault.reason
+    raise AssertionError("the peer served the payload")
+
+
 def reference_sequences(text: str) -> list[list]:
     """The unmarshalling oracle's reading of a message: ``reference.n2s``
     over every ``xrpc:sequence`` the decoder enters, taken from the
-    message parsed as a whole tree."""
-    document = parse_document(text, backend="python")
+    message parsed as a whole tree by the oracle's parser."""
+    document = reference.parse_document(text)
     body = document.root_element.find("Body", ENV_NS)
     message = body.child_elements()[0]
     if message.local_name == "request":

@@ -148,6 +148,32 @@ class TestServerBehaviour:
         assert message.fault_code == "env:Sender"
         assert bad.partition("=")[0] in message.reason
 
+    @pytest.mark.parametrize("good, bad", [
+        (">abc<", ">a\x01c<"),             # not a character of XML 1.0,
+        (">abc<", ">a&#1;c<"),             # ... nor by reference
+        (">abc<", ">a]]>c<"),
+        (">abc<", ">a\ufffec<"),
+        ("<env:Envelope", "<!DOCTYPE e [<!ENTITY x 'y'>]><env:Envelope"),
+        ("<env:Envelope",
+         "<!DOCTYPE e [<!ATTLIST e a CDATA 'y'>]><env:Envelope"),
+    ])
+    def test_body_that_is_not_xml_is_a_sender_fault(self, site, good, bad):
+        """An otherwise servable request: what no other SOAP stack would
+        read is not read here either — and ``handle`` still answers."""
+        from repro.soap import XRPCRequest, build_request
+        from repro.soap.messages import XRPCFaultMessage
+        network, origin, server = site
+        request = XRPCRequest(module="urn:m", method="first", arity=1,
+                              location="m.xq")
+        request.add_call([[string("abc")]])
+        text = build_request(request)
+        assert good in text
+        message = parse_message(server.server.handle(text.replace(good, bad)))
+        assert isinstance(message, XRPCFaultMessage)
+        assert message.fault_code == "env:Sender"
+        assert "line 1, column" in message.reason
+        assert server.server.requests_handled == 0
+
     def test_response_is_valid_soap(self, site):
         network, origin, server = site
         from repro.soap import XRPCRequest, build_request, parse_response

@@ -8,6 +8,7 @@ import pytest
 from repro.engine import TreeEngine
 from repro.errors import TransportError, XRPCFault
 from repro.net import HttpTransport, HttpXRPCServer
+from repro.net.http import MAX_REQUEST_BYTES
 from repro.net.transport import ExchangeSpec, normalize_peer_uri
 from repro.rpc import XRPCPeer
 from repro.soap import XRPCRequest, build_request, parse_response
@@ -366,17 +367,21 @@ class TestForeignInput:
             raw = transport.send("peer", _double_payload(21))
         assert parse_response(raw).results == [[integer(42)]]
 
-    @pytest.mark.parametrize("header", [
-        b"",                                  # missing
-        b"Content-Length: twelve\r\n",        # not an integer
-        b"Content-Length: -5\r\n",            # negative
-    ], ids=["missing", "non-integer", "negative"])
-    def test_bad_content_length_is_a_sender_fault(self, server, header):
+    @pytest.mark.parametrize("header, status", [
+        (b"", 400),                                  # missing
+        (b"Content-Length: twelve\r\n", 400),        # not an integer
+        (b"Content-Length: -5\r\n", 400),            # negative
+        # Refused on the header alone: were the server to wait for the
+        # promised body, this exchange would time out.
+        (b"Content-Length: %d\r\n" % (MAX_REQUEST_BYTES + 1), 413),
+    ], ids=["missing", "non-integer", "negative", "over the limit"])
+    def test_bad_content_length_is_a_sender_fault(self, server, header,
+                                                  status):
         with self._connect(server) as raw:
             response, body = _raw_exchange(
                 raw, b"POST /xrpc HTTP/1.1\r\nHost: test\r\n" + header
                 + b"\r\n<x/>")
-            assert response.status == 400
+            assert response.status == status
             assert "env:Sender" in body and "Content-Length" in body
             with pytest.raises(XRPCFault) as fault:
                 parse_response(body)

@@ -113,8 +113,7 @@ class TestOriginatorExplain:
         assert len(result.sequence) == 2
         counters = result.explain().counters
         assert counters["search.search_queries"] == 1  # the contains filter
-        assert counters.get("parse.documents_expat", 0) \
-            + counters.get("parse.documents_python", 0) == 1  # the response
+        assert counters["parse.documents_expat"] == 1  # the response
         assert "search:" in result.explain().render()
 
     def test_fan_out_retry_is_charged_to_the_issuing_execution(self):

@@ -1,11 +1,15 @@
-"""Differential suite: expat vs pure-python parse backends.
+"""Differential suite: the parse frontend against the parsing oracle.
 
-The expat frontend's contract is byte-identical trees — same node kinds
-in the same order, same names/values, same namespace resolution, and
-identical pre/size/level planes and gapped order keys.  Every test here
-parses the same input through both backends and compares full tree
-encodings, plus property-based round-trips (parse -> serialize ->
-parse) across both.
+``parse_document`` builds its trees inside expat's events, minting keys
+and stamping pre/size/level by hand; the oracle
+(``repro.reference.parse_document``) is a hand-written parser that goes
+through ``NodeFactory``.  The contract is identical trees — same node
+kinds in the same order, same names/values, same namespace resolution,
+and identical pre/size/level planes and gapped order keys.  Every test
+of the first class parses the same input both ways and compares full
+tree encodings, plus property-based round-trips (parse -> serialize ->
+parse).  The oracle is laxer about what a document is; the last class
+pins what the product refuses, and how.
 """
 
 import string as stringmod
@@ -13,6 +17,7 @@ import string as stringmod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import reference
 from repro.session import Database
 from repro.soap.messages import XRPCRequest, build_request, parse_request
 from repro.workloads.xmark import (
@@ -22,7 +27,6 @@ from repro.workloads.xmark import (
 )
 from repro.xdm.atomic import integer, string
 from repro.xdm.nodes import (
-    AttributeNode,
     CommentNode,
     DocumentNode,
     ElementNode,
@@ -30,16 +34,10 @@ from repro.xdm.nodes import (
     ProcessingInstructionNode,
     TextNode,
 )
-from repro.xml.expat_parser import ExpatUnsupported, parse_document_expat
-from repro.xml.parser import (
-    BACKENDS,
-    XMLSyntaxError,
-    decode_xml_bytes,
-    parse_document,
-    parse_document_python,
-)
+from repro.xml.parser import XMLSyntaxError, decode_xml_bytes, parse_document
 from repro.xml.serializer import escape_attribute, escape_text, serialize
 from repro.xml.stats import PARSE_STATS
+from tests.helpers import item_shape, reference_sequences, sender_fault
 
 
 def rows(document):
@@ -78,10 +76,13 @@ def rows(document):
 
 
 def assert_identical(text):
-    py = parse_document(text, uri="u", backend="python")
-    ex = parse_document(text, uri="u", backend="expat")
-    assert rows(py) == rows(ex)
-    return py, ex
+    """The oracle's tree and the product's, equal row for row; *text*
+    may be ``bytes``, which the oracle reads decoded."""
+    decoded = text if isinstance(text, str) else decode_xml_bytes(text)
+    oracle = reference.parse_document(decoded, uri="u")
+    product = parse_document(text, uri="u")
+    assert rows(oracle) == rows(product)
+    return oracle, product
 
 
 XMARK = XMarkConfig(persons=25, closed_auctions=50, open_auctions=10)
@@ -157,35 +158,56 @@ class TestIdenticalTrees:
 
 class TestBytesInput:
     def test_plain_utf8_bytes(self):
-        py = parse_document("<r>é</r>".encode("utf-8"), backend="python")
-        ex = parse_document("<r>é</r>".encode("utf-8"), backend="expat")
-        assert rows(py) == rows(ex)
-        assert ex.root_element.string_value() == "é"
+        _, doc = assert_identical("<r>é</r>".encode("utf-8"))
+        assert doc.root_element.string_value() == "é"
 
     def test_utf8_bom(self):
-        data = b"\xef\xbb\xbf<r>x</r>"
-        for backend in BACKENDS:
-            doc = parse_document(data, backend=backend)
-            assert doc.root_element.string_value() == "x"
+        _, doc = assert_identical(b"\xef\xbb\xbf<r>x</r>")
+        assert doc.root_element.string_value() == "x"
 
     def test_utf16_bom(self):
-        data = '<?xml version="1.0" encoding="utf-16"?><r>é</r>' \
-            .encode("utf-16")
-        for backend in BACKENDS:
-            doc = parse_document(data, backend=backend)
-            assert doc.root_element.string_value() == "é"
+        _, doc = assert_identical(
+            '<?xml version="1.0" encoding="utf-16"?><r>é</r>'
+            .encode("utf-16"))
+        assert doc.root_element.string_value() == "é"
 
     def test_declared_latin1(self):
-        data = ('<?xml version="1.0" encoding="ISO-8859-1"?><r>é</r>'
-                .encode("latin-1"))
-        for backend in BACKENDS:
-            doc = parse_document(data, backend=backend)
-            assert doc.root_element.string_value() == "é"
+        _, doc = assert_identical(
+            '<?xml version="1.0" encoding="ISO-8859-1"?><r>é</r>'
+            .encode("latin-1"))
+        assert doc.root_element.string_value() == "é"
+
+    @pytest.mark.parametrize("encoding", ["shift_jis", "utf-32", "gbk"])
+    def test_any_codec_python_knows(self, encoding):
+        # Expat alone answers these with a bare ValueError / LookupError.
+        _, doc = assert_identical(
+            f'<?xml version="1.0" encoding="{encoding}"?><r>日本</r>'
+            .encode(encoding))
+        assert doc.root_element.string_value() == "日本"
 
     def test_decode_xml_bytes_unknown_encoding(self):
+        data = b'<?xml version="1.0" encoding="no-such-enc"?><r/>'
         with pytest.raises(XMLSyntaxError):
-            decode_xml_bytes(
-                b'<?xml version="1.0" encoding="no-such-enc"?><r/>')
+            decode_xml_bytes(data)
+        with pytest.raises(XMLSyntaxError, match="no-such-enc"):
+            parse_document(data)
+
+    def test_bytes_not_in_their_encoding(self):
+        for data in (b"<r>\xff</r>", b"\xef\xbb\xbf<r>\xff</r>",
+                     b'<?xml version="1.0" encoding="ascii"?><r>\xe9</r>'):
+            with pytest.raises(XMLSyntaxError, match="cannot decode"):
+                parse_document(data)
+
+    def test_a_declaration_in_a_str_is_not_believed(self):
+        # A str is already decoded: what it declares cannot matter.
+        doc = parse_document(
+            '<?xml version="1.0" encoding="utf-16"?><r>é</r>')
+        assert doc.root_element.string_value() == "é"
+
+    @pytest.mark.parametrize("text", [None, 5, ["<r/>"]])
+    def test_neither_str_nor_bytes_is_a_caller_bug(self, text):
+        with pytest.raises(TypeError):
+            parse_document(text)
 
     def test_str_and_bytes_same_tree(self):
         text = generate_persons(XMARK)
@@ -193,60 +215,104 @@ class TestBytesInput:
             == rows(parse_document(text.encode("utf-8")))
 
 
+#: Documents with a DTD that declares something, or leans on one.
+DECLARATIONS = {
+    "entity, referenced": '<!DOCTYPE r [<!ENTITY e "x">]><r>&e;</r>',
+    "entity, unused": '<!DOCTYPE r [<!ENTITY e "x">]><r/>',
+    "parameter entity": '<!DOCTYPE r [<!ENTITY % p "x">]><r/>',
+    "attribute default": '<!DOCTYPE r [<!ATTLIST r a CDATA "1">]><r/>',
+    "entity of an unread external DTD": '<!DOCTYPE r SYSTEM "r.dtd"><r>&e;</r>',
+    "billion laughs": (
+        '<!DOCTYPE r [<!ENTITY a "ha"><!ENTITY b "&a;&a;&a;&a;&a;&a;&a;&a;">'
+        '<!ENTITY c "&b;&b;&b;&b;&b;&b;&b;&b;">]><r>&c;</r>'),
+}
+
+MALFORMED = ["<r>", "<r></s>", "<r a='1' a='2'/>", "text only",
+             "<r>&unknown;</r>", "<a/><b/>"]
+
+
 class TestDispatchAndFallback:
+    """One driver, no retry (the ids are from when there were two)."""
+
     def test_default_is_expat(self):
         before = PARSE_STATS.snapshot()
         parse_document("<r/>")
         after = PARSE_STATS.snapshot()
         assert after["documents_expat"] == before["documents_expat"] + 1
-        assert after["documents_python"] == before["documents_python"]
+        assert set(after) == {"documents_expat", "bytes_expat",
+                              "fallbacks_to_python"}
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            parse_document("<r/>", backend="libxml2")
+        for backend in ("libxml2", "python", "expat", None):
+            with pytest.raises(TypeError):
+                parse_document("<r/>", backend=backend)
+            with pytest.raises(TypeError):
+                parse_request("<r/>", backend=backend)
 
     def test_internal_subset_falls_back(self):
-        # Declared entities are outside the expat backend's subset; the
-        # python parser skips the subset but rejects the *reference*, so
-        # the dispatcher's fallback re-diagnoses uniformly.
-        text = '<!DOCTYPE r [<!ENTITY e "x">]><r>&e;</r>'
-        with pytest.raises(ExpatUnsupported):
-            parse_document_expat(text)
-        before = PARSE_STATS.snapshot()["fallbacks_to_python"]
-        with pytest.raises(XMLSyntaxError):
-            parse_document(text)
-        assert PARSE_STATS.snapshot()["fallbacks_to_python"] == before + 1
+        # ... no longer: a declaration is refused where it stands (the
+        # oracle would skip the subset), and nothing is parsed twice.
+        for name, text in DECLARATIONS.items():
+            before = PARSE_STATS.snapshot()
+            with pytest.raises(XMLSyntaxError) as caught:
+                parse_document(text)
+            assert type(caught.value) is XMLSyntaxError, name
+            assert caught.value.line == 1 and caught.value.column > 1, name
+            assert PARSE_STATS.snapshot() == before, name
+            assert str(caught.value) in sender_fault(text), name
 
     def test_explicit_expat_never_falls_back(self):
-        with pytest.raises(ExpatUnsupported):
-            parse_document('<!DOCTYPE r [<!ENTITY e "x">]><r/>',
-                           backend="expat")
+        # A DOCTYPE that declares nothing is not a reason to refuse.
+        for text in ("<!DOCTYPE r><r/>", '<!DOCTYPE r SYSTEM "r.dtd"><r/>',
+                     "<!DOCTYPE r [<!ELEMENT r EMPTY>]><r/>"):
+            assert_identical(text)
 
     def test_malformed_error_parity(self):
-        cases = ["<r>", "<r></s>", "<r a='1' a='2'/>", "text only",
-                 "<r>&unknown;</r>", "<a/><b/>"]
-        for text in cases:
-            for backend in (None, "python", "expat"):
-                with pytest.raises(XMLSyntaxError):
-                    parse_document(text, backend=backend)
+        for text in MALFORMED:
+            with pytest.raises(XMLSyntaxError):
+                reference.parse_document(text)
+            with pytest.raises(XMLSyntaxError) as caught:
+                parse_document(text)
+            assert caught.value.line == 1 and caught.value.column >= 1
+            assert f"(line 1, column {caught.value.column})" \
+                in str(caught.value)
 
     def test_error_locations_match(self):
         text = "<root>\n  <unclosed>\n</root>"
-        with pytest.raises(XMLSyntaxError) as py_err:
-            parse_document(text, backend="python")
-        with pytest.raises(XMLSyntaxError) as default_err:
-            parse_document(text)  # expat fails, python re-diagnoses
-        assert str(default_err.value) == str(py_err.value)
+        with pytest.raises(XMLSyntaxError) as oracle_err:
+            reference.parse_document(text)
+        with pytest.raises(XMLSyntaxError) as product_err:
+            parse_document(text)
+        assert product_err.value.line == oracle_err.value.line == 3
+        assert str(product_err.value) \
+            == "mismatched tag (line 3, column 3)"
+
+    def test_a_lone_surrogate_is_a_syntax_error_with_a_location(self):
+        # It never reaches expat (the str does not encode), and must
+        # not surface as a UnicodeEncodeError.
+        with pytest.raises(XMLSyntaxError) as caught:
+            parse_document("<r>\n<a/>  \ud800</r>")
+        assert (caught.value.line, caught.value.column) == (2, 7)
+
+    def test_a_consumer_s_bug_is_not_swallowed(self):
+        def broken(source):
+            raise RuntimeError("a bug, not a syntax error")
+        before = PARSE_STATS.snapshot()
+        with pytest.raises(RuntimeError):
+            parse_document("<r/>", consumer=broken)
+        assert PARSE_STATS.snapshot() == before
 
     def test_message_path_backend_threading(self):
         request = XRPCRequest(module="m", method="f", arity=1,
                               location="http://x/m.xq")
         request.add_call([[integer(1), string("a&b")]])
         payload = build_request(request)
-        for backend in BACKENDS:
-            parsed = parse_request(payload.encode("utf-8"), backend=backend)
-            assert parsed.method == "f"
-            assert parsed.calls[0][0][1].value == "a&b"
+        parsed = parse_request(payload.encode("utf-8"))
+        assert parsed.method == "f"
+        assert parsed.calls[0][0][1].value == "a&b"
+        [oracle] = reference_sequences(payload)
+        assert [item_shape(item) for item in parsed.calls[0][0]] \
+            == [item_shape(item) for item in oracle]
 
 
 class TestTelemetry:
@@ -268,7 +334,7 @@ class TestTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Property-based round-trips across both backends
+# Property-based round-trips, product and oracle
 
 _NAME_START = stringmod.ascii_letters + "_"
 _NAME_CHARS = stringmod.ascii_letters + stringmod.digits + "_-."
@@ -279,9 +345,12 @@ xml_names = st.builds(
     st.text(alphabet=_NAME_CHARS, max_size=8),
 )
 
+# The Char production of XML 1.0: no control character but tab, line
+# feed and carriage return, no surrogate, no U+FFFE / U+FFFF.
 xml_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cc", "Cs"),
-                           blacklist_characters="\r"),
+                           blacklist_characters="\ufffe\uffff",
+                           whitelist_characters="\t\n\r"),
     max_size=40,
 )
 
@@ -307,23 +376,20 @@ def xml_trees(draw, depth=2):
 @settings(max_examples=60, deadline=None)
 @given(xml_trees())
 def test_backends_agree_on_random_trees(text):
-    assert rows(parse_document(text, backend="python")) \
-        == rows(parse_document(text, backend="expat"))
+    assert rows(reference.parse_document(text)) \
+        == rows(parse_document(text))
 
 
 @settings(max_examples=60, deadline=None)
 @given(xml_trees())
 def test_round_trip_across_backends(text):
-    # parse -> serialize -> parse is a fixed point, on either backend,
-    # and the serialized form is backend-independent.
-    serialized = {}
-    for backend in BACKENDS:
-        doc = parse_document(text, backend=backend)
-        serialized[backend] = serialize(doc)
-        reparsed = parse_document(serialized[backend], backend=backend)
-        assert rows(reparsed) == rows(
-            parse_document(serialized[backend],
-                           backend="python" if backend == "expat"
-                           else "expat"))
-        assert serialize(reparsed) == serialized[backend]
-    assert serialized["expat"] == serialized["python"]
+    # parse -> serialize -> parse is a fixed point, of the product's
+    # tree and of the oracle's, and both serialize alike.
+    doc = parse_document(text)
+    serialized = serialize(doc)
+    assert serialized == serialize(reference.parse_document(text))
+    reparsed = parse_document(serialized)
+    assert rows(reparsed) == rows(reference.parse_document(serialized))
+    assert serialize(reparsed) == serialized
+    assert [node.string_value() for node in reparsed.descendants()] \
+        == [node.string_value() for node in doc.descendants()]

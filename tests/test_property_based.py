@@ -46,10 +46,12 @@ xml_names = st.builds(
     st.text(alphabet=_NAME_CHARS, max_size=8),
 )
 
-# Text without control characters the XML 1.0 grammar rejects.
+# The Char production of XML 1.0: no control character but tab, line
+# feed and carriage return, no surrogate, no U+FFFE / U+FFFF.
 xml_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cc", "Cs"),
-                           blacklist_characters="\r"),
+                           blacklist_characters="\ufffe\uffff",
+                           whitelist_characters="\t\n\r"),
     max_size=40,
 )
 

@@ -37,6 +37,20 @@ class TestMarshaling:
         assert result[1].type is xs.double
         assert result == original
 
+    def test_carriage_returns_arrive_as_they_left(self):
+        # A raw \r on the wire would arrive as \n (XML 1.0 §2.11), a
+        # space in an attribute: the marshaller writes &#13;.
+        factory = NodeFactory()
+        original = [string("a\rb"), string("c\r\nd")]
+        assert shipped(original) == original
+        element, attribute, text = shipped([
+            parse_fragment("<e k='v&#13;w'>x&#13;&#10;y</e>"),
+            factory.attribute("k", "a\rb"), factory.text("c\r\nd")])
+        assert element.string_value() == "x\r\ny"
+        assert element.get_attribute("k").value == "v\rw"
+        assert attribute.value == "a\rb"
+        assert text.content == "c\r\nd"
+
     def test_empty_sequence(self):
         assert shipped([]) == []
 

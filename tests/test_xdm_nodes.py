@@ -4,6 +4,7 @@ the per-instance ``__dict__`` back)."""
 
 import pytest
 
+from repro import reference
 from repro.soap.messages import XRPCRequest, build_request, parse_request
 from repro.xdm.nodes import (
     AttributeNode,
@@ -17,7 +18,7 @@ from repro.xdm.nodes import (
     copy_tree,
 )
 from repro.xml.parser import parse_document
-from tests.helpers import run
+from tests.helpers import reference_sequences, run
 
 SOURCE = ('<?xml version="1.0"?><!--head--><r xmlns:p="urn:p" a="1" p:b="2">'
           "lead<p:e><![CDATA[cdata]]></p:e><?target data?><!--c-->"
@@ -39,14 +40,20 @@ def factory_tree() -> Node:
     return document
 
 
-def decoded_items(backend: str = "expat") -> list[Node]:
+def decoded_items(oracle: bool = False) -> list[Node]:
+    """Every kind of node item off the wire: by the one-pass decode, or
+    (*oracle*) by ``reference.n2s`` over the oracle's whole-tree parse."""
     factory = NodeFactory()
     message = XRPCRequest(module="m", method="f", arity=1)
     message.add_call([[
         parse_document(SOURCE).root_element, parse_document(SOURCE),
         factory.attribute("k", "v"), factory.text("t"),
         factory.comment("c"), factory.processing_instruction("p", "d")]])
-    [[items]] = parse_request(build_request(message), backend=backend).calls
+    text = build_request(message)
+    if oracle:
+        [items] = reference_sequences(text)
+    else:
+        [[items]] = parse_request(text).calls
     return items
 
 
@@ -54,13 +61,13 @@ def trees() -> dict[str, list[Node]]:
     constructed = run('<a b="1">{attribute k {"v"}, <c/>, "text", '
                       'comment {"c"}, processing-instruction p {"d"}}</a>')
     return {
-        "expat parser": [parse_document(SOURCE, backend="expat")],
-        "python parser": [parse_document(SOURCE, backend="python")],
+        "expat parser": [parse_document(SOURCE)],
+        "python parser": [reference.parse_document(SOURCE)],
         "NodeFactory": [factory_tree()],
         "copy_tree": [copy_tree(parse_document(SOURCE))],
         "element constructor": list(constructed),
         "message decoder": decoded_items(),
-        "message decoder, tree walk": decoded_items("python"),
+        "message decoder, tree walk": decoded_items(oracle=True),
     }
 
 

@@ -127,6 +127,15 @@ class TestWellFormednessErrors:
         "<a/><b/>",
         "text only",
         "<a><!-- -- --></a>",
+        # Not characters of XML 1.0, raw or as a reference; "]]>" in
+        # character data; a DTD that declares something.
+        "<r>\x01</r>",
+        "<r>&#1;</r>",
+        "<r>]]></r>",
+        "<r>\ufffe</r>",
+        "<r>\ud800</r>",
+        '<!DOCTYPE r [<!ENTITY e "x">]><r/>',
+        '<!DOCTYPE r [<!ATTLIST r a CDATA "1">]><r a="2"/>',
     ])
     def test_rejects(self, bad):
         with pytest.raises(XMLSyntaxError):
@@ -165,6 +174,20 @@ class TestRoundTrip:
         doc2 = parse_document(text)
         from repro.xdm.sequence import deep_equal
         assert deep_equal([doc1], [doc2])
+
+    def test_carriage_returns_survive(self):
+        # A parser normalises a raw \r (to \n; to a space in an
+        # attribute), so the serializer must write the reference.
+        doc = parse_document("<r a='x&#13;y&#13;&#10;z'>p&#13;q&#13;&#10;s</r>")
+        root = doc.root_element
+        assert root.string_value() == "p\rq\r\ns"
+        assert root.get_attribute("a").value == "x\ry\r\nz"
+        text = serialize(doc)
+        assert "\r" not in text and text.count("&#13;") == 4
+        again = parse_document(text).root_element
+        assert again.string_value() == "p\rq\r\ns"
+        assert again.get_attribute("a").value == "x\ry\r\nz"
+        assert serialize(parse_document(text)) == text
 
     def test_namespace_round_trip(self):
         xml = '<p:a xmlns:p="urn:p"><p:b/></p:a>'
