@@ -1,4 +1,6 @@
-"""Engine profiles wrapping the XQuery evaluator."""
+"""Engine profiles wrapping the XQuery evaluator: :class:`Engine` is
+MonetDB/XQuery, :class:`TreeEngine` is Saxon, told apart by class
+attributes — a profile has no per-instance options."""
 
 from __future__ import annotations
 
@@ -14,11 +16,11 @@ from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
 
-#: Default bound of the per-engine plan cache.  Large enough that any of
-#: the paper's workloads fit entirely; small enough that a multi-user
-#: peer serving millions of distinct ad-hoc query texts cannot grow the
-#: cache without bound.
-DEFAULT_PLAN_CACHE_SIZE = 256
+#: Bound of the per-engine plan cache (LRU eviction).  Large enough that
+#: any of the paper's workloads fit entirely; small enough that a
+#: multi-user peer serving millions of distinct ad-hoc query texts
+#: cannot grow the cache without bound.
+PLAN_CACHE_SIZE = 256
 
 
 @dataclass
@@ -72,7 +74,8 @@ class Explain:
 
 
 class Engine:
-    """Base engine: compiles queries, optionally caching plans.
+    """The MonetDB/XQuery profile: plan + function cache (section 3.3),
+    Bulk RPC (section 3.2), FLWOR join detection.
 
     ``execute`` is the local query-service surface: compile through the
     (bounded, thread-safe) plan cache, try the loop-lifted relational
@@ -80,37 +83,20 @@ class Engine:
     :class:`~repro.session.Database` routes through it;
     :class:`~repro.rpc.XRPCPeer` composes the same steps
     (``compile_with_stats`` / ``analyze`` / ``attempt_lifted``) around
-    its Bulk RPC routing.
-
-    Parameters
-    ----------
-    registry:
-        Module registry resolving ``import module`` statements.
-    plan_cache:
-        Cache compiled queries by source text (prepared-query behaviour).
-    plan_cache_size:
-        Bound of the plan cache (LRU eviction); ``None`` means unbounded.
-    function_cache:
-        Remember which remote-callable functions already have a
-        translated plan; the XRPC server consults this to decide whether
-        to charge module-translation cost for a request (Table 2).
-    bulk_rpc:
-        Ship loop-lifted ``execute at`` calls as Bulk RPC messages.
+    its Bulk RPC routing.  *registry* resolves ``import module``.
     """
 
-    name = "generic"
+    #: Cache compiled queries by source text, and remember which
+    #: remote-callable functions already have a translated plan — the
+    #: XRPC server charges module translation by that (Table 2).
+    plan_cache_enabled = True
+    #: Ship loop-lifted ``execute at`` calls as Bulk RPC messages.
+    bulk_rpc = True
+    #: Hash-join detection in the interpreter's FLWOR evaluation.
+    optimize_flwor_joins = True
 
-    def __init__(self, registry: Optional[ModuleRegistry] = None,
-                 plan_cache: bool = True, function_cache: bool = True,
-                 bulk_rpc: bool = True, optimize_flwor_joins: bool = True,
-                 plan_cache_size: Optional[int] = DEFAULT_PLAN_CACHE_SIZE,
-                 ) -> None:
+    def __init__(self, registry: Optional[ModuleRegistry] = None) -> None:
         self.registry = registry or ModuleRegistry()
-        self.plan_cache_enabled = plan_cache
-        self.plan_cache_size = plan_cache_size
-        self.function_cache_enabled = function_cache
-        self.bulk_rpc = bulk_rpc
-        self.optimize_flwor_joins = optimize_flwor_joins
         self._plan_cache: OrderedDict[str, CompiledQuery] = OrderedDict()
         self._function_cache: set[tuple[str, str, int]] = set()
         # compile() and the function cache may be hit concurrently (the
@@ -151,14 +137,14 @@ class Engine:
                 self.plan_cache_misses += 1
         started = time.perf_counter()
         compiled = CompiledQuery(source, self.registry)
+        compiled.optimize_joins = self.optimize_flwor_joins
         compile_seconds = time.perf_counter() - started
         if self.plan_cache_enabled:
             with self._cache_lock:
                 self._plan_cache[source] = compiled
                 self._plan_cache.move_to_end(source)
-                if self.plan_cache_size is not None:
-                    while len(self._plan_cache) > self.plan_cache_size:
-                        self._plan_cache.popitem(last=False)
+                while len(self._plan_cache) > PLAN_CACHE_SIZE:
+                    self._plan_cache.popitem(last=False)
         return compiled, compile_seconds, False
 
     # -- the unified prepare/execute surface --------------------------------
@@ -184,9 +170,7 @@ class Engine:
         outcome are returned as the :class:`Explain`, whose ``counters``
         are what the execution's :class:`~repro.obs.Scope` collected.
         """
-        # A missing context inherits the engine's own configuration.
-        options = context if context is not None else ExecutionContext(
-            optimize_joins=self.optimize_flwor_joins)
+        options = context if context is not None else ExecutionContext()
         self.last_plan = None
         compiled, compile_seconds, cache_hit = self.compile_with_stats(source)
         analysis = self.analyze(compiled, options)
@@ -260,10 +244,10 @@ class Engine:
 
     def function_cache_lookup(self, key: tuple[str, str, int]) -> bool:
         with self._cache_lock:
-            return self.function_cache_enabled and key in self._function_cache
+            return key in self._function_cache
 
     def function_cache_store(self, key: tuple[str, str, int]) -> None:
-        if self.function_cache_enabled:
+        if self.plan_cache_enabled:
             with self._cache_lock:
                 self._function_cache.add(key)
 
@@ -280,30 +264,17 @@ class Engine:
                 "plan_cache_hits": self.plan_cache_hits,
                 "plan_cache_misses": self.plan_cache_misses,
                 "plan_cache_entries": len(self._plan_cache),
-                "plan_cache_size": self.plan_cache_size,
+                "plan_cache_size": PLAN_CACHE_SIZE,
                 "function_cache_entries": len(self._function_cache),
             }
 
 
-class MonetEngine(Engine):
-    """MonetDB/XQuery profile: function cache + Bulk RPC by default."""
-
-    name = "monetdb-xquery"
-
-    def __init__(self, registry: Optional[ModuleRegistry] = None,
-                 function_cache: bool = True, bulk_rpc: bool = True) -> None:
-        super().__init__(registry, plan_cache=function_cache,
-                         function_cache=function_cache, bulk_rpc=bulk_rpc)
-
-
 class TreeEngine(Engine):
-    """Saxon profile: recompiles everything, no native bulk shipping."""
+    """The Saxon profile: recompiles everything, no native bulk
+    shipping, and no FLWOR join detection — the paper-era Saxon only
+    found the predicate-index join (Table 3's getPerson), which both
+    profiles get via the evaluator's equality-predicate index."""
 
-    name = "saxon-like"
-
-    def __init__(self, registry: Optional[ModuleRegistry] = None) -> None:
-        # No FLWOR join optimization: the paper-era Saxon only detected
-        # the predicate-index join (Table 3's getPerson), which both
-        # engines get via the evaluator's equality-predicate index.
-        super().__init__(registry, plan_cache=False, function_cache=False,
-                         bulk_rpc=False, optimize_flwor_joins=False)
+    plan_cache_enabled = False
+    bulk_rpc = False
+    optimize_flwor_joins = False

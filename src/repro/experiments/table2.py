@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import MonetEngine
-from repro.net import NetworkCostModel, PeerCostModel, SimulatedNetwork
+from repro.net import PeerCostModel, SimulatedNetwork
 from repro.rpc import XRPCPeer
 from repro.workloads.modules import TEST_MODULE, TEST_MODULE_LOCATION
 
@@ -41,21 +40,16 @@ def _echo_query(iterations: int) -> str:
 class Table2Experiment:
     """Regenerates Table 2 on the simulated network."""
 
-    def __init__(self, iterations: tuple[int, ...] = (1, 1000),
-                 network_cost: NetworkCostModel | None = None,
-                 peer_cost: PeerCostModel | None = None) -> None:
+    def __init__(self, iterations: tuple[int, ...] = (1, 1000)) -> None:
         self.iterations = iterations
-        self.network_cost = network_cost or NetworkCostModel()
-        self.peer_cost = peer_cost or PeerCostModel()
 
     def measure(self, mechanism: str, warm_cache: bool,
                 iterations: int) -> float:
         """One cell of Table 2, in simulated milliseconds."""
-        network = SimulatedNetwork(cost_model=self.network_cost)
+        network = SimulatedNetwork()  # the calibrated default cost model
         origin = XRPCPeer("p0.example.org", network)
         server = XRPCPeer("y.example.org", network,
-                          engine=MonetEngine(function_cache=True),
-                          cost_model=self.peer_cost)
+                          cost_model=PeerCostModel())
         for peer in (origin, server):
             peer.registry.register_source(TEST_MODULE,
                                           location=TEST_MODULE_LOCATION)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import MonetEngine, TreeEngine
+from repro.engine import TreeEngine
 from repro.net import SimulatedNetwork
 from repro.rpc import XRPCPeer
 from repro.strategies import STRATEGY_NAMES, run_strategy
@@ -96,7 +96,7 @@ class Table4Experiment:
 
     def _build_site(self):
         network = SimulatedNetwork()
-        peer_a = XRPCPeer("A", network, engine=MonetEngine())
+        peer_a = XRPCPeer("A", network)
         peer_a.registry.register_source(FUNCTIONS_B_MODULE,
                                         location=FUNCTIONS_B_LOCATION)
         peer_a.store.register("persons.xml", generate_persons(self.xmark))
@@ -111,7 +111,7 @@ class Table4Experiment:
         # B additionally answers plain document fetches (data shipping)
         # through a native peer endpoint sharing the wrapper's store —
         # in the paper this is Saxon's HTTP document service.
-        doc_server = XRPCPeer("B", network, engine=MonetEngine())
+        doc_server = XRPCPeer("B", network)
         doc_server.store = wrapper.store
         doc_server.isolation._store = wrapper.store
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.engine import MonetEngine
 from repro.net import SimulatedNetwork
 from repro.rpc import XRPCPeer
 from repro.workloads.modules import TEST_MODULE, TEST_MODULE_LOCATION
@@ -39,8 +38,7 @@ class ThroughputRow:
 
 def _make_pair(network):
     origin = XRPCPeer("p0", network)
-    server = XRPCPeer("y", network, engine=MonetEngine(),
-                      cost_model=None)
+    server = XRPCPeer("y", network)
     for peer in (origin, server):
         peer.registry.register_source(TEST_MODULE,
                                       location=TEST_MODULE_LOCATION)

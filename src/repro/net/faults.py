@@ -36,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import RetryableTransportError, TransportError
+from repro.errors import RetryableTransportError
 from repro.net.clock import VirtualClock
 from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
 
@@ -85,6 +85,9 @@ class FaultInjectingTransport(Transport):
     Attribute access falls through to the wrapped transport
     (``register_peer``, ``clock``, ``message_log``, ...), so the wrapper
     drops into any fixture that builds on the inner transport's API.
+    ``exchange_many`` is the base class's sequential one on purpose: the
+    fault draw order (and so the whole schedule) stays deterministic for
+    a given seed.
     """
 
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
@@ -123,9 +126,6 @@ class FaultInjectingTransport(Transport):
             time.sleep(seconds)
 
     # -- transport API ----------------------------------------------------
-
-    def send(self, destination: str, payload: str) -> str:
-        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange(self, spec: ExchangeSpec) -> str:
         key = normalize_peer_uri(spec.destination)
@@ -166,18 +166,6 @@ class FaultInjectingTransport(Transport):
             self._count("garbage")
             return "<html><body>502 Bad Gateway</body></html>"
         return response
-
-    def exchange_many(self,
-                      specs: list[ExchangeSpec]) -> list[str | TransportError]:
-        """Sequential on purpose: the fault draw order (and therefore
-        the whole schedule) stays deterministic for a given seed."""
-        results: list[str | TransportError] = []
-        for spec in specs:
-            try:
-                results.append(self.exchange(spec))
-            except TransportError as exc:
-                results.append(exc)
-        return results
 
     def close(self) -> None:
         self.inner.close()

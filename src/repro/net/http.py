@@ -4,6 +4,10 @@ Mirrors the paper's deployment — an "ultra-light HTTP daemon" running
 the XRPC request handler — using :mod:`http.server` from the standard
 library.  Used by interop tests and the throughput benchmark to show the
 protocol really is plain SOAP-over-HTTP.
+
+This layer moves bytes.  Retry, deadlines and circuit breakers are the
+:class:`~repro.net.retry.ResilientChannel`'s, one layer up; the only
+retry below it is the pool's stale keep-alive connection.
 """
 
 from __future__ import annotations
@@ -145,17 +149,13 @@ class HttpTransport(Transport):
     }
 
     def __init__(self, endpoints: Optional[dict[str, str]] = None,
-                 timeout: float = 30.0, breakers=None) -> None:
+                 timeout: float = 30.0) -> None:
         # Logical peer URI/host -> "127.0.0.1:<port>".
         self._endpoints = {
             normalize_peer_uri(key): value
             for key, value in (endpoints or {}).items()
         }
-        # `breakers` (a repro.net.retry.BreakerRegistry) arms the pool's
-        # per-address fail-fast gate; None leaves breakers to the
-        # ResilientChannel layer above (the usual arrangement — arming
-        # both would double-count failures).
-        self._pool = ConnectionPool(timeout=timeout, breakers=breakers)
+        self._pool = ConnectionPool(timeout=timeout)
 
     def register_endpoint(self, peer_uri: str, address: str) -> None:
         self._endpoints[normalize_peer_uri(peer_uri)] = address
@@ -167,13 +167,6 @@ class HttpTransport(Transport):
     def peer_stats(self, peer_uri: str) -> PeerStats:
         """Connection/traffic counters for one peer (observability)."""
         return self._pool.stats(self._resolve(peer_uri))
-
-    def send(self, destination: str, payload: str) -> str:
-        # Bare send has no fault-tolerance contract attached: assume the
-        # exchange is idempotent.  Callers that know better (updating
-        # RPCs) go through `exchange` with an explicit `retry_safe`
-        # verdict from the static analyzer — never a payload sniff.
-        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange(self, spec: ExchangeSpec) -> str:
         address = self._resolve(spec.destination)

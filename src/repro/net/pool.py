@@ -14,24 +14,27 @@ HTTP transport:
   exchanges to distinct destinations run on concurrent threads while
   exchanges to the same destination stay sequential (keeping them on
   one connection).
+
+Failing fast on a peer known to be down is not decided here: the one
+circuit-breaker layer is :class:`~repro.net.retry.ResilientChannel`.
 """
 
 from __future__ import annotations
 
 import http.client
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from repro.errors import (CircuitOpenError, FatalTransportError,
-                          RetryableTransportError, TransportError)
+from repro.errors import (FatalTransportError, RetryableTransportError,
+                          TransportError)
 from repro.net.transport import ExchangeSpec, normalize_peer_uri
 from repro.obs import Scope, absorb
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.net.retry import BreakerRegistry
+#: Idle keep-alive connections kept per peer address; a surplus one is
+#: closed at check-in.
+MAX_IDLE_PER_PEER = 8
 
 
 def _split_address(address: str) -> tuple[str, int]:
@@ -72,19 +75,12 @@ class ConnectionPool:
     closed an idle keep-alive connection between exchanges.
     """
 
-    def __init__(self, timeout: float = 30.0,
-                 max_idle_per_peer: int = 8,
-                 breakers: "BreakerRegistry | None" = None) -> None:
+    def __init__(self, timeout: float = 30.0) -> None:
         self._timeout = timeout
-        self._max_idle = max_idle_per_peer
         self._lock = threading.Lock()
         self._idle: dict[str, list[http.client.HTTPConnection]] = {}
         self._stats: dict[str, PeerStats] = {}
         self._closed = False
-        # Optional per-address circuit breakers: while an address's
-        # breaker is open, `request` fails fast with CircuitOpenError
-        # instead of dialing a peer known to be down.
-        self._breakers = breakers
 
     def stats(self, address: str) -> PeerStats:
         with self._lock:
@@ -112,7 +108,7 @@ class ConnectionPool:
             with self._lock:
                 if not self._closed:
                     idle = self._idle.setdefault(address, [])
-                    if len(idle) < self._max_idle:
+                    if len(idle) < MAX_IDLE_PER_PEER:
                         idle.append(connection)
                         return
         connection.close()
@@ -133,11 +129,6 @@ class ConnectionPool:
         socket timeout becomes ``min(timeout, pool default)`` so a
         doomed request cannot outlive its query.
         """
-        breaker = (self._breakers.get(address)
-                   if self._breakers is not None else None)
-        if breaker is not None and not breaker.allow(time.monotonic()):
-            raise CircuitOpenError(address,
-                                   breaker.retry_after(time.monotonic()))
         effective = (self._timeout if timeout is None
                      else min(timeout, self._timeout))
         retried = False
@@ -162,8 +153,6 @@ class ConnectionPool:
                     with self._lock:
                         self._stats[address].retries += 1
                     continue
-                if breaker is not None:
-                    breaker.record_failure(time.monotonic())
                 raise RetryableTransportError(
                     f"cannot reach http://{address}{path}: {exc}",
                     request_sent=sent) from exc
@@ -181,8 +170,6 @@ class ConnectionPool:
                 stats.bytes_received += len(payload)
             self._checkin(address, connection,
                           reusable=not response.will_close)
-            if breaker is not None:
-                breaker.record_success()
             return response.status, payload
 
     def close(self) -> None:

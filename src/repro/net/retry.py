@@ -193,34 +193,17 @@ class CircuitBreaker:
             return max(0.0, self.cooldown - (now - self.opened_at))
 
 
-class _NullBreaker(CircuitBreaker):
-    """Always-closed breaker used when breakers are disabled."""
-
-    def allow(self, now: float) -> bool:
-        return True
-
-    def record_failure(self, now: float) -> bool:
-        return False
-
-    def record_success(self) -> None:
-        pass
-
-
 class BreakerRegistry:
     """One :class:`CircuitBreaker` per normalized destination key."""
 
-    def __init__(self, failure_threshold: int = 5, cooldown: float = 30.0,
-                 enabled: bool = True) -> None:
+    def __init__(self, failure_threshold: int = 5,
+                 cooldown: float = 30.0) -> None:
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self.enabled = enabled
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._null = _NullBreaker()
 
     def get(self, destination: str) -> CircuitBreaker:
-        if not self.enabled:
-            return self._null
         key = normalize_peer_uri(destination)
         with self._lock:
             breaker = self._breakers.get(key)
@@ -259,11 +242,12 @@ class ChannelRequest:
 class ResilientChannel:
     """Retry/breaker/deadline driver around a :class:`Transport`.
 
-    The single enforcement point for the fault-tolerance policy: both
-    the real HTTP transport and the simulated network (and anything the
-    fault harness wraps) go through the same classification, backoff,
-    and breaker logic.  Backoff waits advance the transport's virtual
-    clock in simulation and really sleep over HTTP.
+    The single enforcement point for the fault-tolerance policy — and
+    the only breaker layer: both the real HTTP transport and the
+    simulated network (and anything the fault harness wraps) go through
+    the same classification, backoff, and breaker logic.  Backoff waits
+    advance the transport's virtual clock in simulation and really sleep
+    over HTTP.
     """
 
     def __init__(self, transport: Transport,

@@ -39,7 +39,8 @@ class SimulatedNetwork(Transport):
         """Attach a peer's request handler under its host key."""
         self._handlers[normalize_peer_uri(uri)] = handler
 
-    def send(self, destination: str, payload: str) -> str:
+    def exchange(self, spec: ExchangeSpec) -> str:
+        destination, payload = spec.destination, spec.payload
         key = normalize_peer_uri(destination)
         handler = self._handlers.get(key)
         if handler is None:

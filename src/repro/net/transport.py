@@ -49,19 +49,19 @@ class Transport(ABC):
     """Sends one SOAP message to a destination peer, returns the reply."""
 
     @abstractmethod
-    def send(self, destination: str, payload: str) -> str:
-        """Synchronous request/response exchange (HTTP POST semantics)."""
-
     def exchange(self, spec: ExchangeSpec) -> str:
-        """One exchange with its fault-tolerance contract attached.
+        """One synchronous request/response exchange (HTTP POST
+        semantics) with its fault-tolerance contract attached — the one
+        primitive a transport implements.  What it can honour of the
+        contract it does (:class:`~repro.net.http.HttpTransport` maps
+        ``timeout`` to the socket timeout and ``retry_safe`` to the
+        stale-keep-alive retry rule)."""
 
-        The base implementation ignores ``retry_safe``/``timeout`` and
-        delegates to :meth:`send`; transports that can honour them
-        (:class:`~repro.net.http.HttpTransport` maps ``timeout`` to the
-        socket timeout and ``retry_safe`` to the stale-keep-alive retry
-        rule) override this.
-        """
-        return self.send(spec.destination, spec.payload)
+    def send(self, destination: str, payload: str) -> str:
+        """A bare exchange under the default contract: retry-safe, no
+        deadline.  Callers that know better (updating RPCs) build the
+        :class:`ExchangeSpec` themselves."""
+        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange_many(self,
                       specs: list[ExchangeSpec]) -> list[str | TransportError]:

@@ -96,6 +96,7 @@ class ReferenceEvaluator(Evaluator):
 
 class _ReferenceQuery(CompiledQuery):
     evaluator_class = ReferenceEvaluator
+    optimize_joins = False
 
 
 #: Compiled once per source text, like the engine's plan cache: the
@@ -116,7 +117,6 @@ def evaluate(source: str,
         doc_resolver=doc_resolver,
         variables=variables,
         context_item=context_item,
-        optimize_joins=False,
     ))
     return result
 

@@ -6,17 +6,16 @@ counts messages, and accumulates the participating-peer set piggybacked
 on responses — which the originating peer later registers with the 2PC
 coordinator.
 
-Fault tolerance: a session constructed with a
-:class:`~repro.net.retry.ResilientChannel` routes every exchange
-through the retry/breaker/deadline policy.  Each *attempt* carries a
-fresh exchange id (echoed by the server, so a stale duplicated response
-is detected rather than trusted) and the deadline's current remaining
-budget in the SOAP header.  Whether an exchange is ``retry_safe`` is the
-explicit ``updating`` verdict threaded from the caller — the static
-analyzer's updating-ness result — never a sniff of the payload text.
-Without a channel the session degrades to the direct single-attempt
-behaviour (still threading ``retry_safe`` into the transport's
-stale-keep-alive retry rule).
+Fault tolerance: every exchange goes through the session's
+:class:`~repro.net.retry.ResilientChannel` — the owning peer's shared
+one, or a private ``ResilientChannel(transport)`` when none is handed
+in — and so through the retry/breaker/deadline policy.  Each *attempt*
+carries a fresh exchange id (echoed by the server, so a stale duplicated
+response is detected rather than trusted) and the deadline's current
+remaining budget in the SOAP header.  Whether an exchange is
+``retry_safe`` is the explicit ``updating`` verdict threaded from the
+caller — the static analyzer's updating-ness result — never a sniff of
+the payload text.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.errors import (RetryableTransportError, TransportError, XRPCFault,
-                          XRPCReproError)
+from repro.errors import RetryableTransportError, XRPCFault, XRPCReproError
 from repro.net.retry import (NET_STATS, ChannelRequest, Deadline,
                              ResilientChannel)
-from repro.net.transport import ExchangeSpec, Transport, normalize_peer_uri
+from repro.net.transport import Transport, normalize_peer_uri
 from repro.soap.messages import (
     QueryID,
     TxnCommand,
@@ -58,10 +56,9 @@ class ClientSession:
                  query_id: Optional[QueryID] = None,
                  channel: Optional[ResilientChannel] = None,
                  deadline: Optional[Deadline] = None) -> None:
-        self.transport = transport
         self.origin = origin
         self.query_id = query_id
-        self.channel = channel
+        self.channel = channel or ResilientChannel(transport)
         self.deadline = deadline
         self.participants: list[str] = []
         # Peers skipped under the partial-results policy, normalized,
@@ -69,20 +66,6 @@ class ClientSession:
         self.failed_peers: list[str] = []
         self.messages_sent = 0
         self.calls_shipped = 0
-
-    # -- request construction ------------------------------------------------
-
-    def _make_request(self, module_uri: str, location: Optional[str],
-                      function: str, arity: int,
-                      updating: bool) -> XRPCRequest:
-        return XRPCRequest(
-            module=module_uri,
-            method=function,
-            arity=arity,
-            location=location,
-            query_id=self.query_id,
-            updating=updating,
-        )
 
     def _record_participants(self, destination: str,
                              piggybacked: list[str]) -> None:
@@ -103,8 +86,7 @@ class ClientSession:
 
     # -- response decoding --------------------------------------------------
 
-    def _decode(self, raw: str, expected_id: Optional[str],
-                destination: str):
+    def _decode(self, raw: str, expected_id: str, destination: str):
         """Parse one reply, converting undecodable or mis-correlated
         bytes into retryable transport failures.
 
@@ -125,7 +107,7 @@ class ClientSession:
             raise RetryableTransportError(
                 f"undecodable response from {destination!r}: {exc}",
                 request_sent=True) from exc
-        if expected_id is not None and message.exchange_id is not None \
+        if message.exchange_id is not None \
                 and message.exchange_id != expected_id:
             raise RetryableTransportError(
                 f"response from {destination!r} answers exchange "
@@ -153,10 +135,19 @@ class ClientSession:
                 f"for {len(calls)} calls")
         return per_call
 
-    def _channel_entry(self, destination: str, request: XRPCRequest,
-                       calls: list, updating: bool,
-                       tolerate_faults: bool = False) -> ChannelRequest:
-        """One resilient exchange: fresh id + budget per attempt."""
+    def _entry(self, destination: str, module_uri: str,
+               location: Optional[str], function: str, arity: int,
+               calls: list[list[list]], updating: bool,
+               tolerate_faults: bool = False) -> ChannelRequest:
+        """One (possibly bulk) request as a resilient exchange, counted:
+        fresh exchange id + remaining budget per attempt."""
+        request = XRPCRequest(
+            module=module_uri, method=function, arity=arity,
+            location=location, query_id=self.query_id, updating=updating)
+        for params in calls:
+            request.add_call(params)
+        self.messages_sent += 1
+        self.calls_shipped += len(calls)
 
         def build(attempt: int, remaining: Optional[float]) -> str:
             request.exchange_id = _next_exchange_id(self.origin)
@@ -187,26 +178,11 @@ class ClientSession:
 
         ``calls`` is a list of calls, each a list of parameter sequences.
         """
-        request = self._make_request(module_uri, location, function, arity,
-                                     updating)
-        for params in calls:
-            request.add_call(params)
-        self.messages_sent += 1
-        self.calls_shipped += len(calls)
-        if self.channel is not None:
-            entry = self._channel_entry(destination, request, calls, updating)
-            return self.channel.exchange(
-                destination, entry.build, entry.parse,
-                retry_safe=entry.retry_safe, deadline=self.deadline)
-        # Direct single-attempt path (no resilience policy attached);
-        # retry-safety still reaches the transport's stale-keep-alive
-        # retry rule.
-        raw = self.transport.exchange(ExchangeSpec(
-            destination, build_request(request), retry_safe=not updating))
-        message = self._decode(raw, None, destination)
-        per_call = self._extract_results(message, calls, updating)
-        self._record_participants(destination, message.participating_peers)
-        return per_call
+        entry = self._entry(destination, module_uri, location, function,
+                            arity, calls, updating)
+        return self.channel.exchange(
+            destination, entry.build, entry.parse,
+            retry_safe=entry.retry_safe, deadline=self.deadline)
 
     def call_parallel(self, grouped: list[tuple[str, str, Optional[str], str,
                                                 int, list[list[list]], bool]],
@@ -225,67 +201,15 @@ class ClientSession:
         placeholder-derived arguments and its *direct* re-send (with
         real arguments) is the authoritative attempt.
 
-        With ``capture_transport_errors`` (requires a channel) a request
-        whose *transport* failed terminally yields its
-        :class:`TransportError` in the result slot instead of raising —
-        the partial-results ("degrade") policy turns those slots into a
-        degraded-peers report.
+        With ``capture_transport_errors`` a request whose *transport*
+        failed terminally yields its :class:`TransportError` in the
+        result slot instead of raising — the partial-results ("degrade")
+        policy turns those slots into a degraded-peers report.
         """
-        if self.channel is not None:
-            return self._call_parallel_channel(grouped, tolerate_faults,
-                                               capture_transport_errors)
-        requests = []
-        specs = []
-        for destination, module_uri, location, function, arity, calls, \
-                updating in grouped:
-            request = self._make_request(module_uri, location, function,
-                                         arity, updating)
-            for params in calls:
-                request.add_call(params)
-            requests.append(request)
-            specs.append(ExchangeSpec(destination, build_request(request),
-                                      retry_safe=not updating))
-            self.messages_sent += 1
-            self.calls_shipped += len(calls)
-        raw_responses = self.transport.exchange_many(specs)
-        results: list = []
-        for (destination, _module, _location, _function, _arity, calls,
-             updating), raw in zip(grouped, raw_responses):
-            if isinstance(raw, TransportError):
-                if capture_transport_errors:
-                    results.append(raw)
-                    continue
-                raise raw
-            try:
-                message = self._decode(raw, None, destination)
-                per_call = self._extract_results(message, calls, updating)
-            except XRPCFault:
-                if tolerate_faults:
-                    results.append(None)
-                    continue
-                raise
-            self._record_participants(destination,
-                                      message.participating_peers)
-            results.append(per_call)
-        return results
-
-    def _call_parallel_channel(self, grouped, tolerate_faults: bool,
-                               capture_transport_errors: bool) -> list:
-        entries = []
-        for destination, module_uri, location, function, arity, calls, \
-                updating in grouped:
-            request = self._make_request(module_uri, location, function,
-                                         arity, updating)
-            for params in calls:
-                request.add_call(params)
-            self.messages_sent += 1
-            self.calls_shipped += len(calls)
-            entries.append(self._channel_entry(
-                destination, request, calls, updating,
-                tolerate_faults=tolerate_faults))
         return self.channel.exchange_many(
-            entries, deadline=self.deadline,
-            capture=capture_transport_errors)
+            [self._entry(*group, tolerate_faults=tolerate_faults)
+             for group in grouped],
+            deadline=self.deadline, capture=capture_transport_errors)
 
     # -- 2PC driver side ---------------------------------------------------------
 
@@ -305,16 +229,12 @@ class ClientSession:
             message = self._decode(raw, command.exchange_id, destination)
             return self._txn_reply(message, kind)
 
-        if self.channel is not None:
-            # Participant operations are idempotent on the server side
-            # (prepare re-entry is a no-op, commit/rollback replays are
-            # answered from the decision log), so retrying them is safe.
-            return self.channel.exchange(
-                destination, build, parse, retry_safe=True,
-                deadline=self.deadline)
-        raw = self.transport.exchange(ExchangeSpec(
-            destination, build_txn_command(command), retry_safe=True))
-        return self._txn_reply(self._decode(raw, None, destination), kind)
+        # Participant operations are idempotent on the server side
+        # (prepare re-entry is a no-op, commit/rollback replays are
+        # answered from the decision log), so retrying them is safe.
+        return self.channel.exchange(
+            destination, build, parse, retry_safe=True,
+            deadline=self.deadline)
 
     @staticmethod
     def _txn_reply(message, kind: str) -> TxnResult:

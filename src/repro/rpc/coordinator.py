@@ -7,21 +7,20 @@ provides the coordinator object in that architecture: peers are
 the participating-peer piggyback), then the coordinator drives
 Prepare/Commit — or Rollback on any 'no' vote.
 
-:class:`~repro.rpc.peer.XRPCPeer` embeds this flow inline for the common
-case; the standalone coordinator exists for explicit use and for tests
-that exercise failure paths (participant votes no, late commit, ...).
+:meth:`XRPCPeer.execute_query <repro.rpc.peer.XRPCPeer.execute_query>`
+registers its session's participants here and raises from the outcome;
+tests drive the same object step by step through the failure paths
+(participant votes no, crash between the phases, decision replay).
+Commands go out through ``ClientSession.send_txn_command``, so the
+session's resilient channel, exchange ids and deadline apply to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import TransactionError, TransportError
-from repro.net.retry import ResilientChannel
-from repro.net.transport import ExchangeSpec, Transport
-from repro.soap.messages import QueryID, TxnCommand, TxnResult, \
-    build_txn_command, parse_message
+from repro.rpc.client import ClientSession
 
 
 @dataclass
@@ -34,30 +33,25 @@ class TransactionOutcome:
 class TransactionCoordinator:
     """Drives 2PC for one distributed transaction (one queryID)."""
 
-    def __init__(self, transport: Transport, query_id: QueryID,
-                 channel: Optional[ResilientChannel] = None) -> None:
-        self.transport = transport
-        self.query_id = query_id
-        self.channel = channel
-        self._participants: list[str] = []
+    def __init__(self, session: ClientSession) -> None:
+        self.session = session
+        self.participants: list[str] = []
         self.state = "active"  # active | prepared | committed | aborted
 
     @classmethod
-    def resume(cls, transport: Transport, query_id: QueryID,
-               participants: list[str],
-               channel: Optional[ResilientChannel] = None,
-               ) -> "TransactionCoordinator":
+    def resume(cls, session: ClientSession,
+               participants: list[str]) -> "TransactionCoordinator":
         """Rebuild a coordinator from its durable record after a crash.
 
-        A real implementation reads the participant list and the
-        prepared mark from the coordinator's stable log; tests hand them
-        in directly.  The resumed coordinator starts ``prepared``, so
-        the only legal moves are replaying the decision: ``commit`` or
-        ``rollback`` — both answered idempotently by participants'
-        decision logs.
+        A real implementation reads the queryID, the participant list
+        and the prepared mark from the coordinator's stable log; tests
+        hand them in directly (the queryID on *session*).  The resumed
+        coordinator starts ``prepared``, so the only legal moves are
+        replaying the decision: ``commit`` or ``rollback`` — both
+        answered idempotently by participants' decision logs.
         """
-        coordinator = cls(transport, query_id, channel=channel)
-        coordinator._participants = list(participants)
+        coordinator = cls(session)
+        coordinator.participants = list(participants)
         coordinator.state = "prepared"
         return coordinator
 
@@ -66,57 +60,37 @@ class TransactionCoordinator:
         if self.state != "active":
             raise TransactionError(
                 f"cannot register participants in state {self.state!r}")
-        if participant not in self._participants:
-            self._participants.append(participant)
-
-    @property
-    def participants(self) -> list[str]:
-        return list(self._participants)
-
-    def _send(self, destination: str, kind: str) -> TxnResult:
-        """One participant operation; these are idempotent server-side,
-        so the resilient channel (when attached) may retry freely."""
-        payload = build_txn_command(TxnCommand(kind, self.query_id))
-        if self.channel is not None:
-            return self.channel.exchange(
-                destination,
-                build=lambda attempt, remaining: payload,
-                parse=lambda raw: self._decode(destination, kind, raw),
-                retry_safe=True)
-        raw = self.transport.exchange(
-            ExchangeSpec(destination, payload, retry_safe=True))
-        return self._decode(destination, kind, raw)
-
-    @staticmethod
-    def _decode(destination: str, kind: str, raw: str) -> TxnResult:
-        reply = parse_message(raw)
-        if not isinstance(reply, TxnResult):
-            raise TransactionError(
-                f"unexpected reply from {destination} to {kind}")
-        return reply
+        if participant not in self.participants:
+            self.participants.append(participant)
 
     def prepare(self) -> TransactionOutcome:
         """Phase 1: collect votes; abort everyone on the first 'no'.
 
         An unreachable participant counts as a 'no' vote (presumed
-        abort): everyone already prepared is rolled back best-effort.
+        abort).  Everyone already prepared — and a reachable no-voter,
+        whose refusal need not have ended its own state — is rolled
+        back best-effort; an unreachable one is not dialled again.
         """
         outcome = TransactionOutcome(committed=False)
-        prepared: list[str] = []
-        for participant in self._participants:
+        reached: list[str] = []
+        for participant in self.participants:
             try:
-                vote = self._send(participant, "prepare")
+                vote = self.session.send_txn_command(participant, "prepare")
             except TransportError as exc:
-                vote = TxnResult(kind="prepare", ok=False,
-                                 detail=f"unreachable: {exc}")
-            outcome.votes[participant] = vote.ok
-            if not vote.ok:
-                outcome.detail = vote.detail
-                for already in prepared:
-                    self._try_rollback(already)
+                refusal = (f"participant {participant} unreachable at "
+                           f"prepare: {exc}")
+            else:
+                reached.append(participant)
+                refusal = None if vote.ok else (
+                    f"participant {participant} voted no at prepare: "
+                    f"{vote.detail}")
+            outcome.votes[participant] = refusal is None
+            if refusal is not None:
+                outcome.detail = refusal
+                for peer in reached:
+                    self._try_rollback(peer)
                 self.state = "aborted"
                 return outcome
-            prepared.append(participant)
         self.state = "prepared"
         return outcome
 
@@ -133,19 +107,23 @@ class TransactionCoordinator:
                 f"commit requires prepared state, not {self.state!r}")
         outcome = TransactionOutcome(committed=True)
         unreachable = False
-        for participant in self._participants:
+        for participant in self.participants:
             try:
-                ack = self._send(participant, "commit")
+                ack = self.session.send_txn_command(participant, "commit")
             except TransportError as exc:
                 unreachable = True
                 outcome.votes[participant] = False
                 outcome.committed = False
-                outcome.detail = f"{participant} unreachable: {exc}"
+                outcome.detail = (
+                    f"participant {participant} unreachable at commit "
+                    f"(decision logged; replay the commit on reconnect): "
+                    f"{exc}")
                 continue
             outcome.votes[participant] = ack.ok
             if not ack.ok:
                 outcome.committed = False
-                outcome.detail = ack.detail
+                outcome.detail = (f"participant {participant} failed at "
+                                  f"commit: {ack.detail}")
         if outcome.committed:
             self.state = "committed"
         elif unreachable:
@@ -155,14 +133,14 @@ class TransactionCoordinator:
         return outcome
 
     def rollback(self) -> None:
-        for participant in self._participants:
+        for participant in self.participants:
             self._try_rollback(participant)
         self.state = "aborted"
 
     def _try_rollback(self, participant: str) -> None:
         """Best-effort abort; an unreachable peer expires on its own."""
         try:
-            self._send(participant, "rollback")
+            self.session.send_txn_command(participant, "rollback")
         except TransportError:
             pass
 

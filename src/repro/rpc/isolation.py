@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from repro.errors import IsolationError, TransactionError
 from repro.rpc.store import DocumentStore, Snapshot
 from repro.soap.messages import QueryID
-from repro.xdm.nodes import DocumentNode
-from repro.xquf.pul import PendingUpdateList, apply_updates
+from repro.xquf.pul import PendingUpdateList, apply_updates, updated_uris
 
 
 @dataclass
@@ -136,7 +135,7 @@ class IsolationManager:
         state = self._state(query_id)
         if state.state == "prepared":
             return  # idempotent
-        touched = _uris_updated(state.pul, state.snapshot)
+        touched = updated_uris(state.pul)
         conflicts = state.snapshot.has_conflicts(touched)
         if conflicts:
             state.state = "aborted"
@@ -163,7 +162,7 @@ class IsolationManager:
         if state.state not in ("active", "prepared"):
             raise TransactionError(
                 f"cannot commit from state {state.state!r}")
-        touched = _uris_updated(state.pul, state.snapshot)
+        touched = updated_uris(state.pul)
         apply_updates(state.pul)
         state.snapshot.commit_into_store(touched)
         state.state = "committed"
@@ -186,12 +185,3 @@ class IsolationManager:
             # decision so a later replayed commit is refused.
             self._decisions[key] = "aborted"
 
-
-def _uris_updated(pul: PendingUpdateList, snapshot: Snapshot) -> list[str]:
-    """Document URIs whose trees the PUL's primitives will mutate."""
-    uris: list[str] = []
-    for primitive in pul.primitives:
-        root = primitive.target.root()
-        if isinstance(root, DocumentNode) and root.uri and root.uri not in uris:
-            uris.append(root.uri)
-    return uris

@@ -8,12 +8,16 @@ Originating side highlights:
 * ``declare option xrpc:isolation "repeatable"`` attaches a queryID to
   every outgoing request so remote peers pin snapshots (rule R'_Fr);
   ``declare option xrpc:timeout "30"`` sets the relative timeout.
-* With a :class:`~repro.engine.MonetEngine`, ``execute at`` calls are
-  shipped as **Bulk RPC**: the loop-lifted batching executor sends one
-  message per (destination, function) group, dispatched in parallel to
-  distinct peers — exactly the behaviour of Figures 1/2.
+* On the default :class:`~repro.engine.Engine` (the MonetDB/XQuery
+  profile), ``execute at`` calls are shipped as **Bulk RPC**: the
+  loop-lifted batching executor sends one message per (destination,
+  function) group, dispatched in parallel to distinct peers — exactly
+  the behaviour of Figures 1/2.
 * Updating queries under isolation finish with WS-AtomicTransaction-style
-  2PC over all participating peers (piggybacked on responses).
+  2PC over all participating peers (piggybacked on responses), driven by
+  the one :class:`~repro.rpc.coordinator.TransactionCoordinator`.
+* Every exchange — calls, nested calls while serving, 2PC commands —
+  goes through the peer's one :class:`~repro.net.retry.ResilientChannel`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.engine import Engine, MonetEngine
+from repro.analysis import QueryProperties
+from repro.engine import Engine
 from repro.engine.base import Explain
 from repro.errors import (DynamicError, TransactionError, TransportError,
                           XRPCFault)
@@ -35,6 +40,7 @@ from repro.net.transport import Transport, normalize_peer_uri
 from repro.obs import Scope
 from repro.pathfinder.compiler import LoopLiftingCompiler
 from repro.rpc.client import ClientSession
+from repro.rpc.coordinator import TransactionCoordinator
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.server import XRPCServer
 from repro.rpc.store import DocumentStore
@@ -46,7 +52,7 @@ from repro.xquery.context import (DynamicContext, ExecutionContext, RemoteCall,
                                   StaticContext)
 from repro.xquery.evaluator import CompiledQuery, Evaluator
 from repro.xquery.modules import ModuleRegistry
-from repro.xquf.pul import PendingUpdateList, apply_updates
+from repro.xquf.pul import PendingUpdateList, apply_updates, updated_uris
 
 _SYS_MODULE = """
 module namespace sys = "http://monetdb.cwi.nl/XQuery/sys";
@@ -82,6 +88,9 @@ class QueryResult:
     #: What this execution did *at this peer* (its :class:`~repro.obs.Scope`:
     #: namespaced counter deltas; work remote peers served is theirs).
     counters: dict[str, int] = field(default_factory=dict)
+    #: The prepare-time static analysis the router acted on (``None``
+    #: when the lifted pipeline was not a candidate).
+    analysis: Optional[QueryProperties] = None
 
     def explain(self) -> Explain:
         """Plan telemetry in the session API's :class:`Explain` shape."""
@@ -93,6 +102,7 @@ class QueryResult:
             execute_seconds=self.elapsed_seconds,
             cache_hit=self.cache_hit,
             counters=self.counters,
+            analysis=self.analysis,
         )
 
 
@@ -110,6 +120,27 @@ class DistributedSearchResult:
     counters: dict[str, int] = field(default_factory=dict)
 
 
+def _degrades(on_peer_failure: str) -> bool:
+    """Validate a partial-results policy; ``True`` for ``"degrade"``."""
+    if on_peer_failure not in ("fail", "degrade"):
+        raise ValueError(
+            f"on_peer_failure must be 'fail' or 'degrade', "
+            f"not {on_peer_failure!r}")
+    return on_peer_failure == "degrade"
+
+
+def fetch_remote_document(session: ClientSession, host: str, path: str):
+    """Data shipping: pull a whole document from a remote peer (a
+    read-only ``sys:get-doc`` call, retried like any other)."""
+    from repro.xdm.atomic import string as make_string
+    [result] = session.call(
+        host, _SYS_NS, None, "get-doc", 1, [[[make_string(path)]]])
+    if len(result) != 1:
+        raise XRPCFault("env:Receiver",
+                        f"remote peer returned {len(result)} documents")
+    return result[0]
+
+
 class XRPCPeer:
     """One peer in the distributed XQuery network."""
 
@@ -124,7 +155,7 @@ class XRPCPeer:
     ) -> None:
         self.host = normalize_peer_uri(host)
         self.transport = transport
-        self.engine = engine or MonetEngine()
+        self.engine = engine or Engine()
         self.registry: ModuleRegistry = self.engine.registry
         self.store = DocumentStore()
         self.clock = getattr(transport, "clock", None) or WallClock()
@@ -132,9 +163,8 @@ class XRPCPeer:
         # Every exchange this peer originates (including nested calls
         # made while serving) runs through one resilience channel, so
         # breaker state about a destination is shared peer-wide.
-        self.breakers = breakers or BreakerRegistry()
         self.channel = ResilientChannel(
-            transport, policy=retry_policy, breakers=self.breakers,
+            transport, policy=retry_policy, breakers=breakers,
             clock=self.clock)
         self.isolation = IsolationManager(self.store, self.clock)
         self.server = XRPCServer(self)
@@ -241,7 +271,7 @@ class XRPCPeer:
             xrpc_handler=self._one_at_a_time_handler(session)
             if session is not None else None,
         )
-        ctx.put_store = self.store.put
+        ctx.put_store = self.store.register
         ctx.optimize_joins = self.engine.optimize_flwor_joins
         return ctx
 
@@ -265,24 +295,13 @@ class XRPCPeer:
                             "FODC0002",
                             f"cannot fetch remote document {uri!r} "
                             "without a client session")
-                    document = self.fetch_remote_document(host, path, session)
+                    document = fetch_remote_document(session, host, path)
             else:
                 document = doc_view.get(uri)
             cache[uri] = document
             return document
 
         return resolve
-
-    def fetch_remote_document(self, host: str, path: str,
-                              session: ClientSession):
-        """Data shipping: pull a whole document from a remote peer."""
-        from repro.xdm.atomic import string as make_string
-        [result] = session.call(
-            host, _SYS_NS, None, "get-doc", 1, [[[make_string(path)]]])
-        if len(result) != 1:
-            raise XRPCFault("env:Receiver",
-                            f"remote peer returned {len(result)} documents")
-        return result[0]
 
     def _one_at_a_time_handler(self, session: ClientSession):
         def handle(call: RemoteCall) -> list:
@@ -333,10 +352,7 @@ class XRPCPeer:
         a dynamic lifted bail can never apply an update twice).
         ``try_lifted=False`` forces the interpreter path outright.
         """
-        if on_peer_failure not in ("fail", "degrade"):
-            raise ValueError(
-                f"on_peer_failure must be 'fail' or 'degrade', "
-                f"not {on_peer_failure!r}")
+        degrade = _degrades(on_peer_failure)
         compiled, compile_seconds, cache_hit = \
             self.engine.compile_with_stats(source)
 
@@ -372,6 +388,7 @@ class XRPCPeer:
             plan = "interpreter"
             fallback_reason = None
             fallback_code = None
+            analysis = None
             result: list = []
             pul = PendingUpdateList()
             if context.try_lifted:
@@ -379,7 +396,8 @@ class XRPCPeer:
                 # profile covers the whole locally-evaluated tree (query
                 # body plus locally-called function bodies), not just the
                 # body's own execute-at occurrences.
-                profile = self.engine.analyze(compiled, context).sites
+                analysis = self.engine.analyze(compiled, context)
+                profile = analysis.sites
                 sites, has_updating = profile.count, profile.updating_remote
                 if sites > 1:
                     fallback_reason = (
@@ -400,18 +418,27 @@ class XRPCPeer:
             if plan != "lifted":
                 if use_bulk:
                     result, pul = self._execute_bulk(
-                        compiled, session, context,
-                        on_peer_failure=on_peer_failure)
+                        compiled, session, context, degrade)
                 else:
                     result, pul = self._execute_direct(compiled, session, context)
             self.engine.record_plan(plan, fallback_reason, fallback_code)
 
+            # The originating peer plays the WS-Coordinator role
+            # (section 2.3): it knows the full participant list from
+            # response piggybacks.  2PC never degrades: anything short
+            # of a full commit raises.
             committed = False
             if query_id is not None and session.participants:
-                committed = self._finish_transaction(session)
+                coordinator = TransactionCoordinator(session)
+                for participant in session.participants:
+                    coordinator.register(participant)
+                outcome = coordinator.run()
+                if not outcome.committed:
+                    raise TransactionError(outcome.detail)
+                committed = True
             if pul:
                 apply_updates(pul)
-                for uri in _touched_uris(pul):
+                for uri in updated_uris(pul):
                     if self.store.contains(uri):
                         self.store.bump_version(uri)
         return QueryResult(
@@ -430,6 +457,7 @@ class XRPCPeer:
             degraded=bool(session.failed_peers),
             failed_peers=list(session.failed_peers),
             counters=scope.counters,
+            analysis=analysis,
         )
 
     def keyword_search(self, terms, peers: Optional[list[str]] = None,
@@ -462,11 +490,7 @@ class XRPCPeer:
         from repro.search.index import SearchHit, keyword_search
         from repro.xdm.atomic import string as make_string
 
-        if on_peer_failure not in ("fail", "degrade"):
-            raise ValueError(
-                f"on_peer_failure must be 'fail' or 'degrade', "
-                f"not {on_peer_failure!r}")
-        degrade = on_peer_failure == "degrade"
+        degrade = _degrades(on_peer_failure)
         if isinstance(terms, str):
             terms = [terms]
         else:
@@ -516,7 +540,7 @@ class XRPCPeer:
     def _make_execution_context(self, session: ClientSession, variables,
                                 try_lifted: bool) -> ExecutionContext:
         """The peer's :class:`ExecutionContext`: every remote-call hook
-        bound to *session*, engine toggles copied over.
+        bound to *session*.
 
         ``doc_resolver`` carries a per-resolver document cache; phases
         that must not share it (the bulk executor's replay phase)
@@ -525,30 +549,13 @@ class XRPCPeer:
         return ExecutionContext(
             doc_resolver=self.make_doc_resolver(self.store, session),
             variables=variables,
-            dispatch=self._session_dispatch(session),
-            dispatch_parallel=self._session_dispatch_parallel(session),
+            dispatch=session.call,
+            dispatch_parallel=session.call_parallel,
             xrpc_handler=self._one_at_a_time_handler(session),
-            put_store=self.store.put,
-            optimize_joins=self.engine.optimize_flwor_joins,
+            put_store=self.store.register,
             try_lifted=try_lifted,
             apply_updates=False,  # the peer applies after (optional) 2PC
-            deadline=session.deadline,
         )
-
-    def _session_dispatch(self, session: ClientSession):
-        """Lifted-plan Bulk RPC shipping bound to one client session."""
-        def dispatch(destination, module_uri, location, function, arity,
-                     calls, updating=False) -> list:
-            return session.call(destination, module_uri, location, function,
-                                arity, calls, updating=updating)
-
-        return dispatch
-
-    def _session_dispatch_parallel(self, session: ClientSession):
-        def dispatch_parallel(requests: list) -> list:
-            return session.call_parallel(requests)
-
-        return dispatch_parallel
 
     def _execute_direct(self, compiled: CompiledQuery, session: ClientSession,
                         context: ExecutionContext,
@@ -560,8 +567,7 @@ class XRPCPeer:
     # -- Bulk RPC via loop-lifted batching ---------------------------------
 
     def _execute_bulk(self, compiled: CompiledQuery, session: ClientSession,
-                      context: ExecutionContext,
-                      on_peer_failure: str = "fail",
+                      context: ExecutionContext, degrade: bool = False,
                       ) -> tuple[list, PendingUpdateList]:
         """Two-phase batched execution realising Bulk RPC.
 
@@ -611,7 +617,6 @@ class XRPCPeer:
              [args for args, _ in group.entries], key[4])
             for key, group in shippable.items()
         ]
-        degrade = on_peer_failure == "degrade"
         responses = session.call_parallel(requests, tolerate_faults=True,
                                           capture_transport_errors=degrade)
 
@@ -634,64 +639,6 @@ class XRPCPeer:
             context,
             doc_resolver=self.make_doc_resolver(self.store, session),
             xrpc_handler=replayer.handle))
-
-    # -- 2PC -----------------------------------------------------------------
-
-    def _finish_transaction(self, session: ClientSession) -> bool:
-        """Run Prepare/Commit over all participants; rollback on failure.
-
-        The originating peer plays the WS-Coordinator role (section 2.3):
-        it knows the full participant list from response piggybacks.
-
-        Fault handling follows the presumed-abort discipline: an
-        unreachable participant during prepare counts as a 'no' vote and
-        every prepared peer is rolled back (best effort — an
-        unreachable one will expire its snapshot and abort locally).
-        2PC never degrades: any failure here raises.
-        """
-        participants = list(session.participants)
-        prepared: list[str] = []
-        for participant in participants:
-            try:
-                vote = session.send_txn_command(participant, "prepare")
-            except TransportError as exc:
-                self._abort_prepared(session, prepared)
-                raise TransactionError(
-                    f"participant {participant} unreachable at prepare: "
-                    f"{exc}") from exc
-            if not vote.ok:
-                self._abort_prepared(session, prepared + [participant])
-                raise TransactionError(
-                    f"participant {participant} voted no at prepare: "
-                    f"{vote.detail}")
-            prepared.append(participant)
-        for participant in participants:
-            try:
-                ack = session.send_txn_command(participant, "commit")
-            except TransportError as exc:
-                # The global decision is commit and the participant's
-                # decision log answers replays — re-delivery on
-                # reconnect completes it — but *this* query cannot
-                # claim a full commit.
-                raise TransactionError(
-                    f"participant {participant} unreachable at commit "
-                    f"(decision logged; replay the commit on reconnect): "
-                    f"{exc}") from exc
-            if not ack.ok:
-                raise TransactionError(
-                    f"participant {participant} failed at commit: {ack.detail}")
-        return True
-
-    @staticmethod
-    def _abort_prepared(session: ClientSession,
-                        participants: list[str]) -> None:
-        """Best-effort rollback fan-out; unreachable peers abort on
-        their own when the queryID's snapshot expires."""
-        for participant in participants:
-            try:
-                session.send_txn_command(participant, "rollback")
-            except TransportError:
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -781,13 +728,3 @@ class _Replayer:
             call.destination, call.module_uri, call.location, call.function,
             call.arity, [call.args], updating=call.updating)
         return result
-
-
-def _touched_uris(pul: PendingUpdateList) -> list[str]:
-    from repro.xdm.nodes import DocumentNode
-    uris: list[str] = []
-    for primitive in pul.primitives:
-        root = primitive.target.root()
-        if isinstance(root, DocumentNode) and root.uri and root.uri not in uris:
-            uris.append(root.uri)
-    return uris

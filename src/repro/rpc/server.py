@@ -35,7 +35,7 @@ from repro.soap.messages import (
     build_txn_result,
     parse_message,
 )
-from repro.xquf.pul import PendingUpdateList, apply_updates
+from repro.xquf.pul import PendingUpdateList, apply_updates, updated_uris
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.peer import XRPCPeer
@@ -201,7 +201,7 @@ class XRPCServer:
                     # Rule R_Fu: apply immediately, new current database
                     # state.
                     apply_updates(collected_pul)
-                    for uri in _touched_uris(collected_pul):
+                    for uri in updated_uris(collected_pul):
                         if peer.store.contains(uri):
                             peer.store.bump_version(uri)
 
@@ -231,12 +231,3 @@ class XRPCServer:
                 kind=command.kind, ok=False, detail=str(exc),
                 exchange_id=command.exchange_id))
 
-
-def _touched_uris(pul: PendingUpdateList) -> list[str]:
-    from repro.xdm.nodes import DocumentNode
-    uris: list[str] = []
-    for primitive in pul.primitives:
-        root = primitive.target.root()
-        if isinstance(root, DocumentNode) and root.uri and root.uri not in uris:
-            uris.append(root.uri)
-    return uris

@@ -44,10 +44,6 @@ class DocumentStore:
         self._versions[uri] = self._versions.get(uri, 0) + 1
         return document
 
-    def put(self, uri: str, document: DocumentNode) -> None:
-        """fn:put target — same as register with a parsed tree."""
-        self.register(uri, document)
-
     # -- access ------------------------------------------------------------
 
     def get(self, uri: str) -> DocumentNode:

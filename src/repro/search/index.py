@@ -265,7 +265,7 @@ class TermIndex:
 
     __slots__ = ("sidx", "degenerate", "_text_postings", "_attr_postings",
                  "text_serials", "_terms_at", "_attr_terms_at", "_attrs_of",
-                 "_seam_pairs", "_plan_cache", "_node_cache", "_text_cache")
+                 "_seam_pairs", "_plan_cache", "_node_cache")
 
     def __init__(self, sidx: StructuralIndex) -> None:
         self.sidx = sidx
@@ -294,9 +294,6 @@ class TermIndex:
         #: Lazy serial -> ranked-row cache fronting :meth:`_node_at`'s
         #: binary search; dropped with the plan cache on every mutation.
         self._node_cache: dict[int, Node] = {}
-        #: Text contents aligned with :attr:`text_serials`, built on
-        #: first scan and dropped on every mutation.
-        self._text_cache: Optional[list[str]] = None
         #: Hand-assembled trees may carry non-monotone serials the
         #: window arithmetic cannot index; the plans then pass every
         #: candidate through to the exact verify (still correct).
@@ -431,7 +428,6 @@ class TermIndex:
             return
         self._plan_cache.clear()
         self._node_cache.clear()
-        self._text_cache = None
         patched = 0
         text_lo: Optional[int] = None
         text_hi: Optional[int] = None
@@ -469,7 +465,6 @@ class TermIndex:
             return
         self._plan_cache.clear()
         self._node_cache.clear()
-        self._text_cache = None
         patched = 0
         text_lo: Optional[int] = None
         text_hi: Optional[int] = None
@@ -505,7 +500,6 @@ class TermIndex:
             return
         self._plan_cache.clear()
         self._node_cache.clear()
-        self._text_cache = None
         serial = node.pre
         if isinstance(node, TextNode):
             old = self._terms_at.get(serial, ())
@@ -538,7 +532,6 @@ class TermIndex:
             return
         self._plan_cache.clear()
         self._node_cache.clear()
-        self._text_cache = None
         known = self._attrs_of.get(owner.pre, set())
         current = {attribute.pre: attribute
                    for attribute in owner.attributes}
@@ -580,7 +573,6 @@ class TermIndex:
             return
         self._plan_cache.clear()
         self._node_cache.clear()
-        self._text_cache = None
         low = rows[0].pre
         high = low + rows[0].size
         texts = [node for node in rows if isinstance(node, TextNode)]
@@ -646,126 +638,6 @@ class TermIndex:
             plan = ContainsPlan(self, needle)
             self._plan_cache[needle] = plan
         return plan
-
-    def contains_scan(self, needle: str) -> list[Node]:
-        """All elements whose string value contains *needle* — the
-        ``fn:contains`` semantics over the whole tree — answered from
-        the postings instead of walking it.
-
-        Anchor on the needle's cheapest token constraint (fewest
-        postings + seams).  Consecutive texts concatenate contiguously
-        in *every* containing element's string value, so each needle
-        occurrence is found by an exact local substring search over the
-        anchor text plus ``len(needle)`` characters of its neighbours —
-        no string value is ever computed.  An occurrence inside the
-        anchor text alone proves the anchor's parent element (every
-        further occurrence overlapping the anchor only marks that
-        parent's ancestors, which match for free).  An occurrence
-        spanning texts ``[t_a .. t_b]`` appears in exactly the elements
-        whose window contains both serials; the smallest is located by
-        an ancestor walk.  Elements outside every anchor's
-        neighbourhood are never touched — the asymmetry the keyword
-        benchmark measures.
-        """
-        SEARCH_STATS.bump("search_queries")
-        plan = self.contains_plan(needle)
-        if plan.trivial or plan.degenerate:
-            from repro.search.naive import naive_contains_scan
-            return naive_contains_scan(self.sidx.root, needle)
-        serials = self.text_serials
-        if plan.tokenless:
-            anchors = serials
-        else:
-            best = None
-            for token_serials, (seam_lows, _) in zip(plan._text_arrays,
-                                                     plan._seam_arrays):
-                size = len(token_serials) + len(seam_lows)
-                if best is None or size < best[0]:
-                    best = (size, token_serials, seam_lows)
-            assert best is not None
-            anchors = sorted(set(best[1]) | set(best[2]))
-        matched: set[int] = set()   # ancestor-closed by construction
-        results: list[Node] = []
-
-        def mark(element: Optional[Node]) -> None:
-            while isinstance(element, ElementNode) \
-                    and element.pre not in matched:
-                matched.add(element.pre)
-                results.append(element)
-                element = element.parent
-
-        margin = len(needle) - 1
-        texts = self._text_cache
-        if texts is None:
-            texts = []
-            for serial in serials:
-                node = self._node_at(serial)
-                texts.append(node.content if node is not None else "")
-            self._text_cache = texts
-        count = len(serials)
-
-        for serial in anchors:
-            anchor = bisect_left(serials, serial)
-            if anchor >= count or serials[anchor] != serial:
-                continue
-            if needle in texts[anchor]:
-                # Intra-text occurrence: the anchor's parent element
-                # matches outright, and any *crossing* occurrence that
-                # overlaps this anchor could only mark that parent's
-                # ancestors — already covered by mark().
-                parent = self._node_at(serial)
-                parent = parent.parent if parent is not None else None
-                while parent is not None \
-                        and not isinstance(parent, ElementNode):
-                    parent = parent.parent
-                mark(parent)
-                continue
-            # The local window: the anchor text plus enough neighbour
-            # characters to hold any occurrence overlapping the anchor.
-            first = anchor
-            gathered = 0
-            while first > 0 and gathered < margin:
-                first -= 1
-                gathered += len(texts[first])
-            last = anchor
-            gathered = 0
-            while last + 1 < count and gathered < margin:
-                last += 1
-                gathered += len(texts[last])
-            pieces = texts[first:last + 1]
-            window = "".join(pieces)
-            # Char offset of each text, for mapping occurrences to spans.
-            offsets: list[int] = []
-            total = 0
-            for piece in pieces:
-                offsets.append(total)
-                total += len(piece)
-            anchor_start = offsets[anchor - first]
-            anchor_end = anchor_start + len(texts[anchor])
-            found = window.find(needle)
-            while found != -1:
-                if found < anchor_end and found + len(needle) > anchor_start:
-                    # Overlaps the anchor text (others are found from
-                    # their own anchors).  Map to the spanned texts.
-                    span_a = bisect_right(offsets, found) - 1
-                    span_b = bisect_right(offsets,
-                                          found + len(needle) - 1) - 1
-                    low = serials[first + span_a]
-                    high = serials[first + span_b]
-                    node = self._node_at(low)
-                    element = node.parent if node is not None else None
-                    while element is not None:
-                        if isinstance(element, ElementNode) \
-                                and element.pre < low \
-                                and high <= element.pre + element.size:
-                            mark(element)
-                            break
-                        element = element.parent
-                found = window.find(needle, found + 1)
-        results.sort(key=lambda element: element.pre)
-        if results:
-            SEARCH_STATS.bump("postings_hits", len(results))
-        return results
 
     def keyword_search(self, terms) -> list[SearchHit]:
         """EMBANKS-style SLCA keyword search over this tree.

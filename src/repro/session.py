@@ -44,6 +44,7 @@ from typing import Any, Iterator, Optional, Union
 from repro import obs
 from repro.engine import Engine
 from repro.engine.base import Explain
+from repro.net.clock import WallClock
 from repro.net.retry import NET_STATS, Deadline
 from repro.rpc.store import DocumentStore
 from repro.search.index import keyword_search
@@ -162,21 +163,19 @@ class PreparedQuery:
         :func:`to_sequence`.  Updating queries apply their pending
         update list to the database's documents before returning.
 
-        ``timeout`` arms a wall-clock deadline budget on the execution
-        context.  A local database enforces it coarsely — the run is
-        failed with :class:`~repro.errors.DeadlineExceeded` if the
-        budget is exhausted when it returns; fine-grained enforcement
+        ``timeout`` arms a wall-clock deadline budget.  A local database
+        enforces it coarsely — the run is failed with
+        :class:`~repro.errors.DeadlineExceeded` if the budget is
+        exhausted when it returns; fine-grained enforcement
         (per-exchange socket timeouts, remote abandonment) lives in the
         distributed :class:`~repro.rpc.peer.XRPCPeer` path.
         """
         context = self.database._make_context(variables, bindings,
                                               context_item)
-        if timeout is not None:
-            from repro.net.clock import WallClock
-            context = dataclasses.replace(
-                context, deadline=Deadline.after(timeout, WallClock()))
+        deadline = None if timeout is None \
+            else Deadline.after(timeout, WallClock())
         result, _ = self._run(context)
-        if context.deadline is not None and context.deadline.expired():
+        if deadline is not None and deadline.expired():
             from repro.errors import DeadlineExceeded
             NET_STATS.bump("deadline_expired")
             raise DeadlineExceeded(
@@ -230,9 +229,8 @@ class Database:
     Parameters
     ----------
     engine:
-        Engine profile to execute with (default: a generic
-        :class:`~repro.engine.Engine` with plan cache and lifted
-        pipeline on).
+        Engine profile to execute with (default:
+        :class:`~repro.engine.Engine`, the MonetDB/XQuery profile).
     registry:
         Module registry for ``import module`` resolution (defaults to
         the engine's).
@@ -294,8 +292,7 @@ class Database:
     # -- keyword search -----------------------------------------------------
 
     def search(self, terms, *, uri: Optional[str] = None,
-               limit: Optional[int] = None, ranked: bool = False,
-               on_peer_failure: str = "fail") -> list:
+               limit: Optional[int] = None, ranked: bool = False) -> list:
         """SLCA keyword search over registered documents.
 
         *terms* is a string or an iterable of strings; each is tokenized
@@ -313,16 +310,7 @@ class Database:
         re-sorts by descending score (stable, so ties keep that order).
         ``uri`` restricts the search to one document; ``limit`` caps the
         returned list after ordering.
-
-        ``on_peer_failure`` mirrors
-        :meth:`~repro.rpc.peer.XRPCPeer.keyword_search` for API symmetry
-        — a local database holds every document itself, so there is no
-        peer to skip and ``"degrade"`` never drops results here.
         """
-        if on_peer_failure not in ("fail", "degrade"):
-            raise ValueError(
-                f"on_peer_failure must be 'fail' or 'degrade', "
-                f"not {on_peer_failure!r}")
         if isinstance(terms, str):
             terms = [terms]
         else:
@@ -369,8 +357,7 @@ class Database:
             doc_resolver=self._resolve_document,
             variables=merged or None,
             context_item=context_item,
-            put_store=self.store.put,
-            optimize_joins=self.engine.optimize_flwor_joins,
+            put_store=self.store.register,
             try_lifted=self.try_lifted,
             # Local sessions apply pending updates immediately (the
             # single-peer form of rule R_Fu); peers defer to 2PC.

@@ -25,8 +25,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.engine import Engine, TreeEngine
-from repro.errors import XQueryError, XRPCReproError
+from repro.errors import XQueryError, XRPCFault, XRPCReproError
+from repro.net.retry import ResilientChannel
+from repro.net.transport import normalize_peer_uri
 from repro.obs import Scope
+from repro.rpc.client import ClientSession
+from repro.rpc.peer import fetch_remote_document
 from repro.rpc.store import DocumentStore
 from repro.soap.messages import build_fault, parse_request
 from repro.wrapper.codegen import (
@@ -61,16 +65,18 @@ class XRPCWrapper:
 
     def __init__(self, engine: Optional[Engine] = None,
                  store: Optional[DocumentStore] = None,
-                 keep_request_files: bool = False,
                  transport=None, host: str = "wrapped") -> None:
         self.engine = engine or TreeEngine()
         self.store = store or DocumentStore()
-        self.keep_request_files = keep_request_files
         # Optional transport lets fn:doc("xrpc://peer/uri") fetch remote
         # documents (data shipping) — the wrapped Saxon fetched remote
         # documents over plain HTTP the same way.  Outgoing *function*
-        # calls remain impossible, as the paper states.
+        # calls remain impossible, as the paper states.  One resilient
+        # channel for the wrapper's lifetime: fetches are retried and
+        # breaker state about a source peer outlives a request.
         self.transport = transport
+        self.channel = None if transport is None \
+            else ResilientChannel(transport)
         self.host = host
         self.engine.registry.register_source(XQUERY_MARSHAL_MODULE)
         self.last_timings = WrapperTimings()
@@ -159,9 +165,8 @@ class XRPCWrapper:
             # 4. Execute.
             exec_started = time.process_time()
             try:
-                result, _pul = compiled.run(ExecutionContext(
-                    doc_resolver=resolve,
-                    optimize_joins=self.engine.optimize_flwor_joins))
+                result, _pul = compiled.run(
+                    ExecutionContext(doc_resolver=resolve))
             except XQueryError as exc:
                 return build_fault("env:Sender", str(exc))
             # Document trees are built lazily during execution; report the
@@ -174,26 +179,20 @@ class XRPCWrapper:
             return ('<?xml version="1.0" encoding="utf-8"?>'
                     + serialize(envelope))
         finally:
-            if not self.keep_request_files:
-                try:
-                    os.unlink(request_path)
-                except OSError:
-                    pass
+            try:
+                os.unlink(request_path)
+            except OSError:
+                pass
 
     def _fetch_remote(self, uri: str):
-        """HTTP-style fetch of a remote document for fn:doc()."""
-        from repro.errors import XRPCFault
-        from repro.net.transport import normalize_peer_uri
-        from repro.rpc.client import ClientSession
-        from repro.xdm.atomic import string as make_string
+        """HTTP-style fetch of a remote document for fn:doc(): the
+        peers' data-shipping exchange, over the wrapper's channel."""
         if self.transport is None:
             raise XRPCFault(
                 "env:Receiver",
                 f"wrapper has no transport to fetch {uri!r}")
         host = normalize_peer_uri(uri)
         path = uri.split(host, 1)[1].lstrip("/")
-        session = ClientSession(self.transport, origin=self.host)
-        [result] = session.call(
-            host, "http://monetdb.cwi.nl/XQuery/sys", None, "get-doc", 1,
-            [[[make_string(path)]]])
-        return result[0]
+        session = ClientSession(self.transport, origin=self.host,
+                                channel=self.channel)
+        return fetch_remote_document(session, host, path)

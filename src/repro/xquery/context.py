@@ -81,18 +81,11 @@ class ExecutionContext:
     dispatch_parallel: Optional[Callable[[list], list]] = None
     xrpc_handler: Optional[Callable[[RemoteCall], list]] = None
     put_store: Optional[Callable[[str, Any], None]] = None
-    optimize_joins: bool = True
     #: Try the loop-lifted relational plan before the tree interpreter.
     try_lifted: bool = True
     #: Apply a pending update list as soon as execution finishes (callers
     #: running 2PC flip this off and apply at commit).
     apply_updates: bool = True
-    #: The query's remaining-time budget (a
-    #: :class:`~repro.net.retry.Deadline`), set when the caller armed
-    #: ``xrpc:timeout``/``timeout=``; the RPC layer reads it to bound
-    #: every exchange, so it rides here purely for observability by
-    #: other execution hooks.
-    deadline: Any = None
 
 
 class StaticContext:

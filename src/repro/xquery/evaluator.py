@@ -1474,6 +1474,9 @@ class CompiledQuery:
     #: The interpreter :meth:`run` instantiates (a subclass of this
     #: class may name its own :class:`Evaluator` subclass).
     evaluator_class = Evaluator
+    #: FLWOR hash-join detection while interpreting — a property of the
+    #: engine profile that compiled the query, which stamps it here.
+    optimize_joins = True
 
     def __init__(self, source: str,
                  registry: Optional[ModuleRegistry] = None) -> None:
@@ -1521,7 +1524,7 @@ class CompiledQuery:
                              options.doc_resolver, options.xrpc_handler)
         ctx.pul = PendingUpdateList()
         ctx.put_store = options.put_store
-        ctx.optimize_joins = options.optimize_joins
+        ctx.optimize_joins = self.optimize_joins
         if options.context_item is not None:
             ctx.focus_item = options.context_item
             ctx.focus_position = 1

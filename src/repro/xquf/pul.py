@@ -235,6 +235,18 @@ class PendingUpdateList:
         return bool(self.primitives)
 
 
+def updated_uris(pul: PendingUpdateList) -> list[str]:
+    """URIs of the documents whose trees *pul*'s primitives mutate, in
+    first-touch order (what a peer version-bumps, what a snapshot
+    conflict-checks and commits)."""
+    uris: list[str] = []
+    for primitive in pul.primitives:
+        root = primitive.target.root()
+        if isinstance(root, DocumentNode) and root.uri and root.uri not in uris:
+            uris.append(root.uri)
+    return uris
+
+
 class _TreeState:
     """Per-tree bookkeeping of one :func:`apply_updates` run."""
 

@@ -49,6 +49,11 @@ def start_updates(network, participants, value="4"):
     return query_id, session
 
 
+def txn_session(transport, query_id):
+    """The coordinator's way to the wire: a session for the queryID."""
+    return ClientSession(transport, origin="p0", query_id=query_id)
+
+
 def blackholed(network, *destinations):
     return FaultInjectingTransport(
         network, FaultPlan(blackhole=frozenset(destinations)))
@@ -63,8 +68,8 @@ class TestPrepareFailures:
         query_id, _ = start_updates(network, ["p1", "p2"])
 
         # p2 stops answering before phase 1.
-        coordinator = TransactionCoordinator(blackholed(network, "p2"),
-                                             query_id)
+        coordinator = TransactionCoordinator(
+            txn_session(blackholed(network, "p2"), query_id))
         coordinator.register("p1")
         coordinator.register("p2")
         outcome = coordinator.run()
@@ -84,8 +89,8 @@ class TestPrepareFailures:
         txn_peer(network, "p0")
         p1 = txn_peer(network, "p1")
         query_id, _ = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(blackholed(network, "p1"),
-                                             query_id)
+        coordinator = TransactionCoordinator(
+            txn_session(blackholed(network, "p1"), query_id))
         coordinator.register("p1")
         outcome = coordinator.run()
         assert not outcome.committed
@@ -100,13 +105,14 @@ class TestCoordinatorCrashRecovery:
         p1 = txn_peer(network, "p1")
         query_id, _ = start_updates(network, ["p1"])
 
-        first = TransactionCoordinator(network, query_id)
+        first = TransactionCoordinator(txn_session(network, query_id))
         first.register("p1")
         assert first.prepare().votes == {"p1": True}
         assert first.state == "prepared"
         del first  # coordinator crashes holding the prepared mark
 
-        resumed = TransactionCoordinator.resume(network, query_id, ["p1"])
+        resumed = TransactionCoordinator.resume(
+            txn_session(network, query_id), ["p1"])
         outcome = resumed.commit()
         assert outcome.committed
         assert resumed.state == "committed"
@@ -118,14 +124,15 @@ class TestCoordinatorCrashRecovery:
         txn_peer(network, "p0")
         p1 = txn_peer(network, "p1")
         query_id, _ = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = TransactionCoordinator(txn_session(network, query_id))
         coordinator.register("p1")
         assert coordinator.run().committed
 
         # The commit decision arrives again (the ack was lost): the
         # participant re-acknowledges from its decision log without
         # applying anything a second time.
-        replay = TransactionCoordinator.resume(network, query_id, ["p1"])
+        replay = TransactionCoordinator.resume(
+            txn_session(network, query_id), ["p1"])
         outcome = replay.commit()
         assert outcome.committed
         assert counter(p1) == "4"
@@ -137,14 +144,14 @@ class TestCoordinatorCrashRecovery:
         p1 = txn_peer(network, "p1")
         p2 = txn_peer(network, "p2")
         query_id, _ = start_updates(network, ["p1", "p2"])
-        prepare_side = TransactionCoordinator(network, query_id)
+        prepare_side = TransactionCoordinator(txn_session(network, query_id))
         prepare_side.register("p1")
         prepare_side.register("p2")
         assert prepare_side.prepare().votes == {"p1": True, "p2": True}
 
         # The decision is COMMIT; p2 is unreachable when it lands.
-        deciding = TransactionCoordinator.resume(blackholed(network, "p2"),
-                                                 query_id, ["p1", "p2"])
+        deciding = TransactionCoordinator.resume(
+            txn_session(blackholed(network, "p2"), query_id), ["p1", "p2"])
         outcome = deciding.commit()
         assert not outcome.committed
         assert outcome.votes == {"p1": True, "p2": False}
@@ -154,8 +161,8 @@ class TestCoordinatorCrashRecovery:
 
         # Reconnect: replaying the decision completes the transaction
         # and p1 (already committed) answers from its decision log.
-        recovered = TransactionCoordinator.resume(network, query_id,
-                                                  ["p1", "p2"])
+        recovered = TransactionCoordinator.resume(
+            txn_session(network, query_id), ["p1", "p2"])
         outcome = recovered.commit()
         assert outcome.committed
         assert recovered.state == "committed"
@@ -171,7 +178,7 @@ class TestDecisionLog:
         txn_peer(network, "p0")
         txn_peer(network, "p1")
         query_id, session = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = TransactionCoordinator(txn_session(network, query_id))
         coordinator.register("p1")
         assert coordinator.run().committed
 
@@ -184,7 +191,7 @@ class TestDecisionLog:
         txn_peer(network, "p0")
         p1 = txn_peer(network, "p1")
         query_id, session = start_updates(network, ["p1"])
-        coordinator = TransactionCoordinator(network, query_id)
+        coordinator = TransactionCoordinator(txn_session(network, query_id))
         coordinator.register("p1")
         coordinator.rollback()
 
@@ -203,3 +210,63 @@ class TestDecisionLog:
         manager.rollback(query_id)  # never acquired here
         with pytest.raises(TransactionError):
             manager.commit(query_id)
+
+
+class _DeafToCommit(FaultInjectingTransport):
+    """A network on which *destination* stops answering exactly when
+    the commit decision is delivered (calls and prepare get through);
+    ``heal()`` reconnects it."""
+
+    def __init__(self, inner, destination):
+        super().__init__(inner, FaultPlan())
+        self.destination = destination
+
+    def exchange(self, spec):
+        if self.destination is not None and "<xrpc:commit " in spec.payload \
+                and spec.destination.endswith(self.destination):
+            self.plan = FaultPlan(blackhole=frozenset({self.destination}))
+        return super().exchange(spec)
+
+    def heal(self):
+        self.destination = None
+        self.plan = FaultPlan()
+
+
+class TestOriginatorCommit:
+    """`XRPCPeer.execute_query` drives 2PC through the coordinator."""
+
+    QUERY = """
+    import module namespace c = "urn:counter" at "c.xq";
+    declare option xrpc:isolation "repeatable";
+    ( execute at {"xrpc://p1"} { c:bump("1") },
+      execute at {"xrpc://p2"} { c:bump("2") },
+      execute at {"xrpc://p3"} { c:bump("3") } )
+    """
+
+    def test_commit_reaches_every_reachable_participant(self):
+        network = _DeafToCommit(SimulatedNetwork(), "p2")
+        p0 = txn_peer(network, "p0")
+        p1, p2, p3 = (txn_peer(network, name) for name in ("p1", "p2", "p3"))
+
+        with pytest.raises(TransactionError, match="p2 unreachable at commit"):
+            p0.execute_query(self.QUERY)
+
+        # The decision was COMMIT: the participant listed *after* the
+        # unreachable one received it too, and nobody was rolled back.
+        assert [counter(peer) for peer in (p1, p2, p3)] == ["1", "0", "3"]
+        assert journal(p1) == journal(p3) == ["prepare", "commit"]
+        assert journal(p2) == ["prepare"]  # prepared, awaiting the replay
+
+        # Reconnect: replaying the decision from the coordinator's
+        # record completes p2 exactly once; p1 and p3 re-acknowledge
+        # from their decision logs.
+        network.heal()
+        [(_, (host, timestamp))] = p2.isolation.log.records
+        query_id = QueryID(host=host, timestamp=timestamp, timeout=60)
+        replay = TransactionCoordinator.resume(
+            txn_session(network, query_id), ["p1", "p2", "p3"])
+        assert replay.commit().committed
+        assert replay.state == "committed"
+        assert [counter(peer) for peer in (p1, p2, p3)] == ["1", "2", "3"]
+        for peer in (p1, p2, p3):
+            assert journal(peer) == ["prepare", "commit"]

@@ -61,7 +61,7 @@ def assert_prediction_agrees(source, warm=True, variables=None):
     * dynamic bail     -> the analyzer said liftable but declared the
       bail's code among its ``dynamic_risks`` (the honesty label).
     """
-    engine = Engine(plan_cache=False)
+    engine = Engine()
     context = _context(warm=warm, variables=variables)
     _, explain = engine.execute(source, context)
     analysis = explain.analysis
@@ -416,14 +416,14 @@ class TestDiagnostics:
 
 class TestSurfacing:
     def test_explain_carries_analysis(self):
-        engine = Engine(plan_cache=False)
+        engine = Engine()
         _, explain = engine.execute("doc('r.xml')//item", _context())
         assert explain.analysis is not None
         assert explain.analysis.liftable
         assert "analysis: liftable=yes" in explain.render()
 
     def test_explain_analysis_on_fallback(self):
-        engine = Engine(plan_cache=False)
+        engine = Engine()
         _, explain = engine.execute("count(doc('r.xml')//item)",
                                     _context())
         assert explain.plan == "interpreter"

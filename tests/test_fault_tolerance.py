@@ -13,6 +13,7 @@ from repro.errors import (
 from repro.net import SimulatedNetwork
 from repro.net.clock import VirtualClock
 from repro.net.faults import FaultInjectingTransport, FaultPlan
+from repro.net.http import HttpTransport
 from repro.net.pool import ConnectionPool
 from repro.net.retry import (
     BreakerRegistry,
@@ -21,10 +22,12 @@ from repro.net.retry import (
     ResilientChannel,
     RetryPolicy,
 )
-from repro.net.transport import ExchangeSpec, Transport
+from repro.net.transport import Transport
 from repro.obs import Scope
 from repro.rpc import XRPCPeer
 from repro.session import Database
+from repro.soap.messages import XRPCRequest, build_request, parse_response
+from repro.wrapper import XRPCWrapper
 from tests.helpers import strings
 
 
@@ -35,9 +38,6 @@ class ScriptedTransport(Transport):
         self.outcomes = list(outcomes)
         self.clock = VirtualClock()
         self.exchanges = 0
-
-    def send(self, destination, payload):
-        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange(self, spec):
         self.exchanges += 1
@@ -138,11 +138,17 @@ class TestCircuitBreaker:
             is not registry.get("z.example.org")
 
     def test_disabled_registry_never_opens(self):
-        registry = BreakerRegistry(failure_threshold=1, enabled=False)
+        # There is no "off" switch any more — a registry is its
+        # breakers; one that should never open gets a threshold no run
+        # of failures reaches.
+        with pytest.raises(TypeError):
+            BreakerRegistry(failure_threshold=1, enabled=False)
+        registry = BreakerRegistry(failure_threshold=10**9)
         breaker = registry.get("y")
-        assert not breaker.record_failure(now=0.0)
+        for _ in range(100):
+            assert not breaker.record_failure(now=0.0)
         assert breaker.allow(now=0.0)
-        assert registry.snapshot() == {}
+        assert registry.snapshot() == {"y": "closed"}
 
 
 class TestRetryMatrix:
@@ -377,13 +383,26 @@ class TestPoolErrorPaths:
         assert connection.closed
 
     def test_pool_breaker_fast_fails(self):
+        # One breaker layer: the pool and the transport take no
+        # registry; the channel's breaker is what fast-fails the second
+        # exchange to a dead address over real HTTP.
         breakers = BreakerRegistry(failure_threshold=1, cooldown=1000.0)
-        pool = ConnectionPool(breakers=breakers)
-        # Nothing listens on this port: first dial fails and opens.
-        with pytest.raises(TransportError):
-            pool.request("127.0.0.1:9", "/", b"x", {})
-        with pytest.raises(CircuitOpenError):
-            pool.request("127.0.0.1:9", "/", b"x", {})
+        with pytest.raises(TypeError):
+            ConnectionPool(breakers=breakers)
+        with pytest.raises(TypeError):
+            HttpTransport(breakers=breakers)
+        with HttpTransport({"dead": "127.0.0.1:9"}) as transport:
+            channel = ResilientChannel(
+                transport, policy=RetryPolicy(max_attempts=1),
+                breakers=breakers)
+            # Nothing listens on this port: first dial fails and opens.
+            with pytest.raises(RetryableTransportError):
+                channel.exchange("dead", passthrough, lambda raw: raw)
+            with Scope() as scope:
+                with pytest.raises(CircuitOpenError):
+                    channel.exchange("dead", passthrough, lambda raw: raw)
+            assert scope.counters["net.breaker_fast_fails"] == 1
+            assert "net.exchanges" not in scope.counters  # never dialled
 
 
 class _FlakyOnce(Transport):
@@ -394,9 +413,6 @@ class _FlakyOnce(Transport):
         self.error = error or RetryableTransportError(
             "first attempt reset", request_sent=True)
         self.failed = set()
-
-    def send(self, destination, payload):
-        return self.exchange(ExchangeSpec(destination, payload))
 
     def exchange(self, spec):
         key = spec.destination
@@ -476,6 +492,32 @@ class TestNoPayloadSniffRegression:
         # The reset was injected before the handler could run; crucially
         # the client made exactly one attempt — no replay of an update.
         assert server.store.get("counter.xml").string_value() == "0"
+
+
+class TestWrapperDataShipping:
+    """The wrapper's ``fn:doc("xrpc://...")`` fetch is a product
+    exchange like any other: it takes the resilient channel."""
+
+    MODULE = """
+    module namespace r = "remote-films";
+    declare function r:names() as xs:string*
+    { for $n in doc("xrpc://y.example.org/filmDB.xml")//name
+      return string($n) };
+    """
+
+    def test_fetch_reset_on_first_attempt_is_retried(self):
+        flaky = _FlakyOnce(SimulatedNetwork())
+        source = XRPCPeer("y.example.org", flaky)
+        source.store.register("filmDB.xml", FILMS_Y)
+        wrapper = XRPCWrapper(transport=flaky, host="saxon.example.org")
+        wrapper.engine.registry.register_source(self.MODULE, location="r.xq")
+        request = XRPCRequest(module="remote-films", method="names",
+                              arity=0, location="r.xq")
+        request.add_call([])
+        response = parse_response(wrapper.handle(build_request(request)))
+        assert strings(response.results[0]) == ["The Rock"]
+        assert flaky.failed == {"y.example.org"}  # reset, then ok
+        assert source.server.requests_handled == 1
 
 
 MULTI_SITE_QUERY = f"""
@@ -560,7 +602,7 @@ class TestPartialResults:
                 seen.append(network.clock.now() - started)
             return seen
 
-        without = latencies(BreakerRegistry(enabled=False))
+        without = latencies(BreakerRegistry(failure_threshold=10**9))
         guarded = latencies(BreakerRegistry(failure_threshold=3,
                                             cooldown=1000.0))
         assert min(without) >= 3 * 0.5  # three attempts, full burn
@@ -655,11 +697,18 @@ class TestTelemetry:
             assert isinstance(counters[f"net.{name}"], int)
 
     def test_database_search_validates_policy(self):
+        # A local database has no peer to skip: the option is gone
+        # there, and both distributed surfaces validate it the same way.
         db = Database()
         db.register("d.xml", "<d>needle</d>")
-        assert db.search("needle", on_peer_failure="degrade")
-        with pytest.raises(ValueError):
-            db.search("needle", on_peer_failure="nope")
+        assert db.search("needle")
+        with pytest.raises(TypeError):
+            db.search("needle", on_peer_failure="degrade")
+        origin = XRPCPeer("p0.example.org", SimulatedNetwork())
+        for call in (lambda: origin.execute_query("1", on_peer_failure="no"),
+                     lambda: origin.keyword_search("x", on_peer_failure="no")):
+            with pytest.raises(ValueError, match="'fail' or 'degrade'"):
+                call()
 
     def test_database_timeout_budget_enforced(self):
         db = Database()

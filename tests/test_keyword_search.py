@@ -23,6 +23,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algebra.paths import contains_filter
+from repro.algebra.table import Table
 from repro.net import SimulatedNetwork
 from repro.rpc import XRPCPeer
 from repro.search.index import TermIndex, keyword_search, term_index_for
@@ -142,12 +144,15 @@ class TestContainsKernel:
 
 
 class TestContainsScanKernel:
-    """The full-document posting-anchored scan (the benchmark kernel)."""
+    """Every element of a document holding the needle, found the way
+    lifted ``contains`` finds it (``contains_plan().candidate`` +
+    verify) — the contract of the former whole-document scan kernel,
+    held against the same oracle."""
 
     @pytest.mark.parametrize("needle", NEEDLES)
     def test_oracle_equal_on_xmark(self, needle):
-        root = parse_document(generate_persons(CONFIG))
-        assert term_index_for(root).contains_scan(needle) \
+        root = densify(parse_document(generate_persons(CONFIG)))
+        assert contains_matches(root, needle) \
             == naive_contains_scan(root, needle)
 
     @pytest.mark.parametrize("needle",
@@ -155,12 +160,12 @@ class TestContainsScanKernel:
                               "world", "wide", "untouched"])
     def test_seam_spanning_needles(self, needle):
         root = parse_document(SEAM_DOC)
-        assert term_index_for(root).contains_scan(needle) \
+        assert contains_matches(root, needle) \
             == naive_contains_scan(root, needle)
 
     def test_window_bounded_no_false_positive_leak(self):
         root = parse_document("<doc><a>worl</a><b>dwide</b></doc>")
-        scanned = term_index_for(root).contains_scan("worldwide")
+        scanned = contains_matches(root, "worldwide")
         assert scanned == naive_contains_scan(root, "worldwide")
         # The occurrence spans both texts: only <doc> holds it, never
         # the sibling <a>/<b> leaves.
@@ -171,19 +176,21 @@ class TestContainsScanKernel:
         db.register("d.xml", "<doc><d>worl<b/>dwide</d><e>keep</e></doc>")
         root = db.store.get("d.xml")
         index = term_index_for(root)
-        assert [node.name for node in index.contains_scan("worldwide")] \
+        plan = index.contains_plan("worldwide")
+        assert [node.name for node in contains_matches(root, "worldwide")] \
             == ["doc", "d"]
         db.execute("delete node doc('d.xml')//d/text()[1]")
         root = db.store.get("d.xml")
         assert term_index_for(root) is index  # survived the PUL
-        assert index.contains_scan("worldwide") \
+        assert index.contains_plan("worldwide") is not plan  # dropped
+        assert contains_matches(root, "worldwide") \
             == naive_contains_scan(root, "worldwide") == []
         db.execute("replace value of node doc('d.xml')//e "
                    "with 'worldwide shipping'")
         root = db.store.get("d.xml")
-        assert [node.name for node in index.contains_scan("worldwide")] \
+        assert [node.name for node in contains_matches(root, "worldwide")] \
             == ["doc", "e"]
-        assert index.contains_scan("worldwide") \
+        assert contains_matches(root, "worldwide") \
             == naive_contains_scan(root, "worldwide")
 
 
@@ -589,8 +596,15 @@ class TestPropertyEquivalence:
            needle=st.text(alphabet="ab -", max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_contains_scan_equals_oracle(self, doc, needle):
+        # The product's kernel itself: every element of the document as
+        # one candidate table through the lifted `contains` filter.
         for root in (parse_document(doc), densify(parse_document(doc))):
-            assert term_index_for(root).contains_scan(needle) \
+            elements = [node for node in root.descendants(include_self=True)
+                        if isinstance(node, ElementNode)]
+            table = Table(
+                ("iter", "pos", "item"),
+                [(1, pos, node) for pos, node in enumerate(elements, 1)])
+            assert contains_filter(table, needle).column_values("item") \
                 == naive_contains_scan(root, needle)
 
     @given(doc=mixed_content_docs(),

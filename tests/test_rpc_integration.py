@@ -7,7 +7,7 @@ semantics across peers, fault propagation, and nested calls.
 
 import pytest
 
-from repro.engine import MonetEngine, TreeEngine
+from repro.engine import Engine, TreeEngine
 from repro.errors import XRPCFault
 from repro.net import SimulatedNetwork
 from repro.rpc import XRPCPeer
@@ -296,13 +296,19 @@ class TestEngineProfiles:
         for $a in ("Sean Connery", "Gerard Depardieu")
         return execute at {"xrpc://b"} { f:filmsByActor($a) }
         """
+        assert not TreeEngine.bulk_rpc and Engine.bulk_rpc
         result = p0.execute_query(query)
         assert not result.used_bulk_rpc
         assert result.messages_sent == 2
 
     def test_monet_function_cache_hits(self, network):
+        # The default engine IS the MonetDB/XQuery profile; a profile is
+        # a class and takes no options.
+        with pytest.raises(TypeError):
+            Engine(function_cache=True)
         p0 = XRPCPeer("a", network)
-        p1 = XRPCPeer("b", network, engine=MonetEngine(function_cache=True))
+        p1 = XRPCPeer("b", network)
+        assert type(p1.engine) is Engine and Engine.plan_cache_enabled
         for peer in (p0, p1):
             peer.registry.register_source(FILM_MODULE, location="f.xq")
         p1.store.register("filmDB.xml", FILMS_Y)
@@ -314,3 +320,7 @@ class TestEngineProfiles:
         """
         p0.execute_query(query)
         assert p1.engine.function_cache_lookup(key)
+        # The Saxon profile never remembers a translated plan.
+        tree = TreeEngine()
+        tree.function_cache_store(key)
+        assert not tree.function_cache_lookup(key)

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.engine import Engine
-from repro.engine.base import Explain
+from repro.engine.base import PLAN_CACHE_SIZE, Explain
 from repro.net import SimulatedNetwork
 from repro.rpc import XRPCPeer
 from repro.session import Database, ExecutionContext, PreparedQuery
@@ -147,8 +147,11 @@ class TestLowLevelEntryPoints:
 
 
 class TestPlanCacheLRU:
-    def test_cache_bounded_with_lru_eviction(self):
-        engine = Engine(plan_cache_size=2)
+    """The bound is one module constant, not a constructor option."""
+
+    def test_cache_bounded_with_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.base.PLAN_CACHE_SIZE", 2)
+        engine = Engine()
         engine.compile("1 + 1")
         engine.compile("2 + 2")
         engine.compile("3 + 3")  # evicts "1 + 1"
@@ -157,8 +160,9 @@ class TestPlanCacheLRU:
         engine.compile("1 + 1")  # must recompile
         assert engine.plan_cache_misses == misses_before + 1
 
-    def test_hit_refreshes_recency(self):
-        engine = Engine(plan_cache_size=2)
+    def test_hit_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.base.PLAN_CACHE_SIZE", 2)
+        engine = Engine()
         engine.compile("1 + 1")
         engine.compile("2 + 2")
         engine.compile("1 + 1")  # refresh: now "2 + 2" is oldest
@@ -168,10 +172,16 @@ class TestPlanCacheLRU:
         assert engine.plan_cache_hits == hits_before + 1
 
     def test_unbounded_when_size_none(self):
-        engine = Engine(plan_cache_size=None)
+        # The unbounded cache left with the option: the bound always
+        # holds, and asking for "none" is a TypeError.
+        with pytest.raises(TypeError):
+            Engine(plan_cache_size=None)
+        engine = Engine()
         for n in range(300):
             engine.compile(f"{n} + {n}")
-        assert engine.cache_stats()["plan_cache_entries"] == 300
+        stats = engine.cache_stats()
+        assert stats["plan_cache_entries"] == stats["plan_cache_size"] \
+            == PLAN_CACHE_SIZE == 256
 
     def test_hit_miss_counters(self):
         engine = Engine()
@@ -218,8 +228,9 @@ class TestThreadSafety:
         stats = db.stats()
         assert stats.executions == 2 + 8 * 10 * 3
 
-    def test_concurrent_compile_bounded_cache(self):
-        engine = Engine(plan_cache_size=4)
+    def test_concurrent_compile_bounded_cache(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.base.PLAN_CACHE_SIZE", 4)
+        engine = Engine()
         errors: list = []
 
         def compiler(seed: int) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import MonetEngine, TreeEngine
+from repro.engine import TreeEngine
 from repro.net import SimulatedNetwork
 from repro.rpc import XRPCPeer
 from repro.strategies import (
@@ -83,7 +83,7 @@ class TestStrategyQueries:
 def two_peer_site():
     config = XMarkConfig(persons=25, closed_auctions=120, matches=4)
     network = SimulatedNetwork()
-    peer_a = XRPCPeer("A", network, engine=MonetEngine())
+    peer_a = XRPCPeer("A", network)
     peer_a.registry.register_source(FUNCTIONS_B_MODULE,
                                     location=FUNCTIONS_B_LOCATION)
     peer_a.store.register("persons.xml", generate_persons(config))
@@ -91,7 +91,7 @@ def two_peer_site():
     wrapper.engine.registry.register_source(FUNCTIONS_B_MODULE,
                                             location=FUNCTIONS_B_LOCATION)
     wrapper.store.register("auctions.xml", generate_auctions(config))
-    doc_server = XRPCPeer("B", network, engine=MonetEngine())
+    doc_server = XRPCPeer("B", network)
     doc_server.store = wrapper.store
 
     def routed(payload: str) -> str:
