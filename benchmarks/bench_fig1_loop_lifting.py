@@ -9,6 +9,8 @@ the translation rule are caught where the paper specifies them.
 
 from repro.pathfinder import LoopLiftedQuery
 from repro.xdm.atomic import string
+from repro.xquery.context import ExecutionContext
+from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
 
 FILM_MODULE = """
@@ -43,8 +45,8 @@ def _dispatch(peer, module, location, function, arity, calls, updating):
 def _run_traced():
     registry = ModuleRegistry()
     registry.register_source(FILM_MODULE, location="film.xq")
-    query = LoopLiftedQuery(Q3, registry=registry, dispatch=_dispatch,
-                            trace=True)
+    query = LoopLiftedQuery(CompiledQuery(Q3, registry),
+                            ExecutionContext(dispatch=_dispatch), trace=True)
     result = query.run()
     return result, query.trace
 
@@ -86,8 +88,8 @@ def test_loop_lifting_scales(benchmark):
 
     def run():
         calls_seen.clear()
-        query = LoopLiftedQuery(query_text, registry=registry,
-                                dispatch=dispatch)
+        query = LoopLiftedQuery(CompiledQuery(query_text, registry),
+                                ExecutionContext(dispatch=dispatch))
         return query.run()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)

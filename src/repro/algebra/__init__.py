@@ -24,6 +24,6 @@ staircase-pruned window scans over the structural index columns.
 """
 
 from repro.algebra.table import Table
-from repro.algebra.paths import LIFTED_AXES, axis_step
+from repro.algebra.paths import axis_step
 
-__all__ = ["Table", "LIFTED_AXES", "axis_step"]
+__all__ = ["Table", "axis_step"]

@@ -23,8 +23,6 @@ from repro.algebra.table import Table
 from repro.xdm.nodes import AttributeNode, Node
 from repro.xdm.sequence import document_order_sort
 from repro.xdm.structural import (
-    BATCHED_AXES,
-    REVERSE_AXES,
     axis_scan_batched,
     axis_window_scan,
     split_context,
@@ -34,21 +32,12 @@ from repro.xdm.structural import (
 from repro.xquery.evaluator import axis_value_index, positional_spec_keep
 
 __all__ = [
-    "LIFTED_AXES",
-    "REVERSE_AXES",
     "axis_step",
     "contains_filter",
     "equality_probe_step",
     "merge_exploded_contexts",
     "positional_filter",
 ]
-
-#: Axes the algebra layer evaluates as window scans — since the lifted
-#: core closed, *every* XPath axis: the downward axes, ``parent``/
-#: ``ancestor(-or-self)`` over the index's owner chain, ``following``/
-#: ``preceding`` as staircase boundary windows, and the sibling axes as
-#: parent-window size-skips.
-LIFTED_AXES = BATCHED_AXES
 
 
 def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
@@ -66,7 +55,7 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
     table:
         ``iter|pos|item`` relation whose items are all nodes.
     axis:
-        One of :data:`LIFTED_AXES`.
+        Any XPath axis; all twelve are window scans over the index.
     matches:
         Node-test predicate for candidates (see
         :func:`repro.xquery.evaluator.node_test_matches`).
@@ -84,11 +73,9 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
     Raises
     ------
     ValueError:
-        Unsupported axis, or a non-node item in the context (callers
-        translate this into their fallback signal).
+        A non-node item in the context, or an axis name that is not
+        XPath's (callers translate this into their fallback signal).
     """
-    if axis not in LIFTED_AXES:
-        raise ValueError(f"axis {axis} is not lifted")
     iter_index = table.col("iter")
     item_index = table.col("item")
     # Group rows by iteration, preserving the table's (typically already
@@ -115,7 +102,6 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
     # single tree node of the same tree — the shape every for-lifted
     # step produces — scan in ONE set-at-a-time pass instead of paying
     # per-iteration grouping/pruning/dispatch overhead.
-    batchable = axis in BATCHED_AXES
     pending: list[tuple] = []
     pending_index = None
 
@@ -139,7 +125,7 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
 
     for it in iters:
         members = by_iter[it]
-        if batchable and len(members) == 1 \
+        if len(members) == 1 \
                 and not isinstance(members[0], AttributeNode):
             node = members[0]
             index = structural_index(node.root())
@@ -182,6 +168,8 @@ def contains_filter(table: Table, needle: str) -> Table:
     Rows keep document order within each iteration; ``pos`` is
     re-derived dense per iteration, exactly like the other predicates.
     """
+    if not table.rows:
+        return table  # no candidate: no search is made, none is counted
     from repro.search.index import term_index_for
     from repro.search.stats import SEARCH_STATS
 

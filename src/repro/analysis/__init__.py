@@ -8,11 +8,11 @@ Boncz, VLDB'07): can the plan loop-lift, is the query updating, which
 ``line:column`` source span.
 
 Entry point: :func:`analyze_compiled` (memoized per compiled query, so
-plan-cache hits pay nothing).  The liftability verdict is produced by
-the loop-lifting compiler's own :meth:`preflight
-<repro.pathfinder.compiler.LoopLiftingCompiler.preflight>` plus a
-static mirror of its environment checks — the predictor reuses the
-compiler rather than re-implementing it, so the two cannot drift.
+plan-cache hits pay nothing).  The liftability verdict is the
+loop-lifting compiler's own :meth:`check
+<repro.pathfinder.compiler.LoopLiftingCompiler.check>` — the plan run
+over zero iterations — so "liftable" is a question only the compiler
+answers, once per prepared query; executions consult the answer.
 """
 
 from repro.analysis.analyzer import analyze_compiled

@@ -4,14 +4,15 @@
 answers four questions:
 
 * **liftability** — will the loop-lifting pipeline take this query, or
-  fall back to the interpreter?  The verdict reuses the lifted
-  compiler's own :meth:`preflight
-  <repro.pathfinder.compiler.LoopLiftingCompiler.preflight>` (run with
-  sentinel dispatch/doc-resolver capabilities) followed by a static
-  mirror of :meth:`compile_expr`'s environment checks, so the predictor
-  and the compiler cannot disagree: any statically detectable
-  :class:`UnsupportedExpression` the runtime would raise, the analyzer
-  reports with the *same* message and stable code.
+  fall back to the interpreter?  The verdict is the lifted compiler's
+  own :meth:`check
+  <repro.pathfinder.compiler.LoopLiftingCompiler.check>` — the plan run
+  over zero iterations, with sentinel dispatch/doc-resolver
+  capabilities — so there is no predictor to disagree with the
+  compiler: the first statically detectable
+  :class:`UnsupportedExpression` an execution would raise is the one
+  reported, message and stable code, and executions consult the
+  memoized verdict instead of deriving it again.
 * **updating-ness** — does the whole locally-evaluated expression tree
   (query body plus locally-called function bodies, transitively)
   contain XQUF update expressions, ``fn:put``, or updating remote
@@ -31,18 +32,14 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis.properties import Diagnostic, QueryProperties, SiteProfile
-from repro.errors import XRPCReproError
+from repro.errors import StaticError, XRPCReproError
 from repro.pathfinder.compiler import (
     LoopLiftingCompiler,
     UnsupportedExpression,
-    _unsupported,
 )
 from repro.xquery import xast as A
 from repro.xquery.context import FN_NS
-from repro.xquery.evaluator import (
-    _fuse_descendant_steps,
-    positional_predicate_spec,
-)
+from repro.xquery.evaluator import positional_predicate_spec
 from repro.xquery.functions import builtin_exists, builtin_known_name
 from repro.xquery.lexer import source_location
 
@@ -55,96 +52,17 @@ _UPDATE_NODES = (A.InsertExpr, A.DeleteExpr, A.ReplaceExpr, A.RenameExpr)
 
 
 # ---------------------------------------------------------------------------
-# Liftability: preflight + a static mirror of compile_expr's env checks
-
-
-def _check_bindings(expr: A.Expr, bound: set, dot: bool) -> None:
-    """Raise the :class:`UnsupportedExpression` that
-    :meth:`LoopLiftingCompiler.compile_expr` would raise for the first
-    unbound variable / missing context item, in evaluation order.
-
-    ``compile_expr`` evaluates every branch structurally (compilation
-    *is* evaluation over iter|pos|item tables), so a static walk over
-    the same shapes is exact: no data-dependent path can skip an
-    environment failure.  Only node kinds :meth:`preflight` admits can
-    reach this walk — everything else already raised there.
-    """
-    if isinstance(expr, A.Literal):
-        return
-    if isinstance(expr, A.VarRef):
-        if expr.name not in bound:
-            raise _unsupported(expr, f"unbound variable ${expr.name}",
-                               "unbound-variable")
-        return
-    if isinstance(expr, A.ContextItem):
-        if not dot:
-            raise _unsupported(expr, "no context item in scope",
-                               "context-item")
-        return
-    if isinstance(expr, A.SequenceExpr):
-        for item in expr.items:
-            _check_bindings(item, bound, dot)
-        return
-    if isinstance(expr, A.RangeExpr):
-        _check_bindings(expr.start, bound, dot)
-        _check_bindings(expr.end, bound, dot)
-        return
-    if isinstance(expr, A.FLWOR):
-        bound = set(bound)
-        for clause in expr.clauses:
-            if isinstance(clause, A.LetClause):
-                _check_bindings(clause.value, bound, dot)
-                bound.add(clause.var)
-            elif isinstance(clause, A.ForClause):
-                _check_bindings(clause.source, bound, dot)
-                bound.add(clause.var)
-                if clause.position_var:
-                    bound.add(clause.position_var)
-            elif isinstance(clause, A.WhereClause):
-                _check_bindings(clause.condition, bound, dot)
-        _check_bindings(expr.return_expr, bound, dot)
-        return
-    if isinstance(expr, A.ExecuteAt):
-        _check_bindings(expr.destination, bound, dot)
-        for arg in expr.call.args:
-            _check_bindings(arg, bound, dot)
-        return
-    if isinstance(expr, (A.Arithmetic, A.Comparison)):
-        _check_bindings(expr.left, bound, dot)
-        _check_bindings(expr.right, bound, dot)
-        return
-    if isinstance(expr, A.FunctionCall):
-        for arg in expr.args:
-            _check_bindings(arg, bound, dot)
-        return
-    if isinstance(expr, A.PathExpr):
-        if expr.absolute != "none":
-            if not dot:
-                raise _unsupported(
-                    expr, "absolute path without a context item",
-                    "context-item")
-        elif expr.start is None:
-            if not dot:
-                raise _unsupported(
-                    expr, "relative path without a context item",
-                    "context-item")
-        else:
-            _check_bindings(expr.start, bound, dot)
-        for step in _fuse_descendant_steps(list(expr.steps)):
-            for predicate in step.predicates:
-                if positional_predicate_spec(predicate) is not None:
-                    continue  # lifted as a rank computation, never compiled
-                # Non-positional predicates compile with the candidate
-                # node bound as the context item.
-                _check_bindings(predicate, bound, True)
-        return
+# Liftability: the lifted compiler over zero iterations
 
 
 def _predict_lift(compiled, *, has_dispatch: bool, has_doc_resolver: bool,
                   bound: set, context_item: bool):
-    """``(liftable, fallback_reason, fallback_code)`` — exactly what
-    :meth:`Engine.attempt_lifted` will observe for this query under the
-    given capabilities and bindings."""
+    """``(liftable, fallback_reason, fallback_code)`` — what
+    :meth:`LoopLiftingCompiler.check` raises under the given
+    capabilities (sentinels: the dry run calls none) and bindings.  A
+    :class:`StaticError` (an ``execute at`` function name that does not
+    resolve) is not a verdict: the query stays liftable, the
+    diagnostics report the error, execution raises it."""
     body = compiled.ast.body
     if body is None:
         return False, "QueryModule: library module has no query body", \
@@ -154,12 +72,11 @@ def _predict_lift(compiled, *, has_dispatch: bool, has_doc_resolver: bool,
         dispatch=_sentinel_capability if has_dispatch else None,
         doc_resolver=_sentinel_capability if has_doc_resolver else None)
     try:
-        # Same order as LoopLiftedQuery.run: whole-tree preflight first,
-        # then environment failures in evaluation order.
-        checker.preflight(body)
-        _check_bindings(body, bound, context_item)
+        checker.check(body, bound, context_item)
     except UnsupportedExpression as error:
         return False, str(error), error.code
+    except StaticError:
+        pass
     return True, None, None
 
 
@@ -492,7 +409,7 @@ def analyze_compiled(compiled, *, has_dispatch: bool = False,
                  if decl.external}
         extra_scope = set()
     # Declared-with-value variables never enter the lifted environment
-    # (LoopLiftedQuery.run binds only the passed variables), so they are
+    # (LoopLiftedQuery binds only the passed variables), so they are
     # deliberately absent from `bound`.
     liftable, reason, code = _predict_lift(
         compiled, has_dispatch=has_dispatch,

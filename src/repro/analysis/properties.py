@@ -72,9 +72,9 @@ class SiteProfile:
 class QueryProperties:
     """Everything the static pass learned about one compiled query.
 
-    ``liftable`` is the *static* verdict: the query passes the lifted
-    pipeline's preflight and environment checks under the analyzed
-    bindings.  A liftable query can still bail dynamically (runtime
+    ``liftable`` is the *static* verdict: the lifted compiler's dry run
+    (the plan over zero iterations) raises no fallback under the
+    analyzed capabilities and bindings.  A liftable query can still bail dynamically (runtime
     positional predicates, unresolvable documents, cardinality) —
     ``dynamic_risks`` lists the stable fallback codes that might fire;
     an empty tuple means the static verdict is definitive.

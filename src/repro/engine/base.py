@@ -12,6 +12,7 @@ from typing import Optional
 
 from repro import obs
 from repro.analysis import QueryProperties, analyze_compiled
+from repro.pathfinder import LoopLiftedQuery, UnsupportedExpression
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
@@ -155,10 +156,12 @@ class Engine:
         """Run a query through the lifted pipeline with interpreter
         fallback; returns ``(result, Explain)``.
 
-        The compiled query comes from the shared plan cache, and the
-        lifted pipeline statically preflights the AST, so
-        statically-unsupported queries fall back before any ``execute
-        at`` ships; a *dynamic* bail (runtime positional predicate,
+        The compiled query comes from the shared plan cache and its
+        static verdict (:meth:`analyze`, memoized: the lifted compiler
+        over zero iterations) is consulted, not re-derived, so a
+        statically-unsupported query goes to the interpreter before
+        any ``execute at`` ships and without a lifted attempt; a
+        *dynamic* bail (runtime positional predicate,
         non-node path item) can still occur mid-plan, so route queries
         with updating remote calls to the interpreter directly
         (``context.try_lifted = False``) if that matters.
@@ -179,11 +182,14 @@ class Engine:
         fallback_reason = None
         fallback_code = None
         with obs.Scope() as scope:
-            if options.try_lifted:
-                result, fallback_reason, fallback_code = self.attempt_lifted(
-                    source, compiled, options)
+            if options.try_lifted and analysis.liftable:
+                result, fallback_reason, fallback_code = \
+                    self.attempt_lifted(compiled, options)
                 if fallback_reason is None:
                     plan = "lifted"
+            elif options.try_lifted:
+                fallback_reason = analysis.fallback_reason
+                fallback_code = analysis.fallback_code
             self.record_plan(plan, fallback_reason, fallback_code)
             if plan == "interpreter":
                 result, pul = compiled.run(options)
@@ -212,20 +218,16 @@ class Engine:
             variables=set(options.variables or {}),
             context_item=options.context_item is not None)
 
-    def attempt_lifted(self, source: str, compiled: CompiledQuery,
+    def attempt_lifted(self, compiled: CompiledQuery,
                        context: ExecutionContext,
                        ) -> tuple[Optional[list], Optional[str], Optional[str]]:
-        """One lifted-plan attempt: ``(result, None, None)`` on success,
-        ``(None, fallback_reason, fallback_code)`` when the query is
-        outside the lifted core — shared by :meth:`execute` and the
-        peer's originating path, so fallback handling cannot drift
-        between them."""
-        from repro.pathfinder import LoopLiftedQuery, UnsupportedExpression
-
+        """One lifted-plan attempt at a query whose analysis under
+        *context* is ``liftable``: ``(result, None, None)`` on success,
+        ``(None, fallback_reason, fallback_code)`` on a dynamic bail —
+        shared by :meth:`execute` and the peer's originating path, so
+        fallback handling cannot drift between them."""
         try:
-            query = LoopLiftedQuery(source, compiled=compiled,
-                                    context=context)
-            return query.run(context=context), None, None
+            return LoopLiftedQuery(compiled, context).evaluate(), None, None
         except UnsupportedExpression as unsupported:
             return None, str(unsupported), unsupported.code
 

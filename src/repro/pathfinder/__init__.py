@@ -7,17 +7,19 @@ per-peer request table via the map-table construction, ship **one Bulk
 RPC per peer** (dispatched in parallel), and merge-union the mapped-back
 results to restore iteration order.
 
-Path expressions over the downward axes compile to relational axis-step
-operators (:mod:`repro.algebra.paths`) — window predicates over the
-structural index's pre/size/level columns — so queries mixing ``execute
-at`` with path steps no longer fall back wholesale to the interpreter.
+Path expressions over all twelve XPath axes compile to relational
+axis-step operators (:mod:`repro.algebra.paths`) — window predicates
+over the structural index's pre/size/level columns — so queries mixing
+``execute at`` with path steps do not fall back wholesale to the
+interpreter.  What is liftable only the compiler says:
+:meth:`LoopLiftingCompiler.check` is the plan run over zero iterations.
 :meth:`repro.engine.base.Engine.execute` provides the
 fallback-with-telemetry entry point.
 
 This module is the faithful, table-level realization of the paper's
-technique; the production query path of :class:`~repro.rpc.XRPCPeer`
-uses an operationally-equivalent batching executor that supports the
-full language (see DESIGN.md).
+technique; :class:`~repro.rpc.XRPCPeer` tries it first and routes what
+it does not take to an operationally-equivalent batching executor that
+supports the full language (README, "The pathfinder lifted core").
 """
 
 from repro.pathfinder.compiler import (

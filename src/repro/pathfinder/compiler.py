@@ -25,11 +25,9 @@ fallback telemetry can histogram *why* a query wasn't lifted.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.algebra.paths import (
-    LIFTED_AXES,
-    REVERSE_AXES,
     axis_step,
     contains_filter,
     equality_probe_step,
@@ -41,6 +39,7 @@ from repro.errors import XRPCReproError
 from repro.xdm.atomic import AtomicValue, general_compare_pair, integer, string
 from repro.xdm.nodes import Node
 from repro.xdm.sequence import atomize, effective_boolean_value
+from repro.xdm.structural import REVERSE_AXES
 from repro.xdm.types import xs
 from repro.xquery import xast as A
 from repro.xquery.context import ExecutionContext, StaticContext
@@ -125,7 +124,6 @@ class UnsupportedExpression(XRPCReproError):
     ===================== ==================================================
     code                  meaning
     ===================== ==================================================
-    axis-not-lifted       a step uses an axis outside :data:`LIFTED_AXES`
     step-not-lifted       a non-axis path step (filter-expression step)
     expr-not-lifted       an expression kind outside the core
     clause-not-lifted     a FLWOR clause kind outside the core
@@ -190,100 +188,22 @@ class LoopLiftingCompiler:
 
     # ------------------------------------------------------------------
 
-    def preflight(self, expr: A.Expr) -> None:
-        """Static liftability check, mirroring :meth:`compile_expr`.
-
-        Compilation in this pipeline *is* evaluation, so a mid-plan
-        :class:`UnsupportedExpression` could fire after an ``execute
-        at`` already shipped — and the interpreter fallback would ship
-        it again.  Walking the AST first makes every statically
-        detectable fallback happen before any side effect.  (Dynamic
-        bails — runtime positional predicate values, non-node path
-        items, unresolvable documents — can still surface later.)
-        """
-        if isinstance(expr, (A.Literal, A.VarRef, A.ContextItem)):
-            return
-        if isinstance(expr, A.SequenceExpr):
-            for item in expr.items:
-                self.preflight(item)
-            return
-        if isinstance(expr, A.RangeExpr):
-            self.preflight(expr.start)
-            self.preflight(expr.end)
-            return
-        if isinstance(expr, A.FLWOR):
-            for clause in expr.clauses:
-                if isinstance(clause, A.LetClause):
-                    self.preflight(clause.value)
-                elif isinstance(clause, A.ForClause):
-                    self.preflight(clause.source)
-                elif isinstance(clause, A.WhereClause):
-                    self.preflight(clause.condition)
-                else:
-                    raise _unsupported(clause, "outside the loop-lifted core",
-                                       "clause-not-lifted")
-            self.preflight(expr.return_expr)
-            return
-        if isinstance(expr, A.ExecuteAt):
-            if self.dispatch is None:
-                raise _unsupported(
-                    expr, "execute at requires a dispatch function",
-                    "dispatch")
-            self.preflight(expr.destination)
-            for arg in expr.call.args:
-                self.preflight(arg)
-            return
-        if isinstance(expr, A.Arithmetic):
-            self.preflight(expr.left)
-            self.preflight(expr.right)
-            return
-        if isinstance(expr, A.Comparison):
-            if expr.kind != "general":
-                raise _unsupported(expr, "only general comparisons are lifted",
-                                   "comparison-not-lifted")
-            self.preflight(expr.left)
-            self.preflight(expr.right)
-            return
-        if isinstance(expr, A.FunctionCall):
-            local = expr.name.split(":")[-1]
-            if local == "doc" and len(expr.args) == 1:
-                if self.doc_resolver is None:
-                    raise _unsupported(
-                        expr, "fn:doc requires a document resolver",
-                        "document")
-            elif local not in self._ROWWISE_STRING:
-                raise _unsupported(
-                    expr,
-                    f"function {expr.name} is outside the loop-lifted core",
-                    "function-not-lifted")
-            for arg in expr.args:
-                self.preflight(arg)
-            return
-        if isinstance(expr, A.PathExpr):
-            if expr.start is not None:
-                self.preflight(expr.start)
-            for step in _fuse_descendant_steps(list(expr.steps)):
-                if not isinstance(step, A.AxisStep):
-                    raise _unsupported(
-                        expr, f"step {type(step).__name__} is not lifted",
-                        "step-not-lifted")
-                if step.axis not in LIFTED_AXES:
-                    raise _unsupported(
-                        expr, f"axis {step.axis} is not lifted",
-                        "axis-not-lifted")
-                for predicate in step.predicates:
-                    if positional_predicate_spec(predicate) is not None:
-                        continue  # lifted as a rank computation
-                    if contains_predicate_spec(predicate) is not None:
-                        continue  # lifted as a posting-list prefilter
-                    if _dynamic_contains_needle(predicate):
-                        raise _unsupported(
-                            predicate,
-                            "contains() needle is not a string literal",
-                            "search-dynamic-needle")
-                    self.preflight(predicate)
-            return
-        raise _unsupported(expr, "outside the loop-lifted core")
+    def check(self, expr: A.Expr, names: Iterable[str],
+              dot: bool) -> None:
+        """The static verdict on *expr*: the plan run over zero
+        iterations, each of *names* (and the context item, when *dot*)
+        an empty table.  Raises the first statically detectable
+        :class:`UnsupportedExpression` in evaluation order and, with no
+        row, ships, resolves, traces and counts nothing (the invariant
+        is :meth:`compile_expr`'s) — so a fallback decided here happens
+        before any ``execute at`` ships.  Dynamic bails (a runtime
+        numeric predicate, a non-node path item, an unresolvable
+        document) can still surface mid-plan."""
+        empty = Table(("iter", "pos", "item"))
+        env = dict.fromkeys(names, empty)
+        if dot:
+            env[_DOT] = empty
+        self.compile_expr(expr, Table(("iter",)), env)
 
     def evaluate(self, expr: A.Expr, bindings: list[dict[str, list]],
                  context_item=None) -> list[list]:
@@ -296,7 +216,7 @@ class LoopLiftingCompiler:
         ``iter|pos|item`` table over all iterations, and the result
         table is split back by ``iter`` — a main-module query is the
         N = 1 caller, a Bulk RPC message of N calls the general one.
-        Callers :meth:`preflight` first.
+        Callers :meth:`check` first, or hold its verdict.
         """
         iters = range(1, len(bindings) + 1)
         loop = Table(("iter",), [(it,) for it in iters])
@@ -318,7 +238,16 @@ class LoopLiftingCompiler:
     def compile_expr(self, expr: A.Expr, loop: Table,
                      env: dict[str, Table]) -> Table:
         """Compile *expr* under the given loop relation and environment;
-        returns its iter|pos|item table."""
+        returns its iter|pos|item table.
+
+        Invariant (:meth:`check` rests on it): no branch on data outside
+        a row loop — which sub-expressions compile, in what order, is
+        fixed by the AST and the environment's names, so over zero rows
+        every static failure still raises and nothing else happens.
+        ``_try_equality_probe`` returning ``None`` on the probe values'
+        *types* only re-enters constructs the probe path already
+        admitted (an index key path against the probe it just compiled).
+        """
         if isinstance(expr, A.Literal):
             return Table(
                 ("iter", "pos", "item"),
@@ -425,17 +354,9 @@ class LoopLiftingCompiler:
     def _lift_for(self, clause: A.ForClause, loop: Table,
                   env: dict[str, Table]):
         source = self.compile_expr(clause.source, loop, env)
-        numbered = source.rownum("inner", order_by=("iter", "pos"))
-        mapping = numbered.project("outer:iter", "inner")
+        _, mapping, lifted_env, items = self._explode(source, env)
+        lifted_env[clause.var] = items
         new_loop = mapping.project("iter:inner")
-        lifted_env: dict[str, Table] = {}
-        for name, table in env.items():
-            joined = table.join(mapping, "iter", "outer")
-            lifted_env[name] = joined.project("iter:inner", "pos", "item") \
-                                     .sort("iter", "pos")
-        lifted_env[clause.var] = numbered.project(
-            "iter:inner", "item").attach("pos", 1) \
-            .project("iter", "pos", "item")
         if clause.position_var:
             positions = source.rownum(
                 "relpos", order_by=("pos",), partition_by="iter") \
@@ -445,6 +366,23 @@ class LoopLiftingCompiler:
                     "item", lambda p: integer(p), "relpos") \
                 .attach("pos", 1).project("iter", "pos", "item")
         return new_loop, lifted_env, mapping
+
+    @staticmethod
+    def _explode(table: Table, env: dict[str, Table]):
+        """The for-clause map construction: one inner iteration per row
+        of *table*.  Returns the numbered rows (``inner`` column), the
+        ``outer|inner`` map, *env* lifted to the inner iterations, and
+        the rows as one singleton sequence per inner iteration."""
+        numbered = table.rownum("inner", order_by=("iter", "pos"))
+        mapping = numbered.project("outer:iter", "inner")
+        lifted_env = {
+            name: bound.join(mapping, "iter", "outer")
+                       .project("iter:inner", "pos", "item")
+                       .sort("iter", "pos")
+            for name, bound in env.items()}
+        items = numbered.project("iter:inner", "item") \
+                        .attach("pos", 1).project("iter", "pos", "item")
+        return numbered, mapping, lifted_env, items
 
     def _apply_where(self, clause: A.WhereClause, loop: Table,
                      env: dict[str, Table]):
@@ -529,14 +467,12 @@ class LoopLiftingCompiler:
         rows = []
         for (it,) in loop.rows:
             parts = []
-            missing = False
             for mapping in param_maps:
                 if it not in mapping:
                     parts.append("")
                     continue
                 parts.append(atomize([mapping[it]])[0].string_value())
-            if not missing:
-                rows.append((it, 1, string(func(*parts))))
+            rows.append((it, 1, string(func(*parts))))
         return Table(("iter", "pos", "item"), rows)
 
     def _compile_doc(self, expr: A.FunctionCall, loop: Table,
@@ -613,9 +549,6 @@ class LoopLiftingCompiler:
                            current: Table, loop: Table,
                            env: dict[str, Table]) -> Table:
         axis = step.axis
-        if axis not in LIFTED_AXES:
-            raise _unsupported(expr, f"axis {axis} is not lifted",
-                               "axis-not-lifted")
         test = step.node_test
         local = None
         if isinstance(test, A.NameTest) and test.local != "*":
@@ -641,15 +574,7 @@ class LoopLiftingCompiler:
         # away — so explode the context into one inner iteration per
         # context node (the for-clause map construction), rank each
         # window, and merge back to step semantics afterwards.
-        numbered = current.rownum("inner", order_by=("iter", "pos"))
-        mapping = numbered.project("outer:iter", "inner")
-        lifted_env: dict[str, Table] = {}
-        for name, bound in env.items():
-            joined = bound.join(mapping, "iter", "outer")
-            lifted_env[name] = joined.project("iter:inner", "pos", "item") \
-                                     .sort("iter", "pos")
-        exploded = numbered.project("iter:inner", "item") \
-                           .attach("pos", 1).project("iter", "pos", "item")
+        _, mapping, lifted_env, exploded = self._explode(current, env)
         reverse = axis in REVERSE_AXES
         # A leading [n] early-exits the window scan after the n-th hit in
         # axis order — the rank filter result is identical on the
@@ -741,16 +666,9 @@ class LoopLiftingCompiler:
                 raise _unsupported(
                     predicate, "contains() needle is not a string literal",
                     "search-dynamic-needle")
-            numbered = table.rownum("inner", order_by=("iter", "pos"))
-            mapping = numbered.project("outer:iter", "inner")
+            numbered, mapping, lifted_env, focus = self._explode(table, env)
+            lifted_env[_DOT] = focus
             inner_loop = mapping.project("iter:inner")
-            lifted_env: dict[str, Table] = {}
-            for name, bound in env.items():
-                joined = bound.join(mapping, "iter", "outer")
-                lifted_env[name] = joined.project("iter:inner", "pos", "item") \
-                                         .sort("iter", "pos")
-            lifted_env[_DOT] = numbered.project("iter:inner", "item") \
-                .attach("pos", 1).project("iter", "pos", "item")
             condition = self.compile_expr(predicate, inner_loop, lifted_env)
             by_inner: dict = {}
             for it, pos, item in condition.rows:
@@ -792,6 +710,8 @@ class LoopLiftingCompiler:
         # Distinct destination peers: δ(π_item(dst)).
         peers = [atomize([item])[0].string_value()
                  for item in dst.project("item").distinct().column_values("item")]
+        if not peers:  # no live iteration: nothing to ship or to trace
+            return Table(("iter", "pos", "item"))
 
         # Per-peer translation (Figure 2), requests gathered first so the
         # dispatch layer can ship them in parallel.
@@ -870,53 +790,40 @@ class LoopLiftingCompiler:
 
 
 class LoopLiftedQuery:
-    """Compile a main-module query through the loop-lifting pipeline.
+    """A main-module query through the loop-lifting pipeline.
 
     The query body is evaluated bottom-up into algebra tables under the
     singleton loop relation (iter=1), exactly as Pathfinder does for a
-    top-level query.  Raises :class:`UnsupportedExpression` for queries
-    outside the core — callers fall back to the interpreter.
+    top-level query; the compiled query and the execution context are
+    the only inputs, as for :meth:`CompiledQuery.run`.  Raises
+    :class:`UnsupportedExpression` for queries outside the core —
+    callers fall back to the interpreter.
     """
 
-    def __init__(self, source: str, registry=None,
-                 dispatch: Optional[Dispatch] = None,
-                 trace: bool = False,
-                 doc_resolver: Optional[DocResolver] = None,
-                 compiled: Optional[CompiledQuery] = None,
-                 context: Optional[ExecutionContext] = None) -> None:
-        dispatch_parallel = None
-        if context is not None:
-            dispatch = dispatch or context.dispatch
-            doc_resolver = doc_resolver or context.doc_resolver
-            dispatch_parallel = context.dispatch_parallel
-        self.compiled = compiled if compiled is not None \
-            else CompiledQuery(source, registry)
+    def __init__(self, compiled: CompiledQuery,
+                 context: Optional[ExecutionContext] = None, *,
+                 trace: bool = False) -> None:
+        assert compiled.ast.body is not None
+        self.body = compiled.ast.body
+        self.context = context if context is not None else ExecutionContext()
         self.compiler = LoopLiftingCompiler(
-            self.compiled.static, dispatch, trace=trace,
-            doc_resolver=doc_resolver, dispatch_parallel=dispatch_parallel)
+            compiled.static, self.context.dispatch, trace=trace,
+            doc_resolver=self.context.doc_resolver,
+            dispatch_parallel=self.context.dispatch_parallel)
+        self.trace = self.compiler.trace
 
-    @property
-    def trace(self) -> list[dict]:
-        return self.compiler.trace
+    def run(self) -> list:
+        """:meth:`~LoopLiftingCompiler.check`, then :meth:`evaluate` —
+        for a caller that holds no static verdict on the query."""
+        self.compiler.check(self.body, self.context.variables or (),
+                            self.context.context_item is not None)
+        return self.evaluate()
 
-    def run(self, variables: Optional[dict[str, list]] = None,
-            context_item=None, *,
-            context: Optional[ExecutionContext] = None) -> list:
-        """Execute; returns the XDM result sequence of iteration 1.
-
-        Variables and the context item come from the keyword arguments
-        or, when an :class:`ExecutionContext` is given, from it.
-        """
-        if context is not None:
-            variables = variables or context.variables
-            if context_item is None:
-                context_item = context.context_item
-        body = self.compiled.ast.body
-        assert body is not None
-        # Reject statically-unsupported queries before evaluation — in
-        # this compile-is-evaluate pipeline that is what keeps fallback
-        # from re-shipping already-dispatched execute-at calls.
-        self.compiler.preflight(body)
-        [result] = self.compiler.evaluate(body, [variables or {}],
-                                          context_item)
+    def evaluate(self) -> list:
+        """Execute; returns the XDM result sequence of iteration 1.  For
+        a caller that has consulted the verdict (the analysis memoized
+        on the compiled query) under this context."""
+        [result] = self.compiler.evaluate(
+            self.body, [self.context.variables or {}],
+            self.context.context_item)
         return result

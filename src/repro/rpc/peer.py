@@ -212,11 +212,11 @@ class XRPCPeer:
         instead of running the tree interpreter N times.
 
         Returns ``None`` — the caller then runs :meth:`run_function` per
-        call — for the ``sys:kw-search`` endpoint, for bodies outside
-        the lifted core (no dispatch function, so no nested ``execute
-        at``) and on *any* error, so fault text is the per-call path's
-        by construction.  Re-running is safe: the attempt is read-only
-        and ships nothing.
+        call — for the ``sys:kw-search`` endpoint, for bodies the
+        compiler's :meth:`~LoopLiftingCompiler.check` refuses (no
+        dispatch function, so no nested ``execute at``) and on *any*
+        error, so fault text is the per-call path's by construction.
+        Re-running is safe: the attempt is read-only and ships nothing.
         """
         if decl is self._kw_search_decl:
             return None
@@ -225,8 +225,8 @@ class XRPCPeer:
         compiler = LoopLiftingCompiler(
             static, doc_resolver=context.doc_resolver)
         try:
-            # Static gate before any per-call work on the payload.
-            compiler.preflight(decl.body)
+            # First, so a refused body's payload is converted once.
+            compiler.check(decl.body, [p.name for p in decl.params], False)
             bindings = [seqtype.convert_arguments(decl, params)
                         for params in calls]
             return [seqtype.convert_result(decl, result) for result in
@@ -409,9 +409,12 @@ class XRPCPeer:
                         "ExecuteAt: updating remote calls route through the "
                         "batching executor (no speculative shipping)")
                     fallback_code = "execute-at-routing"
+                elif not analysis.liftable:
+                    fallback_reason = analysis.fallback_reason
+                    fallback_code = analysis.fallback_code
                 else:
                     lifted, fallback_reason, fallback_code = \
-                        self.engine.attempt_lifted(source, compiled, context)
+                        self.engine.attempt_lifted(compiled, context)
                     if fallback_reason is None:
                         result = lifted
                         plan = "lifted"

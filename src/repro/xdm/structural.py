@@ -1140,15 +1140,6 @@ def axis_window_scan(index: StructuralIndex, axis: str,
     return out_nodes
 
 
-#: The axes :func:`axis_scan_batched` supports — declared next to the
-#: implementation so callers gating on it cannot drift.  All twelve
-#: XPath axes: a single context node needs no staircase pruning, so
-#: each context's scan is an independent window kernel.
-BATCHED_AXES = frozenset(
-    ("self", "child", "descendant", "descendant-or-self", "attribute",
-     "parent", "ancestor", "ancestor-or-self", "following", "preceding",
-     "following-sibling", "preceding-sibling"))
-
 #: Axes whose predicate positions count in *reverse* document order
 #: (XPath: position 1 is the nearest ancestor / closest preceding
 #: node).  Step output is document-ordered regardless — only the

@@ -14,9 +14,15 @@ warm (``accel``) and over freshly parsed ones that have none yet
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro import obs
 from repro.analysis import analyze_compiled
 from repro.engine import Engine
+from repro.pathfinder import (LoopLiftedQuery, LoopLiftingCompiler,
+                              UnsupportedExpression)
+from repro.strategies.q7 import STRATEGY_NAMES, build_strategy_query
+from repro.workloads import FUNCTIONS_B_LOCATION, FUNCTIONS_B_MODULE
 from repro.workloads.xmark import (
+    KEYWORD_SUITE,
     READ_SUITE,
     XMarkConfig,
     generate_auctions,
@@ -51,13 +57,28 @@ def _context(warm=True, variables=None):
     return ExecutionContext(doc_resolver=resolver, variables=variables)
 
 
+def assert_verdict_is_what_evaluation_raises(engine, source, context):
+    """A static-fallback verdict held against the compiler itself:
+    executions consult the verdict instead of deriving it, so the
+    agreement that matters is that evaluating over the real iteration
+    raises exactly what the dry run over zero iterations reported."""
+    compiled = engine.compile(source)
+    analysis = engine.analyze(compiled, context)
+    assert not analysis.liftable
+    with pytest.raises(UnsupportedExpression) as raised:
+        LoopLiftedQuery(compiled, context).evaluate()
+    assert (str(raised.value), raised.value.code) == \
+        (analysis.fallback_reason, analysis.fallback_code), source
+    return analysis
+
+
 def assert_prediction_agrees(source, warm=True, variables=None):
     """The core invariant: run *source* through the engine and demand
     the analyzer predicted what actually happened.
 
     * plan ran lifted  -> the analyzer said liftable;
     * static fallback  -> the analyzer said not liftable, with the
-      *same* stable code the compiler raised;
+      *same* stable code the compiler raises when it evaluates;
     * dynamic bail     -> the analyzer said liftable but declared the
       bail's code among its ``dynamic_risks`` (the honesty label).
     """
@@ -82,6 +103,7 @@ def assert_prediction_agrees(source, warm=True, variables=None):
             f"[{explain.fallback_code}] {explain.fallback_reason}\n"
             f"query: {source}")
         assert analysis.fallback_reason == explain.fallback_reason
+        assert_verdict_is_what_evaluation_raises(engine, source, context)
     return explain
 
 
@@ -160,6 +182,90 @@ class TestCorpusAgreement:
         explain = assert_prediction_agrees(
             source, variables={"who": [string("a")]})
         assert explain.plan == "lifted"
+
+
+# ---------------------------------------------------------------------------
+# The compiler is its own static check
+
+
+def _raising_capability(*_args, **_kwargs):
+    raise AssertionError("the dry run must call no capability")
+
+
+def _q7_registry():
+    from repro.xquery.modules import ModuleRegistry
+    registry = ModuleRegistry()
+    registry.register_source(FUNCTIONS_B_MODULE, location=FUNCTIONS_B_LOCATION)
+    return registry
+
+
+DRY_RUN_CORPUS = (
+    [(f"read:{name}", source) for name, source in sorted(READ_SUITE.items())]
+    + [(f"keyword:{name}", source)
+       for name, source in sorted(KEYWORD_SUITE.items())]
+    + [(f"q7:{name}", build_strategy_query(name, "b.example.org"))
+       for name in STRATEGY_NAMES]
+    + [(f"curated:{index}", source) for index, source in enumerate(CURATED)])
+
+# Two static failures each; the verdict is the one evaluation meets
+# first (function and clause kinds before their operands, a path's
+# context before its steps, operands left to right).
+TWO_DEFECTS = [
+    ("x/1", "context-item"),
+    ("HTTP/1.1", "context-item"),
+    ("count($undeclared)", "function-not-lifted"),
+    ("for $i in $u order by $i return f:g()", "unbound-variable"),
+    ("for $i in (2, 1) order by $i return <a/>", "clause-not-lifted"),
+    ("$u + count(1)", "unbound-variable"),
+    ("(1 is 2, <a/>)", "comparison-not-lifted"),
+    ("doc('r.xml')//item[contains(., $needle)]/count(.)",
+     "search-dynamic-needle"),
+    ("doc('r.xml')//item/count(.)[$u]", "step-not-lifted"),
+]
+
+
+class TestTheCompilerIsTheCheck:
+    @pytest.mark.parametrize("source", [
+        pytest.param(source, id=name) for name, source in DRY_RUN_CORPUS])
+    def test_dry_run_leaves_no_trace(self, source):
+        compiled = CompiledQuery(source, _q7_registry())
+        compiler = LoopLiftingCompiler(
+            compiled.static, dispatch=_raising_capability, trace=True,
+            doc_resolver=_raising_capability,
+            dispatch_parallel=_raising_capability)
+        before = obs.totals()
+        try:
+            compiler.check(compiled.ast.body, (), False)
+        except UnsupportedExpression:
+            pass
+        assert compiler.trace == []
+        assert obs.totals() == before
+
+    @pytest.mark.parametrize("source,code", TWO_DEFECTS)
+    def test_two_defects_report_the_first_in_evaluation_order(
+            self, source, code):
+        analysis = assert_verdict_is_what_evaluation_raises(
+            Engine(), source, _context())
+        assert analysis.fallback_code == code
+
+    def test_executions_consult_the_verdict(self, monkeypatch):
+        checks = []
+        check = LoopLiftingCompiler.check
+
+        def counted(compiler, expr, names, dot):
+            checks.append(expr)
+            check(compiler, expr, names, dot)
+        monkeypatch.setattr(LoopLiftingCompiler, "check", counted)
+        engine = Engine()
+        context = _context()
+        for source, plan in (("doc('r.xml')//item", "lifted"),
+                             ("count(doc('r.xml')//item)", "interpreter")):
+            del checks[:]
+            for _ in range(10):
+                _, explain = engine.execute(source, context)
+                assert explain.plan == plan
+            assert len(checks) == 1     # the analysis memo miss
+        assert engine.fallback_stats() == {"function-not-lifted": 10}
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +490,27 @@ class TestDiagnostics:
     def test_undeclared_prefix(self):
         [diag] = self._diagnostics("nope:f(1)")
         assert (diag.severity, diag.code) == ("error", "XPST0081")
+
+    def test_undeclared_prefix_in_execute_at_is_not_a_verdict(self, capsys):
+        # The lifted plan resolves the remote function's name before it
+        # ships, so the compiler's dry run meets this StaticError at
+        # prepare time.  It is an error, not a fallback: the verdict
+        # stays liftable, the diagnostic is reported, analysis and
+        # `repro check` do not raise, and execution raises XPST0081.
+        from repro.cli import check_main
+        from repro.errors import StaticError
+        source = ('for $i in (1, 2) return '
+                  'execute at {"xrpc://B"} { nope:f($i) }')
+        engine = Engine()
+        context = ExecutionContext(
+            dispatch=lambda *request: pytest.fail("shipped a call"))
+        analysis = engine.analyze(engine.compile(source), context)
+        assert analysis.liftable
+        assert [d.code for d in analysis.diagnostics] == ["XPST0081"]
+        assert check_main(["-e", source]) == 1
+        assert "error [XPST0081]" in capsys.readouterr().out
+        with pytest.raises(StaticError, match="XPST0081"):
+            engine.execute(source, context)
 
     def test_remote_unknown_function_is_warning(self):
         # The peer at the destination must provide it; not an error here.

@@ -238,6 +238,33 @@ def test_q_b3_x_500_really_takes_the_set_path(sites):
     assert [len(r) for r in results[:7]] == [1, 0, 1, 1, 1, 0, 1]
 
 
+def test_a_refused_body_is_checked_once_and_converted_once_per_call(
+        sites, monkeypatch):
+    """The static verdict comes ahead of any work on the payload: N
+    calls to ``bn:sink`` (``count`` is outside the lifted core) cost one
+    ``check`` and N argument conversions — the per-call path's — not 2N."""
+    from repro.pathfinder import LoopLiftingCompiler
+    from repro.xquery import seqtype
+    made = {"check": 0, "convert_arguments": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(LoopLiftingCompiler, "check")
+    counting(seqtype, "convert_arguments")
+    serving, _ = sites
+    calls = [[nodes(*PAYLOADS[k % len(PAYLOADS)])] for k in range(7)]
+    reply = serving.server.handle(build_request(request_for("bn:sink", calls)))
+    assert "env:Fault" not in reply
+    assert (serving.server.calls_handled, serving.server.calls_lifted) == (7, 0)
+    assert made == {"check": 1, "convert_arguments": 7}
+
+
 # -- faults: the per-call path's text, by construction ------------------------
 
 @pytest.mark.parametrize("name,bad,text", [

@@ -4,6 +4,8 @@ import pytest
 
 from repro.pathfinder import LoopLiftedQuery, UnsupportedExpression
 from repro.xdm.atomic import string
+from repro.xquery.context import ExecutionContext
+from repro.xquery.evaluator import CompiledQuery
 from tests.helpers import strings, values
 
 FILM_MODULE = """
@@ -19,9 +21,14 @@ def make_registry():
     return registry
 
 
+def lifted_query(source, dispatch=None, trace=False):
+    return LoopLiftedQuery(CompiledQuery(source, make_registry()),
+                           ExecutionContext(dispatch=dispatch), trace=trace)
+
+
 class TestCoreLifting:
-    def run(self, query, **kwargs):
-        return LoopLiftedQuery(query, registry=make_registry(), **kwargs).run()
+    def run(self, query):
+        return lifted_query(query).run()
 
     def test_literal(self):
         assert values(self.run("42")) == [42]
@@ -91,8 +98,7 @@ class TestLoopLiftedExecuteAt:
 
     def test_one_bulk_request_per_peer(self):
         log = []
-        query = LoopLiftedQuery(self.Q3, registry=make_registry(),
-                                dispatch=self._dispatch(log))
+        query = lifted_query(self.Q3, self._dispatch(log))
         query.run()
         assert len(log) == 2
         # Each peer receives both actors' calls in ONE request, in
@@ -101,8 +107,7 @@ class TestLoopLiftedExecuteAt:
         assert log[1] == ("z.example.org", ["Julie Andrews", "Sean Connery"])
 
     def test_final_result_order_restored(self):
-        query = LoopLiftedQuery(self.Q3, registry=make_registry(),
-                                dispatch=self._dispatch([]))
+        query = lifted_query(self.Q3, self._dispatch([]))
         result = query.run()
         # Despite out-of-order bulk execution, the merge-union on iter
         # restores the query's iteration order: Julie@z (iter 2), then
@@ -111,8 +116,7 @@ class TestLoopLiftedExecuteAt:
 
     def test_figure_1_intermediate_tables(self):
         """Assert the exact map/req/msg/res tables of Figure 1."""
-        query = LoopLiftedQuery(self.Q3, registry=make_registry(),
-                                dispatch=self._dispatch([]), trace=True)
+        query = lifted_query(self.Q3, self._dispatch([]), trace=True)
         result = query.run()
         [trace] = query.trace
 
@@ -163,14 +167,11 @@ class TestLoopLiftedExecuteAt:
         let $dst := "xrpc://y.example.org"
         return execute at {$dst} { f:filmsByActor($actor) }
         """
-        query = LoopLiftedQuery(query_text, registry=make_registry(),
-                                dispatch=self._dispatch(log))
+        query = lifted_query(query_text, self._dispatch(log))
         result = query.run()
         assert len(log) == 1  # the paper's Q2: one bulk message total
         assert values(result) == ["The Rock", "Goldfinger"]
 
     def test_position_variable(self):
-        query = LoopLiftedQuery(
-            "for $x at $i in ('a', 'b', 'c') return $i",
-            registry=make_registry())
+        query = lifted_query("for $x at $i in ('a', 'b', 'c') return $i")
         assert values(query.run()) == [1, 2, 3]

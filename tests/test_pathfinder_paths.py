@@ -17,7 +17,7 @@ from repro.xdm.nodes import Node
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
 from repro.xquery.context import ExecutionContext
-from repro.xquery.evaluator import evaluate_query
+from repro.xquery.evaluator import CompiledQuery, evaluate_query
 
 CONFIG = XMarkConfig(persons=12, closed_auctions=30, open_auctions=6,
                      matches=3)
@@ -36,8 +36,8 @@ def resolver():
 
 def assert_equivalent(query, resolver, context_item=None, nonempty=True):
     """Lifted and interpreted results must be the *same* sequence."""
-    lifted = LoopLiftedQuery(query, doc_resolver=resolver).run(
-        context_item=context_item)
+    lifted = LoopLiftedQuery(CompiledQuery(query), ExecutionContext(
+        doc_resolver=resolver, context_item=context_item)).run()
     interpreted = evaluate_query(query, doc_resolver=resolver,
                                  context_item=context_item)
     assert len(lifted) == len(interpreted)
@@ -255,7 +255,8 @@ class TestFallbackTelemetry:
     ])
     def test_fallback_names_node_type(self, resolver, query, node_type, code):
         with pytest.raises(UnsupportedExpression) as excinfo:
-            LoopLiftedQuery(query, doc_resolver=resolver).run()
+            LoopLiftedQuery(CompiledQuery(query), ExecutionContext(
+                doc_resolver=resolver)).run()
         assert str(excinfo.value).startswith(node_type + ":")
         assert excinfo.value.code == code
 
@@ -299,4 +300,5 @@ class TestFallbackTelemetry:
 
     def test_fn_doc_without_resolver_falls_back(self):
         with pytest.raises(UnsupportedExpression, match="FunctionCall"):
-            LoopLiftedQuery("doc('persons.xml')//person").run()
+            LoopLiftedQuery(
+                CompiledQuery("doc('persons.xml')//person")).run()

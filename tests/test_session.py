@@ -364,7 +364,7 @@ class TestNoSpeculativeUpdateShipping:
     def test_dynamic_bail_does_not_double_apply(self, site):
         origin, server = site
         # The positional predicate is only detected at *runtime* (its
-        # value is numeric), so it escapes the static preflight — the
+        # value is numeric), so it escapes the static check — the
         # shape that used to ship bump() from the lifted attempt and
         # again from the fallback.
         query = """
