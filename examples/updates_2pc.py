@@ -56,8 +56,8 @@ def main() -> None:
     print("After immediate update, bankA balance:",
           bank_a.store.get("account.xml").root_element
           .find("balance").string_value())
-    print(f"  (plan: {result.plan} — updating remote calls route through "
-          "the record-then-ship batching executor, never speculatively)")
+    print(f"  (plan: {result.plan} — a liftable verdict is final, so the "
+          "updating call ships once, from the lifted plan)")
 
     # --- 2. Atomic distributed transfer (rule R'_Fu + 2PC) ---------------
     result = origin.execute_query("""

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.algebra.table import Table
+from repro.errors import TypeError_
 from repro.xdm.nodes import AttributeNode, Node
 from repro.xdm.sequence import document_order_sort
 from repro.xdm.structural import (
@@ -72,9 +73,9 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
 
     Raises
     ------
-    ValueError:
-        A non-node item in the context, or an axis name that is not
-        XPath's (callers translate this into their fallback signal).
+    TypeError_:
+        ``XPTY0019``: a non-node item in the context, as the
+        interpreter's path step raises.
     """
     iter_index = table.col("iter")
     item_index = table.col("item")
@@ -87,7 +88,8 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
         it = row[iter_index]
         item = row[item_index]
         if not isinstance(item, Node):
-            raise ValueError("path step over a non-node item")
+            raise TypeError_(
+                "XPTY0019", "path step applied to a non-node item")
         members = by_iter.get(it)
         if members is None:
             by_iter[it] = [item]
@@ -211,7 +213,8 @@ def contains_filter(table: Table, needle: str) -> Table:
     return Table._of(("iter", "pos", "item"), rows)
 
 
-def positional_filter(table: Table, spec: tuple,
+def positional_filter(table: Table,
+                      spec: tuple | Callable[[tuple, int, int], bool],
                       reverse: bool = False) -> Table:
     """Positional predicate as a rank computation over per-iteration
     doc-ordered windows.
@@ -220,25 +223,29 @@ def positional_filter(table: Table, spec: tuple,
     explodes multi-node contexts so one iteration is one context
     node).  The row's rank in the window is its position — counted
     from the window's *end* for reverse axes, where XPath numbers
-    nearest-first — and *spec* (see
-    :func:`repro.xquery.evaluator.positional_predicate_spec`) decides
-    which ranks survive.  Rows stay in document order; ``pos`` is
-    re-derived dense per iteration.
+    nearest-first — and *spec* decides which ranks survive: a static
+    spec tuple (see
+    :func:`repro.xquery.evaluator.positional_predicate_spec`), or a
+    callable ``spec(row, position, count)`` for a predicate whose value
+    is known per row only at run time.  Rows stay in document order;
+    ``pos`` is re-derived dense per iteration.
     """
     iter_index = table.col("iter")
     item_index = table.col("item")
+    dynamic = callable(spec)
     by_iter: dict = {}
     for row in table.rows:
-        by_iter.setdefault(row[iter_index], []).append(row[item_index])
+        by_iter.setdefault(row[iter_index], []).append(row)
     rows: list[tuple] = []
     for it, window in by_iter.items():
         count = len(window)
         pos = 0
-        for rank, item in enumerate(window, start=1):
+        for rank, row in enumerate(window, start=1):
             position = count - rank + 1 if reverse else rank
-            if positional_spec_keep(spec, position, count):
+            if (spec(row, position, count) if dynamic
+                    else positional_spec_keep(spec, position, count)):
                 pos += 1
-                rows.append((it, pos, item))
+                rows.append((it, pos, row[item_index]))
     return Table._of(("iter", "pos", "item"), rows)
 
 

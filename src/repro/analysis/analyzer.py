@@ -12,7 +12,9 @@ answers four questions:
   compiler: the first statically detectable
   :class:`UnsupportedExpression` an execution would raise is the one
   reported, message and stable code, and executions consult the
-  memoized verdict instead of deriving it again.
+  memoized verdict instead of deriving it again.  A liftable verdict
+  is final: the lifted plan raises no :class:`UnsupportedExpression`
+  at run time.
 * **updating-ness** — does the whole locally-evaluated expression tree
   (query body plus locally-called function bodies, transitively)
   contain XQUF update expressions, ``fn:put``, or updating remote
@@ -39,7 +41,6 @@ from repro.pathfinder.compiler import (
 )
 from repro.xquery import xast as A
 from repro.xquery.context import FN_NS
-from repro.xquery.evaluator import positional_predicate_spec
 from repro.xquery.functions import builtin_exists, builtin_known_name
 from repro.xquery.lexer import source_location
 
@@ -81,8 +82,8 @@ def _predict_lift(compiled, *, has_dispatch: bool, has_doc_resolver: bool,
 
 
 # ---------------------------------------------------------------------------
-# Graph walk: sites, updating-ness, dynamic risks (environment-
-# independent, memoized) — one pass, with per-type field caching: these
+# Graph walk: sites and updating-ness (environment-independent,
+# memoized) — one pass, with per-type field caching: these
 # walks run on every first prepare, so repeated dataclasses.fields()
 # introspection is the difference between noise and real overhead.
 
@@ -156,18 +157,6 @@ class _Graph:
         self.updating_remote = False
         self.updating_local = False
         self.called_decl_ids: set = set()
-        # Stable fallback codes that can still fire at runtime for a
-        # statically liftable query (the honesty label on the
-        # prediction): fn:doc may not resolve, a predicate may turn out
-        # numeric, singleton-cardinality operators may see sequences,
-        # a path may hit a non-node item.
-        self.risks: list = []
-        self._risk_seen: set = set()
-
-    def risk(self, code: str) -> None:
-        if code not in self._risk_seen:
-            self._risk_seen.add(code)
-            self.risks.append(code)
 
 
 def _scan_local_tree(root, static, graph: _Graph) -> None:
@@ -189,14 +178,9 @@ def _scan_local_tree(root, static, graph: _Graph) -> None:
             _, _, decl = _resolve_call(static, node.call.name,
                                        len(node.call.args))
             if decl is None or getattr(decl, "updating", False):
-                # Unresolvable names count as updating (conservative:
-                # no speculative shipping).
+                # Unresolvable names count as updating (conservative).
                 graph.updating_remote = True
         elif isinstance(node, A.FunctionCall):
-            if node.name.split(":")[-1] == "doc" and len(node.args) == 1:
-                graph.risk("document")
-            else:
-                graph.risk("cardinality")
             uri, local, decl = _resolve_call(static, node.name,
                                              len(node.args))
             if isinstance(decl, A.FunctionDecl):
@@ -208,14 +192,6 @@ def _scan_local_tree(root, static, graph: _Graph) -> None:
             elif decl is None and uri == FN_NS and local == "put":
                 # fn:put is the one updating builtin (XQUF §7).
                 graph.updating_local = True
-        elif isinstance(node, (A.RangeExpr, A.Arithmetic)):
-            graph.risk("cardinality")
-        elif isinstance(node, A.PathExpr):
-            graph.risk("non-node-path")
-        elif isinstance(node, A.AxisStep):
-            for predicate in node.predicates:
-                if positional_predicate_spec(predicate) is None:
-                    graph.risk("positional-runtime")
 
 
 def _build_graph(compiled) -> _Graph:
@@ -431,7 +407,6 @@ def analyze_compiled(compiled, *, has_dispatch: bool = False,
         updating_local=graph.updating_local,
         sites=sites,
         diagnostics=_diagnose(compiled, graph, extra_scope),
-        dynamic_risks=tuple(graph.risks) if liftable else (),
     )
     if len(cache) >= 32:
         # One compiled query is normally analyzed under a handful of

@@ -50,12 +50,13 @@ class SiteProfile:
     target functions, which run at the remote peer.  ``destinations``
     holds the statically-known (string-literal) destination URIs;
     ``dynamic_destinations`` counts sites whose destination is computed
-    at runtime.  ``updating_remote`` is the no-speculative-shipping
-    guard: some site calls an updating function, or a function the
-    local registry cannot resolve (conservatively treated as updating).
-    ``groupable`` flags multi-site queries, which ship fewer messages
-    through the batching executor's (destination, function) grouping
-    than through per-site lifted dispatch.
+    at runtime.  ``updating_remote`` reports that some site calls an
+    updating function, or a function the local registry cannot resolve
+    (conservatively treated as updating); it is a fact about the query,
+    not a route — an updating call ships from the lifted plan like any
+    other.  ``groupable`` flags multi-site queries, which ship fewer
+    messages through the batching executor's (destination, function)
+    grouping than through per-site lifted dispatch.
     """
 
     count: int = 0
@@ -72,12 +73,11 @@ class SiteProfile:
 class QueryProperties:
     """Everything the static pass learned about one compiled query.
 
-    ``liftable`` is the *static* verdict: the lifted compiler's dry run
-    (the plan over zero iterations) raises no fallback under the
-    analyzed capabilities and bindings.  A liftable query can still bail dynamically (runtime
-    positional predicates, unresolvable documents, cardinality) —
-    ``dynamic_risks`` lists the stable fallback codes that might fire;
-    an empty tuple means the static verdict is definitive.
+    ``liftable`` is the verdict: the lifted compiler's dry run (the plan
+    over zero iterations) raises no fallback under the analyzed
+    capabilities and bindings.  It is final — a liftable query runs
+    lifted, and what fails on the data raises the interpreter's XQuery
+    error, not a fallback.
 
     ``updating`` covers the full locally-evaluated expression tree:
     XQUF update expressions, ``fn:put``, locally-called updating
@@ -91,7 +91,6 @@ class QueryProperties:
     updating_local: bool = False
     sites: SiteProfile = field(default_factory=SiteProfile)
     diagnostics: tuple = ()
-    dynamic_risks: tuple = ()
 
     @property
     def errors(self) -> tuple:

@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro import obs
 from repro.analysis import QueryProperties, analyze_compiled
-from repro.pathfinder import LoopLiftedQuery, UnsupportedExpression
+from repro.pathfinder import LoopLiftedQuery
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
@@ -30,10 +30,11 @@ class Explain:
 
     ``plan`` is the pipeline that produced the result (``"lifted"`` for
     the Pathfinder loop-lifted relational plan, ``"interpreter"`` for
-    the tree-walking fallback); ``fallback_reason`` is the
-    ``UnsupportedExpression`` message — uniformly naming the offending
-    AST node type — when a lifted attempt bailed, and ``None`` when the
-    plan ran lifted or lifting was disabled by the caller.
+    the tree-walking fallback); ``fallback_reason`` is the static
+    verdict's ``UnsupportedExpression`` message — uniformly naming the
+    offending AST node type — when the query is outside the lifted
+    core, and ``None`` when the plan ran lifted or lifting was disabled
+    by the caller.
     ``fallback_code`` is the matching stable code (see
     :class:`~repro.pathfinder.compiler.UnsupportedExpression`) — the
     key the engine's per-reason fallback histogram counts under.
@@ -79,8 +80,9 @@ class Engine:
     Bulk RPC (section 3.2), FLWOR join detection.
 
     ``execute`` is the local query-service surface: compile through the
-    (bounded, thread-safe) plan cache, try the loop-lifted relational
-    plan, fall back to the tree interpreter with recorded telemetry.
+    (bounded, thread-safe) plan cache, run the loop-lifted relational
+    plan when the static verdict allows, the tree interpreter with
+    recorded telemetry otherwise.
     :class:`~repro.session.Database` routes through it;
     :class:`~repro.rpc.XRPCPeer` composes the same steps
     (``compile_with_stats`` / ``analyze`` / ``attempt_lifted``) around
@@ -158,13 +160,10 @@ class Engine:
 
         The compiled query comes from the shared plan cache and its
         static verdict (:meth:`analyze`, memoized: the lifted compiler
-        over zero iterations) is consulted, not re-derived, so a
-        statically-unsupported query goes to the interpreter before
-        any ``execute at`` ships and without a lifted attempt; a
-        *dynamic* bail (runtime positional predicate,
-        non-node path item) can still occur mid-plan, so route queries
-        with updating remote calls to the interpreter directly
-        (``context.try_lifted = False``) if that matters.
+        over zero iterations) is consulted, not re-derived: a liftable
+        query runs lifted and nothing else — a data error raises the
+        interpreter's XQuery error — and an unliftable one goes to the
+        interpreter before any ``execute at`` ships.
 
         ``context.dispatch`` serves the lifted plan's Bulk RPC shipping;
         ``context.xrpc_handler`` serves ``execute at`` on the
@@ -181,17 +180,16 @@ class Engine:
         plan = "interpreter"
         fallback_reason = None
         fallback_code = None
+        if options.try_lifted and analysis.liftable:
+            plan = "lifted"
+        elif options.try_lifted:
+            fallback_reason = analysis.fallback_reason
+            fallback_code = analysis.fallback_code
         with obs.Scope() as scope:
-            if options.try_lifted and analysis.liftable:
-                result, fallback_reason, fallback_code = \
-                    self.attempt_lifted(compiled, options)
-                if fallback_reason is None:
-                    plan = "lifted"
-            elif options.try_lifted:
-                fallback_reason = analysis.fallback_reason
-                fallback_code = analysis.fallback_code
             self.record_plan(plan, fallback_reason, fallback_code)
-            if plan == "interpreter":
+            if plan == "lifted":
+                result = self.attempt_lifted(compiled, options)
+            else:
                 result, pul = compiled.run(options)
                 if pul and options.apply_updates:
                     from repro.xquf.pul import apply_updates
@@ -219,22 +217,17 @@ class Engine:
             context_item=options.context_item is not None)
 
     def attempt_lifted(self, compiled: CompiledQuery,
-                       context: ExecutionContext,
-                       ) -> tuple[Optional[list], Optional[str], Optional[str]]:
-        """One lifted-plan attempt at a query whose analysis under
-        *context* is ``liftable``: ``(result, None, None)`` on success,
-        ``(None, fallback_reason, fallback_code)`` on a dynamic bail —
-        shared by :meth:`execute` and the peer's originating path, so
-        fallback handling cannot drift between them."""
-        try:
-            return LoopLiftedQuery(compiled, context).evaluate(), None, None
-        except UnsupportedExpression as unsupported:
-            return None, str(unsupported), unsupported.code
+                       context: ExecutionContext) -> list:
+        """The lifted plan of a query whose analysis under *context* is
+        ``liftable`` — shared by :meth:`execute` and the peer's
+        originating path.  The verdict is final, so this is the
+        evaluation alone: an error on the data is the query's error."""
+        return LoopLiftedQuery(compiled, context).evaluate()
 
     def record_plan(self, plan: str, fallback_reason: Optional[str],
                     fallback_code: Optional[str] = None) -> None:
         """Record the most recent plan choice and bump the per-code
-        fallback histogram when an attempt bailed."""
+        fallback histogram when the query fell back."""
         self.last_plan = plan
         if plan == "interpreter" and fallback_reason is not None:
             code = fallback_code or "uncoded"
@@ -254,8 +247,8 @@ class Engine:
                 self._function_cache.add(key)
 
     def fallback_stats(self) -> dict:
-        """Per-reason fallback histogram: stable code -> count of lifted
-        attempts that bailed with it since engine construction."""
+        """Per-reason fallback histogram: stable code -> count of
+        executions that fell back with it since engine construction."""
         with self._cache_lock:
             return dict(self._fallback_counts)
 

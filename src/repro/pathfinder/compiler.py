@@ -11,16 +11,19 @@ FLWOR (for/let/where), arithmetic, comparisons, a few row-wise builtins
 axis — evaluated as window predicates over the
 :class:`~repro.xdm.structural.StructuralIndex`
 pre/size/level columns, see :mod:`repro.algebra.paths` — with
-effective-boolean-value predicates and the statically positional shapes
-(``[n]``, ``[last()]``, ``position()``/``last()`` comparisons, compiled
-as rank computations over per-context windows), and ``execute at`` —
-compiled by the Figure 2 rule.  Anything else raises
-:class:`UnsupportedExpression`, signalling the caller to fall back to
-the interpreter (MonetDB similarly falls back to non-loop-lifted paths
-for exotic constructs).  Every :class:`UnsupportedExpression` carries a
-stable ``code`` plus a message starting with the offending AST node's
-type name (``"FLWOR: order by is outside the loop-lifted core"``), so
-fallback telemetry can histogram *why* a query wasn't lifted.
+effective-boolean-value predicates, the statically positional shapes
+(``[n]``, ``[last()]``, ``position()``/``last()`` comparisons) and
+predicates whose value is a number only at run time (``[$n]``), all
+compiled as rank computations over per-context windows, and ``execute
+at`` — compiled by the Figure 2 rule.  Anything else raises
+:class:`UnsupportedExpression` over zero iterations, signalling the
+caller to fall back to the interpreter (MonetDB similarly falls back to
+non-loop-lifted paths for exotic constructs); what fails on the data
+raises the interpreter's XQuery error.  Every
+:class:`UnsupportedExpression` carries a stable ``code`` plus a message
+starting with the offending AST node's type name (``"FLWOR: order by is
+outside the loop-lifted core"``), so fallback telemetry can histogram
+*why* a query wasn't lifted.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.algebra.paths import (
     positional_filter,
 )
 from repro.algebra.table import Table
-from repro.errors import XRPCReproError
+from repro.errors import DynamicError, TypeError_, XRPCReproError
 from repro.xdm.atomic import AtomicValue, general_compare_pair, integer, string
 from repro.xdm.nodes import Node
 from repro.xdm.sequence import atomize, effective_boolean_value
@@ -51,6 +54,7 @@ from repro.xquery.evaluator import (
     node_test_matches,
     positional_predicate_spec,
 )
+from repro.xquery.functions import _numeric
 
 
 def contains_predicate_spec(predicate: A.Expr) -> Optional[str]:
@@ -60,35 +64,63 @@ def contains_predicate_spec(predicate: A.Expr) -> Optional[str]:
     call whose haystack is the candidate context item and whose needle
     is a string literal (known at compile time, so the term-index plan
     can be built once per step instead of per candidate).  Returns the
-    needle string, or ``None`` for every other shape.
+    needle string, ``None`` for a call of another shape, and raises the
+    ``search-dynamic-needle`` fallback when only the needle is not a
+    string literal.
     """
-    if not isinstance(predicate, A.FunctionCall):
-        return None
-    if predicate.name.split(":")[-1] != "contains":
-        return None
-    if len(predicate.args) != 2:
-        return None
-    if not isinstance(predicate.args[0], A.ContextItem):
+    if not (isinstance(predicate, A.FunctionCall)
+            and predicate.name.split(":")[-1] == "contains"
+            and len(predicate.args) == 2
+            and isinstance(predicate.args[0], A.ContextItem)):
         return None
     needle = predicate.args[1]
-    if not isinstance(needle, A.Literal):
-        return None
-    value = needle.value
+    value = needle.value if isinstance(needle, A.Literal) else None
     if not isinstance(value, AtomicValue) \
             or value.type not in (xs.string, xs.untypedAtomic) \
             or not isinstance(value.value, str):
-        return None
+        raise _unsupported(predicate,
+                           "contains() needle is not a string literal",
+                           "search-dynamic-needle")
     return value.value
 
 
-def _dynamic_contains_needle(predicate: A.Expr) -> bool:
-    """Is this a ``[contains(., needle)]`` whose needle is *not* a
-    string literal?  (The liftable shape minus its static needle — the
-    stable ``search-dynamic-needle`` fallback.)"""
-    return (isinstance(predicate, A.FunctionCall)
-            and predicate.name.split(":")[-1] == "contains"
-            and len(predicate.args) == 2
-            and isinstance(predicate.args[0], A.ContextItem))
+_ROWWISE_STRING = {
+    "concat": lambda *parts: "".join(parts),
+    "upper-case": lambda s: s.upper(),
+    "lower-case": lambda s: s.lower(),
+    "string": lambda s: s,
+}
+
+# The lifted library's functions that never yield a number.
+_NON_NUMERIC_FUNCTIONS = frozenset(("doc", "contains", *_ROWWISE_STRING))
+
+
+def _statically_non_numeric(predicate: A.Expr) -> bool:
+    """Can *predicate*'s value never be a single number — decided from
+    the AST alone?  A comparison yields a boolean, a lifted path nodes,
+    the lifted library strings or a document.  Such a predicate filters
+    by effective boolean value over a whole step; every other
+    non-positional predicate may turn out numeric at run time, so it
+    takes the per-context-window (positional) regime."""
+    if positional_predicate_spec(predicate) is not None:
+        return False
+    if isinstance(predicate, A.FunctionCall):
+        return predicate.name.split(":")[-1] in _NON_NUMERIC_FUNCTIONS
+    return isinstance(predicate, (A.Comparison, A.PathExpr, A.Literal))
+
+
+def _by_iter(table: Table) -> dict:
+    """Each iteration's items of an ``iter|pos|item`` table, in row
+    order (absent iterations hold the empty sequence)."""
+    groups: dict = {}
+    for it, _pos, item in table.rows:
+        groups.setdefault(it, []).append(item)
+    return groups
+
+
+def _number(item) -> AtomicValue:
+    """An arithmetic operand, converted as the interpreter does."""
+    return _numeric(atomize([item])[0])
 
 
 def _context_free_probe(expr: A.Expr) -> bool:
@@ -119,7 +151,9 @@ class UnsupportedExpression(XRPCReproError):
     Carries a stable machine-readable ``code`` alongside the
     human-readable message, so fallback telemetry can histogram *why*
     queries were not lifted without parsing prose (the codes survive
-    message rewording):
+    message rewording).  Every code but ``execute-at-routing`` is raised
+    over zero iterations, so :meth:`LoopLiftingCompiler.check` decides
+    it before any row is touched:
 
     ===================== ==================================================
     code                  meaning
@@ -129,16 +163,14 @@ class UnsupportedExpression(XRPCReproError):
     clause-not-lifted     a FLWOR clause kind outside the core
     function-not-lifted   a function outside the row-wise builtins
     comparison-not-lifted a non-general comparison
-    positional-runtime    a predicate produced a number at runtime
     search-dynamic-needle a ``contains(., needle)`` predicate whose
                           needle is not a string literal
-    cardinality           more than one item where a singleton is required
     unbound-variable      variable reference with no binding
     context-item          path or ``.`` with no context item in scope
-    document              ``fn:doc`` unavailable or unresolvable
+    document              ``fn:doc`` with no document resolver
     dispatch              ``execute at`` with no dispatch function
-    non-node-path         a path step over a non-node item
-    execute-at-routing    routed to the batching executor (peer layer)
+    execute-at-routing    a multi-site query, routed to the batching
+                          executor (peer layer)
     ===================== ==================================================
     """
 
@@ -196,9 +228,9 @@ class LoopLiftingCompiler:
         :class:`UnsupportedExpression` in evaluation order and, with no
         row, ships, resolves, traces and counts nothing (the invariant
         is :meth:`compile_expr`'s) — so a fallback decided here happens
-        before any ``execute at`` ships.  Dynamic bails (a runtime
-        numeric predicate, a non-node path item, an unresolvable
-        document) can still surface mid-plan."""
+        before any ``execute at`` ships.  A passing check is final:
+        what can fail on the data raises the interpreter's XQuery
+        error, never :class:`UnsupportedExpression`."""
         empty = Table(("iter", "pos", "item"))
         env = dict.fromkeys(names, empty)
         if dot:
@@ -307,8 +339,8 @@ class LoopLiftingCompiler:
         for (it,) in loop.rows:
             if it not in start or it not in end:
                 continue
-            low = int(atomize([start[it]])[0].value)
-            high = int(atomize([end[it]])[0].value)
+            low = int(_number(start[it]).value)
+            high = int(_number(end[it]).value)
             for pos, value in enumerate(range(low, high + 1), start=1):
                 rows.append((it, pos, integer(value)))
         return Table(("iter", "pos", "item"), rows)
@@ -317,9 +349,7 @@ class LoopLiftingCompiler:
         values: dict = {}
         for it, pos, item in table.rows:
             if it in values:
-                raise UnsupportedExpression(
-                    f"{who} has more than one item per iteration",
-                    "cardinality")
+                raise TypeError_("XPTY0004", f"{who} has more than one item")
             values[it] = item
         return values
 
@@ -386,11 +416,9 @@ class LoopLiftingCompiler:
 
     def _apply_where(self, clause: A.WhereClause, loop: Table,
                      env: dict[str, Table]):
-        condition = self.compile_expr(clause.condition, loop, env)
-        keep: set = set()
-        for it, pos, item in condition.rows:
-            if isinstance(item, AtomicValue) and bool(item.value):
-                keep.add(it)
+        values = _by_iter(self.compile_expr(clause.condition, loop, env))
+        keep = {it for (it,) in loop.rows
+                if effective_boolean_value(values.get(it, []))}
         new_loop = Table(("iter",), [row for row in loop.rows
                                      if row[0] in keep])
         new_env = {
@@ -411,9 +439,8 @@ class LoopLiftingCompiler:
         rows = []
         for (it,) in loop.rows:
             if it in left and it in right:
-                lv = atomize([left[it]])[0]
-                rv = atomize([right[it]])[0]
-                rows.append((it, 1, _arith(expr.op, lv, rv)))
+                rows.append((it, 1, _arith(expr.op, _number(left[it]),
+                                           _number(right[it]))))
         return Table(("iter", "pos", "item"), rows)
 
     def _compile_comparison(self, expr: A.Comparison, loop: Table,
@@ -425,12 +452,8 @@ class LoopLiftingCompiler:
         right = self.compile_expr(expr.right, loop, env)
         op = {"=": "eq", "!=": "ne", "<": "lt",
               "<=": "le", ">": "gt", ">=": "ge"}[expr.op]
-        by_iter_left: dict = {}
-        for it, pos, item in left.rows:
-            by_iter_left.setdefault(it, []).append(item)
-        by_iter_right: dict = {}
-        for it, pos, item in right.rows:
-            by_iter_right.setdefault(it, []).append(item)
+        by_iter_left = _by_iter(left)
+        by_iter_right = _by_iter(right)
         from repro.xdm.atomic import boolean as make_boolean
         rows = []
         for (it,) in loop.rows:
@@ -441,19 +464,12 @@ class LoopLiftingCompiler:
             rows.append((it, 1, make_boolean(outcome)))
         return Table(("iter", "pos", "item"), rows)
 
-    _ROWWISE_STRING = {
-        "concat": lambda *parts: "".join(parts),
-        "upper-case": lambda s: s.upper(),
-        "lower-case": lambda s: s.lower(),
-        "string": lambda s: s,
-    }
-
     def _compile_function_call(self, expr: A.FunctionCall, loop: Table,
                                env: dict[str, Table]) -> Table:
         local = expr.name.split(":")[-1]
         if local == "doc" and len(expr.args) == 1:
             return self._compile_doc(expr, loop, env)
-        func = self._ROWWISE_STRING.get(local)
+        func = _ROWWISE_STRING.get(local)
         if func is None:
             raise _unsupported(
                 expr, f"function {expr.name} is outside the loop-lifted core",
@@ -486,16 +502,15 @@ class LoopLiftingCompiler:
             "FunctionCall: fn:doc uri")
         rows = []
         for (it,) in loop.rows:
-            if it not in uris:
-                raise _unsupported(expr, "fn:doc with an empty uri",
-                                   "document")
-            uri = atomize([uris[it]])[0].string_value()
+            uri = atomize([uris[it]])[0].string_value() if it in uris else ""
+            if not uri:
+                continue  # fn:doc(()) and fn:doc("") are ()
             document = self._documents.get(uri)
             if document is None:
                 document = self.doc_resolver(uri)
                 if document is None:
-                    raise _unsupported(expr, f"document {uri!r} not found",
-                                       "document")
+                    raise DynamicError("FODC0002",
+                                       f"document {uri!r} not found")
                 self._documents[uri] = document
             rows.append((it, 1, document))
         return Table(("iter", "pos", "item"), rows)
@@ -521,9 +536,8 @@ class LoopLiftingCompiler:
             rows = []
             for it, pos, item in dot.rows:
                 if not isinstance(item, Node):
-                    raise _unsupported(
-                        expr, "absolute path over a non-node context item",
-                        "non-node-path")
+                    raise DynamicError(
+                        "XPDY0002", "absolute path requires a node context item")
                 rows.append((it, 1, item.root()))
             current = Table(("iter", "pos", "item"), rows)
             if expr.absolute == "root-descendant":
@@ -542,10 +556,10 @@ class LoopLiftingCompiler:
                 raise _unsupported(
                     expr, f"step {type(step).__name__} is not lifted",
                     "step-not-lifted")
-            current = self._compile_axis_step(expr, step, current, loop, env)
+            current = self._compile_axis_step(step, current, loop, env)
         return current
 
-    def _compile_axis_step(self, expr: A.PathExpr, step: A.AxisStep,
+    def _compile_axis_step(self, step: A.AxisStep,
                            current: Table, loop: Table,
                            env: dict[str, Table]) -> Table:
         axis = step.axis
@@ -555,25 +569,23 @@ class LoopLiftingCompiler:
             local = test.local
         match_all = isinstance(test, A.KindTest) and test.kind == "node"
         matches = lambda node: node_test_matches(node, test, axis, self.static)
-        specs = [positional_predicate_spec(p) for p in step.predicates]
-        if not any(spec is not None for spec in specs):
+        if all(_statically_non_numeric(p) for p in step.predicates):
             probed = self._try_equality_probe(step, current, loop, env)
             if probed is not None:
                 return probed
-            try:
-                result = axis_step(current, axis, matches=matches,
-                                   local_name=local, match_all=match_all)
-            except ValueError as error:
-                raise _unsupported(expr, str(error), "non-node-path")
+            result = axis_step(current, axis, matches=matches,
+                               local_name=local, match_all=match_all)
             if step.predicates:
-                result = self._apply_step_predicates(expr, result,
-                                                     step.predicates, env)
+                result = self._apply_step_predicates(result, step.predicates,
+                                                     env)
             return result
-        # Positional regime: position()/last() count within EACH context
-        # node's candidate window, which the set-at-a-time step folds
-        # away — so explode the context into one inner iteration per
-        # context node (the for-clause map construction), rank each
-        # window, and merge back to step semantics afterwards.
+        # Positional regime: position()/last() — and a predicate value
+        # that turns out numeric — count within EACH context node's
+        # candidate window, which the set-at-a-time step folds away — so
+        # explode the context into one inner iteration per context node
+        # (the for-clause map construction), rank each window, and merge
+        # back to step semantics afterwards.
+        specs = [positional_predicate_spec(p) for p in step.predicates]
         _, mapping, lifted_env, exploded = self._explode(current, env)
         reverse = axis in REVERSE_AXES
         # A leading [n] early-exits the window scan after the n-th hit in
@@ -585,18 +597,17 @@ class LoopLiftingCompiler:
             n = specs[0][1]
             if n == int(n) and n >= 1:
                 limit = int(n)
-        try:
-            result = axis_step(exploded, axis, matches=matches,
-                               local_name=local, match_all=match_all,
-                               limit=limit)
-        except ValueError as error:
-            raise _unsupported(expr, str(error), "non-node-path")
+        result = axis_step(exploded, axis, matches=matches,
+                           local_name=local, match_all=match_all, limit=limit)
         for spec, predicate in zip(specs, step.predicates):
             if spec is not None:
                 result = positional_filter(result, spec, reverse=reverse)
+            elif _statically_non_numeric(predicate):
+                result = self._apply_step_predicates(result, [predicate],
+                                                     lifted_env)
             else:
-                result = self._apply_step_predicates(expr, result,
-                                                     [predicate], lifted_env)
+                result = self._value_filter(predicate, result, lifted_env,
+                                            reverse)
         return merge_exploded_contexts(result, mapping)
 
     def _try_equality_probe(self, step: A.AxisStep, current: Table,
@@ -627,10 +638,8 @@ class LoopLiftingCompiler:
         assert isinstance(predicate, A.Comparison)
         if not _context_free_probe(predicate.right):
             return None
-        probe = self.compile_expr(predicate.right, loop, env)
-        probes_by_iter: dict[int, list[str]] = {}
-        for it, pos, item in probe.rows:
-            probes_by_iter.setdefault(it, []).append(item)
+        probes_by_iter = _by_iter(
+            self.compile_expr(predicate.right, loop, env))
         for it, items in probes_by_iter.items():
             values = atomize(items)
             if not all(v.type in (xs.string, xs.untypedAtomic)
@@ -640,20 +649,42 @@ class LoopLiftingCompiler:
         return equality_probe_step(current, step.axis, step.node_test,
                                    key_path, probes_by_iter, self.static)
 
-    def _apply_step_predicates(self, expr: A.PathExpr, table: Table,
-                               predicates: list, env: dict[str, Table]) -> Table:
-        """Filter step candidates by effective-boolean-value predicates.
+    def _predicate_values(self, predicate: A.Expr, table: Table,
+                          env: dict[str, Table]) -> tuple[Table, dict]:
+        """Every candidate row of *table* becomes one inner iteration —
+        the same map construction as a for-clause — with the candidate
+        bound as the context item, and *predicate* compiles under that
+        inner loop.  Returns the numbered candidates (``inner`` column)
+        and the predicate's value per inner iteration."""
+        numbered, mapping, lifted_env, focus = self._explode(table, env)
+        lifted_env[_DOT] = focus
+        condition = self.compile_expr(predicate, mapping.project("iter:inner"),
+                                      lifted_env)
+        return numbered, _by_iter(condition)
 
-        Every candidate row becomes one inner iteration — the same map
-        construction as a for-clause — with the candidate bound as the
-        context item; the predicate compiles under that inner loop and
-        filters by effective boolean value.  Statically positional
-        predicates never reach here (``_compile_axis_step`` routes them
-        through :func:`repro.algebra.paths.positional_filter`); a
-        predicate whose *runtime* value turns out numeric still bails,
-        because its semantics depend on a numbering this code path does
-        not track.
-        """
+    def _value_filter(self, predicate: A.Expr, table: Table,
+                      env: dict[str, Table], reverse: bool) -> Table:
+        """A predicate that may be numeric at run time, over per-context
+        windows (one iteration per window): a single number keeps the
+        candidate whose position equals it, any other value filters by
+        effective boolean value — the interpreter's rule, ranked by
+        :func:`~repro.algebra.paths.positional_filter`."""
+        numbered, values = self._predicate_values(predicate, table, env)
+        inner_index = numbered.col("inner")
+
+        def keep(row: tuple, position: int, count: int) -> bool:
+            value = values.get(row[inner_index], [])
+            if len(value) == 1 and isinstance(value[0], AtomicValue) \
+                    and value[0].is_numeric:
+                return float(value[0].value) == position
+            return effective_boolean_value(value)
+        return positional_filter(numbered, keep, reverse=reverse)
+
+    def _apply_step_predicates(self, table: Table, predicates: list,
+                               env: dict[str, Table]) -> Table:
+        """Filter step candidates by statically non-numeric predicates
+        (see :func:`_statically_non_numeric`): each candidate's
+        predicate value, by effective boolean value."""
         for predicate in predicates:
             needle = contains_predicate_spec(predicate)
             if needle is not None:
@@ -662,31 +693,12 @@ class LoopLiftingCompiler:
                 # per-candidate focus machinery below is skipped whole.
                 table = contains_filter(table, needle)
                 continue
-            if _dynamic_contains_needle(predicate):
-                raise _unsupported(
-                    predicate, "contains() needle is not a string literal",
-                    "search-dynamic-needle")
-            numbered, mapping, lifted_env, focus = self._explode(table, env)
-            lifted_env[_DOT] = focus
-            inner_loop = mapping.project("iter:inner")
-            condition = self.compile_expr(predicate, inner_loop, lifted_env)
-            by_inner: dict = {}
-            for it, pos, item in condition.rows:
-                by_inner.setdefault(it, []).append(item)
-            keep: set = set()
-            for (it,) in inner_loop.rows:
-                items = by_inner.get(it, [])
-                if len(items) == 1 and isinstance(items[0], AtomicValue) \
-                        and items[0].is_numeric:
-                    raise _unsupported(
-                        expr, "predicate value is numeric at runtime",
-                        "positional-runtime")
-                if effective_boolean_value(items):
-                    keep.add(it)
+            numbered, values = self._predicate_values(predicate, table, env)
             inner_index = numbered.col("inner")
             kept = Table(numbered.columns,
                          [row for row in numbered.rows
-                          if row[inner_index] in keep])
+                          if effective_boolean_value(
+                              values.get(row[inner_index], []))])
             table = kept.rownum("newpos", order_by=("pos",),
                                 partition_by="iter") \
                         .project("iter", "pos:newpos", "item")
@@ -700,6 +712,10 @@ class LoopLiftingCompiler:
             raise _unsupported(expr, "execute at requires a dispatch function",
                                "dispatch")
         dst = self.compile_expr(expr.destination, loop, env)
+        destinations = _by_iter(dst)
+        if any(len(destinations.get(it, ())) != 1 for (it,) in loop.rows):
+            raise TypeError_(
+                "XPTY0004", "execute at: destination must be a single string")
         params = [self.compile_expr(arg, loop, env) for arg in expr.call.args]
 
         uri, local = self.static.resolve_function_name(expr.call.name)
@@ -732,15 +748,10 @@ class LoopLiftingCompiler:
                             .project("iterp", "pos:newpos", "item") \
                             .sort("iterp", "pos")
                 req_tables.append(req)
-            iterps = [row[mapping.col("iterp")] for row in mapping.rows]
-            calls = []
-            for iterp in sorted(iterps):
-                call_params = []
-                for req in req_tables:
-                    sequence = [item for it_p, pos, item in req.rows
-                                if it_p == iterp]
-                    call_params.append(sequence)
-                calls.append(call_params)
+            by_req = [_by_iter(req) for req in req_tables]
+            iterps = sorted(row[mapping.col("iterp")] for row in mapping.rows)
+            calls = [[groups.get(iterp, []) for groups in by_req]
+                     for iterp in iterps]
             per_peer.append({
                 "peer": peer,
                 "map": mapping,

@@ -325,12 +325,12 @@ class XRPCPeer:
         """Compile and run a query at this peer (the p0 role).
 
         This is the peer face of the unified session API: the compiled
-        query comes from the engine's shared plan cache, the loop-lifted
-        relational plan is tried first (its ``execute at`` groups ship
-        as Bulk RPC straight from the algebra translation, Figure 2) and
-        anything outside the lifted core falls back to the tree
-        interpreter behind the operationally-equivalent batching
-        executor.  Plan choice and fallback reason are recorded on the
+        query comes from the engine's shared plan cache, a liftable
+        query runs as the loop-lifted relational plan (its ``execute
+        at`` groups ship as Bulk RPC straight from the algebra
+        translation, Figure 2) and anything outside the lifted core
+        falls back to the tree interpreter behind the
+        operationally-equivalent batching executor.  Plan choice and fallback reason are recorded on the
         returned :class:`QueryResult` (see :meth:`QueryResult.explain`).
 
         Fault tolerance: ``declare option xrpc:timeout "N"`` (or an
@@ -345,11 +345,11 @@ class XRPCPeer:
         groups (and 2PC) always fail closed regardless.
 
         The lifted plan ships one message per (call site, destination)
-        *during* evaluation; two query shapes therefore route straight
-        to the batching executor: several ``execute at`` sites (its
-        (destination, function) grouping ships fewer messages) and
-        updating remote calls (it records phase 1 without shipping, so
-        a dynamic lifted bail can never apply an update twice).
+        *during* evaluation, so one rule routes to the batching
+        executor: several ``execute at`` sites (its (destination,
+        function) grouping ships fewer messages), or an unliftable
+        query.  A liftable verdict is final — the plan never bails
+        after a ship — so updating remote calls ship from it too.
         ``try_lifted=False`` forces the interpreter path outright.
         """
         degrade = _degrades(on_peer_failure)
@@ -397,27 +397,18 @@ class XRPCPeer:
                 # body plus locally-called function bodies), not just the
                 # body's own execute-at occurrences.
                 analysis = self.engine.analyze(compiled, context)
-                profile = analysis.sites
-                sites, has_updating = profile.count, profile.updating_remote
+                sites = analysis.sites.count
                 if sites > 1:
                     fallback_reason = (
                         f"ExecuteAt: {sites} call sites group better through "
                         "the batching executor")
                     fallback_code = "execute-at-routing"
-                elif has_updating:
-                    fallback_reason = (
-                        "ExecuteAt: updating remote calls route through the "
-                        "batching executor (no speculative shipping)")
-                    fallback_code = "execute-at-routing"
                 elif not analysis.liftable:
                     fallback_reason = analysis.fallback_reason
                     fallback_code = analysis.fallback_code
                 else:
-                    lifted, fallback_reason, fallback_code = \
-                        self.engine.attempt_lifted(compiled, context)
-                    if fallback_reason is None:
-                        result = lifted
-                        plan = "lifted"
+                    result = self.engine.attempt_lifted(compiled, context)
+                    plan = "lifted"
             if plan != "lifted":
                 if use_bulk:
                     result, pul = self._execute_bulk(

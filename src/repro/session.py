@@ -101,7 +101,7 @@ class DatabaseStats:
     doing, whichever database or peer in the process did it.
     ``fallback_reasons`` is the engine's per-reason histogram: stable
     :class:`~repro.pathfinder.compiler.UnsupportedExpression` code ->
-    count of lifted attempts that bailed with it.
+    count of executions that fell back with it.
     """
 
     plan_cache_hits: int

@@ -6,8 +6,9 @@ from typing import Optional
 
 from repro import reference
 from repro.engine.base import Engine
-from repro.errors import XRPCFault
+from repro.errors import XQueryError, XRPCFault
 from repro.net import SimulatedNetwork
+from repro.pathfinder import LoopLiftedQuery
 from repro.rpc import XRPCPeer
 from repro.soap import (
     XRPCRequest,
@@ -102,6 +103,37 @@ def assert_matches_reference(source: str, resolver, variables=None,
             reference.evaluate(source, doc_resolver=reparse,
                                variables=variables))
     return expected
+
+
+def _outcome(run):
+    """The items *run()* returns, or the XQuery error code it raises."""
+    try:
+        return run()
+    except XQueryError as error:
+        return error.code
+
+
+def assert_same_outcome(source: str, resolver, variables=None):
+    """The lifted plan, the product interpreter and the oracle agree on
+    *source*: the same items, or the same XQuery error code (handed
+    back).  The lifted plan runs on its own — no fallback can stand in
+    for it — and when it returns, the engine's plan is the lifted one:
+    a liftable verdict is final."""
+    context = ExecutionContext(doc_resolver=resolver, variables=variables)
+    compiled = _ENGINE.compile(source)
+    lifted = _outcome(lambda: LoopLiftedQuery(compiled, context).run())
+    product = _outcome(
+        lambda: execute(source, resolver, variables, try_lifted=False)[0])
+    oracle = _outcome(lambda: reference.evaluate(
+        source, doc_resolver=resolver, variables=variables))
+    if isinstance(oracle, str):
+        assert (lifted, product) == (oracle, oracle), source
+        return oracle
+    assert_same_sequence(lifted, oracle)
+    assert_same_sequence(product, oracle)
+    _, explain = execute(source, resolver, variables)
+    assert explain.plan == "lifted", (source, explain.fallback_reason)
+    return oracle
 
 
 def assert_runs_lifted(source: str, resolver, oracle: str):

@@ -76,27 +76,21 @@ def assert_prediction_agrees(source, warm=True, variables=None):
     """The core invariant: run *source* through the engine and demand
     the analyzer predicted what actually happened.
 
-    * plan ran lifted  -> the analyzer said liftable;
+    * liftable         -> the plan ran lifted, always (the verdict is
+      final: nothing bails at run time);
     * static fallback  -> the analyzer said not liftable, with the
-      *same* stable code the compiler raises when it evaluates;
-    * dynamic bail     -> the analyzer said liftable but declared the
-      bail's code among its ``dynamic_risks`` (the honesty label).
+      *same* stable code the compiler raises when it evaluates.
     """
     engine = Engine()
     context = _context(warm=warm, variables=variables)
     _, explain = engine.execute(source, context)
     analysis = explain.analysis
     assert analysis is not None
-    if explain.plan == "lifted":
-        assert analysis.liftable, (
-            f"ran lifted but predicted fallback "
-            f"[{analysis.fallback_code}]: {analysis.fallback_reason}\n"
-            f"query: {source}")
-    elif analysis.liftable:
-        assert explain.fallback_code in analysis.dynamic_risks, (
+    if analysis.liftable:
+        assert explain.plan == "lifted", (
             f"predicted liftable but fell back "
-            f"[{explain.fallback_code}] {explain.fallback_reason} "
-            f"(declared risks: {analysis.dynamic_risks})\nquery: {source}")
+            f"[{explain.fallback_code}] {explain.fallback_reason}\n"
+            f"query: {source}")
     else:
         assert analysis.fallback_code == explain.fallback_code, (
             f"predicted [{analysis.fallback_code}] but compiler raised "
@@ -111,9 +105,9 @@ def assert_prediction_agrees(source, warm=True, variables=None):
 # Corpus agreement: READ_SUITE + curated shapes, index warm and cold
 
 
-# Shapes chosen to land in every predictor branch: lifted paths and
-# FLWORs, each static-fallback code, and dynamic-risk queries that
-# succeed (stay lifted) as well as ones that bail mid-plan.
+# Shapes chosen to land in every verdict branch: lifted paths and
+# FLWORs, each static-fallback code, and shapes whose value is known
+# only at run time (they lift: a liftable verdict is final).
 CURATED = [
     # lifted
     "doc('r.xml')//item",
@@ -131,11 +125,11 @@ CURATED = [
     # axis/step shapes that *are* lifted
     "doc('r.xml')//item/ancestor::sec",
     "doc('r.xml')//item[last()]",
-    # cardinality risk, runs clean lifted
+    # singleton operands, checked per iteration
     "1 + 2",
     "(1 to 5)",
-    # positional-runtime risk that actually bails mid-plan (a numeric
-    # predicate outside the recognized positional specs)
+    # a numeric predicate outside the recognized positional specs:
+    # ranked per context window at run time
     "doc('r.xml')//item[1 + 1]",
     # contains predicates: literal needles lift (posting-list
     # prefilter), dynamic needles are search-dynamic-needle, and a
@@ -421,13 +415,15 @@ class TestPeerRouting:
         return origin, server
 
     def test_updating_remote_routes_to_strict_executor(self):
+        # A liftable verdict is final, so the updating call ships from
+        # the lifted plan, once.
         origin, server = self._peers()
         result = origin.execute_query(f"""
             import module namespace f = "films" at "{FILM_LOCATION}";
             execute at {{"xrpc://y"}} {{ f:logVisit("A") }}
         """)
-        assert result.fallback_reason is not None
-        assert "no speculative shipping" in result.fallback_reason
+        assert result.analysis.sites.updating_remote
+        assert (result.plan, result.messages_sent) == ("lifted", 1)
         assert len(server.store.get("log.xml").root_element.children) == 1
 
     def test_updating_call_inside_local_function_still_caught(self):
@@ -441,8 +437,11 @@ class TestPeerRouting:
                 execute at {{"xrpc://y"}} {{ f:logVisit($a) }} }};
             local:log("A")
         """)
-        assert result.fallback_reason is not None
-        assert "no speculative shipping" in result.fallback_reason
+        assert result.analysis.sites.updating_remote
+        # routed by the verdict alone: a local function call does not
+        # lift, and an updating remote call is no route of its own
+        assert result.fallback_code == "function-not-lifted"
+        assert result.messages_sent == 1
         assert len(server.store.get("log.xml").root_element.children) == 1
 
     def test_read_only_remote_results_unchanged(self):

@@ -184,9 +184,9 @@ SHAPES = {
                          [integer(i) for i in range(1, k % 4)]], True),
     "t:cat": (lambda k: [[string("a")] * (k % 2), [string(str(k))]], True),
     "t:first": (lambda k: [[string(pid) for pid in PIDS[:k % 4]]], True),
-    # A predicate that turns out numeric at runtime bails dynamically,
-    # mid-plan: the whole message is then the per-call path's.
-    "t:nth": (lambda k: [[integer(1 + k % 3)]], False),
+    # A predicate that is numeric only at run time ranks each context
+    # node's window, per iteration.
+    "t:nth": (lambda k: [[integer(1 + k % 3)]], True),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the paper's optional/extension features:
 
-* the function-cache pre-parser (section 3.3),
+* the function-cache pre-parser (section 3.3) — the engine's plan
+  cache and external variables,
 * SOAP XRPC message validation (XRPC.xsd, section 2.1) — done by the
   message decoder's typed faults,
 * what stands in for the xrpc:nodeid call-by-fragment extension
@@ -9,7 +10,6 @@
 
 import pytest
 
-from repro.engine.preparser import PreparedFunctionCache, preparse
 from repro.errors import XRPCFault
 from repro.soap import (
     XRPCFaultMessage,
@@ -20,7 +20,7 @@ from repro.soap import (
     build_response,
     parse_message,
 )
-from repro.xdm import deep_equal, integer, string, xs
+from repro.xdm import AtomicValue, deep_equal, integer, string, xs
 from repro.xml.parser import XMLSyntaxError, parse_fragment
 
 from repro.xquery.evaluator import evaluate_query
@@ -29,30 +29,56 @@ from tests.helpers import shipped, shipped_call, values
 
 
 class TestPreparser:
+    """Section 3.3's pre-parser + function cache, on the product paths:
+    the engine's plan cache (keyed by source) serves a repeated module
+    call without recompiling, and varying constants are external
+    variables of one prepared query."""
+
+    MODULE = """
+    module namespace m = "u";
+    declare function m:f($s, $i, $d) { ($s, $i, $d) };
+    declare function m:go() { "went" };
+    declare function m:double($x as xs:integer) as xs:integer { $x * 2 };
+    """
+
+    def _database(self):
+        from repro.session import Database
+        db = Database()
+        db.register_module(self.MODULE, location="http://x/m.xq")
+        return db
+
     def test_detects_constant_call(self):
-        call = preparse("""
-        import module namespace f = "films" at "http://x/film.xq";
-        f:filmsByActor("Sean Connery")
-        """)
-        assert call is not None
-        assert call.module_uri == "films"
-        assert call.location == "http://x/film.xq"
-        assert call.local_name == "filmsByActor"
-        assert call.arguments == [string("Sean Connery")]
+        db = self._database()
+        source = 'import module namespace m = "u" at "http://x/m.xq"; ' \
+                 'm:double(21)'
+        first = db.prepare(source)
+        second = db.prepare(source)
+        assert second.compiled is first.compiled
+        assert values(second.execute()) == [42]
+        assert db.stats().plan_cache_misses == 1
 
     def test_detects_multiple_literal_types(self):
-        call = preparse("""
-        import module namespace m = "urn:m";
-        m:f("s", 42, 3.5)
-        """)
-        assert call is not None
-        assert [a.type.name for a in call.arguments] == \
-            ["xs:string", "xs:integer", "xs:decimal"]
+        from decimal import Decimal
+
+        prepared = self._database().prepare(
+            'import module namespace m = "u"; '
+            "declare variable $s external; declare variable $i external; "
+            "declare variable $d external; m:f($s, $i, $d)")
+        for s, i, d in (("s", 42, "3.5"), ("t", 7, "0.25")):
+            result = prepared.execute(variables={
+                "s": [string(s)], "i": [integer(i)],
+                "d": [AtomicValue(Decimal(d), xs.decimal)]})
+            assert [a.type.name for a in result] == \
+                ["xs:string", "xs:integer", "xs:decimal"]
+            assert values(result) == [s, i, Decimal(d)]
+        assert prepared.database.stats().plan_cache_misses == 1
 
     def test_zero_argument_call(self):
-        call = preparse('import module namespace m = "u"; m:go()')
-        assert call is not None
-        assert call.arity == 0
+        db = self._database()
+        source = 'import module namespace m = "u"; m:go()'
+        for _ in range(3):
+            assert values(db.execute(source)) == ["went"]
+        assert db.stats().plan_cache_misses == 1
 
     @pytest.mark.parametrize("query", [
         "1 + 1",                                           # no import
@@ -63,33 +89,21 @@ class TestPreparser:
         'import module namespace m = "u"; for $x in m:f(1) return $x',
     ])
     def test_rejects_general_queries(self, query):
-        assert preparse(query) is None
+        # No pattern to detect: any query compiles once, then hits.
+        engine = self._database().engine
+        first, _, first_hit = engine.compile_with_stats(query)
+        second, _, second_hit = engine.compile_with_stats(query)
+        assert (first_hit, second_hit) == (False, True)
+        assert second is first
 
     def test_cache_fast_path(self):
-        from repro.xquery.context import DynamicContext, StaticContext
-        from repro.xquery.modules import ModuleRegistry
-
-        registry = ModuleRegistry()
-        registry.register_source("""
-        module namespace m = "urn:m";
-        declare function m:double($x as xs:integer) as xs:integer { $x * 2 };
-        """)
-        cache = PreparedFunctionCache(registry)
-        fallback_calls = []
-
-        result = cache.execute(
-            'import module namespace m = "urn:m"; m:double(21)',
-            make_context=lambda: DynamicContext(StaticContext()),
-            fallback=lambda src: fallback_calls.append(src) or [])
-        assert result == [integer(42)]
-        assert cache.hits == 1
-        assert not fallback_calls
-
-        cache.execute("1 + 1",
-                      make_context=lambda: DynamicContext(StaticContext()),
-                      fallback=lambda src: fallback_calls.append(src) or [])
-        assert cache.misses == 1
-        assert fallback_calls == ["1 + 1"]
+        db = self._database()
+        source = 'import module namespace m = "u"; m:double(21)'
+        cold = db.explain(source)
+        warm = db.explain(source)
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        assert warm.compile_seconds == 0.0
+        assert values(db.execute(source)) == [42]
 
 
 class TestMessageValidation:

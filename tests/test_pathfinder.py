@@ -106,6 +106,22 @@ class TestLoopLiftedExecuteAt:
         assert log[0] == ("y.example.org", ["Julie Andrews", "Sean Connery"])
         assert log[1] == ("z.example.org", ["Julie Andrews", "Sean Connery"])
 
+    @pytest.mark.parametrize("destination", [
+        "()", "for $j in (1 to $i) return 'xrpc://y.example.org'"])
+    def test_destination_is_one_string_before_anything_ships(
+            self, destination):
+        # The interpreter's XPTY0004 (no destination, or two in the
+        # second iteration), raised before any iteration's call ships.
+        from repro.errors import TypeError_
+        log = []
+        query = lifted_query(
+            'import module namespace f="films" at "film.xq"; '
+            f'for $i in (1, 2) return execute at {{ {destination} }} '
+            '{ f:filmsByActor("Sean Connery") }', self._dispatch(log))
+        with pytest.raises(TypeError_, match="XPTY0004"):
+            query.run()
+        assert log == []
+
     def test_final_result_order_restored(self):
         query = lifted_query(self.Q3, self._dispatch([]))
         result = query.run()

@@ -13,11 +13,13 @@ import pytest
 from repro.engine.base import Engine
 from repro.pathfinder import LoopLiftedQuery, UnsupportedExpression
 from repro.workloads.xmark import XMarkConfig, generate_auctions, generate_persons
+from repro.xdm.atomic import integer, string
 from repro.xdm.nodes import Node
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery, evaluate_query
+from tests.helpers import assert_same_outcome
 
 CONFIG = XMarkConfig(persons=12, closed_auctions=30, open_auctions=6,
                      matches=3)
@@ -302,3 +304,60 @@ class TestFallbackTelemetry:
         with pytest.raises(UnsupportedExpression, match="FunctionCall"):
             LoopLiftedQuery(
                 CompiledQuery("doc('persons.xml')//person")).run()
+
+
+class TestAPassingCheckIsFinal:
+    """A liftable verdict is final: a predicate numeric only at run time
+    ranks its context window, and a failure on the data is the
+    interpreter's XQuery error — the lifted plan, the product
+    interpreter and the oracle agree item for item or code for code."""
+
+    DOCUMENT = parse_document(
+        "<r><s><item v='1'>a</item><item v='2'>b</item><item v='3'>c</item>"
+        "</s><s><item v='4'>d</item></s></r>", uri="d.xml")
+    VARIABLES = {"n": [integer(2)], "text": [string("x")]}
+
+    @pytest.mark.parametrize("query,outcome", [
+        # runtime [$n], forward and reverse axes, chained
+        ("doc('d.xml')//s/item[$n]", ["b"]),
+        ("doc('d.xml')//item/preceding-sibling::item[$n]", ["a"]),
+        ("doc('d.xml')//item[. = 'd']/preceding::item[$n]", ["b"]),
+        ("doc('d.xml')//item[. = 'a']/ancestor-or-self::*[$n]", ["abc"]),
+        ("doc('d.xml')//item[1 + 1]", ["b"]),
+        ("doc('d.xml')//s/item[$n - 1]", ["a", "d"]),
+        ("doc('d.xml')//s/item[$n][1]", ["b"]),
+        ("doc('d.xml')//s/item[1][$n]", []),
+        ("for $i in (1, 3) return doc('d.xml')//s/item[$i]",
+         ["a", "d", "c"]),
+        ("doc('d.xml')//s/item[for $k in 3 return $k]", ["c"]),
+        # ... whose non-numeric values still filter by EBV
+        ("doc('d.xml')//s/item[$text]", ["a", "b", "c", "d"]),
+        ("doc('d.xml')//s/item[(1, 2)]", "FORG0006"),
+        # fn:doc
+        ("doc(())//item", []),
+        ("doc('')//item", []),
+        ("doc('nope.xml')", "FODC0002"),
+        ("doc('nope.xml')//item", "FODC0002"),
+        # singletons and path items
+        ("(1, 2) + 1", "XPTY0004"),
+        ("'a' + 1", "XPTY0004"),
+        ("concat(('a', 'b'), 'c')", "XPTY0004"),
+        ("(1, 2)/a", "XPTY0019"),
+        ("(doc('d.xml')//@v) to 3", "XPTY0004"),
+        # where computes the effective boolean value
+        ("for $i in doc('d.xml')//item where $i/@v return $i",
+         ["a", "b", "c", "d"]),
+        ("for $s in doc('d.xml')//s where $s/item[3] return $s/item[1]",
+         ["a"]),
+        ("for $i in doc('d.xml')//item let $v := $i/@v where $v return $i",
+         ["a", "b", "c", "d"]),
+        ("for $i in (1, 2) where ($i, $i) return $i", "FORG0006"),
+    ])
+    def test_lifted_interpreter_and_oracle_agree(self, query, outcome):
+        resolver = {"d.xml": self.DOCUMENT}.get
+        result = assert_same_outcome(query, resolver, self.VARIABLES)
+        if isinstance(result, str):
+            assert result == outcome
+        else:
+            assert [item.string_value() if isinstance(item, Node)
+                    else item.value for item in result] == outcome

@@ -338,10 +338,10 @@ class TestPeerUnifiedPipeline:
 
 
 class TestNoSpeculativeUpdateShipping:
-    """An updating remote call must never ship twice: a *dynamic* lifted
-    bail after dispatch would re-ship it from the interpreter fallback,
-    so updating queries route to the record-then-ship batching executor
-    up front."""
+    """An updating remote call must never ship twice.  A liftable
+    verdict is final — the lifted plan cannot bail after it has shipped
+    and re-ship from an interpreter fallback — so an updating call ships
+    once, from the lifted plan."""
 
     COUNTER_MODULE = """
     module namespace c = "urn:counter";
@@ -363,10 +363,9 @@ class TestNoSpeculativeUpdateShipping:
 
     def test_dynamic_bail_does_not_double_apply(self, site):
         origin, server = site
-        # The positional predicate is only detected at *runtime* (its
-        # value is numeric), so it escapes the static check — the
-        # shape that used to ship bump() from the lifted attempt and
-        # again from the fallback.
+        # The predicate is numeric only at run time; the lifted plan
+        # ranks it per context window, so nothing can bail after
+        # bump() has shipped.
         query = """
         import module namespace c = "urn:counter" at "counter.xq";
         declare variable $n external;
@@ -377,8 +376,8 @@ class TestNoSpeculativeUpdateShipping:
         result = origin.execute_query(query, variables={"n": [integer(1)]})
         hits = server.store.get("log.xml").root_element.children
         assert len(hits) == 1, "updating call must apply exactly once"
-        assert result.plan == "interpreter"
-        assert "updating" in result.fallback_reason
+        assert result.plan == "lifted"
+        assert [node.string_value() for node in result.sequence] == ["1"]
 
     def test_read_only_single_site_still_lifts(self, site):
         origin, server = site
