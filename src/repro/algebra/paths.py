@@ -79,26 +79,15 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
     """
     iter_index = table.col("iter")
     item_index = table.col("item")
-    # Group rows by iteration, preserving the table's (typically already
-    # iter-sorted) order; only pay a sort when input arrives shuffled.
+    # Group rows by iteration; the table is iter-ordered (the compiler's
+    # order invariant), so the groups come out in iteration order.
     by_iter: dict = {}
-    ascending = True
-    previous = None
     for row in table.rows:
-        it = row[iter_index]
         item = row[item_index]
         if not isinstance(item, Node):
             raise TypeError_(
                 "XPTY0019", "path step applied to a non-node item")
-        members = by_iter.get(it)
-        if members is None:
-            by_iter[it] = [item]
-            if previous is not None and it < previous:
-                ascending = False
-            previous = it
-        else:
-            members.append(item)
-    iters = list(by_iter) if ascending else sorted(by_iter)
+        by_iter.setdefault(row[iter_index], []).append(item)
     rows: list[tuple] = []
     # Batch accumulator: consecutive iterations whose context is a
     # single tree node of the same tree — the shape every for-lifted
@@ -125,8 +114,7 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
         pending.clear()
         pending_index = None
 
-    for it in iters:
-        members = by_iter[it]
+    for it, members in by_iter.items():
         if len(members) == 1 \
                 and not isinstance(members[0], AttributeNode):
             node = members[0]
@@ -249,39 +237,28 @@ def positional_filter(table: Table,
     return Table._of(("iter", "pos", "item"), rows)
 
 
-def merge_exploded_contexts(table: Table, mapping: Table) -> Table:
+def merge_exploded_contexts(table: Table, outer: list[int]) -> Table:
     """Undo a per-context explosion: map inner iterations back to their
-    outer iteration and re-establish *step* semantics — the per-context
-    results of one outer iteration union into a duplicate-free,
-    document-ordered sequence (unlike a FLWOR unwind, which
-    concatenates).
+    outer iteration (inner iteration *k* belongs to ``outer[k - 1]``,
+    non-decreasing in *k*) and re-establish *step* semantics — the
+    per-context results of one outer iteration union into a
+    duplicate-free, document-ordered sequence (unlike a FLWOR unwind,
+    which concatenates).  *table* is ordered by ``iter``, so the outer
+    iterations arrive in order.
     """
-    joined = table.join(mapping, "iter", "inner")
-    outer_index = joined.col("outer")
-    item_index = joined.col("item")
     by_outer: dict = {}
-    order: list = []
-    for row in joined.rows:
-        outer = row[outer_index]
-        members = by_outer.get(outer)
-        if members is None:
-            by_outer[outer] = [row[item_index]]
-            order.append(outer)
-        else:
-            members.append(row[item_index])
-    order.sort()
-    rows: list[tuple] = []
-    for outer in order:
-        for pos, node in enumerate(document_order_sort(by_outer[outer]),
-                                   start=1):
-            rows.append((outer, pos, node))
-    return Table._of(("iter", "pos", "item"), rows)
+    for it, _pos, node in table.rows:
+        by_outer.setdefault(outer[it - 1], []).append(node)
+    return Table._of(("iter", "pos", "item"), [
+        (it, pos, node) for it, nodes in by_outer.items()
+        for pos, node in enumerate(document_order_sort(nodes), start=1)])
 
 
 def equality_probe_step(table: Table, axis: str, node_test,
                         key_path: tuple,
                         probes_by_iter: dict[int, list[str]],
-                        static) -> Optional[Table]:
+                        static, namespaces: Optional[dict] = None,
+                        ) -> Optional[Table]:
     """Axis step + equality predicate as one hash-join probe.
 
     The relational form of ``axis::name[path = value]``: instead of
@@ -309,6 +286,9 @@ def equality_probe_step(table: Table, axis: str, node_test,
         nothing: ``[x = ()]`` keeps no candidates).
     static:
         Static context for name-test namespace resolution.
+    namespaces:
+        ``xmlns`` declarations in scope from enclosing constructors,
+        which take precedence over *static* (as in the interpreter).
 
     Returns ``None`` when a context shape the probe cannot serve
     appears (multi-node or attribute contexts, non-node items) —
@@ -316,29 +296,27 @@ def equality_probe_step(table: Table, axis: str, node_test,
     """
     iter_index = table.col("iter")
     item_index = table.col("item")
-    by_iter: dict = {}
-    ascending = True
-    previous = None
+    # One context node per iteration, in iteration order (the table is
+    # iter-ordered).
+    anchors: dict = {}
     for row in table.rows:
         it = row[iter_index]
         item = row[item_index]
         if not isinstance(item, Node) or isinstance(item, AttributeNode):
             return None
-        members = by_iter.get(it)
-        if members is None:
-            by_iter[it] = [item]
-            if previous is not None and it < previous:
-                ascending = False
-            previous = it
-        else:
+        if it in anchors:
             return None  # multi-node context: staircase scan handles it
+        anchors[it] = item
     rows: list[tuple] = []
-    for it in (by_iter if ascending else sorted(by_iter)):
+    indexes: dict = {}  # per anchor: iterations mostly share one
+    for it, anchor in anchors.items():
         probes = probes_by_iter.get(it)
         if not probes:
             continue
-        [anchor] = by_iter[it]
-        index = axis_value_index(anchor, axis, node_test, key_path, static)
+        index = indexes.get(anchor)
+        if index is None:
+            index = indexes[anchor] = axis_value_index(
+                anchor, axis, node_test, key_path, static, namespaces)
         matches: list[Node] = []
         for value in probes:
             matches.extend(index.get(value, ()))

@@ -88,12 +88,10 @@ class ThroughputExperiment:
             started = time.perf_counter()
             result = origin.execute_query(self._payload_query(direction))
             seconds = time.perf_counter() - started
-        # Both payload queries are outside the lifted core (element
-        # construction / fn:count), so the unified pipeline must have
-        # fallen back with a recorded reason — assert the telemetry so
-        # the shape can't silently change.
-        assert result.plan == "interpreter"
-        assert result.fallback_reason is not None
+        # Both payload queries (element construction, fn:count) run as
+        # the loop-lifted plan — assert the telemetry so the shape can't
+        # silently change.
+        assert result.plan == "lifted", result.fallback_reason
         payload = network.bytes_sent if direction == "request" \
             else network.bytes_received
         return ThroughputRow(

@@ -5,11 +5,20 @@ row per item per iteration of the enclosing for-loop nest.  A ``loop``
 relation holds the live iteration numbers so empty sequences are
 representable (absence of rows).
 
+**Order invariant.**  A loop relation is ascending in ``iter``, and
+every table :meth:`LoopLiftingCompiler.compile_expr` returns is ordered
+by ``(iter, pos)``, with ``pos`` dense (``1..n``) within each iteration
+and only live iterations present.  Operators rely on it instead of
+re-establishing it: grouping by iteration is one pass, a for-clause
+numbers its inner iterations in row order, unwinding maps them back
+through a list, and the result is split per iteration without a sort.
+
 Supported core: literals, sequence construction, ranges, variables,
-FLWOR (for/let/where), arithmetic, comparisons, a few row-wise builtins
-(``concat``, ``string``, ``doc``), path expressions over *every* XPath
-axis — evaluated as window predicates over the
-:class:`~repro.xdm.structural.StructuralIndex`
+FLWOR (for/let/where), conditionals, arithmetic, general and node
+comparisons, direct and computed element, attribute and text
+constructors, the builtin function library (``fn:doc`` as the path
+root), path expressions over *every* XPath axis — evaluated as window
+predicates over the :class:`~repro.xdm.structural.StructuralIndex`
 pre/size/level columns, see :mod:`repro.algebra.paths` — with
 effective-boolean-value predicates, the statically positional shapes
 (``[n]``, ``[last()]``, ``position()``/``last()`` comparisons) and
@@ -24,10 +33,16 @@ raises the interpreter's XQuery error.  Every
 starting with the offending AST node's type name (``"FLWOR: order by is
 outside the loop-lifted core"``), so fallback telemetry can histogram
 *why* a query wasn't lifted.
+
+A constructor mints one tree per live iteration, all iterations of one
+constructor before the next constructor's; distinct trees compare in
+minting order, which XQuery leaves implementation-dependent.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from repro.algebra.paths import (
@@ -39,22 +54,45 @@ from repro.algebra.paths import (
 )
 from repro.algebra.table import Table
 from repro.errors import DynamicError, TypeError_, XRPCReproError
-from repro.xdm.atomic import AtomicValue, general_compare_pair, integer, string
-from repro.xdm.nodes import Node
+from repro.net.transport import normalize_peer_uri
+from repro.xdm.atomic import AtomicValue, boolean, integer, untyped
+from repro.xdm.nodes import Node, NodeFactory
 from repro.xdm.sequence import atomize, effective_boolean_value
 from repro.xdm.structural import REVERSE_AXES
 from repro.xdm.types import xs
 from repro.xquery import xast as A
-from repro.xquery.context import ExecutionContext, StaticContext
+from repro.xquery.context import (
+    FN_NS,
+    DynamicContext,
+    ExecutionContext,
+    StaticContext,
+)
 from repro.xquery.evaluator import (
     CompiledQuery,
     _arith,
+    _free_variables,
     _fuse_descendant_steps,
     _indexable_predicate_key_path,
+    _match_hash_join,
+    _statically_boolean,
+    _walk_key_path,
+    build_computed_attribute,
+    build_computed_element,
+    build_computed_text,
+    build_direct_element,
+    constructor_name,
+    direct_namespaces,
+    focus_free,
+    general_comparison,
+    node_comparison,
     node_test_matches,
     positional_predicate_spec,
 )
-from repro.xquery.functions import _numeric
+from repro.xquery.functions import (
+    _numeric,
+    builtin_reads_context,
+    get_builtin,
+)
 
 
 def contains_predicate_spec(predicate: A.Expr) -> Optional[str]:
@@ -84,52 +122,125 @@ def contains_predicate_spec(predicate: A.Expr) -> Optional[str]:
     return value.value
 
 
-_ROWWISE_STRING = {
-    "concat": lambda *parts: "".join(parts),
-    "upper-case": lambda s: s.upper(),
-    "lower-case": lambda s: s.lower(),
-    "string": lambda s: s,
-}
-
-# The lifted library's functions that never yield a number.
-_NON_NUMERIC_FUNCTIONS = frozenset(("doc", "contains", *_ROWWISE_STRING))
+# Builtins that never yield a number (beside the boolean ones of
+# _statically_boolean): strings and documents.
+_NON_NUMERIC_FUNCTIONS = frozenset((
+    "doc", "string", "concat", "string-join", "upper-case", "lower-case"))
 
 
 def _statically_non_numeric(predicate: A.Expr) -> bool:
     """Can *predicate*'s value never be a single number — decided from
     the AST alone?  A comparison yields a boolean, a lifted path nodes,
-    the lifted library strings or a document.  Such a predicate filters
-    by effective boolean value over a whole step; every other
+    a boolean or string builtin no number.  Such a predicate filters by
+    effective boolean value over a whole step; every other
     non-positional predicate may turn out numeric at run time, so it
     takes the per-context-window (positional) regime."""
     if positional_predicate_spec(predicate) is not None:
         return False
+    if _statically_boolean(predicate):
+        return True
     if isinstance(predicate, A.FunctionCall):
         return predicate.name.split(":")[-1] in _NON_NUMERIC_FUNCTIONS
-    return isinstance(predicate, (A.Comparison, A.PathExpr, A.Literal))
+    return isinstance(predicate, (A.PathExpr, A.Literal))
+
+
+_IPI = ("iter", "pos", "item")
+_ITER = itemgetter(0)
+
+
+def _loop(count: int) -> Table:
+    """The loop relation ``iter = 1..count``."""
+    return Table._of(("iter",), [(it,) for it in range(1, count + 1)])
 
 
 def _by_iter(table: Table) -> dict:
-    """Each iteration's items of an ``iter|pos|item`` table, in row
-    order (absent iterations hold the empty sequence)."""
-    groups: dict = {}
-    for it, _pos, item in table.rows:
-        groups.setdefault(it, []).append(item)
-    return groups
+    """Each iteration's items of an ``iter|pos|item`` table (absent
+    iterations hold the empty sequence) — one pass, by the order
+    invariant."""
+    rows = table.rows
+    if not rows:
+        return {}
+    if rows[0][0] == rows[-1][0]:  # one iteration
+        return {rows[0][0]: [row[2] for row in rows]}
+    return {it: [row[2] for row in group]
+            for it, group in groupby(rows, _ITER)}
+
+
+def _table(sequences: Iterable[tuple[int, list]]) -> Table:
+    """The ``iter|pos|item`` table of one sequence per iteration,
+    given in ascending iteration order."""
+    return Table._of(_IPI, [(it, pos, item) for it, items in sequences
+                            for pos, item in enumerate(items, 1)])
+
+
+def _renumbered(pairs: Iterable[tuple]) -> Table:
+    """The ``iter|pos|item`` table of ``(iter, item)`` pairs in
+    ``iter`` order, ``pos`` counted afresh per iteration."""
+    rows = []
+    last = pos = 0
+    for it, item in pairs:
+        if it != last:
+            last, pos = it, 0
+        pos += 1
+        rows.append((it, pos, item))
+    return Table._of(_IPI, rows)
+
+
+def _restrict(loop: Table, env: dict[str, Table],
+              live: set) -> tuple[Table, dict[str, Table]]:
+    """*loop* and *env* cut down to the *live* iterations."""
+    if len(live) == len(loop.rows):
+        return loop, env
+    return (Table._of(("iter",), [row for row in loop.rows if row[0] in live]),
+            {name: Table._of(table.columns,
+                             [row for row in table.rows if row[0] in live])
+             for name, table in env.items()})
+
+
+def _lifted(table: Table, outer: list[int]) -> Table:
+    """*table* seen from inner iterations: inner iteration *k* (of outer
+    iteration ``outer[k - 1]``) holds its outer iteration's sequence."""
+    groups = _by_iter(table)
+    return _table((inner, groups.get(it, ()))
+                  for inner, it in enumerate(outer, 1))
+
+
+def _unwind(table: Table, outer: list[int]) -> Table:
+    """The for-clause map undone: each inner iteration's sequence
+    becomes part of its outer iteration's, concatenated in inner order
+    (``outer`` is non-decreasing, so the result stays ordered)."""
+    return _renumbered((outer[it - 1], item) for it, _pos, item in table.rows)
+
+
+def _explode(table: Table, env: dict[str, Table]):
+    """The for-clause map construction: one inner iteration per row of
+    *table*, numbered in row order.  Returns the outer iteration of each
+    inner one (a list: inner *k* is entry ``k - 1``), *env* lifted to
+    the inner iterations, and the rows as one singleton sequence per
+    inner iteration."""
+    rows = table.rows
+    outer = [row[0] for row in rows]
+    lifted_env = {name: _lifted(bound, outer) for name, bound in env.items()}
+    items = Table._of(_IPI, [(inner, 1, row[2])
+                             for inner, row in enumerate(rows, 1)])
+    return outer, lifted_env, items
+
+
+def _is_join(clause: A.ForClause, following, bound: set) -> bool:
+    """Is *clause* with the *following* one a for/where equi-join the
+    interpreter hash-joins (its own detector, ``_match_hash_join``)?
+    Over a loop-lifted plan it would compare every pair of outer and
+    inner iterations.  A probe side that reads no variable and no focus
+    is one value for every pair: a selection, which lifts."""
+    join = _match_hash_join(clause, following, bound)
+    return join is not None and (bool(_free_variables(join.probe_expr))
+                                 or not focus_free(join.probe_expr))
 
 
 def _number(item) -> AtomicValue:
     """An arithmetic operand, converted as the interpreter does."""
     return _numeric(atomize([item])[0])
 
-
-def _context_free_probe(expr: A.Expr) -> bool:
-    """May *expr* be evaluated under the outer loop (no candidate focus)?"""
-    if isinstance(expr, (A.Literal, A.VarRef)):
-        return True
-    if isinstance(expr, A.SequenceExpr):
-        return all(_context_free_probe(item) for item in expr.items)
-    return False
 
 # dispatch(destination, module_uri, location, function, arity,
 #          calls, updating) -> list of result sequences, one per call
@@ -161,8 +272,12 @@ class UnsupportedExpression(XRPCReproError):
     step-not-lifted       a non-axis path step (filter-expression step)
     expr-not-lifted       an expression kind outside the core
     clause-not-lifted     a FLWOR clause kind outside the core
-    function-not-lifted   a function outside the row-wise builtins
-    comparison-not-lifted a non-general comparison
+    join-not-lifted       a for/where equi-join the interpreter hash-joins
+                          (the lifted plan has no join operator yet)
+    function-not-lifted   a user-defined function, or a builtin that reads
+                          the dynamic context (``position()``, ``fn:put``,
+                          ``fn:doc-available`` …)
+    comparison-not-lifted a value comparison
     search-dynamic-needle a ``contains(., needle)`` predicate whose
                           needle is not a string literal
     unbound-variable      variable reference with no binding
@@ -217,6 +332,11 @@ class LoopLiftingCompiler:
         self.trace: list[dict] = []
         self.doc_resolver = doc_resolver
         self._documents: dict[str, Node] = {}
+        # The builtins the plan calls read no dynamic context (see
+        # builtin_reads_context); they are handed an empty one.
+        self._builtin_context = DynamicContext(static)
+        # xmlns declarations of the enclosing direct constructors.
+        self._namespaces: dict[str, str] = {}
 
     # ------------------------------------------------------------------
 
@@ -231,11 +351,10 @@ class LoopLiftingCompiler:
         before any ``execute at`` ships.  A passing check is final:
         what can fail on the data raises the interpreter's XQuery
         error, never :class:`UnsupportedExpression`."""
-        empty = Table(("iter", "pos", "item"))
-        env = dict.fromkeys(names, empty)
+        env = {name: Table._of(_IPI, []) for name in names}
         if dot:
-            env[_DOT] = empty
-        self.compile_expr(expr, Table(("iter",)), env)
+            env[_DOT] = Table._of(_IPI, [])
+        self.compile_expr(expr, _loop(0), env)
 
     def evaluate(self, expr: A.Expr, bindings: list[dict[str, list]],
                  context_item=None) -> list[list]:
@@ -250,84 +369,63 @@ class LoopLiftingCompiler:
         N = 1 caller, a Bulk RPC message of N calls the general one.
         Callers :meth:`check` first, or hold its verdict.
         """
-        iters = range(1, len(bindings) + 1)
-        loop = Table(("iter",), [(it,) for it in iters])
+        loop = _loop(len(bindings))
         env: dict[str, Table] = {
-            name: Table(
-                ("iter", "pos", "item"),
-                [(it, pos, item) for it, bound in enumerate(bindings, 1)
-                 for pos, item in enumerate(bound[name], 1)])
+            name: _table((it, bound[name])
+                         for it, bound in enumerate(bindings, 1))
             for name in (bindings[0] if bindings else ())}
         if context_item is not None:
-            env[_DOT] = Table(("iter", "pos", "item"),
-                              [(it, 1, context_item) for it in iters])
-        table = self.compile_expr(expr, loop, env)
-        results: list[list] = [[] for _ in iters]
-        for it, _pos, item in table.sort("iter", "pos").rows:
+            env[_DOT] = Table._of(_IPI, [(it, 1, context_item)
+                                         for (it,) in loop.rows])
+        results: list[list] = [[] for _ in bindings]
+        for it, _pos, item in self.compile_expr(expr, loop, env).rows:
             results[it - 1].append(item)
         return results
 
     def compile_expr(self, expr: A.Expr, loop: Table,
                      env: dict[str, Table]) -> Table:
         """Compile *expr* under the given loop relation and environment;
-        returns its iter|pos|item table.
+        returns its iter|pos|item table, ordered as the module's order
+        invariant states.
 
         Invariant (:meth:`check` rests on it): no branch on data outside
         a row loop — which sub-expressions compile, in what order, is
         fixed by the AST and the environment's names, so over zero rows
         every static failure still raises and nothing else happens.
-        ``_try_equality_probe`` returning ``None`` on the probe values'
-        *types* only re-enters constructs the probe path already
-        admitted (an index key path against the probe it just compiled).
         """
-        if isinstance(expr, A.Literal):
-            return Table(
-                ("iter", "pos", "item"),
-                [(it, 1, expr.value) for (it,) in loop.rows])
-        if isinstance(expr, A.VarRef):
-            if expr.name not in env:
-                raise _unsupported(expr, f"unbound variable ${expr.name}",
-                                   "unbound-variable")
-            return env[expr.name]
-        if isinstance(expr, A.ContextItem):
-            dot = env.get(_DOT)
-            if dot is None:
-                raise _unsupported(expr, "no context item in scope",
-                                   "context-item")
-            return dot
-        if isinstance(expr, A.SequenceExpr):
-            return self._compile_sequence(expr, loop, env)
-        if isinstance(expr, A.RangeExpr):
-            return self._compile_range(expr, loop, env)
-        if isinstance(expr, A.FLWOR):
-            return self._compile_flwor(expr, loop, env)
-        if isinstance(expr, A.ExecuteAt):
-            return self._compile_execute_at(expr, loop, env)
-        if isinstance(expr, A.Arithmetic):
-            return self._compile_arith(expr, loop, env)
-        if isinstance(expr, A.Comparison):
-            return self._compile_comparison(expr, loop, env)
-        if isinstance(expr, A.FunctionCall):
-            return self._compile_function_call(expr, loop, env)
-        if isinstance(expr, A.PathExpr):
-            return self._compile_path(expr, loop, env)
-        raise _unsupported(expr, "outside the loop-lifted core")
+        method = _COMPILERS.get(type(expr))
+        if method is None:
+            raise _unsupported(expr, "outside the loop-lifted core")
+        return method(self, expr, loop, env)
 
     # -- simple expressions -------------------------------------------------
 
+    def _compile_literal(self, expr: A.Literal, loop: Table,
+                         env: dict[str, Table]) -> Table:
+        return Table._of(_IPI, [(it, 1, expr.value) for (it,) in loop.rows])
+
+    def _compile_var_ref(self, expr: A.VarRef, loop: Table,
+                         env: dict[str, Table]) -> Table:
+        if expr.name not in env:
+            raise _unsupported(expr, f"unbound variable ${expr.name}",
+                               "unbound-variable")
+        return env[expr.name]
+
+    def _compile_context_item(self, expr: A.ContextItem, loop: Table,
+                              env: dict[str, Table]) -> Table:
+        dot = env.get(_DOT)
+        if dot is None:
+            raise _unsupported(expr, "no context item in scope",
+                               "context-item")
+        return dot
+
     def _compile_sequence(self, expr: A.SequenceExpr, loop: Table,
                           env: dict[str, Table]) -> Table:
-        if not expr.items:
-            return Table(("iter", "pos", "item"))
-        merged: Optional[Table] = None
-        for ordinal, item in enumerate(expr.items):
-            part = self.compile_expr(item, loop, env).attach("ord", ordinal)
-            merged = part if merged is None else merged.union(part)
-        assert merged is not None
-        renumbered = merged.rownum("newpos", order_by=("ord", "pos"),
-                                   partition_by="iter")
-        return renumbered.project("iter", "pos:newpos", "item") \
-                         .sort("iter", "pos")
+        parts = [_by_iter(self.compile_expr(item, loop, env))
+                 for item in expr.items]
+        return _table((it, [item for groups in parts
+                            for item in groups.get(it, ())])
+                      for (it,) in loop.rows)
 
     def _compile_range(self, expr: A.RangeExpr, loop: Table,
                        env: dict[str, Table]) -> Table:
@@ -343,7 +441,7 @@ class LoopLiftingCompiler:
             high = int(_number(end[it]).value)
             for pos, value in enumerate(range(low, high + 1), start=1):
                 rows.append((it, pos, integer(value)))
-        return Table(("iter", "pos", "item"), rows)
+        return Table._of(_IPI, rows)
 
     def _singleton_per_iter(self, table: Table, who: str) -> dict:
         values: dict = {}
@@ -353,80 +451,87 @@ class LoopLiftingCompiler:
             values[it] = item
         return values
 
-    # -- FLWOR ------------------------------------------------------------------
+    # -- FLWOR and conditionals -------------------------------------------
 
     def _compile_flwor(self, expr: A.FLWOR, loop: Table,
                        env: dict[str, Table]) -> Table:
         env = dict(env)
-        # Stack of map tables (outer|inner) to unwind afterwards.
-        maps: list[Table] = []
-        for clause in expr.clauses:
+        # Per for-clause, the outer iteration of each inner one, to
+        # unwind the nesting afterwards.
+        outers: list[list[int]] = []
+        bound: set[str] = set()
+        clauses = expr.clauses
+        for index, clause in enumerate(clauses):
             if isinstance(clause, A.LetClause):
                 env[clause.var] = self.compile_expr(clause.value, loop, env)
+                bound.add(clause.var)
             elif isinstance(clause, A.ForClause):
-                loop, env, mapping = self._lift_for(clause, loop, env)
-                maps.append(mapping)
+                following = clauses[index + 1] \
+                    if index + 1 < len(clauses) else None
+                if _is_join(clause, following, bound):
+                    raise _unsupported(
+                        clause, "a for/where equi-join is hash-joined by the "
+                        "interpreter; the lifted plan has no join operator",
+                        "join-not-lifted")
+                loop, env, outer = self._lift_for(clause, loop, env)
+                outers.append(outer)
+                bound.add(clause.var)
+                if clause.position_var:
+                    bound.add(clause.position_var)
             elif isinstance(clause, A.WhereClause):
                 loop, env = self._apply_where(clause, loop, env)
             else:
                 raise _unsupported(clause, "outside the loop-lifted core",
                                    "clause-not-lifted")
         result = self.compile_expr(expr.return_expr, loop, env)
-        # Unwind nesting: map inner iterations back to outer ones.
-        for mapping in reversed(maps):
-            joined = result.join(mapping, "iter", "inner")
-            renumbered = joined.rownum(
-                "newpos", order_by=("iter", "pos"), partition_by="outer")
-            result = renumbered.project("iter:outer", "pos:newpos", "item") \
-                               .sort("iter", "pos")
+        for outer in reversed(outers):
+            result = _unwind(result, outer)
         return result
 
     def _lift_for(self, clause: A.ForClause, loop: Table,
                   env: dict[str, Table]):
         source = self.compile_expr(clause.source, loop, env)
-        _, mapping, lifted_env, items = self._explode(source, env)
+        outer, lifted_env, items = _explode(source, env)
         lifted_env[clause.var] = items
-        new_loop = mapping.project("iter:inner")
         if clause.position_var:
-            positions = source.rownum(
-                "relpos", order_by=("pos",), partition_by="iter") \
-                .rownum("inner", order_by=("iter", "pos"))
-            lifted_env[clause.position_var] = positions.project(
-                "iter:inner", "relpos").fun(
-                    "item", lambda p: integer(p), "relpos") \
-                .attach("pos", 1).project("iter", "pos", "item")
-        return new_loop, lifted_env, mapping
+            # pos is dense: a row's pos is its position in its sequence.
+            lifted_env[clause.position_var] = Table._of(_IPI, [
+                (inner, 1, integer(row[1]))
+                for inner, row in enumerate(source.rows, 1)])
+        return _loop(len(outer)), lifted_env, outer
 
-    @staticmethod
-    def _explode(table: Table, env: dict[str, Table]):
-        """The for-clause map construction: one inner iteration per row
-        of *table*.  Returns the numbered rows (``inner`` column), the
-        ``outer|inner`` map, *env* lifted to the inner iterations, and
-        the rows as one singleton sequence per inner iteration."""
-        numbered = table.rownum("inner", order_by=("iter", "pos"))
-        mapping = numbered.project("outer:iter", "inner")
-        lifted_env = {
-            name: bound.join(mapping, "iter", "outer")
-                       .project("iter:inner", "pos", "item")
-                       .sort("iter", "pos")
-            for name, bound in env.items()}
-        items = numbered.project("iter:inner", "item") \
-                        .attach("pos", 1).project("iter", "pos", "item")
-        return numbered, mapping, lifted_env, items
+    def _ebv_split(self, condition: A.Expr, loop: Table,
+                   env: dict[str, Table]) -> set:
+        """The iterations of *loop* whose *condition* is true (by
+        effective boolean value)."""
+        values = _by_iter(self.compile_expr(condition, loop, env))
+        return {it for (it,) in loop.rows
+                if effective_boolean_value(values.get(it, []))}
 
     def _apply_where(self, clause: A.WhereClause, loop: Table,
                      env: dict[str, Table]):
-        values = _by_iter(self.compile_expr(clause.condition, loop, env))
-        keep = {it for (it,) in loop.rows
-                if effective_boolean_value(values.get(it, []))}
-        new_loop = Table(("iter",), [row for row in loop.rows
-                                     if row[0] in keep])
-        new_env = {
-            name: Table(table.columns,
-                        [row for row in table.rows if row[0] in keep])
-            for name, table in env.items()
-        }
-        return new_loop, new_env
+        return _restrict(loop, env,
+                         self._ebv_split(clause.condition, loop, env))
+
+    def _compile_if(self, expr: A.IfExpr, loop: Table,
+                    env: dict[str, Table]) -> Table:
+        """Each branch compiles under the loop of the iterations that
+        take it — so a branch no iteration takes runs over zero rows
+        and raises nothing, as in the interpreter — and the two results
+        merge by ``iter``."""
+        taken = self._ebv_split(expr.condition, loop, env)
+        then_part = self.compile_expr(
+            expr.then_branch, *_restrict(loop, env, taken))
+        else_part = self.compile_expr(
+            expr.else_branch, *_restrict(
+                loop, env, {it for (it,) in loop.rows if it not in taken}))
+        if not else_part.rows:
+            return then_part
+        if not then_part.rows:
+            return else_part
+        # Two iter-ordered runs over disjoint iterations: a stable merge.
+        return Table._of(_IPI, sorted(then_part.rows + else_part.rows,
+                                      key=_ITER))
 
     # -- row-wise computation ----------------------------------------------------
 
@@ -441,55 +546,49 @@ class LoopLiftingCompiler:
             if it in left and it in right:
                 rows.append((it, 1, _arith(expr.op, _number(left[it]),
                                            _number(right[it]))))
-        return Table(("iter", "pos", "item"), rows)
+        return Table._of(_IPI, rows)
 
     def _compile_comparison(self, expr: A.Comparison, loop: Table,
                             env: dict[str, Table]) -> Table:
-        if expr.kind != "general":
-            raise _unsupported(expr, "only general comparisons are lifted",
+        if expr.kind == "value":
+            raise _unsupported(expr, "value comparisons are not lifted",
                                "comparison-not-lifted")
-        left = self.compile_expr(expr.left, loop, env)
-        right = self.compile_expr(expr.right, loop, env)
-        op = {"=": "eq", "!=": "ne", "<": "lt",
-              "<=": "le", ">": "gt", ">=": "ge"}[expr.op]
-        by_iter_left = _by_iter(left)
-        by_iter_right = _by_iter(right)
-        from repro.xdm.atomic import boolean as make_boolean
-        rows = []
-        for (it,) in loop.rows:
-            outcome = any(
-                general_compare_pair(lv, op, rv)
-                for lv in atomize(by_iter_left.get(it, []))
-                for rv in atomize(by_iter_right.get(it, [])))
-            rows.append((it, 1, make_boolean(outcome)))
-        return Table(("iter", "pos", "item"), rows)
+        left = _by_iter(self.compile_expr(expr.left, loop, env))
+        right = _by_iter(self.compile_expr(expr.right, loop, env))
+        if expr.kind == "general":
+            return Table._of(_IPI, [
+                (it, 1, boolean(general_comparison(
+                    expr.op, left.get(it, []), right.get(it, []))))
+                for (it,) in loop.rows])
+        return _table((it, node_comparison(expr.op, left.get(it, []),
+                                           right.get(it, [])))
+                      for (it,) in loop.rows)
 
     def _compile_function_call(self, expr: A.FunctionCall, loop: Table,
                                env: dict[str, Table]) -> Table:
-        local = expr.name.split(":")[-1]
-        if local == "doc" and len(expr.args) == 1:
+        """A builtin that reads its arguments only, called once per
+        live iteration with that iteration's argument sequences — the
+        interpreter's implementation, so its semantics by construction."""
+        arity = len(expr.args)
+        try:
+            uri, local = self.static.resolve_function_name(expr.name)
+        except XRPCReproError:  # an undeclared prefix, raised if reached
+            uri = local = None
+        if uri == FN_NS and local == "doc" and arity == 1:
             return self._compile_doc(expr, loop, env)
-        func = _ROWWISE_STRING.get(local)
-        if func is None:
+        builtin = None
+        if uri is not None and not builtin_reads_context(uri, local, arity):
+            builtin = get_builtin(uri, local, arity)
+        if builtin is None:
             raise _unsupported(
                 expr, f"function {expr.name} is outside the loop-lifted core",
                 "function-not-lifted")
-        param_maps = [
-            self._singleton_per_iter(
-                self.compile_expr(arg, loop, env),
-                f"FunctionCall: {expr.name} argument")
-            for arg in expr.args
-        ]
-        rows = []
-        for (it,) in loop.rows:
-            parts = []
-            for mapping in param_maps:
-                if it not in mapping:
-                    parts.append("")
-                    continue
-                parts.append(atomize([mapping[it]])[0].string_value())
-            rows.append((it, 1, string(func(*parts))))
-        return Table(("iter", "pos", "item"), rows)
+        args = [_by_iter(self.compile_expr(arg, loop, env))
+                for arg in expr.args]
+        context = self._builtin_context
+        return _table((it, builtin([groups.get(it, []) for groups in args],
+                                   context))
+                      for (it,) in loop.rows)
 
     def _compile_doc(self, expr: A.FunctionCall, loop: Table,
                      env: dict[str, Table]) -> Table:
@@ -513,7 +612,77 @@ class LoopLiftingCompiler:
                                        f"document {uri!r} not found")
                 self._documents[uri] = document
             rows.append((it, 1, document))
-        return Table(("iter", "pos", "item"), rows)
+        return Table._of(_IPI, rows)
+
+    # -- constructors: one node per live iteration --------------------------
+
+    def _compile_parts(self, parts: list, loop: Table,
+                       env: dict[str, Table]) -> list:
+        """Content or attribute-value parts: literal strings as they
+        are, enclosed expressions as their sequences per iteration."""
+        return [part if isinstance(part, str)
+                else _by_iter(self.compile_expr(part, loop, env))
+                for part in parts]
+
+    def _constructor_names(self, name, loop: Table,
+                           env: dict[str, Table]) -> dict:
+        """A computed constructor's name per live iteration."""
+        if isinstance(name, str):
+            return {it: name for (it,) in loop.rows}
+        names = _by_iter(self.compile_expr(name, loop, env))
+        return {it: constructor_name(names.get(it, []))
+                for (it,) in loop.rows}
+
+    def _compile_direct_element(self, expr: A.DirectElement, loop: Table,
+                                env: dict[str, Table]) -> Table:
+        declarations, in_scope = direct_namespaces(expr, self._namespaces)
+        enclosing, self._namespaces = self._namespaces, in_scope
+        try:
+            attributes = [self._compile_parts(parts, loop, env)
+                          for _, parts in expr.attributes]
+            content = self._compile_parts(expr.content, loop, env)
+        finally:
+            self._namespaces = enclosing
+
+        def at(parts: list, it: int) -> list:
+            return [part if isinstance(part, str) else part.get(it, [])
+                    for part in parts]
+        return Table._of(_IPI, [
+            (it, 1, build_direct_element(
+                expr, declarations, in_scope, self.static,
+                [at(parts, it) for parts in attributes], at(content, it),
+                NodeFactory()))
+            for (it,) in loop.rows])
+
+    def _compile_computed_element(self, expr: A.ComputedElement,
+                                  loop: Table, env: dict[str, Table]) -> Table:
+        names = self._constructor_names(expr.name, loop, env)
+        content = _by_iter(self.compile_expr(expr.content, loop, env)) \
+            if expr.content is not None else {}
+        return Table._of(_IPI, [
+            (it, 1, build_computed_element(
+                names[it], self._namespaces, self.static,
+                content.get(it, []), NodeFactory()))
+            for (it,) in loop.rows])
+
+    def _compile_computed_attribute(self, expr: A.ComputedAttribute,
+                                    loop: Table,
+                                    env: dict[str, Table]) -> Table:
+        names = self._constructor_names(expr.name, loop, env)
+        content = _by_iter(self.compile_expr(expr.content, loop, env)) \
+            if expr.content else {}
+        return Table._of(_IPI, [
+            (it, 1, build_computed_attribute(names[it], content.get(it, [])))
+            for (it,) in loop.rows])
+
+    def _compile_computed_text(self, expr: A.ComputedText, loop: Table,
+                               env: dict[str, Table]) -> Table:
+        if not expr.content:
+            return _table((it, build_computed_text(None))
+                          for (it,) in loop.rows)
+        content = _by_iter(self.compile_expr(expr.content, loop, env))
+        return _table((it, build_computed_text(content.get(it, [])))
+                      for (it,) in loop.rows)
 
     # -- path expressions: the relational pushdown ----------------------------
     #
@@ -539,7 +708,7 @@ class LoopLiftingCompiler:
                     raise DynamicError(
                         "XPDY0002", "absolute path requires a node context item")
                 rows.append((it, 1, item.root()))
-            current = Table(("iter", "pos", "item"), rows)
+            current = Table._of(_IPI, rows)
             if expr.absolute == "root-descendant":
                 steps.insert(0, A.AxisStep("descendant-or-self",
                                            A.KindTest("node")))
@@ -559,6 +728,12 @@ class LoopLiftingCompiler:
             current = self._compile_axis_step(step, current, loop, env)
         return current
 
+    def _step_matcher(self, step: A.AxisStep) -> Callable[[Node], bool]:
+        test, axis, static = step.node_test, step.axis, self.static
+        namespaces = self._namespaces
+        return lambda node: node_test_matches(node, test, axis, static,
+                                              namespaces)
+
     def _compile_axis_step(self, step: A.AxisStep,
                            current: Table, loop: Table,
                            env: dict[str, Table]) -> Table:
@@ -568,7 +743,7 @@ class LoopLiftingCompiler:
         if isinstance(test, A.NameTest) and test.local != "*":
             local = test.local
         match_all = isinstance(test, A.KindTest) and test.kind == "node"
-        matches = lambda node: node_test_matches(node, test, axis, self.static)
+        matches = self._step_matcher(step)
         if all(_statically_non_numeric(p) for p in step.predicates):
             probed = self._try_equality_probe(step, current, loop, env)
             if probed is not None:
@@ -586,7 +761,7 @@ class LoopLiftingCompiler:
         # (the for-clause map construction), rank each window, and merge
         # back to step semantics afterwards.
         specs = [positional_predicate_spec(p) for p in step.predicates]
-        _, mapping, lifted_env, exploded = self._explode(current, env)
+        outer, lifted_env, exploded = _explode(current, env)
         reverse = axis in REVERSE_AXES
         # A leading [n] early-exits the window scan after the n-th hit in
         # axis order — the rank filter result is identical on the
@@ -608,59 +783,71 @@ class LoopLiftingCompiler:
             else:
                 result = self._value_filter(predicate, result, lifted_env,
                                             reverse)
-        return merge_exploded_contexts(result, mapping)
+        return merge_exploded_contexts(result, outer)
 
     def _try_equality_probe(self, step: A.AxisStep, current: Table,
                             loop: Table, env: dict[str, Table],
                             ) -> Optional[Table]:
-        """``axis::name[path = value]`` as a value-index hash probe.
+        """``axis::name[path = value]`` with *value* compiled once per
+        iteration, not per candidate.
 
         The algebra twin of the interpreter's indexed step: when the
-        step carries exactly one indexable equality predicate, probe the
-        per-anchor value index cached on the tree's ``StructuralIndex``
-        instead of scanning the axis window and re-filtering every
-        candidate.  The probe expression compiles under the *outer*
-        loop, so it must not reference the candidate context item —
-        only literals, variables and sequences of those qualify (the
-        ``[x = $v]`` / ``[x = 'lit']`` shapes of the ROADMAP item).
-        Returns ``None`` whenever any precondition fails; the generic
-        scan-then-filter pipeline takes over.
+        step carries exactly one indexable equality predicate whose
+        right-hand side reads no focus (:func:`focus_free` — the same
+        test the interpreter makes), that side compiles under the
+        *outer* loop.  String probes then probe the per-anchor value
+        index cached on the tree's ``StructuralIndex`` instead of
+        scanning the axis window; other probe values, or contexts the
+        index does not serve, scan the window and compare each
+        candidate's key path with its iteration's probe values — the
+        predicate's own comparison, its right side evaluated once.
+        Returns ``None`` — the generic scan-then-filter pipeline takes
+        the step — when the predicate is not of this shape, a decision
+        made on the AST alone.
         """
         if len(step.predicates) != 1 or step.axis not in ("child", "descendant"):
             return None
         if not isinstance(step.node_test, A.NameTest) \
                 or step.node_test.local == "*":
             return None
-        key_path = _indexable_predicate_key_path(step.predicates[0])
+        predicate = step.predicates[0]
+        key_path = _indexable_predicate_key_path(predicate)
         if key_path is None:
             return None
-        predicate = step.predicates[0]
         assert isinstance(predicate, A.Comparison)
-        if not _context_free_probe(predicate.right):
+        if not focus_free(predicate.right):
             return None
-        probes_by_iter = _by_iter(
-            self.compile_expr(predicate.right, loop, env))
-        for it, items in probes_by_iter.items():
-            values = atomize(items)
-            if not all(v.type in (xs.string, xs.untypedAtomic)
-                       for v in values):
-                return None  # non-string probes: general comparison rules
-            probes_by_iter[it] = [v.string_value() for v in values]
-        return equality_probe_step(current, step.axis, step.node_test,
-                                   key_path, probes_by_iter, self.static)
+        probes = {it: atomize(items) for it, items in _by_iter(
+            self.compile_expr(predicate.right, loop, env)).items()}
+        if all(v.type in (xs.string, xs.untypedAtomic)
+               for values in probes.values() for v in values):
+            probed = equality_probe_step(
+                current, step.axis, step.node_test, key_path,
+                {it: [v.string_value() for v in values]
+                 for it, values in probes.items()},
+                self.static, self._namespaces)
+            if probed is not None:
+                return probed
+        scanned = axis_step(current, step.axis,
+                            matches=self._step_matcher(step),
+                            local_name=step.node_test.local)
+        return _renumbered(
+            (it, node) for it, _pos, node in scanned.rows
+            if general_comparison(
+                "=", [untyped(key) for key in _walk_key_path(node, key_path)],
+                probes.get(it, [])))
 
     def _predicate_values(self, predicate: A.Expr, table: Table,
-                          env: dict[str, Table]) -> tuple[Table, dict]:
+                          env: dict[str, Table]) -> dict:
         """Every candidate row of *table* becomes one inner iteration —
         the same map construction as a for-clause — with the candidate
         bound as the context item, and *predicate* compiles under that
-        inner loop.  Returns the numbered candidates (``inner`` column)
-        and the predicate's value per inner iteration."""
-        numbered, mapping, lifted_env, focus = self._explode(table, env)
+        inner loop.  Returns the predicate's value per inner iteration
+        (row *k* of *table* is inner iteration *k*)."""
+        outer, lifted_env, focus = _explode(table, env)
         lifted_env[_DOT] = focus
-        condition = self.compile_expr(predicate, mapping.project("iter:inner"),
-                                      lifted_env)
-        return numbered, _by_iter(condition)
+        return _by_iter(self.compile_expr(predicate, _loop(len(outer)),
+                                          lifted_env))
 
     def _value_filter(self, predicate: A.Expr, table: Table,
                       env: dict[str, Table], reverse: bool) -> Table:
@@ -669,7 +856,9 @@ class LoopLiftingCompiler:
         candidate whose position equals it, any other value filters by
         effective boolean value — the interpreter's rule, ranked by
         :func:`~repro.algebra.paths.positional_filter`."""
-        numbered, values = self._predicate_values(predicate, table, env)
+        values = self._predicate_values(predicate, table, env)
+        numbered = Table._of(table.columns + ("inner",), [
+            row + (inner,) for inner, row in enumerate(table.rows, 1)])
         inner_index = numbered.col("inner")
 
         def keep(row: tuple, position: int, count: int) -> bool:
@@ -693,111 +882,115 @@ class LoopLiftingCompiler:
                 # per-candidate focus machinery below is skipped whole.
                 table = contains_filter(table, needle)
                 continue
-            numbered, values = self._predicate_values(predicate, table, env)
-            inner_index = numbered.col("inner")
-            kept = Table(numbered.columns,
-                         [row for row in numbered.rows
-                          if effective_boolean_value(
-                              values.get(row[inner_index], []))])
-            table = kept.rownum("newpos", order_by=("pos",),
-                                partition_by="iter") \
-                        .project("iter", "pos:newpos", "item")
+            values = self._predicate_values(predicate, table, env)
+            table = _renumbered(
+                (row[0], row[2]) for inner, row in enumerate(table.rows, 1)
+                if effective_boolean_value(values.get(inner, [])))
         return table
 
     # -- execute at: the Figure 2 rule ----------------------------------------
 
     def _compile_execute_at(self, expr: A.ExecuteAt, loop: Table,
                             env: dict[str, Table]) -> Table:
+        """One Bulk RPC per distinct destination peer (by
+        :func:`~repro.net.transport.normalize_peer_uri`, as the batching
+        executor groups): per peer, the ``map`` of its iterations to
+        call numbers ``iterp``, the ``req`` parameter tables, the ``msg``
+        answers and the ``res`` answers mapped back to ``iter`` — each
+        built in one pass over iter-ordered input."""
         if self.dispatch is None:
             raise _unsupported(expr, "execute at requires a dispatch function",
                                "dispatch")
-        dst = self.compile_expr(expr.destination, loop, env)
-        destinations = _by_iter(dst)
+        destinations = _by_iter(self.compile_expr(expr.destination, loop, env))
         if any(len(destinations.get(it, ())) != 1 for (it,) in loop.rows):
             raise TypeError_(
                 "XPTY0004", "execute at: destination must be a single string")
-        params = [self.compile_expr(arg, loop, env) for arg in expr.call.args]
+        params = [_by_iter(self.compile_expr(arg, loop, env))
+                  for arg in expr.call.args]
+        # Distinct destination peers, δ(π_item(dst)), and the iterations
+        # of each in ascending order: map_p, iterp - 1 indexing the list.
+        iters_of: dict[str, list[int]] = {}
+        peer_of: dict[str, str] = {}  # each spelling normalized once
+        for it, [item] in destinations.items():
+            uri = atomize([item])[0].string_value()
+            peer = peer_of.get(uri)
+            if peer is None:
+                peer = peer_of[uri] = normalize_peer_uri(uri)
+            iters_of.setdefault(peer, []).append(it)
+        if not iters_of:  # no live iteration: nothing to ship or to trace
+            return Table._of(_IPI, [])
 
         uri, local = self.static.resolve_function_name(expr.call.name)
         location = self.static.module_locations.get(uri)
         decl = self.static.lookup_function(uri, local, len(expr.call.args))
         updating = bool(decl is not None and getattr(decl, "updating", False))
 
-        # Distinct destination peers: δ(π_item(dst)).
-        peers = [atomize([item])[0].string_value()
-                 for item in dst.project("item").distinct().column_values("item")]
-        if not peers:  # no live iteration: nothing to ship or to trace
-            return Table(("iter", "pos", "item"))
-
-        # Per-peer translation (Figure 2), requests gathered first so the
-        # dispatch layer can ship them in parallel.
-        per_peer: list[dict] = []
-        for peer in peers:
-            selected = dst.fun(
-                "sel",
-                lambda item, peer=peer:
-                    atomize([item])[0].string_value() == peer,
-                "item").select("sel")
-            mapping = selected.rownum("iterp", order_by=("iter",)) \
-                              .project("iter", "iterp")
-            req_tables = []
-            for param in params:
-                joined = mapping.join(param, "iter", "iter")
-                req = joined.rownum("newpos", order_by=("pos",),
-                                    partition_by="iterp") \
-                            .project("iterp", "pos:newpos", "item") \
-                            .sort("iterp", "pos")
-                req_tables.append(req)
-            by_req = [_by_iter(req) for req in req_tables]
-            iterps = sorted(row[mapping.col("iterp")] for row in mapping.rows)
-            calls = [[groups.get(iterp, []) for groups in by_req]
-                     for iterp in iterps]
-            per_peer.append({
-                "peer": peer,
-                "map": mapping,
-                "req": req_tables,
-                "calls": calls,
-            })
-
-        # Ship one Bulk RPC per peer — fanned out in parallel across
-        # distinct destinations when the dispatch layer supports it
-        # (Figure 2's parallel dispatch).
-        if self.dispatch_parallel is not None and len(per_peer) > 1:
-            requests = [
-                (entry["peer"], uri, location, local, len(params),
-                 entry["calls"], updating)
-                for entry in per_peer
-            ]
-            all_results = self.dispatch_parallel(requests)
+        # Requests gathered first so the dispatch layer can ship them in
+        # parallel across distinct destinations (Figure 2's parallel
+        # dispatch).
+        requests = [
+            (peer, uri, location, local, len(params),
+             [[groups.get(it, []) for groups in params] for it in iters],
+             updating)
+            for peer, iters in iters_of.items()]
+        if self.dispatch_parallel is not None and len(requests) > 1:
+            answers = self.dispatch_parallel(requests)
         else:
-            all_results = [
-                self.dispatch(entry["peer"], uri, location, local,
-                              len(params), entry["calls"], updating)
-                for entry in per_peer
-            ]
-        for entry, results in zip(per_peer, all_results):
-            rows = []
-            for iterp, sequence in enumerate(results, start=1):
-                for pos, item in enumerate(sequence, start=1):
-                    rows.append((iterp, pos, item))
-            entry["msg"] = Table(("iterp", "pos", "item"), rows)
+            answers = [self.dispatch(*request) for request in requests]
 
-        # Map iterp back to iter and merge-union all peers' results.
-        result = Table(("iter", "pos", "item"))
-        for entry in per_peer:
-            res = entry["msg"].join(entry["map"], "iterp", "iterp") \
-                              .project("iter", "pos", "item")
-            entry["res"] = res
-            result = result.union(res)
-        result = result.sort("iter", "pos")
-
+        rows = [(it, pos, item)
+                for iters, results in zip(iters_of.values(), answers)
+                for it, sequence in zip(iters, results)
+                for pos, item in enumerate(sequence, 1)]
+        if len(iters_of) > 1:  # merge-union the peers' answers by iter
+            rows.sort(key=_ITER)
+        result = Table._of(_IPI, rows)
         if self.trace_enabled:
-            self.trace.append({
-                "peers": peers,
-                "per_peer": per_peer,
-                "result": result,
-            })
+            self.trace.append(_figure2_trace(iters_of, requests, answers,
+                                             result))
         return result
+
+
+def _figure2_trace(iters_of: dict[str, list[int]], requests: list,
+                   answers: list, result: Table) -> dict:
+    """The per-peer tables of Figure 2 (map, req, msg, res) for one
+    ``execute at``, as :attr:`LoopLiftingCompiler.trace` records them."""
+    per_peer = []
+    for (peer, iters), request, results in zip(iters_of.items(), requests,
+                                               answers):
+        calls = request[5]
+        per_peer.append({
+            "peer": peer,
+            "map": Table._of(("iter", "iterp"),
+                             [(it, iterp) for iterp, it in enumerate(iters, 1)]),
+            "req": [_table((iterp, call[index])
+                           for iterp, call in enumerate(calls, 1))
+                    for index in range(request[4])],
+            "calls": calls,
+            "msg": _table(enumerate(results, 1)),
+            "res": _table(zip(iters, results)),
+        })
+    return {"peers": list(iters_of), "per_peer": per_peer, "result": result}
+
+
+_COMPILERS: dict[type, Callable] = {
+    A.Literal: LoopLiftingCompiler._compile_literal,
+    A.VarRef: LoopLiftingCompiler._compile_var_ref,
+    A.ContextItem: LoopLiftingCompiler._compile_context_item,
+    A.SequenceExpr: LoopLiftingCompiler._compile_sequence,
+    A.RangeExpr: LoopLiftingCompiler._compile_range,
+    A.FLWOR: LoopLiftingCompiler._compile_flwor,
+    A.IfExpr: LoopLiftingCompiler._compile_if,
+    A.ExecuteAt: LoopLiftingCompiler._compile_execute_at,
+    A.Arithmetic: LoopLiftingCompiler._compile_arith,
+    A.Comparison: LoopLiftingCompiler._compile_comparison,
+    A.FunctionCall: LoopLiftingCompiler._compile_function_call,
+    A.PathExpr: LoopLiftingCompiler._compile_path,
+    A.DirectElement: LoopLiftingCompiler._compile_direct_element,
+    A.ComputedElement: LoopLiftingCompiler._compile_computed_element,
+    A.ComputedAttribute: LoopLiftingCompiler._compile_computed_attribute,
+    A.ComputedText: LoopLiftingCompiler._compile_computed_text,
+}
 
 
 class LoopLiftedQuery:

@@ -348,7 +348,8 @@ class XRPCPeer:
         *during* evaluation, so one rule routes to the batching
         executor: several ``execute at`` sites (its (destination,
         function) grouping ships fewer messages), or an unliftable
-        query.  A liftable verdict is final — the plan never bails
+        query with a site; an unliftable query with none runs once in
+        the interpreter.  A liftable verdict is final — the plan never bails
         after a ship — so updating remote calls ship from it too.
         ``try_lifted=False`` forces the interpreter path outright.
         """
@@ -410,7 +411,10 @@ class XRPCPeer:
                     result = self.engine.attempt_lifted(compiled, context)
                     plan = "lifted"
             if plan != "lifted":
-                if use_bulk:
+                # With no execute at site the batching executor would
+                # record nothing and run the query a second time.
+                if use_bulk and self.engine.analyze(
+                        compiled, context).sites.count:
                     result, pul = self._execute_bulk(
                         compiled, session, context, degrade)
                 else:

@@ -61,9 +61,10 @@ from repro.xquery.context import (
     ExecutionContext,
     RemoteCall,
     StaticContext,
+    FN_NS,
     XS_NS,
 )
-from repro.xquery.functions import get_builtin
+from repro.xquery.functions import builtin_reads_context, get_builtin
 from repro.xquery.modules import ModuleRegistry
 from repro.xquery.parser import parse_main_module
 from repro.xquf.pul import (
@@ -194,15 +195,8 @@ class Evaluator:
 
     def _eval_comparison(self, expr: A.Comparison, ctx: DynamicContext) -> Sequence:
         if expr.kind == "general":
-            left = atomize(self.eval(expr.left, ctx))
-            right = atomize(self.eval(expr.right, ctx))
-            op = {"=": "eq", "!=": "ne", "<": "lt",
-                  "<=": "le", ">": "gt", ">=": "ge"}[expr.op]
-            for lv in left:
-                for rv in right:
-                    if general_compare_pair(lv, op, rv):
-                        return [boolean(True)]
-            return [boolean(False)]
+            return [boolean(general_comparison(
+                expr.op, self.eval(expr.left, ctx), self.eval(expr.right, ctx)))]
         if expr.kind == "value":
             left = atomize(self.eval(expr.left, ctx))
             right = atomize(self.eval(expr.right, ctx))
@@ -212,21 +206,8 @@ class Evaluator:
                 raise TypeError_(
                     "XPTY0004", "value comparison operand is not a singleton")
             return [boolean(value_compare(left[0], expr.op, right[0]))]
-        # node comparison
-        left_nodes = self.eval(expr.left, ctx)
-        right_nodes = self.eval(expr.right, ctx)
-        if not left_nodes or not right_nodes:
-            return []
-        if len(left_nodes) > 1 or len(right_nodes) > 1 or \
-                not isinstance(left_nodes[0], Node) or \
-                not isinstance(right_nodes[0], Node):
-            raise TypeError_("XPTY0004", "node comparison requires single nodes")
-        ln, rn = left_nodes[0], right_nodes[0]
-        if expr.op == "is":
-            return [boolean(ln is rn)]
-        if expr.op == "<<":
-            return [boolean(ln.order_key < rn.order_key)]
-        return [boolean(ln.order_key > rn.order_key)]
+        return node_comparison(expr.op, self.eval(expr.left, ctx),
+                               self.eval(expr.right, ctx))
 
     def _eval_logical(self, expr: A.Logical, ctx: DynamicContext) -> Sequence:
         left = effective_boolean_value(self.eval(expr.left, ctx))
@@ -580,6 +561,8 @@ class Evaluator:
             return None
         predicate = step.predicates[0]
         assert isinstance(predicate, A.Comparison)
+        if not focus_free(predicate.right):
+            return None  # it is a function of each candidate
         probe_values = atomize(self.eval(predicate.right, ctx))
         if not all(v.type in (xs.string, xs.untypedAtomic)
                    for v in probe_values):
@@ -690,144 +673,45 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Constructors
 
+    # Each constructor evaluates its operands here and hands them, already
+    # evaluated, to the module-level builder the loop-lifted plan calls
+    # with its per-iteration operands (repro.pathfinder.compiler).
+
     def _eval_direct_element(self, expr: A.DirectElement,
                              ctx: DynamicContext) -> Sequence:
         factory = NodeFactory()
-        return [self._build_direct_element(expr, ctx, factory)]
-
-    def _build_direct_element(self, expr: A.DirectElement, ctx: DynamicContext,
-                              factory: NodeFactory) -> ElementNode:
-        # Constructor-scope namespace declarations (xmlns attributes).
-        declarations: dict[str, str] = {}
-        for attr_name, parts in expr.attributes:
-            if attr_name == "xmlns" or attr_name.startswith("xmlns:"):
-                value = "".join(p for p in parts if isinstance(p, str))
-                prefix = "" if attr_name == "xmlns" else attr_name.split(":", 1)[1]
-                declarations[prefix] = value
-        merged = dict(ctx.constructor_namespaces)
-        merged.update(declarations)
-
+        declarations, in_scope = direct_namespaces(
+            expr, ctx.constructor_namespaces)
         content_ctx = ctx.child()
-        content_ctx.constructor_namespaces = merged
-
-        ns_uri = self._resolve_constructor_name(expr.name, merged, ctx,
-                                                use_default=True)
-        element = factory.element(expr.name, ns_uri)
-        element.namespace_declarations = declarations
-
-        for attr_name, parts in expr.attributes:
-            value = self._attr_value_string(parts, content_ctx)
-            if attr_name == "xmlns" or attr_name.startswith("xmlns:"):
-                attr_ns: Optional[str] = "http://www.w3.org/2000/xmlns/"
-            else:
-                attr_ns = self._resolve_constructor_name(
-                    attr_name, merged, ctx, use_default=False)
-            element.set_attribute(factory.attribute(attr_name, value, attr_ns))
-
-        content_items: Sequence = []
-        for part in expr.content:
-            if isinstance(part, str):
-                content_items.append(_TEXT_MARKER(part))
-            else:
-                content_items.extend(self.eval(part, content_ctx))
-        self._attach_content(element, content_items, factory)
-        return element
-
-    def _resolve_constructor_name(self, lexical: str, merged: dict[str, str],
-                                  ctx: DynamicContext,
-                                  use_default: bool) -> Optional[str]:
-        if ":" in lexical:
-            prefix = lexical.split(":", 1)[0]
-            if prefix in merged:
-                return merged[prefix] or None
-            return ctx.static.resolve_prefix(prefix)
-        if use_default:
-            if "" in merged:
-                return merged[""] or None
-            return ctx.static.default_element_namespace
-        return None
-
-    def _attr_value_string(self, parts: list[A.ContentPart],
-                           ctx: DynamicContext) -> str:
-        pieces: list[str] = []
-        for part in parts:
-            if isinstance(part, str):
-                pieces.append(part)
-            else:
-                values = atomize(self.eval(part, ctx))
-                pieces.append(" ".join(v.string_value() for v in values))
-        return "".join(pieces)
-
-    def _attach_content(self, element: ElementNode, items: Sequence,
-                        factory: NodeFactory) -> None:
-        """Assemble constructor content: space-join adjacent atomics,
-        copy nodes, splice documents, lift attribute nodes."""
-        buffer: list[str] = []
-        last_was_atomic = False
-        seen_content = False
-
-        def flush() -> None:
-            nonlocal last_was_atomic
-            if buffer:
-                element.append(factory.text("".join(buffer)))
-                buffer.clear()
-            last_was_atomic = False
-
-        for item in items:
-            if isinstance(item, _TEXT_MARKER):
-                buffer.append(item.text)
-                last_was_atomic = False
-                seen_content = True
-            elif isinstance(item, AtomicValue):
-                if last_was_atomic:
-                    buffer.append(" ")
-                buffer.append(item.string_value())
-                last_was_atomic = True
-                seen_content = True
-            elif isinstance(item, AttributeNode):
-                if seen_content:
-                    raise TypeError_(
-                        "XQTY0024",
-                        "attribute node follows non-attribute content")
-                element.set_attribute(
-                    factory.attribute(item.name, item.value, item.ns_uri))
-            elif isinstance(item, DocumentNode):
-                flush()
-                seen_content = True
-                for child in item.children:
-                    element.append(copy_into(child, factory))
-            elif isinstance(item, Node):
-                flush()
-                seen_content = True
-                element.append(copy_into(item, factory))
-            else:  # pragma: no cover - defensive
-                raise TypeError_("XPTY0004", "unexpected constructor content")
-        flush()
+        content_ctx.constructor_namespaces = in_scope
+        attribute_values = [
+            [part if isinstance(part, str) else self.eval(part, content_ctx)
+             for part in parts]
+            for _, parts in expr.attributes]
+        content = [
+            part if isinstance(part, str) else self.eval(part, content_ctx)
+            for part in expr.content]
+        return [build_direct_element(expr, declarations, in_scope, ctx.static,
+                                     attribute_values, content, factory)]
 
     def _eval_computed_element(self, expr: A.ComputedElement,
                                ctx: DynamicContext) -> Sequence:
         name = self._constructor_name(expr.name, ctx)
         factory = NodeFactory()
-        ns_uri = self._resolve_constructor_name(
-            name, ctx.constructor_namespaces, ctx, use_default=True)
-        element = factory.element(name, ns_uri)
         items = self.eval(expr.content, ctx) if expr.content is not None else []
-        self._attach_content(element, items, factory)
-        return [element]
+        return [build_computed_element(name, ctx.constructor_namespaces,
+                                       ctx.static, items, factory)]
 
     def _eval_computed_attribute(self, expr: A.ComputedAttribute,
                                  ctx: DynamicContext) -> Sequence:
         name = self._constructor_name(expr.name, ctx)
-        values = atomize(self.eval(expr.content, ctx)) if expr.content else []
-        value = " ".join(v.string_value() for v in values)
-        return [NodeFactory().attribute(name, value)]
+        items = self.eval(expr.content, ctx) if expr.content else []
+        return [build_computed_attribute(name, items)]
 
     def _eval_computed_text(self, expr: A.ComputedText,
                             ctx: DynamicContext) -> Sequence:
-        values = atomize(self.eval(expr.content, ctx)) if expr.content else []
-        if not values and expr.content is not None:
-            return []
-        return [NodeFactory().text(" ".join(v.string_value() for v in values))]
+        items = self.eval(expr.content, ctx) if expr.content else None
+        return build_computed_text(items)
 
     def _eval_computed_comment(self, expr: A.ComputedComment,
                                ctx: DynamicContext) -> Sequence:
@@ -856,10 +740,7 @@ class Evaluator:
     def _constructor_name(self, name, ctx: DynamicContext) -> str:
         if isinstance(name, str):
             return name
-        values = atomize(self.eval(name, ctx))
-        if len(values) != 1:
-            raise TypeError_("XPTY0004", "computed constructor name not a singleton")
-        return values[0].string_value()
+        return constructor_name(self.eval(name, ctx))
 
     # ------------------------------------------------------------------
     # Type operators
@@ -1011,6 +892,36 @@ class Evaluator:
 # Arithmetic helper
 
 
+_GENERAL_OPS = {"=": "eq", "!=": "ne", "<": "lt",
+                "<=": "le", ">": "gt", ">=": "ge"}
+
+
+def general_comparison(op: str, left: Sequence, right: Sequence) -> bool:
+    """``left op right`` for a general comparison operator: true when
+    some pair of atomized items compares true (pairs in order, the
+    first true one ends the search)."""
+    op = _GENERAL_OPS[op]
+    right_values = atomize(right)
+    return any(general_compare_pair(lv, op, rv)
+               for lv in atomize(left) for rv in right_values)
+
+
+def node_comparison(op: str, left: Sequence, right: Sequence) -> Sequence:
+    """``is`` / ``<<`` / ``>>`` over evaluated operands: ``()`` when
+    either is empty, else each must be one node."""
+    if not left or not right:
+        return []
+    if len(left) > 1 or len(right) > 1 or \
+            not isinstance(left[0], Node) or not isinstance(right[0], Node):
+        raise TypeError_("XPTY0004", "node comparison requires single nodes")
+    ln, rn = left[0], right[0]
+    if op == "is":
+        return [boolean(ln is rn)]
+    if op == "<<":
+        return [boolean(ln.order_key < rn.order_key)]
+    return [boolean(ln.order_key > rn.order_key)]
+
+
 def _arith(op: str, left: AtomicValue, right: AtomicValue) -> AtomicValue:
     lv, rv = left.value, right.value
     use_double = left.type in (xs.double, xs.float) or \
@@ -1106,6 +1017,44 @@ def _free_variables(expr: A.Expr) -> set[str]:
                 walk(value)
     walk(expr)
     return names
+
+
+def focus_free(expr: A.Expr) -> bool:
+    """Does evaluating *expr* never read the focus (context item,
+    position, size)?  Then it has one value per evaluation of the step
+    whose predicate it sits in, whatever the candidate — the condition
+    under which the interpreter's indexed step and the lifted equality
+    probe evaluate a predicate's right-hand side once, not per
+    candidate.
+
+    The focus readers: ``.``, a path without a start (relative or
+    absolute), and the zero-argument builtins that read the context
+    (``position()``, ``last()``, ``string()`` …).  A path's steps and
+    a filter's predicates bind a focus of their own, so only its start
+    or base is looked into."""
+    if isinstance(expr, A.ContextItem):
+        return False
+    if isinstance(expr, A.PathExpr):
+        return expr.absolute == "none" and expr.start is not None \
+            and focus_free(expr.start)
+    if isinstance(expr, A.FilterExpr):
+        return focus_free(expr.base)
+    if isinstance(expr, A.FunctionCall) and not expr.args \
+            and builtin_reads_context(FN_NS, expr.name.split(":")[-1], 0):
+        return False
+    stack: list = [value for value in vars(expr).values()]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, A.Expr):
+            if not focus_free(value):
+                return False
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, (A.ForClause, A.LetClause, A.WhereClause,
+                                A.OrderByClause, A.OrderSpec,
+                                A.TypeSwitchCase)):
+            stack.extend(vars(value).values())
+    return True
 
 
 class _JoinSpec:
@@ -1458,6 +1407,163 @@ class _TEXT_MARKER:
 
     def __init__(self, text: str) -> None:
         self.text = text
+
+
+# ---------------------------------------------------------------------------
+# Node constructors over evaluated operands
+#
+# One builder per constructor kind, shared by the interpreter and the
+# loop-lifted plan: each pipeline evaluates the operands its own way and
+# hands them over; a content or attribute-value part is a literal string
+# or an evaluated sequence.
+
+_XMLNS_NS = "http://www.w3.org/2000/xmlns/"
+
+
+def _is_xmlns(name: str) -> bool:
+    return name == "xmlns" or name.startswith("xmlns:")
+
+
+def direct_namespaces(expr: A.DirectElement, in_scope: dict[str, str],
+                      ) -> tuple[dict[str, str], dict[str, str]]:
+    """The element's own ``xmlns`` declarations, and the namespaces in
+    scope for its name, attributes and content (*in_scope* — those of
+    the enclosing constructors — overridden by its own)."""
+    declarations: dict[str, str] = {}
+    for attr_name, parts in expr.attributes:
+        if _is_xmlns(attr_name):
+            prefix = "" if attr_name == "xmlns" else attr_name.split(":", 1)[1]
+            declarations[prefix] = "".join(
+                p for p in parts if isinstance(p, str))
+    merged = dict(in_scope)
+    merged.update(declarations)
+    return declarations, merged
+
+
+def _constructor_ns(lexical: str, in_scope: dict[str, str],
+                    static: StaticContext,
+                    use_default: bool) -> Optional[str]:
+    if ":" in lexical:
+        prefix = lexical.split(":", 1)[0]
+        if prefix in in_scope:
+            return in_scope[prefix] or None
+        return static.resolve_prefix(prefix)
+    if use_default:
+        if "" in in_scope:
+            return in_scope[""] or None
+        return static.default_element_namespace
+    return None
+
+
+def _joined_values(items: Sequence) -> str:
+    return " ".join(v.string_value() for v in atomize(items))
+
+
+def build_direct_element(expr: A.DirectElement, declarations: dict[str, str],
+                         in_scope: dict[str, str], static: StaticContext,
+                         attribute_values: list[list], content: list,
+                         factory: NodeFactory) -> ElementNode:
+    """``<name attr="…">…</name>`` over evaluated parts: one list of
+    parts per attribute of *expr* (its value template) and the content
+    parts; *declarations* / *in_scope* are :func:`direct_namespaces`'."""
+    element = factory.element(
+        expr.name, _constructor_ns(expr.name, in_scope, static, True))
+    element.namespace_declarations = declarations
+    for (attr_name, _), parts in zip(expr.attributes, attribute_values):
+        value = "".join(part if isinstance(part, str) else _joined_values(part)
+                        for part in parts)
+        attr_ns = _XMLNS_NS if _is_xmlns(attr_name) else \
+            _constructor_ns(attr_name, in_scope, static, False)
+        element.set_attribute(factory.attribute(attr_name, value, attr_ns))
+    items: Sequence = []
+    for part in content:
+        if isinstance(part, str):
+            items.append(_TEXT_MARKER(part))
+        else:
+            items.extend(part)
+    _attach_content(element, items, factory)
+    return element
+
+
+def build_computed_element(name: str, in_scope: dict[str, str],
+                           static: StaticContext, items: Sequence,
+                           factory: NodeFactory) -> ElementNode:
+    """``element name { items }``."""
+    element = factory.element(
+        name, _constructor_ns(name, in_scope, static, True))
+    _attach_content(element, items, factory)
+    return element
+
+
+def build_computed_attribute(name: str, items: Sequence) -> AttributeNode:
+    """``attribute name { items }``."""
+    return NodeFactory().attribute(name, _joined_values(items))
+
+
+def build_computed_text(items: Optional[Sequence]) -> Sequence:
+    """``text { items }`` — no node for empty content; ``None`` is the
+    constructor without a content expression."""
+    if items is None:
+        return [NodeFactory().text("")]
+    values = atomize(items)
+    if not values:
+        return []
+    return [NodeFactory().text(" ".join(v.string_value() for v in values))]
+
+
+def constructor_name(items: Sequence) -> str:
+    """A computed constructor's name: exactly one atomic value."""
+    values = atomize(items)
+    if len(values) != 1:
+        raise TypeError_("XPTY0004", "computed constructor name not a singleton")
+    return values[0].string_value()
+
+
+def _attach_content(element: ElementNode, items: Sequence,
+                    factory: NodeFactory) -> None:
+    """Assemble constructor content: space-join adjacent atomics,
+    copy nodes, splice documents, lift attribute nodes."""
+    buffer: list[str] = []
+    last_was_atomic = False
+    seen_content = False
+
+    def flush() -> None:
+        nonlocal last_was_atomic
+        if buffer:
+            element.append(factory.text("".join(buffer)))
+            buffer.clear()
+        last_was_atomic = False
+
+    for item in items:
+        if isinstance(item, _TEXT_MARKER):
+            buffer.append(item.text)
+            last_was_atomic = False
+            seen_content = True
+        elif isinstance(item, AtomicValue):
+            if last_was_atomic:
+                buffer.append(" ")
+            buffer.append(item.string_value())
+            last_was_atomic = True
+            seen_content = True
+        elif isinstance(item, AttributeNode):
+            if seen_content:
+                raise TypeError_(
+                    "XQTY0024",
+                    "attribute node follows non-attribute content")
+            element.set_attribute(
+                factory.attribute(item.name, item.value, item.ns_uri))
+        elif isinstance(item, DocumentNode):
+            flush()
+            seen_content = True
+            for child in item.children:
+                element.append(copy_into(child, factory))
+        elif isinstance(item, Node):
+            flush()
+            seen_content = True
+            element.append(copy_into(item, factory))
+        else:  # pragma: no cover - defensive
+            raise TypeError_("XPTY0004", "unexpected constructor content")
+    flush()
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,19 @@ Builtin = Callable[..., Sequence]
 
 _REGISTRY: dict[tuple[str, int], Builtin] = {}
 _VARIADIC: dict[str, Builtin] = {}
+#: ``(name, arity)`` of the ``fn:`` builtins that read the dynamic
+#: context — the focus, the document resolver or the pending update
+#: list — and not only their arguments.
+_CONTEXT_READERS: set[tuple[str, int]] = set()
 
 
-def _register(name: str, arities: tuple[int, ...]) -> Callable[[Builtin], Builtin]:
+def _register(name: str, arities: tuple[int, ...],
+              reads_context: tuple[int, ...] = (),
+              ) -> Callable[[Builtin], Builtin]:
     def wrap(func: Builtin) -> Builtin:
         for arity in arities:
             _REGISTRY[(name, arity)] = func
+        _CONTEXT_READERS.update((name, arity) for arity in reads_context)
         return func
     return wrap
 
@@ -107,6 +114,18 @@ def builtin_known_name(uri: str, local: str) -> bool:
     return False
 
 
+def builtin_reads_context(uri: str, local: str, arity: int) -> bool:
+    """Does the builtin read the dynamic context beyond its arguments?
+
+    ``False`` means its result is a function of the argument sequences
+    alone, so the loop-lifted plan may call it once per iteration with
+    no context at all.  ``True`` for the zero-argument focus builtins
+    (``position()``, ``string()`` …), ``fn:doc``, ``fn:doc-available``
+    and the updating ``fn:put``.
+    """
+    return uri == FN_NS and (local, arity) in _CONTEXT_READERS
+
+
 # ---------------------------------------------------------------------------
 # Helpers
 
@@ -150,7 +169,7 @@ def _context_node(ctx: DynamicContext, who: str) -> Node:
 # Documents
 
 
-@_register("doc", (1,))
+@_register("doc", (1,), reads_context=(1,))
 def fn_doc(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     uri = _single_string(args[0], "fn:doc")
     if not uri:
@@ -158,7 +177,7 @@ def fn_doc(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     return [ctx.resolve_doc(uri)]
 
 
-@_register("doc-available", (1,))
+@_register("doc-available", (1,), reads_context=(1,))
 def fn_doc_available(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     uri = _single_string(args[0], "fn:doc-available")
     try:
@@ -168,7 +187,7 @@ def fn_doc_available(args: list[Sequence], ctx: DynamicContext) -> Sequence:
         return [boolean(False)]
 
 
-@_register("put", (2,))
+@_register("put", (2,), reads_context=(2,))
 def fn_put(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     """fn:put — XQUF updating builtin: stores a document at a URI."""
     from repro.xquf.pul import PendingUpdateList, PutDocument
@@ -192,7 +211,7 @@ def fn_document_uri(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     return []
 
 
-@_register("root", (0, 1))
+@_register("root", (0, 1), reads_context=(0,))
 def fn_root(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     if args:
         if not args[0]:
@@ -354,7 +373,7 @@ def fn_unordered(args: list[Sequence], ctx: DynamicContext) -> Sequence:
 # Numerics
 
 
-@_register("number", (0, 1))
+@_register("number", (0, 1), reads_context=(0,))
 def fn_number(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     if args:
         value = _optional_atomic(args[0], "fn:number")
@@ -467,7 +486,7 @@ def fn_round(args: list[Sequence], ctx: DynamicContext) -> Sequence:
 # Strings
 
 
-@_register("string", (0, 1))
+@_register("string", (0, 1), reads_context=(0,))
 def fn_string(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     if args:
         sequence = args[0]
@@ -513,7 +532,7 @@ def fn_substring(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     return [string("".join(chars))]
 
 
-@_register("string-length", (0, 1))
+@_register("string-length", (0, 1), reads_context=(0,))
 def fn_string_length(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     if args:
         text = _single_string(args[0], "fn:string-length")
@@ -522,7 +541,7 @@ def fn_string_length(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     return [integer(len(text))]
 
 
-@_register("normalize-space", (0, 1))
+@_register("normalize-space", (0, 1), reads_context=(0,))
 def fn_normalize_space(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     if args:
         text = _single_string(args[0], "fn:normalize-space")
@@ -624,21 +643,21 @@ def fn_tokenize(args: list[Sequence], ctx: DynamicContext) -> Sequence:
 # Context / names
 
 
-@_register("position", (0,))
+@_register("position", (0,), reads_context=(0,))
 def fn_position(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     if ctx.focus_item is None:
         raise DynamicError("XPDY0002", "fn:position: no context item")
     return [integer(ctx.focus_position)]
 
 
-@_register("last", (0,))
+@_register("last", (0,), reads_context=(0,))
 def fn_last(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     if ctx.focus_item is None:
         raise DynamicError("XPDY0002", "fn:last: no context item")
     return [integer(ctx.focus_size)]
 
 
-@_register("name", (0, 1))
+@_register("name", (0, 1), reads_context=(0,))
 def fn_name(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     node = _name_arg(args, ctx, "fn:name")
     if node is None:
@@ -646,7 +665,7 @@ def fn_name(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     return [string(node.node_name or "")]
 
 
-@_register("local-name", (0, 1))
+@_register("local-name", (0, 1), reads_context=(0,))
 def fn_local_name(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     node = _name_arg(args, ctx, "fn:local-name")
     if node is None:
@@ -658,7 +677,7 @@ def fn_local_name(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     return [string("")]
 
 
-@_register("namespace-uri", (0, 1))
+@_register("namespace-uri", (0, 1), reads_context=(0,))
 def fn_namespace_uri(args: list[Sequence], ctx: DynamicContext) -> Sequence:
     node = _name_arg(args, ctx, "fn:namespace-uri")
     if isinstance(node, (ElementNode, AttributeNode)) and node.ns_uri:

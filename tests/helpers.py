@@ -19,7 +19,8 @@ from repro.soap import (
 from repro.soap.messages import ENV_NS, XRPC_NS
 from repro.workloads.xmark import generate_auctions, generate_persons
 from repro.xdm.atomic import AtomicValue
-from repro.xdm.nodes import AttributeNode, ElementNode, Node, _next_doc_id
+from repro.xdm.nodes import (AttributeNode, DocumentNode, ElementNode,
+                             Node, _next_doc_id)
 from repro.xdm.structural import (
     StructuralIndex,
     _restamp_tree,
@@ -78,12 +79,29 @@ def execute(source: str, resolver, variables=None, try_lifted: bool = True):
         doc_resolver=resolver, variables=variables, try_lifted=try_lifted))
 
 
+def _stored(item) -> bool:
+    """Is *item* a node of a document tree (not one a query built)?"""
+    return isinstance(item, Node) and isinstance(item.root(), DocumentNode)
+
+
+def _node_identities(sequence) -> list[int]:
+    """Per node item, the index of its first occurrence."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(item), index)
+            for index, item in enumerate(sequence) if isinstance(item, Node)]
+
+
 def assert_same_sequence(actual, expected) -> None:
-    """Node items equal by identity, then the serialized bytes equal."""
+    """Stored nodes equal by identity, constructed nodes (each pipeline
+    mints its own) constructed on both sides and repeated where the
+    other side repeats its own, then the serialized bytes equal."""
     assert len(actual) == len(expected)
     for left, right in zip(actual, expected):
-        if isinstance(left, Node) or isinstance(right, Node):
+        if _stored(left) or _stored(right):
             assert left is right
+        elif isinstance(left, Node) or isinstance(right, Node):
+            assert isinstance(left, Node) and isinstance(right, Node)
+    assert _node_identities(actual) == _node_identities(expected)
     assert serialize_sequence(actual) == serialize_sequence(expected)
 
 

@@ -105,6 +105,10 @@ def assert_prediction_agrees(source, warm=True, variables=None):
 # Corpus agreement: READ_SUITE + curated shapes, index warm and cold
 
 
+#: A call of a user-defined function: outside the lifted core.
+_USER_FUNCTION_CALL = ("declare function local:items() "
+                       "{ doc('r.xml')//item }; local:items()")
+
 # Shapes chosen to land in every verdict branch: lifted paths and
 # FLWORs, each static-fallback code, and shapes whose value is known
 # only at run time (they lift: a liftable verdict is final).
@@ -114,12 +118,12 @@ CURATED = [
     "doc('r.xml')/root/sec[@n = '1']/item",
     "for $s in doc('r.xml')//sec return $s/item[1]",
     "for $i in doc('r.xml')//item where $i/@v = 'a' return $i",
-    # function-not-lifted
+    # builtins, constructors and conditionals lift
     "count(doc('r.xml')//item)",
     "sum((1, 2, 3))",
     # clause-not-lifted
     "for $i in doc('r.xml')//item order by $i/@v return $i",
-    # expr-not-lifted
+    # lifted too
     "<wrap>{ doc('r.xml')//item }</wrap>",
     "if (1 = 1) then doc('r.xml')//item else ()",
     # axis/step shapes that *are* lifted
@@ -140,6 +144,14 @@ CURATED = [
     "for $i in doc('r.xml')//item return doc('r.xml')"
     "//sec[contains(., string($i/@v))]",
     "doc('r.xml')//sec[contains(@n, '1')]",
+    # still refused: user functions and context-reading builtins
+    # (function-not-lifted), node kinds outside the core
+    # (expr-not-lifted), the for/where equi-join (join-not-lifted)
+    _USER_FUNCTION_CALL,
+    "doc('r.xml')//item[position() mod 2 = 0]",
+    "doc('r.xml')//item[comment { . }]",
+    "for $s in doc('r.xml')//sec, $i in doc('r.xml')//item "
+    "where $i/@v = $s/@n return $i",
 ]
 
 
@@ -207,11 +219,16 @@ DRY_RUN_CORPUS = (
 TWO_DEFECTS = [
     ("x/1", "context-item"),
     ("HTTP/1.1", "context-item"),
-    ("count($undeclared)", "function-not-lifted"),
+    # The ids name the shapes this corpus started from; builtins and
+    # node comparisons lift now, so each one carries a shape that is
+    # still refused at the same code.
+    pytest.param("local:f($undeclared)", "function-not-lifted",
+                 id="count($undeclared)-function-not-lifted"),
     ("for $i in $u order by $i return f:g()", "unbound-variable"),
     ("for $i in (2, 1) order by $i return <a/>", "clause-not-lifted"),
     ("$u + count(1)", "unbound-variable"),
-    ("(1 is 2, <a/>)", "comparison-not-lifted"),
+    pytest.param("(1 eq 2, comment { 'a' })", "comparison-not-lifted",
+                 id="(1 is 2, <a/>)-comparison-not-lifted"),
     ("doc('r.xml')//item[contains(., $needle)]/count(.)",
      "search-dynamic-needle"),
     ("doc('r.xml')//item/count(.)[$u]", "step-not-lifted"),
@@ -253,7 +270,7 @@ class TestTheCompilerIsTheCheck:
         engine = Engine()
         context = _context()
         for source, plan in (("doc('r.xml')//item", "lifted"),
-                             ("count(doc('r.xml')//item)", "interpreter")):
+                             (_USER_FUNCTION_CALL, "interpreter")):
             del checks[:]
             for _ in range(10):
                 _, explain = engine.execute(source, context)
@@ -550,8 +567,7 @@ class TestSurfacing:
 
     def test_explain_analysis_on_fallback(self):
         engine = Engine()
-        _, explain = engine.execute("count(doc('r.xml')//item)",
-                                    _context())
+        _, explain = engine.execute(_USER_FUNCTION_CALL, _context())
         assert explain.plan == "interpreter"
         assert "analysis: liftable=no [function-not-lifted]" \
             in explain.render()

@@ -103,7 +103,8 @@ class TestExplainAndPlanFlags:
 
     def test_explain_reports_fallback_reason(self, films_file, capsys):
         assert main([
-            "-e", "count(doc('filmDB.xml')//film)",
+            "-e", "declare function local:films() "
+                  "{ count(doc('filmDB.xml')//film) }; local:films()",
             "--doc", f"filmDB.xml={films_file}",
             "--explain",
         ]) == 0
