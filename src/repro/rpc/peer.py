@@ -48,9 +48,8 @@ from repro.soap.marshal import marshal_fingerprint
 from repro.soap.messages import QueryID
 from repro.xquery import xast as A
 from repro.xquery import seqtype
-from repro.xquery.context import (DynamicContext, ExecutionContext, RemoteCall,
-                                  StaticContext)
-from repro.xquery.evaluator import CompiledQuery, Evaluator
+from repro.xquery.context import ExecutionContext, RemoteCall
+from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
 from repro.xquf.pul import PendingUpdateList, apply_updates, updated_uris
 
@@ -168,11 +167,12 @@ class XRPCPeer:
             clock=self.clock)
         self.isolation = IsolationManager(self.store, self.clock)
         self.server = XRPCServer(self)
-        self.evaluator = Evaluator()
+        #: (namespace, local name, arity) -> (declaration, its call plan).
+        self._call_plans: dict[tuple, tuple[A.FunctionDecl, CompiledQuery]] = {}
         self.registry.register_source(_SYS_MODULE)
         # The keyword-search service endpoint: the declaration's body is
         # a stub — the serving side intercepts calls to it by identity
-        # (see run_function) and answers from the posting-list kernels.
+        # (see run_call) and answers from the posting-list kernels.
         self._kw_search_decl = self.registry.by_namespace(
             _SYS_NS).get_function("kw-search", 1)
         register = getattr(transport, "register_peer", None)
@@ -182,15 +182,17 @@ class XRPCPeer:
     # ------------------------------------------------------------------
     # Serving side helpers (used by XRPCServer)
 
-    def run_function(self, decl: A.FunctionDecl, params: list[list],
-                     doc_view, session: ClientSession,
-                     context: Optional[DynamicContext] = None,
-                     ) -> tuple[list, PendingUpdateList]:
-        """Apply a module function to unmarshaled parameters.
+    def run_call(self, decl: A.FunctionDecl, params: list[list],
+                 doc_view, session: ClientSession,
+                 context: Optional[ExecutionContext] = None,
+                 ) -> tuple[list, PendingUpdateList]:
+        """Apply a module function to one call's unmarshaled parameters.
 
-        *context* is the message's :meth:`serving_context` when the
-        caller serves many calls through one; each call still collects
-        into a pending update list of its own.
+        The call runs as the function's :meth:`call_plan` — a query like
+        any other, so the interpreter has one entry point.  *context* is
+        the message's :meth:`serving_context` when the caller serves many
+        calls through one; each call still collects into a pending update
+        list of its own.
         """
         if decl is self._kw_search_decl:
             # Service endpoint, not a user function: answer from this
@@ -199,19 +201,38 @@ class XRPCPeer:
                 PendingUpdateList()
         ctx = context if context is not None \
             else self.serving_context(doc_view, session)
-        ctx.pul = PendingUpdateList()
-        result = self.evaluator.call_user_function(decl, params, ctx)
-        return result, ctx.pul
+        return self.call_plan(decl).run(replace(ctx, variables={
+            f"arg{index}": value for index, value in enumerate(params, 1)}))
 
-    def run_function_set(self, decl: A.FunctionDecl, calls: list[list[list]],
-                         context: DynamicContext) -> Optional[list[list]]:
+    def call_plan(self, decl: A.FunctionDecl) -> CompiledQuery:
+        """The main module a served call of *decl* runs: the function
+        applied to external ``$arg1..$argN``.  The request handler's
+        query plan of the paper's function cache (section 4), compiled
+        once per declaration."""
+        key = (decl.namespace_uri, decl.local_name, len(decl.params))
+        cached = self._call_plans.get(key)
+        if cached is not None and cached[0] is decl:
+            return cached[1]
+        uri = decl.namespace_uri.replace("&", "&amp;").replace('"', '""')
+        arguments = [f"$arg{index}" for index in range(1, key[2] + 1)]
+        compiled = CompiledQuery(
+            f'import module namespace f = "{uri}";\n'
+            + "".join(f"declare variable {name} external;\n"
+                      for name in arguments)
+            + f"f:{decl.local_name}({', '.join(arguments)})", self.registry)
+        compiled.optimize_joins = self.engine.optimize_flwor_joins
+        self._call_plans[key] = (decl, compiled)
+        return compiled
+
+    def run_function(self, decl: A.FunctionDecl, calls: list[list[list]],
+                     context: ExecutionContext) -> Optional[list[list]]:
         """Serve all calls of one Bulk RPC message to the non-updating
         *decl* as ONE loop-lifted plan (paper sections 3.2/4): the
         message already is an ``iter|pos|item`` table per parameter, so
         the body compiles once under the loop relation ``iter = 1..N``
         instead of running the tree interpreter N times.
 
-        Returns ``None`` — the caller then runs :meth:`run_function` per
+        Returns ``None`` — the caller then runs :meth:`run_call` per
         call — for the ``sys:kw-search`` endpoint, for bodies the
         compiler's :meth:`~LoopLiftingCompiler.check` refuses (no
         dispatch function, so no nested ``execute at``) and on *any*
@@ -220,10 +241,8 @@ class XRPCPeer:
         """
         if decl is self._kw_search_decl:
             return None
-        static = decl.module.static if decl.module is not None \
-            else context.static
         compiler = LoopLiftingCompiler(
-            static, doc_resolver=context.doc_resolver)
+            decl.module.static, doc_resolver=context.doc_resolver)
         try:
             # First, so a refused body's payload is converted once.
             compiler.check(decl.body, [p.name for p in decl.params], False)
@@ -261,19 +280,16 @@ class XRPCPeer:
         return hits
 
     def serving_context(self, doc_view,
-                        session: Optional[ClientSession]) -> DynamicContext:
-        """The dynamic context incoming calls evaluate in: one document
+                        session: Optional[ClientSession]) -> ExecutionContext:
+        """The execution context incoming calls run in: one document
         resolver (and its cache) over *doc_view*, nested ``execute at``
         through *session*."""
-        ctx = DynamicContext(
-            StaticContext(),
+        return ExecutionContext(
             doc_resolver=self.make_doc_resolver(doc_view, session),
             xrpc_handler=self._one_at_a_time_handler(session)
             if session is not None else None,
+            put_store=self.store.register,
         )
-        ctx.put_store = self.store.register
-        ctx.optimize_joins = self.engine.optimize_flwor_joins
-        return ctx
 
     def make_doc_resolver(self, doc_view, session: Optional[ClientSession]):
         """fn:doc resolution: local store/snapshot, or remote fetch

@@ -162,7 +162,7 @@ class XRPCServer:
         # whose budget is already spent, so the loop's fault answers it.
         lifted = None
         if not updating and (deadline is None or not deadline.expired()):
-            lifted = peer.run_function_set(decl, request.calls, context)
+            lifted = peer.run_function(decl, request.calls, context)
 
         results: list[list] = []
         collected_pul = PendingUpdateList()
@@ -179,7 +179,7 @@ class XRPCServer:
             if lifted is not None:
                 results.append(lifted[index])
                 continue
-            value, pul = peer.run_function(
+            value, pul = peer.run_call(
                 decl, params, doc_view, nested_session, context)
             if updating:
                 collected_pul.merge(pul)

@@ -2,9 +2,9 @@
 
 ``XRPCServer`` serves a message of N calls to a liftable, non-updating
 function as ONE loop-lifted plan; everything else runs one
-``XRPCPeer.run_function`` per call.  The contract is byte-identical
+``XRPCPeer.run_call`` per call.  The contract is byte-identical
 replies.  Nothing in ``src/`` forces either path, so the reference here
-is a per-call ``run_function`` loop this test drives itself, on a second
+is a per-call ``run_call`` loop this test drives itself, on a second
 peer holding the same documents; ``XRPCServer.calls_lifted`` says which
 path the serving peer really took.
 """
@@ -105,7 +105,7 @@ def request_for(name: str, calls: list, arity=None, **fields) -> XRPCRequest:
 
 
 def per_call_reply(peer: XRPCPeer, request: XRPCRequest) -> str:
-    """The reference: one ``run_function`` per call, each in a fresh
+    """The reference: one ``run_call`` per call, each in a fresh
     context, answered the way ``XRPCServer.handle`` answers."""
     decl = peer.registry.by_namespace(request.module).get_function(
         request.method, request.arity)
@@ -117,7 +117,7 @@ def per_call_reply(peer: XRPCPeer, request: XRPCRequest) -> str:
     collected = PendingUpdateList()
     try:
         for params in request.calls:
-            value, pul = peer.run_function(decl, params, doc_view, session)
+            value, pul = peer.run_call(decl, params, doc_view, session)
             collected.merge(pul)
             results.append([] if decl.updating else value)
     except XRPCFault as fault:
