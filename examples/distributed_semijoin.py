@@ -19,14 +19,10 @@ from repro.workloads.xmark import XMarkConfig
 
 def main() -> None:
     scale = "paper" if "--scale" in sys.argv and "paper" in sys.argv else "small"
-    # The open auctions stand in for the bulk of the paper's 50 MB
-    # auctions.xml around its closed auctions.
     if scale == "paper":
-        config = XMarkConfig(persons=250, closed_auctions=4875,
-                             open_auctions=25000, matches=6)
+        config = XMarkConfig(persons=250, closed_auctions=4875, matches=6)
     else:
-        config = XMarkConfig(persons=50, closed_auctions=600,
-                             open_auctions=10000, matches=6)
+        config = XMarkConfig(persons=50, closed_auctions=600, matches=6)
 
     print(f"Scale: {config.persons} persons, "
           f"{config.closed_auctions} closed auctions, "

@@ -167,8 +167,6 @@ class XRPCPeer:
             clock=self.clock)
         self.isolation = IsolationManager(self.store, self.clock)
         self.server = XRPCServer(self)
-        #: (namespace, local name, arity) -> (declaration, its call plan).
-        self._call_plans: dict[tuple, tuple[A.FunctionDecl, CompiledQuery]] = {}
         self.registry.register_source(_SYS_MODULE)
         # The keyword-search service endpoint: the declaration's body is
         # a stub — the serving side intercepts calls to it by identity
@@ -206,23 +204,16 @@ class XRPCPeer:
 
     def call_plan(self, decl: A.FunctionDecl) -> CompiledQuery:
         """The main module a served call of *decl* runs: the function
-        applied to external ``$arg1..$argN``.  The request handler's
-        query plan of the paper's function cache (section 4), compiled
-        once per declaration."""
-        key = (decl.namespace_uri, decl.local_name, len(decl.params))
-        cached = self._call_plans.get(key)
-        if cached is not None and cached[0] is decl:
-            return cached[1]
+        applied to external ``$arg1..$argN``, compiled through the
+        engine's plan cache (the paper's function cache, section 4)."""
         uri = decl.namespace_uri.replace("&", "&amp;").replace('"', '""')
-        arguments = [f"$arg{index}" for index in range(1, key[2] + 1)]
-        compiled = CompiledQuery(
+        arguments = [f"$arg{index}"
+                     for index in range(1, len(decl.params) + 1)]
+        return self.engine.compile(
             f'import module namespace f = "{uri}";\n'
             + "".join(f"declare variable {name} external;\n"
                       for name in arguments)
-            + f"f:{decl.local_name}({', '.join(arguments)})", self.registry)
-        compiled.optimize_joins = self.engine.optimize_flwor_joins
-        self._call_plans[key] = (decl, compiled)
-        return compiled
+            + f"f:{decl.local_name}({', '.join(arguments)})")
 
     def run_function(self, decl: A.FunctionDecl, calls: list[list[list]],
                      context: ExecutionContext) -> Optional[list[list]]:
