@@ -13,10 +13,17 @@ shared with the interpreter's accelerated axis evaluation — so the
 output of every step is duplicate-free and document-ordered *by
 construction*; the operator only re-derives the dense ``pos`` column
 per iteration.
+
+A step whose predicates are all statically positional (``[n]``,
+``[last()]``, ``position()`` comparisons) is :func:`positional_step`:
+``T[n]`` is a rank over each context node's window (§3's
+pre|size|level encoding), computed per tree in one pass over the
+windows instead of one iteration per context node.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from repro.algebra.table import Table
@@ -24,9 +31,12 @@ from repro.errors import TypeError_
 from repro.xdm.nodes import AttributeNode, Node
 from repro.xdm.sequence import document_order_sort
 from repro.xdm.structural import (
+    REVERSE_AXES,
+    StructuralIndex,
     axis_scan_batched,
     axis_window_scan,
     split_context,
+    staircase_prune,
     structural_index,
     tree_groups,
 )
@@ -37,14 +47,14 @@ __all__ = [
     "contains_filter",
     "equality_probe_step",
     "merge_exploded_contexts",
-    "positional_filter",
+    "positional_step",
+    "window_rank",
 ]
 
 
 def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
               local_name: Optional[str] = None,
-              match_all: bool = False,
-              limit: Optional[int] = None) -> Table:
+              match_all: bool = False) -> Table:
     """Map an ``iter|pos|item`` node table through one axis step.
 
     Every iteration's context sequence becomes a staircase-pruned window
@@ -64,12 +74,6 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
         Non-wildcard element name test — scans the tag partition.
     match_all:
         The test is ``node()``; skip per-candidate filtering.
-    limit:
-        Keep only each iteration's first *limit* matches in axis order
-        (the early-exit for a leading positional ``[n]`` predicate).
-        Applied on the batched single-context path only — the general
-        path returns the full window, which the positional rank filter
-        trims to the identical result.
 
     Raises
     ------
@@ -102,7 +106,7 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
             return
         scanned = axis_scan_batched(pending_index, axis, pending,
                                     matches=matches, local_name=local_name,
-                                    match_all=match_all, limit=limit)
+                                    match_all=match_all)
         last = None
         pos = 0
         for tag, node in scanned:
@@ -201,15 +205,190 @@ def contains_filter(table: Table, needle: str) -> Table:
     return Table._of(("iter", "pos", "item"), rows)
 
 
-def positional_filter(table: Table,
-                      spec: tuple | Callable[[tuple, int, int], bool],
-                      reverse: bool = False) -> Table:
+#: Axes whose windows of non-nested context nodes are disjoint and come
+#: in the contexts' document order.
+_ORDERED_WINDOWS = frozenset(
+    ("child", "descendant", "descendant-or-self", "self", "attribute"))
+
+#: ``[last()]`` and ``[position() = last()]``.
+_LAST_SPECS = (("last",), ("pos-cmp", "eq", ("last",)))
+
+
+def positional_step(table: Table, axis: str, specs: list[tuple],
+                    matches: Callable[[Node], bool],
+                    local_name: Optional[str] = None,
+                    match_all: bool = False) -> Table:
+    """An axis step whose predicates are all statically positional, as
+    a rank over each context node's window.
+
+    *specs* are the predicates' spec tuples in order (see
+    :func:`repro.xquery.evaluator.positional_predicate_spec`); a rank
+    counts from the window's end on the ``REVERSE_AXES``, where XPath
+    numbers nearest-first.  Per iteration and tree the windows come
+    from one pass (:func:`_ranked_windows`); iterations whose context
+    is one tree node batch into one pass per tree, as in
+    :func:`axis_step`.  The result is duplicate-free with a dense
+    ``pos``; the kept nodes of several context nodes are re-sorted only
+    when their windows can interleave — nested contexts, attribute
+    contexts, or an axis whose windows overlap.
+
+    Raises
+    ------
+    TypeError_:
+        ``XPTY0019``: a non-node item in the context, as
+        :func:`axis_step` raises.
+    """
+    by_iter: dict = {}
+    for it, _pos, item in table.rows:
+        if not isinstance(item, Node):
+            raise TypeError_(
+                "XPTY0019", "path step applied to a non-node item")
+        by_iter.setdefault(it, []).append(item)
+    reverse = axis in REVERSE_AXES
+
+    def ranked(index: StructuralIndex, pres: list[int]) -> tuple[dict, bool]:
+        return _ranked_windows(index, axis, pres, specs, matches,
+                               local_name, match_all)
+
+    rows: list[tuple] = []
+    pending: list[tuple] = []  # (iteration, pre): one tree node each
+    pending_index = None
+
+    def flush() -> None:
+        nonlocal pending_index
+        if pending:
+            kept, _nested = ranked(pending_index,
+                                   sorted({pre for _it, pre in pending}))
+            for it, pre in pending:
+                rows.extend((it, pos, node) for pos, node
+                            in enumerate(kept.get(pre, ()), start=1))
+            pending.clear()
+        pending_index = None
+
+    for it, members in by_iter.items():
+        if len(members) == 1 \
+                and not isinstance(members[0], AttributeNode):
+            index = structural_index(members[0].root())
+            if index is not pending_index:
+                flush()
+                pending_index = index
+            pending.append((it, index.rank_of(members[0])))
+            continue
+        flush()
+        results: list[Node] = []
+        for root, group in tree_groups(members):
+            index = structural_index(root)
+            ctx_pres, attr_members = split_context(index, group)
+            kept, nested = ranked(index, ctx_pres)
+            nodes = [node for p in ctx_pres for node in kept.get(p, ())]
+            for attribute in attr_members:
+                nodes.extend(_rank(axis_window_scan(
+                    index, axis, [], [attribute], matches=matches,
+                    local_name=local_name, match_all=match_all),
+                    specs, reverse))
+            if attr_members or (len(ctx_pres) > 1 and (
+                    nested or axis not in _ORDERED_WINDOWS)):
+                nodes = document_order_sort(nodes)
+            results.extend(nodes)
+        rows.extend((it, pos, node)
+                    for pos, node in enumerate(results, start=1))
+    flush()
+    return Table._of(("iter", "pos", "item"), rows)
+
+
+def _ranked_windows(index: StructuralIndex, axis: str, pres: list[int],
+                    specs: list[tuple], matches: Callable[[Node], bool],
+                    local_name: Optional[str],
+                    match_all: bool) -> tuple[dict, bool]:
+    """The kept nodes of each context node's window, by context pre and
+    in document order, and whether the contexts nest.
+
+    *pres* are one tree's distinct context pres, ascending.  A leading
+    ``[n]`` stops each window at its n-th match in axis order (``[0]``
+    and ``[1.5]`` keep nothing).  The windows come from one pass: a
+    name-tested child step over nested contexts scans the name
+    partition once over the staircase-pruned subtrees, counting each
+    candidate toward its parent's window; another child test walks
+    each context's children, from the end for ``[last()]``; every other
+    step is one :func:`axis_scan_batched` call tagged by context pre.
+    """
+    sizes = index.sizes
+    roots = staircase_prune(pres, sizes)
+    nested = len(roots) < len(pres)
+    first = specs[0]
+    limit = None
+    if first[0] == "literal":
+        n = first[1]
+        if not (n >= 1 and n.is_integer()):
+            return {}, nested  # no position is 0, negative or fractional
+        limit = int(n)
+    windows: dict[int, list[Node]] = {}
+    if axis != "child" or (local_name is not None and not nested):
+        for tag, node in axis_scan_batched(
+                index, axis, [(p, p) for p in pres], matches=matches,
+                local_name=local_name, match_all=match_all, limit=limit):
+            windows.setdefault(tag, []).append(node)
+        reverse = axis in REVERSE_AXES
+        return {p: _rank(window, specs, reverse)
+                for p, window in windows.items()}, nested
+    tail = first in _LAST_SPECS
+    nodes = index.nodes
+    if local_name is None:
+        for p in pres:
+            children = nodes[p].children
+            window = []
+            for child in (reversed(children) if tail else children):
+                if match_all or matches(child):
+                    window.append(child)
+                    if tail or len(window) == limit:
+                        break
+            if window:
+                windows[p] = window
+    else:
+        rank_of = index.rank_of
+        names = index.name_pres(local_name)
+        contexts = set(pres)
+        for root in roots:
+            lo = bisect_right(names, root)
+            for q in names[lo:bisect_right(names, root + sizes[root], lo)]:
+                node = nodes[q]
+                parent = rank_of(node.parent)
+                if parent not in contexts or not matches(node):
+                    continue
+                window = windows.get(parent)
+                if window is None:
+                    windows[parent] = [node]
+                elif tail:
+                    window[0] = node
+                elif limit is None or len(window) < limit:
+                    window.append(node)
+    rest = specs[1:] if tail else specs
+    if not rest:
+        return windows, nested
+    return {p: _rank(window, rest, False)
+            for p, window in windows.items()}, nested
+
+
+def _rank(window: list, specs: list[tuple], reverse: bool) -> list:
+    """*window* (document order) cut down by each spec in turn; a
+    position counts from the end on a reverse axis."""
+    for spec in specs:
+        count = len(window)
+        window = [node for rank, node in enumerate(window, start=1)
+                  if positional_spec_keep(
+                      spec, count - rank + 1 if reverse else rank, count)]
+    return window
+
+
+def window_rank(table: Table,
+                spec: tuple | Callable[[tuple, int, int], bool],
+                reverse: bool = False) -> Table:
     """Positional predicate as a rank computation over per-iteration
     doc-ordered windows.
 
     Each iteration's rows form one context window (the compiler
-    explodes multi-node contexts so one iteration is one context
-    node).  The row's rank in the window is its position — counted
+    explodes the context of a step with a predicate known only at run
+    time, so one iteration is one context node).  The row's rank in the window is its position — counted
     from the window's *end* for reverse axes, where XPath numbers
     nearest-first — and *spec* decides which ranks survive: a static
     spec tuple (see

@@ -21,10 +21,12 @@ root), path expressions over *every* XPath axis — evaluated as window
 predicates over the :class:`~repro.xdm.structural.StructuralIndex`
 pre/size/level columns, see :mod:`repro.algebra.paths` — with
 effective-boolean-value predicates, the statically positional shapes
-(``[n]``, ``[last()]``, ``position()``/``last()`` comparisons) and
-predicates whose value is a number only at run time (``[$n]``), all
-compiled as rank computations over per-context windows, and ``execute
-at`` — compiled by the Figure 2 rule.  Anything else raises
+(``[n]``, ``[last()]``, ``position()``/``last()`` comparisons) — one
+operator that ranks each context node's window per tree in one pass
+(:func:`~repro.algebra.paths.positional_step`) — and predicates whose
+value is a number only at run time (``[$n]``), ranked over one inner
+iteration per context node, and ``execute at`` — compiled by the
+Figure 2 rule.  Anything else raises
 :class:`UnsupportedExpression` over zero iterations, signalling the
 caller to fall back to the interpreter (MonetDB similarly falls back to
 non-loop-lifted paths for exotic constructs); what fails on the data
@@ -50,13 +52,16 @@ from repro.algebra.paths import (
     contains_filter,
     equality_probe_step,
     merge_exploded_contexts,
-    positional_filter,
+    window_rank,
 )
+# Bound under the name the benchmark's ``algebra.positional_filter``
+# span wraps (``benchmarks/e2e/e2e_layers.py``).
+from repro.algebra.paths import positional_step as positional_filter
 from repro.algebra.table import Table
 from repro.errors import DynamicError, TypeError_, XRPCReproError
 from repro.net.transport import normalize_peer_uri
 from repro.xdm.atomic import AtomicValue, boolean, integer, untyped
-from repro.xdm.nodes import Node, NodeFactory
+from repro.xdm.nodes import ElementNode, Node, NodeFactory
 from repro.xdm.sequence import atomize, effective_boolean_value
 from repro.xdm.structural import REVERSE_AXES
 from repro.xdm.types import xs
@@ -212,15 +217,18 @@ def _unwind(table: Table, outer: list[int]) -> Table:
     return _renumbered((outer[it - 1], item) for it, _pos, item in table.rows)
 
 
-def _explode(table: Table, env: dict[str, Table]):
+def _explode(table: Table, env: dict[str, Table],
+             reads: Optional[set] = None):
     """The for-clause map construction: one inner iteration per row of
     *table*, numbered in row order.  Returns the outer iteration of each
     inner one (a list: inner *k* is entry ``k - 1``), *env* lifted to
-    the inner iterations, and the rows as one singleton sequence per
-    inner iteration."""
+    the inner iterations — only the names in *reads*, when given: what
+    the inner expression can read — and the rows as one singleton
+    sequence per inner iteration."""
     rows = table.rows
     outer = [row[0] for row in rows]
-    lifted_env = {name: _lifted(bound, outer) for name, bound in env.items()}
+    lifted_env = {name: _lifted(bound, outer) for name, bound in env.items()
+                  if reads is None or name in reads}
     items = Table._of(_IPI, [(inner, 1, row[2])
                              for inner, row in enumerate(rows, 1)])
     return outer, lifted_env, items
@@ -730,6 +738,10 @@ class LoopLiftingCompiler:
 
     def _step_matcher(self, step: A.AxisStep) -> Callable[[Node], bool]:
         test, axis, static = step.node_test, step.axis, self.static
+        if isinstance(test, A.NameTest) and test.local == "*" \
+                and test.prefix is None and axis != "attribute":
+            # ``*`` is any element, whatever its namespace.
+            return lambda node: isinstance(node, ElementNode)
         namespaces = self._namespaces
         return lambda node: node_test_matches(node, test, axis, static,
                                               namespaces)
@@ -756,27 +768,25 @@ class LoopLiftingCompiler:
             return result
         # Positional regime: position()/last() — and a predicate value
         # that turns out numeric — count within EACH context node's
-        # candidate window, which the set-at-a-time step folds away — so
-        # explode the context into one inner iteration per context node
-        # (the for-clause map construction), rank each window, and merge
-        # back to step semantics afterwards.
+        # candidate window, which the set-at-a-time step folds away.
         specs = [positional_predicate_spec(p) for p in step.predicates]
-        outer, lifted_env, exploded = _explode(current, env)
+        if all(spec is not None for spec in specs):
+            # Every rank is known statically: one operator ranks each
+            # context node's window in one pass over the windows.
+            return positional_filter(current, axis, specs, matches,
+                                     local_name=local, match_all=match_all)
+        # A predicate known per row only at run time: explode the context
+        # into one inner iteration per context node (the for-clause map
+        # construction) with only what the predicates read lifted, rank
+        # each window, and merge back to step semantics afterwards.
+        reads = {_DOT}.union(*map(_free_variables, step.predicates))
+        outer, lifted_env, exploded = _explode(current, env, reads)
         reverse = axis in REVERSE_AXES
-        # A leading [n] early-exits the window scan after the n-th hit in
-        # axis order — the rank filter result is identical on the
-        # truncated window (forward: first n keep their ranks; reverse:
-        # the n-th-from-the-end keeps rank n).
-        limit = None
-        if specs[0] is not None and specs[0][0] == "literal":
-            n = specs[0][1]
-            if n == int(n) and n >= 1:
-                limit = int(n)
         result = axis_step(exploded, axis, matches=matches,
-                           local_name=local, match_all=match_all, limit=limit)
+                           local_name=local, match_all=match_all)
         for spec, predicate in zip(specs, step.predicates):
             if spec is not None:
-                result = positional_filter(result, spec, reverse=reverse)
+                result = window_rank(result, spec, reverse=reverse)
             elif _statically_non_numeric(predicate):
                 result = self._apply_step_predicates(result, [predicate],
                                                      lifted_env)
@@ -842,9 +852,11 @@ class LoopLiftingCompiler:
         """Every candidate row of *table* becomes one inner iteration —
         the same map construction as a for-clause — with the candidate
         bound as the context item, and *predicate* compiles under that
-        inner loop.  Returns the predicate's value per inner iteration
-        (row *k* of *table* is inner iteration *k*)."""
-        outer, lifted_env, focus = _explode(table, env)
+        inner loop, with only the variables it reads lifted.  Returns the
+        predicate's value per inner iteration (row *k* of *table* is
+        inner iteration *k*)."""
+        outer, lifted_env, focus = _explode(table, env,
+                                            _free_variables(predicate))
         lifted_env[_DOT] = focus
         return _by_iter(self.compile_expr(predicate, _loop(len(outer)),
                                           lifted_env))
@@ -855,7 +867,7 @@ class LoopLiftingCompiler:
         windows (one iteration per window): a single number keeps the
         candidate whose position equals it, any other value filters by
         effective boolean value — the interpreter's rule, ranked by
-        :func:`~repro.algebra.paths.positional_filter`."""
+        :func:`~repro.algebra.paths.window_rank`."""
         values = self._predicate_values(predicate, table, env)
         numbered = Table._of(table.columns + ("inner",), [
             row + (inner,) for inner, row in enumerate(table.rows, 1)])
@@ -867,7 +879,7 @@ class LoopLiftingCompiler:
                     and value[0].is_numeric:
                 return float(value[0].value) == position
             return effective_boolean_value(value)
-        return positional_filter(numbered, keep, reverse=reverse)
+        return window_rank(numbered, keep, reverse=reverse)
 
     def _apply_step_predicates(self, table: Table, predicates: list,
                                env: dict[str, Table]) -> Table:

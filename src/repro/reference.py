@@ -93,6 +93,14 @@ class ReferenceEvaluator(Evaluator):
                           ctx: DynamicContext) -> Optional[Sequence]:
         return None  # never probe (or build) a ValueIndex
 
+    def _apply_predicates(self, items: Sequence, predicates: list,
+                          ctx: DynamicContext) -> Sequence:
+        # Every predicate evaluated per item, the positional shapes too:
+        # the product ranks those with the helper this oracle checks.
+        for predicate in predicates:
+            items = self._filter_by_value(items, predicate, ctx)
+        return items
+
 
 class _ReferenceQuery(CompiledQuery):
     evaluator_class = ReferenceEvaluator

@@ -1329,10 +1329,13 @@ def axis_scan_batched(index: StructuralIndex, axis: str,
     elif axis == "following":
         if local_name is not None:
             pres = index.name_pres(local_name)
+            total = len(pres)
             for tag, p in pairs:
                 emitted = 0
-                for q in pres[bisect_right(pres, p + sizes[p]):]:
-                    node = nodes[q]
+                # Indexes from the bisect point: a slice would copy the
+                # partition's whole tail per context before an early exit.
+                for k in range(bisect_right(pres, p + sizes[p]), total):
+                    node = nodes[pres[k]]
                     if matches(node):
                         out.append((tag, node))
                         emitted += 1

@@ -583,19 +583,34 @@ class Evaluator:
     def _apply_predicates(self, items: Sequence, predicates: list[A.Expr],
                           ctx: DynamicContext) -> Sequence:
         for predicate in predicates:
+            spec = positional_predicate_spec(predicate)
+            if spec is None:
+                items = self._filter_by_value(items, predicate, ctx)
+                continue
+            # [n], [last()], position() comparisons: a rank, with no
+            # focus built and nothing evaluated per item.
             size = len(items)
-            kept = []
-            for position, item in enumerate(items, start=1):
-                focus = ctx.with_focus(item, position, size)
-                value = self.eval(predicate, focus)
-                if len(value) == 1 and isinstance(value[0], AtomicValue) \
-                        and value[0].is_numeric:
-                    if float(value[0].value) == position:
-                        kept.append(item)
-                elif effective_boolean_value(value):
-                    kept.append(item)
-            items = kept
+            items = [item for position, item in enumerate(items, start=1)
+                     if positional_spec_keep(spec, position, size)]
         return items
+
+    def _filter_by_value(self, items: Sequence, predicate: A.Expr,
+                         ctx: DynamicContext) -> Sequence:
+        """*predicate* evaluated with each item as the focus: a single
+        number keeps the item at that position, any other value filters
+        by effective boolean value."""
+        size = len(items)
+        kept = []
+        for position, item in enumerate(items, start=1):
+            focus = ctx.with_focus(item, position, size)
+            value = self.eval(predicate, focus)
+            if len(value) == 1 and isinstance(value[0], AtomicValue) \
+                    and value[0].is_numeric:
+                if float(value[0].value) == position:
+                    kept.append(item)
+            elif effective_boolean_value(value):
+                kept.append(item)
+        return kept
 
     def _node_test_matches(self, node: Node, test: A.NodeTest, axis: str,
                            ctx: DynamicContext) -> bool:
@@ -1201,9 +1216,10 @@ def _statically_boolean(predicate: A.Expr) -> bool:
 
 
 def _is_fn_call(expr: A.Expr, local: str) -> bool:
-    """Zero-argument call of the built-in *local* (``fn:`` or bare)."""
+    """Zero-argument call of the built-in *local* (``fn:`` or bare) —
+    not a user function of that local name (``local:last()``)."""
     return (isinstance(expr, A.FunctionCall) and not expr.args
-            and expr.name.split(":")[-1] == local)
+            and expr.name in (local, "fn:" + local))
 
 
 def _positional_operand(expr: A.Expr) -> Optional[tuple]:
