@@ -102,9 +102,8 @@ def main() -> None:
     print(f"  messages sent: {result.messages_sent} "
           f"({result.calls_shipped} calls, one bulk message per peer)")
 
-    # The element constructor around the loop keeps Q1–Q3 on the
-    # interpreter + batching executor; a bare loop of remote calls runs
-    # straight from the lifted relational plan (Figure 2).
+    # Element constructors lift, so Q1–Q3 already ran as the lifted
+    # relational plan; a bare loop of remote calls is Figure 2 itself.
     q4 = f"""
     import module namespace f="films" at "{FILM_MODULE_LOCATION}";
     for $actor in ("Julie Andrews", "Sean Connery")

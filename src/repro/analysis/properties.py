@@ -54,19 +54,13 @@ class SiteProfile:
     updating function, or a function the local registry cannot resolve
     (conservatively treated as updating); it is a fact about the query,
     not a route — an updating call ships from the lifted plan like any
-    other.  ``groupable`` flags multi-site queries, which ship fewer
-    messages through the batching executor's (destination, function)
-    grouping than through per-site lifted dispatch.
+    other.
     """
 
     count: int = 0
     destinations: tuple = ()
     dynamic_destinations: int = 0
     updating_remote: bool = False
-
-    @property
-    def groupable(self) -> bool:
-        return self.count > 1
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ interpreter.  What is liftable only the compiler says:
 fallback-with-telemetry entry point.
 
 This module is the faithful, table-level realization of the paper's
-technique; :class:`~repro.rpc.XRPCPeer` tries it first and routes what
-it does not take to an operationally-equivalent batching executor that
-supports the full language (README, "The pathfinder lifted core").
+technique; :class:`~repro.rpc.XRPCPeer` runs every query it takes this
+way, and what it does not take once in the tree interpreter, one
+``execute at`` call per message (README, "The pathfinder lifted core").
 """
 
 from repro.pathfinder.compiler import (

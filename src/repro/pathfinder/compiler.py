@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.algebra.paths import (
     axis_step,
@@ -270,9 +270,9 @@ class UnsupportedExpression(XRPCReproError):
     Carries a stable machine-readable ``code`` alongside the
     human-readable message, so fallback telemetry can histogram *why*
     queries were not lifted without parsing prose (the codes survive
-    message rewording).  Every code but ``execute-at-routing`` is raised
-    over zero iterations, so :meth:`LoopLiftingCompiler.check` decides
-    it before any row is touched:
+    message rewording).  Every code is raised over zero iterations, so
+    :meth:`LoopLiftingCompiler.check` decides it before any row is
+    touched:
 
     ===================== ==================================================
     code                  meaning
@@ -292,8 +292,6 @@ class UnsupportedExpression(XRPCReproError):
     context-item          path or ``.`` with no context item in scope
     document              ``fn:doc`` with no document resolver
     dispatch              ``execute at`` with no dispatch function
-    execute-at-routing    a multi-site query, routed to the batching
-                          executor (peer layer)
     ===================== ==================================================
     """
 
@@ -429,8 +427,17 @@ class LoopLiftingCompiler:
 
     def _compile_sequence(self, expr: A.SequenceExpr, loop: Table,
                           env: dict[str, Table]) -> Table:
-        parts = [_by_iter(self.compile_expr(item, loop, env))
-                 for item in expr.items]
+        sites = [item for item in expr.items if isinstance(item, A.ExecuteAt)]
+        shipped: Optional[Iterator[Table]] = None
+        parts = []
+        for item in expr.items:
+            if not isinstance(item, A.ExecuteAt):
+                table = self.compile_expr(item, loop, env)
+            else:
+                if shipped is None:  # the sibling sites ship together, here
+                    shipped = iter(self._compile_sites(sites, loop, env))
+                table = next(shipped)
+            parts.append(_by_iter(table))
         return _table((it, [item for groups in parts
                             for item in groups.get(it, ())])
                       for (it,) in loop.rows)
@@ -904,15 +911,68 @@ class LoopLiftingCompiler:
 
     def _compile_execute_at(self, expr: A.ExecuteAt, loop: Table,
                             env: dict[str, Table]) -> Table:
-        """One Bulk RPC per distinct destination peer (by
-        :func:`~repro.net.transport.normalize_peer_uri`, as the batching
-        executor groups): per peer, the ``map`` of its iterations to
-        call numbers ``iterp``, the ``req`` parameter tables, the ``msg``
-        answers and the ``res`` answers mapped back to ``iter`` — each
-        built in one pass over iter-ordered input."""
+        [table] = self._compile_sites([expr], loop, env)
+        return table
+
+    def _compile_sites(self, sites: list[A.ExecuteAt], loop: Table,
+                       env: dict[str, Table]) -> list[Table]:
+        """The sibling ``execute at`` *sites* of one sequence under one
+        loop, one result table each.  Per site and distinct destination
+        peer (by :func:`~repro.net.transport.normalize_peer_uri`): the
+        ``map`` of its iterations to call numbers ``iterp``, the ``req``
+        parameter tables, the ``msg`` answers and the ``res`` answers
+        mapped back to ``iter`` — each built in one pass over
+        iter-ordered input.  The sites' requests then ship as one Bulk
+        RPC per (peer, module, function, arity, updating) group, in
+        order of first appearance and through one parallel dispatch,
+        and each site's answers are split back out of its groups."""
         if self.dispatch is None:
-            raise _unsupported(expr, "execute at requires a dispatch function",
+            raise _unsupported(sites[0],
+                               "execute at requires a dispatch function",
                                "dispatch")
+        planned = [self._site_requests(site, loop, env) for site in sites]
+        groups: dict[tuple, tuple] = {}
+        for _, requests in planned:
+            for request in requests:
+                group = groups.setdefault(
+                    _group_key(request), request[:5] + ([], request[6]))
+                group[5].extend(request[5])
+        shipped = list(groups.values())
+        if self.dispatch_parallel is not None and len(shipped) > 1:
+            answers = self.dispatch_parallel(shipped)
+        else:
+            answers = [self.dispatch(*request) for request in shipped]
+
+        answer_of = dict(zip(groups, answers))
+        taken = dict.fromkeys(groups, 0)
+        tables = []
+        for iters_of, requests in planned:
+            answered = []
+            for request in requests:
+                key = _group_key(request)
+                start = taken[key]
+                taken[key] += len(request[5])
+                answered.append(answer_of[key][start:taken[key]])
+            rows = [(it, pos, item)
+                    for iters, results in zip(iters_of.values(), answered)
+                    for it, sequence in zip(iters, results)
+                    for pos, item in enumerate(sequence, 1)]
+            if len(iters_of) > 1:  # merge-union the peers' answers by iter
+                rows.sort(key=_ITER)
+            result = Table._of(_IPI, rows)
+            if self.trace_enabled and iters_of:
+                self.trace.append(_figure2_trace(iters_of, requests,
+                                                 answered, result))
+            tables.append(result)
+        return tables
+
+    def _site_requests(self, expr: A.ExecuteAt, loop: Table,
+                       env: dict[str, Table],
+                       ) -> tuple[dict[str, list[int]], list[tuple]]:
+        """One ``execute at``'s iterations per distinct destination peer
+        and its per-peer request tuples, in the dispatch's ``(peer,
+        module_uri, location, function, arity, calls, updating)`` shape;
+        both empty when no iteration is live."""
         destinations = _by_iter(self.compile_expr(expr.destination, loop, env))
         if any(len(destinations.get(it, ())) != 1 for (it,) in loop.rows):
             raise TypeError_(
@@ -930,37 +990,25 @@ class LoopLiftingCompiler:
                 peer = peer_of[uri] = normalize_peer_uri(uri)
             iters_of.setdefault(peer, []).append(it)
         if not iters_of:  # no live iteration: nothing to ship or to trace
-            return Table._of(_IPI, [])
+            return iters_of, []
 
         uri, local = self.static.resolve_function_name(expr.call.name)
         location = self.static.module_locations.get(uri)
         decl = self.static.lookup_function(uri, local, len(expr.call.args))
         updating = bool(decl is not None and getattr(decl, "updating", False))
-
-        # Requests gathered first so the dispatch layer can ship them in
-        # parallel across distinct destinations (Figure 2's parallel
-        # dispatch).
-        requests = [
+        return iters_of, [
             (peer, uri, location, local, len(params),
              [[groups.get(it, []) for groups in params] for it in iters],
              updating)
             for peer, iters in iters_of.items()]
-        if self.dispatch_parallel is not None and len(requests) > 1:
-            answers = self.dispatch_parallel(requests)
-        else:
-            answers = [self.dispatch(*request) for request in requests]
 
-        rows = [(it, pos, item)
-                for iters, results in zip(iters_of.values(), answers)
-                for it, sequence in zip(iters, results)
-                for pos, item in enumerate(sequence, 1)]
-        if len(iters_of) > 1:  # merge-union the peers' answers by iter
-            rows.sort(key=_ITER)
-        result = Table._of(_IPI, rows)
-        if self.trace_enabled:
-            self.trace.append(_figure2_trace(iters_of, requests, answers,
-                                             result))
-        return result
+
+def _group_key(request: tuple) -> tuple:
+    """The Bulk RPC group of a dispatch request: (peer, module,
+    function, arity, updating) — the location rides along from the
+    group's first request."""
+    peer, uri, _location, local, arity, _calls, updating = request
+    return peer, uri, local, arity, updating
 
 
 def _figure2_trace(iters_of: dict[str, list[int]], requests: list,

@@ -15,7 +15,10 @@ response is detected rather than trusted) and the deadline's current
 remaining budget in the SOAP header.  Whether an exchange is
 ``retry_safe`` is the explicit ``updating`` verdict threaded from the
 caller — the static analyzer's updating-ness result — never a sniff of
-the payload text.
+the payload text.  Under the partial-results policy (``degrade=True``) a
+read-only request whose transport failed terminally answers empty calls
+and names its peer in ``failed_peers``; an updating request, and any
+SOAP fault, still raises.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.errors import RetryableTransportError, XRPCFault, XRPCReproError
+from repro.errors import (RetryableTransportError, TransportError, XRPCFault,
+                          XRPCReproError)
 from repro.net.retry import (NET_STATS, ChannelRequest, Deadline,
                              ResilientChannel)
 from repro.net.transport import Transport, normalize_peer_uri
@@ -55,11 +59,13 @@ class ClientSession:
     def __init__(self, transport: Transport, origin: str,
                  query_id: Optional[QueryID] = None,
                  channel: Optional[ResilientChannel] = None,
-                 deadline: Optional[Deadline] = None) -> None:
+                 deadline: Optional[Deadline] = None,
+                 degrade: bool = False) -> None:
         self.origin = origin
         self.query_id = query_id
         self.channel = channel or ResilientChannel(transport)
         self.deadline = deadline
+        self.degrade = degrade
         self.participants: list[str] = []
         # Peers skipped under the partial-results policy, normalized,
         # in first-failure order (the query's degraded-result report).
@@ -137,8 +143,7 @@ class ClientSession:
 
     def _entry(self, destination: str, module_uri: str,
                location: Optional[str], function: str, arity: int,
-               calls: list[list[list]], updating: bool,
-               tolerate_faults: bool = False) -> ChannelRequest:
+               calls: list[list[list]], updating: bool) -> ChannelRequest:
         """One (possibly bulk) request as a resilient exchange, counted:
         fresh exchange id + remaining budget per attempt."""
         request = XRPCRequest(
@@ -156,12 +161,7 @@ class ClientSession:
 
         def parse(raw: str):
             message = self._decode(raw, request.exchange_id, destination)
-            try:
-                per_call = self._extract_results(message, calls, updating)
-            except XRPCFault:
-                if tolerate_faults:
-                    return None
-                raise
+            per_call = self._extract_results(message, calls, updating)
             self._record_participants(destination,
                                       message.participating_peers)
             return per_call
@@ -180,36 +180,40 @@ class ClientSession:
         """
         entry = self._entry(destination, module_uri, location, function,
                             arity, calls, updating)
-        return self.channel.exchange(
-            destination, entry.build, entry.parse,
-            retry_safe=entry.retry_safe, deadline=self.deadline)
+        try:
+            return self.channel.exchange(
+                destination, entry.build, entry.parse,
+                retry_safe=entry.retry_safe, deadline=self.deadline)
+        except TransportError as failure:
+            return self._unreachable(destination, calls, updating, failure)
 
     def call_parallel(self, grouped: list[tuple[str, str, Optional[str], str,
                                                 int, list[list[list]], bool]],
-                      tolerate_faults: bool = False,
-                      capture_transport_errors: bool = False,
                       ) -> list:
         """Dispatch several bulk requests to different peers in parallel.
 
         Each entry is ``(destination, module_uri, location, function,
         arity, calls, updating)``.  Returns the per-request result lists
-        in input order.
-
-        With ``tolerate_faults`` a request answered by a SOAP *fault*
-        yields ``None`` instead of raising — used by the speculative
-        phase of the bulk executor, where a recorded call may have
-        placeholder-derived arguments and its *direct* re-send (with
-        real arguments) is the authoritative attempt.
-
-        With ``capture_transport_errors`` a request whose *transport*
-        failed terminally yields its :class:`TransportError` in the
-        result slot instead of raising — the partial-results ("degrade")
-        policy turns those slots into a degraded-peers report.
+        in input order.  Under ``degrade`` one unreachable peer does not
+        fail the other requests.
         """
-        return self.channel.exchange_many(
-            [self._entry(*group, tolerate_faults=tolerate_faults)
-             for group in grouped],
-            deadline=self.deadline, capture=capture_transport_errors)
+        results = self.channel.exchange_many(
+            [self._entry(*group) for group in grouped],
+            deadline=self.deadline, capture=self.degrade)
+        return [self._unreachable(group[0], group[5], group[6], result)
+                if isinstance(result, TransportError) else result
+                for group, result in zip(grouped, results)]
+
+    def _unreachable(self, destination: str, calls: list, updating: bool,
+                     failure: TransportError) -> list[list]:
+        """A request whose transport failed terminally: under
+        ``degrade`` a read-only one answers every call empty and its
+        peer is reported degraded; otherwise *failure* raises — a
+        skipped update is a wrong answer, not a degraded one."""
+        if updating or not self.degrade:
+            raise failure
+        self.peer_degraded(destination)
+        return [[] for _ in calls]
 
     # -- 2PC driver side ---------------------------------------------------------
 

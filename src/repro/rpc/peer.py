@@ -9,10 +9,11 @@ Originating side highlights:
   every outgoing request so remote peers pin snapshots (rule R'_Fr);
   ``declare option xrpc:timeout "30"`` sets the relative timeout.
 * On the default :class:`~repro.engine.Engine` (the MonetDB/XQuery
-  profile), ``execute at`` calls are shipped as **Bulk RPC**: the
-  loop-lifted batching executor sends one message per (destination,
+  profile), a liftable query ships its ``execute at`` calls as **Bulk
+  RPC** from the loop-lifted plan: one message per (destination,
   function) group, dispatched in parallel to distinct peers — exactly
-  the behaviour of Figures 1/2.
+  the behaviour of Figures 1/2.  Any other query runs once in the
+  interpreter, shipping one call at a time.
 * Updating queries under isolation finish with WS-AtomicTransaction-style
   2PC over all participating peers (piggybacked on responses), driven by
   the one :class:`~repro.rpc.coordinator.TransactionCoordinator`.
@@ -23,15 +24,13 @@ Originating side highlights:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.analysis import QueryProperties
 from repro.engine import Engine
 from repro.engine.base import Explain
-from repro.errors import (DynamicError, TransactionError, TransportError,
-                          XRPCFault)
+from repro.errors import DynamicError, TransactionError, XRPCFault
 from repro.net.clock import WallClock
 from repro.net.cost import PeerCostModel
 from repro.net.retry import (BreakerRegistry, Deadline, ResilientChannel,
@@ -44,7 +43,6 @@ from repro.rpc.coordinator import TransactionCoordinator
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.server import XRPCServer
 from repro.rpc.store import DocumentStore
-from repro.soap.marshal import marshal_fingerprint
 from repro.soap.messages import QueryID
 from repro.xquery import xast as A
 from repro.xquery import seqtype
@@ -130,10 +128,13 @@ def _degrades(on_peer_failure: str) -> bool:
 
 def fetch_remote_document(session: ClientSession, host: str, path: str):
     """Data shipping: pull a whole document from a remote peer (a
-    read-only ``sys:get-doc`` call, retried like any other)."""
+    read-only ``sys:get-doc`` call, retried like any other); ``None``
+    when the peer is unreachable under ``session.degrade``."""
     from repro.xdm.atomic import string as make_string
     [result] = session.call(
         host, _SYS_NS, None, "get-doc", 1, [[[make_string(path)]]])
+    if not result and host in session.failed_peers:
+        return None
     if len(result) != 1:
         raise XRPCFault("env:Receiver",
                         f"remote peer returned {len(result)} documents")
@@ -326,19 +327,24 @@ class XRPCPeer:
     def execute_query(self, source: str,
                       variables: Optional[dict[str, list]] = None,
                       force_one_at_a_time: bool = False,
-                      try_lifted: bool = True,
                       timeout: Optional[float] = None,
                       on_peer_failure: str = "fail") -> QueryResult:
         """Compile and run a query at this peer (the p0 role).
 
         This is the peer face of the unified session API: the compiled
-        query comes from the engine's shared plan cache, a liftable
-        query runs as the loop-lifted relational plan (its ``execute
-        at`` groups ship as Bulk RPC straight from the algebra
-        translation, Figure 2) and anything outside the lifted core
-        falls back to the tree interpreter behind the
-        operationally-equivalent batching executor.  Plan choice and fallback reason are recorded on the
-        returned :class:`QueryResult` (see :meth:`QueryResult.explain`).
+        query comes from the engine's shared plan cache and runs one of
+        two ways.  A liftable query runs as the loop-lifted relational
+        plan, whatever its number of ``execute at`` sites: each ships as
+        Bulk RPC straight from the algebra translation (Figure 2), and
+        the sibling sites of one sequence share their (destination,
+        function) messages.  Anything else runs once in the tree
+        interpreter, one call per message — as does every query under
+        ``force_one_at_a_time=True`` (the paper's Table 2 column) or on
+        an engine without Bulk RPC.  A liftable verdict is final — the
+        plan never bails after a ship — so updating remote calls ship
+        from it too.  Plan choice and fallback reason are recorded on
+        the returned :class:`QueryResult` (see
+        :meth:`QueryResult.explain`).
 
         Fault tolerance: ``declare option xrpc:timeout "N"`` (or an
         explicit ``timeout=`` argument, which wins) sets a whole-query
@@ -346,19 +352,10 @@ class XRPCPeer:
         exchange as the socket timeout and a SOAP header, so remote
         peers abandon doomed bulk work too.
         ``on_peer_failure="degrade"`` turns terminal transport failures
-        of *read-only* bulk groups into partial results — the answer
-        merges what reachable peers returned, ``QueryResult.degraded``
-        is set and ``failed_peers`` names the skipped sites.  Updating
-        groups (and 2PC) always fail closed regardless.
-
-        The lifted plan ships one message per (call site, destination)
-        *during* evaluation, so one rule routes to the batching
-        executor: several ``execute at`` sites (its (destination,
-        function) grouping ships fewer messages), or an unliftable
-        query with a site; an unliftable query with none runs once in
-        the interpreter.  A liftable verdict is final — the plan never bails
-        after a ship — so updating remote calls ship from it too.
-        ``try_lifted=False`` forces the interpreter path outright.
+        of *read-only* requests into partial results — the unreachable
+        peer's calls answer empty, ``QueryResult.degraded`` is set and
+        ``failed_peers`` names the skipped sites.  Updating requests
+        (and 2PC) always fail closed regardless.
         """
         degrade = _degrades(on_peer_failure)
         compiled, compile_seconds, cache_hit = \
@@ -385,47 +382,23 @@ class XRPCPeer:
 
         session = ClientSession(self.transport, origin=self.host,
                                 query_id=query_id, channel=self.channel,
-                                deadline=deadline)
+                                deadline=deadline, degrade=degrade)
         started = self.clock.now()
         with Scope() as scope:
-            use_bulk = self.engine.bulk_rpc and not force_one_at_a_time
-            context = self._make_execution_context(session, variables,
-                                                   try_lifted=use_bulk
-                                                   and try_lifted)
-
-            plan = "interpreter"
-            fallback_reason = None
-            fallback_code = None
+            context = self._make_execution_context(session, variables)
             analysis = None
-            result: list = []
-            pul = PendingUpdateList()
-            if context.try_lifted:
-                # Route from the prepare-time static analysis: the site
-                # profile covers the whole locally-evaluated tree (query
-                # body plus locally-called function bodies), not just the
-                # body's own execute-at occurrences.
+            fallback_reason = fallback_code = None
+            if self.engine.bulk_rpc and not force_one_at_a_time:
                 analysis = self.engine.analyze(compiled, context)
-                sites = analysis.sites.count
-                if sites > 1:
-                    fallback_reason = (
-                        f"ExecuteAt: {sites} call sites group better through "
-                        "the batching executor")
-                    fallback_code = "execute-at-routing"
-                elif not analysis.liftable:
-                    fallback_reason = analysis.fallback_reason
-                    fallback_code = analysis.fallback_code
-                else:
-                    result = self.engine.attempt_lifted(compiled, context)
-                    plan = "lifted"
-            if plan != "lifted":
-                # With no execute at site the batching executor would
-                # record nothing and run the query a second time.
-                if use_bulk and self.engine.analyze(
-                        compiled, context).sites.count:
-                    result, pul = self._execute_bulk(
-                        compiled, session, context, degrade)
-                else:
-                    result, pul = self._execute_direct(compiled, session, context)
+                fallback_reason = analysis.fallback_reason
+                fallback_code = analysis.fallback_code
+            if analysis is not None and analysis.liftable:
+                plan = "lifted"
+                result = self.engine.attempt_lifted(compiled, context)
+                pul = PendingUpdateList()
+            else:
+                plan = "interpreter"
+                result, pul = compiled.run(context)
             self.engine.record_plan(plan, fallback_reason, fallback_code)
 
             # The originating peer plays the WS-Coordinator role
@@ -452,7 +425,7 @@ class XRPCPeer:
             messages_sent=session.messages_sent,
             calls_shipped=session.calls_shipped,
             participants=list(session.participants),
-            used_bulk_rpc=use_bulk,
+            used_bulk_rpc=plan == "lifted",
             committed_2pc=committed,
             plan=plan,
             fallback_reason=fallback_reason,
@@ -504,15 +477,15 @@ class XRPCPeer:
         deadline = None if timeout is None else \
             Deadline.after(timeout, self.clock)
         session = ClientSession(self.transport, origin=self.host,
-                                channel=self.channel, deadline=deadline)
+                                channel=self.channel, deadline=deadline,
+                                degrade=degrade)
         term_args = [[make_string(term) for term in terms]]
         requests = [
             (peer, _SYS_NS, None, "kw-search", 1, [term_args], False)
             for peer in peers if peer != self.host]
         hits: list = []
         with Scope() as scope:
-            responses = session.call_parallel(
-                requests, capture_transport_errors=degrade) if requests else []
+            responses = session.call_parallel(requests) if requests else []
             remote = iter(responses)
             for peer in peers:
                 if peer == self.host:
@@ -520,11 +493,7 @@ class XRPCPeer:
                         for hit in keyword_search(self.store.get(uri), terms):
                             hits.append(replace(hit, uri=uri))
                     continue
-                response = next(remote)
-                if isinstance(response, TransportError):
-                    session.peer_degraded(peer)
-                    continue
-                [result] = response
+                [result] = next(remote)
                 for wrapper in result:
                     attrs = {attr.name: attr.value
                              for attr in wrapper.attributes}
@@ -542,15 +511,11 @@ class XRPCPeer:
             failed_peers=list(session.failed_peers),
             counters=scope.counters)
 
-    def _make_execution_context(self, session: ClientSession, variables,
-                                try_lifted: bool) -> ExecutionContext:
+    def _make_execution_context(self, session: ClientSession,
+                                variables) -> ExecutionContext:
         """The peer's :class:`ExecutionContext`: every remote-call hook
-        bound to *session*.
-
-        ``doc_resolver`` carries a per-resolver document cache; phases
-        that must not share it (the bulk executor's replay phase)
-        install a fresh one via :meth:`make_doc_resolver`.
-        """
+        bound to *session*, and one document resolver (and its cache)
+        over this peer's store."""
         return ExecutionContext(
             doc_resolver=self.make_doc_resolver(self.store, session),
             variables=variables,
@@ -558,178 +523,5 @@ class XRPCPeer:
             dispatch_parallel=session.call_parallel,
             xrpc_handler=self._one_at_a_time_handler(session),
             put_store=self.store.register,
-            try_lifted=try_lifted,
             apply_updates=False,  # the peer applies after (optional) 2PC
         )
-
-    def _execute_direct(self, compiled: CompiledQuery, session: ClientSession,
-                        context: ExecutionContext,
-                        ) -> tuple[list, PendingUpdateList]:
-        return compiled.run(replace(
-            context,
-            doc_resolver=self.make_doc_resolver(self.store, session)))
-
-    # -- Bulk RPC via loop-lifted batching ---------------------------------
-
-    def _execute_bulk(self, compiled: CompiledQuery, session: ClientSession,
-                      context: ExecutionContext, degrade: bool = False,
-                      ) -> tuple[list, PendingUpdateList]:
-        """Two-phase batched execution realising Bulk RPC.
-
-        Phase 1 evaluates the query recording every ``execute at`` call
-        (sound because XQUF defers all side effects); phase 2 groups the
-        recorded calls by (destination, function) and ships one bulk
-        message per group — in parallel across distinct destinations;
-        phase 3 re-evaluates, answering each call from the bulk results.
-        Calls whose arguments depend on other calls' results fall back
-        to direct sending during phase 3.
-
-        This is operationally equivalent to MonetDB's loop-lifting
-        (section 3.2): an ``execute at`` in a for-loop becomes a single
-        request per destination carrying all iterations' calls.
-        """
-        recorder = _CallRecorder()
-        try:
-            compiled.run(replace(
-                context,
-                doc_resolver=self.make_doc_resolver(self.store, session),
-                xrpc_handler=recorder.record))
-            phase1_ok = True
-        except Exception:
-            phase1_ok = False
-
-        if not phase1_ok or not recorder.calls:
-            return self._execute_direct(compiled, session, context)
-
-        groups = recorder.groups
-
-        # Safety for updating groups: an updating call recorded AFTER any
-        # read-only call may have arguments derived from that call's
-        # (placeholder) result — applying it speculatively could commit
-        # wrong data under rule R_Fu. Defer such groups to phase 3.
-        first_read_only = min(
-            (index for index, call in enumerate(recorder.calls)
-             if not call.updating), default=None)
-        shippable = {}
-        for key, group in groups.items():
-            if key[4] and first_read_only is not None \
-                    and group.first_index > first_read_only:
-                continue  # possibly dependent updating group
-            shippable[key] = group
-
-        requests = [
-            (key[0], key[1], group.location, key[2], key[3],
-             [args for args, _ in group.entries], key[4])
-            for key, group in shippable.items()
-        ]
-        responses = session.call_parallel(requests, tolerate_faults=True,
-                                          capture_transport_errors=degrade)
-
-        replayer = _Replayer(session)
-        for (key, group), results in zip(shippable.items(), responses):
-            if isinstance(results, TransportError):
-                # Terminal transport failure under the partial-results
-                # policy.  Updating groups always fail closed — a
-                # skipped update is a wrong answer, not a degraded one.
-                if key[4]:
-                    raise results
-                session.peer_degraded(key[0])
-                replayer.mark_failed(key[0])
-                continue
-            if results is None:
-                continue  # faulted speculative group: re-send directly
-            replayer.load(key, group, results)
-
-        return compiled.run(replace(
-            context,
-            doc_resolver=self.make_doc_resolver(self.store, session),
-            xrpc_handler=replayer.handle))
-
-
-# ---------------------------------------------------------------------------
-# Bulk RPC bookkeeping
-
-_GroupKey = tuple  # (dest, module_uri, function, arity, updating)
-
-
-def _group_key(call: RemoteCall) -> _GroupKey:
-    return (normalize_peer_uri(call.destination), call.module_uri,
-            call.function, call.arity, call.updating)
-
-
-@dataclass
-class _CallGroup:
-    """All phase-1 calls to one (destination, function) pair."""
-
-    location: Optional[str]
-    first_index: int            # recording index of the group's first call
-    entries: list = field(default_factory=list)  # (args, fingerprint)
-
-
-class _CallRecorder:
-    """Phase-1 handler: records calls, answers with empty sequences.
-
-    Grouping and dependency-ordering bookkeeping happen here, at record
-    time: each group carries its first recording index, and each call's
-    arguments are fingerprinted once (their canonical marshaled form) so
-    the phase-3 replayer can match calls by O(1) lookup instead of
-    deep-equality scans.
-    """
-
-    def __init__(self) -> None:
-        self.calls: list[RemoteCall] = []
-        self.groups: dict[_GroupKey, _CallGroup] = {}
-
-    def record(self, call: RemoteCall) -> list:
-        key = _group_key(call)
-        group = self.groups.get(key)
-        if group is None:
-            group = self.groups[key] = _CallGroup(
-                location=call.location, first_index=len(self.calls))
-        group.entries.append((call.args, marshal_fingerprint(call.args)))
-        self.calls.append(call)
-        return []
-
-
-class _Replayer:
-    """Phase-3 handler: answers calls from bulk results.
-
-    Results are indexed by (group key, argument fingerprint); duplicate
-    argument lists queue under one fingerprint and are served in
-    recorded order.  Each replayed call costs one fingerprint render and
-    a dict lookup — the former implementation deep-compared arguments
-    against a shifting list queue, going quadratic on large bulks.
-    """
-
-    def __init__(self, session: ClientSession) -> None:
-        self.session = session
-        self._results: dict[_GroupKey, dict[str, deque]] = {}
-        # Destinations degraded by the partial-results policy: replayed
-        # read-only calls to them answer empty instead of re-dialling a
-        # peer already judged unreachable.
-        self._failed: set[str] = set()
-
-    def load(self, key: _GroupKey, group: _CallGroup, results: list) -> None:
-        by_fingerprint = self._results.setdefault(key, {})
-        for (_, fingerprint), result in zip(group.entries, results):
-            by_fingerprint.setdefault(fingerprint, deque()).append(result)
-
-    def mark_failed(self, destination: str) -> None:
-        self._failed.add(normalize_peer_uri(destination))
-
-    def handle(self, call: RemoteCall) -> list:
-        by_fingerprint = self._results.get(_group_key(call))
-        if by_fingerprint:
-            queue = by_fingerprint.get(marshal_fingerprint(call.args))
-            if queue:
-                return queue.popleft()
-        if not call.updating \
-                and normalize_peer_uri(call.destination) in self._failed:
-            return []
-        # Dependent call: its arguments match nothing phase 1 recorded
-        # for this group (they depended on another call's placeholder
-        # result). Ship it directly — the authoritative attempt.
-        [result] = self.session.call(
-            call.destination, call.module_uri, call.location, call.function,
-            call.arity, [call.args], updating=call.updating)
-        return result

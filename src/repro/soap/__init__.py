@@ -14,7 +14,7 @@ Implements the document/literal SOAP sub-protocol XRPC uses over HTTP:
   (``n2s``) and raises a typed ``env:Sender`` fault on anything else.
 """
 
-from repro.soap.marshal import MarshalWriter, marshal_fingerprint
+from repro.soap.marshal import MarshalWriter
 from repro.soap.messages import (
     QueryID,
     XRPCRequest,
@@ -30,7 +30,6 @@ from repro.soap.messages import (
 
 __all__ = [
     "MarshalWriter",
-    "marshal_fingerprint",
     "QueryID",
     "XRPCRequest",
     "XRPCResponse",

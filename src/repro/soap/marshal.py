@@ -187,21 +187,6 @@ class MarshalWriter:
             pool.append(buffer)
 
 
-def marshal_fingerprint(params: list[list]) -> str:
-    """Canonical serialized form of one call's parameter list.
-
-    Two parameter lists with equal fingerprints marshal to identical
-    wire bytes, so a bulk result computed for one answers the other.
-    Used by the Bulk RPC replayer for O(1) index-keyed matching.
-    """
-    writer = MarshalWriter()
-    for param in params:
-        writer.sequence(param)
-    fingerprint = writer.getvalue()
-    writer.release()
-    return fingerprint
-
-
 def atomic_value(type_name: Optional[str], text: str) -> AtomicValue:
     """The value an ``xrpc:atomic-value`` holder ships: *text* as the
     type its ``xsi:type`` names (``xs:string`` when it names none)."""

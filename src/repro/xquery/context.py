@@ -61,13 +61,14 @@ class ExecutionContext:
     :class:`~repro.rpc.XRPCPeer`.
 
     The two remote hooks serve the two plan kinds: ``dispatch`` ships a
-    lifted plan's Bulk RPC groups (one call per (destination, function)
-    group, ``dispatch(dest, module_uri, location, function, arity,
-    calls, updating) -> results``), while ``xrpc_handler`` answers the
+    lifted plan's Bulk RPC messages (one call per (destination,
+    function) group of a sequence's sibling ``execute at`` sites,
+    ``dispatch(dest, module_uri, location, function, arity, calls,
+    updating) -> results``), while ``xrpc_handler`` answers the
     interpreter's one-at-a-time ``execute at`` (takes a
     :class:`RemoteCall`).  Callers that can serve both — the peer — set
-    both; local sessions leave them ``None`` and queries containing
-    ``execute at`` fall back / fail exactly as before.
+    both; local sessions leave them ``None``, so a query containing
+    ``execute at`` runs in the interpreter and fails there.
     """
 
     doc_resolver: Optional[Callable[[str], "DocumentNode"]] = None

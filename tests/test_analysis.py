@@ -370,7 +370,6 @@ class TestSiteProfile:
         assert profile.count == 2
         assert profile.destinations == ("xrpc://y", "xrpc://z")
         assert profile.dynamic_destinations == 0
-        assert profile.groupable
         assert not profile.updating_remote
 
     def test_dynamic_destination_counted(self):
@@ -383,7 +382,6 @@ class TestSiteProfile:
                                    has_dispatch=True).sites
         assert profile.count == 1
         assert profile.dynamic_destinations == 1
-        assert not profile.groupable
 
     def test_updating_remote_decl(self):
         source = f"""
@@ -431,7 +429,7 @@ class TestPeerRouting:
         server.store.register("log.xml", "<log/>")
         return origin, server
 
-    def test_updating_remote_routes_to_strict_executor(self):
+    def test_updating_remote_ships_once_from_lifted_plan(self):
         # A liftable verdict is final, so the updating call ships from
         # the lifted plan, once.
         origin, server = self._peers()

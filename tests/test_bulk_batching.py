@@ -1,9 +1,12 @@
-"""Tests for the Bulk RPC batching executor's hard cases.
+"""Bulk RPC from the loop-lifted plan: its hard cases, message by message.
 
-The two-phase executor (record -> bulk ship -> replay) must stay
-correct when calls depend on other calls' results, when phase 1 fails,
-and when updating calls are in play — these are the paths where naive
-batching would break semantics.
+A query with ``execute at`` sites runs as one lifted plan whatever its
+site count: each site ships one message per (destination, function)
+group of its live iterations, and the sibling sites of one sequence
+share their groups.  A call whose argument is another call's answer
+ships after that answer arrives, so nothing ships with an argument the
+query never computes — these are the shapes where batching could break
+semantics, each pinned to its exact message and call counts.
 """
 
 import pytest
@@ -35,11 +38,14 @@ def site():
     return network, origin, served
 
 
+def shipped(result):
+    return result.plan, result.messages_sent, result.calls_shipped
+
+
 class TestDependentCalls:
     def test_second_call_depends_on_first(self, site):
-        """step2's argument is step1's result: phase 1 records step2 with
-        a wrong (placeholder-derived) argument; phase 3 must detect the
-        mismatch and ship it directly."""
+        """step2's argument is step1's answer: it ships once that
+        answer is in, so two messages carry the query's two calls."""
         network, origin, served = site
         query = """
         import module namespace c = "urn:chain" at "c.xq";
@@ -48,6 +54,7 @@ class TestDependentCalls:
         """
         result = origin.execute_query(query)
         assert values(result.sequence) == ["alpha-beta"]
+        assert shipped(result) == ("lifted", 2, 2)
 
     def test_dependent_chain_in_loop(self, site):
         network, origin, served = site
@@ -59,6 +66,8 @@ class TestDependentCalls:
         """
         result = origin.execute_query(query)
         assert values(result.sequence) == ["alpha-beta", "alpha-beta"]
+        # One bulk message per site, both iterations in each.
+        assert shipped(result) == ("lifted", 2, 4)
 
     def test_result_used_in_control_flow(self, site):
         network, origin, served = site
@@ -70,10 +79,10 @@ class TestDependentCalls:
         """
         result = origin.execute_query(query)
         assert values(result.sequence) == ["yes-beta"]
+        assert shipped(result) == ("lifted", 2, 2)
 
-    def test_phase1_error_falls_back_to_direct(self, site):
-        """exactly-one() fails on phase 1's empty placeholder; the
-        executor must fall back to direct execution and still succeed."""
+    def test_cardinality_check_on_a_remote_answer(self, site):
+        """exactly-one() sees the real answer: the call ships once."""
         network, origin, served = site
         query = """
         import module namespace c = "urn:chain" at "c.xq";
@@ -81,6 +90,7 @@ class TestDependentCalls:
         """
         result = origin.execute_query(query)
         assert values(result.sequence) == ["alpha"]
+        assert shipped(result) == ("lifted", 1, 1)
 
 
 class TestBulkWithUpdates:
@@ -92,34 +102,35 @@ class TestBulkWithUpdates:
     { count(doc("log.xml")/log/e) };
     """
 
-    def test_bulk_updating_calls_apply_once(self):
-        """Phase 1 records without sending; phase 3 replays without
-        re-sending — each update must land exactly once."""
+    @pytest.fixture
+    def logged(self):
         network = SimulatedNetwork()
         origin = XRPCPeer("origin", network)
         served = XRPCPeer("served", network)
         for peer in (origin, served):
             peer.registry.register_source(self.UPDATE_MODULE, location="u.xq")
         served.store.register("log.xml", "<log/>")
+        return origin, served
+
+    def test_bulk_updating_calls_apply_once(self, logged):
+        """One updating bulk message, shipped once: each update lands
+        exactly once."""
+        origin, served = logged
         query = """
         import module namespace u = "urn:u" at "u.xq";
         for $v in ("a", "b", "c")
         return execute at {"xrpc://served"} { u:append($v) }
         """
         result = origin.execute_query(query)
-        assert result.messages_sent == 1  # one bulk updating message
+        assert shipped(result) == ("lifted", 1, 3)
         entries = served.store.get("log.xml").root_element.children
         assert [e.string_value() for e in entries] == ["a", "b", "c"]
 
-    def test_read_after_update_sees_rfu_semantics(self):
+    def test_read_after_update_sees_rfu_semantics(self, logged):
         """Without isolation (rule R_Fu) updates apply per-request, so a
-        later read in the same query observes them."""
-        network = SimulatedNetwork()
-        origin = XRPCPeer("origin", network)
-        served = XRPCPeer("served", network)
-        for peer in (origin, served):
-            peer.registry.register_source(self.UPDATE_MODULE, location="u.xq")
-        served.store.register("log.xml", "<log/>")
+        later read in the same query observes them — one call at a time,
+        since the lifted plan ships sibling sites together."""
+        origin, served = logged
         query = """
         import module namespace u = "urn:u" at "u.xq";
         ( execute at {"xrpc://served"} { u:append("x") },
@@ -127,6 +138,7 @@ class TestBulkWithUpdates:
         """
         result = origin.execute_query(query, force_one_at_a_time=True)
         assert values(result.sequence) == [1]
+        assert shipped(result) == ("interpreter", 2, 2)
 
 
 class TestGroupingBoundaries:
@@ -140,7 +152,7 @@ class TestGroupingBoundaries:
         result = origin.execute_query(query)
         assert values(result.sequence) == ["alpha", "served"]
         # Bulk groups by (destination, function): two groups here.
-        assert result.messages_sent == 2
+        assert shipped(result) == ("lifted", 2, 2)
 
     def test_same_function_same_args_multiple_iterations(self, site):
         network, origin, served = site
@@ -151,12 +163,11 @@ class TestGroupingBoundaries:
         """
         result = origin.execute_query(query)
         assert values(result.sequence) == ["alpha"] * 4
-        assert result.messages_sent == 1
-        assert result.calls_shipped == 4
+        assert shipped(result) == ("lifted", 1, 4)
 
-    def test_duplicate_argument_lists_replay_in_order(self, site):
-        """Calls with identical arguments share a replayer fingerprint;
-        each phase-3 occurrence must consume exactly one bulk result."""
+    def test_duplicate_argument_lists_answer_in_order(self, site):
+        """Calls with identical arguments are separate calls of one bulk
+        message, answered by position."""
         network, origin, served = site
         query = """
         import module namespace c = "urn:chain" at "c.xq";
@@ -167,12 +178,11 @@ class TestGroupingBoundaries:
         assert values(result.sequence) == \
             ["tag-a", "tag-a", "tag-b", "tag-a"]
         # All four calls (duplicates included) ride one bulk message.
-        assert result.messages_sent == 1
-        assert result.calls_shipped == 4
+        assert shipped(result) == ("lifted", 1, 4)
 
     def test_duplicate_args_mixed_with_dependent_call(self, site):
-        """Duplicates answer from the bulk results while the dependent
-        call (placeholder-derived argument) falls back to direct send."""
+        """step1 ships first; then the three sibling sites ship together
+        as two groups — tag (both calls) and step2."""
         network, origin, served = site
         query = """
         import module namespace c = "urn:chain" at "c.xq";
@@ -185,10 +195,21 @@ class TestGroupingBoundaries:
         """
         result = origin.execute_query(query)
         assert values(result.sequence) == ["tag-x", "tag-x", "alpha-beta"]
-        # Two bulk groups (step1; tag+step2 split by function => three
-        # groups total: step1, tag, step2) plus the direct re-send of the
-        # dependent step2 call.
-        assert result.calls_shipped >= 4
+        assert shipped(result) == ("lifted", 3, 4)
+
+    def test_nested_loop_beside_a_sibling_site(self, site):
+        """Only sibling ``execute at`` items group: a site inside a
+        sibling for-loop ships its own message."""
+        network, origin, served = site
+        query = """
+        import module namespace c = "urn:chain" at "c.xq";
+        ( for $i in (1, 2)
+          return execute at {"xrpc://served"} { c:tag(string($i)) },
+          execute at {"xrpc://served"} { c:tag("z") } )
+        """
+        result = origin.execute_query(query)
+        assert values(result.sequence) == ["tag-1", "tag-2", "tag-z"]
+        assert shipped(result) == ("lifted", 2, 3)
 
     def test_empty_loop_sends_nothing(self, site):
         network, origin, served = site
@@ -199,4 +220,5 @@ class TestGroupingBoundaries:
         """
         result = origin.execute_query(query)
         assert result.sequence == []
+        assert shipped(result) == ("lifted", 0, 0)
         assert network.messages_sent == 0

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceeded,
+    DynamicError,
     FatalTransportError,
     RetryableTransportError,
     TransportError,
@@ -540,11 +541,52 @@ class TestPartialResults:
         assert result.counters["net.degraded_peers"] == 1
         assert strings(result.sequence[0].children) == ["The Rock"]
 
+    def test_degraded_document_fetch_is_not_found(self):
+        network = SimulatedNetwork()
+        origin, _ = film_peers(network)
+        with pytest.raises(DynamicError) as raised:
+            origin.execute_query(
+                'count(doc("xrpc://dead.example.org/filmDB.xml")//film)',
+                on_peer_failure="degrade")
+        assert raised.value.code == "FODC0002"
+
     def test_default_fail_closed(self):
         network = SimulatedNetwork()
         origin, _ = film_peers(network)
         with pytest.raises(TransportError):
             origin.execute_query(MULTI_SITE_QUERY)
+
+    @pytest.mark.parametrize("one_at_a_time, plan",
+                             [(False, "lifted"), (True, "interpreter")])
+    def test_degrade_in_a_loop(self, one_at_a_time, plan):
+        # One site, two destinations: the dead peer's calls answer
+        # empty, whether they ship as one bulk message per peer or one
+        # call at a time.
+        network = SimulatedNetwork()
+        origin, _ = film_peers(network)
+        result = origin.execute_query(f"""
+            import module namespace f="films" at "{FILM_LOCATION}";
+            for $d in ("xrpc://y.example.org", "xrpc://dead.example.org")
+            return execute at {{$d}} {{ f:filmsByActor("Sean Connery") }}
+            """, on_peer_failure="degrade",
+            force_one_at_a_time=one_at_a_time)
+        assert result.plan == plan
+        assert result.degraded
+        assert result.failed_peers == ["dead.example.org"]
+        assert strings(result.sequence) == ["The Rock"]
+
+    def test_degrade_single_dead_site(self):
+        network = SimulatedNetwork()
+        origin, _ = film_peers(network)
+        result = origin.execute_query(f"""
+            import module namespace f="films" at "{FILM_LOCATION}";
+            execute at {{"xrpc://dead.example.org"}}
+              {{ f:filmsByActor("Sean Connery") }}
+            """, on_peer_failure="degrade")
+        assert result.plan == "lifted"
+        assert result.degraded
+        assert result.failed_peers == ["dead.example.org"]
+        assert result.sequence == []
 
     def test_invalid_policy_rejected(self):
         network = SimulatedNetwork()

@@ -200,27 +200,33 @@ class TestConcurrentParallelDispatch:
             for server in servers:
                 server.stop()
 
-    def test_parallel_fault_tolerance(self):
-        """One peer faulting must not poison the other branches."""
+    def test_parallel_degrade_isolates_dead_branch(self):
+        """Under the partial-results policy one unreachable peer must not
+        poison the other branches; a SOAP-fault branch still raises."""
         from repro.rpc.client import ClientSession
 
         transport, servers = self._fleet(2)
+        transport.register_endpoint("dead", "127.0.0.1:1")  # closed port
         # A third peer with no modules: its branch returns a SOAP fault.
         broken = XRPCPeer("broken", HttpTransport())
         broken_server = HttpXRPCServer(broken.server.handle).start()
         transport.register_endpoint("broken", broken_server.address)
+        peer0 = ("peer0", "urn:echo", "e.xq", "double", 1,
+                 [[[integer(1)]]], False)
         try:
-            session = ClientSession(transport, origin="p0")
+            session = ClientSession(transport, origin="p0", degrade=True)
             results = session.call_parallel(
-                [("peer0", "urn:echo", "e.xq", "double", 1,
-                  [[[integer(1)]]], False),
-                 ("broken", "urn:ghost", None, "nope", 0, [[]], False),
+                [peer0,
+                 ("dead", "urn:echo", "e.xq", "double", 1,
+                  [[[integer(3)]]], False),
                  ("peer1", "urn:echo", "e.xq", "double", 1,
-                  [[[integer(2)]]], False)],
-                tolerate_faults=True)
-            assert results[0] == [[integer(2)]]
-            assert results[1] is None
-            assert results[2] == [[integer(4)]]
+                  [[[integer(2)]]], False)])
+            assert results == [[[integer(2)]], [[]], [[integer(4)]]]
+            assert session.failed_peers == ["dead"]
+            with pytest.raises(XRPCFault):
+                session.call_parallel(
+                    [peer0, ("broken", "urn:ghost", None, "nope", 0, [[]],
+                             False)])
         finally:
             transport.close()
             broken_server.stop()

@@ -324,7 +324,7 @@ class TestPeerUnifiedPipeline:
     def test_peer_lifted_matches_interpreter(self, peer):
         query = "doc('auctions.xml')//closed_auction/buyer/@person"
         lifted = peer.execute_query(query)
-        pinned = peer.execute_query(query, try_lifted=False)
+        pinned = peer.execute_query(query, force_one_at_a_time=True)
         assert pinned.plan == "interpreter"
         assert serialize_sequence(lifted.sequence) == \
             serialize_sequence(pinned.sequence)

@@ -166,16 +166,6 @@ class TestMarshaling:
         assert round_tripped[0].type is xs.integer
         assert round_tripped[3].name == "k" and round_tripped[3].value == 'v"q'
 
-    def test_marshal_fingerprint_discriminates(self):
-        from repro.soap import marshal_fingerprint
-
-        assert marshal_fingerprint([[integer(1)], [string("x")]]) == \
-            marshal_fingerprint([[integer(1)], [string("x")]])
-        assert marshal_fingerprint([[integer(1)]]) != \
-            marshal_fingerprint([[integer(2)]])
-        assert marshal_fingerprint([[integer(1)], []]) != \
-            marshal_fingerprint([[], [integer(1)]])
-
     def test_unknown_type_degrades_to_untyped(self):
         text = build_request(XRPCRequest(
             module="m", method="f", arity=1,
