@@ -52,7 +52,8 @@ from repro.xdm.nodes import (
     ProcessingInstructionNode,
     TextNode,
 )
-from repro.xml.parser import EventSource, parse_document
+from repro.xml.parser import EventSource, collector_paused, parse_document
+from repro.xml.serializer import xml_safe
 
 XRPC_NS = "http://monetdb.cwi.nl/XQuery"
 ENV_NS = "http://www.w3.org/2003/05/soap-envelope"
@@ -251,7 +252,7 @@ def build_fault(fault_code: str, reason: str,
     writer.element("env:Value", (), fault_code)
     writer.end()
     writer.start("env:Reason")
-    writer.element("env:Text", (("xml:lang", "en"),), reason)
+    writer.element("env:Text", (("xml:lang", "en"),), xml_safe(reason))
     writer.end()
     writer.end()  # env:Fault
     return _finish_envelope(writer)
@@ -293,8 +294,12 @@ def parse_message(text: Union[str, bytes]) -> Message:
     (:class:`_MessageDecoder`).  Text that is not XML is an
     :class:`~repro.xml.parser.XMLSyntaxError`, whatever else is wrong
     with it; XML that is not a message is an ``env:Sender`` fault.
+    The cyclic collector is paused for the decode
+    (:class:`~repro.xml.parser.collector_paused`): everything it
+    allocates stays reachable until it returns.
     """
-    return parse_document(text, consumer=_MessageDecoder).finish()
+    with collector_paused():
+        return parse_document(text, consumer=_MessageDecoder).finish()
 
 
 def parse_request(text: Union[str, bytes]) -> XRPCRequest:

@@ -291,6 +291,18 @@ class _TreeBuilder:
     def _external_entity(self, *args) -> int:
         raise self._error("external entity reference")
 
+    # -- the DOCTYPE --------------------------------------------------------
+
+    def _start_doctype(self, *args) -> None:
+        # A comment or PI of the internal subset is part of the DTD, not
+        # a child of the document.
+        parser = self._parser
+        parser.CommentHandler = None
+        parser.ProcessingInstructionHandler = None
+
+    def _end_doctype(self) -> None:
+        self._install(self._parser)
+
     # -- driving ------------------------------------------------------------
 
     def _install(self, parser) -> None:
@@ -312,6 +324,8 @@ class _TreeBuilder:
         parser.AttlistDeclHandler = self._attlist_decl
         parser.SkippedEntityHandler = self._skipped_entity
         parser.ExternalEntityRefHandler = self._external_entity
+        parser.StartDoctypeDeclHandler = self._start_doctype
+        parser.EndDoctypeDeclHandler = self._end_doctype
         try:
             parser.Parse(data, True)
         except _expat.ExpatError as exc:
@@ -339,6 +353,8 @@ class _TreeBuilder:
             parser.AttlistDeclHandler = None
             parser.SkippedEntityHandler = None
             parser.ExternalEntityRefHandler = None
+            parser.StartDoctypeDeclHandler = None
+            parser.EndDoctypeDeclHandler = None
         document = self._document
         document.size = self._serial - KEY_STRIDE
         return document

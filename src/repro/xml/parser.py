@@ -14,7 +14,8 @@ call one — XML 1.0 with namespaces:
   ``<!ATTLIST>``, an external or an undeclared entity.  SOAP 1.2 forbids
   a DTD in a message, and refusing the declaration (rather than the
   reference) is also the guard against entity-expansion bombs.  A
-  ``<!DOCTYPE>`` that declares nothing is skipped;
+  ``<!DOCTYPE>`` that declares nothing is skipped, comments and PIs of
+  its internal subset with it;
 * line endings and literal attribute whitespace are normalized (XML 1.0
   §2.11 / §3.3.3); character references are exempt, which is why the
   serializer writes ``\r`` as ``&#13;``.
@@ -27,6 +28,7 @@ any codec Python knows is a readable document encoding.
 from __future__ import annotations
 
 import codecs
+import gc
 import re
 from typing import Callable, Optional, Protocol, TypeVar, Union, overload
 
@@ -165,6 +167,36 @@ def parse_document(text: Union[str, bytes], uri: Optional[str] = None, *,
     # A well-formed document counts, whatever its consumer made of it.
     count_parse(size)
     return fed()
+
+
+class collector_paused:
+    """``with collector_paused():`` runs its body with CPython's cyclic
+    collector off.
+
+    A decode allocates one tracked object after another and drops none
+    of them before it returns, so every collection it would trigger
+    re-scans the whole young heap — and, at a full collection, every
+    resident object — for garbage that cannot be there.  The owner rule
+    keeps the pause bounded: only a pause that finds the collector on
+    turns it off, and turns it back on when its body ends, however it
+    ends.  One that finds it off (its caller's choice, or another
+    thread's decode in progress) changes nothing, so no count is kept
+    and overlapping decodes cannot leave it off.  A class, not a
+    generator: leaving the ``with`` allocates nothing after turning the
+    collector back on, so the young collection the body put off runs at
+    the caller's next allocation.
+    """
+
+    __slots__ = ("_owner",)
+
+    def __enter__(self) -> None:
+        self._owner = gc.isenabled()
+        if self._owner:
+            gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self._owner:
+            gc.enable()
 
 
 def parse_fragment(text: Union[str, bytes]) -> ElementNode:

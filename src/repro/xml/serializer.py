@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
+from repro.errors import DynamicError
 from repro.xdm.nodes import (
     AttributeNode,
     CommentNode,
@@ -27,15 +28,38 @@ from repro.xdm.nodes import (
 # C-level membership scan first and return the *same string object*
 # when nothing matches — chained ``.replace`` copies otherwise.  ``\r``
 # is a special in both: a parser turns a raw one into ``\n`` (a space
-# in an attribute), so only ``&#13;`` arrives as it left.
-_TEXT_SPECIALS = re.compile(r"[&<>\r]").search
-_ATTR_SPECIALS = re.compile(r'[&<"\n\t\r]').search
+# in an attribute), so only ``&#13;`` arrives as it left.  The same
+# scan finds the characters XML 1.0 cannot carry at all, not even as a
+# character reference (its ``Char`` production): writing one would
+# make the receiver refuse the whole document, so it is an error here.
+_NOT_XML = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_TEXT_SPECIALS = re.compile(f"[&<>\r{_NOT_XML}]").search
+_ATTR_SPECIALS = re.compile(f'[&<"\n\t\r{_NOT_XML}]').search
+_NOT_XML_CHAR = re.compile(f"[{_NOT_XML}]")
+
+
+def _refuse_non_xml(text: str, start: int) -> None:
+    """Raise SERE0006 if *text* holds a character XML 1.0 cannot carry
+    at or after *start*."""
+    match = _NOT_XML_CHAR.search(text, start)
+    if match is not None:
+        raise DynamicError(
+            "SERE0006", f"character U+{ord(match.group()):04X} cannot be "
+            "serialized as XML 1.0")
+
+
+def xml_safe(text: str) -> str:
+    """*text* with every character XML 1.0 cannot carry replaced by
+    U+FFFD — for diagnostic prose (a fault reason), never for data."""
+    return _NOT_XML_CHAR.sub("\ufffd", text)
 
 
 def escape_text(text: str) -> str:
     """Escape character data content."""
-    if _TEXT_SPECIALS(text) is None:
+    match = _TEXT_SPECIALS(text)
+    if match is None:
         return text
+    _refuse_non_xml(text, match.start())
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -46,8 +70,10 @@ def escape_text(text: str) -> str:
 
 def escape_attribute(text: str) -> str:
     """Escape attribute values (quoted with double quotes)."""
-    if _ATTR_SPECIALS(text) is None:
+    match = _ATTR_SPECIALS(text)
+    if match is None:
         return text
+    _refuse_non_xml(text, match.start())
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -208,9 +234,11 @@ def _serialize_wire(node: Node, out: list[str],
             append(escape_text(node.content))
             continue
         if isinstance(node, CommentNode):
+            _refuse_non_xml(node.content, 0)
             append("<!--" + node.content + "-->")
             continue
         if isinstance(node, ProcessingInstructionNode):
+            _refuse_non_xml(node.content, 0)
             append("<?" + node.target + " " + node.content + "?>")
             continue
         if isinstance(node, AttributeNode):
@@ -290,9 +318,11 @@ def _serialize_node(node: Node, out: list[str], indent: bool, level: int,
             out.append(pad + escape_text(node.content))
             continue
         if isinstance(node, CommentNode):
+            _refuse_non_xml(node.content, 0)
             out.append(f"{pad}<!--{node.content}-->")
             continue
         if isinstance(node, ProcessingInstructionNode):
+            _refuse_non_xml(node.content, 0)
             out.append(f"{pad}<?{node.target} {node.content}?>")
             continue
         if isinstance(node, AttributeNode):

@@ -7,14 +7,22 @@ The first class pins that (no order key, no node spent on a holder); the
 corpus below feeds every message shape through the one-pass decode and
 holds what comes out against the oracle — ``repro.reference.n2s`` over
 the same message parsed as a whole tree by the oracle's own parser
-(``tests.helpers.reference_sequences``; the ``[python]`` ids).
+(``tests.helpers.reference_sequences``; the ``[python]`` ids).  The last
+class pins that a decode runs with the cyclic collector paused, and that
+no way out of one — nor two at once — leaves it off.
 """
 
 import dataclasses
+import gc
+import threading
 
 import pytest
 
 from repro.errors import XRPCFault
+from repro.net import HttpTransport, HttpXRPCServer
+from repro.net.transport import ExchangeSpec
+from repro.rpc import XRPCPeer
+from repro.soap import messages
 from repro.soap.messages import (
     ENV_NS,
     XRPC_NS,
@@ -31,6 +39,7 @@ from repro.soap.messages import (
     build_txn_result,
     parse_message,
     parse_request,
+    parse_response,
 )
 from repro.xdm.atomic import AtomicValue, integer, string
 from repro.xdm.nodes import (
@@ -542,3 +551,99 @@ def test_document_items_keep_call_by_value():
     assert all(child.parent is document for child in document.children)
     assert document.order_key < document.children[0].order_key
     assert empty.children == []
+
+
+# ---------------------------------------------------------------------------
+# (c) a decode runs with the cyclic collector paused
+
+
+class TestCollectorPaused:
+    def test_a_decode_fires_no_collection(self):
+        text = rows_request(5000)
+        started: list[int] = []
+        thread = threading.get_ident()
+
+        def record(phase, info):
+            if phase == "start" and threading.get_ident() == thread:
+                started.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            message = parse_message(text)
+            # Read before anything is allocated: the first allocation
+            # after the decode may start the collection it put off.
+            during = len(started)
+        finally:
+            gc.callbacks.remove(record)
+        assert during == 0
+        assert len(message.calls[0][0]) == 5000
+        assert gc.isenabled()
+
+    def test_the_collector_is_on_again_afterwards(self):
+        parse_message(rows_request(10))
+        assert gc.isenabled()
+        with pytest.raises(XMLSyntaxError):
+            parse_message(rows_request(10)[:-20])
+        assert gc.isenabled()
+        with pytest.raises(XRPCFault) as caught:
+            parse_message(request(one_call("<xrpc:map/>")))
+        assert caught.value.fault_code == "env:Sender"
+        assert gc.isenabled()
+
+    def test_a_caller_s_pause_is_left_alone(self):
+        gc.disable()
+        try:
+            parse_message(rows_request(10))
+            with pytest.raises(XMLSyntaxError):
+                parse_message("<unclosed>")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_overlapping_decodes_leave_it_on(self, monkeypatch):
+        # Both decodes are inside the pause at once: the first to start
+        # owns it, the second finds it off and leaves it be.
+        barrier = threading.Barrier(2, timeout=10)
+        parse = messages.parse_document
+
+        def meeting(*args, **kwargs):
+            barrier.wait()
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(messages, "parse_document", meeting)
+        decoded = []
+        threads = [threading.Thread(
+            target=lambda: decoded.append(parse_message(rows_request(200))))
+            for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(decoded) == 2
+        assert gc.isenabled()
+
+    def test_concurrent_calls_through_an_http_server(self):
+        peer = XRPCPeer("served", HttpTransport())
+        peer.registry.register_source(
+            'module namespace m = "urn:echo";\n'
+            "declare function m:double($x as xs:integer) as xs:integer"
+            " { $x * 2 };", location="e.xq")
+        with HttpXRPCServer(peer.server.handle) as server:
+            transport = HttpTransport({"served": server.address})
+            try:
+                specs = []
+                for value in range(8):
+                    call = XRPCRequest(module="urn:echo", method="double",
+                                       arity=1, location="e.xq")
+                    call.add_call([[integer(value)]])
+                    specs.append(ExchangeSpec("served", build_request(call)))
+                replies = transport.exchange_many(specs)
+            finally:
+                transport.close()
+        assert [parse_response(reply).results for reply in replies] \
+            == [[[integer(2 * value)]] for value in range(8)]
+        assert peer.server.requests_handled == 8
+        assert gc.isenabled()

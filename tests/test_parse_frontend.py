@@ -122,6 +122,17 @@ class TestIdenticalTrees:
             "<r>a<![CDATA[<raw> & stuff]]>b<!-- in -->"
             "<?pi data?></r><!-- tail -->")
 
+    @pytest.mark.parametrize("text, kinds", [
+        ("<!DOCTYPE r [<!-- c -->]><r/>", ["element"]),
+        ("<!DOCTYPE r [<?p x?>]><r/>", ["element"]),
+        ("<!DOCTYPE r [<!-- c --><?p x?>]><!-- d --><?q y?><r><!--e--></r>",
+         ["comment", "processing-instruction", "element"]),
+        ("<!DOCTYPE r><!-- c --><r/>", ["comment", "element"]),
+    ])
+    def test_internal_subset_markup_is_not_a_child(self, text, kinds):
+        _, doc = assert_identical(text)
+        assert [child.kind for child in doc.children] == kinds
+
     def test_empty_cdata_yields_text_node(self):
         py, ex = assert_identical("<r><![CDATA[]]></r>")
         assert isinstance(ex.root_element.children[0], TextNode)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import XRPCFault
+from repro.errors import DynamicError, XRPCFault
+from repro.net import SimulatedNetwork
 from repro.reference import n2s
+from repro.rpc import XRPCPeer
 from repro.soap import (
     QueryID,
     XRPCFaultMessage,
@@ -20,8 +22,14 @@ from repro.xdm import deep_equal, double, integer, string, untyped, xs
 from repro.xdm.atomic import AtomicValue
 from repro.xdm.nodes import AttributeNode, NodeFactory
 from repro.xml import parse_document, parse_fragment
+from repro.xml.serializer import serialize
 
 from tests.helpers import shipped
+
+ECHO_MODULE = """
+module namespace m = "urn:echo";
+declare function m:echo($x as xs:string) as xs:string { $x };
+"""
 
 
 class TestMarshaling:
@@ -53,6 +61,50 @@ class TestMarshaling:
 
     def test_empty_sequence(self):
         assert shipped([]) == []
+
+    def test_a_character_xml_cannot_carry_never_leaves(self):
+        # XML 1.0 has no way to write \x01 or U+FFFE, not even as a
+        # character reference: the sender refuses, not the receiver.
+        network = SimulatedNetwork()
+        peers = [XRPCPeer(name, network) for name in ("served", "origin")]
+        for peer in peers:
+            peer.registry.register_source(ECHO_MODULE, location="e.xq")
+        served, origin = peers
+        with pytest.raises(DynamicError) as caught:
+            origin.execute_query(
+                'import module namespace m = "urn:echo" at "e.xq";\n'
+                "declare variable $v external;\n"
+                'execute at {"xrpc://served"} { m:echo($v) }',
+                variables={"v": [string("a\x01c")]})
+        assert caught.value.code == "SERE0006"
+        assert "U+0001" in str(caught.value)
+        assert served.server.requests_handled == 0
+        factory = NodeFactory()
+        text, commented = factory.element("e"), factory.element("e")
+        text.append(factory.text("\ufffe"))
+        commented.append(factory.comment("\x0c"))
+        for item in (factory.text("a\ufffeb"), text, commented,
+                     factory.attribute("k", "\x0b"),
+                     factory.comment("\ud800")):
+            with pytest.raises(DynamicError, match=r"\[SERE0006\]"):
+                shipped([item])
+        with pytest.raises(DynamicError, match=r"\[SERE0006\]"):
+            serialize(commented, indent=True)
+
+    def test_a_fault_reason_is_made_writable(self):
+        # A served error may quote what the sender refuses to ship; its
+        # fault still goes out, the character replaced.
+        peer = XRPCPeer("served", SimulatedNetwork())
+        peer.registry.register_source(
+            'module namespace m = "urn:bad";\n'
+            'declare function m:f() { error((), "bad &#1; byte") };',
+            location="b.xq")
+        request = XRPCRequest(module="urn:bad", method="f", arity=0,
+                              location="b.xq")
+        request.add_call([])
+        with pytest.raises(XRPCFault) as caught:
+            parse_response(peer.server.handle(build_request(request)))
+        assert caught.value.reason.endswith("bad \ufffd byte")
 
     def test_untyped_atomic(self):
         [value] = shipped([untyped("x")])
