@@ -9,10 +9,11 @@ channel:
   RPC (Table 2) is machine-independent and reproducible.
 * :class:`~repro.net.http.HttpTransport` /
   :class:`~repro.net.http.HttpXRPCServer` — a real loopback HTTP POST
-  transport built on the standard library, proving the protocol actually
-  runs over HTTP/SOAP like the paper's SHTTPD-based implementation.
-  Backed by :mod:`repro.net.pool`: persistent keep-alive connections per
-  peer and true concurrent per-destination ``exchange_many`` fan-out.
+  transport, proving the protocol actually runs over HTTP/SOAP like the
+  paper's SHTTPD-based implementation.  :mod:`repro.net.wire` frames
+  the HTTP/1.1 subset XRPC uses on both sides; :mod:`repro.net.pool`
+  keeps connections alive per peer and fans ``exchange_many`` out
+  concurrently per destination.
 
 The fault-tolerance layer stacks on top of either transport:
 :mod:`repro.net.retry` (deadlines, retry/backoff, circuit breakers,

@@ -6,10 +6,10 @@ and section 3.2 requires Bulk RPC requests to distinct peers to be
 dispatched *in parallel*.  This module supplies both halves for the real
 HTTP transport:
 
-* :class:`ConnectionPool` — persistent ``http.client`` connections per
-  peer address, checked out/in under a lock, with per-peer
-  :class:`PeerStats` counters and a one-shot retry when a kept-alive
-  connection turns out to be stale;
+* :class:`ConnectionPool` — persistent keep-alive
+  :class:`~repro.net.wire.Connection` objects per peer address, checked
+  out/in under a lock, with per-peer :class:`PeerStats` counters and a
+  one-shot retry when a kept-alive connection turns out to be stale;
 * :func:`dispatch_parallel_captured` — per-destination fan-out:
   exchanges to distinct destinations run on concurrent threads while
   exchanges to the same destination stay sequential (keeping them on
@@ -21,7 +21,6 @@ circuit-breaker layer is :class:`~repro.net.retry.ResilientChannel`.
 
 from __future__ import annotations
 
-import http.client
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,11 +29,16 @@ from typing import Callable
 from repro.errors import (FatalTransportError, RetryableTransportError,
                           TransportError)
 from repro.net.transport import ExchangeSpec, normalize_peer_uri
+from repro.net.wire import Connection, FramingError, connect
 from repro.obs import Scope, absorb
 
 #: Idle keep-alive connections kept per peer address; a surplus one is
 #: closed at check-in.
 MAX_IDLE_PER_PEER = 8
+
+#: The largest response body the client reads (the same bound as the
+#: server's on a request); a larger one is a FatalTransportError.
+MAX_RESPONSE_BYTES = 64 * 1024 * 1024
 
 
 def _split_address(address: str) -> tuple[str, int]:
@@ -78,7 +82,7 @@ class ConnectionPool:
     def __init__(self, timeout: float = 30.0) -> None:
         self._timeout = timeout
         self._lock = threading.Lock()
-        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._idle: dict[str, list[Connection]] = {}
         self._stats: dict[str, PeerStats] = {}
         self._closed = False
 
@@ -86,8 +90,8 @@ class ConnectionPool:
         with self._lock:
             return self._stats.setdefault(address, PeerStats())
 
-    def _checkout(self, address: str,
-                  timeout: float) -> tuple[http.client.HTTPConnection, bool]:
+    def _checkout(self, address: str) -> Connection | None:
+        """A kept-alive connection to *address*; ``None``: dial one."""
         with self._lock:
             if self._closed:
                 raise FatalTransportError("connection pool is closed")
@@ -95,14 +99,11 @@ class ConnectionPool:
             idle = self._idle.get(address)
             if idle:
                 stats.connections_reused += 1
-                return idle.pop(), True
+                return idle.pop()
             stats.connections_opened += 1
-        host, port = _split_address(address)
-        return http.client.HTTPConnection(
-            host, port, timeout=timeout), False
+        return None
 
-    def _checkin(self, address: str,
-                 connection: http.client.HTTPConnection,
+    def _checkin(self, address: str, connection: Connection,
                  reusable: bool) -> None:
         if reusable:
             with self._lock:
@@ -131,21 +132,34 @@ class ConnectionPool:
         """
         effective = (self._timeout if timeout is None
                      else min(timeout, self._timeout))
+        fields = {"Host": address, **headers,
+                  "Content-Length": str(len(body))}
         retried = False
         while True:
-            connection, reused = self._checkout(address, effective)
-            if reused and connection.sock is not None:
-                # A kept-alive socket still carries the previous
-                # exchange's timeout; re-arm it with this one's budget.
-                connection.sock.settimeout(effective)
+            connection = self._checkout(address)
+            reused = connection is not None
             sent = False
             try:
-                connection.request("POST", path, body=body, headers=headers)
+                if connection is None:
+                    connection = connect(*_split_address(address), effective)
+                else:
+                    # A kept-alive socket still carries the previous
+                    # exchange's timeout; re-arm it with this one's budget.
+                    connection.settimeout(effective)
+                connection.send(f"POST {path} HTTP/1.1", fields, body)
                 sent = True
-                response = connection.getresponse()
-                payload = response.read()
-            except (http.client.HTTPException, OSError) as exc:
-                connection.close()
+                status, payload, keep = connection.read_response(
+                    MAX_RESPONSE_BYTES)
+            except BaseException as exc:
+                # Whatever failed (a reset, an oversized response, a
+                # handler bug, cancellation, ...), the connection's
+                # protocol state is unknown: close and drop it rather
+                # than ever returning it to the idle pool, where it would
+                # poison a later exchange.
+                if connection is not None:
+                    connection.close()
+                if not isinstance(exc, (FramingError, OSError)):
+                    raise
                 if reused and not retried and (retry_safe or not sent):
                     # Stale keep-alive connection (the server closed it
                     # between exchanges): retry once on a fresh one.
@@ -156,21 +170,13 @@ class ConnectionPool:
                 raise RetryableTransportError(
                     f"cannot reach http://{address}{path}: {exc}",
                     request_sent=sent) from exc
-            except BaseException:
-                # Any other failure (handler bug, cancellation, ...):
-                # the connection's protocol state is unknown — close and
-                # drop it rather than ever returning it to the idle
-                # pool, where it would poison a later exchange.
-                connection.close()
-                raise
             with self._lock:
                 stats = self._stats[address]
                 stats.requests += 1
                 stats.bytes_sent += len(body)
                 stats.bytes_received += len(payload)
-            self._checkin(address, connection,
-                          reusable=not response.will_close)
-            return response.status, payload
+            self._checkin(address, connection, reusable=keep)
+            return status, payload
 
     def close(self) -> None:
         """Close every idle connection and refuse further checkouts."""

@@ -315,18 +315,20 @@ class TestChannelBreakerAndDeadline:
 
 
 class _FakeConnection:
-    """Stands in for http.client.HTTPConnection inside the pool."""
+    """Stands in for a :class:`repro.net.wire.Connection` in the pool."""
 
     def __init__(self, fail_with=None):
         self.fail_with = fail_with
         self.closed = False
-        self.sock = None
 
-    def request(self, *args, **kwargs):
+    def settimeout(self, timeout):
+        pass
+
+    def send(self, start_line, fields, body=b""):
         if self.fail_with is not None:
             raise self.fail_with
 
-    def getresponse(self):  # pragma: no cover - only reached on success
+    def read_response(self, limit):  # pragma: no cover - success only
         raise AssertionError("not used")
 
     def close(self):
@@ -355,7 +357,7 @@ class TestPoolErrorPaths:
         assert pool._idle.get("peer:80", []) == []
 
     def test_unexpected_error_path_closes_connection(self):
-        # Regression: a non-HTTPException/OSError failure (handler bug,
+        # Regression: a non-FramingError/OSError failure (handler bug,
         # KeyboardInterrupt, ...) must also close-and-drop — never
         # return the connection to the idle pool in unknown state.
         connection = _FakeConnection(fail_with=RuntimeError("bug"))
@@ -367,13 +369,10 @@ class TestPoolErrorPaths:
 
     def test_not_retry_safe_skips_stale_retry_after_send(self):
         # request went out (sent=True simulated by failing in
-        # getresponse) on a reused connection: an updating exchange must
+        # read_response) on a reused connection: an updating exchange must
         # not be replayed.
         class _SentThenFail(_FakeConnection):
-            def request(self, *args, **kwargs):
-                pass
-
-            def getresponse(self):
+            def read_response(self, limit):
                 raise OSError("reset after send")
 
         connection = _SentThenFail()

@@ -2,13 +2,17 @@
 
 import http.client
 import socket
+import threading
+import time
 
 import pytest
 
+import repro.net.http as http_module
 from repro.engine import TreeEngine
-from repro.errors import TransportError, XRPCFault
-from repro.net import HttpTransport, HttpXRPCServer
+from repro.errors import FatalTransportError, TransportError, XRPCFault
+from repro.net import HttpTransport, HttpXRPCServer, wire
 from repro.net.http import MAX_REQUEST_BYTES
+from repro.net.pool import MAX_RESPONSE_BYTES, ConnectionPool
 from repro.net.transport import ExchangeSpec, normalize_peer_uri
 from repro.rpc import XRPCPeer
 from repro.soap import XRPCRequest, build_request, parse_response
@@ -93,6 +97,20 @@ class TestHttpRoundTrip:
                 assert stats.connections_opened == 1
                 assert stats.connections_reused == 4
                 assert stats.bytes_sent > 0 and stats.bytes_received > 0
+
+    def test_a_reused_connection_takes_each_exchange_s_timeout(self):
+        """The deadline's remaining budget re-arms a kept-alive socket."""
+        with HttpXRPCServer(lambda payload: "<ok/>") as server:
+            pool = ConnectionPool(timeout=30.0)
+            try:
+                for budget, armed in ((None, 30.0), (0.5, 0.5), (60, 30.0)):
+                    pool.request(server.address, "/xrpc", b"<x/>", {},
+                                 timeout=budget)
+                    [connection] = pool._idle[server.address]
+                    assert connection.sock.gettimeout() == armed
+                assert pool.stats(server.address).connections_opened == 1
+            finally:
+                pool.close()
 
     def test_closed_transport_refuses_sends(self):
         transport = HttpTransport({"peer": "127.0.0.1:1"})
@@ -251,7 +269,7 @@ class TestConcurrentParallelDispatch:
 
 
 class _CountingSocket(socket.socket):
-    """An accepted socket that records the size of every send."""
+    """A socket that records the size of every write."""
 
     def send(self, data, *args):
         self.sends.append(len(data))
@@ -261,26 +279,31 @@ class _CountingSocket(socket.socket):
         self.sends.append(len(data))
         return super().sendall(data, *args)
 
+    def sendmsg(self, buffers, *args):
+        buffers = list(buffers)
+        self.sends.append(sum(len(buffer) for buffer in buffers))
+        return super().sendmsg(buffers, *args)
 
-def _count_sends(server):
-    """Make *server* (not yet started) hand its handler threads
-    :class:`_CountingSocket` connections; returns the list they are
-    collected in, in accept order."""
-    accepted = []
-    httpd = server._server
-    accept = httpd.get_request
 
-    def get_request():
-        connection, address = accept()
-        counting = _CountingSocket(connection.family, connection.type,
-                                   connection.proto,
-                                   fileno=connection.detach())
-        counting.sends = []
-        accepted.append(counting)
-        return counting, address
+def _count_writes(monkeypatch, module):
+    """Make every :class:`wire.Connection` that *module* builds (the
+    server's accepted ones for ``repro.net.http``, the pool's dialled
+    ones for ``repro.net.wire``) write through a :class:`_CountingSocket`;
+    returns those sockets, in the order they were built."""
+    built = []
 
-    httpd.get_request = get_request
-    return accepted
+    class CountingConnection(wire.Connection):
+        def __init__(self, sock):
+            timeout = sock.gettimeout()
+            counting = _CountingSocket(sock.family, sock.type, sock.proto,
+                                       fileno=sock.detach())
+            counting.settimeout(timeout)
+            counting.sends = []
+            built.append(counting)
+            super().__init__(counting)
+
+    monkeypatch.setattr(module, "Connection", CountingConnection)
+    return built
 
 
 def _raw_exchange(connection, request: bytes):
@@ -306,16 +329,20 @@ def _double_payload(value: int) -> str:
 
 class TestWirePath:
     """Deterministic (no timing) checks that an exchange cannot stall:
-    a response leaves in ONE write on a TCP_NODELAY socket.  Two writes
-    with Nagle on is what cost a flat ~44 ms per keep-alive exchange —
-    the second segment waited out the client's delayed ACK."""
+    a request and a response each leave in ONE write on a TCP_NODELAY
+    socket.  Two writes with Nagle on is what cost a flat ~44 ms per
+    keep-alive exchange — the second segment waited out the peer's
+    delayed ACK."""
 
-    def test_one_write_per_response_on_a_nodelay_socket(self):
+    @pytest.mark.parametrize("side", [http_module, wire],
+                             ids=["response", "request"])
+    def test_one_write_per_message_on_a_nodelay_socket(self, monkeypatch,
+                                                       side):
         wrapper = XRPCWrapper(engine=TreeEngine())
         wrapper.engine.registry.register_source(ECHO_MODULE, location="e.xq")
-        server = HttpXRPCServer(wrapper.handle)
-        accepted = _count_sends(server)
-        with server, HttpTransport({"peer": server.address}) as transport:
+        built = _count_writes(monkeypatch, side)
+        with HttpXRPCServer(wrapper.handle) as server, \
+                HttpTransport({"peer": server.address}) as transport:
             payload = _double_payload(3)
             for _ in range(50):
                 assert parse_response(
@@ -324,18 +351,17 @@ class TestWirePath:
             assert stats.requests == 50
             assert stats.connections_opened == 1
             assert stats.connections_reused == 49
-            [connection] = accepted
-            assert len(connection.sends) == 50  # one write per response
+            [connection] = built
+            assert len(connection.sends) == 50  # one write per message
             assert connection.getsockopt(socket.IPPROTO_TCP,
                                          socket.TCP_NODELAY) != 0
 
-    def test_fault_responses_leave_in_one_write_too(self):
+    def test_fault_responses_leave_in_one_write_too(self, monkeypatch):
         def broken_handler(payload):
             raise RuntimeError("handler bug")
 
-        server = HttpXRPCServer(broken_handler)
-        accepted = _count_sends(server)
-        with server:
+        accepted = _count_writes(monkeypatch, http_module)
+        with HttpXRPCServer(broken_handler) as server:
             host, port = server.address.split(":")
             with socket.create_connection((host, int(port)), 5) as raw:
                 # 500: the handler raised.
@@ -352,10 +378,10 @@ class TestWirePath:
 
 
 class TestForeignInput:
-    """Input no XRPC client would send must be answered — HTTP 400 with
-    an ``env:Sender`` SOAP fault — not crash the handler thread (which
-    dropped the connection, so clients retried a request that can never
-    succeed)."""
+    """Input no XRPC client would send must be answered — an HTTP 4xx
+    with an ``env:Sender`` SOAP fault — not crash the handler thread
+    (which dropped the connection, so clients retried a request that can
+    never succeed)."""
 
     @pytest.fixture
     def server(self):
@@ -397,6 +423,47 @@ class TestForeignInput:
             assert raw.recv(1) == b""
         self._assert_still_serving(server)
 
+    @pytest.mark.parametrize("request_bytes, status, reason", [
+        (b"POST /xrpc HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101
+         + b"Content-Length: 0\r\n\r\n", 431, "header lines"),
+        (b"POST /xrpc HTTP/1.1\r\nX-Pad: " + b"a" * wire.MAX_LINE_BYTES
+         + b"\r\nContent-Length: 0\r\n\r\n", 431, "a line over"),
+        (b"GET /xrpc HTTP/1.1\r\nHost: test\r\n\r\n", 405, "POST"),
+        (b"POST /xrpc HTTP/1.1\r\nno colon\r\n\r\n", 400, "malformed"),
+    ], ids=["too many header lines", "header line too long", "not POST",
+            "malformed header line"])
+    def test_foreign_framing_is_a_sender_fault(self, server, request_bytes,
+                                               status, reason):
+        with self._connect(server) as raw:
+            response, body = _raw_exchange(raw, request_bytes)
+            assert response.status == status
+            with pytest.raises(XRPCFault) as fault:
+                parse_response(body)
+            assert fault.value.fault_code == "env:Sender"
+            assert reason in fault.value.reason
+            # Where the next request starts is unknown: the server closes.
+            assert response.getheader("Connection") == "close"
+            try:
+                assert raw.recv(1) == b""
+            except ConnectionResetError:
+                pass  # closed with part of the oversized request unread
+        self._assert_still_serving(server)
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        body = _double_payload(5).encode("utf-8")
+        with self._connect(server) as raw:
+            raw.sendall(b"POST /xrpc HTTP/1.1\r\nHost: test\r\n"
+                        b"Expect: 100-continue\r\n"
+                        b"Content-Length: %d\r\n\r\n" % len(body))
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += raw.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            response, text = _raw_exchange(raw, body)
+            assert response.status == 200
+            assert parse_response(text).results == [[integer(10)]]
+        self._assert_still_serving(server)
+
     def test_non_utf8_body_is_a_sender_fault(self, server):
         with self._connect(server) as raw:
             response, body = _raw_exchange(raw, _post(b"<x>\xff\xfe</x>"))
@@ -423,3 +490,97 @@ class TestForeignInput:
             with pytest.raises(XRPCFault):
                 parse_response(body.decode("utf-8"))
             assert transport.peer_stats("peer").retries == 0
+
+
+class _RawPeer:
+    """A one-connection server on a raw socket: reads a request, writes
+    *response*, then either closes or holds the connection open and
+    records whether the client closed it."""
+
+    def __init__(self, response: bytes, hold: bool) -> None:
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = "%s:%d" % self.listener.getsockname()[:2]
+        self.client_closed = threading.Event()
+        self.thread = threading.Thread(target=self._run,
+                                       args=(response, hold), daemon=True)
+        self.thread.start()
+
+    def _run(self, response: bytes, hold: bool) -> None:
+        connection, _ = self.listener.accept()
+        with connection:
+            connection.settimeout(5)
+            request = b""
+            while not request.endswith(b"<x/>"):
+                chunk = connection.recv(65536)
+                if not chunk:
+                    return
+                request += chunk
+            connection.sendall(response)
+            if hold and connection.recv(1) == b"":
+                self.client_closed.set()
+
+    def close(self) -> None:
+        self.thread.join(timeout=5)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+class TestResponseBody:
+    """The client reads a response body by Content-Length, chunked or to
+    EOF — and never beyond :data:`MAX_RESPONSE_BYTES`, so a hostile or
+    broken peer cannot make it buffer without bound."""
+
+    @pytest.mark.parametrize("response, limit", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n<a"
+         % (MAX_RESPONSE_BYTES + 1), None),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"%x\r\n<a" % (MAX_RESPONSE_BYTES + 1), None),
+        (b"HTTP/1.1 200 OK\r\n\r\n" + b"a" * 2048, 1024),
+    ], ids=["announced", "chunked", "to EOF"])
+    def test_an_oversized_body_is_fatal_and_drops_the_connection(
+            self, monkeypatch, response, limit):
+        if limit is not None:
+            monkeypatch.setattr("repro.net.pool.MAX_RESPONSE_BYTES", limit)
+        peer = _RawPeer(response, hold=True)
+        try:
+            with HttpTransport({"peer": peer.address}) as transport:
+                with pytest.raises(FatalTransportError, match="limit"):
+                    transport.send("peer", "<x/>")
+                assert transport.peer_stats("peer").retries == 0
+                assert peer.client_closed.wait(5)
+                assert transport._pool._idle.get(peer.address, []) == []
+        finally:
+            peer.close()
+
+    @pytest.mark.parametrize("response", [
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"4\r\n<env\r\n3;ext=1\r\n:x/\r\n1\r\n>\r\n0\r\n"
+        b"X-Trailer: t\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n<env:x/>",
+    ], ids=["chunked", "to EOF"])
+    def test_foreign_body_framings_are_read(self, response):
+        peer = _RawPeer(response, hold=False)
+        try:
+            with HttpTransport({"peer": peer.address}) as transport:
+                assert transport.send("peer", "<x/>") == "<env:x/>"
+                assert transport.peer_stats("peer").requests == 1
+        finally:
+            peer.close()
+
+
+class TestServerStop:
+    def test_stop_is_prompt_and_ends_every_connection_thread(self):
+        before = set(threading.enumerate())
+        server = HttpXRPCServer(lambda payload: "<ok/>").start()
+        with HttpTransport({"peer": server.address}) as transport:
+            # Leaves an idle keep-alive connection in the pool, its
+            # handler thread waiting for the next request.
+            assert transport.send("peer", "<x/>") == "<ok/>"
+            assert len(set(threading.enumerate()) - before) == 2
+            started = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - started < 0.1
+            assert set(threading.enumerate()) - before == set()
+            # The pooled connection ended with the server.
+            with pytest.raises(TransportError, match="cannot reach"):
+                transport.send("peer", "<x/>")
