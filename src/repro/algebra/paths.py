@@ -81,17 +81,14 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
         ``XPTY0019``: a non-node item in the context, as the
         interpreter's path step raises.
     """
-    iter_index = table.col("iter")
-    item_index = table.col("item")
     # Group rows by iteration; the table is iter-ordered (the compiler's
     # order invariant), so the groups come out in iteration order.
     by_iter: dict = {}
-    for row in table.rows:
-        item = row[item_index]
+    for it, _pos, item in table.rows:
         if not isinstance(item, Node):
             raise TypeError_(
                 "XPTY0019", "path step applied to a non-node item")
-        by_iter.setdefault(row[iter_index], []).append(item)
+        by_iter.setdefault(it, []).append(item)
     rows: list[tuple] = []
     # Batch accumulator: consecutive iterations whose context is a
     # single tree node of the same tree — the shape every for-lifted
@@ -141,7 +138,7 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
         for pos, node in enumerate(results, start=1):
             rows.append((it, pos, node))
     flush()
-    return Table._of(("iter", "pos", "item"), rows)
+    return Table(("iter", "pos", "item"), rows)
 
 
 def contains_filter(table: Table, needle: str) -> Table:
@@ -167,15 +164,12 @@ def contains_filter(table: Table, needle: str) -> Table:
     from repro.search.index import term_index_for
     from repro.search.stats import SEARCH_STATS
 
-    iter_index = table.col("iter")
-    item_index = table.col("item")
     plans: dict[int, object] = {}
     rows: list[tuple] = []
     current_iter = None
     pos = 0
     hits = 0
-    for row in table.rows:
-        item = row[item_index]
+    for it, _pos, item in table.rows:
         if isinstance(item, Node):
             root = item.root()
             plan = plans.get(id(root))
@@ -192,7 +186,6 @@ def contains_filter(table: Table, needle: str) -> Table:
                 if hasattr(item, "string_value") else str(item)
             if needle not in value:
                 continue
-        it = row[iter_index]
         if it != current_iter:
             current_iter = it
             pos = 0
@@ -202,7 +195,7 @@ def contains_filter(table: Table, needle: str) -> Table:
     SEARCH_STATS.bump("search_queries")
     if hits:
         SEARCH_STATS.bump("postings_hits", hits)
-    return Table._of(("iter", "pos", "item"), rows)
+    return Table(("iter", "pos", "item"), rows)
 
 
 #: Axes whose windows of non-nested context nodes are disjoint and come
@@ -293,7 +286,7 @@ def positional_step(table: Table, axis: str, specs: list[tuple],
         rows.extend((it, pos, node)
                     for pos, node in enumerate(results, start=1))
     flush()
-    return Table._of(("iter", "pos", "item"), rows)
+    return Table(("iter", "pos", "item"), rows)
 
 
 def _ranked_windows(index: StructuralIndex, axis: str, pres: list[int],
@@ -395,14 +388,13 @@ def window_rank(table: Table,
     :func:`repro.xquery.evaluator.positional_predicate_spec`), or a
     callable ``spec(row, position, count)`` for a predicate whose value
     is known per row only at run time.  Rows stay in document order;
-    ``pos`` is re-derived dense per iteration.
+    ``pos`` is re-derived dense per iteration.  *table*'s rows lead with
+    ``iter, pos, item``; a callable *spec* sees any further columns.
     """
-    iter_index = table.col("iter")
-    item_index = table.col("item")
     dynamic = callable(spec)
     by_iter: dict = {}
     for row in table.rows:
-        by_iter.setdefault(row[iter_index], []).append(row)
+        by_iter.setdefault(row[0], []).append(row)
     rows: list[tuple] = []
     for it, window in by_iter.items():
         count = len(window)
@@ -412,8 +404,8 @@ def window_rank(table: Table,
             if (spec(row, position, count) if dynamic
                     else positional_spec_keep(spec, position, count)):
                 pos += 1
-                rows.append((it, pos, row[item_index]))
-    return Table._of(("iter", "pos", "item"), rows)
+                rows.append((it, pos, row[2]))
+    return Table(("iter", "pos", "item"), rows)
 
 
 def merge_exploded_contexts(table: Table, outer: list[int]) -> Table:
@@ -428,7 +420,7 @@ def merge_exploded_contexts(table: Table, outer: list[int]) -> Table:
     by_outer: dict = {}
     for it, _pos, node in table.rows:
         by_outer.setdefault(outer[it - 1], []).append(node)
-    return Table._of(("iter", "pos", "item"), [
+    return Table(("iter", "pos", "item"), [
         (it, pos, node) for it, nodes in by_outer.items()
         for pos, node in enumerate(document_order_sort(nodes), start=1)])
 
@@ -473,14 +465,10 @@ def equality_probe_step(table: Table, axis: str, node_test,
     appears (multi-node or attribute contexts, non-node items) —
     callers fall back to the scan-then-filter pipeline.
     """
-    iter_index = table.col("iter")
-    item_index = table.col("item")
     # One context node per iteration, in iteration order (the table is
     # iter-ordered).
     anchors: dict = {}
-    for row in table.rows:
-        it = row[iter_index]
-        item = row[item_index]
+    for it, _pos, item in table.rows:
         if not isinstance(item, Node) or isinstance(item, AttributeNode):
             return None
         if it in anchors:
@@ -501,4 +489,4 @@ def equality_probe_step(table: Table, axis: str, node_test,
             matches.extend(index.get(value, ()))
         for pos, node in enumerate(document_order_sort(matches), start=1):
             rows.append((it, pos, node))
-    return Table._of(("iter", "pos", "item"), rows)
+    return Table(("iter", "pos", "item"), rows)

@@ -43,13 +43,3 @@ class PeerCostModel:
     shred_seconds_per_byte: float = 1.0 / 8e6
     # Result serialization: 14 MB/s -> ~71 ns/byte.
     serialize_seconds_per_byte: float = 1.0 / 14e6
-
-    def request_cost(self, request_bytes: int, calls: int,
-                     compiled_cached: bool) -> float:
-        """Total simulated CPU seconds to serve one (bulk) request."""
-        cost = self.request_overhead_seconds
-        cost += request_bytes * self.shred_seconds_per_byte
-        cost += calls * self.per_call_seconds
-        if not compiled_cached:
-            cost += self.compile_seconds
-        return cost

@@ -155,7 +155,7 @@ _ITER = itemgetter(0)
 
 def _loop(count: int) -> Table:
     """The loop relation ``iter = 1..count``."""
-    return Table._of(("iter",), [(it,) for it in range(1, count + 1)])
+    return Table(("iter",), [(it,) for it in range(1, count + 1)])
 
 
 def _by_iter(table: Table) -> dict:
@@ -174,8 +174,8 @@ def _by_iter(table: Table) -> dict:
 def _table(sequences: Iterable[tuple[int, list]]) -> Table:
     """The ``iter|pos|item`` table of one sequence per iteration,
     given in ascending iteration order."""
-    return Table._of(_IPI, [(it, pos, item) for it, items in sequences
-                            for pos, item in enumerate(items, 1)])
+    return Table(_IPI, [(it, pos, item) for it, items in sequences
+                        for pos, item in enumerate(items, 1)])
 
 
 def _renumbered(pairs: Iterable[tuple]) -> Table:
@@ -188,7 +188,7 @@ def _renumbered(pairs: Iterable[tuple]) -> Table:
             last, pos = it, 0
         pos += 1
         rows.append((it, pos, item))
-    return Table._of(_IPI, rows)
+    return Table(_IPI, rows)
 
 
 def _restrict(loop: Table, env: dict[str, Table],
@@ -196,9 +196,9 @@ def _restrict(loop: Table, env: dict[str, Table],
     """*loop* and *env* cut down to the *live* iterations."""
     if len(live) == len(loop.rows):
         return loop, env
-    return (Table._of(("iter",), [row for row in loop.rows if row[0] in live]),
-            {name: Table._of(table.columns,
-                             [row for row in table.rows if row[0] in live])
+    return (Table(("iter",), [row for row in loop.rows if row[0] in live]),
+            {name: Table(table.columns,
+                         [row for row in table.rows if row[0] in live])
              for name, table in env.items()})
 
 
@@ -229,8 +229,8 @@ def _explode(table: Table, env: dict[str, Table],
     outer = [row[0] for row in rows]
     lifted_env = {name: _lifted(bound, outer) for name, bound in env.items()
                   if reads is None or name in reads}
-    items = Table._of(_IPI, [(inner, 1, row[2])
-                             for inner, row in enumerate(rows, 1)])
+    items = Table(_IPI, [(inner, 1, row[2])
+                         for inner, row in enumerate(rows, 1)])
     return outer, lifted_env, items
 
 
@@ -357,9 +357,9 @@ class LoopLiftingCompiler:
         before any ``execute at`` ships.  A passing check is final:
         what can fail on the data raises the interpreter's XQuery
         error, never :class:`UnsupportedExpression`."""
-        env = {name: Table._of(_IPI, []) for name in names}
+        env = {name: Table(_IPI, []) for name in names}
         if dot:
-            env[_DOT] = Table._of(_IPI, [])
+            env[_DOT] = Table(_IPI, [])
         self.compile_expr(expr, _loop(0), env)
 
     def evaluate(self, expr: A.Expr, bindings: list[dict[str, list]],
@@ -381,8 +381,8 @@ class LoopLiftingCompiler:
                          for it, bound in enumerate(bindings, 1))
             for name in (bindings[0] if bindings else ())}
         if context_item is not None:
-            env[_DOT] = Table._of(_IPI, [(it, 1, context_item)
-                                         for (it,) in loop.rows])
+            env[_DOT] = Table(_IPI, [(it, 1, context_item)
+                                     for (it,) in loop.rows])
         results: list[list] = [[] for _ in bindings]
         for it, _pos, item in self.compile_expr(expr, loop, env).rows:
             results[it - 1].append(item)
@@ -408,7 +408,7 @@ class LoopLiftingCompiler:
 
     def _compile_literal(self, expr: A.Literal, loop: Table,
                          env: dict[str, Table]) -> Table:
-        return Table._of(_IPI, [(it, 1, expr.value) for (it,) in loop.rows])
+        return Table(_IPI, [(it, 1, expr.value) for (it,) in loop.rows])
 
     def _compile_var_ref(self, expr: A.VarRef, loop: Table,
                          env: dict[str, Table]) -> Table:
@@ -456,7 +456,7 @@ class LoopLiftingCompiler:
             high = int(_number(end[it]).value)
             for pos, value in enumerate(range(low, high + 1), start=1):
                 rows.append((it, pos, integer(value)))
-        return Table._of(_IPI, rows)
+        return Table(_IPI, rows)
 
     def _singleton_per_iter(self, table: Table, who: str) -> dict:
         values: dict = {}
@@ -510,7 +510,7 @@ class LoopLiftingCompiler:
         lifted_env[clause.var] = items
         if clause.position_var:
             # pos is dense: a row's pos is its position in its sequence.
-            lifted_env[clause.position_var] = Table._of(_IPI, [
+            lifted_env[clause.position_var] = Table(_IPI, [
                 (inner, 1, integer(row[1]))
                 for inner, row in enumerate(source.rows, 1)])
         return _loop(len(outer)), lifted_env, outer
@@ -545,8 +545,8 @@ class LoopLiftingCompiler:
         if not then_part.rows:
             return else_part
         # Two iter-ordered runs over disjoint iterations: a stable merge.
-        return Table._of(_IPI, sorted(then_part.rows + else_part.rows,
-                                      key=_ITER))
+        return Table(_IPI, sorted(then_part.rows + else_part.rows,
+                                  key=_ITER))
 
     # -- row-wise computation ----------------------------------------------------
 
@@ -561,7 +561,7 @@ class LoopLiftingCompiler:
             if it in left and it in right:
                 rows.append((it, 1, _arith(expr.op, _number(left[it]),
                                            _number(right[it]))))
-        return Table._of(_IPI, rows)
+        return Table(_IPI, rows)
 
     def _compile_comparison(self, expr: A.Comparison, loop: Table,
                             env: dict[str, Table]) -> Table:
@@ -571,7 +571,7 @@ class LoopLiftingCompiler:
         left = _by_iter(self.compile_expr(expr.left, loop, env))
         right = _by_iter(self.compile_expr(expr.right, loop, env))
         if expr.kind == "general":
-            return Table._of(_IPI, [
+            return Table(_IPI, [
                 (it, 1, boolean(general_comparison(
                     expr.op, left.get(it, []), right.get(it, []))))
                 for (it,) in loop.rows])
@@ -627,7 +627,7 @@ class LoopLiftingCompiler:
                                        f"document {uri!r} not found")
                 self._documents[uri] = document
             rows.append((it, 1, document))
-        return Table._of(_IPI, rows)
+        return Table(_IPI, rows)
 
     # -- constructors: one node per live iteration --------------------------
 
@@ -662,7 +662,7 @@ class LoopLiftingCompiler:
         def at(parts: list, it: int) -> list:
             return [part if isinstance(part, str) else part.get(it, [])
                     for part in parts]
-        return Table._of(_IPI, [
+        return Table(_IPI, [
             (it, 1, build_direct_element(
                 expr, declarations, in_scope, self.static,
                 [at(parts, it) for parts in attributes], at(content, it),
@@ -674,7 +674,7 @@ class LoopLiftingCompiler:
         names = self._constructor_names(expr.name, loop, env)
         content = _by_iter(self.compile_expr(expr.content, loop, env)) \
             if expr.content is not None else {}
-        return Table._of(_IPI, [
+        return Table(_IPI, [
             (it, 1, build_computed_element(
                 names[it], self._namespaces, self.static,
                 content.get(it, []), NodeFactory()))
@@ -686,7 +686,7 @@ class LoopLiftingCompiler:
         names = self._constructor_names(expr.name, loop, env)
         content = _by_iter(self.compile_expr(expr.content, loop, env)) \
             if expr.content else {}
-        return Table._of(_IPI, [
+        return Table(_IPI, [
             (it, 1, build_computed_attribute(names[it], content.get(it, [])))
             for (it,) in loop.rows])
 
@@ -723,7 +723,7 @@ class LoopLiftingCompiler:
                     raise DynamicError(
                         "XPDY0002", "absolute path requires a node context item")
                 rows.append((it, 1, item.root()))
-            current = Table._of(_IPI, rows)
+            current = Table(_IPI, rows)
             if expr.absolute == "root-descendant":
                 steps.insert(0, A.AxisStep("descendant-or-self",
                                            A.KindTest("node")))
@@ -876,12 +876,11 @@ class LoopLiftingCompiler:
         effective boolean value — the interpreter's rule, ranked by
         :func:`~repro.algebra.paths.window_rank`."""
         values = self._predicate_values(predicate, table, env)
-        numbered = Table._of(table.columns + ("inner",), [
+        numbered = Table(_IPI + ("inner",), [
             row + (inner,) for inner, row in enumerate(table.rows, 1)])
-        inner_index = numbered.col("inner")
 
         def keep(row: tuple, position: int, count: int) -> bool:
-            value = values.get(row[inner_index], [])
+            value = values.get(row[3], [])
             if len(value) == 1 and isinstance(value[0], AtomicValue) \
                     and value[0].is_numeric:
                 return float(value[0].value) == position
@@ -959,7 +958,7 @@ class LoopLiftingCompiler:
                     for pos, item in enumerate(sequence, 1)]
             if len(iters_of) > 1:  # merge-union the peers' answers by iter
                 rows.sort(key=_ITER)
-            result = Table._of(_IPI, rows)
+            result = Table(_IPI, rows)
             if self.trace_enabled and iters_of:
                 self.trace.append(_figure2_trace(iters_of, requests,
                                                  answered, result))
@@ -1021,8 +1020,8 @@ def _figure2_trace(iters_of: dict[str, list[int]], requests: list,
         calls = request[5]
         per_peer.append({
             "peer": peer,
-            "map": Table._of(("iter", "iterp"),
-                             [(it, iterp) for iterp, it in enumerate(iters, 1)]),
+            "map": Table(("iter", "iterp"),
+                         [(it, iterp) for iterp, it in enumerate(iters, 1)]),
             "req": [_table((iterp, call[index])
                            for iterp, call in enumerate(calls, 1))
                     for index in range(request[4])],

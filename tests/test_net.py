@@ -11,6 +11,9 @@ from repro.net import (
     VirtualClock,
     WallClock,
 )
+from repro.rpc import XRPCPeer
+from repro.soap import XRPCRequest, XRPCResponse, build_request, parse_message
+from repro.workloads import TEST_MODULE, TEST_MODULE_LOCATION
 
 
 class TestVirtualClock:
@@ -48,16 +51,42 @@ class TestCostModels:
         assert model.transfer_seconds(0) == 0.001
         assert model.transfer_seconds(1_000_000) == pytest.approx(1.001)
 
+    # A served request's charge, read off the serving peer's clock: the
+    # model's fields are what `XRPCServer` advances it by.
+
+    @staticmethod
+    def _served_seconds(peer: XRPCPeer, calls: int) -> float:
+        request = XRPCRequest(module="test", method="echoVoid", arity=0,
+                              location=TEST_MODULE_LOCATION,
+                              calls=[[] for _ in range(calls)])
+        start = peer.clock.now()
+        reply = peer.server.handle(build_request(request))
+        elapsed = peer.clock.now() - start
+        assert isinstance(parse_message(reply), XRPCResponse)
+        return elapsed
+
+    @staticmethod
+    def _serving_peer(model: PeerCostModel) -> XRPCPeer:
+        peer = XRPCPeer("y.example.org", SimulatedNetwork(), cost_model=model)
+        peer.registry.register_source(TEST_MODULE,
+                                      location=TEST_MODULE_LOCATION)
+        return peer
+
     def test_peer_request_cost_compile_toggle(self):
         model = PeerCostModel()
-        cold = model.request_cost(1000, calls=1, compiled_cached=False)
-        warm = model.request_cost(1000, calls=1, compiled_cached=True)
+        peer = self._serving_peer(model)
+        cold = self._served_seconds(peer, calls=1)
+        warm = self._served_seconds(peer, calls=1)  # function cache hit
         assert cold - warm == pytest.approx(model.compile_seconds)
 
     def test_per_call_cost_scales(self):
-        model = PeerCostModel()
-        one = model.request_cost(0, calls=1, compiled_cached=True)
-        thousand = model.request_cost(0, calls=1000, compiled_cached=True)
+        # Bytes cost nothing here, so the two requests differ by calls only.
+        model = PeerCostModel(shred_seconds_per_byte=0.0,
+                              serialize_seconds_per_byte=0.0)
+        peer = self._serving_peer(model)
+        self._served_seconds(peer, calls=1)  # compile once
+        one = self._served_seconds(peer, calls=1)
+        thousand = self._served_seconds(peer, calls=1000)
         assert thousand - one == pytest.approx(999 * model.per_call_seconds)
 
     def test_throughput_asymmetry_in_model(self):

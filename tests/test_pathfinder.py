@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.pathfinder import LoopLiftedQuery, UnsupportedExpression
+from repro.algebra import Table
+from repro.pathfinder import (LoopLiftedQuery, LoopLiftingCompiler,
+                              UnsupportedExpression)
 from repro.xdm.atomic import string
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
@@ -47,6 +49,27 @@ class TestCoreLifting:
         query = ("for $x in (10, 20) return for $y in (100, 200) "
                  "let $z := ($x, $y) return $z")
         assert values(self.run(query)) == [10, 100, 10, 200, 20, 100, 20, 200]
+
+    def test_loop_lifting_q5_tables(self):
+        """Section 3.1's worked example: ``z := ($x, $y)`` under Q5's
+        four-iteration loop, from the paper's $x and $y tables."""
+        compiled = CompiledQuery("declare variable $x external; "
+                                 "declare variable $y external; ($x, $y)")
+        ipi = ("iter", "pos", "item")
+        env = {
+            "x": Table(ipi, [(1, 1, 10), (2, 1, 10), (3, 1, 20), (4, 1, 20)]),
+            "y": Table(ipi, [(1, 1, 100), (2, 1, 200), (3, 1, 100),
+                             (4, 1, 200)]),
+        }
+        loop = Table(("iter",), [(1,), (2,), (3,), (4,)])
+        z = LoopLiftingCompiler(compiled.static).compile_expr(
+            compiled.ast.body, loop, env)
+        assert z.rows == [
+            (1, 1, 10), (1, 2, 100),
+            (2, 1, 10), (2, 2, 200),
+            (3, 1, 20), (3, 2, 100),
+            (4, 1, 20), (4, 2, 200),
+        ]
 
     def test_let(self):
         assert values(self.run("let $x := 5 return ($x, $x)")) == [5, 5]

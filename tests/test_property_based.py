@@ -6,7 +6,6 @@ the system's correctness hinges on:
 * XML parse/serialize round-trips preserve tree structure;
 * the SOAP codec (MarshalWriter / the message decoder) round-trips
   arbitrary XDM sequences by value and agrees with the tree oracle;
-* the algebra's ρ/π/∪ obey their relational laws;
 * atomic casting round-trips through lexical space;
 * Bulk RPC grouping never changes results vs one-at-a-time execution.
 """
@@ -15,7 +14,6 @@ import string as stringmod
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import Table
 from repro.soap import XRPCRequest, build_request, parse_request
 from repro.xdm import deep_equal, xs
 from repro.xdm.atomic import AtomicValue, cast
@@ -203,59 +201,6 @@ class TestCastingProperties:
     def test_double_lexical_round_trip(self, value):
         atom = AtomicValue(value, xs.double)
         assert cast(cast(atom, xs.string), xs.double).value == value
-
-
-# ---------------------------------------------------------------------------
-# Algebra laws
-
-
-rows_strategy = st.lists(
-    st.tuples(st.integers(1, 5), st.integers(1, 9),
-              st.text(alphabet="abc", max_size=2)),
-    max_size=20)
-
-
-class TestAlgebraProperties:
-    @given(rows_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_projection_preserves_cardinality(self, rows):
-        table = Table(("iter", "pos", "item"), rows)
-        assert len(table.project("iter", "item")) == len(table)
-
-    @given(rows_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_distinct_idempotent(self, rows):
-        table = Table(("iter", "pos", "item"), rows)
-        once = table.distinct()
-        assert once.distinct() == once
-
-    @given(rows_strategy, rows_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_union_cardinality(self, left_rows, right_rows):
-        left = Table(("iter", "pos", "item"), left_rows)
-        right = Table(("iter", "pos", "item"), right_rows)
-        assert len(left.union(right)) == len(left) + len(right)
-
-    @given(rows_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_rownum_is_dense_per_partition(self, rows):
-        table = Table(("iter", "pos", "item"), rows)
-        numbered = table.rownum("n", order_by=("pos", "item"),
-                                partition_by="iter")
-        per_partition: dict = {}
-        for row in numbered.rows:
-            per_partition.setdefault(row[0], []).append(row[-1])
-        for numbers in per_partition.values():
-            assert sorted(numbers) == list(range(1, len(numbers) + 1))
-
-    @given(rows_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_select_subset_of_rows(self, rows):
-        table = Table(("iter", "pos", "item"), rows)
-        flagged = table.fun("keep", lambda i: i % 2 == 0, "iter")
-        selected = flagged.select("keep")
-        assert all(row[0] % 2 == 0 for row in selected.rows)
-        assert len(selected) <= len(table)
 
 
 # ---------------------------------------------------------------------------
