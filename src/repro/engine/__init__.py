@@ -2,8 +2,7 @@
 
 * :class:`Engine` — models MonetDB/XQuery: compiled query plans are
   cached (the *function cache*, section 3.3), ``execute at`` calls
-  inside loops are shipped as **Bulk RPC** (loop-lifting, section 3.2)
-  and FLWOR equi-joins are detected.
+  inside loops are shipped as **Bulk RPC** (loop-lifting, section 3.2).
 * :class:`TreeEngine` — models Saxon: a tree-walking engine with no plan
   cache (every request pays compilation) and no native XRPC support; it
   participates in distributed queries only through the XRPC wrapper

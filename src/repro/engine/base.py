@@ -76,8 +76,8 @@ class Explain:
 
 
 class Engine:
-    """The MonetDB/XQuery profile: plan + function cache (section 3.3),
-    Bulk RPC (section 3.2), FLWOR join detection.
+    """The MonetDB/XQuery profile: plan + function cache (section 3.3)
+    and Bulk RPC (section 3.2).
 
     ``execute`` is the local query-service surface: compile through the
     (bounded, thread-safe) plan cache, run the loop-lifted relational
@@ -95,8 +95,6 @@ class Engine:
     plan_cache_enabled = True
     #: Ship loop-lifted ``execute at`` calls as Bulk RPC messages.
     bulk_rpc = True
-    #: Hash-join detection in the interpreter's FLWOR evaluation.
-    optimize_flwor_joins = True
 
     def __init__(self, registry: Optional[ModuleRegistry] = None) -> None:
         self.registry = registry or ModuleRegistry()
@@ -140,7 +138,6 @@ class Engine:
                 self.plan_cache_misses += 1
         started = time.perf_counter()
         compiled = CompiledQuery(source, self.registry)
-        compiled.optimize_joins = self.optimize_flwor_joins
         compile_seconds = time.perf_counter() - started
         if self.plan_cache_enabled:
             with self._cache_lock:
@@ -265,11 +262,12 @@ class Engine:
 
 
 class TreeEngine(Engine):
-    """The Saxon profile: recompiles everything, no native bulk
-    shipping, and no FLWOR join detection — the paper-era Saxon only
-    found the predicate-index join (Table 3's getPerson), which both
-    profiles get via the evaluator's equality-predicate index."""
+    """The Saxon profile: recompiles everything and has no native
+    bulk shipping — the two profiles differ by plan cache and Bulk RPC
+    alone.  The paper-era Saxon only found the predicate-index join
+    (Table 3's getPerson), which both profiles get via the evaluator's
+    equality-predicate index; a for/where join its peer and wrapper
+    interpret as nested loops."""
 
     plan_cache_enabled = False
     bulk_rpc = False
-    optimize_flwor_joins = False

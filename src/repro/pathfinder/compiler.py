@@ -78,7 +78,6 @@ from repro.xquery.evaluator import (
     _free_variables,
     _fuse_descendant_steps,
     _indexable_predicate_key_path,
-    _match_hash_join,
     _statically_boolean,
     _walk_key_path,
     build_computed_attribute,
@@ -234,15 +233,34 @@ def _explode(table: Table, env: dict[str, Table],
     return outer, lifted_env, items
 
 
-def _is_join(clause: A.ForClause, following, bound: set) -> bool:
-    """Is *clause* with the *following* one a for/where equi-join the
-    interpreter hash-joins (its own detector, ``_match_hash_join``)?
-    Over a loop-lifted plan it would compare every pair of outer and
-    inner iterations.  A probe side that reads no variable and no focus
-    is one value for every pair: a selection, which lifts."""
-    join = _match_hash_join(clause, following, bound)
-    return join is not None and (bool(_free_variables(join.probe_expr))
-                                 or not focus_free(join.probe_expr))
+def _match_hash_join(clause: A.ForClause, following,
+                     bound: set) -> Optional[tuple[A.Expr, A.Expr]]:
+    """``(key, probe)`` when *clause* and the *following* one read
+    ``for $v in S where key($v) = probe`` (a general ``=``): ``S`` reads
+    nothing the FLWOR *bound*, the key no variable but ``$v``, and the
+    probe neither ``$v`` nor the position variable, but some other
+    variable or the focus — a probe that reads neither is one value for
+    every pair: a selection, which the where clause applies as is."""
+    if not isinstance(following, A.WhereClause):
+        return None
+    condition = following.condition
+    if not isinstance(condition, A.Comparison) or condition.op != "=" \
+            or condition.kind != "general":
+        return None
+    if _free_variables(clause.source) & bound:
+        return None
+    var = clause.var
+    for key, probe in ((condition.left, condition.right),
+                       (condition.right, condition.left)):
+        reads = _free_variables(probe)
+        if _free_variables(key) == {var} \
+                and not reads & {var, clause.position_var} \
+                and (reads or not focus_free(probe)):
+            return key, probe
+    return None
+
+
+_STRINGS = (xs.string, xs.untypedAtomic)
 
 
 def _number(item) -> AtomicValue:
@@ -280,8 +298,6 @@ class UnsupportedExpression(XRPCReproError):
     step-not-lifted       a non-axis path step (filter-expression step)
     expr-not-lifted       an expression kind outside the core
     clause-not-lifted     a FLWOR clause kind outside the core
-    join-not-lifted       a for/where equi-join the interpreter hash-joins
-                          (the lifted plan has no join operator yet)
     function-not-lifted   a user-defined function, or a builtin that reads
                           the dynamic context (``position()``, ``fn:put``,
                           ``fn:doc-available`` …)
@@ -470,25 +486,36 @@ class LoopLiftingCompiler:
 
     def _compile_flwor(self, expr: A.FLWOR, loop: Table,
                        env: dict[str, Table]) -> Table:
+        entry = loop, env
         env = dict(env)
         # Per for-clause, the outer iteration of each inner one, to
         # unwind the nesting afterwards.
         outers: list[list[int]] = []
         bound: set[str] = set()
         clauses = expr.clauses
-        for index, clause in enumerate(clauses):
+        index = 0
+        while index < len(clauses):
+            clause = clauses[index]
+            index += 1
             if isinstance(clause, A.LetClause):
                 env[clause.var] = self.compile_expr(clause.value, loop, env)
                 bound.add(clause.var)
             elif isinstance(clause, A.ForClause):
-                following = clauses[index + 1] \
-                    if index + 1 < len(clauses) else None
-                if _is_join(clause, following, bound):
-                    raise _unsupported(
-                        clause, "a for/where equi-join is hash-joined by the "
-                        "interpreter; the lifted plan has no join operator",
-                        "join-not-lifted")
-                loop, env, outer = self._lift_for(clause, loop, env)
+                following = clauses[index] if index < len(clauses) else None
+                join = _match_hash_join(clause, following, bound)
+                if join is None:
+                    source = self.compile_expr(clause.source, loop, env)
+                else:
+                    source = self._join_source(clause, *join, following,
+                                               entry, outers, loop, env)
+                    index += 1  # the where clause is the join's
+                outer, env, items = _explode(source, env)
+                env[clause.var] = items
+                if clause.position_var:  # a row's pos: its position in S
+                    env[clause.position_var] = Table(_IPI, [
+                        (inner, 1, integer(row[1]))
+                        for inner, row in enumerate(source.rows, 1)])
+                loop = _loop(len(outer))
                 outers.append(outer)
                 bound.add(clause.var)
                 if clause.position_var:
@@ -503,17 +530,57 @@ class LoopLiftingCompiler:
             result = _unwind(result, outer)
         return result
 
-    def _lift_for(self, clause: A.ForClause, loop: Table,
-                  env: dict[str, Table]):
-        source = self.compile_expr(clause.source, loop, env)
-        outer, lifted_env, items = _explode(source, env)
-        lifted_env[clause.var] = items
-        if clause.position_var:
-            # pos is dense: a row's pos is its position in its sequence.
-            lifted_env[clause.position_var] = Table(_IPI, [
-                (inner, 1, integer(row[1]))
-                for inner, row in enumerate(source.rows, 1)])
-        return _loop(len(outer)), lifted_env, outer
+    def _join_source(self, clause: A.ForClause, key: A.Expr, probe: A.Expr,
+                     where: A.WhereClause, entry: tuple, outers: list,
+                     loop: Table, env: dict[str, Table]) -> Table:
+        """The source table of ``for $v in S where key($v) = probe``, the
+        where clause applied: per current iteration, the items of ``S``
+        whose key equals its probe, in ``S`` order with ``S``'s ``pos``.
+        ``S`` compiles once per live iteration of the FLWOR's *entry*
+        loop (the one each current iteration maps to through *outers*)
+        and hashes by key string.  A key or probe that is not a string
+        compares pair by pair in the condition's own orientation, as the
+        nested loop does.  Each part compiles over zero rows too."""
+        entry_of = {it: it for (it,) in loop.rows}
+        for outer in reversed(outers):
+            entry_of = {it: outer[e - 1] for it, e in entry_of.items()}
+        entry_loop, entry_env = _restrict(*entry, set(entry_of.values()))
+        source = self.compile_expr(clause.source, entry_loop, entry_env)
+        # The key reads $v, and the focus at most besides.
+        _, key_env, items = _explode(source, entry_env, {_DOT})
+        key_env[clause.var] = items
+        keys = _by_iter(self.compile_expr(key, _loop(len(source.rows)),
+                                          key_env))
+        rows = source.rows
+        key_values, members, table, unhashed = [], {}, {}, set()
+        for index, (e, _pos, _item) in enumerate(rows):
+            key_values.append(atomize(keys.get(index + 1, [])))
+            members.setdefault(e, []).append(index)
+            for value in key_values[index]:
+                if value.type in _STRINGS:
+                    table.setdefault((e, value.string_value()),
+                                     []).append(index)
+                else:
+                    unhashed.add(e)
+        # An iteration with nothing to join evaluates no probe, as the
+        # nested loop evaluates no where clause.
+        probe_loop, probe_env = _restrict(
+            loop, env, {it for it, e in entry_of.items() if e in members})
+        probes = _by_iter(self.compile_expr(probe, probe_loop, probe_env))
+        key_left = key is where.condition.left
+        joined = []
+        for (it,) in probe_loop.rows:
+            e, values = entry_of[it], atomize(probes.get(it, []))
+            if e in unhashed or any(v.type not in _STRINGS for v in values):
+                matched = [index for index in members[e] if general_comparison(
+                    "=", *((key_values[index], values) if key_left
+                           else (values, key_values[index])))]
+            else:
+                matched = sorted({index for v in values for index in
+                                  table.get((e, v.string_value()), ())})
+            joined.extend((it, rows[index][1], rows[index][2])
+                          for index in matched)
+        return Table(_IPI, joined)
 
     def _ebv_split(self, condition: A.Expr, loop: Table,
                    env: dict[str, Table]) -> set:
@@ -836,7 +903,7 @@ class LoopLiftingCompiler:
             return None
         probes = {it: atomize(items) for it, items in _by_iter(
             self.compile_expr(predicate.right, loop, env)).items()}
-        if all(v.type in (xs.string, xs.untypedAtomic)
+        if all(v.type in _STRINGS
                for values in probes.values() for v in values):
             probed = equality_probe_step(
                 current, step.axis, step.node_test, key_path,

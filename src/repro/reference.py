@@ -104,7 +104,6 @@ class ReferenceEvaluator(Evaluator):
 
 class _ReferenceQuery(CompiledQuery):
     evaluator_class = ReferenceEvaluator
-    optimize_joins = False
 
 
 #: Compiled once per source text, like the engine's plan cache: the

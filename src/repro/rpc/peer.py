@@ -30,7 +30,8 @@ from typing import Optional
 from repro.analysis import QueryProperties
 from repro.engine import Engine
 from repro.engine.base import Explain
-from repro.errors import DynamicError, TransactionError, XRPCFault
+from repro.errors import (DynamicError, StaticError, TransactionError,
+                          XRPCFault)
 from repro.net.clock import WallClock
 from repro.net.cost import PeerCostModel
 from repro.net.retry import (BreakerRegistry, Deadline, ResilientChannel,
@@ -124,6 +125,20 @@ def _degrades(on_peer_failure: str) -> bool:
             f"on_peer_failure must be 'fail' or 'degrade', "
             f"not {on_peer_failure!r}")
     return on_peer_failure == "degrade"
+
+
+def _timeout_seconds(option: str) -> float:
+    """The ``xrpc:timeout`` option's budget in seconds: a finite,
+    non-negative number — anything else is a static error (the option
+    is recognised, its content invalid)."""
+    try:
+        seconds = float(option)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0:
+        raise StaticError("XQST0013", f"xrpc:timeout {option!r} is not a "
+                          "finite, non-negative number of seconds")
+    return seconds
 
 
 def fetch_remote_document(session: ClientSession, host: str, path: str):
@@ -362,10 +377,11 @@ class XRPCPeer:
             self.engine.compile_with_stats(source)
 
         isolation = compiled.options.get("xrpc:isolation", "none")
-        option_timeout = compiled.options.get("xrpc:timeout")
+        option = compiled.options.get("xrpc:timeout")
+        option_timeout = None if option is None else _timeout_seconds(option)
         # The isolation lease rides the same budget, rounded up to whole
         # seconds (fractional budgets are legal: `xrpc:timeout "1.5"`).
-        iso_timeout = (max(1, math.ceil(float(option_timeout)))
+        iso_timeout = (max(1, math.ceil(option_timeout))
                        if option_timeout is not None else 60)
         query_id = None
         if isolation == "repeatable":
@@ -378,7 +394,7 @@ class XRPCPeer:
         if timeout is not None:
             deadline = Deadline.after(timeout, self.clock)
         elif option_timeout is not None:
-            deadline = Deadline.after(float(option_timeout), self.clock)
+            deadline = Deadline.after(option_timeout, self.clock)
 
         session = ClientSession(self.transport, origin=self.host,
                                 query_id=query_id, channel=self.channel,

@@ -160,9 +160,6 @@ class DynamicContext:
         self.put_store: Optional[Callable[[str, Any], None]] = None
         # Namespace bindings from enclosing direct constructors (xmlns attrs).
         self.constructor_namespaces: dict[str, str] = {}
-        # Engine capability: FLWOR equi-join hash optimization (MonetDB's
-        # relational backend has it; the paper-era Saxon does not).
-        self.optimize_joins = True
         # Depth guard against runaway recursion in user functions.
         self.call_depth = 0
 
@@ -178,7 +175,6 @@ class DynamicContext:
         derived.pul = self.pul
         derived.put_store = self.put_store
         derived.constructor_namespaces = self.constructor_namespaces
-        derived.optimize_joins = self.optimize_joins
         derived.call_depth = self.call_depth
         return derived
 
@@ -189,7 +185,6 @@ class DynamicContext:
             static, variables, self.doc_resolver, self.xrpc_handler)
         derived.pul = self.pul
         derived.put_store = self.put_store
-        derived.optimize_joins = self.optimize_joins
         derived.call_depth = self.call_depth + 1
         if derived.call_depth > 512:
             raise DynamicError("FODC9999", "function recursion too deep")

@@ -229,25 +229,8 @@ class Evaluator:
 
     def _eval_flwor(self, expr: A.FLWOR, ctx: DynamicContext) -> Sequence:
         tuples = [ctx.child()]
-        clauses = expr.clauses
-        bound_vars: set[str] = set()
-        index = 0
-        while index < len(clauses):
-            clause = clauses[index]
+        for clause in expr.clauses:
             if isinstance(clause, A.ForClause):
-                following = clauses[index + 1] if index + 1 < len(clauses) else None
-                join = None
-                if ctx.optimize_joins:
-                    join = _match_hash_join(clause, following, bound_vars)
-                if join is not None:
-                    joined = self._hash_join_expand(clause, join, tuples, ctx)
-                    if joined is not None:
-                        tuples = joined
-                        bound_vars.add(clause.var)
-                        if clause.position_var:
-                            bound_vars.add(clause.position_var)
-                        index += 2  # consumed the where clause too
-                        continue
                 expanded: list[DynamicContext] = []
                 for tup in tuples:
                     source = self.eval(clause.source, tup)
@@ -258,9 +241,6 @@ class Evaluator:
                             bound.variables[clause.position_var] = [integer(position)]
                         expanded.append(bound)
                 tuples = expanded
-                bound_vars.add(clause.var)
-                if clause.position_var:
-                    bound_vars.add(clause.position_var)
             elif isinstance(clause, A.LetClause):
                 rebound: list[DynamicContext] = []
                 for tup in tuples:
@@ -268,7 +248,6 @@ class Evaluator:
                     bound.variables[clause.var] = self.eval(clause.value, bound)
                     rebound.append(bound)
                 tuples = rebound
-                bound_vars.add(clause.var)
             elif isinstance(clause, A.WhereClause):
                 tuples = [
                     tup for tup in tuples
@@ -276,54 +255,10 @@ class Evaluator:
                 ]
             elif isinstance(clause, A.OrderByClause):
                 tuples = self._order_tuples(clause, tuples)
-            index += 1
         result: Sequence = []
         for tup in tuples:
             result.extend(self.eval(expr.return_expr, tup))
         return result
-
-    def _hash_join_expand(self, clause: A.ForClause, join: "_JoinSpec",
-                          tuples: list[DynamicContext],
-                          ctx: DynamicContext) -> Optional[list[DynamicContext]]:
-        """Hash-join expansion of ``for $v in S where key($v) = probe``.
-
-        Evaluates the loop-invariant source once, builds a hash table on
-        the $v-side key, and probes it per upstream tuple — the join
-        strategy MonetDB's relational backend uses for this plan shape.
-        Returns None (caller falls back to nested-loop semantics) when
-        key typing makes a string hash unsound.
-        """
-        if not tuples:
-            return []
-        base = tuples[0]
-        source = self.eval(clause.source, base)
-        table: dict[str, list[tuple[int, object]]] = {}
-        for position, item in enumerate(source, start=1):
-            scope = base.child()
-            scope.variables[clause.var] = [item]
-            keys = atomize(self.eval(join.build_expr, scope))
-            for key in keys:
-                if key.type not in (xs.string, xs.untypedAtomic):
-                    return None
-                table.setdefault(key.string_value(), []).append(
-                    (position, item))
-        expanded: list[DynamicContext] = []
-        for tup in tuples:
-            probes = atomize(self.eval(join.probe_expr, tup))
-            if any(p.type not in (xs.string, xs.untypedAtomic)
-                   for p in probes):
-                return None
-            matched: dict[int, object] = {}
-            for probe in probes:
-                for position, item in table.get(probe.string_value(), ()):
-                    matched[position] = item
-            for position in sorted(matched):
-                bound = tup.child()
-                bound.variables[clause.var] = [matched[position]]
-                if clause.position_var:
-                    bound.variables[clause.position_var] = [integer(position)]
-                expanded.append(bound)
-        return expanded
 
     def _order_tuples(self, clause: A.OrderByClause,
                       tuples: list[DynamicContext]) -> list[DynamicContext]:
@@ -1000,14 +935,7 @@ def _arith(op: str, left: AtomicValue, right: AtomicValue) -> AtomicValue:
 
 
 # ---------------------------------------------------------------------------
-# FLWOR equi-join rewriting
-#
-# ``for $p in ..., $ca in <path> where $p/k1 = $ca/k2 return ...`` expands a
-# cartesian product before filtering — O(|p|·|ca|).  MonetDB executes this
-# relationally as a join; we rewrite the where-condition into a predicate on
-# the second for's source path, where the equality-predicate index turns it
-# into a hash-join probe per tuple.  The rewrite preserves semantics exactly
-# (the same general comparison is evaluated for the same pairs).
+# What an expression reads: its variables, and the focus
 
 
 def _free_variables(expr: A.Expr) -> set[str]:
@@ -1070,49 +998,6 @@ def focus_free(expr: A.Expr) -> bool:
                                 A.TypeSwitchCase)):
             stack.extend(vars(value).values())
     return True
-
-
-class _JoinSpec:
-    """Matched hash-join: key expression on the for-var + probe side."""
-
-    __slots__ = ("build_expr", "probe_expr")
-
-    def __init__(self, build_expr: A.Expr, probe_expr: A.Expr) -> None:
-        self.build_expr = build_expr
-        self.probe_expr = probe_expr
-
-
-def _match_hash_join(clause: A.ForClause, following,
-                     bound_vars: set[str]) -> Optional[_JoinSpec]:
-    """Detect ``for $v in S where f($v) = g(earlier-vars)``.
-
-    Conditions for soundness:
-    * the where clause immediately follows the for clause;
-    * the condition is a general ``=`` comparison with one side
-      referencing only ``$v`` and the other side not referencing ``$v``;
-    * the for's source does not depend on variables bound earlier in the
-      same FLWOR (so it can be evaluated once).
-    """
-    if not isinstance(following, A.WhereClause):
-        return None
-    condition = following.condition
-    if not isinstance(condition, A.Comparison) or condition.op != "=" \
-            or condition.kind != "general":
-        return None
-    if _free_variables(clause.source) & bound_vars:
-        return None
-    left_vars = _free_variables(condition.left)
-    right_vars = _free_variables(condition.right)
-    var = clause.var
-    if var in left_vars and var not in right_vars \
-            and left_vars == {var}:
-        return _JoinSpec(build_expr=condition.left,
-                         probe_expr=condition.right)
-    if var in right_vars and var not in left_vars \
-            and right_vars == {var}:
-        return _JoinSpec(build_expr=condition.right,
-                         probe_expr=condition.left)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1596,9 +1481,6 @@ class CompiledQuery:
     #: The interpreter :meth:`run` instantiates (a subclass of this
     #: class may name its own :class:`Evaluator` subclass).
     evaluator_class = Evaluator
-    #: FLWOR hash-join detection while interpreting — a property of the
-    #: engine profile that compiled the query, which stamps it here.
-    optimize_joins = True
 
     def __init__(self, source: str,
                  registry: Optional[ModuleRegistry] = None) -> None:
@@ -1646,7 +1528,6 @@ class CompiledQuery:
                              options.doc_resolver, options.xrpc_handler)
         ctx.pul = PendingUpdateList()
         ctx.put_store = options.put_store
-        ctx.optimize_joins = self.optimize_joins
         if options.context_item is not None:
             ctx.focus_item = options.context_item
             ctx.focus_position = 1

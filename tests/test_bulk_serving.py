@@ -52,6 +52,9 @@ declare function t:nth($n as xs:integer) as node()*
 { doc("auctions.xml")//closed_auction[$n]/price };
 declare function t:sorted($payload as node()*) as node()*
 { for $n in $payload order by string($n) return $n };
+declare function t:people() as xs:string*
+{ for $p in doc("xrpc://A/persons.xml")//person
+  order by string($p/@id) return string($p/@id) };
 """
 EXTRA_LOCATION = "t.xq"
 
@@ -166,7 +169,7 @@ PAYLOADS = [[], ["<a>1</a>"], ["<a>1</a>", "<b><c/>text</b>"], ["<a>1</a>"]]
 #: name -> (call k's parameters, served set-at-a-time?)
 FUNCTIONS = {
     "b:Q_B1": (lambda k: [], True),
-    "b:Q_B2": (lambda k: [], False),           # for/where equi-join
+    "b:Q_B2": (lambda k: [], True),            # for/where equi-join
     "b:Q_B3": (lambda k: [[string(PIDS[k % len(PIDS)])]], True),
     "tst:echoVoid": (lambda k: [], True),
     "tst:echo": (lambda k: [nodes(*PAYLOADS[k % len(PAYLOADS)])], True),
@@ -362,10 +365,19 @@ def test_keyword_search_endpoint_is_never_lifted(sites):
 
 
 def test_one_resolver_per_message_on_the_fallback_loop(sites):
-    """Per message, not per call: ``b:Q_B2`` (not liftable) pulls
-    persons.xml from A once for the whole message."""
+    """Per message, not per call: ``t:people`` (``order by`` is outside
+    the lifted core) pulls persons.xml from A once for the whole
+    message."""
     serving, _ = sites
     network = serving.transport
     network.reset_stats()
-    assert_same_reply(sites, request_for("b:Q_B2", [[], [], []]), False)
+    assert_same_reply(sites, request_for("t:people", [[], [], []]), False)
+    assert network.messages_sent == 1
+
+
+def test_the_lifted_q_b2_pulls_persons_once_per_message(sites):
+    serving, _ = sites
+    network = serving.transport
+    network.reset_stats()
+    assert_same_reply(sites, request_for("b:Q_B2", [[], [], []]), True)
     assert network.messages_sent == 1

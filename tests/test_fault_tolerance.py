@@ -9,6 +9,7 @@ from repro.errors import (
     DynamicError,
     FatalTransportError,
     RetryableTransportError,
+    StaticError,
     TransportError,
 )
 from repro.net import SimulatedNetwork
@@ -686,6 +687,39 @@ class TestDeadlineEndToEnd:
         """
         with pytest.raises(DeadlineExceeded):
             origin.execute_query(query, timeout=0.5)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5"])
+    def test_a_malformed_timeout_option_is_refused_before_anything_ships(
+            self, monkeypatch, value):
+        network = SimulatedNetwork()
+        origin, _ = film_peers(network)
+        network.reset_stats()
+
+        def no_session(*args, **kwargs):
+            raise AssertionError("a session was built")
+        monkeypatch.setattr("repro.rpc.peer.ClientSession", no_session)
+        query = f"""
+        import module namespace f="films" at "{FILM_LOCATION}";
+        declare option xrpc:timeout "{value}";
+        execute at {{"xrpc://y.example.org"}}
+        {{ f:filmsByActor("Sean Connery") }}
+        """
+        with pytest.raises(StaticError) as raised:
+            origin.execute_query(query)
+        assert raised.value.code == "XQST0013"
+        assert network.messages_sent == 0
+
+    def test_a_fractional_timeout_option_runs(self):
+        network = SimulatedNetwork()
+        origin, _ = film_peers(network)
+        query = f"""
+        import module namespace f="films" at "{FILM_LOCATION}";
+        declare option xrpc:timeout "1.5";
+        execute at {{"xrpc://y.example.org"}}
+        {{ f:filmsByActor("Sean Connery") }}
+        """
+        result = origin.execute_query(query)
+        assert strings(result.sequence) == ["The Rock"]
 
     def test_no_timeout_means_no_deadline(self):
         network = SimulatedNetwork()

@@ -7,8 +7,7 @@ code, with ``Explain.plan == "lifted"``.  Then: every table the compiler
 produces is ``(iter, pos)``-ordered with a dense ``pos`` (the order
 invariant the operators rely on instead of sorting), the equality probe
 takes a focus-free right-hand side once per iteration, a for/where
-equi-join is refused statically, and the paper's Q7 runs the plan the
-paper describes.
+equi-join lifts, and the paper's Q7 runs the plan the paper describes.
 """
 
 import pytest
@@ -275,14 +274,11 @@ def test_a_non_string_probe_compiles_its_right_side_once(
     assert compiles.count(True) == 1
 
 
-def test_a_for_where_equi_join_is_refused_statically():
+def test_a_for_where_equi_join_lifts_and_equals_the_reference():
     source = ("for $p in doc('p.xml')//person, "
               "$c in doc('a.xml')//closed_auction "
               "where $p/@id = $c/buyer/@person return $c/price")
-    result, explain = execute(source, RESOLVE)
-    assert explain.plan == "interpreter"
-    assert explain.fallback_code == "join-not-lifted"
-    assert explain.fallback_reason.startswith("ForClause:")
+    result = assert_same_outcome(source, RESOLVE)
     assert [node.string_value() for node in result] == ["1", "3"]
     # A right side that is one value for every pair is a selection.
     assert assert_same_outcome(
@@ -306,10 +302,21 @@ def _q7_analysis(strategy: str):
 def test_q7_verdicts():
     verdicts = {strategy: _q7_analysis(strategy).fallback_code
                 for strategy in STRATEGY_NAMES}
-    assert verdicts == {"data shipping": "join-not-lifted",
-                        "predicate push-down": "join-not-lifted",
-                        "execution relocation": None,
-                        "distributed semi-join": None}
+    assert verdicts == dict.fromkeys(STRATEGY_NAMES)
+
+
+@pytest.mark.parametrize("strategy", ["data shipping",
+                                      "predicate push-down"])
+def test_q7_join_strategies_ship_from_the_lifted_plan(two_peer_site,  # noqa: F811
+                                                      strategy):
+    network, peer_a, config = two_peer_site
+    outcome = peer_a.execute_query(build_strategy_query(strategy, "B"))
+    assert outcome.plan == "lifted"
+    # One fetch of auctions.xml, or one call to b:Q_B1: what the
+    # interpreter's join shipped.
+    assert (outcome.messages_sent, outcome.calls_shipped) == (1, 1)
+    assert network.messages_sent == 1
+    assert len(outcome.sequence) == config.matches
 
 
 def test_q7_semijoin_ships_one_message_from_the_lifted_plan(two_peer_site):  # noqa: F811

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import reference
 from repro.errors import DynamicError, TypeError_
 from tests.helpers import run, values, xml
 
@@ -58,31 +57,6 @@ class TestFLWOREdgeCases:
     def test_let_rebinding(self):
         query = "let $x := 1 let $x := $x + 1 return $x"
         assert values(run(query)) == [2]
-
-    def test_hash_join_path_with_positional_var(self):
-        # join optimization must preserve 'at' positions of the source.
-        query = """
-        let $db := <db><i k="b"/><i k="a"/><i k="b"/></db>
-        for $probe in ('b')
-        for $i at $n in $db/i
-        where $i/@k = $probe
-        return $n
-        """
-        assert values(run(query)) == [1, 3]
-        # ... and equal the nested loop (the oracle never hash-joins).
-        assert values(reference.evaluate(query)) == [1, 3]
-
-    def test_join_with_numeric_keys_falls_back_correctly(self):
-        # Numeric keys make string-hashing unsound; results must still be
-        # right via the nested-loop fallback.
-        query = """
-        for $x in (1, 2, 3)
-        for $y in (<v>2</v>, <v>3.0</v>)
-        where $y = $x
-        return concat($x, ':', $y)
-        """
-        assert values(run(query)) == ["2:2", "3:3.0"]
-        assert values(reference.evaluate(query)) == ["2:2", "3:3.0"]
 
 
 class TestArithmeticEdgeCases:
