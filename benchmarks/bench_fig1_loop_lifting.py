@@ -38,7 +38,7 @@ def _dispatch(peer, module, location, function, arity, calls, updating):
     key = normalize_peer_uri(peer)
     return [
         [string(name) for name in FILMS[(key, params[0][0].string_value())]]
-        for params in calls
+        for params in calls.calls()
     ]
 
 
@@ -83,8 +83,8 @@ def test_loop_lifting_scales(benchmark):
     calls_seen = []
 
     def dispatch(peer, module, location, function, arity, calls, updating):
-        calls_seen.append(len(calls))
-        return [[] for _ in calls]
+        calls_seen.append(calls.count)
+        return [[] for _ in range(calls.count)]
 
     def run():
         calls_seen.clear()

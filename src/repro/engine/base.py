@@ -13,9 +13,11 @@ from typing import Optional
 from repro import obs
 from repro.analysis import QueryProperties, analyze_compiled
 from repro.pathfinder import LoopLiftedQuery
+from repro.xquery import xast as A
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
+from repro.xquery.seqtype import Signature
 
 #: Bound of the per-engine plan cache (LRU eviction).  Large enough that
 #: any of the paper's workloads fit entirely; small enough that a
@@ -34,7 +36,7 @@ class Explain:
     verdict's ``UnsupportedExpression`` message — uniformly naming the
     offending AST node type — when the query is outside the lifted
     core, and ``None`` when the plan ran lifted or lifting was disabled
-    by the caller.
+    by the caller or the profile.
     ``fallback_code`` is the matching stable code (see
     :class:`~repro.pathfinder.compiler.UnsupportedExpression`) — the
     key the engine's per-reason fallback histogram counts under.
@@ -81,25 +83,29 @@ class Engine:
 
     ``execute`` is the local query-service surface: compile through the
     (bounded, thread-safe) plan cache, run the loop-lifted relational
-    plan when the static verdict allows, the tree interpreter with
-    recorded telemetry otherwise.
+    plan when the profile and the static verdict allow, the tree
+    interpreter with recorded telemetry otherwise.
     :class:`~repro.session.Database` routes through it;
     :class:`~repro.rpc.XRPCPeer` composes the same steps
     (``compile_with_stats`` / ``analyze`` / ``attempt_lifted``) around
     its Bulk RPC routing.  *registry* resolves ``import module``.
     """
 
-    #: Cache compiled queries by source text, and remember which
-    #: remote-callable functions already have a translated plan — the
-    #: XRPC server charges module translation by that (Table 2).
+    #: Cache compiled queries by source text, and keep the bound
+    #: signature of every remote-callable function served — the XRPC
+    #: server charges module translation by that (Table 2).
     plan_cache_enabled = True
-    #: Ship loop-lifted ``execute at`` calls as Bulk RPC messages.
-    bulk_rpc = True
+    #: Which plan the profile runs, wherever it runs one: the loop-lifted
+    #: relational plan when the static verdict allows — locally
+    #: (:meth:`execute`), originating (``execute at`` ships as Bulk RPC)
+    #: and serving (a Bulk RPC message is one plan) — or, when false,
+    #: the tree interpreter, one call per message.
+    loop_lifting = True
 
     def __init__(self, registry: Optional[ModuleRegistry] = None) -> None:
         self.registry = registry or ModuleRegistry()
         self._plan_cache: OrderedDict[str, CompiledQuery] = OrderedDict()
-        self._function_cache: set[tuple[str, str, int]] = set()
+        self._function_cache: dict[tuple[str, str, int], Signature] = {}
         # compile() and the function cache may be hit concurrently (the
         # HTTP daemon is threaded; Database.prepare is documented
         # thread-safe), so cache mutation is serialized.  Parsing itself
@@ -177,9 +183,10 @@ class Engine:
         plan = "interpreter"
         fallback_reason = None
         fallback_code = None
-        if options.try_lifted and analysis.liftable:
+        lifting = self.loop_lifting and options.try_lifted
+        if lifting and analysis.liftable:
             plan = "lifted"
-        elif options.try_lifted:
+        elif lifting:
             fallback_reason = analysis.fallback_reason
             fallback_code = analysis.fallback_code
         with obs.Scope() as scope:
@@ -234,14 +241,20 @@ class Engine:
 
     # -- function cache (server-side plan cache per remote function) -------
 
-    def function_cache_lookup(self, key: tuple[str, str, int]) -> bool:
+    def function_signature(self, key: tuple[str, str, int],
+                           decl: A.FunctionDecl) -> tuple[Signature, bool]:
+        """The bound signature of *decl*, served as *key* ``(module,
+        function, arity)``, and whether the function cache held it.  A
+        profile without a plan cache binds it afresh every time."""
         with self._cache_lock:
-            return key in self._function_cache
-
-    def function_cache_store(self, key: tuple[str, str, int]) -> None:
+            signature = self._function_cache.get(key)
+        if signature is not None and signature.decl is decl:
+            return signature, True
+        signature = Signature(decl)
         if self.plan_cache_enabled:
             with self._cache_lock:
-                self._function_cache.add(key)
+                self._function_cache[key] = signature
+        return signature, False
 
     def fallback_stats(self) -> dict:
         """Per-reason fallback histogram: stable code -> count of
@@ -262,12 +275,12 @@ class Engine:
 
 
 class TreeEngine(Engine):
-    """The Saxon profile: recompiles everything and has no native
-    bulk shipping — the two profiles differ by plan cache and Bulk RPC
-    alone.  The paper-era Saxon only found the predicate-index join
-    (Table 3's getPerson), which both profiles get via the evaluator's
-    equality-predicate index; a for/where join its peer and wrapper
-    interpret as nested loops."""
+    """The Saxon profile: recompiles everything and runs the tree
+    interpreter only, so it has no native bulk shipping — the two
+    profiles differ by plan cache and plan alone.  The paper-era Saxon
+    only found the predicate-index join (Table 3's getPerson), which
+    both profiles get via the evaluator's equality-predicate index; a
+    for/where join its peer and wrapper interpret as nested loops."""
 
     plan_cache_enabled = False
-    bulk_rpc = False
+    loop_lifting = False

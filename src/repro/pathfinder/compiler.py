@@ -60,6 +60,7 @@ from repro.algebra.paths import positional_step as positional_filter
 from repro.algebra.table import Table
 from repro.errors import DynamicError, TypeError_, XRPCReproError
 from repro.net.transport import normalize_peer_uri
+from repro.soap.messages import Arguments
 from repro.xdm.atomic import AtomicValue, boolean, integer, untyped
 from repro.xdm.nodes import ElementNode, Node, NodeFactory
 from repro.xdm.sequence import atomize, effective_boolean_value
@@ -177,6 +178,18 @@ def _table(sequences: Iterable[tuple[int, list]]) -> Table:
                         for pos, item in enumerate(items, 1)])
 
 
+def _lexical(pairs: Iterable[tuple[int, object]]) -> Iterator[tuple[int, str]]:
+    """Each ``(iter, item)`` pair's item as its atomized string — read
+    once per run of one item, as a literal's rows all hold the same."""
+    last: object = None
+    text = ""
+    for it, item in pairs:
+        if item is not last:
+            last = item
+            text = atomize([item])[0].string_value()
+        yield it, text
+
+
 def _renumbered(pairs: Iterable[tuple]) -> Table:
     """The ``iter|pos|item`` table of ``(iter, item)`` pairs in
     ``iter`` order, ``pos`` counted afresh per iteration."""
@@ -261,6 +274,31 @@ def _match_hash_join(clause: A.ForClause, following,
 
 
 _STRINGS = (xs.string, xs.untypedAtomic)
+
+#: What yields fresh node identities, or ships, every time it runs.
+_FRESH = (A.ExecuteAt, A.DirectElement, A.ComputedElement,
+          A.ComputedAttribute, A.ComputedText, A.ComputedComment,
+          A.ComputedPI, A.ComputedDocument)
+
+
+def _same_every_time(expr: A.Expr) -> bool:
+    """Does *expr* read no focus, construct no node and ship no call —
+    so that, its variables bound alike, two evaluations yield the same
+    items?"""
+    if not focus_free(expr):
+        return False
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _FRESH):
+            return False
+        if isinstance(node, (list, tuple)):
+            stack.extend(node)
+        elif isinstance(node, (A.Expr, A.AxisStep, A.ForClause, A.LetClause,
+                               A.WhereClause, A.OrderByClause, A.OrderSpec,
+                               A.TypeSwitchCase)):
+            stack.extend(vars(node).values())
+    return True
 
 
 def _number(item) -> AtomicValue:
@@ -378,31 +416,20 @@ class LoopLiftingCompiler:
             env[_DOT] = Table(_IPI, [])
         self.compile_expr(expr, _loop(0), env)
 
-    def evaluate(self, expr: A.Expr, bindings: list[dict[str, list]],
-                 context_item=None) -> list[list]:
-        """Evaluate *expr* set-at-a-time: once, for ``len(bindings)``
-        iterations; returns one result sequence per iteration.
+    def evaluate(self, expr: A.Expr, count: int,
+                 columns: dict[str, list[tuple]]) -> list[tuple]:
+        """Evaluate *expr* set-at-a-time: once, for the iterations
+        ``1..count``; returns the result's ``iter|pos|item`` rows.
 
-        Iteration *i* sees the variables of ``bindings[i - 1]`` (every
-        iteration binds the same names) and *context_item*, if any.  The
-        loop relation is ``iter = 1..N``, each variable one
-        ``iter|pos|item`` table over all iterations, and the result
-        table is split back by ``iter`` — a main-module query is the
-        N = 1 caller, a Bulk RPC message of N calls the general one.
-        Callers :meth:`check` first, or hold its verdict.
+        Each variable of *columns* is its ``iter|pos|item`` rows over
+        all iterations (the context item binds under ``"."``), taken as
+        they are — a main-module query is the one-iteration caller, a
+        Bulk RPC message of N calls, its parameter columns as decoded,
+        the general one.  Callers :meth:`check` first, or hold its
+        verdict.
         """
-        loop = _loop(len(bindings))
-        env: dict[str, Table] = {
-            name: _table((it, bound[name])
-                         for it, bound in enumerate(bindings, 1))
-            for name in (bindings[0] if bindings else ())}
-        if context_item is not None:
-            env[_DOT] = Table(_IPI, [(it, 1, context_item)
-                                     for (it,) in loop.rows])
-        results: list[list] = [[] for _ in bindings]
-        for it, _pos, item in self.compile_expr(expr, loop, env).rows:
-            results[it - 1].append(item)
-        return results
+        env = {name: Table(_IPI, rows) for name, rows in columns.items()}
+        return self.compile_expr(expr, _loop(count), env).rows
 
     def compile_expr(self, expr: A.Expr, loop: Table,
                      env: dict[str, Table]) -> Table:
@@ -538,13 +565,22 @@ class LoopLiftingCompiler:
         whose key equals its probe, in ``S`` order with ``S``'s ``pos``.
         ``S`` compiles once per live iteration of the FLWOR's *entry*
         loop (the one each current iteration maps to through *outers*)
-        and hashes by key string.  A key or probe that is not a string
-        compares pair by pair in the condition's own orientation, as the
-        nested loop does.  Each part compiles over zero rows too."""
-        entry_of = {it: it for (it,) in loop.rows}
-        for outer in reversed(outers):
-            entry_of = {it: outer[e - 1] for it, e in entry_of.items()}
-        entry_loop, entry_env = _restrict(*entry, set(entry_of.values()))
+        and hashes by key string — once in all when ``S`` reads no
+        variable and neither it nor the key reads the focus, constructs
+        a node or ships a call: one table serves every entry iteration.
+        A key or probe that is not a string compares pair by pair in the
+        condition's own orientation, as the nested loop does.  Each part
+        compiles over zero rows too, and with no live iteration ``S``
+        resolves nothing."""
+        if _free_variables(clause.source) or not _same_every_time(
+                clause.source) or not _same_every_time(key):
+            entry_of = {it: it for (it,) in loop.rows}
+            for outer in reversed(outers):
+                entry_of = {it: outer[e - 1] for it, e in entry_of.items()}
+            entry_loop, entry_env = _restrict(*entry, set(entry_of.values()))
+        else:  # loop-invariant: entry iteration 1 stands for them all
+            entry_of = dict.fromkeys((it for (it,) in loop.rows), 1)
+            entry_loop, entry_env = _loop(min(len(entry_of), 1)), {}
         source = self.compile_expr(clause.source, entry_loop, entry_env)
         # The key reads $v, and the focus at most besides.
         _, key_env, items = _explode(source, entry_env, {_DOT})
@@ -682,8 +718,7 @@ class LoopLiftingCompiler:
             self.compile_expr(expr.args[0], loop, env),
             "FunctionCall: fn:doc uri")
         rows = []
-        for (it,) in loop.rows:
-            uri = atomize([uris[it]])[0].string_value() if it in uris else ""
+        for it, uri in _lexical(uris.items()):
             if not uri:
                 continue  # fn:doc(()) and fn:doc("") are ()
             document = self._documents.get(uri)
@@ -997,13 +1032,19 @@ class LoopLiftingCompiler:
                                "execute at requires a dispatch function",
                                "dispatch")
         planned = [self._site_requests(site, loop, env) for site in sites]
-        groups: dict[tuple, tuple] = {}
+        groups: dict[tuple, list[tuple]] = {}
         for _, requests in planned:
             for request in requests:
-                group = groups.setdefault(
-                    _group_key(request), request[:5] + ([], request[6]))
-                group[5].extend(request[5])
-        shipped = list(groups.values())
+                groups.setdefault(_group_key(request), []).append(request)
+        shipped = []
+        for members in groups.values():
+            request = members[0]
+            if len(members) > 1:  # sibling sites' calls, one message
+                calls = Arguments()
+                for member in members:
+                    calls.extend(member[5])
+                request = request[:5] + (calls, request[6])
+            shipped.append(request)
         if self.dispatch_parallel is not None and len(shipped) > 1:
             answers = self.dispatch_parallel(shipped)
         else:
@@ -1043,14 +1084,13 @@ class LoopLiftingCompiler:
         if any(len(destinations.get(it, ())) != 1 for (it,) in loop.rows):
             raise TypeError_(
                 "XPTY0004", "execute at: destination must be a single string")
-        params = [_by_iter(self.compile_expr(arg, loop, env))
-                  for arg in expr.call.args]
+        params = [self.compile_expr(arg, loop, env) for arg in expr.call.args]
         # Distinct destination peers, δ(π_item(dst)), and the iterations
         # of each in ascending order: map_p, iterp - 1 indexing the list.
         iters_of: dict[str, list[int]] = {}
         peer_of: dict[str, str] = {}  # each spelling normalized once
-        for it, [item] in destinations.items():
-            uri = atomize([item])[0].string_value()
+        for it, uri in _lexical((it, item)
+                                for it, [item] in destinations.items()):
             peer = peer_of.get(uri)
             if peer is None:
                 peer = peer_of[uri] = normalize_peer_uri(uri)
@@ -1058,15 +1098,25 @@ class LoopLiftingCompiler:
         if not iters_of:  # no live iteration: nothing to ship or to trace
             return iters_of, []
 
+        # req_p: each parameter table's rows, iter mapped to iterp, in
+        # one pass per table — the message's columns as they ship.
+        columns: list[list[list[tuple]]] = [[[] for _ in params]
+                                            for _ in iters_of]
+        where = {it: (columns[index], iterp)
+                 for index, iters in enumerate(iters_of.values())
+                 for iterp, it in enumerate(iters, 1)}
+        for index, table in enumerate(params):
+            for it, pos, item in table.rows:
+                peer_columns, iterp = where[it]
+                peer_columns[index].append((iterp, pos, item))
         uri, local = self.static.resolve_function_name(expr.call.name)
         location = self.static.module_locations.get(uri)
         decl = self.static.lookup_function(uri, local, len(expr.call.args))
         updating = bool(decl is not None and getattr(decl, "updating", False))
         return iters_of, [
             (peer, uri, location, local, len(params),
-             [[groups.get(it, []) for groups in params] for it in iters],
-             updating)
-            for peer, iters in iters_of.items()]
+             Arguments(len(iters), peer_columns), updating)
+            for (peer, iters), peer_columns in zip(iters_of.items(), columns)]
 
 
 def _group_key(request: tuple) -> tuple:
@@ -1084,15 +1134,11 @@ def _figure2_trace(iters_of: dict[str, list[int]], requests: list,
     per_peer = []
     for (peer, iters), request, results in zip(iters_of.items(), requests,
                                                answers):
-        calls = request[5]
         per_peer.append({
             "peer": peer,
             "map": Table(("iter", "iterp"),
                          [(it, iterp) for iterp, it in enumerate(iters, 1)]),
-            "req": [_table((iterp, call[index])
-                           for iterp, call in enumerate(calls, 1))
-                    for index in range(request[4])],
-            "calls": calls,
+            "req": [Table(_IPI, rows) for rows in request[5].columns],
             "msg": _table(enumerate(results, 1)),
             "res": _table(zip(iters, results)),
         })
@@ -1153,7 +1199,9 @@ class LoopLiftedQuery:
         """Execute; returns the XDM result sequence of iteration 1.  For
         a caller that has consulted the verdict (the analysis memoized
         on the compiled query) under this context."""
-        [result] = self.compiler.evaluate(
-            self.body, [self.context.variables or {}],
-            self.context.context_item)
-        return result
+        columns = {name: [(1, pos, item) for pos, item in enumerate(value, 1)]
+                   for name, value in (self.context.variables or {}).items()}
+        if self.context.context_item is not None:
+            columns[_DOT] = [(1, 1, self.context.context_item)]
+        return [row[2] for row in
+                self.compiler.evaluate(self.body, 1, columns)]

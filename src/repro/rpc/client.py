@@ -32,6 +32,7 @@ from repro.net.retry import (NET_STATS, ChannelRequest, Deadline,
                              ResilientChannel)
 from repro.net.transport import Transport, normalize_peer_uri
 from repro.soap.messages import (
+    Arguments,
     QueryID,
     TxnCommand,
     TxnResult,
@@ -122,7 +123,8 @@ class ClientSession:
         return message
 
     @staticmethod
-    def _extract_results(message, calls: list, updating: bool) -> list[list]:
+    def _extract_results(message, calls: Arguments,
+                         updating: bool) -> list[list]:
         """Per-call result sequences from a decoded reply message."""
         if isinstance(message, XRPCFaultMessage):
             message.raise_()
@@ -134,7 +136,7 @@ class ClientSession:
             if updating and not per_call:
                 # An updating response may legitimately omit the (all
                 # empty) result sequences altogether.
-                return [[] for _ in calls]
+                return [[] for _ in range(len(calls))]
             raise XRPCFault(
                 "env:Receiver",
                 f"bulk response carries {len(per_call)} results "
@@ -143,14 +145,13 @@ class ClientSession:
 
     def _entry(self, destination: str, module_uri: str,
                location: Optional[str], function: str, arity: int,
-               calls: list[list[list]], updating: bool) -> ChannelRequest:
+               calls: Arguments, updating: bool) -> ChannelRequest:
         """One (possibly bulk) request as a resilient exchange, counted:
         fresh exchange id + remaining budget per attempt."""
         request = XRPCRequest(
             module=module_uri, method=function, arity=arity,
             location=location, query_id=self.query_id, updating=updating)
-        for params in calls:
-            request.add_call(params)
+        request.arguments = calls
         self.messages_sent += 1
         self.calls_shipped += len(calls)
 
@@ -172,11 +173,12 @@ class ClientSession:
     # -- calls ------------------------------------------------------------------
 
     def call(self, destination: str, module_uri: str, location: Optional[str],
-             function: str, arity: int, calls: list[list[list]],
+             function: str, arity: int, calls: Arguments,
              updating: bool = False) -> list[list]:
         """Send one (possibly bulk) request; returns one sequence per call.
 
-        ``calls`` is a list of calls, each a list of parameter sequences.
+        ``calls`` holds the calls column by column (:class:`Arguments`;
+        ``Arguments.of`` builds it from per-call parameter lists).
         """
         entry = self._entry(destination, module_uri, location, function,
                             arity, calls, updating)
@@ -188,7 +190,7 @@ class ClientSession:
             return self._unreachable(destination, calls, updating, failure)
 
     def call_parallel(self, grouped: list[tuple[str, str, Optional[str], str,
-                                                int, list[list[list]], bool]],
+                                                int, Arguments, bool]],
                       ) -> list:
         """Dispatch several bulk requests to different peers in parallel.
 
@@ -204,8 +206,8 @@ class ClientSession:
                 if isinstance(result, TransportError) else result
                 for group, result in zip(grouped, results)]
 
-    def _unreachable(self, destination: str, calls: list, updating: bool,
-                     failure: TransportError) -> list[list]:
+    def _unreachable(self, destination: str, calls: Arguments,
+                     updating: bool, failure: TransportError) -> list[list]:
         """A request whose transport failed terminally: under
         ``degrade`` a read-only one answers every call empty and its
         peer is reported degraded; otherwise *failure* raises — a
@@ -213,7 +215,7 @@ class ClientSession:
         if updating or not self.degrade:
             raise failure
         self.peer_degraded(destination)
-        return [[] for _ in calls]
+        return [[] for _ in range(len(calls))]
 
     # -- 2PC driver side ---------------------------------------------------------
 

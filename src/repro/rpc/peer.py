@@ -44,9 +44,9 @@ from repro.rpc.coordinator import TransactionCoordinator
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.server import XRPCServer
 from repro.rpc.store import DocumentStore
-from repro.soap.messages import QueryID
+from repro.soap.messages import Arguments, QueryID
 from repro.xquery import xast as A
-from repro.xquery import seqtype
+from repro.xquery.seqtype import Signature
 from repro.xquery.context import ExecutionContext, RemoteCall
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
@@ -147,7 +147,8 @@ def fetch_remote_document(session: ClientSession, host: str, path: str):
     when the peer is unreachable under ``session.degrade``."""
     from repro.xdm.atomic import string as make_string
     [result] = session.call(
-        host, _SYS_NS, None, "get-doc", 1, [[[make_string(path)]]])
+        host, _SYS_NS, None, "get-doc", 1,
+        Arguments.of([[[make_string(path)]]]))
     if not result and host in session.failed_peers:
         return None
     if len(result) != 1:
@@ -231,13 +232,14 @@ class XRPCPeer:
                       for name in arguments)
             + f"f:{decl.local_name}({', '.join(arguments)})")
 
-    def run_function(self, decl: A.FunctionDecl, calls: list[list[list]],
+    def run_function(self, signature: Signature, calls: Arguments,
                      context: ExecutionContext) -> Optional[list[list]]:
         """Serve all calls of one Bulk RPC message to the non-updating
-        *decl* as ONE loop-lifted plan (paper sections 3.2/4): the
-        message already is an ``iter|pos|item`` table per parameter, so
-        the body compiles once under the loop relation ``iter = 1..N``
-        instead of running the tree interpreter N times.
+        function of *signature* as ONE loop-lifted plan (paper sections
+        3.2/4): the message already is an ``iter|pos|item`` column per
+        parameter, so each column is converted with one call and bound
+        as it is, and the body compiles once under the loop relation
+        ``iter = 1..N`` instead of running the tree interpreter N times.
 
         Returns ``None`` — the caller then runs :meth:`run_call` per
         call — for the ``sys:kw-search`` endpoint, for bodies the
@@ -246,19 +248,26 @@ class XRPCPeer:
         error, so fault text is the per-call path's by construction.
         Re-running is safe: the attempt is read-only and ships nothing.
         """
+        decl = signature.decl
         if decl is self._kw_search_decl:
             return None
         compiler = LoopLiftingCompiler(
             decl.module.static, doc_resolver=context.doc_resolver)
+        count = calls.count
         try:
             # First, so a refused body's payload is converted once.
             compiler.check(decl.body, [p.name for p in decl.params], False)
-            bindings = [seqtype.convert_arguments(decl, params)
-                        for params in calls]
-            return [seqtype.convert_result(decl, result) for result in
-                    compiler.evaluate(decl.body, bindings)]
+            columns = {param.name: converter.column(rows, count)
+                       for param, converter, rows in zip(
+                           decl.params, signature.params, calls.columns)}
+            rows = signature.result.column(
+                compiler.evaluate(decl.body, count, columns), count)
         except Exception:  # whatever it was, the per-call path reports it
             return None
+        results: list[list] = [[] for _ in range(count)]
+        for it, _pos, item in rows:
+            results[it - 1].append(item)
+        return results
 
     def _serve_keyword_search(self, params: list[list], doc_view) -> list:
         """Serve one ``sys:kw-search`` bulk call: SLCA keyword search
@@ -330,7 +339,7 @@ class XRPCPeer:
         def handle(call: RemoteCall) -> list:
             [result] = session.call(
                 call.destination, call.module_uri, call.location,
-                call.function, call.arity, [call.args],
+                call.function, call.arity, Arguments.of([call.args]),
                 updating=call.updating)
             return result
 
@@ -355,9 +364,10 @@ class XRPCPeer:
         function) messages.  Anything else runs once in the tree
         interpreter, one call per message — as does every query under
         ``force_one_at_a_time=True`` (the paper's Table 2 column) or on
-        an engine without Bulk RPC.  A liftable verdict is final — the
-        plan never bails after a ship — so updating remote calls ship
-        from it too.  Plan choice and fallback reason are recorded on
+        a profile that does no loop lifting
+        (:attr:`~repro.engine.Engine.loop_lifting`).  A liftable verdict
+        is final — the plan never bails after a ship — so updating
+        remote calls ship from it too.  Plan choice and fallback reason are recorded on
         the returned :class:`QueryResult` (see
         :meth:`QueryResult.explain`).
 
@@ -404,7 +414,7 @@ class XRPCPeer:
             context = self._make_execution_context(session, variables)
             analysis = None
             fallback_reason = fallback_code = None
-            if self.engine.bulk_rpc and not force_one_at_a_time:
+            if self.engine.loop_lifting and not force_one_at_a_time:
                 analysis = self.engine.analyze(compiled, context)
                 fallback_reason = analysis.fallback_reason
                 fallback_code = analysis.fallback_code
@@ -495,9 +505,9 @@ class XRPCPeer:
         session = ClientSession(self.transport, origin=self.host,
                                 channel=self.channel, deadline=deadline,
                                 degrade=degrade)
-        term_args = [[make_string(term) for term in terms]]
+        term_args = Arguments.of([[[make_string(term) for term in terms]]])
         requests = [
-            (peer, _SYS_NS, None, "kw-search", 1, [term_args], False)
+            (peer, _SYS_NS, None, "kw-search", 1, term_args, False)
             for peer in peers if peer != self.host]
         hits: list = []
         with Scope() as scope:

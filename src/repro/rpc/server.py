@@ -2,8 +2,9 @@
 
 Handles incoming SOAP messages:
 
-* ``xrpc:request`` — executes the named module function once per
-  ``xrpc:call`` (Bulk RPC) against the right database view (current
+* ``xrpc:request`` — executes the named module function for every
+  ``xrpc:call`` (Bulk RPC: as one loop-lifted plan over the parameter
+  columns, or once per call) against the right database view (current
   state, or the queryID's snapshot), collecting pending updates per the
   active isolation rule (R_Fu applies immediately; R'_Fu defers);
 * ``xrpc:prepare`` / ``xrpc:commit`` / ``xrpc:rollback`` — the 2PC
@@ -123,11 +124,10 @@ class XRPCServer:
                 f"{request.method}#{request.arity}")
 
         # Charge compile cost unless the function cache holds this plan.
-        cache_key = (request.module, request.method, request.arity)
-        cached = peer.engine.function_cache_lookup(cache_key)
+        signature, cached = peer.engine.function_signature(
+            (request.module, request.method, request.arity), decl)
         if peer.cost_model is not None and not cached:
             peer.clock.advance(peer.cost_model.compile_seconds)
-        peer.engine.function_cache_store(cache_key)
 
         # Database view per the isolation rule in force.
         if request.query_id is not None:
@@ -155,32 +155,35 @@ class XRPCServer:
         context = peer.serving_context(doc_view, nested_session)
         updating = request.updating or decl.updating
 
-        # Bulk RPC set-at-a-time: all N calls as one loop-lifted plan.
-        # Liftability of the body is the only selector.  Updating calls
-        # (their pending updates are per call) and unliftable bodies
-        # (`lifted` stays None) run per call below — as does a message
-        # whose budget is already spent, so the loop's fault answers it.
+        # Bulk RPC set-at-a-time: all N calls as one loop-lifted plan,
+        # on a profile that runs it.  Liftability of the body is the
+        # only other selector.  Updating calls (their pending updates
+        # are per call) and unliftable bodies (`lifted` stays None) run
+        # per call below — as does a message whose budget is already
+        # spent, so the loop's fault answers it.
         lifted = None
-        if not updating and (deadline is None or not deadline.expired()):
-            lifted = peer.run_function(decl, request.calls, context)
+        if peer.engine.loop_lifting and not updating \
+                and (deadline is None or not deadline.expired()):
+            lifted = peer.run_function(signature, request.arguments, context)
+        count = request.arguments.count
+        calls = request.calls if lifted is None else None
 
         results: list[list] = []
         collected_pul = PendingUpdateList()
-        for index, params in enumerate(request.calls):
+        for index in range(count):
             if deadline is not None and deadline.expired():
                 NET_STATS.bump("deadline_expired")
                 raise XRPCFault(
                     "env:Receiver",
                     f"deadline expired at {peer.host} with "
-                    f"{len(request.calls) - index} of "
-                    f"{len(request.calls)} bulk calls left")
+                    f"{count - index} of {count} bulk calls left")
             if peer.cost_model is not None:
                 peer.clock.advance(peer.cost_model.per_call_seconds)
             if lifted is not None:
                 results.append(lifted[index])
                 continue
             value, pul = peer.run_call(
-                decl, params, doc_view, nested_session, context)
+                decl, calls[index], doc_view, nested_session, context)
             if updating:
                 collected_pul.merge(pul)
                 results.append([])

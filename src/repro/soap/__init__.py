@@ -4,7 +4,9 @@ Implements the document/literal SOAP sub-protocol XRPC uses over HTTP:
 
 * request messages — ``xrpc:request`` with module/method/arity/location,
   one ``xrpc:call`` per function application (**Bulk RPC**: many calls in
-  one message), each parameter an ``xrpc:sequence`` of typed values;
+  one message), each parameter an ``xrpc:sequence`` of typed values; the
+  calls travel as :class:`Arguments`, one ``iter|pos|item`` column per
+  parameter;
 * response messages — one ``xrpc:sequence`` per call, plus the
   participating-peers piggyback extension (section 2.3);
 * fault messages — SOAP Fault (``env:Fault``) carrying code + reason;
@@ -16,6 +18,7 @@ Implements the document/literal SOAP sub-protocol XRPC uses over HTTP:
 
 from repro.soap.marshal import MarshalWriter
 from repro.soap.messages import (
+    Arguments,
     QueryID,
     XRPCRequest,
     XRPCResponse,
@@ -29,6 +32,7 @@ from repro.soap.messages import (
 )
 
 __all__ = [
+    "Arguments",
     "MarshalWriter",
     "QueryID",
     "XRPCRequest",

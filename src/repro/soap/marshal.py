@@ -20,7 +20,7 @@ fragment with fresh identity, whose upward and sideways axes are empty.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import XRPCFault
 from repro.xdm.atomic import AtomicValue, cast
@@ -33,7 +33,7 @@ from repro.xdm.nodes import (
     ProcessingInstructionNode,
     TextNode,
 )
-from repro.xdm.types import type_by_name, is_known_type, xs
+from repro.xdm.types import XSType, xs
 from repro.xml.serializer import escape_attribute, escape_text, serialize_into
 
 XRPC_PREFIX = "xrpc"
@@ -129,12 +129,45 @@ class MarshalWriter:
             self.value(item)
         self.end()
 
+    def calls(self, count: int, columns: list[list[tuple]]) -> None:
+        """Emit *count* ``<xrpc:call>`` elements from the parameter
+        *columns* — one ``iter|pos|item`` row list per parameter, ``iter``
+        the call number — in one pass over each column: call *i*'s
+        parameter *k* is the run of ``columns[k]``'s rows with ``iter``
+        *i*.  The same bytes as :meth:`sequence` per parameter."""
+        if not count:
+            return
+        self._close_tag()
+        out = self._out
+        if not columns:
+            out.extend(["<xrpc:call/>"] * count)
+            return
+        runs = [iter(rows) for rows in columns]
+        heads = [next(rows, None) for rows in runs]
+        for it in range(1, count + 1):
+            out.append("<xrpc:call>")
+            for index, rows in enumerate(runs):
+                row = heads[index]
+                if row is None or row[0] != it:
+                    out.append("<xrpc:sequence/>")
+                    continue
+                out.append("<xrpc:sequence>")
+                while row is not None and row[0] == it:
+                    item = row[2]
+                    if type(item) is AtomicValue:
+                        out.append(_atomic_holder(item))
+                    else:
+                        self.value(item)
+                    row = next(rows, None)
+                heads[index] = row
+                out.append("</xrpc:sequence>")
+            out.append("</xrpc:call>")
+
     def value(self, item) -> None:
         """Emit the value holder of one item."""
         if isinstance(item, AtomicValue):
-            self.element(f"{XRPC_PREFIX}:atomic-value",
-                         (("xsi:type", item.type.name),),
-                         item.string_value())
+            self._close_tag()
+            self._out.append(_atomic_holder(item))
             return
         if isinstance(item, ElementNode):
             self.start(f"{XRPC_PREFIX}:element")
@@ -187,17 +220,57 @@ class MarshalWriter:
             pool.append(buffer)
 
 
+def _untyped(text: str) -> AtomicValue:
+    return AtomicValue(text, xs.untypedAtomic)
+
+
+def _reader(target: XSType) -> Callable[[str], AtomicValue]:
+    """The cast of a holder's text to *target*, as one call."""
+    if target is xs.untypedAtomic or target.derives_from(xs.string):
+        return lambda text: AtomicValue(text, target)
+    return lambda text: cast(_untyped(text), target)
+
+
+#: Per atomic type, its ``xrpc:atomic-value`` start tag and the whole
+#: holder of an empty lexical form: the markup, resolved once per type.
+_ATOMIC_TAGS = {
+    target: (f'<{XRPC_PREFIX}:atomic-value xsi:type="{tag}">',
+             f'<{XRPC_PREFIX}:atomic-value xsi:type="{tag}"/>')
+    for target in xs.all_types().values()
+    for tag in [escape_attribute(target.name)]}
+
+#: Per ``xsi:type`` name of a built-in type — prefixed or not, and none
+#: (``xs:string``) — the cast of a holder's text, resolved once per type.
+_READERS: dict[Optional[str], Callable[[str], AtomicValue]] = {
+    name: _reader(target)
+    for target in xs.all_types().values()
+    for name in (target.name, target.local_name)}
+_READERS[None] = _READERS["xs:string"]
+
+
+def _atomic_holder(item: AtomicValue) -> str:
+    """The ``xrpc:atomic-value`` holder of *item*, as the writer's
+    ``start``/``text``/``end`` would emit it."""
+    opening, empty = _ATOMIC_TAGS[item.type]
+    text = item.string_value()
+    if not text:
+        return empty
+    return f"{opening}{escape_text(text)}</{XRPC_PREFIX}:atomic-value>"
+
+
+def atomic_reader(type_name: Optional[str]) -> Callable[[str], AtomicValue]:
+    """The value an ``xrpc:atomic-value`` holder ships, as a function of
+    its text: the text as the type its ``xsi:type`` *type_name* names
+    (``xs:string`` when it names none).  An unknown (user-defined) type
+    degrades to untypedAtomic, as the paper allows for anonymous
+    user-defined schema types."""
+    return _READERS.get(type_name, _untyped)
+
+
 def atomic_value(type_name: Optional[str], text: str) -> AtomicValue:
     """The value an ``xrpc:atomic-value`` holder ships: *text* as the
     type its ``xsi:type`` names (``xs:string`` when it names none)."""
-    raw = AtomicValue(text, xs.untypedAtomic)
-    if type_name is None:
-        type_name = "xs:string"
-    elif not is_known_type(type_name):
-        # Unknown (user-defined) type: degrade to untypedAtomic, as the
-        # paper allows for anonymous user-defined schema types.
-        return raw
-    return cast(raw, type_by_name(type_name))
+    return atomic_reader(type_name)(text)
 
 
 def shipped_attribute(

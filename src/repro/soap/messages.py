@@ -34,13 +34,13 @@ to the base protocol):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import XRPCFault
 from repro.soap.marshal import (
     XSI_NS,
     MarshalWriter,
-    atomic_value,
+    atomic_reader,
     shipped_attribute,
 )
 from repro.xdm.nodes import (
@@ -85,30 +85,112 @@ class QueryID:
         return (self.host, self.timestamp)
 
 
-@dataclass
+class Arguments:
+    """The calls of one Bulk RPC message as the loop relation (§3.2):
+    ``count`` calls and, per parameter, one ``iter|pos|item`` row list
+    whose ``iter`` is the call number — ascending, ``pos`` dense from 1
+    within a call.  The originator's plan builds it from its parameter
+    tables, the marshaller writes from it, the decoder appends to it and
+    the served plan binds its columns as they are."""
+
+    __slots__ = ("count", "columns")
+
+    def __init__(self, count: int = 0,
+                 columns: Optional[list[list[tuple]]] = None) -> None:
+        self.count = count
+        self.columns: list[list[tuple]] = [] if columns is None else columns
+
+    @classmethod
+    def of(cls, calls: Iterable[list[list]]) -> "Arguments":
+        """The columns of per-call parameter lists."""
+        arguments = cls()
+        for params in calls:
+            arguments.append(params)
+        return arguments
+
+    def append(self, params: list[list]) -> None:
+        """One more call, its parameters given as sequences."""
+        self.count += 1
+        if self.count == 1:
+            self.columns = [[] for _ in params]
+        it = self.count
+        for rows, sequence in zip(self.columns, params):
+            rows.extend((it, pos, item)
+                        for pos, item in enumerate(sequence, 1))
+
+    def extend(self, other: "Arguments") -> None:
+        """*other*'s calls after these, renumbered."""
+        if not self.count:
+            self.columns = [[] for _ in other.columns]
+        offset = self.count
+        self.count += other.count
+        for rows, more in zip(self.columns, other.columns):
+            rows.extend((it + offset, pos, item) for it, pos, item in more)
+
+    def calls(self) -> list[list[list]]:
+        """Per call, its parameter sequences: a view for the code that
+        serves or inspects one call at a time."""
+        calls: list[list[list]] = [[[] for _ in self.columns]
+                                   for _ in range(self.count)]
+        for index, rows in enumerate(self.columns):
+            for it, _pos, item in rows:
+                calls[it - 1][index].append(item)
+        return calls
+
+    def __len__(self) -> int:
+        return self.count
+
+
+@dataclass(init=False)
 class XRPCRequest:
-    """A (possibly bulk) XRPC request: N calls to one function."""
+    """A (possibly bulk) XRPC request: N calls to one function.
+
+    The calls are :attr:`arguments`, column by column — an attribute,
+    not a field: the fields are the message's header, and :attr:`calls`
+    is the per-call view of the columns (``calls=`` builds them from
+    per-call parameter lists).
+    """
 
     module: str
     method: str
     arity: int
     location: Optional[str] = None
-    calls: list[list[list]] = field(default_factory=list)
     query_id: Optional[QueryID] = None
     updating: bool = False
     exchange_id: Optional[str] = None
     deadline_remaining: Optional[float] = None
+
+    def __init__(self, module: str, method: str, arity: int,
+                 location: Optional[str] = None,
+                 calls: Iterable[list[list]] = (),
+                 query_id: Optional[QueryID] = None, updating: bool = False,
+                 exchange_id: Optional[str] = None,
+                 deadline_remaining: Optional[float] = None) -> None:
+        self.module = module
+        self.method = method
+        self.arity = arity
+        self.location = location
+        self.query_id = query_id
+        self.updating = updating
+        self.exchange_id = exchange_id
+        self.deadline_remaining = deadline_remaining
+        self.arguments = Arguments.of(calls)
 
     def add_call(self, params: list[list]) -> None:
         if len(params) != self.arity:
             raise XRPCFault(
                 "env:Sender",
                 f"call has {len(params)} parameters, function arity is {self.arity}")
-        self.calls.append(params)
+        self.arguments.append(params)
+
+    @property
+    def calls(self) -> list[list[list]]:
+        """Per call, its parameter sequences (derived from the columns)."""
+        return self.arguments.calls()
 
     @property
     def is_bulk(self) -> bool:
-        return len(self.calls) > 1
+        return self.arguments.count > 1
 
 
 @dataclass
@@ -216,11 +298,7 @@ def build_request(request: XRPCRequest) -> str:
             ("timestamp", repr(request.query_id.timestamp)),
             ("timeout", str(request.query_id.timeout)),
         ))
-    for params in request.calls:
-        writer.start("xrpc:call")
-        for param in params:
-            writer.sequence(param)
-        writer.end()
+    writer.calls(request.arguments.count, request.arguments.columns)
     writer.end()  # xrpc:request
     return _finish_envelope(writer)
 
@@ -392,8 +470,9 @@ class _MessageDecoder:
     """
 
     __slots__ = ("_source", "_levels", "_entered", "_message",
-                 "_exchange_id", "_deadline_remaining", "_arity", "_calls",
-                 "_sequences", "_items", "_chars", "_type_name", "_key",
+                 "_exchange_id", "_deadline_remaining", "_arity",
+                 "_arguments", "_param", "_rows", "_pos", "_add",
+                 "_sequences", "_items", "_chars", "_reader", "_key",
                  "_target")
 
     def __init__(self, source: EventSource) -> None:
@@ -404,16 +483,24 @@ class _MessageDecoder:
         self._message: Optional[Message] = None
         self._exchange_id: Optional[str] = None
         self._deadline_remaining: Optional[float] = None
-        #: The request's, for the check and the append as each call closes.
+        #: The request's: its arity, the columns its calls append to,
+        #: and the open call's count of parameter sequences so far.
         self._arity = 0
-        self._calls: list = []
-        #: Where a closing ``xrpc:sequence`` goes: the open call's
-        #: parameters, or the response's results.
+        self._arguments = Arguments()
+        self._param = 0
+        #: The open parameter's column and the ``pos`` of its last row.
+        self._rows: list = []
+        self._pos = 0
+        #: The response's results, and the open result sequence's items.
         self._sequences: list = []
         self._items: list = []
+        #: Where a decoded item goes: the open parameter's column
+        #: (:meth:`_add_row`), or the open result sequence's items.
+        self._add: Callable[[object], None] = self._items.append
         #: Text pieces of the open value holder or fault string.
         self._chars: Optional[list[str]] = None
-        self._type_name: Optional[str] = None
+        #: The open ``xrpc:atomic-value``'s cast of its text.
+        self._reader: Callable[[str], object] = str
         self._key = (0, 0)
         self._target = ""
 
@@ -458,29 +545,39 @@ class _MessageDecoder:
         level = self._levels.pop()
         if level == _SKIPPED or level < _CALL:
             return
-        if level == _ELEMENT:
+        if level == _ATOMIC:
+            chars = self._chars
+            assert chars is not None
+            self._chars = None
+            self._add(self._reader("".join(chars)))
+        elif level == _ELEMENT:
             for node in fragments or ():
                 if isinstance(node, ElementNode):
-                    self._items.append(node)
+                    self._add(node)
                     return
             raise XRPCFault(
                 "env:Sender", "xrpc:element holder without child element")
-        if level == _SEQUENCE:
-            self._sequences.append(self._items)
+        elif level == _SEQUENCE:
+            if self._levels[-1] == _RESPONSE:
+                self._sequences.append(self._items)
         elif level == _CALL:
-            if len(self._sequences) != self._arity:
+            if self._param != self._arity:
                 raise XRPCFault(
                     "env:Sender",
-                    f"call has {len(self._sequences)} parameter sequences, "
+                    f"call has {self._param} parameter sequences, "
                     f"arity is {self._arity}")
-            self._calls.append(self._sequences)
         elif level == _DOCUMENT:
             document = DocumentNode(self._key)
             for child in fragments or ():
                 document.append(child)
-            self._items.append(document)
-        elif level >= _ATOMIC:
+            self._add(document)
+        elif level > _ATOMIC:
             self._end_text(level)
+
+    def _add_row(self, item) -> None:
+        """One decoded item of the open parameter: its column's row."""
+        self._pos += 1
+        self._rows.append((self._arguments.count, self._pos, item))
 
     def finish(self) -> Message:
         """The decoded message, with the header's fields on it."""
@@ -489,7 +586,7 @@ class _MessageDecoder:
         message = self._message
         if message is None:
             raise XRPCFault("env:Sender", "empty SOAP Body")
-        if isinstance(message, XRPCRequest) and not message.calls:
+        if isinstance(message, XRPCRequest) and not message.arguments.count:
             raise XRPCFault("env:Sender", "request contains no calls")
         message.exchange_id = self._exchange_id
         if isinstance(message, (XRPCRequest, TxnCommand)):
@@ -521,16 +618,29 @@ class _MessageDecoder:
 
     def _start_xrpc(self, level: int, name: str, local_name: str,
                     attributes: list[str]) -> int:
-        if level == _CALL or level == _RESPONSE:
+        if level == _CALL:
+            if local_name == "sequence":
+                index = self._param
+                self._param += 1
+                self._pos = 0
+                columns = self._arguments.columns
+                if index == len(columns) < self._arity:  # the first call's
+                    columns.append([])
+                # Past the arity the call's end faults.
+                self._rows = columns[index] if index < self._arity else []
+                self._add = self._add_row
+                return _SEQUENCE
+        elif level == _RESPONSE:
             if local_name == "sequence":
                 self._items = []
+                self._add = self._items.append
                 return _SEQUENCE
-            if level == _RESPONSE and local_name == "participants" \
-                    and self._first(_PARTICIPANTS):
+            if local_name == "participants" and self._first(_PARTICIPANTS):
                 return _PARTICIPANTS
         elif level == _REQUEST:
             if local_name == "call":
-                self._sequences = []
+                self._arguments.count += 1
+                self._param = 0
                 return _CALL
             if local_name == "queryID" and self._first("queryID"):
                 request = self._message
@@ -562,7 +672,7 @@ class _MessageDecoder:
                     module=module, method=method, arity=self._arity,
                     location=_attribute(attributes, "location"),
                     updating=_attribute(attributes, "updCall") == "true")
-                self._calls = request.calls
+                self._arguments = request.arguments
                 return _REQUEST
             if local_name == "response":
                 response = self._message = XRPCResponse(
@@ -598,11 +708,11 @@ class _MessageDecoder:
             type_name = _attribute(attributes, "xsi:type")
             if type_name is None:
                 type_name = _attribute(attributes, "type")
-            self._type_name = type_name
+            self._reader = atomic_reader(type_name)
             self._chars = []
             return _ATOMIC
         if kind == "attribute":
-            self._items.append(self._attribute_item(attributes))
+            self._add(self._attribute_item(attributes))
             return _SKIPPED
         entered = _KEYED_HOLDERS.get(kind)
         if entered is None:
@@ -635,14 +745,12 @@ class _MessageDecoder:
         assert chars is not None
         self._chars = None
         text = "".join(chars)
-        if level == _ATOMIC:
-            self._items.append(atomic_value(self._type_name, text))
-        elif level == _TEXT:
-            self._items.append(TextNode(self._key, text))
+        if level == _TEXT:
+            self._add(TextNode(self._key, text))
         elif level == _COMMENT:
-            self._items.append(CommentNode(self._key, text))
+            self._add(CommentNode(self._key, text))
         elif level == _PI:
-            self._items.append(
+            self._add(
                 ProcessingInstructionNode(self._key, self._target, text))
         else:
             fault = self._message

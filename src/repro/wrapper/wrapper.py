@@ -116,7 +116,7 @@ class XRPCWrapper:
 
     def _serve(self, payload: str, timings: WrapperTimings) -> str:
         request = parse_request(payload)
-        timings.calls = len(request.calls)
+        timings.calls = request.arguments.count
 
         # 1. Store the request message at a temporary location.
         fd, request_path = tempfile.mkstemp(prefix="xrpc_request_",

@@ -668,10 +668,18 @@ def _restamp_tree(root: Node, doc_id: int, step: int) -> None:
 
 def _identity_index(nodes_list: list, target: Node) -> Optional[int]:
     """Position of *target* (by identity) in a sibling list, or None —
-    works even while *target* carries a foreign, non-monotone key."""
-    for index, node in enumerate(nodes_list):
-        if node is target:
-            return index
+    works even while *target* carries a foreign, non-monotone key.  The
+    list is searched from both ends at once, so a node near either end
+    — where an append or a prepend splices — is found in a few visits
+    whatever the list's length."""
+    low, high = 0, len(nodes_list) - 1
+    while low <= high:
+        if nodes_list[high] is target:
+            return high
+        if nodes_list[low] is target:
+            return low
+        low += 1
+        high -= 1
     return None
 
 

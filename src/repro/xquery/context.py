@@ -64,7 +64,8 @@ class ExecutionContext:
     lifted plan's Bulk RPC messages (one call per (destination,
     function) group of a sequence's sibling ``execute at`` sites,
     ``dispatch(dest, module_uri, location, function, arity, calls,
-    updating) -> results``), while ``xrpc_handler`` answers the
+    updating) -> results``, *calls* the message's parameter columns, a
+    :class:`~repro.soap.Arguments`), while ``xrpc_handler`` answers the
     interpreter's one-at-a-time ``execute at`` (takes a
     :class:`RemoteCall`).  Callers that can serve both — the peer — set
     both; local sessions leave them ``None``, so a query containing

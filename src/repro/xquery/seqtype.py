@@ -8,6 +8,7 @@ casting follows.
 
 from __future__ import annotations
 
+from typing import Optional
 
 from repro.errors import TypeError_
 from repro.xdm.atomic import AtomicValue, cast
@@ -88,54 +89,140 @@ def _promotable(source: XSType, target: XSType) -> bool:
     return False
 
 
-def convert_value(sequence: list, seq_type: A.SequenceType, who: str) -> list:
-    """Apply the function conversion rules to *sequence* for *seq_type*.
+class Converter:
+    """The function conversion rules for one declared *seq_type*, bound
+    once: atomic expected types atomize the argument, cast
+    untypedAtomic and apply numeric promotion; node kinds are checked
+    structurally.  What a source atomic type needs — kept, cast or
+    refused — and, for a kind test without a name, whether an item class
+    matches are decided the first time each is met.  Errors name *who*.
 
-    Atomic expected types atomize the argument, cast untypedAtomic and
-    apply numeric promotion; node kinds are checked structurally.
-
-    Raises
-    ------
-    TypeError_
-        code ``XPTY0004`` when the value cannot be converted.
+    Raises :class:`~repro.errors.TypeError_` (``XPTY0004``) when a
+    value cannot be converted.
     """
-    item_type = seq_type.item_type
 
-    if item_type.kind == "empty":
-        if sequence:
-            raise TypeError_("XPTY0004", f"{who}: expected empty-sequence()")
-        return []
+    __slots__ = ("item_type", "occurrence", "who", "_casts", "_classes")
 
-    if item_type.kind == "atomic":
-        target = item_type.atomic_type
+    def __init__(self, seq_type: A.SequenceType, who: str) -> None:
+        self.item_type = seq_type.item_type
+        self.occurrence = seq_type.occurrence
+        self.who = who
+        #: Source atomic type -> whether a value of it is cast.
+        self._casts: dict[XSType, bool] = {}
+        #: Item class -> whether it matches a kind test that names no
+        #: node (then the class alone decides); ``None`` for one that does.
+        name = self.item_type.name
+        self._classes: Optional[dict[type, bool]] = \
+            {} if not name or name == "*" else None
+
+    def sequence(self, sequence: list) -> list:
+        """One value converted."""
+        kind = self.item_type.kind
+        if kind == "empty":
+            if sequence:
+                raise self._not_empty()
+            return []
+        if kind == "atomic":
+            sequence = [self._atomic(value) for value in atomize(sequence)]
+        elif kind != "item":
+            self._match(sequence)
+        if not _occurrence_ok(len(sequence), self.occurrence):
+            raise self._cardinality(len(sequence))
+        return sequence
+
+    def column(self, rows: list[tuple], count: int) -> list[tuple]:
+        """The values of iterations ``1..count`` converted at once:
+        *rows* is their ``iter|pos|item`` row list; so is the result."""
+        kind = self.item_type.kind
+        if kind == "empty":
+            if rows:
+                raise self._not_empty()
+            return rows
+        if kind == "atomic":
+            atomic = self._atomic
+            rows = [(it, pos, atomic(item if type(item) is AtomicValue
+                                     else item.typed_value()[0]))
+                    for it, pos, item in rows]
+        elif kind != "item":
+            self._match([row[2] for row in rows])
+        if self.occurrence != "*":
+            sizes = [0] * (count + 1)
+            for row in rows:
+                sizes[row[0]] += 1
+            for size in sizes[1:]:
+                if not _occurrence_ok(size, self.occurrence):
+                    raise self._cardinality(size)
+        return rows
+
+    def _atomic(self, value: AtomicValue) -> AtomicValue:
+        target = self.item_type.atomic_type
         assert target is not None
-        converted: list = []
-        for value in atomize(sequence):
-            if value.type is xs.untypedAtomic and target is not xs.untypedAtomic:
-                converted.append(cast(value, target))
-            elif value.type.derives_from(target):
-                converted.append(value)
-            elif _promotable(value.type, target):
-                converted.append(cast(value, target))
+        source = value.type
+        if source is target:
+            return value
+        cast_it = self._casts.get(source)
+        if cast_it is None:
+            if source is xs.untypedAtomic:
+                cast_it = True
+            elif source.derives_from(target):
+                cast_it = False
+            elif _promotable(source, target):
+                cast_it = True
             else:
                 raise TypeError_(
                     "XPTY0004",
-                    f"{who}: cannot convert {value.type.name} to {target.name}")
-        sequence = converted
-    elif item_type.kind != "item":
-        for item in sequence:
-            if not item_matches(item, item_type):
-                kind = item.kind if isinstance(item, Node) else type(item).__name__
+                    f"{self.who}: cannot convert {source.name} "
+                    f"to {target.name}")
+            self._casts[source] = cast_it
+        return cast(value, target) if cast_it else value
+
+    def _match(self, items: list) -> None:
+        """Every item of *items* passes the (node) kind test."""
+        item_type, classes = self.item_type, self._classes
+        for item in items:
+            if classes is None:
+                matches = item_matches(item, item_type)
+            else:
+                matches = classes.get(type(item))
+                if matches is None:
+                    matches = classes[type(item)] = \
+                        item_matches(item, item_type)
+            if not matches:
+                kind = item.kind if isinstance(item, Node) \
+                    else type(item).__name__
                 raise TypeError_(
                     "XPTY0004",
-                    f"{who}: expected {item_type.kind}(), got {kind}")
+                    f"{self.who}: expected {item_type.kind}(), got {kind}")
 
-    if not _occurrence_ok(len(sequence), seq_type.occurrence):
-        raise TypeError_(
+    def _not_empty(self) -> TypeError_:
+        return TypeError_("XPTY0004", f"{self.who}: expected empty-sequence()")
+
+    def _cardinality(self, size: int) -> TypeError_:
+        return TypeError_(
             "XPTY0004",
-            f"{who}: cardinality {len(sequence)} does not match "
-            f"occurrence {seq_type.occurrence or 'exactly-one'!r}")
-    return sequence
+            f"{self.who}: cardinality {size} does not match "
+            f"occurrence {self.occurrence or 'exactly-one'!r}")
+
+
+class Signature:
+    """A function's declared types bound once — the converter of each
+    parameter and of the result — so a Bulk RPC message converts each
+    parameter column with one call (the engine's function cache holds
+    it per (module, function, arity))."""
+
+    __slots__ = ("decl", "params", "result")
+
+    def __init__(self, decl: A.FunctionDecl) -> None:
+        self.decl = decl
+        self.params = [Converter(param.seq_type, f"{decl.name}(${param.name})")
+                       for param in decl.params]
+        self.result = Converter(decl.return_type, f"{decl.name}() result")
+
+
+def convert_value(sequence: list, seq_type: A.SequenceType, who: str) -> list:
+    """Apply the function conversion rules to *sequence* for *seq_type*
+    (see :class:`Converter`)."""
+    return Converter(seq_type, who).sequence(sequence)
 
 
 def convert_arguments(decl: A.FunctionDecl,

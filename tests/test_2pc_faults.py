@@ -11,7 +11,7 @@ from repro.rpc import TransactionCoordinator, XRPCPeer
 from repro.rpc.client import ClientSession
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.store import DocumentStore
-from repro.soap.messages import QueryID
+from repro.soap.messages import Arguments, QueryID
 from repro.xdm.atomic import string as make_string
 
 COUNTER_MODULE = """
@@ -45,7 +45,7 @@ def start_updates(network, participants, value="4"):
     session = ClientSession(network, origin="p0", query_id=query_id)
     for participant in participants:
         session.call(participant, "urn:counter", "c.xq", "bump", 1,
-                     [[[make_string(value)]]], updating=True)
+                     Arguments.of([[[make_string(value)]]]), updating=True)
     return query_id, session
 
 

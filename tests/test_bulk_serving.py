@@ -103,7 +103,8 @@ def request_for(name: str, calls: list, arity=None, **fields) -> XRPCRequest:
         module=NS[prefix], method=method, location=LOCATIONS[prefix],
         arity=len(calls[0]) if arity is None else arity,
         exchange_id="x-1", **fields)
-    request.calls = calls
+    for params in calls:
+        request.add_call(params)
     return request
 
 
@@ -357,7 +358,8 @@ def test_keyword_search_endpoint_is_never_lifted(sites):
     serving, _ = sites
     request = XRPCRequest(module="http://monetdb.cwi.nl/XQuery/sys",
                           method="kw-search", arity=1, exchange_id="x-1")
-    request.calls = [[[string("0")]], [[string("zzz-no-such-term")]]]
+    request.add_call([[string("0")]])
+    request.add_call([[string("zzz-no-such-term")]])
     reply = serving.server.handle(build_request(request))
     first, second = parse_message(reply).results
     assert first and not second
@@ -373,6 +375,33 @@ def test_one_resolver_per_message_on_the_fallback_loop(sites):
     network.reset_stats()
     assert_same_reply(sites, request_for("t:people", [[], [], []]), False)
     assert network.messages_sent == 1
+
+
+def test_the_q_b2_join_source_is_built_once_whatever_the_call_count(
+        sites, monkeypatch):
+    """``doc("auctions.xml")//closed_auction`` reads no variable: a
+    served message builds, keys and hashes it once, not once per call —
+    the same axis steps over the same closed auctions for 1, 10 and 40
+    calls, and the per-call loop's reply."""
+    from repro.pathfinder import compiler
+    steps = []
+    axis_step = compiler.axis_step
+
+    def counting(table, *args, **kwargs):
+        result = axis_step(table, *args, **kwargs)
+        if table.rows:  # not the static check's zero-iteration run
+            steps.append((kwargs.get("local_name"), len(result.rows)))
+        return result
+    monkeypatch.setattr(compiler, "axis_step", counting)
+    seen = {}
+    for size in (1, 10, 40):
+        steps.clear()
+        assert_same_reply(sites, request_for("b:Q_B2", [[]] * size, arity=0),
+                          True)
+        seen[size] = (len(steps), [rows for name, rows in steps
+                                   if name == "closed_auction"])
+    assert seen[1] == seen[10] == seen[40]
+    assert seen[1][1] == [CONFIG.closed_auctions]
 
 
 def test_the_lifted_q_b2_pulls_persons_once_per_message(sites):

@@ -8,6 +8,7 @@ from repro.rpc import XRPCPeer
 from repro.rpc.client import ClientSession
 from repro.soap import parse_message
 from repro.soap.messages import (
+    Arguments,
     QueryID,
     TxnCommand,
     TxnResult,
@@ -39,14 +40,15 @@ class TestClientSession:
         network, origin, server = site
         session = ClientSession(network, origin="origin")
         [result] = session.call("served", "urn:m", "m.xq", "add", 2,
-                                [[[integer(1)], [integer(2)]]])
+                                Arguments.of([[[integer(1)], [integer(2)]]]))
         assert result == [integer(3)]
 
     def test_bulk_call_result_alignment(self, site):
         network, origin, server = site
         session = ClientSession(network, origin="origin")
         calls = [[[integer(i)], [integer(10)]] for i in range(5)]
-        results = session.call("served", "urn:m", "m.xq", "add", 2, calls)
+        results = session.call("served", "urn:m", "m.xq", "add", 2,
+                               Arguments.of(calls))
         assert results == [[integer(i + 10)] for i in range(5)]
 
     def test_sequence_parameter(self, site):
@@ -54,21 +56,22 @@ class TestClientSession:
         session = ClientSession(network, origin="origin")
         [result] = session.call(
             "served", "urn:m", "m.xq", "first", 1,
-            [[[string("a"), string("b"), string("c")]]])
+            Arguments.of([[[string("a"), string("b"), string("c")]]]))
         assert result == [string("a")]
 
     def test_empty_sequence_parameter(self, site):
         network, origin, server = site
         session = ClientSession(network, origin="origin")
-        [result] = session.call("served", "urn:m", "m.xq", "first", 1, [[[]]])
+        [result] = session.call("served", "urn:m", "m.xq", "first", 1,
+                                Arguments.of([[[]]]))
         assert result == []
 
     def test_message_counters(self, site):
         network, origin, server = site
         session = ClientSession(network, origin="origin")
         session.call("served", "urn:m", "m.xq", "add", 2,
-                     [[[integer(1)], [integer(1)]],
-                      [[integer(2)], [integer(2)]]])
+                     Arguments.of([[[integer(1)], [integer(1)]],
+                                   [[integer(2)], [integer(2)]]]))
         assert session.messages_sent == 1
         assert session.calls_shipped == 2
 
@@ -76,20 +79,22 @@ class TestClientSession:
         network, origin, server = site
         session = ClientSession(network, origin="origin")
         session.call("served", "urn:m", "m.xq", "add", 2,
-                     [[[integer(1)], [integer(1)]]])
+                     Arguments.of([[[integer(1)], [integer(1)]]]))
         assert session.participants == ["served"]
 
     def test_fault_raises(self, site):
         network, origin, server = site
         session = ClientSession(network, origin="origin")
         with pytest.raises(XRPCFault):
-            session.call("served", "urn:nope", None, "f", 0, [[]])
+            session.call("served", "urn:nope", None, "f", 0,
+                         Arguments.of([[]]))
 
     def test_wrong_arity_faults(self, site):
         network, origin, server = site
         session = ClientSession(network, origin="origin")
         with pytest.raises(XRPCFault):
-            session.call("served", "urn:m", "m.xq", "add", 1, [[[integer(1)]]])
+            session.call("served", "urn:m", "m.xq", "add", 1,
+                         Arguments.of([[[integer(1)]]]))
 
     def test_updating_bulk_result_count_mismatch_faults(self):
         """An updating bulk response with a *wrong* non-zero result count
@@ -101,8 +106,8 @@ class TestClientSession:
             XRPCResponse(module="urn:m", method="f", results=[[]])))
         session = ClientSession(network, origin="origin")
         with pytest.raises(XRPCFault, match="1 results"):
-            session.call("srv", "urn:m", None, "f", 0, [[], []],
-                         updating=True)
+            session.call("srv", "urn:m", None, "f", 0,
+                         Arguments.of([[], []]), updating=True)
 
     def test_updating_bulk_empty_results_accepted(self):
         """An updating response may omit result sequences altogether."""
@@ -112,8 +117,8 @@ class TestClientSession:
         network.register_peer("srv", lambda payload: build_response(
             XRPCResponse(module="urn:m", method="f", results=[])))
         session = ClientSession(network, origin="origin")
-        results = session.call("srv", "urn:m", None, "f", 0, [[], []],
-                               updating=True)
+        results = session.call("srv", "urn:m", None, "f", 0,
+                               Arguments.of([[], []]), updating=True)
         assert results == [[], []]
 
 
@@ -189,7 +194,7 @@ class TestServerBehaviour:
         network, origin, server = site
         session = ClientSession(network, origin="origin")
         session.call("served", "urn:m", "m.xq", "add", 2,
-                     [[[integer(1)], [integer(1)]]] * 3)
+                     Arguments.of([[[integer(1)], [integer(1)]]] * 3))
         assert server.server.requests_handled == 1
         assert server.server.calls_handled == 3
 

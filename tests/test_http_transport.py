@@ -15,7 +15,8 @@ from repro.net.http import MAX_REQUEST_BYTES
 from repro.net.pool import MAX_RESPONSE_BYTES, ConnectionPool
 from repro.net.transport import ExchangeSpec, normalize_peer_uri
 from repro.rpc import XRPCPeer
-from repro.soap import XRPCRequest, build_request, parse_response
+from repro.soap import (Arguments, XRPCRequest, build_request,
+                        parse_response)
 from repro.wrapper import XRPCWrapper
 from repro.xdm.atomic import integer
 from tests.helpers import values
@@ -230,21 +231,21 @@ class TestConcurrentParallelDispatch:
         broken_server = HttpXRPCServer(broken.server.handle).start()
         transport.register_endpoint("broken", broken_server.address)
         peer0 = ("peer0", "urn:echo", "e.xq", "double", 1,
-                 [[[integer(1)]]], False)
+                 Arguments.of([[[integer(1)]]]), False)
         try:
             session = ClientSession(transport, origin="p0", degrade=True)
             results = session.call_parallel(
                 [peer0,
                  ("dead", "urn:echo", "e.xq", "double", 1,
-                  [[[integer(3)]]], False),
+                  Arguments.of([[[integer(3)]]]), False),
                  ("peer1", "urn:echo", "e.xq", "double", 1,
-                  [[[integer(2)]]], False)])
+                  Arguments.of([[[integer(2)]]]), False)])
             assert results == [[[integer(2)]], [[]], [[integer(4)]]]
             assert session.failed_peers == ["dead"]
             with pytest.raises(XRPCFault):
                 session.call_parallel(
-                    [peer0, ("broken", "urn:ghost", None, "nope", 0, [[]],
-                             False)])
+                    [peer0, ("broken", "urn:ghost", None, "nope", 0,
+                             Arguments.of([[]]), False)])
         finally:
             transport.close()
             broken_server.stop()

@@ -18,6 +18,7 @@ from repro.search.index import term_index_for
 from repro.session import Database, to_sequence
 from repro.workloads.xmark import XMarkConfig, generate_auctions
 from repro.xdm import KEY_STRIDE, NodeFactory
+from repro.xdm import structural
 from repro.xdm.structural import ENCODING_STATS, structural_index
 from repro.xml import parse_document
 from repro.xml.serializer import serialize_sequence
@@ -317,6 +318,45 @@ class TestIndexPatching:
             outputs.append([serialize_sequence(
                 evaluate_query(q, doc_resolver=resolver)) for q in queries])
         assert outputs[0] == outputs[1]
+
+
+class TestSpliceLookup:
+    """An append as last child finds its splice point — in the child
+    list, for the keys and for the index patch — in a number of sibling
+    visits that does not grow with the parent's child count."""
+
+    @staticmethod
+    def _visits(monkeypatch, lookup, children: int) -> int:
+        doc = parse_document("<r>" + "<c/>" * children + "</r>", uri="w.xml")
+        index = structural_index(doc)  # live: the append patches it
+        visits = [0]
+
+        class Counted(list):
+            def __getitem__(self, position):
+                visits[0] += 1
+                return list.__getitem__(self, position)
+
+            def __iter__(self):
+                for node in list.__iter__(self):
+                    visits[0] += 1
+                    yield node
+
+        monkeypatch.setattr(structural, "_identity_index",
+                            lambda nodes, target: lookup(Counted(nodes),
+                                                         target))
+        _update({"w.xml": doc}.get,
+                "insert node <x/> as last into doc('w.xml')/r")
+        assert doc._sidx is index and not index.stale
+        assert doc.root_element.children[-1].name == "x"
+        assert_keys_monotone(doc)
+        return visits[0]
+
+    def test_append_visits_do_not_grow_with_the_child_count(
+            self, monkeypatch):
+        lookup = structural._identity_index
+        small = self._visits(monkeypatch, lookup, 200)
+        large = self._visits(monkeypatch, lookup, 20_000)
+        assert 0 < large == small < 20
 
 
 class TestGapExhaustion:

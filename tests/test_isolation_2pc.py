@@ -7,7 +7,7 @@ from repro.net import SimulatedNetwork
 from repro.rpc import TransactionCoordinator, XRPCPeer
 from repro.rpc.isolation import IsolationManager
 from repro.rpc.store import DocumentStore
-from repro.soap.messages import QueryID
+from repro.soap.messages import Arguments, QueryID
 from tests.helpers import values
 
 COUNTER_MODULE = """
@@ -233,7 +233,7 @@ class TestCoordinator:
         from repro.xdm.atomic import string as make_string
         session = ClientSession(network, origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
-                     [[[make_string("4")]]], updating=True)
+                     Arguments.of([[[make_string("4")]]]), updating=True)
 
         coordinator = TransactionCoordinator(session)
         for participant in session.participants:
@@ -252,7 +252,7 @@ class TestCoordinator:
         from repro.xdm.atomic import string as make_string
         session = ClientSession(network, origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
-                     [[[make_string("4")]]], updating=True)
+                     Arguments.of([[[make_string("4")]]]), updating=True)
         coordinator = TransactionCoordinator(session)
         coordinator.register("p1")
         assert coordinator.prepare().votes == {"p1": True}
@@ -277,7 +277,7 @@ class TestCoordinator:
         from repro.xdm.atomic import string as make_string
         session = ClientSession(network, origin="p0", query_id=query_id)
         session.call("p1", "urn:counter", "c.xq", "bump", 1,
-                     [[[make_string("4")]]], updating=True)
+                     Arguments.of([[[make_string("4")]]]), updating=True)
         coordinator = TransactionCoordinator(session)
         coordinator.register("p1")
         coordinator.rollback()

@@ -1,8 +1,9 @@
 """The for/where equi-join in the lifted plan.
 
 ``for $v in S where key($v) = probe`` is hash-joined inside the plan:
-``S`` compiles once per live iteration of its FLWOR's entry loop, its
-items hash by key string, and a key or probe that is not a string
+``S`` compiles once per live iteration of its FLWOR's entry loop — once
+in all when it reads no variable and yields the same items every time —
+its items hash by key string, and a key or probe that is not a string
 compares pair by pair.  Every shape here runs three ways — the lifted
 plan, the product interpreter (a nested loop) and the oracle
 (``tests/helpers.py::assert_matches_reference``) — and the lifted run
@@ -120,6 +121,43 @@ def test_each_entry_iteration_hashes_its_own_source(joins):
     assert values(assert_lifted_join(query, joins)) == [
         "1:a:1", "1:a:1", "1:c:2", "1:b:1",
         "2:a:1", "2:a:3", "2:a:1", "2:a:3", "2:c:2", "2:b:1"]
+
+
+def test_a_source_that_reads_nothing_is_built_once(joins, monkeypatch):
+    from repro.pathfinder import compiler
+    scanned = []
+    axis_step = compiler.axis_step
+
+    def counting(table, *args, **kwargs):
+        result = axis_step(table, *args, **kwargs)
+        if kwargs.get("local_name") == "i" and result.rows:  # not check's
+            scanned.append(len(result.rows))
+        return result
+    monkeypatch.setattr(compiler, "axis_step", counting)
+    query = """
+    for $g in (1, 2, 3)
+    return for $t in doc('j.xml')//t, $i in doc('j.xml')//i
+           where $i/k = $t
+           return concat($g, ':', $t, ':', $i/@id)
+    """
+    result = values(assert_lifted_join(query, joins))
+    assert result[:4] == ["1:a:1", "1:a:3", "1:a:1", "1:a:3"]
+    assert len(result) == 3 * 6
+    # Each lifted run scanned //i for one entry iteration, not three.
+    assert scanned and set(scanned) == {4}
+
+
+def test_a_source_that_constructs_nodes_is_built_per_entry_iteration(joins):
+    # Each evaluation of S mints its own nodes: the oracle's result
+    # holds two distinct <t>s, and so must the join's.
+    query = """
+    for $g in (1, 2)
+    return for $p in ('a'), $t in <r><t>a</t><t>b</t></r>/t
+           where $t = $p
+           return $t
+    """
+    result = assert_lifted_join(query, joins)
+    assert len(result) == 2 and result[0] is not result[1]
 
 
 def test_an_empty_outer_never_evaluates_the_source(joins):

@@ -647,3 +647,92 @@ class TestCollectorPaused:
             == [[[integer(2 * value)]] for value in range(8)]
         assert peer.server.requests_handled == 8
         assert gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# (e) a request's calls are parameter columns
+
+
+def _columns_request(calls: list) -> XRPCRequest:
+    message = XRPCRequest(module="m", method="f", arity=len(calls[0]))
+    for params in calls:
+        message.add_call(params)
+    return message
+
+
+#: Two parameters over three calls: mixed atomic types within a column,
+#: a node beside atomics, empty and multi-item sequences, empty strings.
+COLUMN_CALLS = [
+    [[string("a"), integer(1), AtomicValue(2.5, xs.double)], [string("")]],
+    [[], [parse_fragment("<e k='v'>x</e>"), AtomicValue("u", xs.untypedAtomic),
+          string("")]],
+    [[AtomicValue(True, xs.boolean), NodeFactory().text("t")], []],
+]
+
+
+class TestParameterColumns:
+    def test_each_column_holds_what_the_oracle_reads(self):
+        text = build_request(_columns_request(COLUMN_CALLS))
+        message = parse_request(text)
+        oracle = reference_sequences(text)  # call by call, param by param
+        arguments = message.arguments
+        assert arguments.count == len(COLUMN_CALLS)
+        assert len(arguments.columns) == 2
+        for index, rows in enumerate(arguments.columns):
+            for call in range(1, arguments.count + 1):
+                run = [row for row in rows if row[0] == call]
+                assert [pos for _, pos, _ in run] == \
+                    list(range(1, len(run) + 1))
+                assert [item_shape(item) for _, _, item in run] == \
+                    [item_shape(item) for item in oracle[2 * (call - 1) + index]]
+            assert rows == sorted(rows, key=lambda row: row[:2])
+        # The per-call view is the columns cut by iter.
+        assert [[len(param) for param in call] for call in message.calls] \
+            == [[len(param) for param in call] for call in COLUMN_CALLS]
+
+    def test_the_columns_write_the_holders_the_format_fixes(self):
+        text = build_request(_columns_request(COLUMN_CALLS))
+        calls = text[text.index("<xrpc:call>"):text.index("</xrpc:request>")]
+        assert calls.count("<xrpc:call>") == 3
+        assert '<xrpc:atomic-value xsi:type="xs:string"/>' in calls
+        assert "<xrpc:sequence/>" in calls
+        assert '<xrpc:atomic-value xsi:type="xs:double">2.5' in calls
+        assert '<xrpc:atomic-value xsi:type="xs:boolean">true' in calls
+        assert "<xrpc:element><e k=\"v\">x</e></xrpc:element>" in calls
+        nullary = XRPCRequest(module="m", method="f", arity=0,
+                              calls=[[], []])
+        assert "<xrpc:call/><xrpc:call/></xrpc:request>" \
+            in build_request(nullary)
+
+    def test_an_unknown_type_degrades_to_untyped_in_its_column(self):
+        text = request(
+            one_call('<xrpc:atomic-value xsi:type="my:thing">7'
+                     '</xrpc:atomic-value>')
+            + one_call('<xrpc:atomic-value xsi:type="xs:integer">7'
+                       '</xrpc:atomic-value>'
+                       '<xrpc:atomic-value xsi:type="my:thing">8'
+                       '</xrpc:atomic-value>'))
+        [rows] = parse_request(text).arguments.columns
+        assert [(it, pos, item.type.name, item.value)
+                for it, pos, item in rows] == [
+            (1, 1, "xs:untypedAtomic", "7"), (2, 1, "xs:integer", 7),
+            (2, 2, "xs:untypedAtomic", "8")]
+        assert [item_shape(item) for sequence in reference_sequences(text)
+                for item in sequence] == \
+            [item_shape(item) for _, _, item in rows]
+
+    @pytest.mark.parametrize("calls,found", [
+        ("<xrpc:call><xrpc:sequence/></xrpc:call>", 1),
+        ("<xrpc:call><xrpc:sequence/><xrpc:sequence/></xrpc:call>"
+         "<xrpc:call><xrpc:sequence/></xrpc:call>", 1),
+        ("<xrpc:call><xrpc:sequence/><xrpc:sequence/></xrpc:call>"
+         "<xrpc:call><xrpc:sequence/><xrpc:sequence/><xrpc:sequence/>"
+         "</xrpc:call>", 3),
+    ])
+    def test_a_call_that_misses_the_arity_faults(self, calls, found):
+        text = request(calls, 'module="m" method="f" arity="2"')
+        with pytest.raises(XRPCFault) as caught:
+            parse_request(text)
+        assert caught.value.reason == \
+            f"call has {found} parameter sequences, arity is 2"
+        assert sender_fault(text).endswith(caught.value.reason)

@@ -112,10 +112,11 @@ class TestLoopLiftedExecuteAt:
         def dispatch(peer, module, location, function, arity, calls, updating):
             from repro.net.transport import normalize_peer_uri
             key = normalize_peer_uri(peer)
-            log.append((key, [c[0][0].string_value() for c in calls]))
+            [actors] = calls.columns  # one iter|pos|item column
+            log.append((key, [item.string_value() for _, _, item in actors]))
             return [
-                [string(name) for name in self.FILMS[(key, c[0][0].string_value())]]
-                for c in calls
+                [string(name) for name in self.FILMS[(key, item.string_value())]]
+                for _, _, item in actors
             ]
         return dispatch
 

@@ -296,10 +296,35 @@ class TestEngineProfiles:
         for $a in ("Sean Connery", "Gerard Depardieu")
         return execute at {"xrpc://b"} { f:filmsByActor($a) }
         """
-        assert not TreeEngine.bulk_rpc and Engine.bulk_rpc
+        assert not TreeEngine.loop_lifting and Engine.loop_lifting
         result = p0.execute_query(query)
         assert not result.used_bulk_rpc
         assert result.messages_sent == 2
+
+    def test_one_attribute_says_which_plan_a_profile_runs(self, network):
+        """``loop_lifting`` is read wherever a plan is chosen: locally,
+        originating and serving."""
+        join = ("for $a in ('x', 'y'), $b in ('y', 'x') "
+                "where $b = $a return $b")
+        for engine, plan in ((Engine(), "lifted"),
+                             (TreeEngine(), "interpreter")):
+            result, explain = engine.execute(join)
+            assert explain.plan == plan
+            assert values(result) == ["x", "y"]
+        p0 = XRPCPeer("a", network)
+        p1 = XRPCPeer("b", network, engine=TreeEngine())
+        for peer in (p0, p1):
+            peer.registry.register_source(FILM_MODULE, location="f.xq")
+        p1.store.register("filmDB.xml", FILMS_Y)
+        result = p0.execute_query("""
+        import module namespace f="films" at "f.xq";
+        for $a in ("Sean Connery", "Gerard Depardieu")
+        return execute at {"xrpc://b"} { f:filmsByActor($a) }
+        """)
+        assert result.plan == "lifted" and result.messages_sent == 1
+        assert (p1.server.calls_handled, p1.server.calls_lifted) == (2, 0)
+        assert strings(result.sequence) == [
+            "The Rock", "Goldfinger", "Green Card"]
 
     def test_monet_function_cache_hits(self, network):
         # The default engine IS the MonetDB/XQuery profile; a profile is
@@ -313,14 +338,18 @@ class TestEngineProfiles:
             peer.registry.register_source(FILM_MODULE, location="f.xq")
         p1.store.register("filmDB.xml", FILMS_Y)
         key = ("films", "filmsByActor", 1)
-        assert not p1.engine.function_cache_lookup(key)
+        decl = p1.registry.by_namespace("films").get_function(
+            "filmsByActor", 1)
+        assert p1.engine.cache_stats()["function_cache_entries"] == 0
         query = """
         import module namespace f="films" at "f.xq";
         execute at {"xrpc://b"} { f:filmsByActor("Sean Connery") }
         """
         p0.execute_query(query)
-        assert p1.engine.function_cache_lookup(key)
-        # The Saxon profile never remembers a translated plan.
+        assert p1.engine.cache_stats()["function_cache_entries"] == 1
+        signature, cached = p1.engine.function_signature(key, decl)
+        assert cached and signature.decl is decl
+        # The Saxon profile never remembers a bound signature.
         tree = TreeEngine()
-        tree.function_cache_store(key)
-        assert not tree.function_cache_lookup(key)
+        tree.function_signature(key, decl)
+        assert not tree.function_signature(key, decl)[1]

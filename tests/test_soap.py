@@ -344,3 +344,43 @@ class TestFaults:
     def test_non_soap_rejected(self):
         with pytest.raises(XRPCFault):
             parse_message("<not-soap/>")
+
+
+class TestGoldenBytes:
+    #: sha256 of the semijoin's one request (500 calls, seed 11), as the
+    #: per-call marshaller wrote it before the calls became columns.
+    SEMIJOIN_REQUEST = (61917, "e64b752674d8052d83c8416ee3be1b7f"
+                               "13022c0c82d57069dd64cd791737974a")
+
+    def test_the_500_call_semijoin_request_keeps_its_bytes(self,
+                                                           monkeypatch):
+        import hashlib
+        import itertools
+
+        from repro.rpc import client
+        from repro.strategies.q7 import query_semijoin
+        from repro.workloads import FUNCTIONS_B_LOCATION, FUNCTIONS_B_MODULE
+        from repro.workloads.xmark import (XMarkConfig, generate_auctions,
+                                           generate_persons)
+
+        network = SimulatedNetwork()
+        a, b = XRPCPeer("A", network), XRPCPeer("B", network)
+        for peer in (a, b):
+            peer.registry.register_source(FUNCTIONS_B_MODULE,
+                                          location=FUNCTIONS_B_LOCATION)
+        config = XMarkConfig(persons=500, closed_auctions=30,
+                             open_auctions=3, seed=11)
+        a.store.register("persons.xml", generate_persons(config))
+        b.store.register("auctions.xml", generate_auctions(config))
+        payloads = []
+
+        def handle(payload):
+            payloads.append(payload)
+            return b.server.handle(payload)
+        network.register_peer("B", handle)
+        monkeypatch.setattr(client, "_EXCHANGE_IDS", itertools.count(1))
+        result = a.execute_query(query_semijoin("B"))
+        assert (result.messages_sent, result.calls_shipped) == (1, 500)
+        [payload] = payloads
+        assert (len(payload), hashlib.sha256(payload.encode()).hexdigest()) \
+            == self.SEMIJOIN_REQUEST
