@@ -8,11 +8,12 @@ realised as the size-skipping scan; attribute via the separate attribute
 table; name tests via the tag partition) instead of per-node tree walks.
 
 The staircase-join core itself lives in
-:func:`repro.xdm.structural.axis_window_scan` — one implementation
-shared with the interpreter's accelerated axis evaluation — so the
-output of every step is duplicate-free and document-ordered *by
-construction*; the operator only re-derives the dense ``pos`` column
-per iteration.
+:func:`repro.xdm.structural.axis_window_scan`, so the output of every
+step is duplicate-free and document-ordered *by construction*; the
+operator only re-derives the dense ``pos`` column per iteration.  These
+operators are the one implementation of each axis: the lifted plan
+calls them over its loop's iterations, the tree interpreter over its
+context sequence as one iteration.
 
 A step whose predicates are all statically positional (``[n]``,
 ``[last()]``, ``position()`` comparisons) is :func:`positional_step`:
@@ -28,11 +29,12 @@ from typing import Callable, Optional
 
 from repro.algebra.table import Table
 from repro.errors import TypeError_
-from repro.xdm.nodes import AttributeNode, Node
+from repro.xdm.nodes import AttributeNode, ElementNode, Node
 from repro.xdm.sequence import document_order_sort
 from repro.xdm.structural import (
     REVERSE_AXES,
     StructuralIndex,
+    ValueIndex,
     axis_scan_batched,
     axis_window_scan,
     split_context,
@@ -40,13 +42,14 @@ from repro.xdm.structural import (
     structural_index,
     tree_groups,
 )
-from repro.xquery.evaluator import axis_value_index, positional_spec_keep
 
 __all__ = [
     "axis_step",
+    "axis_value_index",
     "contains_filter",
     "equality_probe_step",
     "merge_exploded_contexts",
+    "positional_spec_keep",
     "positional_step",
     "window_rank",
 ]
@@ -78,8 +81,7 @@ def axis_step(table: Table, axis: str, matches: Callable[[Node], bool],
     Raises
     ------
     TypeError_:
-        ``XPTY0019``: a non-node item in the context, as the
-        interpreter's path step raises.
+        ``XPTY0019``: a non-node item in the context.
     """
     # Group rows by iteration; the table is iter-ordered (the compiler's
     # order invariant), so the groups come out in iteration order.
@@ -362,6 +364,32 @@ def _ranked_windows(index: StructuralIndex, axis: str, pres: list[int],
             for p, window in windows.items()}, nested
 
 
+def positional_spec_keep(spec: tuple, position: int, count: int) -> bool:
+    """Does the item at 1-based *position* in a *count*-item window
+    survive *spec* (see
+    :func:`repro.xquery.evaluator.positional_predicate_spec`)?  Float
+    comparisons mirror XPath numeric predicate semantics (``[1.5]``
+    keeps nothing)."""
+    kind = spec[0]
+    if kind == "literal":
+        return position == spec[1]
+    if kind == "last":
+        return position == count
+    op = spec[1]
+    target = float(count) if spec[2] == ("last",) else spec[2][1]
+    if op == "eq":
+        return position == target
+    if op == "ne":
+        return position != target
+    if op == "lt":
+        return position < target
+    if op == "le":
+        return position <= target
+    if op == "gt":
+        return position > target
+    return position >= target
+
+
 def _rank(window: list, specs: list[tuple], reverse: bool) -> list:
     """*window* (document order) cut down by each spec in turn; a
     position counts from the end on a reverse axis."""
@@ -428,18 +456,16 @@ def merge_exploded_contexts(table: Table, outer: list[int]) -> Table:
 def equality_probe_step(table: Table, axis: str, node_test,
                         key_path: tuple,
                         probes_by_iter: dict[int, list[str]],
-                        static, namespaces: Optional[dict] = None,
+                        matches: Callable[[Node], bool],
                         ) -> Optional[Table]:
     """Axis step + equality predicate as one hash-join probe.
 
     The relational form of ``axis::name[path = value]``: instead of
     scanning the axis window and re-evaluating the predicate per
     candidate (a per-iteration re-scan), probe the per-anchor value
-    index the interpreter already builds
-    (:func:`repro.xquery.evaluator.axis_value_index`, cached on the
-    tree's ``StructuralIndex``) with each iteration's probe strings.
-    Matches come back in document order, duplicate handling identical to
-    the interpreter's indexed step.
+    index (:func:`axis_value_index`, cached on the tree's
+    ``StructuralIndex``) with each iteration's probe strings.  Matches
+    come back in document order and duplicate-free.
 
     Parameters
     ----------
@@ -455,11 +481,9 @@ def equality_probe_step(table: Table, axis: str, node_test,
     probes_by_iter:
         Probe strings per iteration (an absent iteration probes
         nothing: ``[x = ()]`` keeps no candidates).
-    static:
-        Static context for name-test namespace resolution.
-    namespaces:
-        ``xmlns`` declarations in scope from enclosing constructors,
-        which take precedence over *static* (as in the interpreter).
+    matches:
+        The step's node test, resolved in the caller's namespace
+        environment (see :func:`axis_value_index`).
 
     Returns ``None`` when a context shape the probe cannot serve
     appears (multi-node or attribute contexts, non-node items) —
@@ -483,10 +507,92 @@ def equality_probe_step(table: Table, axis: str, node_test,
         index = indexes.get(anchor)
         if index is None:
             index = indexes[anchor] = axis_value_index(
-                anchor, axis, node_test, key_path, static, namespaces)
-        matches: list[Node] = []
+                anchor, axis, node_test, key_path, matches)
+        found: list[Node] = []
         for value in probes:
-            matches.extend(index.get(value, ()))
-        for pos, node in enumerate(document_order_sort(matches), start=1):
+            found.extend(index.get(value, ()))
+        for pos, node in enumerate(document_order_sort(found), start=1):
             rows.append((it, pos, node))
     return Table(("iter", "pos", "item"), rows)
+
+
+def axis_value_index(anchor: Node, axis: str, node_test, key_path: tuple,
+                     matches: Callable[[Node], bool]) -> ValueIndex:
+    """Equality-predicate value index for one (anchor, axis, test, key path).
+
+    Maps each key-path string value to the matching axis nodes — the
+    hash-join probe side of ``step[path = value]`` for a ``child`` or
+    ``descendant`` step with a non-wildcard name.  Cached on the tree's
+    :class:`~repro.xdm.structural.StructuralIndex` under the anchor's
+    *pre rank* (the index pins the tree's nodes, so no ``id()`` reuse)
+    and from then on *maintained* by the index's patch hooks: an XQUF
+    update re-keys the members it touches instead of dropping the
+    index, and only a full rebuild of the structural index (or the
+    deletion of the anchor) discards it.  *matches* is the step's node
+    test; the index keeps it for those hooks, so it must not hold a
+    dynamic context alive.
+    """
+    structure = structural_index(anchor.root())
+    anchor_pre = structure.rank_of_opt(anchor)
+    cache_key = (anchor_pre, axis, node_test.prefix, node_test.local, key_path)
+    if anchor_pre is None:
+        # Unranked anchor (an attribute): nothing below it, not cached.
+        candidates: list[Node] = []
+    else:
+        cached = structure.value_indexes.get(cache_key)
+        if cached is not None:
+            return cached
+        # Candidates straight off the tag partition: the anchor's window
+        # holds far more rows than carry the step's name.
+        nodes = structure.nodes
+        pres = structure.window(
+            anchor_pre, anchor_pre + structure.sizes[anchor_pre],
+            node_test.local)
+        if axis == "child":
+            levels = structure.levels
+            child_level = levels[anchor_pre] + 1
+            pres = [pre for pre in pres if levels[pre] == child_level]
+        candidates = [nodes[pre] for pre in pres]
+
+    def keys(node: Node) -> tuple:
+        return _walk_key_path(node, key_path)
+
+    by_value: dict = {}
+    keys_of: dict = {}
+    for node in candidates:
+        if not matches(node):
+            continue
+        values = _walk_key_path(node, key_path)
+        if not values:
+            continue
+        keys_of[node] = values
+        for value in values:
+            bucket = by_value.get(value)
+            if bucket is None:
+                by_value[value] = {node: None}
+            else:
+                bucket[node] = None
+    index = ValueIndex(anchor, axis == "child", matches, keys,
+                       by_value, keys_of)
+    if anchor_pre is not None:
+        structure.value_indexes[cache_key] = index
+    return index
+
+
+def _walk_key_path(node: Node, key_path: tuple) -> tuple:
+    """Evaluate an indexable key path, returning its string values."""
+    current = [node]
+    for axis, local in key_path:
+        advanced: list[Node] = []
+        for item in current:
+            if axis == "child":
+                advanced.extend(
+                    child for child in item.children
+                    if isinstance(child, ElementNode)
+                    and child.local_name == local)
+            else:
+                advanced.extend(
+                    attribute for attribute in item.attributes
+                    if attribute.local_name == local)
+        current = advanced
+    return tuple(item.string_value() for item in current)

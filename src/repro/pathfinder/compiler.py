@@ -48,6 +48,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.algebra.paths import (
+    _walk_key_path,
     axis_step,
     contains_filter,
     equality_probe_step,
@@ -78,15 +79,14 @@ from repro.xquery.evaluator import (
     _arith,
     _free_variables,
     _fuse_descendant_steps,
-    _indexable_predicate_key_path,
     _statically_boolean,
-    _walk_key_path,
     build_computed_attribute,
     build_computed_element,
     build_computed_text,
     build_direct_element,
     constructor_name,
     direct_namespaces,
+    equality_probe_shape,
     focus_free,
     general_comparison,
     node_comparison,
@@ -531,7 +531,7 @@ class LoopLiftingCompiler:
                 following = clauses[index] if index < len(clauses) else None
                 join = _match_hash_join(clause, following, bound)
                 if join is None:
-                    source = self.compile_expr(clause.source, loop, env)
+                    source = self._for_source(clause.source, loop, env)
                 else:
                     source = self._join_source(clause, *join, following,
                                                entry, outers, loop, env)
@@ -556,6 +556,20 @@ class LoopLiftingCompiler:
         for outer in reversed(outers):
             result = _unwind(result, outer)
         return result
+
+    def _for_source(self, source: A.Expr, loop: Table,
+                    env: dict[str, Table]) -> Table:
+        """The rows of a for clause's *source* in every iteration of
+        *loop*.  A source that reads no variable and is the same every
+        time (:func:`_same_every_time`) compiles once, over one
+        iteration — or none, with no live iteration — and each iteration
+        gets its rows; any other, a constructing one included, compiles
+        under the whole loop."""
+        if _free_variables(source) or not _same_every_time(source):
+            return self.compile_expr(source, loop, env)
+        once = self.compile_expr(source, _loop(min(len(loop.rows), 1)), {})
+        return Table(_IPI, [(it, pos, item) for (it,) in loop.rows
+                            for _once, pos, item in once.rows])
 
     def _join_source(self, clause: A.ForClause, key: A.Expr, probe: A.Expr,
                      where: A.WhereClause, entry: tuple, outers: list,
@@ -910,41 +924,37 @@ class LoopLiftingCompiler:
         """``axis::name[path = value]`` with *value* compiled once per
         iteration, not per candidate.
 
-        The algebra twin of the interpreter's indexed step: when the
-        step carries exactly one indexable equality predicate whose
-        right-hand side reads no focus (:func:`focus_free` — the same
-        test the interpreter makes), that side compiles under the
-        *outer* loop.  String probes then probe the per-anchor value
-        index cached on the tree's ``StructuralIndex`` instead of
-        scanning the axis window; other probe values, or contexts the
-        index does not serve, scan the window and compare each
-        candidate's key path with its iteration's probe values — the
-        predicate's own comparison, its right side evaluated once.
-        Returns ``None`` — the generic scan-then-filter pipeline takes
-        the step — when the predicate is not of this shape, a decision
-        made on the AST alone.
+        The interpreter's probe, lifted (both run
+        :func:`equality_probe_step` on the :func:`equality_probe_shape`):
+        *value* compiles under the *outer* loop.  String probes then
+        probe the per-anchor value index cached on the tree's
+        ``StructuralIndex`` instead of scanning the axis window; other
+        probe values, or contexts the index does not serve, scan the
+        window and compare each candidate's key path with its
+        iteration's probe values — the predicate's own comparison, its
+        right side evaluated once.  Returns ``None`` — the generic
+        scan-then-filter pipeline takes the step — when the step is not
+        of this shape, a decision made on the AST alone.
         """
-        if len(step.predicates) != 1 or step.axis not in ("child", "descendant"):
+        shape = equality_probe_shape(step)
+        if shape is None:
             return None
-        if not isinstance(step.node_test, A.NameTest) \
-                or step.node_test.local == "*":
-            return None
-        predicate = step.predicates[0]
-        key_path = _indexable_predicate_key_path(predicate)
-        if key_path is None:
-            return None
-        assert isinstance(predicate, A.Comparison)
-        if not focus_free(predicate.right):
-            return None
-        probes = {it: atomize(items) for it, items in _by_iter(
-            self.compile_expr(predicate.right, loop, env)).items()}
-        if all(v.type in _STRINGS
-               for values in probes.values() for v in values):
+        key_path, value = shape
+        # One walk over the probe column: each iteration's atomized
+        # values, and their strings while every value is a string.
+        probes: dict = {}
+        strings: Optional[dict] = {}
+        for it, _pos, item in self.compile_expr(value, loop, env).rows:
+            for atom in atomize((item,)):
+                probes.setdefault(it, []).append(atom)
+                if strings is not None and atom.type in _STRINGS:
+                    strings.setdefault(it, []).append(atom.string_value())
+                else:
+                    strings = None
+        if strings is not None:
             probed = equality_probe_step(
-                current, step.axis, step.node_test, key_path,
-                {it: [v.string_value() for v in values]
-                 for it, values in probes.items()},
-                self.static, self._namespaces)
+                current, step.axis, step.node_test, key_path, strings,
+                self._step_matcher(step))
             if probed is not None:
                 return probed
         scanned = axis_step(current, step.axis,

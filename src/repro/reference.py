@@ -25,7 +25,8 @@ an oracle for trees, not for what is a document.
 
 Only tests import this module; nothing under ``src/`` does (CI checks).
 ``Database(try_lifted=False)`` is *not* this: that is the product's
-interpreter, staircase scans and value indexes included.
+interpreter, whose path steps run the lifted plan's kernels
+(:mod:`repro.algebra.paths`), value-index probe included.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.xdm.sequence import document_order_sort
 from repro.xml.parser import XML_URI, XMLNS_URI, XMLSyntaxError
 from repro.xquery import xast as A
 from repro.xquery.context import DynamicContext, ExecutionContext
-from repro.xquery.evaluator import CompiledQuery, Evaluator, Sequence
+from repro.xquery.evaluator import CompiledQuery, Evaluator, Sequence, node_test_matches
 
 
 #: Axis name -> the nodes on that axis of one context node, read off
@@ -83,15 +84,12 @@ class ReferenceEvaluator(Evaluator):
         for item in input_sequence:
             candidates = [
                 node for node in _WALKERS[step.axis](item)
-                if self._node_test_matches(node, step.node_test, step.axis, ctx)
+                if node_test_matches(node, step.node_test, step.axis,
+                                     ctx.static, ctx.constructor_namespaces)
             ]
             candidates = self._apply_predicates(candidates, step.predicates, ctx)
             results.extend(candidates)
         return document_order_sort(results)
-
-    def _try_indexed_step(self, step: A.AxisStep, input_sequence: Sequence,
-                          ctx: DynamicContext) -> Optional[Sequence]:
-        return None  # never probe (or build) a ValueIndex
 
     def _apply_predicates(self, items: Sequence, predicates: list,
                           ctx: DynamicContext) -> Sequence:

@@ -87,7 +87,7 @@ class ValueIndex:
     anyway); ``keys_of`` is the member → posted-values reverse map the
     un-post needs, because the patch hooks run *after* a value changed.
     ``matches`` / ``keys`` are the node test and key-path evaluators the
-    index was built with (supplied by the evaluator; the storage layer
+    index was built with (supplied by the step; the storage layer
     does not know XQuery name resolution), ``child_only`` says the step
     axis was ``child`` rather than ``descendant``.
     """
@@ -167,8 +167,8 @@ class StructuralIndex:
         self.root = root
         self.generation = generation
         self.stale = False
-        # Equality-predicate value indexes (the evaluator's hash-join
-        # probes), keyed (anchor rank, axis, prefix, local, key path).
+        # Equality-predicate value indexes (the equality probe step's
+        # hash-join build side), keyed (anchor rank, axis, prefix, local, key path).
         # They live on the index so a full rebuild drops them with it;
         # the patch hooks below edit them in place.
         self.value_indexes: dict[tuple, ValueIndex] = {}
@@ -1009,9 +1009,8 @@ def axis_window_scan(index: StructuralIndex, axis: str,
                      match_all: bool = False) -> list[Node]:
     """Whole-context axis step as window scans over one tree's columns.
 
-    This is the set-at-a-time staircase-join core shared by the
-    interpreter's accelerated axis evaluation and the algebra layer's
-    axis-step operator: ``descendant`` is ``pre in (pre, pre+size]``,
+    This is the set-at-a-time staircase-join core of the algebra
+    layer's axis-step operators: ``descendant`` is ``pre in (pre, pre+size]``,
     ``child`` additionally skips over subtrees, ``following`` is
     ``pre > pre+size``, ``ancestor`` walks parent chains with staircase
     early exit.  Covered context nodes are pruned before scanning, so

@@ -15,8 +15,18 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Optional
 
+from repro.algebra.paths import (
+    axis_step,
+    axis_value_index as axis_value_index,  # the benchmark wraps it here too
+    equality_probe_step,
+    positional_spec_keep,
+    positional_step,
+)
+from repro.algebra.table import Table
 from repro.errors import DynamicError, StaticError, TypeError_, UpdateError
 from repro.xdm.atomic import (
     AtomicValue,
@@ -45,14 +55,7 @@ from repro.xdm.sequence import (
     document_order_sort,
     effective_boolean_value,
 )
-from repro.xdm.structural import (
-    ValueIndex,
-    _preceding_ranges,
-    axis_window_scan,
-    split_context,
-    structural_index,
-    tree_groups,
-)
+from repro.xdm.structural import REVERSE_AXES
 from repro.xdm.types import xs
 from repro.xquery import xast as A
 from repro.xquery import seqtype
@@ -62,7 +65,6 @@ from repro.xquery.context import (
     RemoteCall,
     StaticContext,
     FN_NS,
-    XS_NS,
 )
 from repro.xquery.functions import builtin_reads_context, get_builtin
 from repro.xquery.modules import ModuleRegistry
@@ -81,6 +83,8 @@ from repro.xquf.pul import (
 )
 
 Sequence = list
+
+_IPI = ("iter", "pos", "item")
 
 
 class Evaluator:
@@ -361,159 +365,78 @@ class Evaluator:
                 "XPTY0018", "path step mixes nodes and atomic values")
         return results
 
-    # -- set-at-a-time axis evaluation (XPath accelerator) -----------------
+    # -- axis steps: the plan's kernels over one iteration -----------------
     #
-    # The whole context sequence is mapped through an axis as window scans
-    # over the per-tree pre array: ``descendant`` is ``pre in (pre,
-    # pre+size]``, ``following`` is ``pre > pre+size``, ``ancestor`` walks
-    # parent chains with staircase-style early exit.  Covered context
-    # nodes are pruned before scanning, so the window results are
-    # duplicate-free and document-ordered *by construction* — no per-step
-    # document_order_sort.  Name tests pick the tag-partitioned pre array
-    # instead of testing every node.
+    # The context sequence becomes a one-iteration iter|pos|item table and
+    # the step is one call of the kernel the lifted plan runs for it
+    # (repro.algebra.paths): staircase-pruned window scans over the
+    # per-tree pre/size/level columns, duplicate-free and document-ordered
+    # by construction; a positional step ranks each context node's window;
+    # ``axis::name[path = value]`` probes the maintained value index — the
+    # hash join the paper observes in Saxon (section 4, Table 3).
 
     def _eval_axis_step(self, step: A.AxisStep, input_sequence: Sequence,
                         ctx: DynamicContext) -> Sequence:
-        indexed = self._try_indexed_step(step, input_sequence, ctx)
-        if indexed is not None:
-            return indexed
-        for item in input_sequence:
-            if not isinstance(item, Node):
-                raise TypeError_(
-                    "XPTY0019", "path step applied to a non-node item")
-        results: list[Node] = []
-        for root, members in tree_groups(input_sequence):
-            results.extend(self._axis_over_tree(step, root, members, ctx))
-        return results
-
-    def _axis_over_tree(self, step: A.AxisStep, root: Node,
-                        members: list, ctx: DynamicContext) -> list:
-        index = structural_index(root)
-        axis = step.axis
-        ctx_pres, attr_members = split_context(index, members)
-
-        if step.predicates:
-            # Predicates are per-context (position()/last() count within
-            # one context node's candidates): evaluate each context over
-            # indexed candidate windows, then merge.
-            results: list[Node] = []
-            ordered_members = [index.nodes[p] for p in ctx_pres] + attr_members
-            for node in ordered_members:
-                candidates = [
-                    n for n in self._axis_candidates(node, axis, index)
-                    if self._node_test_matches(n, step.node_test, axis, ctx)
-                ]
-                results.extend(
-                    self._apply_predicates(candidates, step.predicates, ctx))
-            return document_order_sort(results)
-
-        return self._axis_windows(step, index, ctx_pres, attr_members, ctx)
-
-    def _axis_windows(self, step: A.AxisStep, index,
-                      ctx_pres: list, attr_members: list,
-                      ctx: DynamicContext) -> list:
-        """Whole-context window scans; results doc-ordered by construction.
-
-        Delegates to the shared staircase core in
-        :func:`repro.xdm.structural.axis_window_scan`, with the node test
-        bound to this context's namespace environment.
-        """
-        axis = step.axis
-        test = step.node_test
-        local = None
-        if isinstance(test, A.NameTest) and test.local != "*":
-            local = test.local
+        axis, test, predicates = step.axis, step.node_test, step.predicates
+        static, namespaces = ctx.static, ctx.constructor_namespaces
+        # Holds no dynamic context: a value index keeps its node test.
+        matches = lambda node: node_test_matches(node, test, axis, static,
+                                                 namespaces)
+        local = test.local if isinstance(test, A.NameTest) \
+            and test.local != "*" else None
         match_all = isinstance(test, A.KindTest) and test.kind == "node"
-        return axis_window_scan(
-            index, axis, ctx_pres, attr_members,
-            matches=lambda node: self._node_test_matches(node, test, axis, ctx),
-            local_name=local, match_all=match_all)
+        probe = specs = None
+        if predicates:
+            probe = self._equality_probe(step, input_sequence, ctx)
+            if probe is None:
+                specs = [positional_predicate_spec(p) for p in predicates]
+        if specs is not None and None in specs:
+            # A predicate known only at run time counts position() and
+            # last() within each context node's window: one iteration
+            # per context node, each window filtered in axis order, then
+            # merged.
+            exploded = Table(_IPI, [(it, 1, item) for it, item
+                                    in enumerate(input_sequence, 1)])
+            results: list[Node] = []
+            for _it, rows in groupby(axis_step(
+                    exploded, axis, matches, local, match_all).rows,
+                    itemgetter(0)):
+                window = [row[2] for row in rows]
+                if axis in REVERSE_AXES:
+                    window.reverse()
+                results.extend(self._apply_predicates(window, predicates,
+                                                      ctx))
+            return document_order_sort(results)
+        table = Table(_IPI, [(1, pos, item)
+                             for pos, item in enumerate(input_sequence, 1)])
+        if probe is not None:
+            result = equality_probe_step(table, axis, test, *probe, matches)
+        elif specs:
+            result = positional_step(table, axis, specs, matches, local,
+                                     match_all)
+        else:
+            result = axis_step(table, axis, matches, local, match_all)
+        return [row[2] for row in result.rows]
 
-    def _axis_candidates(self, node: Node, axis: str, index) -> list:
-        """Per-context candidates in axis order: read off the node's
-        own links for the local axes, off the structural index where a
-        window scan wins."""
-        if axis == "child":
-            return list(node.children)
-        if axis == "attribute":
-            return list(node.attributes)
-        if axis == "self":
-            return [node]
-        if axis == "parent":
-            return [node.parent] if node.parent is not None else []
-        if axis == "following-sibling":
-            return list(node.following_siblings())
-        if axis == "preceding-sibling":
-            return list(node.preceding_siblings())
-        if isinstance(node, AttributeNode):
-            owner = node.parent
-            if axis in ("ancestor", "ancestor-or-self"):
-                chain = [] if owner is None else [owner] + list(owner.ancestors())
-                return [node] + chain if axis == "ancestor-or-self" else chain
-            if axis == "descendant":
-                return []
-            if axis == "descendant-or-self":
-                return [node]
-            if owner is None:
-                return []
-            node = owner  # following/preceding go through the owner
-        nodes = index.nodes
-        sizes = index.sizes
-        p = index.rank_of(node)
-        if axis == "descendant":
-            return nodes[p + 1:p + sizes[p] + 1]
-        if axis == "descendant-or-self":
-            return nodes[p:p + sizes[p] + 1]
-        if axis in ("ancestor", "ancestor-or-self"):
-            chain = list(node.ancestors())
-            return [node] + chain if axis == "ancestor-or-self" else chain
-        if axis == "following":
-            return nodes[p + sizes[p] + 1:]
-        if axis == "preceding":
-            # Shrunk windows: the ranges between consecutive ancestor
-            # ranks, reversed into the axis's nearest-first order.
-            return [nodes[q]
-                    for q in reversed(_preceding_ranges(index, p, None))]
-        raise DynamicError("XPST0003", f"unknown axis {axis}")
-
-    # -- equality-predicate index ------------------------------------------
-    #
-    # Reproduces the join detection the paper observes in Saxon (section 4,
-    # Table 3): a step like ``descendant::person[@id = $pid]`` evaluated
-    # repeatedly against the same tree builds a hash index once, turning a
-    # per-call selection into a hash-join probe.
-
-    def _try_indexed_step(self, step: A.AxisStep, input_sequence: Sequence,
-                          ctx: DynamicContext) -> Optional[Sequence]:
-        if len(input_sequence) != 1 or not isinstance(input_sequence[0], Node):
+    def _equality_probe(self, step: A.AxisStep, input_sequence: Sequence,
+                        ctx: DynamicContext) -> Optional[tuple]:
+        """``(key path, probe strings of iteration 1)`` when *step* has
+        the :func:`equality_probe_shape`, its context is one element or
+        document node and the value, evaluated once, is all strings;
+        ``None`` sends the step down the scan."""
+        shape = equality_probe_shape(step)
+        if shape is None or len(input_sequence) != 1:
             return None
-        if step.axis not in ("child", "descendant") or len(step.predicates) != 1:
+        context = input_sequence[0]
+        if not isinstance(context, Node) or isinstance(context, AttributeNode):
             return None
-        if not isinstance(step.node_test, A.NameTest) or step.node_test.local == "*":
-            return None
-        key_path = _indexable_predicate_key_path(step.predicates[0])
-        if key_path is None:
-            return None
-        predicate = step.predicates[0]
-        assert isinstance(predicate, A.Comparison)
-        if not focus_free(predicate.right):
-            return None  # it is a function of each candidate
-        probe_values = atomize(self.eval(predicate.right, ctx))
-        if not all(v.type in (xs.string, xs.untypedAtomic)
-                   for v in probe_values):
-            return None
-        anchor = input_sequence[0]
-        index = self._axis_value_index(anchor, step, key_path, ctx)
-        matches: list[Node] = []
-        for value in probe_values:
-            matches.extend(index.get(value.string_value(), ()))
-        return document_order_sort(matches)
-
-    def _axis_value_index(self, anchor: Node, step: A.AxisStep,
-                          key_path: tuple, ctx: DynamicContext) -> ValueIndex:
-        assert isinstance(step.node_test, A.NameTest)
-        return axis_value_index(anchor, step.axis, step.node_test, key_path,
-                                ctx.static, ctx.constructor_namespaces)
+        key_path, value = shape
+        probes = []
+        for atom in atomize(self.eval(value, ctx)):
+            if atom.type not in (xs.string, xs.untypedAtomic):
+                return None
+            probes.append(atom.string_value())
+        return key_path, {1: probes}
 
     def _apply_predicates(self, items: Sequence, predicates: list[A.Expr],
                           ctx: DynamicContext) -> Sequence:
@@ -546,11 +469,6 @@ class Evaluator:
             elif effective_boolean_value(value):
                 kept.append(item)
         return kept
-
-    def _node_test_matches(self, node: Node, test: A.NodeTest, axis: str,
-                           ctx: DynamicContext) -> bool:
-        return node_test_matches(node, test, axis, ctx.static,
-                                 ctx.constructor_namespaces)
 
     def _eval_filter(self, expr: A.FilterExpr, ctx: DynamicContext) -> Sequence:
         base = self.eval(expr.base, ctx)
@@ -1157,30 +1075,6 @@ def positional_predicate_spec(predicate: A.Expr) -> Optional[tuple]:
     return None
 
 
-def positional_spec_keep(spec: tuple, position: int, count: int) -> bool:
-    """Does the item at 1-based *position* in a *count*-item window
-    survive *spec*?  Float comparisons mirror XPath numeric predicate
-    semantics (``[1.5]`` keeps nothing)."""
-    kind = spec[0]
-    if kind == "literal":
-        return position == spec[1]
-    if kind == "last":
-        return position == count
-    op = spec[1]
-    target = float(count) if spec[2] == ("last",) else spec[2][1]
-    if op == "eq":
-        return position == target
-    if op == "ne":
-        return position != target
-    if op == "lt":
-        return position < target
-    if op == "le":
-        return position <= target
-    if op == "gt":
-        return position > target
-    return position >= target
-
-
 def _indexable_predicate_key_path(predicate: A.Expr) -> Optional[tuple]:
     """If *predicate* is ``relative-path = expr`` with the path made of
     plain child/attribute name steps, return the path as a hashable key.
@@ -1213,92 +1107,21 @@ def _indexable_predicate_key_path(predicate: A.Expr) -> Optional[tuple]:
     return tuple(key)
 
 
-def axis_value_index(anchor: Node, axis: str, node_test: "A.NameTest",
-                     key_path: tuple, static: StaticContext,
-                     constructor_namespaces: Optional[dict] = None,
-                     ) -> ValueIndex:
-    """Equality-predicate value index for one (anchor, axis, test, key path).
-
-    Maps each key-path string value to the matching axis nodes — the
-    hash-join probe side of ``step[path = value]`` for a ``child`` or
-    ``descendant`` step with a non-wildcard name.  Cached on the tree's
-    :class:`~repro.xdm.structural.StructuralIndex` under the anchor's
-    *pre rank* (the index pins the tree's nodes, so no ``id()`` reuse)
-    and from then on *maintained* by the index's patch hooks: an XQUF
-    update re-keys the members it touches instead of dropping the
-    index, and only a full rebuild of the structural index (or the
-    deletion of the anchor) discards it.  Shared by the interpreter's
-    indexed step and the algebra layer's lifted predicate path.
-    """
-    structure = structural_index(anchor.root())
-    anchor_pre = structure.rank_of_opt(anchor)
-    cache_key = (anchor_pre, axis, node_test.prefix, node_test.local, key_path)
-    if anchor_pre is None:
-        # Unranked anchor (an attribute): nothing below it, not cached.
-        candidates: list[Node] = []
-    else:
-        cached = structure.value_indexes.get(cache_key)
-        if cached is not None:
-            return cached
-        # Candidates straight off the tag partition: the anchor's window
-        # holds far more rows than carry the step's name.
-        nodes = structure.nodes
-        pres = structure.window(
-            anchor_pre, anchor_pre + structure.sizes[anchor_pre],
-            node_test.local)
-        if axis == "child":
-            levels = structure.levels
-            child_level = levels[anchor_pre] + 1
-            pres = [pre for pre in pres if levels[pre] == child_level]
-        candidates = [nodes[pre] for pre in pres]
-
-    def matches(node: Node) -> bool:
-        return node_test_matches(node, node_test, axis, static,
-                                 constructor_namespaces)
-
-    def keys(node: Node) -> tuple:
-        return _walk_key_path(node, key_path)
-
-    by_value: dict = {}
-    keys_of: dict = {}
-    for node in candidates:
-        if not node_test_matches(node, node_test, axis, static,
-                                 constructor_namespaces):
-            continue
-        values = _walk_key_path(node, key_path)
-        if not values:
-            continue
-        keys_of[node] = values
-        for value in values:
-            bucket = by_value.get(value)
-            if bucket is None:
-                by_value[value] = {node: None}
-            else:
-                bucket[node] = None
-    index = ValueIndex(anchor, axis == "child", matches, keys,
-                       by_value, keys_of)
-    if anchor_pre is not None:
-        structure.value_indexes[cache_key] = index
-    return index
-
-
-def _walk_key_path(node: Node, key_path: tuple) -> tuple:
-    """Evaluate an indexable key path, returning its string values."""
-    current = [node]
-    for axis, local in key_path:
-        advanced: list[Node] = []
-        for item in current:
-            if axis == "child":
-                advanced.extend(
-                    child for child in item.children
-                    if isinstance(child, ElementNode)
-                    and child.local_name == local)
-            else:
-                advanced.extend(
-                    attribute for attribute in item.attributes
-                    if attribute.local_name == local)
-        current = advanced
-    return tuple(item.string_value() for item in current)
+def equality_probe_shape(step: A.AxisStep) -> Optional[tuple]:
+    """``(key path, value)`` when *step* is ``axis::name[path = value]``
+    as a value index serves it: a ``child`` or ``descendant`` step with
+    a non-wildcard name and one indexable equality predicate whose
+    *value* reads no focus (one value per context, not a function of
+    each candidate); ``None`` otherwise."""
+    if len(step.predicates) != 1 or step.axis not in ("child", "descendant") \
+            or not isinstance(step.node_test, A.NameTest) \
+            or step.node_test.local == "*":
+        return None
+    predicate = step.predicates[0]
+    key_path = _indexable_predicate_key_path(predicate)
+    if key_path is None or not focus_free(predicate.right):
+        return None
+    return key_path, predicate.right
 
 
 class _TEXT_MARKER:

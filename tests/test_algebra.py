@@ -3,7 +3,7 @@ loop-lifting compiler runs over it (:mod:`repro.algebra.paths`), called
 on hand-built tables.
 
 Each operator is checked against the node tree's own axis iterators and
-:func:`~repro.xquery.evaluator.positional_spec_keep`: the result keeps
+:func:`~repro.algebra.paths.positional_spec_keep`: the result keeps
 the compiler's order invariant (rows grouped by ``iter`` in input order,
 a dense ``pos`` from 1 in each iteration, nodes duplicate-free and in
 document order within an iteration).
@@ -27,7 +27,10 @@ from repro.xdm.sequence import document_order_sort
 from repro.xml import parse_document
 from repro.xquery import xast as A
 from repro.xquery.context import StaticContext
-from repro.xquery.evaluator import _indexable_predicate_key_path
+from repro.xquery.evaluator import (
+    _indexable_predicate_key_path,
+    node_test_matches,
+)
 from repro.xquery.parser import parse_main_module
 
 IPI = ("iter", "pos", "item")
@@ -293,13 +296,20 @@ def _probe_step(step_source: str):
     return step, key_path
 
 
+def _test_of(step):
+    """*step*'s node test in the default static context."""
+    static = StaticContext()
+    return lambda node: node_test_matches(node, step.node_test, step.axis,
+                                          static)
+
+
 class TestEqualityProbeStep:
     def test_probes_each_iteration(self, doc, persons):
         step, key_path = _probe_step('descendant::person[age = "30"]')
         table = _table({1: [doc], 2: [persons[1]], 3: [doc]})
         result = equality_probe_step(
             table, "descendant", step.node_test, key_path,
-            {1: ["30"], 2: ["30", "41"], 3: ["99"]}, StaticContext())
+            {1: ["30"], 2: ["30", "41"], 3: ["99"]}, _test_of(step))
         assert _by_iter(result) == {1: [persons[0], persons[2]],
                                     2: [persons[2]]}
 
@@ -308,7 +318,7 @@ class TestEqualityProbeStep:
         people = doc.children[0].children[0]
         result = equality_probe_step(
             _table({1: [people], 2: [people]}), "child", step.node_test,
-            key_path, {2: ["Bob"]}, StaticContext())
+            key_path, {2: ["Bob"]}, _test_of(step))
         assert [(it, pos, n.get_attribute("id").value)
                 for it, pos, n in result.rows] == [(2, 1, "p2")]
 
@@ -321,4 +331,4 @@ class TestEqualityProbeStep:
                  "atomic": [string("p")]}[shape]
         assert equality_probe_step(
             _table({1: items}), "child", step.node_test, key_path,
-            {1: ["ann"]}, StaticContext()) is None
+            {1: ["ann"]}, _test_of(step)) is None

@@ -380,17 +380,19 @@ def test_one_resolver_per_message_on_the_fallback_loop(sites):
 def test_the_q_b2_join_source_is_built_once_whatever_the_call_count(
         sites, monkeypatch):
     """``doc("auctions.xml")//closed_auction`` reads no variable: a
-    served message builds, keys and hashes it once, not once per call —
-    the same axis steps over the same closed auctions for 1, 10 and 40
-    calls, and the per-call loop's reply."""
+    served message builds, keys and hashes it once, not once per call.
+    So does the plain for clause over
+    ``doc("xrpc://A/persons.xml")//person``: the same axis steps over
+    the same persons and closed auctions for 1, 10 and 40 calls, and
+    the per-call loop's reply."""
     from repro.pathfinder import compiler
     steps = []
     axis_step = compiler.axis_step
 
-    def counting(table, *args, **kwargs):
-        result = axis_step(table, *args, **kwargs)
+    def counting(table, axis, *args, **kwargs):
+        result = axis_step(table, axis, *args, **kwargs)
         if table.rows:  # not the static check's zero-iteration run
-            steps.append((kwargs.get("local_name"), len(result.rows)))
+            steps.append((axis, kwargs.get("local_name"), len(result.rows)))
         return result
     monkeypatch.setattr(compiler, "axis_step", counting)
     seen = {}
@@ -398,10 +400,13 @@ def test_the_q_b2_join_source_is_built_once_whatever_the_call_count(
         steps.clear()
         assert_same_reply(sites, request_for("b:Q_B2", [[]] * size, arity=0),
                           True)
-        seen[size] = (len(steps), [rows for name, rows in steps
-                                   if name == "closed_auction"])
+        seen[size] = (len(steps), {
+            name: [rows for axis, local, rows in steps
+                   if (axis, local) == ("descendant", name)]
+            for name in ("closed_auction", "person")})
     assert seen[1] == seen[10] == seen[40]
-    assert seen[1][1] == [CONFIG.closed_auctions]
+    assert seen[1][1] == {"closed_auction": [CONFIG.closed_auctions],
+                          "person": [CONFIG.persons]}
 
 
 def test_the_lifted_q_b2_pulls_persons_once_per_message(sites):

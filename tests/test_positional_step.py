@@ -218,17 +218,20 @@ def test_the_runtime_regime_lifts_only_what_its_predicates_read(monkeypatch):
 
 
 def test_the_interpreter_ranks_static_specs(monkeypatch):
-    keep = evaluator.positional_spec_keep
+    """The interpreted step is the plan's positional step: one call,
+    and no predicate evaluated per candidate."""
+    step = evaluator.positional_step
     ranked = []
 
-    def counted(spec, position, count):
-        ranked.append(spec)
-        return keep(spec, position, count)
-    monkeypatch.setattr(evaluator, "positional_spec_keep", counted)
+    def counted(table, axis, specs, *args, **kwargs):
+        ranked.append(tuple(specs))
+        return step(table, axis, specs, *args, **kwargs)
+    monkeypatch.setattr(evaluator, "positional_step", counted)
+    monkeypatch.setattr(evaluator.Evaluator, "_filter_by_value", None)
     result, explain = execute(f"{T}//s/i[last()]", RESOLVE, try_lifted=False)
     assert explain.plan == "interpreter"
     assert [node.string_value() for node in result] == ["c", "d", "f"]
-    assert ranked and set(ranked) == {("last",)}
+    assert ranked == [(("last",),)]
 
 
 @pytest.mark.parametrize("query", [

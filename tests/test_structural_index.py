@@ -5,6 +5,7 @@ import pytest
 
 from repro import reference
 from repro.obs import Scope
+from repro.session import Database
 from repro.xdm import (
     KEY_STRIDE,
     NodeFactory,
@@ -13,6 +14,7 @@ from repro.xdm import (
 )
 from repro.xdm.nodes import ElementNode
 from repro.xml import parse_document
+from repro.xquery import evaluator
 from repro.xquery.evaluator import evaluate_query
 from tests.helpers import (
     assert_matches_reference,
@@ -57,11 +59,38 @@ AXIS_QUERIES = [
     "doc('s.xml')//person/descendant::text()",
     "doc('s.xml')//city/parent::person/child::name",
     "doc('s.xml')//people/child::*",
+    # A static rank on a reverse axis.
+    "doc('s.xml')//city/ancestor::*[2]",
+    # A predicate numeric only at run time, in a query `check` refuses.
+    "for $n in (2, 1) order by $n return doc('s.xml')//auction[$n]/price",
+    # Value predicates reading position() and last() on reverse axes.
+    "doc('s.xml')//city/ancestor-or-self::*[position() = last() - 1]",
+    "doc('s.xml')//auction/preceding-sibling::node()[position() * 2 > last()]",
+    # Attribute context nodes, ranked and filtered per window.
+    "doc('s.xml')//@id/ancestor-or-self::node()[2]",
+    "doc('s.xml')//@ref/ancestor::*[position() + 1 = last()]",
+    # Context nodes from two trees.
+    "(doc('u.xml'), doc('s.xml'))//city",
+    "(doc('s.xml'), doc('u.xml'))//person/name[. != 'Ada']",
+    # An indexed shape whose probe is not a string scans instead.
+    "doc('s.xml')//auction[price = 12]",
 ]
+
+OTHER = ("<site><people><person id='p9'><name>Alan</name>"
+         "<city>Wilmslow</city></person></people></site>")
+
+#: The kernels some queries' steps call, between them.
+KERNELS_OF = {
+    "doc('s.xml')//person[@id = 'p1']/city": {"equality_probe_step",
+                                               "axis_step"},
+    "doc('s.xml')//auction[price = 12]": {"axis_step"},
+    "doc('s.xml')//city/ancestor::*[2]": {"axis_step", "positional_step"},
+}
 
 
 def _site():
-    return {"s.xml": parse_document(SITE, uri="s.xml")}
+    return {"s.xml": parse_document(SITE, uri="s.xml"),
+            "u.xml": parse_document(OTHER, uri="u.xml")}
 
 
 class TestEncoding:
@@ -142,6 +171,40 @@ class TestAxisEquivalence:
     @pytest.mark.parametrize("query", AXIS_QUERIES)
     def test_accelerated_equals_naive(self, query):
         assert_matches_reference(query, _site().get)
+
+    @pytest.mark.parametrize("query", AXIS_QUERIES)
+    def test_each_interpreted_step_is_one_kernel_call(self, query,
+                                                      monkeypatch):
+        """The product interpreter runs every step as one call of the
+        lifted plan's kernels (``repro.algebra.paths``, wrapped where
+        the evaluator binds them)."""
+        in_flight: list[list[str]] = []  # per step: the kernels it called
+        steps: list[list[str]] = []
+        eval_step = evaluator.Evaluator._eval_axis_step
+
+        def counted_step(self, *args):
+            in_flight.append([])
+            try:
+                return eval_step(self, *args)
+            finally:
+                steps.append(in_flight.pop())
+        monkeypatch.setattr(evaluator.Evaluator, "_eval_axis_step",
+                            counted_step)
+        for name in ("axis_step", "positional_step", "equality_probe_step"):
+            def counted(*args, _kernel=getattr(evaluator, name), _name=name,
+                        **kwargs):
+                in_flight[-1].append(_name)
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(evaluator, name, counted)
+        db = Database(try_lifted=False)
+        db.register("s.xml", SITE)
+        db.register("u.xml", OTHER)
+        assert db.explain(query).plan == "interpreter"
+        assert steps and all(len(kernels) == 1 for kernels in steps), steps
+        if query in KERNELS_OF:
+            assert {kernels[0] for kernels in steps} == KERNELS_OF[query]
+        monkeypatch.undo()
+        assert_matches_reference(query, db._resolve_document)
 
     def test_reference_builds_no_index(self):
         # The oracle must share neither the StructuralIndex nor a
