@@ -44,6 +44,7 @@ from repro.xdm.structural import (
 )
 
 __all__ = [
+    "ANY_NAMESPACE",
     "axis_step",
     "axis_value_index",
     "contains_filter",
@@ -453,7 +454,11 @@ def merge_exploded_contexts(table: Table, outer: list[int]) -> Table:
         for pos, node in enumerate(document_order_sort(nodes), start=1)])
 
 
-def equality_probe_step(table: Table, axis: str, node_test,
+#: The namespace of a name that any namespace URI matches (``*:name``).
+ANY_NAMESPACE = "*"
+
+
+def equality_probe_step(table: Table, axis: str, name: tuple,
                         key_path: tuple,
                         probes_by_iter: dict[int, list[str]],
                         matches: Callable[[Node], bool],
@@ -473,11 +478,14 @@ def equality_probe_step(table: Table, axis: str, node_test,
         ``iter|pos|item`` context relation.
     axis:
         ``child`` or ``descendant`` (the indexable axes).
-    node_test:
-        Non-wildcard :class:`~repro.xquery.xast.NameTest` of the step.
+    name:
+        ``(namespace URI, local name)`` the step's non-wildcard name
+        test resolves to (URI ``None``: no namespace;
+        :data:`ANY_NAMESPACE`: any).
     key_path:
         Hashable predicate key path from
-        ``_indexable_predicate_key_path``.
+        ``_indexable_predicate_key_path``: ``(axis, namespace URI,
+        local name)`` per step, resolved the same way.
     probes_by_iter:
         Probe strings per iteration (an absent iteration probes
         nothing: ``[x = ()]`` keeps no candidates).
@@ -507,7 +515,7 @@ def equality_probe_step(table: Table, axis: str, node_test,
         index = indexes.get(anchor)
         if index is None:
             index = indexes[anchor] = axis_value_index(
-                anchor, axis, node_test, key_path, matches)
+                anchor, axis, name, key_path, matches)
         found: list[Node] = []
         for value in probes:
             found.extend(index.get(value, ()))
@@ -516,25 +524,26 @@ def equality_probe_step(table: Table, axis: str, node_test,
     return Table(("iter", "pos", "item"), rows)
 
 
-def axis_value_index(anchor: Node, axis: str, node_test, key_path: tuple,
+def axis_value_index(anchor: Node, axis: str, name: tuple, key_path: tuple,
                      matches: Callable[[Node], bool]) -> ValueIndex:
-    """Equality-predicate value index for one (anchor, axis, test, key path).
+    """Equality-predicate value index for one (anchor, axis, name, key path).
 
     Maps each key-path string value to the matching axis nodes — the
     hash-join probe side of ``step[path = value]`` for a ``child`` or
     ``descendant`` step with a non-wildcard name.  Cached on the tree's
     :class:`~repro.xdm.structural.StructuralIndex` under the anchor's
     *pre rank* (the index pins the tree's nodes, so no ``id()`` reuse)
-    and from then on *maintained* by the index's patch hooks: an XQUF
-    update re-keys the members it touches instead of dropping the
-    index, and only a full rebuild of the structural index (or the
-    deletion of the anchor) discards it.  *matches* is the step's node
+    and the names it resolved — namespace URIs, not the prefixes a query
+    happened to bind — and from then on *maintained* by the index's
+    patch hooks: an XQUF update re-keys the members it touches instead
+    of dropping the index, and only a full rebuild of the structural
+    index (or the deletion of the anchor) discards it.  *matches* is the step's node
     test; the index keeps it for those hooks, so it must not hold a
     dynamic context alive.
     """
     structure = structural_index(anchor.root())
     anchor_pre = structure.rank_of_opt(anchor)
-    cache_key = (anchor_pre, axis, node_test.prefix, node_test.local, key_path)
+    cache_key = (anchor_pre, axis, *name, key_path)
     if anchor_pre is None:
         # Unranked anchor (an attribute): nothing below it, not cached.
         candidates: list[Node] = []
@@ -546,8 +555,7 @@ def axis_value_index(anchor: Node, axis: str, node_test, key_path: tuple,
         # holds far more rows than carry the step's name.
         nodes = structure.nodes
         pres = structure.window(
-            anchor_pre, anchor_pre + structure.sizes[anchor_pre],
-            node_test.local)
+            anchor_pre, anchor_pre + structure.sizes[anchor_pre], name[1])
         if axis == "child":
             levels = structure.levels
             child_level = levels[anchor_pre] + 1
@@ -582,17 +590,20 @@ def axis_value_index(anchor: Node, axis: str, node_test, key_path: tuple,
 def _walk_key_path(node: Node, key_path: tuple) -> tuple:
     """Evaluate an indexable key path, returning its string values."""
     current = [node]
-    for axis, local in key_path:
+    for axis, ns_uri, local in key_path:
         advanced: list[Node] = []
+        any_namespace = ns_uri == ANY_NAMESPACE
         for item in current:
             if axis == "child":
                 advanced.extend(
                     child for child in item.children
                     if isinstance(child, ElementNode)
-                    and child.local_name == local)
+                    and child.local_name == local
+                    and (any_namespace or child.ns_uri == ns_uri))
             else:
                 advanced.extend(
                     attribute for attribute in item.attributes
-                    if attribute.local_name == local)
+                    if attribute.local_name == local
+                    and (any_namespace or attribute.ns_uri == ns_uri))
         current = advanced
     return tuple(item.string_value() for item in current)

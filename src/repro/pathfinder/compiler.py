@@ -936,10 +936,10 @@ class LoopLiftingCompiler:
         scan-then-filter pipeline takes the step — when the step is not
         of this shape, a decision made on the AST alone.
         """
-        shape = equality_probe_shape(step)
+        shape = equality_probe_shape(step, self.static, self._namespaces)
         if shape is None:
             return None
-        key_path, value = shape
+        name, key_path, value = shape
         # One walk over the probe column: each iteration's atomized
         # values, and their strings while every value is a string.
         probes: dict = {}
@@ -953,7 +953,7 @@ class LoopLiftingCompiler:
                     strings = None
         if strings is not None:
             probed = equality_probe_step(
-                current, step.axis, step.node_test, key_path, strings,
+                current, step.axis, name, key_path, strings,
                 self._step_matcher(step))
             if probed is not None:
                 return probed

@@ -34,7 +34,12 @@ from repro.xdm.nodes import (
     TextNode,
 )
 from repro.xdm.types import XSType, xs
-from repro.xml.serializer import escape_attribute, escape_text, serialize_into
+from repro.xml.serializer import (
+    _serialize_wire,
+    escape_attribute,
+    escape_text,
+    serialize_into,
+)
 
 XRPC_PREFIX = "xrpc"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
@@ -124,10 +129,13 @@ class MarshalWriter:
 
     def sequence(self, items: list) -> None:
         """Emit ``<xrpc:sequence>`` holders for an XDM sequence (s2n)."""
-        self.start(f"{XRPC_PREFIX}:sequence")
-        for item in items:
-            self.value(item)
-        self.end()
+        self._close_tag()
+        if not items:
+            self._out.append("<xrpc:sequence/>")
+            return
+        self._out.append("<xrpc:sequence>")
+        self._holders(items)
+        self._out.append("</xrpc:sequence>")
 
     def calls(self, count: int, columns: list[list[tuple]]) -> None:
         """Emit *count* ``<xrpc:call>`` elements from the parameter
@@ -144,6 +152,7 @@ class MarshalWriter:
             return
         runs = [iter(rows) for rows in columns]
         heads = [next(rows, None) for rows in runs]
+        holders = self._holders
         for it in range(1, count + 1):
             out.append("<xrpc:call>")
             for index, rows in enumerate(runs):
@@ -152,28 +161,43 @@ class MarshalWriter:
                     out.append("<xrpc:sequence/>")
                     continue
                 out.append("<xrpc:sequence>")
+                items = [row[2]]
+                row = next(rows, None)
                 while row is not None and row[0] == it:
-                    item = row[2]
-                    if type(item) is AtomicValue:
-                        out.append(_atomic_holder(item))
-                    else:
-                        self.value(item)
+                    items.append(row[2])
                     row = next(rows, None)
                 heads[index] = row
+                holders(items)
                 out.append("</xrpc:sequence>")
             out.append("</xrpc:call>")
 
+    def _holders(self, items: Iterable) -> None:
+        """The holder of each item, inside an already closed start tag:
+        an element's is its tree's markup between ``<xrpc:element>`` and
+        ``</xrpc:element>``, an atomic value's one string; other kinds
+        go through :meth:`value`."""
+        out = self._out
+        scope = self._scope
+        for item in items:
+            kind = type(item)
+            if kind is ElementNode:
+                out.append("<xrpc:element>")
+                _serialize_wire(item, out, scope)
+                out.append("</xrpc:element>")
+            elif kind is AtomicValue:
+                # What start/text/end would emit, the tags built once
+                # per type.
+                opening, empty = _ATOMIC_TAGS[item.type]
+                text = item.string_value()
+                out.append(f"{opening}{escape_text(text)}"
+                           f"</{XRPC_PREFIX}:atomic-value>"
+                           if text else empty)
+            else:
+                self.value(item)
+
     def value(self, item) -> None:
-        """Emit the value holder of one item."""
-        if isinstance(item, AtomicValue):
-            self._close_tag()
-            self._out.append(_atomic_holder(item))
-            return
-        if isinstance(item, ElementNode):
-            self.start(f"{XRPC_PREFIX}:element")
-            self.node(item)
-            self.end()
-            return
+        """Emit the value holder of one item that is neither an element
+        nor an atomic value (:meth:`_holders` writes those)."""
         if isinstance(item, DocumentNode):
             self.start(f"{XRPC_PREFIX}:document")
             for child in item.children:
@@ -246,16 +270,6 @@ _READERS: dict[Optional[str], Callable[[str], AtomicValue]] = {
     for target in xs.all_types().values()
     for name in (target.name, target.local_name)}
 _READERS[None] = _READERS["xs:string"]
-
-
-def _atomic_holder(item: AtomicValue) -> str:
-    """The ``xrpc:atomic-value`` holder of *item*, as the writer's
-    ``start``/``text``/``end`` would emit it."""
-    opening, empty = _ATOMIC_TAGS[item.type]
-    text = item.string_value()
-    if not text:
-        return empty
-    return f"{opening}{escape_text(text)}</{XRPC_PREFIX}:atomic-value>"
 
 
 def atomic_reader(type_name: Optional[str]) -> Callable[[str], AtomicValue]:

@@ -517,6 +517,9 @@ class _MessageDecoder:
         levels = self._levels
         level = levels[-1]
         if level == _SEQUENCE:
+            if local_name == "element":
+                levels.append(_ELEMENT)
+                return True
             entered = self._start_holder(local_name, attributes)
         elif level >= _SKIPPED:
             entered = _SKIPPED
@@ -543,6 +546,13 @@ class _MessageDecoder:
 
     def end_element(self, fragments: Optional[list[Node]]) -> None:
         level = self._levels.pop()
+        if level == _ELEMENT:
+            for node in fragments or ():
+                if isinstance(node, ElementNode):
+                    self._add(node)
+                    return
+            raise XRPCFault(
+                "env:Sender", "xrpc:element holder without child element")
         if level == _SKIPPED or level < _CALL:
             return
         if level == _ATOMIC:
@@ -550,13 +560,6 @@ class _MessageDecoder:
             assert chars is not None
             self._chars = None
             self._add(self._reader("".join(chars)))
-        elif level == _ELEMENT:
-            for node in fragments or ():
-                if isinstance(node, ElementNode):
-                    self._add(node)
-                    return
-            raise XRPCFault(
-                "env:Sender", "xrpc:element holder without child element")
         elif level == _SEQUENCE:
             if self._levels[-1] == _RESPONSE:
                 self._sequences.append(self._items)
@@ -701,9 +704,8 @@ class _MessageDecoder:
     # -- value holders ------------------------------------------------------
 
     def _start_holder(self, kind: str, attributes: list[str]) -> int:
-        """A child of ``xrpc:sequence``: one item, told by local name."""
-        if kind == "element":
-            return _ELEMENT
+        """A child of ``xrpc:sequence`` other than ``xrpc:element``: one
+        item, told by local name."""
         if kind == "atomic-value":
             type_name = _attribute(attributes, "xsi:type")
             if type_name is None:

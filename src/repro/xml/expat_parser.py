@@ -21,8 +21,11 @@ declared entity is never expanded — the entity-bomb guard).
 
 :class:`_EventBuilder` is the same frontend with a consumer in place of
 the document: elements are handed over as events, and the tree handlers
-above run only for the subtrees the consumer asks to have built — the
-one-pass SOAP decode (``parse_document(..., consumer=)``).
+above run only for the content the consumer asks to have built — the
+one-pass SOAP decode (``parse_document(..., consumer=)``).  Its handlers
+are installed once per document; an element inside such content is
+passed to the tree handlers by its stack depth alone, so a sequence of
+20 000 ``xrpc:element`` holders costs no handler switch.
 """
 
 from __future__ import annotations
@@ -301,7 +304,9 @@ class _TreeBuilder:
         parser.ProcessingInstructionHandler = None
 
     def _end_doctype(self) -> None:
-        self._install(self._parser)
+        parser = self._parser
+        parser.CommentHandler = self._comment
+        parser.ProcessingInstructionHandler = self._processing_instruction
 
     # -- driving ------------------------------------------------------------
 
@@ -382,19 +387,26 @@ class _Discard:
         pass
 
 
+#: ``_fragment_depth`` while no element's content is being built.
+_NO_FRAGMENTS = 1 << 62
+
+
 class _EventBuilder(_TreeBuilder):
     """Feeds an :class:`~repro.xml.parser.EventConsumer` from expat
     events, building tree nodes only where the consumer asks for them.
 
     Elements reach the consumer as events — names resolved against the
     same namespace scope the tree handlers keep — and allocate nothing.
-    When ``start_element`` answers true, the parser is switched to the
-    inherited tree handlers until that element closes, so its content
-    comes out as parentless fragments with the keys, ``size`` and
-    ``level`` stamps a whole-document parse would have given them (the
-    scope, and therefore any prefix declared further out, carries over),
-    and is delivered with the element's ``end_element``.  Comments and
-    processing instructions outside such content are not events.
+    When ``start_element`` answers true, that element's content is built
+    as parentless fragments with the keys, ``size`` and ``level`` stamps
+    a whole-document parse would have given them (the scope, and
+    therefore any prefix declared further out, carries over), and is
+    delivered with the element's ``end_element``.  The handlers are
+    installed once: which side an element falls on is its stack depth,
+    compared with ``_fragment_depth`` as it opens and closes — so a
+    sequence of holders costs one consumer verdict and one delivery per
+    holder, and no handler switch.  Comments and processing instructions
+    outside such content are not events.
 
     An exception from the consumer is held until the document has proved
     well-formed: a syntax error anywhere beats a fault.
@@ -410,7 +422,9 @@ class _EventBuilder(_TreeBuilder):
         #: the current scope; dropped whenever the scope changes.
         self._qnames: dict = {}
         self._holder = _Holder()
-        self._fragment_depth = 0
+        #: The stack depth of the element whose content is being built:
+        #: deeper elements go to the tree handlers.
+        self._fragment_depth = _NO_FRAGMENTS
         self._failure: Optional[Exception] = None
         self._consumer: EventConsumer = consumer(self)
 
@@ -424,13 +438,13 @@ class _EventBuilder(_TreeBuilder):
     def namespace_uri(self, prefix: str) -> Optional[str]:
         return self._scope.get(prefix)
 
-    # -- event mode ---------------------------------------------------------
+    # -- events -------------------------------------------------------------
 
     def _install(self, parser) -> None:
         parser.StartElementHandler = self._event_start
         parser.EndElementHandler = self._event_end
-        parser.CommentHandler = None
-        parser.ProcessingInstructionHandler = None
+        parser.CommentHandler = self._comment
+        parser.ProcessingInstructionHandler = self._processing_instruction
 
     def _fail(self, failure: Exception) -> None:
         self._failure = failure
@@ -449,9 +463,12 @@ class _EventBuilder(_TreeBuilder):
         return resolved
 
     def _event_start(self, name: str, attrs: list) -> None:
+        stack = self._stack
+        if len(stack) >= self._fragment_depth:
+            self._start_element(name, attrs)
+            return
         if self._text:
             self._characters(self._text)
-        stack = self._stack
         if attrs:
             declarations = None
             for index in range(0, len(attrs), 2):
@@ -490,17 +507,26 @@ class _EventBuilder(_TreeBuilder):
             holder = stack[-1] = self._holder
             holder._children = []
             self._fragment_depth = len(stack)
-            parser = self._parser
-            _TreeBuilder._install(self, parser)
-            parser.EndElementHandler = self._fragment_end
 
-    def _event_end(self, name: str, fragments: Optional[list] = None) -> None:
-        if self._text:
-            self._characters(self._text)
+    def _event_end(self, name: str) -> None:
         stack = self._stack
+        depth = len(stack)
+        if depth > self._fragment_depth:
+            self._end_element(name)
+            return
+        fragments = None
+        if depth == self._fragment_depth:
+            if self._text:
+                self._flush_text()
+            fragments = stack[-1]._children
+            for node in fragments:
+                node.parent = None
+            self._fragment_depth = _NO_FRAGMENTS
+        elif self._text:
+            self._characters(self._text)
         stack.pop()
         scope_stack = self._scope_stack
-        if scope_stack and scope_stack[-1][0] == len(stack):
+        if scope_stack and scope_stack[-1][0] == depth - 1:
             # This element declared namespaces; restore the outer scope.
             _, self._scope, self._default_uri = scope_stack.pop()
             self._qnames = {}
@@ -509,16 +535,13 @@ class _EventBuilder(_TreeBuilder):
         except Exception as failure:
             self._fail(failure)
 
-    def _fragment_end(self, name: str) -> None:
-        if len(self._stack) > self._fragment_depth:
-            self._end_element(name)
-            return
-        self._flush_text()
-        fragments = self._stack[-1]._children
-        for node in fragments:
-            node.parent = None
-        self._install(self._parser)
-        self._event_end(name, fragments)
+    def _comment(self, data: str) -> None:
+        if len(self._stack) >= self._fragment_depth:
+            super()._comment(data)
+
+    def _processing_instruction(self, target: str, data: str) -> None:
+        if len(self._stack) >= self._fragment_depth:
+            super()._processing_instruction(target, data)
 
     def result(self) -> EventConsumer:
         """The consumer, fed — or the exception it raised."""

@@ -20,6 +20,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from repro.algebra.paths import (
+    ANY_NAMESPACE,
     axis_step,
     axis_value_index as axis_value_index,  # the benchmark wraps it here too
     equality_probe_step,
@@ -410,7 +411,7 @@ class Evaluator:
         table = Table(_IPI, [(1, pos, item)
                              for pos, item in enumerate(input_sequence, 1)])
         if probe is not None:
-            result = equality_probe_step(table, axis, test, *probe, matches)
+            result = equality_probe_step(table, axis, *probe, matches)
         elif specs:
             result = positional_step(table, axis, specs, matches, local,
                                      match_all)
@@ -420,23 +421,24 @@ class Evaluator:
 
     def _equality_probe(self, step: A.AxisStep, input_sequence: Sequence,
                         ctx: DynamicContext) -> Optional[tuple]:
-        """``(key path, probe strings of iteration 1)`` when *step* has
-        the :func:`equality_probe_shape`, its context is one element or
-        document node and the value, evaluated once, is all strings;
+        """``(name, key path, probe strings of iteration 1)`` when *step*
+        has the :func:`equality_probe_shape`, its context is one element
+        or document node and the value, evaluated once, is all strings;
         ``None`` sends the step down the scan."""
-        shape = equality_probe_shape(step)
+        shape = equality_probe_shape(step, ctx.static,
+                                     ctx.constructor_namespaces)
         if shape is None or len(input_sequence) != 1:
             return None
         context = input_sequence[0]
         if not isinstance(context, Node) or isinstance(context, AttributeNode):
             return None
-        key_path, value = shape
+        name, key_path, value = shape
         probes = []
         for atom in atomize(self.eval(value, ctx)):
             if atom.type not in (xs.string, xs.untypedAtomic):
                 return None
             probes.append(atom.string_value())
-        return key_path, {1: probes}
+        return name, key_path, {1: probes}
 
     def _apply_predicates(self, items: Sequence, predicates: list[A.Expr],
                           ctx: DynamicContext) -> Sequence:
@@ -966,10 +968,8 @@ def node_test_matches(node: Node, test: A.NodeTest, axis: str,
         if axis == "attribute":
             return node.ns_uri is None
         return node.ns_uri == static.default_element_namespace
-    wanted = (constructor_namespaces or {}).get(test.prefix)
-    if wanted is None:
-        wanted = static.resolve_prefix(test.prefix)
-    return node.ns_uri == wanted
+    return node.ns_uri == resolved_name(test, axis, static,
+                                        constructor_namespaces)[0]
 
 
 def _fuse_descendant_steps(steps: list) -> list:
@@ -1075,12 +1075,35 @@ def positional_predicate_spec(predicate: A.Expr) -> Optional[tuple]:
     return None
 
 
-def _indexable_predicate_key_path(predicate: A.Expr) -> Optional[tuple]:
+def resolved_name(test: A.NameTest, axis: str, static: StaticContext,
+                  constructor_namespaces: Optional[dict] = None) -> tuple:
+    """``(namespace URI, local name)`` a name test other than ``*``
+    asks for on *axis* — the rule :func:`node_test_matches` applies:
+    URI ``None`` is no namespace,
+    :data:`~repro.algebra.paths.ANY_NAMESPACE` any.  A prefix resolves
+    in the enclosing constructors' namespaces first, then in the static
+    context; an undeclared one raises ``XPST0081``."""
+    if test.prefix == "*":
+        return ANY_NAMESPACE, test.local
+    if test.prefix is None:
+        return (None if axis == "attribute"
+                else static.default_element_namespace), test.local
+    wanted = (constructor_namespaces or {}).get(test.prefix)
+    if wanted is None:
+        wanted = static.resolve_prefix(test.prefix)
+    return wanted, test.local
+
+
+def _indexable_predicate_key_path(predicate: A.Expr, static: StaticContext,
+                                  constructor_namespaces: Optional[dict]
+                                  = None) -> Optional[tuple]:
     """If *predicate* is ``relative-path = expr`` with the path made of
     plain child/attribute name steps, return the path as a hashable key.
 
-    The returned tuple contains ``("child", local)`` / ``("attribute",
-    local)`` entries; None means the predicate is not indexable.
+    The returned tuple contains ``("child", URI, local)`` /
+    ``("attribute", URI, local)`` entries, each name as
+    :func:`resolved_name` resolves it; None means the predicate is not
+    indexable.
     """
     if not isinstance(predicate, A.Comparison) or predicate.op != "=" \
             or predicate.kind != "general":
@@ -1101,27 +1124,40 @@ def _indexable_predicate_key_path(predicate: A.Expr) -> Optional[tuple]:
         if not isinstance(step.node_test, A.NameTest) or \
                 step.node_test.local == "*":
             return None
-        key.append((step.axis, step.node_test.local))
+        key.append((step.axis, *resolved_name(
+            step.node_test, step.axis, static, constructor_namespaces)))
     if not key:
         return None
     return tuple(key)
 
 
-def equality_probe_shape(step: A.AxisStep) -> Optional[tuple]:
-    """``(key path, value)`` when *step* is ``axis::name[path = value]``
-    as a value index serves it: a ``child`` or ``descendant`` step with
-    a non-wildcard name and one indexable equality predicate whose
-    *value* reads no focus (one value per context, not a function of
-    each candidate); ``None`` otherwise."""
+def equality_probe_shape(step: A.AxisStep, static: StaticContext,
+                         constructor_namespaces: Optional[dict] = None,
+                         ) -> Optional[tuple]:
+    """``(name, key path, value)`` when *step* is
+    ``axis::name[path = value]`` as a value index serves it: a ``child``
+    or ``descendant`` step with a non-wildcard name and one indexable
+    equality predicate whose *value* reads no focus (one value per
+    context, not a function of each candidate); ``None`` otherwise.
+    Names come resolved (:func:`resolved_name`), so an index is shared
+    by the queries that ask for the same namespaces, whatever their
+    prefixes; a prefix the query never declared leaves the step to the
+    scan, which raises where it applies the test."""
     if len(step.predicates) != 1 or step.axis not in ("child", "descendant") \
             or not isinstance(step.node_test, A.NameTest) \
             or step.node_test.local == "*":
         return None
     predicate = step.predicates[0]
-    key_path = _indexable_predicate_key_path(predicate)
+    try:
+        key_path = _indexable_predicate_key_path(
+            predicate, static, constructor_namespaces)
+        name = resolved_name(step.node_test, step.axis, static,
+                             constructor_namespaces)
+    except StaticError:
+        return None
     if key_path is None or not focus_free(predicate.right):
         return None
-    return key_path, predicate.right
+    return name, key_path, predicate.right
 
 
 class _TEXT_MARKER:

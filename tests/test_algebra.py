@@ -27,10 +27,7 @@ from repro.xdm.sequence import document_order_sort
 from repro.xml import parse_document
 from repro.xquery import xast as A
 from repro.xquery.context import StaticContext
-from repro.xquery.evaluator import (
-    _indexable_predicate_key_path,
-    node_test_matches,
-)
+from repro.xquery.evaluator import equality_probe_shape, node_test_matches
 from repro.xquery.parser import parse_main_module
 
 IPI = ("iter", "pos", "item")
@@ -288,12 +285,13 @@ class TestPositionalStep:
 
 
 def _probe_step(step_source: str):
-    """The step and key path of ``doc//<step_source>``'s last step."""
+    """The step, resolved name and key path of ``doc//<step_source>``'s
+    last step."""
     module = parse_main_module(f"$d/{step_source}")
     step = module.body.steps[-1]
-    key_path = _indexable_predicate_key_path(step.predicates[0])
-    assert isinstance(step, A.AxisStep) and key_path is not None
-    return step, key_path
+    shape = equality_probe_shape(step, StaticContext())
+    assert isinstance(step, A.AxisStep) and shape is not None
+    return step, shape[0], shape[1]
 
 
 def _test_of(step):
@@ -305,19 +303,19 @@ def _test_of(step):
 
 class TestEqualityProbeStep:
     def test_probes_each_iteration(self, doc, persons):
-        step, key_path = _probe_step('descendant::person[age = "30"]')
+        step, name, key_path = _probe_step('descendant::person[age = "30"]')
         table = _table({1: [doc], 2: [persons[1]], 3: [doc]})
         result = equality_probe_step(
-            table, "descendant", step.node_test, key_path,
+            table, "descendant", name, key_path,
             {1: ["30"], 2: ["30", "41"], 3: ["99"]}, _test_of(step))
         assert _by_iter(result) == {1: [persons[0], persons[2]],
                                     2: [persons[2]]}
 
     def test_an_iteration_without_probes_keeps_nothing(self, doc):
-        step, key_path = _probe_step('person[name = "Bob"]')
+        step, name, key_path = _probe_step('person[name = "Bob"]')
         people = doc.children[0].children[0]
         result = equality_probe_step(
-            _table({1: [people], 2: [people]}), "child", step.node_test,
+            _table({1: [people], 2: [people]}), "child", name,
             key_path, {2: ["Bob"]}, _test_of(step))
         assert [(it, pos, n.get_attribute("id").value)
                 for it, pos, n in result.rows] == [(2, 1, "p2")]
@@ -325,10 +323,10 @@ class TestEqualityProbeStep:
     @pytest.mark.parametrize("shape", ["two-nodes", "attribute", "atomic"])
     def test_a_context_the_index_cannot_serve_is_declined(
             self, persons, shape):
-        step, key_path = _probe_step('person[name = "ann"]')
+        step, name, key_path = _probe_step('person[name = "ann"]')
         items = {"two-nodes": persons[:2],
                  "attribute": [persons[0].attributes[0]],
                  "atomic": [string("p")]}[shape]
         assert equality_probe_step(
-            _table({1: items}), "child", step.node_test, key_path,
+            _table({1: items}), "child", name, key_path,
             {1: ["ann"]}, _test_of(step)) is None

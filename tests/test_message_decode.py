@@ -157,6 +157,50 @@ class TestOnlyWhatIsShipped:
         assert after["fallbacks_to_python"] == before["fallbacks_to_python"]
 
 
+class _CountingParser:
+    """An expat parser that counts the element handlers stored on it."""
+
+    def __init__(self, parser) -> None:
+        object.__setattr__(self, "_parser", parser)
+        object.__setattr__(self, "installs", 0)
+
+    def __getattr__(self, name: str):
+        return getattr(self._parser, name)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "StartElementHandler" and value is not None:
+            object.__setattr__(self, "installs", self.installs + 1)
+        setattr(self._parser, name, value)
+
+
+class TestOneFragmentMode:
+    """A holder's content is built by the tree handlers without a
+    handler switch: the parser's element handlers are stored once per
+    message, however many holders it carries."""
+
+    @pytest.fixture
+    def parsers(self, monkeypatch):
+        import xml.parsers.expat as expat
+        made: list[_CountingParser] = []
+        create = expat.ParserCreate
+
+        def counting(*args, **kwargs):
+            made.append(_CountingParser(create(*args, **kwargs)))
+            return made[-1]
+        monkeypatch.setattr(expat, "ParserCreate", counting)
+        return made
+
+    def test_a_1000_row_sequence_installs_the_handlers_once(self, parsers):
+        [[items]] = parse_request(rows_request(1000)).calls
+        assert [item.string_value() for item in items] \
+            == [f"text {index}" for index in range(1000)]
+        assert [parser.installs for parser in parsers] == [1]
+
+    def test_so_does_a_sequence_of_every_kind(self, parsers):
+        parse_request(CORPUS["every kind between element holders"])
+        assert [parser.installs for parser in parsers] == [1]
+
+
 # ---------------------------------------------------------------------------
 # (b) the corpus: the one-pass decode, and the tree as reference
 
@@ -294,6 +338,35 @@ CORPUS = {
         '<xrpc:attribute xmlns:z="urn:z" xsi:type="xs:int" z:a="1" b="2"/>',
         '<xrpc:attribute xsi:type="only"/>',
         "<xrpc:comment>a<b>c</b></xrpc:comment>")),
+    "comment, PI and whitespace between element holders": request(
+        one_call("<xrpc:element><a k='1'/></xrpc:element>", " <!--c--> ",
+                 "<?p d?>", "\n", "<xrpc:element><b>t<!--in--><?q?>"
+                 "</b></xrpc:element>", "<!--c2-->",
+                 "<xrpc:text>x</xrpc:text>", " <?p?> ",
+                 "<xrpc:element><c/></xrpc:element>\n")),
+    "markup in an atomic holder after an element holder": request(
+        one_call("<xrpc:element><a/></xrpc:element>",
+                 '<xrpc:atomic-value xsi:type="xs:string">a<i x="1">b'
+                 "<j/></i><!--c-->c<?p d?></xrpc:atomic-value>",
+                 "<xrpc:element><b/></xrpc:element>",
+                 "<xrpc:comment>c<e/>d</xrpc:comment>")),
+    "holders whose content ends in text": request(one_call(
+        "<xrpc:document><d/>tail</xrpc:document>",
+        "<xrpc:document>only text</xrpc:document>",
+        "<xrpc:element><e/>tail</xrpc:element>",
+        "<xrpc:document><d/></xrpc:document>")),
+    "every kind between element holders": request(one_call(
+        "<xrpc:element><a><b/>t</a></xrpc:element>",
+        '<xrpc:atomic-value xsi:type="xs:integer">1</xrpc:atomic-value>',
+        "<xrpc:element xmlns:p='urn:p'><p:a p:k='v'/></xrpc:element>",
+        "<xrpc:document><!--c--><d/></xrpc:document>",
+        "<xrpc:element><c/></xrpc:element>",
+        '<xrpc:attribute k="v"/>', "<xrpc:element><d/></xrpc:element>",
+        "<xrpc:text>t</xrpc:text>", "<xrpc:element><e/></xrpc:element>",
+        "<xrpc:comment>c</xrpc:comment>", "<xrpc:element><f/></xrpc:element>",
+        '<xrpc:pi target="t">d</xrpc:pi>',
+        "<xrpc:element><g/></xrpc:element>")
+        + one_call("<xrpc:element><h/></xrpc:element>")),
 }
 
 MALFORMED = {
@@ -404,6 +477,38 @@ def test_stream_and_tree_walk_mint_the_same_keys(name):
         == keys(reference_sequences(text))
 
 
+def _in_key_order(node: Node):
+    """*node*'s tree in the order a parse mints its keys: each element,
+    then its attributes, then its children."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        yield from node.attributes
+        stack.extend(reversed(node.children))
+
+
+#: Sequences whose element holders hold one element and nothing else.
+MIXED = ["every value holder", "every kind between element holders",
+         "comment, PI and whitespace between element holders",
+         "markup in an atomic holder after an element holder"]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_keys_rise_across_the_message(name):
+    # In message order, whatever kinds the sequences mix; and where
+    # every holder's content is shipped, one stride at a time: no key is
+    # spent on a holder, nor on what stands between holders.
+    serials = [node.order_key[1]
+               for sequence in sequences_of(parse_message(CORPUS[name]))
+               for item in sequence if isinstance(item, Node)
+               for node in _in_key_order(item)]
+    assert all(a < b for a, b in zip(serials, serials[1:]))
+    if name in MIXED:
+        assert len(serials) >= 3
+        assert all(b - a == KEY_STRIDE for a, b in zip(serials, serials[1:]))
+
+
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_messages_fault_alike(name):
     text = MALFORMED[name]
@@ -466,6 +571,17 @@ class TestWellFormednessComesFirst:
                          "</xrpc:element>")),
         request(one_call("<xrpc:map/>")).replace(
             "<env:Body>", '<env:Body u:a="undeclared prefix">'),
+        # After an element holder: in an atomic value's markup, and
+        # after a fault in the middle of the sequence.
+        request(one_call("<xrpc:element><a/></xrpc:element>",
+                         "<xrpc:atomic-value>a<u:x/></xrpc:atomic-value>")),
+        request(one_call("<xrpc:element><a/></xrpc:element>",
+                         "<xrpc:map/>", "<xrpc:element><b/></xrpc:element>",
+                         "<xrpc:element><u:x/></xrpc:element>")),
+        request(one_call("<xrpc:element><a/></xrpc:element>",
+                         "<xrpc:element>no element</xrpc:element>",
+                         "<xrpc:element><b/></xrpc:element>",
+                         "<xrpc:atomic-value><c u:k='v'/></xrpc:atomic-value>")),
     ]
 
     #: Not XML either — but the oracle's parser, like the retry this

@@ -352,6 +352,59 @@ class TestGoldenBytes:
     SEMIJOIN_REQUEST = (61917, "e64b752674d8052d83c8416ee3be1b7f"
                                "13022c0c82d57069dd64cd791737974a")
 
+    #: sha256 of a response, and of a request, that carry every holder
+    #: kind (:meth:`_every_holder`), as the per-item ``value()``
+    #: marshaller wrote them.
+    NODE_RESPONSE = (1801, "9e0c9ac0d060c8346bb91411df596822"
+                           "fc2122fe8bb00828426b6b74d94e3e6e")
+    NODE_REQUEST = (2259, "f52f7f424bada5e8cda460f1ae94b654"
+                          "b0467e5b218c75ecc87f3dfe1616da15")
+
+    @staticmethod
+    def _every_holder() -> list:
+        """Element, document, text, comment, PI, attribute and atomic
+        items: parsed and constructed nodes, declared and undeclared
+        prefixes, markup and characters that need escaping."""
+        document = parse_document(
+            "<?xml version='1.0'?><!--c0--><r xmlns:x='urn:x'>"
+            "<x:p k='1' x:k='2'>a &amp; b<!--c1--><?go on?><q/>tail</x:p>"
+            "<p>\r\n</p><d xmlns='urn:d'><e/></d></r>")
+        root = document.children[-1]
+        p = root.children[0]
+        factory = NodeFactory()
+        built = factory.element("y:e", ns_uri="urn:y")
+        built.append(factory.text("built <text>"))
+        # One prefix the envelope binds to the same URI, one to another.
+        bound = factory.element("xs:v", ns_uri="http://www.w3.org/2001/"
+                                               "XMLSchema")
+        rebound = factory.element("xsi:w", ns_uri="urn:not-xsi")
+        return [
+            p, root.children[1], document, root.children[2], built,
+            bound, rebound,
+            p.children[0], p.children[1], p.children[2], p.attributes[1],
+            AttributeNode(factory.mint_key(), "z:a", 'v"', "urn:z"),
+            string("s <&>"), integer(7), double(1.5), untyped(""),
+        ]
+
+    @staticmethod
+    def _digest(text: str) -> tuple[int, str]:
+        import hashlib
+        return len(text), hashlib.sha256(text.encode()).hexdigest()
+
+    def test_a_response_of_every_holder_kind_keeps_its_bytes(self):
+        items = self._every_holder()
+        response = XRPCResponse(module="m", method="f",
+                                results=[items, [], items[:3]],
+                                exchange_id="x1")
+        assert self._digest(build_response(response)) == self.NODE_RESPONSE
+
+    def test_a_request_of_every_holder_kind_keeps_its_bytes(self):
+        items = self._every_holder()
+        request = XRPCRequest(module="m", method="f", arity=2,
+                              calls=[[items, items[:2]], [[], items[5:]]],
+                              exchange_id="x2")
+        assert self._digest(build_request(request)) == self.NODE_REQUEST
+
     def test_the_500_call_semijoin_request_keeps_its_bytes(self,
                                                            monkeypatch):
         import hashlib

@@ -340,6 +340,50 @@ class TestUpdateInvalidation:
         assert counts == [1, 1]
 
 
+#: Names that share a local name and differ in namespace, as the step's
+#: name and as its predicate's key.
+NAMESPACED = ("<r xmlns:x='urn:x' xmlns:y='urn:y'>"
+              "<x:p k='1'>X</x:p><y:p k='1'>Y</y:p>"
+              "<p x:k='1'>px</p><p y:k='1'>py</p><p k='1'>p</p>"
+              "<q><x:c>1</x:c>qx</q><q><c>1</c>q</q></r>")
+
+#: Equality-probe queries over NAMESPACED, with what they return.
+NAMESPACED_PROBES = {
+    "declare namespace a = 'urn:x'; doc('n.xml')/*/a:p[@k = '1']": ["X"],
+    "declare namespace a = 'urn:y'; doc('n.xml')/*/a:p[@k = '1']": ["Y"],
+    "declare namespace a = 'urn:x'; doc('n.xml')/*/p[@a:k = '1']": ["px"],
+    "declare namespace a = 'urn:y'; doc('n.xml')//p[@a:k = '1']": ["py"],
+    "doc('n.xml')/*/p[@k = '1']": ["p"],
+    "doc('n.xml')//p[@*:k = '1']": ["px", "py", "p"],
+    "doc('n.xml')//*:p[@k = '1']": ["X", "Y", "p"],
+    "doc('n.xml')/*/q[c = '1']": ["1q"],
+    "declare namespace b = 'urn:x'; doc('n.xml')//q[b:c = '1']": ["1qx"],
+    "declare default element namespace 'urn:x'; "
+    "doc('n.xml')/*:r/p[@k = '1']": ["X"],
+}
+
+
+class TestValueIndexNamespaces:
+    """A value index is keyed by the namespaces its names resolve to: one
+    prefix bound to two URIs asks for two indexes, and a key step's
+    name matches by namespace as the scan's does."""
+
+    def test_one_tree_serves_every_binding(self):
+        # One tree for all: an index built for one binding of a prefix
+        # must not answer for another.
+        docs = {"n.xml": parse_document(NAMESPACED, uri="n.xml")}
+        for query, expected in [*NAMESPACED_PROBES.items(),
+                                *reversed(NAMESPACED_PROBES.items())]:
+            result = assert_matches_reference(query, docs.get)
+            assert strings(result) == expected, query
+
+    @pytest.mark.parametrize("query", NAMESPACED_PROBES)
+    def test_the_probe_answers_as_the_scan(self, query):
+        docs = {"n.xml": parse_document(NAMESPACED, uri="n.xml")}
+        assert strings(assert_matches_reference(query, docs.get)) \
+            == NAMESPACED_PROBES[query]
+
+
 class TestNodeLevelWalkers:
     def test_descendants_iterative_on_deep_tree(self):
         factory = NodeFactory()
