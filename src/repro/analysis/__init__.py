@@ -15,7 +15,7 @@ over zero iterations — so "liftable" is a question only the compiler
 answers, once per prepared query; executions consult the answer.
 """
 
-from repro.analysis.analyzer import analyze_compiled
+from repro.analysis.analyzer import analyze_compiled, function_liftable
 from repro.analysis.properties import Diagnostic, QueryProperties, SiteProfile
 
 __all__ = [
@@ -23,4 +23,5 @@ __all__ = [
     "QueryProperties",
     "SiteProfile",
     "analyze_compiled",
+    "function_liftable",
 ]

@@ -81,6 +81,23 @@ def _predict_lift(compiled, *, has_dispatch: bool, has_doc_resolver: bool,
     return True, None, None
 
 
+def function_liftable(decl: A.FunctionDecl) -> bool:
+    """The served verdict on a module function: does its body pass
+    :meth:`LoopLiftingCompiler.check` over its parameters, with a
+    document resolver and *no* dispatch function — so a body with a
+    nested ``execute at`` is served one call at a time."""
+    if decl.body is None:
+        return False
+    checker = LoopLiftingCompiler(decl.module.static,
+                                  doc_resolver=_sentinel_capability)
+    try:
+        checker.check(decl.body, [param.name for param in decl.params],
+                      False)
+    except UnsupportedExpression:
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Graph walk: sites and updating-ness (environment-independent,
 # memoized) — one pass, with per-type field caching: these

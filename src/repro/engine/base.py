@@ -11,13 +11,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import obs
-from repro.analysis import QueryProperties, analyze_compiled
+from repro.analysis import (QueryProperties, analyze_compiled,
+                            function_liftable)
 from repro.pathfinder import LoopLiftedQuery
 from repro.xquery import xast as A
 from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
 from repro.xquery.seqtype import Signature
+from repro.xquf.pul import PendingUpdateList
 
 #: Bound of the per-engine plan cache (LRU eviction).  Large enough that
 #: any of the paper's workloads fit entirely; small enough that a
@@ -35,8 +37,8 @@ class Explain:
     the tree-walking fallback); ``fallback_reason`` is the static
     verdict's ``UnsupportedExpression`` message — uniformly naming the
     offending AST node type — when the query is outside the lifted
-    core, and ``None`` when the plan ran lifted or lifting was disabled
-    by the caller or the profile.
+    core, and ``None`` when the plan ran lifted or lifting was not a
+    candidate (the caller's ``try_lifted=False``, or the profile).
     ``fallback_code`` is the matching stable code (see
     :class:`~repro.pathfinder.compiler.UnsupportedExpression`) — the
     key the engine's per-reason fallback histogram counts under.
@@ -51,15 +53,16 @@ class Explain:
     """
 
     plan: str
-    fallback_reason: Optional[str]
-    compile_seconds: float
-    execute_seconds: float
-    cache_hit: bool
+    fallback_reason: Optional[str] = None
+    compile_seconds: float = 0.0
+    execute_seconds: float = 0.0
+    cache_hit: bool = False
     fallback_code: Optional[str] = None
     counters: dict[str, int] = field(default_factory=dict)
     #: The prepare-time static analysis report (liftability prediction,
-    #: updating-ness, site profile, semantic diagnostics) — memoized on
-    #: the compiled query, so a plan-cache hit reattaches it for free.
+    #: updating-ness, site profile, semantic diagnostics) the plan choice
+    #: acted on — memoized on the compiled query, so a plan-cache hit
+    #: reattaches it for free; ``None`` when lifting was not a candidate.
     analysis: Optional[QueryProperties] = None
 
     def render(self) -> str:
@@ -81,14 +84,14 @@ class Engine:
     """The MonetDB/XQuery profile: plan + function cache (section 3.3)
     and Bulk RPC (section 3.2).
 
-    ``execute`` is the local query-service surface: compile through the
-    (bounded, thread-safe) plan cache, run the loop-lifted relational
-    plan when the profile and the static verdict allow, the tree
-    interpreter with recorded telemetry otherwise.
-    :class:`~repro.session.Database` routes through it;
-    :class:`~repro.rpc.XRPCPeer` composes the same steps
-    (``compile_with_stats`` / ``analyze`` / ``attempt_lifted``) around
-    its Bulk RPC routing.  *registry* resolves ``import module``.
+    :meth:`run` is the one plan choice: the loop-lifted relational plan
+    when the profile and the static verdict allow, the tree interpreter
+    with recorded telemetry otherwise.  ``execute`` is the local
+    query-service surface around it (compile through the bounded,
+    thread-safe plan cache, run, apply the pending updates), which
+    :class:`~repro.session.Database` routes through;
+    :meth:`~repro.rpc.XRPCPeer.execute_query` calls :meth:`run` too and
+    commits its own way.  *registry* resolves ``import module``.
     """
 
     #: Cache compiled queries by source text, and keep the bound
@@ -158,60 +161,70 @@ class Engine:
     def execute(self, source: str,
                 context: Optional[ExecutionContext] = None,
                 ) -> tuple[list, Explain]:
-        """Run a query through the lifted pipeline with interpreter
-        fallback; returns ``(result, Explain)``.
-
-        The compiled query comes from the shared plan cache and its
-        static verdict (:meth:`analyze`, memoized: the lifted compiler
-        over zero iterations) is consulted, not re-derived: a liftable
-        query runs lifted and nothing else — a data error raises the
-        interpreter's XQuery error — and an unliftable one goes to the
-        interpreter before any ``execute at`` ships.
-
-        ``context.dispatch`` serves the lifted plan's Bulk RPC shipping;
-        ``context.xrpc_handler`` serves ``execute at`` on the
-        interpreter fallback (the two layers' contracts differ, see
-        :class:`~repro.xquery.context.RemoteCall`).  The attempt and its
-        outcome are returned as the :class:`Explain`, whose ``counters``
-        are what the execution's :class:`~repro.obs.Scope` collected.
-        """
+        """Run a query through :meth:`run` and apply its pending
+        updates (the single-peer form of rule R_Fu); returns
+        ``(result, Explain)``, whose ``counters`` are what the
+        execution's :class:`~repro.obs.Scope` collected."""
         options = context if context is not None else ExecutionContext()
         self.last_plan = None
         compiled, compile_seconds, cache_hit = self.compile_with_stats(source)
-        analysis = self.analyze(compiled, options)
         started = time.perf_counter()
-        plan = "interpreter"
-        fallback_reason = None
-        fallback_code = None
-        lifting = self.loop_lifting and options.try_lifted
-        if lifting and analysis.liftable:
-            plan = "lifted"
-        elif lifting:
-            fallback_reason = analysis.fallback_reason
-            fallback_code = analysis.fallback_code
         with obs.Scope() as scope:
-            self.record_plan(plan, fallback_reason, fallback_code)
-            if plan == "lifted":
-                result = self.attempt_lifted(compiled, options)
-            else:
-                result, pul = compiled.run(options)
-                if pul and options.apply_updates:
-                    from repro.xquf.pul import apply_updates
-                    apply_updates(pul)
-        return result, Explain(
-            plan=plan, fallback_reason=fallback_reason,
-            compile_seconds=compile_seconds,
-            execute_seconds=time.perf_counter() - started,
-            cache_hit=cache_hit, fallback_code=fallback_code,
-            counters=scope.counters, analysis=analysis)
+            result, pul, explain = self.run(compiled, options)
+            if pul:
+                # Looked up per call: the module's attribute is the one
+                # instrumentation wraps.
+                from repro.xquf.pul import apply_updates
+                apply_updates(pul)
+        explain.compile_seconds = compile_seconds
+        explain.execute_seconds = time.perf_counter() - started
+        explain.cache_hit = cache_hit
+        explain.counters = scope.counters
+        return result, explain
+
+    def run(self, compiled: CompiledQuery, context: ExecutionContext,
+            ) -> tuple[list, PendingUpdateList, Explain]:
+        """The one plan choice of every execution, local or originating:
+        returns ``(result, pending updates, Explain)`` and applies
+        nothing — whoever owns the commit does.
+
+        When the profile lifts and ``context.try_lifted`` is set, the
+        memoized static verdict (:meth:`analyze`: the lifted compiler
+        over zero iterations) is consulted, not re-derived: a liftable
+        query runs lifted and nothing else — a data error raises the
+        interpreter's XQuery error — and an unliftable one goes to the
+        interpreter before any ``execute at`` ships.  Otherwise the
+        interpreter runs and the returned ``analysis`` is ``None``.
+        ``context.dispatch`` ships the remote calls of either plan.
+        """
+        analysis = None
+        if self.loop_lifting and context.try_lifted:
+            analysis = self.analyze(compiled, context)
+        if analysis is not None and analysis.liftable:
+            self.last_plan = "lifted"
+            return (self.attempt_lifted(compiled, context),
+                    PendingUpdateList(),
+                    Explain(plan="lifted", analysis=analysis))
+        self.last_plan = "interpreter"
+        explain = Explain(plan="interpreter", analysis=analysis)
+        if analysis is not None:
+            # The per-code histogram counts every fallback one by one.
+            explain.fallback_reason = analysis.fallback_reason
+            explain.fallback_code = code = analysis.fallback_code or "uncoded"
+            with self._cache_lock:
+                self._fallback_counts[code] = \
+                    self._fallback_counts.get(code, 0) + 1
+        result, pul = compiled.run(context)
+        return result, pul, explain
 
     def analyze(self, compiled: CompiledQuery,
                 context: Optional[ExecutionContext] = None,
                 ) -> QueryProperties:
         """The static analysis report for *compiled* under *context*'s
-        capabilities — the same call :meth:`execute` makes, so callers
-        (the peer's router, ``repro check``) see exactly the properties
-        execution will act on.  Memoized on the compiled query."""
+        capabilities — the same call :meth:`run` makes, so callers
+        (``repro check``, :attr:`~repro.session.PreparedQuery.analysis`)
+        see exactly the properties execution will act on.  Memoized on
+        the compiled query."""
         options = context if context is not None else ExecutionContext()
         return analyze_compiled(
             compiled,
@@ -223,21 +236,9 @@ class Engine:
     def attempt_lifted(self, compiled: CompiledQuery,
                        context: ExecutionContext) -> list:
         """The lifted plan of a query whose analysis under *context* is
-        ``liftable`` — shared by :meth:`execute` and the peer's
-        originating path.  The verdict is final, so this is the
-        evaluation alone: an error on the data is the query's error."""
+        ``liftable``.  The verdict is final, so this is the evaluation
+        alone: an error on the data is the query's error."""
         return LoopLiftedQuery(compiled, context).evaluate()
-
-    def record_plan(self, plan: str, fallback_reason: Optional[str],
-                    fallback_code: Optional[str] = None) -> None:
-        """Record the most recent plan choice and bump the per-code
-        fallback histogram when the query fell back."""
-        self.last_plan = plan
-        if plan == "interpreter" and fallback_reason is not None:
-            code = fallback_code or "uncoded"
-            with self._cache_lock:
-                self._fallback_counts[code] = \
-                    self._fallback_counts.get(code, 0) + 1
 
     # -- function cache (server-side plan cache per remote function) -------
 
@@ -245,12 +246,18 @@ class Engine:
                            decl: A.FunctionDecl) -> tuple[Signature, bool]:
         """The bound signature of *decl*, served as *key* ``(module,
         function, arity)``, and whether the function cache held it.  A
-        profile without a plan cache binds it afresh every time."""
+        profile without a plan cache binds it afresh every time.
+
+        The served verdict is decided here, once per binding and only
+        on a profile that lifts: ``signature.liftable`` says whether a
+        Bulk RPC message to *decl* runs as one loop-lifted plan
+        (:func:`~repro.analysis.function_liftable`)."""
         with self._cache_lock:
             signature = self._function_cache.get(key)
         if signature is not None and signature.decl is decl:
             return signature, True
-        signature = Signature(decl)
+        signature = Signature(
+            decl, self.loop_lifting and function_liftable(decl))
         if self.plan_cache_enabled:
             with self._cache_lock:
                 self._function_cache[key] = signature

@@ -13,7 +13,9 @@ Originating side highlights:
   RPC** from the loop-lifted plan: one message per (destination,
   function) group, dispatched in parallel to distinct peers — exactly
   the behaviour of Figures 1/2.  Any other query runs once in the
-  interpreter, shipping one call at a time.
+  interpreter, shipping one call at a time.  The plan is chosen by the
+  engine's one router (:meth:`~repro.engine.Engine.run`), and either
+  plan ships through the context's one remote hook, ``dispatch``.
 * Updating queries under isolation finish with WS-AtomicTransaction-style
   2PC over all participating peers (piggybacked on responses), driven by
   the one :class:`~repro.rpc.coordinator.TransactionCoordinator`.
@@ -47,7 +49,7 @@ from repro.rpc.store import DocumentStore
 from repro.soap.messages import Arguments, QueryID
 from repro.xquery import xast as A
 from repro.xquery.seqtype import Signature
-from repro.xquery.context import ExecutionContext, RemoteCall
+from repro.xquery.context import ExecutionContext
 from repro.xquery.evaluator import CompiledQuery
 from repro.xquery.modules import ModuleRegistry
 from repro.xquf.pul import PendingUpdateList, apply_updates, updated_uris
@@ -188,7 +190,7 @@ class XRPCPeer:
         # The keyword-search service endpoint: the declaration's body is
         # a stub — the serving side intercepts calls to it by identity
         # (see run_call) and answers from the posting-list kernels.
-        self._kw_search_decl = self.registry.by_namespace(
+        self.kw_search_decl = self.registry.by_namespace(
             _SYS_NS).get_function("kw-search", 1)
         register = getattr(transport, "register_peer", None)
         if register is not None:
@@ -209,7 +211,7 @@ class XRPCPeer:
         calls through one; each call still collects into a pending update
         list of its own.
         """
-        if decl is self._kw_search_decl:
+        if decl is self.kw_search_decl:
             # Service endpoint, not a user function: answer from this
             # peer's term indexes instead of evaluating the stub body.
             return self._serve_keyword_search(params, doc_view), \
@@ -233,37 +235,25 @@ class XRPCPeer:
             + f"f:{decl.local_name}({', '.join(arguments)})")
 
     def run_function(self, signature: Signature, calls: Arguments,
-                     context: ExecutionContext) -> Optional[list[list]]:
+                     context: ExecutionContext) -> list[list]:
         """Serve all calls of one Bulk RPC message to the non-updating
-        function of *signature* as ONE loop-lifted plan (paper sections
-        3.2/4): the message already is an ``iter|pos|item`` column per
-        parameter, so each column is converted with one call and bound
-        as it is, and the body compiles once under the loop relation
-        ``iter = 1..N`` instead of running the tree interpreter N times.
-
-        Returns ``None`` — the caller then runs :meth:`run_call` per
-        call — for the ``sys:kw-search`` endpoint, for bodies the
-        compiler's :meth:`~LoopLiftingCompiler.check` refuses (no
-        dispatch function, so no nested ``execute at``) and on *any*
-        error, so fault text is the per-call path's by construction.
-        Re-running is safe: the attempt is read-only and ships nothing.
-        """
+        function of *signature*, whose served verdict is liftable, as
+        ONE loop-lifted plan (paper sections 3.2/4): the message already
+        is an ``iter|pos|item`` column per parameter, so each column is
+        converted with one call and bound as it is, and the body
+        compiles once under the loop relation ``iter = 1..N`` instead of
+        running the tree interpreter N times.  The verdict is final: an
+        argument or result type violation, or a dynamic error on the
+        data, is the message's fault."""
         decl = signature.decl
-        if decl is self._kw_search_decl:
-            return None
+        count = calls.count
+        columns = {param.name: converter.column(rows, count)
+                   for param, converter, rows in zip(
+                       decl.params, signature.params, calls.columns)}
         compiler = LoopLiftingCompiler(
             decl.module.static, doc_resolver=context.doc_resolver)
-        count = calls.count
-        try:
-            # First, so a refused body's payload is converted once.
-            compiler.check(decl.body, [p.name for p in decl.params], False)
-            columns = {param.name: converter.column(rows, count)
-                       for param, converter, rows in zip(
-                           decl.params, signature.params, calls.columns)}
-            rows = signature.result.column(
-                compiler.evaluate(decl.body, count, columns), count)
-        except Exception:  # whatever it was, the per-call path reports it
-            return None
+        rows = signature.result.column(
+            compiler.evaluate(decl.body, count, columns), count)
         results: list[list] = [[] for _ in range(count)]
         for it, _pos, item in rows:
             results[it - 1].append(item)
@@ -299,11 +289,10 @@ class XRPCPeer:
                         session: Optional[ClientSession]) -> ExecutionContext:
         """The execution context incoming calls run in: one document
         resolver (and its cache) over *doc_view*, nested ``execute at``
-        through *session*."""
+        dispatched through *session*."""
         return ExecutionContext(
             doc_resolver=self.make_doc_resolver(doc_view, session),
-            xrpc_handler=self._one_at_a_time_handler(session)
-            if session is not None else None,
+            dispatch=session.call if session is not None else None,
             put_store=self.store.register,
         )
 
@@ -335,16 +324,6 @@ class XRPCPeer:
 
         return resolve
 
-    def _one_at_a_time_handler(self, session: ClientSession):
-        def handle(call: RemoteCall) -> list:
-            [result] = session.call(
-                call.destination, call.module_uri, call.location,
-                call.function, call.arity, Arguments.of([call.args]),
-                updating=call.updating)
-            return result
-
-        return handle
-
     # ------------------------------------------------------------------
     # Originating side
 
@@ -356,8 +335,9 @@ class XRPCPeer:
         """Compile and run a query at this peer (the p0 role).
 
         This is the peer face of the unified session API: the compiled
-        query comes from the engine's shared plan cache and runs one of
-        two ways.  A liftable query runs as the loop-lifted relational
+        query comes from the engine's shared plan cache and the engine's
+        router (:meth:`~repro.engine.Engine.run`) runs it one of two
+        ways.  A liftable query runs as the loop-lifted relational
         plan, whatever its number of ``execute at`` sites: each ships as
         Bulk RPC straight from the algebra translation (Figure 2), and
         the sibling sites of one sequence share their (destination,
@@ -367,9 +347,10 @@ class XRPCPeer:
         a profile that does no loop lifting
         (:attr:`~repro.engine.Engine.loop_lifting`).  A liftable verdict
         is final — the plan never bails after a ship — so updating
-        remote calls ship from it too.  Plan choice and fallback reason are recorded on
-        the returned :class:`QueryResult` (see
-        :meth:`QueryResult.explain`).
+        remote calls ship from it too.  Plan choice and fallback reason
+        are recorded on the returned :class:`QueryResult` (see
+        :meth:`QueryResult.explain`); the pending updates are applied
+        here, after 2PC.
 
         Fault tolerance: ``declare option xrpc:timeout "N"`` (or an
         explicit ``timeout=`` argument, which wins) sets a whole-query
@@ -409,23 +390,19 @@ class XRPCPeer:
         session = ClientSession(self.transport, origin=self.host,
                                 query_id=query_id, channel=self.channel,
                                 deadline=deadline, degrade=degrade)
+        # Every remote-call hook is bound to the session, and one
+        # document resolver (and its cache) runs over this peer's store.
+        context = ExecutionContext(
+            doc_resolver=self.make_doc_resolver(self.store, session),
+            variables=variables,
+            dispatch=session.call,
+            dispatch_parallel=session.call_parallel,
+            put_store=self.store.register,
+            try_lifted=not force_one_at_a_time,
+        )
         started = self.clock.now()
         with Scope() as scope:
-            context = self._make_execution_context(session, variables)
-            analysis = None
-            fallback_reason = fallback_code = None
-            if self.engine.loop_lifting and not force_one_at_a_time:
-                analysis = self.engine.analyze(compiled, context)
-                fallback_reason = analysis.fallback_reason
-                fallback_code = analysis.fallback_code
-            if analysis is not None and analysis.liftable:
-                plan = "lifted"
-                result = self.engine.attempt_lifted(compiled, context)
-                pul = PendingUpdateList()
-            else:
-                plan = "interpreter"
-                result, pul = compiled.run(context)
-            self.engine.record_plan(plan, fallback_reason, fallback_code)
+            result, pul, explain = self.engine.run(compiled, context)
 
             # The originating peer plays the WS-Coordinator role
             # (section 2.3): it knows the full participant list from
@@ -451,17 +428,17 @@ class XRPCPeer:
             messages_sent=session.messages_sent,
             calls_shipped=session.calls_shipped,
             participants=list(session.participants),
-            used_bulk_rpc=plan == "lifted",
+            used_bulk_rpc=explain.plan == "lifted",
             committed_2pc=committed,
-            plan=plan,
-            fallback_reason=fallback_reason,
-            fallback_code=fallback_code,
+            plan=explain.plan,
+            fallback_reason=explain.fallback_reason,
+            fallback_code=explain.fallback_code,
             compile_seconds=compile_seconds,
             cache_hit=cache_hit,
             degraded=bool(session.failed_peers),
             failed_peers=list(session.failed_peers),
             counters=scope.counters,
-            analysis=analysis,
+            analysis=explain.analysis,
         )
 
     def keyword_search(self, terms, peers: Optional[list[str]] = None,
@@ -536,18 +513,3 @@ class XRPCPeer:
             degraded=bool(session.failed_peers),
             failed_peers=list(session.failed_peers),
             counters=scope.counters)
-
-    def _make_execution_context(self, session: ClientSession,
-                                variables) -> ExecutionContext:
-        """The peer's :class:`ExecutionContext`: every remote-call hook
-        bound to *session*, and one document resolver (and its cache)
-        over this peer's store."""
-        return ExecutionContext(
-            doc_resolver=self.make_doc_resolver(self.store, session),
-            variables=variables,
-            dispatch=session.call,
-            dispatch_parallel=session.call_parallel,
-            xrpc_handler=self._one_at_a_time_handler(session),
-            put_store=self.store.register,
-            apply_updates=False,  # the peer applies after (optional) 2PC
-        )

@@ -155,17 +155,19 @@ class XRPCServer:
         context = peer.serving_context(doc_view, nested_session)
         updating = request.updating or decl.updating
 
-        # Bulk RPC set-at-a-time: all N calls as one loop-lifted plan,
-        # on a profile that runs it.  Liftability of the body is the
-        # only other selector.  Updating calls (their pending updates
-        # are per call) and unliftable bodies (`lifted` stays None) run
-        # per call below — as does a message whose budget is already
-        # spent, so the loop's fault answers it.
+        # Bulk RPC set-at-a-time: all N calls as one loop-lifted plan
+        # when the served verdict allows — decided once per bound
+        # signature, and only on a profile that lifts.  Updating calls
+        # (their pending updates are per call) and the keyword-search
+        # endpoint (served by identity) run per call below, as does a
+        # message whose budget is already spent, so the loop's fault
+        # answers it.  A message of zero calls runs nothing.
+        count = request.arguments.count
         lifted = None
-        if peer.engine.loop_lifting and not updating \
+        if count and signature.liftable and not updating \
+                and decl is not peer.kw_search_decl \
                 and (deadline is None or not deadline.expired()):
             lifted = peer.run_function(signature, request.arguments, context)
-        count = request.arguments.count
         calls = request.calls if lifted is None else None
 
         results: list[list] = []

@@ -6,9 +6,11 @@ shipped.  This module is that surface for embedders:
 
 * :class:`Database` — register documents, prepare and execute queries.
   Every local execution goes through
-  :meth:`repro.engine.base.Engine.execute`: loop-lifted relational plan
-  first, tree-interpreter fallback with recorded telemetry, plans
-  served from the bounded LRU plan cache.
+  :meth:`repro.engine.base.Engine.execute`: plans served from the
+  bounded LRU plan cache, chosen by the engine's one router
+  (:meth:`~repro.engine.base.Engine.run`: the loop-lifted relational
+  plan when the static verdict allows, the tree interpreter with
+  recorded telemetry otherwise), pending updates applied at once.
 * :class:`PreparedQuery` — the prepare-once/probe-many handle:
   ``execute()``, lazy ``iter()`` cursors, and ``explain()`` reporting
   plan kind, fallback reason and compile/execute timings.
@@ -147,7 +149,8 @@ class PreparedQuery:
         this query under the database's standard execution context
         (document resolver present, no bulk dispatch): will it lift, is
         it updating, which sites does it touch, and any semantic
-        diagnostics — all without executing anything."""
+        diagnostics — all without executing anything, and whether or
+        not the database tries the lifted plan."""
         context = self.database._make_context(None, {}, None)
         return self.database.engine.analyze(self.compiled, context)
 
@@ -359,9 +362,6 @@ class Database:
             context_item=context_item,
             put_store=self.store.register,
             try_lifted=self.try_lifted,
-            # Local sessions apply pending updates immediately (the
-            # single-peer form of rule R_Fu); peers defer to 2PC.
-            apply_updates=True,
         )
 
     def _resolve_document(self, uri: str) -> Optional[DocumentNode]:

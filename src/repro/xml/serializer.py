@@ -158,13 +158,15 @@ def _serialize_wire(node: Node, out: list[str],
     lists are read directly.  The indent path keeps the general emitter.
     """
     append = out.append
-    stack: list = [(node, scope)]
+    # A frame carries the default namespace in scope beside the scope, so
+    # the common element (unqualified, no default) costs one identity test.
+    stack: list = [(node, scope, scope.get("") or None)]
     while stack:
         frame = stack.pop()
         if type(frame) is str:
             append(frame)
             continue
-        node, scope = frame
+        node, scope, default = frame
         if type(node) is TextNode:
             append(escape_text(node.content))
             continue
@@ -175,13 +177,28 @@ def _serialize_wire(node: Node, out: list[str],
             if inherited:
                 declarations = dict(inherited)
                 child_scope = {**scope, **inherited}
+                default = child_scope.get("") or None
             else:
                 declarations = None
                 child_scope = scope       # copied lazily on auto-declare
-            # Auto-declare prefixes in use on this element but unbound
-            # in scope (constructed trees carry resolved ns_uri without
-            # xmlns attrs).
-            for owner in (node, *attributes) if attributes else (node,):
+            if ":" in name:
+                owners = (node, *attributes) if attributes else (node,)
+            else:
+                owners = attributes
+                # An unprefixed element declares the default namespace it
+                # is in — or undeclares it, xmlns="" — where the scope's
+                # differs.
+                ns_uri = node.ns_uri
+                if ns_uri is not default and ns_uri != default:
+                    declarations = declarations or {}
+                    if child_scope is scope:
+                        child_scope = dict(scope)
+                    declarations[""] = child_scope[""] = ns_uri or ""
+                    default = ns_uri or None
+            # Auto-declare prefixes in use on this element or its
+            # attributes but unbound in scope (constructed trees carry
+            # resolved ns_uri without xmlns attrs).
+            for owner in owners:
                 owner_name = owner.name
                 if ":" not in owner_name:
                     continue
@@ -224,11 +241,11 @@ def _serialize_wire(node: Node, out: list[str],
                 if type(child) is TextNode:
                     stack.append(escape_text(child.content))
                 else:
-                    stack.append((child, child_scope))
+                    stack.append((child, child_scope, default))
             continue
         if isinstance(node, DocumentNode):
             for child in reversed(node._children):
-                stack.append((child, scope))
+                stack.append((child, scope, default))
             continue
         if isinstance(node, TextNode):
             append(escape_text(node.content))
@@ -275,6 +292,9 @@ def _serialize_node(node: Node, out: list[str], indent: bool, level: int,
         if isinstance(node, ElementNode):
             declarations = dict(node.namespace_declarations)
             child_scope = {**scope, **declarations}
+            if (child_scope.get("") or None) != node.ns_uri \
+                    and ":" not in node.name:
+                declarations[""] = child_scope[""] = node.ns_uri or ""
             # Auto-declare prefixes in use on this element but unbound in
             # scope (constructed trees carry resolved ns_uri without
             # xmlns attrs).

@@ -5,8 +5,8 @@ The static context holds namespace bindings and the function registry
 bindings, the focus (context item / position / size), the document
 resolver, and the two hooks the paper's architecture needs:
 
-* ``xrpc_handler`` — invoked for ``execute at`` expressions; installed by
-  the RPC layer (:mod:`repro.rpc`) or by tests.
+* ``dispatch`` — ships ``execute at`` calls as Bulk RPC messages;
+  installed by the RPC layer (:mod:`repro.rpc`) or by tests.
 * ``pul`` — the pending update list accumulating XQUF update primitives.
 """
 
@@ -40,19 +40,6 @@ _DEFAULT_NAMESPACES = {
 
 
 @dataclass
-class RemoteCall:
-    """Everything the RPC layer needs to ship one ``execute at`` call."""
-
-    destination: str
-    module_uri: str
-    location: Optional[str]
-    function: str            # local name
-    arity: int
-    args: list[list]         # one XDM sequence per parameter
-    updating: bool = False
-
-
-@dataclass
 class ExecutionContext:
     """One options object for every prepare/execute surface, threaded
     through :class:`~repro.engine.base.Engine`,
@@ -60,16 +47,15 @@ class ExecutionContext:
     :class:`~repro.pathfinder.LoopLiftedQuery` and
     :class:`~repro.rpc.XRPCPeer`.
 
-    The two remote hooks serve the two plan kinds: ``dispatch`` ships a
-    lifted plan's Bulk RPC messages (one call per (destination,
-    function) group of a sequence's sibling ``execute at`` sites,
+    ``dispatch`` is the one remote hook, for both plan kinds:
     ``dispatch(dest, module_uri, location, function, arity, calls,
-    updating) -> results``, *calls* the message's parameter columns, a
-    :class:`~repro.soap.Arguments`), while ``xrpc_handler`` answers the
-    interpreter's one-at-a-time ``execute at`` (takes a
-    :class:`RemoteCall`).  Callers that can serve both — the peer — set
-    both; local sessions leave them ``None``, so a query containing
-    ``execute at`` runs in the interpreter and fails there.
+    updating) -> results`` ships one Bulk RPC message, *calls* its
+    parameter columns (a :class:`~repro.soap.Arguments`), and returns
+    one result sequence per call.  The lifted plan ships one message per
+    (destination, function) group of a sequence's sibling ``execute
+    at`` sites; the interpreter ships each ``execute at`` as a message
+    of one call.  Local sessions leave it ``None``, so a query
+    containing ``execute at`` runs in the interpreter and fails there.
     """
 
     doc_resolver: Optional[Callable[[str], "DocumentNode"]] = None
@@ -81,13 +67,9 @@ class ExecutionContext:
     #: updating)`` tuples, returns per-request results in order — lifted
     #: plans use it to fan bulk messages out to distinct peers at once.
     dispatch_parallel: Optional[Callable[[list], list]] = None
-    xrpc_handler: Optional[Callable[[RemoteCall], list]] = None
     put_store: Optional[Callable[[str, Any], None]] = None
     #: Try the loop-lifted relational plan before the tree interpreter.
     try_lifted: bool = True
-    #: Apply a pending update list as soon as execution finishes (callers
-    #: running 2PC flip this off and apply at commit).
-    apply_updates: bool = True
 
 
 class StaticContext:
@@ -146,7 +128,7 @@ class DynamicContext:
         static: StaticContext,
         variables: Optional[dict[str, list]] = None,
         doc_resolver: Optional[Callable[[str], "DocumentNode"]] = None,
-        xrpc_handler: Optional[Callable[[RemoteCall], list]] = None,
+        dispatch: Optional[Callable[..., list]] = None,
     ) -> None:
         self.static = static
         self.variables: dict[str, list] = dict(variables or {})
@@ -154,7 +136,7 @@ class DynamicContext:
         self.focus_position: int = 0
         self.focus_size: int = 0
         self.doc_resolver = doc_resolver
-        self.xrpc_handler = xrpc_handler
+        self.dispatch = dispatch
         # XQUF pending update list; created lazily by updating expressions.
         self.pul: Optional[Any] = None
         # Store hook for fn:put (installed by the document-store layer).
@@ -169,7 +151,7 @@ class DynamicContext:
     def child(self) -> "DynamicContext":
         """A context sharing everything but with its own variable scope."""
         derived = DynamicContext(
-            self.static, self.variables, self.doc_resolver, self.xrpc_handler)
+            self.static, self.variables, self.doc_resolver, self.dispatch)
         derived.focus_item = self.focus_item
         derived.focus_position = self.focus_position
         derived.focus_size = self.focus_size
@@ -183,7 +165,7 @@ class DynamicContext:
                        variables: dict[str, list]) -> "DynamicContext":
         """Fresh scope for a user-function body: params only, no focus."""
         derived = DynamicContext(
-            static, variables, self.doc_resolver, self.xrpc_handler)
+            static, variables, self.doc_resolver, self.dispatch)
         derived.pul = self.pul
         derived.put_store = self.put_store
         derived.call_depth = self.call_depth + 1

@@ -5,10 +5,10 @@ interpreter over the AST.  The loop-lifted relational backend
 (:mod:`repro.pathfinder`) compiles a subset of the same AST to algebra
 plans; both produce identical XDM results.
 
-``execute at`` is evaluated through ``ctx.xrpc_handler`` — the paper's
-"stub code" boundary: the evaluator builds a
-:class:`~repro.xquery.context.RemoteCall` and the RPC layer does SOAP
-marshaling, networking and unmarshaling.
+``execute at`` is evaluated through ``ctx.dispatch`` — the paper's
+"stub code" boundary, and the lifted plan's too: the evaluator hands it
+a Bulk RPC message of one call and the RPC layer does SOAP marshaling,
+networking and unmarshaling.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.algebra.paths import (
 )
 from repro.algebra.table import Table
 from repro.errors import DynamicError, StaticError, TypeError_, UpdateError
+from repro.soap.messages import Arguments
 from repro.xdm.atomic import (
     AtomicValue,
     boolean,
@@ -63,7 +64,6 @@ from repro.xquery import seqtype
 from repro.xquery.context import (
     DynamicContext,
     ExecutionContext,
-    RemoteCall,
     StaticContext,
     FN_NS,
 )
@@ -513,10 +513,10 @@ class Evaluator:
     # XRPC
 
     def _eval_execute_at(self, expr: A.ExecuteAt, ctx: DynamicContext) -> Sequence:
-        if ctx.xrpc_handler is None:
+        if ctx.dispatch is None:
             raise DynamicError(
                 "XRPC0001",
-                "execute at: no XRPC handler installed in this context")
+                "execute at: no XRPC dispatch installed in this context")
         destination_values = atomize(self.eval(expr.destination, ctx))
         if len(destination_values) != 1:
             raise TypeError_(
@@ -529,16 +529,9 @@ class Evaluator:
         updating = bool(decl is not None and getattr(decl, "updating", False))
         location = ctx.static.module_locations.get(uri)
         args = [self.eval(arg, ctx) for arg in expr.call.args]
-        call = RemoteCall(
-            destination=destination,
-            module_uri=uri,
-            location=location,
-            function=local,
-            arity=arity,
-            args=args,
-            updating=updating,
-        )
-        return ctx.xrpc_handler(call)
+        [result] = ctx.dispatch(destination, uri, location, local, arity,
+                                Arguments.of([args]), updating)
+        return result
 
     # ------------------------------------------------------------------
     # Constructors
@@ -1384,7 +1377,7 @@ class CompiledQuery:
         if self.ast.body is None:
             raise DynamicError("XPDY0002", "library module has no query body")
         ctx = DynamicContext(self.static, options.variables,
-                             options.doc_resolver, options.xrpc_handler)
+                             options.doc_resolver, options.dispatch)
         ctx.pul = PendingUpdateList()
         ctx.put_store = options.put_store
         if options.context_item is not None:
@@ -1409,22 +1402,21 @@ def evaluate_query(
     registry: Optional[ModuleRegistry] = None,
     doc_resolver=None,
     variables: Optional[dict[str, Sequence]] = None,
-    xrpc_handler=None,
+    dispatch=None,
     context_item=None,
-    apply_pending_updates: bool = True,
     put_store=None,
 ) -> Sequence:
-    """One-shot convenience: compile, execute, (optionally) apply updates."""
+    """One-shot convenience: compile, execute, apply the updates."""
     from repro.xquf.pul import apply_updates
 
     compiled = CompiledQuery(source, registry)
     result, pul = compiled.run(ExecutionContext(
         doc_resolver=doc_resolver,
         variables=variables,
-        xrpc_handler=xrpc_handler,
+        dispatch=dispatch,
         context_item=context_item,
         put_store=put_store,
     ))
-    if apply_pending_updates and pul:
+    if pul:
         apply_updates(pul)
     return result

@@ -208,12 +208,14 @@ class Signature:
     """A function's declared types bound once — the converter of each
     parameter and of the result — so a Bulk RPC message converts each
     parameter column with one call (the engine's function cache holds
-    it per (module, function, arity))."""
+    it per (module, function, arity)), and the served verdict: whether
+    a message to the function runs as one loop-lifted plan."""
 
-    __slots__ = ("decl", "params", "result")
+    __slots__ = ("decl", "params", "result", "liftable")
 
-    def __init__(self, decl: A.FunctionDecl) -> None:
+    def __init__(self, decl: A.FunctionDecl, liftable: bool) -> None:
         self.decl = decl
+        self.liftable = liftable
         self.params = [Converter(param.seq_type, f"{decl.name}(${param.name})")
                        for param in decl.params]
         self.result = Converter(decl.return_type, f"{decl.name}() result")

@@ -319,7 +319,6 @@ class TestUpdatingAgreement:
                 uri=uri)
             for uri in ("r.xml",)}
         context = ExecutionContext(doc_resolver=documents.get,
-                                   apply_updates=False,
                                    put_store=lambda uri, node: None)
         _, pul = compiled.run(context)
         assert pul, f"flagged updating but produced no updates: {source}"
@@ -329,8 +328,7 @@ class TestUpdatingAgreement:
         compiled = CompiledQuery(source)
         analysis = analyze_compiled(compiled, has_doc_resolver=True)
         assert not analysis.updating
-        context = ExecutionContext(doc_resolver=DOCUMENTS.get,
-                                   apply_updates=False)
+        context = ExecutionContext(doc_resolver=DOCUMENTS.get)
         _, pul = compiled.run(context)
         assert not pul
 

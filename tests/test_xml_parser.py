@@ -116,6 +116,57 @@ class TestNamespaces:
         assert doc.root_element.children[0].ns_uri == "urn:2"
 
 
+class TestDefaultNamespaceSerialization:
+    """An unprefixed element carries its default namespace out of the
+    ancestor that declared it — on both emitters and over the wire."""
+
+    def inner(self, xml: str):
+        return parse_document(xml).root_element.children[0]
+
+    @pytest.mark.parametrize("indent,text", [
+        (False, '<p xmlns="urn:d"><q/></p>'),
+        (True, '<p xmlns="urn:d">\n  <q/>\n</p>'),
+    ])
+    def test_subtree_declares_the_inherited_default(self, indent, text):
+        p = self.inner("<r xmlns='urn:d'><p><q/></p></r>")
+        assert serialize(p, indent=indent) == text
+        reparsed = parse_document(serialize(p, indent=indent)).root_element
+        assert reparsed.ns_uri == "urn:d"
+        assert reparsed.find("q").ns_uri == "urn:d"
+
+    def test_no_namespace_under_a_default_is_undeclared(self):
+        doc = parse_document("<r xmlns='urn:d'><p xmlns=''><q/></p><s/></r>")
+        assert serialize(doc) == \
+            '<r xmlns="urn:d"><p xmlns=""><q/></p><s/></r>'
+        r = parse_document("<r xmlns='urn:d'><s/></r>").root_element
+        r.children[0].ns_uri = None
+        text = serialize(r)
+        assert text == '<r xmlns="urn:d"><s xmlns=""/></r>'
+        assert parse_document(text).root_element.children[0].ns_uri is None
+
+    def test_declared_once_per_scope(self):
+        doc = parse_document("<r xmlns='urn:d'><p><q/><q/></p></r>")
+        assert serialize(doc) == '<r xmlns="urn:d"><p><q/><q/></p></r>'
+        assert serialize(self.inner("<r><p><q/></p></r>")) == "<p><q/></p>"
+
+    def test_shipped_element_keeps_its_namespace(self):
+        from tests.helpers import shipped
+        p = self.inner("<r xmlns='urn:d'><p><q/></p></r>")
+        [arrived] = shipped([p])
+        assert arrived.ns_uri == "urn:d"
+        assert arrived.children[0].ns_uri == "urn:d"
+
+    def test_constructed_default_element_namespace(self):
+        from repro.session import Database
+        from tests.helpers import shipped
+        [a] = Database().execute(
+            'declare default element namespace "urn:x"; <a><b/></a>')
+        assert serialize(a) == '<a xmlns="urn:x"><b/></a>'
+        [arrived] = shipped([a])
+        assert (arrived.ns_uri, arrived.children[0].ns_uri) == \
+            ("urn:x", "urn:x")
+
+
 class TestWellFormednessErrors:
     @pytest.mark.parametrize("bad", [
         "<a>",

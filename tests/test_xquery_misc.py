@@ -164,7 +164,7 @@ class TestExecuteAtErrors:
         execute at {("a", "b")} { local:f() }
         """
         with pytest.raises((TypeError_, DynamicError)):
-            run(query, xrpc_handler=lambda call: [])
+            run(query, dispatch=lambda *request: [[]])
 
 
 class TestIsolationOptionParsing:

@@ -15,8 +15,7 @@ def run_update(query: str, doc_xml: str) -> str:
     """Run an updating query against a single document 'db.xml';
     returns the serialized post-state."""
     document = parse_document(doc_xml, uri="db.xml")
-    evaluate_query(query, doc_resolver=lambda uri: document,
-                   apply_pending_updates=True)
+    evaluate_query(query, doc_resolver=lambda uri: document)
     return serialize(document)
 
 
